@@ -51,7 +51,6 @@ from .errors import (
 )
 from .matching import (
     MatchSystem,
-    RegionSolution,
     SecularFunction,
     assemble_match_system,
     general_secular,

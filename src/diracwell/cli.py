@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,6 @@ class RunConfig:
 
     fmt: str = "csv"
     out: str | None = None
-    workers: int = 1
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -114,8 +112,7 @@ def _run_config(args, file_cfg) -> RunConfig:
     fmt = _merged(args, file_cfg, "format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    workers = int(os.environ.get("DIRACWELL_WORKERS", "1") or "1")
-    return RunConfig(fmt=fmt, out=_merged(args, file_cfg, "out", None), workers=workers)
+    return RunConfig(fmt=fmt, out=_merged(args, file_cfg, "out", None))
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +137,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _roots_for_param(task) -> list[float]:
-    # module level so a process pool can pickle it
-    which, fixed, half_width, value, scan_points = task
-    if which == "k":
-        secular = square_well_secular(value, fixed, half_width)
-    else:
-        secular = square_well_secular(fixed, value, half_width)
-    return find_roots(secular, scan_points)
-
-
-def _parallel_roots(which, fixed, half_width, params, scan_points, workers):
-    tasks = [(which, fixed, half_width, float(p), scan_points) for p in params]
-    if workers > 1 and len(tasks) > 3:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_roots_for_param, tasks, chunksize=8))
-    return [_roots_for_param(t) for t in tasks]
-
-
 def _sweep_common(args, which: str) -> int:
     file_cfg = _load_config_file(args.config)
     run = _run_config(args, file_cfg)
@@ -169,11 +148,10 @@ def _sweep_common(args, which: str) -> int:
     else:
         fixed = float(_require(args, file_cfg, "k"))
         params = _parse_range(str(_require(args, file_cfg, "v0")))
-    root_lists = _parallel_roots(which, fixed, half_width, params, scan_points, run.workers)
     if which == "k":
-        branches = sweep_k(fixed, params, half_width, scan_points, root_lists=root_lists)
+        branches = sweep_k(fixed, params, half_width, scan_points)
     else:
-        branches = sweep_v0(fixed, params, half_width, scan_points, root_lists=root_lists)
+        branches = sweep_v0(fixed, params, half_width, scan_points)
     if run.fmt == "csv":
         text = branches_to_csv(branches)
     else:

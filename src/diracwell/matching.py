@@ -26,7 +26,6 @@ from .core import FieldConfig, PiecewiseConstant, QuantumLabel, classify_case, s
 from .errors import ConfigError, OutsideAdmissibleBand, UnboundedStateRequest
 
 __all__ = [
-    "RegionSolution",
     "MatchSystem",
     "SecularFunction",
     "region_wavenumbers",
@@ -37,24 +36,6 @@ __all__ = [
     "general_secular",
     "square_well_config",
 ]
-
-
-@dataclass(frozen=True)
-class RegionSolution:
-    """Closed-form description of psi_t1 on one region.
-
-    kind 'evanescent_left'/'evanescent_right': coefficients = (c,) for
-    c exp(+p x) / c exp(-p x).  kind 'oscillatory': coefficients = (c, d)
-    for c exp(i q x) + d exp(-i q x).  kind 'evanescent': coefficients =
-    (a, b) for a cosh(kappa (x - center)) + b sinh(kappa (x - center)).
-    """
-
-    x_lo: float
-    x_hi: float
-    kind: str
-    wavenumber: float
-    coefficients: tuple[complex, ...]
-    center: float = 0.0
 
 
 @dataclass(frozen=True)

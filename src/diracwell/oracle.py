@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import (
     CoulombLike,
@@ -80,6 +79,8 @@ def grid_eigenvalues(u, spec: GridSpec, count: int, tol: float | None = None) ->
     is recomputed on a doubled grid; a level moving by more than tol raises
     GridTooCoarse, otherwise the doubled-grid values are returned.
     """
+    from scipy.linalg import eigh_tridiagonal  # deferred: scipy.linalg dominates import time
+
     x = np.linspace(spec.x_min, spec.x_max, spec.points)
     h = spec.spacing
     interior = x[1:-1]

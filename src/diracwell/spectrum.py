@@ -3,10 +3,11 @@
 Square-well bound states live strictly inside the admissible band
 (max(-|k|, |k| - v0), |k|): outside it either the exterior stops decaying
 or the interior stops oscillating.  Roots of a secular function are
-bracketed on a uniform scan of the band and polished by bisection; sweeps
-in k or v0 chain the per-parameter roots into branches and flag the points
-where a branch runs into the lower band edge and disappears (a state
-collapsing into the continuum).
+bracketed on a uniform scan of the band and polished by bisection, all
+brackets in lockstep; a sweep in k or v0 solves every parameter value in
+one such batched pass, chains the per-parameter roots into branches and
+flags the points where a branch runs into the lower band edge and
+disappears (a state collapsing into the continuum).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ DEFAULT_SCAN_POINTS = 2000
 DEFAULT_ROOT_TOL = 1e-10
 EDGE_MARGIN = 1e-6
 COLLAPSE_TOL = 1e-6
+SCAN_BLOCK = 8192  # energies per scan evaluation; bounds the grid of long sweeps
 
 
 @dataclass(frozen=True)
@@ -63,18 +65,69 @@ def admissible_interval(k: float, v0: float) -> AdmissibleBand:
     return AdmissibleBand(max(-kk, kk - v0), kk)
 
 
-def _bisect(f, a, b, fa, tol):
-    """Plain bisection; the bracket is assumed to change sign."""
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
+def _refine_brackets(values, rows, a, b, fa, tol) -> np.ndarray:
+    """Bisect many sign-changing brackets [a, b] in lockstep.
+
+    Bracket i belongs to row rows[i] and values(rows, x) evaluates each
+    row's function at its own x.  Every bracket takes exactly the steps of
+    a scalar bisection: it halves at 0.5 * (a + b), keeps the left half
+    when the midpoint value has the sign of fa, stops on an exact zero and
+    freezes as soon as b - a <= tol, so batching changes no bit of a root.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    fa = np.array(fa, dtype=float)
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        mid = 0.5 * (a[live] + b[live])
+        fm = np.asarray(values(rows[live], mid), dtype=float)
+        same = (fa[live] < 0.0) == (fm < 0.0)
+        a[live[same]] = mid[same]
+        fa[live[same]] = fm[same]
+        b[live[~same]] = mid[~same]
+        # an exact zero shrinks its bracket onto mid, and 0.5 * (mid + mid) == mid
+        zero = fm == 0.0
+        a[live[zero]] = mid[zero]
+        b[live[zero]] = mid[zero]
+        live = live[b[live] - a[live] > tol]
     return 0.5 * (a + b)
+
+
+def _roots_by_row(values, lo, hi, scan_points, tol, edge_margin=EDGE_MARGIN) -> list[list[float]]:
+    """Sorted roots of many secular functions, one list per row.
+
+    Row r is the function x -> values(r, x) on the open domain
+    (lo[r], hi[r]); values takes equally long arrays of rows and energies.
+    Each row gets its own uniform scan, evaluated in blocks of at most
+    SCAN_BLOCK energies; the brackets of all rows are then bisected
+    together, and roots within edge_margin of a domain edge are dropped.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    rows = np.flatnonzero(lo < hi)
+    per_block = max(1, SCAN_BLOCK // max(scan_points, 1))
+    no_rows, no_x = np.empty(0, dtype=int), np.empty(0)
+    brackets, hits = [(no_rows, no_x, no_x, no_x)], [(no_rows, no_x)]
+    for start in range(0, rows.size, per_block):
+        block = rows[start : start + per_block]
+        grid = np.linspace(lo[block], hi[block], scan_points + 2, axis=1)[:, 1:-1]
+        vals = values(np.repeat(block, grid.shape[1]), grid.ravel())
+        vals = np.asarray(vals, dtype=float).reshape(grid.shape)
+        sign = np.sign(vals)
+        r, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+        brackets.append((block[r], grid[r, i], grid[r, i + 1], vals[r, i]))
+        r, i = np.nonzero(sign == 0)  # scan point landing exactly on a root
+        hits.append((block[r], grid[r, i]))
+    br_rows, a, b, fa = map(np.concatenate, zip(*brackets))
+    hit_rows, hit_roots = map(np.concatenate, zip(*hits))
+    owner = np.concatenate([br_rows, hit_rows])
+    roots = np.concatenate([_refine_brackets(values, br_rows, a, b, fa, tol), hit_roots])
+    keep = (roots - lo[owner] > edge_margin) & (hi[owner] - roots > edge_margin)
+    owner, roots = owner[keep], roots[keep]
+    order = np.lexsort((roots, owner))
+    owner, roots = owner[order], roots[order]
+    bounds = np.searchsorted(owner, np.arange(lo.size + 1))
+    return [roots[s:e].tolist() for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def find_roots(
@@ -90,22 +143,9 @@ def find_roots(
     the secular value vanishes at a q -> 0 edge without a bound state
     there.
     """
-    if secular.empty:
-        return []
-    grid = np.linspace(secular.lo, secular.hi, scan_points + 2)[1:-1]
-    vals = np.asarray(secular(grid), dtype=float)
-    roots: list[float] = []
-    sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(float(_bisect(secular, grid[i], grid[i + 1], vals[i], tol)))
-    for i in np.nonzero(sign == 0)[0]:  # scan point landing exactly on a root
-        roots.append(float(grid[i]))
-    roots.sort()
-    return [
-        r
-        for r in roots
-        if r - secular.lo > edge_margin and secular.hi - r > edge_margin
-    ]
+    return _roots_by_row(
+        lambda rows, eps: secular(eps), [secular.lo], [secular.hi], scan_points, tol, edge_margin
+    )[0]
 
 
 def count_bound_states(
@@ -153,7 +193,7 @@ def parameter_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return grid[grid <= hi + 0.5 * step]
 
 
-def _track(param_name, params, root_lists, on_termination=None) -> list[SpectrumBranch]:
+def _track(param_name, params, roots_per_param, on_termination=None) -> list[SpectrumBranch]:
     """Chain per-parameter root lists into branches.
 
     Matching is greedy nearest-to-prediction with a jump guard of ten local
@@ -162,7 +202,7 @@ def _track(param_name, params, root_lists, on_termination=None) -> list[Spectrum
     """
     branches: list[SpectrumBranch] = []
     active: list[SpectrumBranch] = []
-    for idx, (p, roots) in enumerate(zip(params, root_lists)):
+    for idx, (p, roots) in enumerate(zip(params, roots_per_param)):
         step = abs(params[idx] - params[idx - 1]) if idx else 0.0
         taken = [False] * len(roots)
         survivors: list[SpectrumBranch] = []
@@ -199,26 +239,25 @@ def _track(param_name, params, root_lists, on_termination=None) -> list[Spectrum
     return branches
 
 
-def _sweep_roots(param_name, params, secular_for, root_lists=None, scan_points=None, tol=None):
-    scan_points = scan_points or DEFAULT_SCAN_POINTS
-    tol = tol or DEFAULT_ROOT_TOL
-    if root_lists is None:
-        root_lists = [find_roots(secular_for(p), scan_points, tol) for p in params]
-    return root_lists
-
-
 def sweep_k(
     v0: float,
     k_values,
     half_width: float = 1.0,
     scan_points: int = DEFAULT_SCAN_POINTS,
     tol: float = DEFAULT_ROOT_TOL,
-    root_lists=None,
 ) -> list[SpectrumBranch]:
-    """Track square-well branches over a grid of momenta at fixed depth."""
+    """Track square-well branches over a grid of momenta at fixed depth.
+
+    The roots at every momentum come from one batched pass.
+    """
     params = np.asarray(k_values, dtype=float)
-    root_lists = _sweep_roots(
-        "k", params, lambda k: square_well_secular(k, v0, half_width), root_lists, scan_points, tol
+    kk = np.abs(params)
+    roots_per_param = _roots_by_row(
+        lambda rows, eps: _square_well_secular_value(params[rows], eps, v0, half_width),
+        np.maximum(-kk, kk - v0),
+        kk,
+        scan_points,
+        tol,
     )
 
     def terminate(branch, p_prev, p_next):
@@ -227,7 +266,7 @@ def sweep_k(
         edge = "lower" if abs(eps - band.lo) <= abs(band.hi - eps) else "upper"
         branch.termination = (p_prev, f"{edge} band edge")
 
-    return _track("k", params, root_lists, terminate)
+    return _track("k", params, roots_per_param, terminate)
 
 
 def sweep_v0(
@@ -236,22 +275,26 @@ def sweep_v0(
     half_width: float = 1.0,
     scan_points: int = DEFAULT_SCAN_POINTS,
     tol: float = DEFAULT_ROOT_TOL,
-    root_lists=None,
 ) -> list[SpectrumBranch]:
     """Track square-well branches over a grid of depths at fixed momentum.
 
-    When a branch reaches the lower band edge eps = -|k| and disappears,
-    the crossing depth is refined by bisecting the boundary secular value,
-    and the branch is flagged with a ('epsilon=-k') termination.
+    The roots at every depth come from one batched pass.  When a branch
+    reaches the lower band edge eps = -|k| and disappears, the crossing
+    depth is refined by bisecting the boundary secular value, and the
+    branch is flagged with a ('epsilon=-k') termination.
     """
     params = np.asarray(v0_values, dtype=float)
     kk = abs(k)
-    root_lists = _sweep_roots(
-        "v0", params, lambda v: square_well_secular(k, v, half_width), root_lists, scan_points, tol
+    roots_per_param = _roots_by_row(
+        lambda rows, eps: _square_well_secular_value(k, eps, params[rows], half_width),
+        np.maximum(-kk, kk - params),
+        np.full(params.shape, kk),
+        scan_points,
+        tol,
     )
 
-    def boundary_value(v):
-        return float(_square_well_secular_value(k, -kk, v, half_width))
+    def boundary_value(rows, v):
+        return _square_well_secular_value(k, -kk, v, half_width)
 
     def terminate(branch, p_prev, p_next):
         eps = branch.epsilons[-1]
@@ -262,14 +305,16 @@ def sweep_v0(
         edges = (p_prev, p_next, p_next + step)
         if near_lower:
             for a, b in zip(edges[:-1], edges[1:]):
-                fa, fb = boundary_value(a), boundary_value(b)
+                fa, fb = boundary_value(None, a), boundary_value(None, b)
                 if (fa < 0.0) != (fb < 0.0):
-                    v_star = _bisect(boundary_value, a, b, fa, COLLAPSE_TOL * 1e-3)
-                    branch.termination = (v_star, "epsilon=-k")
+                    (v_star,) = _refine_brackets(
+                        boundary_value, np.zeros(1, dtype=int), [a], [b], [fa], COLLAPSE_TOL * 1e-3
+                    )
+                    branch.termination = (float(v_star), "epsilon=-k")
                     return
         branch.termination = (p_prev, "band edge")
 
-    return _track("v0", params, root_lists, terminate)
+    return _track("v0", params, roots_per_param, terminate)
 
 
 def branch_cut(branches: list[SpectrumBranch], param: float, atol: float = 1e-9) -> list[float]:

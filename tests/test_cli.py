@@ -1,11 +1,17 @@
 """Command-line behavior: schemas, config merging, exit codes, and
-byte-stable output.  Everything drives main(argv) in-process."""
+byte-stable output.  Everything drives main(argv) in-process, except the
+import check, which needs a fresh interpreter."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diracwell
 from diracwell.cli import main
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
@@ -76,11 +82,10 @@ class TestSweeps:
         assert code == 2
         assert "lo:hi:step" in err
 
-    def test_worker_pool_output_matches_serial(self, capsys, monkeypatch):
-        _, serial, _ = run(capsys, "sweep-v0", "--k", "3", "--v0", "0:4:0.5")
-        monkeypatch.setenv("DIRACWELL_WORKERS", "2")
-        _, pooled, _ = run(capsys, "sweep-v0", "--k", "3", "--v0", "0:4:0.5")
-        assert pooled == serial
+    def test_sweep_output_is_byte_identical_across_runs(self, capsys):
+        _, first, _ = run(capsys, "sweep-v0", "--k", "3", "--v0", "0:4:0.5")
+        _, second, _ = run(capsys, "sweep-v0", "--k", "3", "--v0", "0:4:0.5")
+        assert first == second
 
 
 class TestState:
@@ -208,3 +213,25 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n,epsilon\n")
+
+
+class TestImports:
+    def test_import_and_spectrum_leave_scipy_linalg_unloaded(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import diracwell\n"
+            "assert 'scipy.linalg' not in sys.modules, 'import diracwell'\n"
+            "from diracwell.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['spectrum', '--k', '2', '--v0', '2']) == 0\n"
+            "assert 'scipy.linalg' not in sys.modules, 'diracwell spectrum'\n"
+        )
+        src = str(Path(diracwell.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracwell import (
     SpectrumBranch,
@@ -23,6 +25,7 @@ from diracwell import (
     sweep_v0,
 )
 from diracwell.errors import InvalidLevel, UnsupportedRegime
+from diracwell.spectrum import DEFAULT_SCAN_POINTS, SCAN_BLOCK
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
 WELL38_ROOTS = (
@@ -142,6 +145,76 @@ class TestSweeps:
         kb = sweep_k(8.0, parameter_grid(2.9, 3.1, 0.1))
         vb = sweep_v0(3.0, parameter_grid(7.9, 8.1, 0.1))
         assert branch_cut(kb, 3.0) == pytest.approx(branch_cut(vb, 8.0), abs=1e-9)
+
+
+def samples_by_param(branches):
+    out = {}
+    for b in branches:
+        for p, e in zip(b.params, b.epsilons):
+            out.setdefault(p, []).append(e)
+    return {p: sorted(es) for p, es in out.items()}
+
+
+def scalar_roots(secular, tol=1e-10, margin=1e-6):
+    """Reference: the same scan, then one scalar bisection per bracket."""
+    grid = np.linspace(secular.lo, secular.hi, DEFAULT_SCAN_POINTS + 2)[1:-1]
+    vals = secular(grid)
+    roots = [float(x) for x in grid[vals == 0.0]]
+    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+        a, b, fa = grid[i], grid[i + 1], vals[i]
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            fm = secular(mid)
+            if fm == 0.0:
+                a = b = mid
+            elif (fa < 0.0) == (fm < 0.0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        roots.append(float(0.5 * (a + b)))
+    return sorted(r for r in roots if r - secular.lo > margin and secular.hi - r > margin)
+
+
+class TestBatchedKernel:
+    """All brackets are bisected in lockstep and sweeps solve all parameter
+    values in one pass; every root must still be the scalar bisection's,
+    bit for bit."""
+
+    @pytest.mark.parametrize("k,v0,half_width", [(2, 2, 1), (3, 8, 1), (-4, 11, 0.7), (50, 120, 3)])
+    def test_roots_equal_scalar_bisection(self, k, v0, half_width):
+        secular = square_well_secular(k, v0, half_width)
+        assert find_roots(secular) == scalar_roots(secular)
+
+    def test_sweep_k_rows_equal_single_solves(self):
+        params = parameter_grid(-3.0, 3.0, 0.5)  # hits k = 0 exactly
+        assert len(params) * DEFAULT_SCAN_POINTS > SCAN_BLOCK
+        samples = samples_by_param(sweep_k(8.0, params))
+        assert 0.0 in params and 0.0 not in samples  # empty band at k = 0
+        for k in params:
+            assert samples.get(float(k), []) == find_roots(square_well_secular(k, 8.0))
+
+    def test_sweep_v0_rows_equal_single_solves(self):
+        params = parameter_grid(0.0, 8.0, 0.1)
+        assert len(params) * DEFAULT_SCAN_POINTS > SCAN_BLOCK
+        branches = sweep_v0(3.0, params)
+        collapses = [b for b in branches if b.termination and b.termination[1] == "epsilon=-k"]
+        assert len(collapses) == 2
+        samples = samples_by_param(branches)
+        for v0 in params:
+            assert samples.get(float(v0), []) == find_roots(square_well_secular(3.0, v0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.floats(-15.0, 15.0).filter(lambda k: abs(k) > 0.1),
+        v0=st.floats(0.0, 40.0),
+        half_width=st.floats(0.2, 3.0),
+        tol=st.sampled_from([1e-10, 1e-7, 1e-4]),
+    )
+    def test_every_root_sits_in_a_sign_changing_bracket(self, k, v0, half_width, tol):
+        secular = square_well_secular(k, v0, half_width)
+        for r in find_roots(secular, tol=tol):
+            lo, hi = secular(np.array([r - 0.5 * tol, r + 0.5 * tol]))
+            assert secular(r) == 0.0 or lo * hi < 0.0
 
 
 class TestLandauLevels:
