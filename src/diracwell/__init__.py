@@ -34,7 +34,6 @@ from .errors import (
     BrokenPTSymmetry,
     ConfigError,
     DegenerateMomentum,
-    DegenerateRoot,
     DiscontinuityPoint,
     GridTooCoarse,
     InvalidLevel,
@@ -50,9 +49,7 @@ from .errors import (
     VerificationFailure,
 )
 from .matching import (
-    MatchSystem,
     SecularFunction,
-    assemble_match_system,
     general_secular,
     region_wavenumbers,
     secular_det_general,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -95,6 +96,8 @@ def _parse_range(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"range has a non-numeric part: {text!r}") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ConfigError(f"range parts must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"range needs hi >= lo and step > 0, got {text!r}")
     return parameter_grid(lo, hi, step)

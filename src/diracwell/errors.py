@@ -41,10 +41,6 @@ class NotAnEigenvalue(SolverError):
     """State assembly was attempted at an epsilon that is not a root."""
 
 
-class DegenerateRoot(SolverError):
-    """The matching system has a null space of dimension greater than one."""
-
-
 class DegenerateMomentum(SolverError):
     """An operation that divides by k was requested at k = 0."""
 

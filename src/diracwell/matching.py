@@ -26,36 +26,14 @@ from .core import FieldConfig, PiecewiseConstant, QuantumLabel, classify_case, s
 from .errors import ConfigError, OutsideAdmissibleBand, UnboundedStateRequest
 
 __all__ = [
-    "MatchSystem",
     "SecularFunction",
     "region_wavenumbers",
     "secular_det_square_well",
     "square_well_secular",
-    "assemble_match_system",
     "secular_det_general",
     "general_secular",
     "square_well_config",
 ]
-
-
-@dataclass(frozen=True)
-class MatchSystem:
-    """Homogeneous linear system expressing continuity and derivative jumps.
-
-    matrix has shape (2N, 2N) for N breakpoints; its null space holds the
-    region coefficients ordered left to right.
-    """
-
-    matrix: np.ndarray
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
-    region_kinds: tuple[str, ...]
-    wavenumbers: tuple[float, ...]
-    centers: tuple[float, ...]
-    label: QuantumLabel
-
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -82,16 +60,16 @@ def region_wavenumbers(
     """Exterior decay rate p and interior wavenumber q for the square well.
 
     Raises OutsideAdmissibleBand naming the violated condition; the
-    boundary cases p = 0 and q = 0 are rejected as well.
+    boundary cases p = 0 and q = 0 are rejected as well, and so is a NaN.
     """
     k, eps = label.k, label.epsilon
     p_sq = k * k - eps * eps
-    if p_sq <= 0.0:
+    if not p_sq > 0.0:
         raise OutsideAdmissibleBand(
             f"decaying exterior needs |epsilon| < |k|: eps={eps}, k={k}"
         )
     q_sq = (eps + v0) ** 2 - k * k
-    if q_sq <= 0.0:
+    if not q_sq > 0.0:
         raise OutsideAdmissibleBand(
             f"oscillatory interior needs |epsilon + v0| > |k|: eps={eps}, v0={v0}, k={k}"
         )
@@ -124,8 +102,22 @@ def secular_det_square_well(
     return float(_square_well_secular_value(k, epsilon, v0, half_width))
 
 
+def _check_well(k, v0, half_width) -> None:
+    """Raise ConfigError unless k and v0 (numbers or sweep grids) are finite
+    and half_width is finite and positive."""
+    if not np.all(np.isfinite(k)):
+        raise ConfigError("k must be finite")
+    if not np.all(np.isfinite(v0)):
+        raise ConfigError("v0 must be finite")
+    square_well(0.0, half_width)  # rejects a width that is not finite and positive
+
+
 def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> SecularFunction:
-    """Secular function for the square well over its admissible band."""
+    """Secular function for the square well over its admissible band.
+
+    Raises ConfigError for a non-finite k or v0 or a width that is not
+    finite and positive."""
+    _check_well(k, v0, half_width)
     kk = abs(k)
     lo, hi = max(-kk, kk - v0), kk
     return SecularFunction(
@@ -138,7 +130,7 @@ def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> Secular
 
 
 # ---------------------------------------------------------------------------
-# explicit matching system
+# transfer-matrix secular value for arbitrary piecewise profiles
 # ---------------------------------------------------------------------------
 
 
@@ -152,109 +144,6 @@ def _electrostatic_steps(config: FieldConfig) -> PiecewiseConstant:
         raise ConfigError("profile has no steps, nothing to match")
     return pot
 
-
-def _region_basis(kind, wavenumber, center):
-    """Pair of (value, derivative) callables for the region's basis functions."""
-    if kind == "evanescent_left":
-        p = wavenumber
-        return [(lambda x: np.exp(p * x), lambda x: p * np.exp(p * x))]
-    if kind == "evanescent_right":
-        p = wavenumber
-        return [(lambda x: np.exp(-p * x), lambda x: -p * np.exp(-p * x))]
-    if kind == "oscillatory":
-        q = wavenumber
-        return [
-            (lambda x: np.exp(1j * q * x), lambda x: 1j * q * np.exp(1j * q * x)),
-            (lambda x: np.exp(-1j * q * x), lambda x: -1j * q * np.exp(-1j * q * x)),
-        ]
-    if kind == "evanescent":
-        kap = wavenumber
-        return [
-            (lambda x: np.cosh(kap * (x - center)), lambda x: kap * np.sinh(kap * (x - center))),
-            (lambda x: np.sinh(kap * (x - center)), lambda x: kap * np.cosh(kap * (x - center))),
-        ]
-    # kind == "degenerate": psi'' = 0
-    return [
-        (lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x),
-        (lambda x: x - center, lambda x: 1.0 + 0.0 * x),
-    ]
-
-
-def assemble_match_system(config: FieldConfig, label: QuantumLabel) -> MatchSystem:
-    """Continuity-plus-jump system for a piecewise-constant electrostatic well.
-
-    One value row and one derivative-jump row per breakpoint; the jump term
-    i J psi is written with the single-coefficient exterior solution at the
-    outermost breakpoints (value continuity makes the choice immaterial for
-    the null space).  Exterior regions must be evanescent, otherwise
-    UnboundedStateRequest is raised.
-    """
-    pot = _electrostatic_steps(config)
-    k, eps = label.k, label.epsilon
-    breaks = pot.breakpoints
-    values = pot.values
-    n = len(breaks)
-
-    kinds: list[str] = []
-    wavenumbers: list[float] = []
-    centers: list[float] = []
-    for r, v in enumerate(values):
-        m = k * k - (eps - v) ** 2
-        if r == 0 or r == len(values) - 1:
-            side = "left" if r == 0 else "right"
-            if m <= 0.0:
-                raise UnboundedStateRequest(
-                    f"{side} exterior cannot decay: k^2 - (eps - v)^2 = {m:.3e} <= 0"
-                )
-            kinds.append(f"evanescent_{side}")
-            wavenumbers.append(math.sqrt(m))
-            centers.append(0.0)
-        else:
-            center = 0.5 * (breaks[r - 1] + breaks[r])
-            centers.append(center)
-            if m > 0.0:
-                kinds.append("evanescent")
-                wavenumbers.append(math.sqrt(m))
-            elif m < 0.0:
-                kinds.append("oscillatory")
-                wavenumbers.append(math.sqrt(-m))
-            else:
-                kinds.append("degenerate")
-                wavenumbers.append(0.0)
-
-    offsets = []
-    col = 0
-    for kind in kinds:
-        offsets.append(col)
-        col += 1 if kind.startswith("evanescent_") else 2
-    size = col
-    matrix = np.zeros((2 * n, size), dtype=complex)
-
-    bases = [_region_basis(kd, wn, ct) for kd, wn, ct in zip(kinds, wavenumbers, centers)]
-    for j, xb in enumerate(breaks):
-        jump = values[j + 1] - values[j]
-        rep = j + 1 if j == n - 1 else j  # exterior representation at the last step
-        for region, sign in ((j, 1.0), (j + 1, -1.0)):
-            for c, (val, der) in enumerate(bases[region]):
-                matrix[2 * j, offsets[region] + c] += sign * val(xb)
-                matrix[2 * j + 1, offsets[region] + c] += sign * der(xb)
-        for c, (val, _) in enumerate(bases[rep]):
-            matrix[2 * j + 1, offsets[rep] + c] += 1j * jump * val(xb)
-
-    return MatchSystem(
-        matrix=matrix,
-        breakpoints=breaks,
-        values=values,
-        region_kinds=tuple(kinds),
-        wavenumbers=tuple(wavenumbers),
-        centers=tuple(centers),
-        label=label,
-    )
-
-
-# ---------------------------------------------------------------------------
-# transfer-matrix secular value for arbitrary piecewise profiles
-# ---------------------------------------------------------------------------
 
 _SERIES_CUT = 1e-10
 

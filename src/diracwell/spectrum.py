@@ -17,8 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidLevel, UnsupportedRegime
-from .matching import SecularFunction, _square_well_secular_value, square_well_secular
+from .errors import ConfigError, InvalidLevel, UnsupportedRegime
+from .matching import (
+    SecularFunction,
+    _check_well,
+    _square_well_secular_value,
+    square_well_secular,
+)
 
 __all__ = [
     "AdmissibleBand",
@@ -101,7 +106,10 @@ def _roots_by_row(values, lo, hi, scan_points, tol, edge_margin=EDGE_MARGIN) -> 
     Each row gets its own uniform scan, evaluated in blocks of at most
     SCAN_BLOCK energies; the brackets of all rows are then bisected
     together, and roots within edge_margin of a domain edge are dropped.
+    Raises ConfigError for fewer than two scan points.
     """
+    if scan_points < 2:
+        raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     rows = np.flatnonzero(lo < hi)
@@ -251,6 +259,7 @@ def sweep_k(
     The roots at every momentum come from one batched pass.
     """
     params = np.asarray(k_values, dtype=float)
+    _check_well(params, v0, half_width)
     kk = np.abs(params)
     roots_per_param = _roots_by_row(
         lambda rows, eps: _square_well_secular_value(params[rows], eps, v0, half_width),
@@ -284,6 +293,7 @@ def sweep_v0(
     branch is flagged with a ('epsilon=-k') termination.
     """
     params = np.asarray(v0_values, dtype=float)
+    _check_well(k, params, half_width)
     kk = abs(k)
     roots_per_param = _roots_by_row(
         lambda rows, eps: _square_well_secular_value(k, eps, params[rows], half_width),

@@ -1,11 +1,14 @@
 """Bound-state assembly: wavefunctions, densities, and exact integrals.
 
-A root of the secular function pins down the matching matrix's nullspace,
-which fixes the region coefficients of the rotated first component.  The
-second rotated component follows algebraically from the first-order system,
-the overall phase is fixed so the two components are complex conjugates,
-and the normalization integral is evaluated in closed form from the
-exponential pieces rather than by quadrature.
+At a root of the secular function the rotated first component is carried
+across the steps of the well, as on the transfer route: the exterior
+solution that decays on one side is continued through every step and
+region, and each region's two exponential coefficients are read off the
+carried value and slope.  The second rotated component follows
+algebraically from the first-order system, the overall phase is fixed so
+the two components are complex conjugates, and the normalization integral
+is evaluated in closed form from the exponential pieces rather than by
+quadrature.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ from .core import (
 from .errors import (
     BrokenPTSymmetry,
     DegenerateMomentum,
-    DegenerateRoot,
     MismatchedMomentum,
     NotAnEigenvalue,
     NotConjugatePair,
+    UnsupportedRegime,
 )
-from .matching import assemble_match_system, region_wavenumbers, square_well_config
+from .matching import region_wavenumbers
 
 __all__ = [
     "PiecewiseExp",
@@ -61,6 +64,9 @@ NULLSPACE_TOL = 1e-6
 CONJUGATE_TOL = 1e-8
 PT_TOL = 1e-6
 _RATE_CUT = 1e-14
+# product integrals square the exterior coefficient exp(p L) of a state
+# carried from unit value at the step, so 2 p L must stay within range
+_EXP_RANGE = math.log(np.finfo(float).max)
 
 
 class PiecewiseExp:
@@ -294,17 +300,23 @@ def _sample_state(
     )
 
 
+def _canonical_gauge(
+    wave1: PiecewiseExp, wave2: PiecewiseExp
+) -> tuple[PiecewiseExp, PiecewiseExp]:
+    """Both components times one factor: afterwards wave2 = conj(wave1),
+    wave1 is positive at the origin (real part first, then imaginary) and
+    the probability density integrates to one."""
+    factor = cmath.exp(1j * _conjugation_phase(wave1, wave2))
+    factor *= _canonical_sign(wave1.scaled(factor))
+    factor /= math.sqrt(4.0 * product_integral(wave1.conjugate(), wave1).real)
+    return wave1.scaled(factor), wave2.scaled(factor)
+
+
 def fix_phase(state: BoundState) -> BoundState:
-    """Canonical-gauge copy of a state: psi2 = conj(psi1) and a positive
-    value (real part first, then imaginary) at the origin.  Idempotent."""
-    theta = _conjugation_phase(state.wave1, state.wave2)
-    factor = cmath.exp(1j * theta)
-    w1 = state.wave1.scaled(factor)
-    w2 = state.wave2.scaled(factor)
-    sign = _canonical_sign(w1)
-    if sign < 0:
-        w1 = w1.scaled(-1.0)
-        w2 = w2.scaled(-1.0)
+    """Canonical-gauge copy of a state: psi2 = conj(psi1), a positive value
+    (real part first, then imaginary) at the origin and unit norm.
+    Idempotent."""
+    w1, w2 = _canonical_gauge(state.wave1, state.wave2)
     return _sample_state(
         state.label, state.v0, state.half_width, w1, w2, state.potential, state.x
     )
@@ -324,53 +336,106 @@ def with_phase(state: BoundState, theta: float) -> BoundState:
     )
 
 
+def _carry(
+    potential: PiecewiseConstant, label: QuantumLabel, direction: int
+) -> list[tuple[float, complex, complex, complex]]:
+    """Carry the exterior solution that decays on the starting side across
+    every step of the profile.
+
+    direction=+1 starts at the leftmost step with (psi, psi') = (1, p) and
+    walks right, direction=-1 starts at the rightmost step with (1, -p) and
+    walks left.  Entering a region, psi' changes by i (v_new - v_old) psi:
+    +i J psi for a step of size J walking right, -i J psi walking left.
+    Returns one (x0, g, a, b) per region in walking order: on that region
+    the solution is a exp(g (x - x0)) + b exp(-g (x - x0)), with
+    g = sqrt(k^2 - (eps - v)^2) and x0 the step it was entered by (the
+    first step for the starting exterior).
+    """
+    k, eps = label.k, label.epsilon
+    steps, values = potential.breakpoints, potential.values
+    if direction < 0:
+        steps, values = steps[::-1], values[::-1]
+    psi, dpsi = 1.0, direction * math.sqrt(k * k - (eps - values[0]) ** 2)
+    regions = []
+    for i, v in enumerate(values):
+        x0 = steps[max(i - 1, 0)]
+        if i:
+            dpsi += 1j * (v - values[i - 1]) * psi
+        g = cmath.sqrt(k * k - (eps - v) ** 2)
+        a, b = 0.5 * (psi + dpsi / g), 0.5 * (psi - dpsi / g)
+        regions.append((x0, g, a, b))
+        if 0 < i < len(steps):
+            w = steps[i] - x0  # negative when walking left
+            ea, eb = a * cmath.exp(g * w), b * cmath.exp(-g * w)
+            psi, dpsi = ea + eb, g * (ea - eb)
+    return regions
+
+
+def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> PiecewiseExp:
+    """Rotated first component at a root, as the region-by-region average
+    of the left-to-right and right-to-left carries.
+
+    Raises NotAnEigenvalue when the left-decaying solution keeps a
+    right-growing part above NULLSPACE_TOL of its exterior amplitude.  The
+    right-to-left carry is scaled onto the other by least squares over the
+    interior coefficients; each exterior keeps its decaying term only, so
+    averaging splits the mismatch left by an inexact root between the two
+    outer steps.
+    """
+    forward = _carry(potential, label, 1)
+    backward = _carry(potential, label, -1)[::-1]
+    _, _, grow, decay = forward[-1]
+    growth = abs(grow) / (abs(grow) + abs(decay))
+    if growth > NULLSPACE_TOL:
+        raise NotAnEigenvalue(
+            f"no matching nullspace at epsilon={label.epsilon!r} "
+            f"(right-growing part {growth:.3e} of the exterior amplitude)"
+        )
+
+    def terms(regions):
+        out = [
+            [(a * cmath.exp(-g * x0), g), (b * cmath.exp(g * x0), -g)]
+            for x0, g, a, b in regions
+        ]
+        out[0], out[-1] = out[0][:1], out[-1][1:]
+        return out
+
+    fwd, bwd = terms(forward), terms(backward)
+    f = np.array([c for region in fwd[1:-1] for c, _ in region])
+    r = np.array([c for region in bwd[1:-1] for c, _ in region])
+    scale = np.vdot(r, f) / np.vdot(r, r)
+    edges = (-math.inf, *potential.breakpoints, math.inf)
+    return PiecewiseExp(
+        [
+            (lo, hi, [(0.5 * (cf + scale * cb), g) for (cf, g), (cb, _) in zip(tf, tb)])
+            for lo, hi, tf, tb in zip(edges[:-1], edges[1:], fwd, bwd)
+        ]
+    )
+
+
 def assemble_square_well_state(
     label: QuantumLabel, v0: float, half_width: float = 1.0, points: int = 4001
 ) -> BoundState:
     """Build the normalized bound state of a square well at a secular root.
 
-    Raises NotAnEigenvalue when the matching matrix has no nullspace at
-    this energy (relative smallest singular value above 1e-6) and
-    DegenerateRoot if the nullspace is more than one-dimensional.  The
-    returned state is phase-fixed, sign-canonical, and normalized so the
-    probability density integrates to one (closed form, not quadrature).
+    The rotated first component is carried across both steps from each
+    decaying exterior and the two carries are averaged.  Raises
+    NotAnEigenvalue when the solution that decays to the left still grows
+    to the right by more than 1e-6 of its exterior amplitude, and
+    UnsupportedRegime when exp(2 p L) exceeds the double range, which the
+    exponential pieces cannot hold.  The returned state is phase-fixed,
+    sign-canonical, and normalized so the probability density integrates
+    to one (closed form, not quadrature).
     """
-    k = label.k
-    p, q = region_wavenumbers(label, v0, half_width)
-    system = assemble_match_system(square_well_config(v0, half_width), label)
-    _, sing, vh = np.linalg.svd(system.matrix)
-    if sing[-1] > NULLSPACE_TOL * sing[0]:
-        raise NotAnEigenvalue(
-            f"no matching nullspace at epsilon={label.epsilon!r} "
-            f"(relative smallest singular value {sing[-1] / sing[0]:.3e})"
-        )
-    if sing[-2] <= NULLSPACE_TOL * sing[0]:
-        raise DegenerateRoot(
-            f"matching nullspace is degenerate at epsilon={label.epsilon!r}"
-        )
-    amp_left, osc_pos, osc_neg, amp_right = vh[-1].conj()
-    L = half_width
-    wave1 = PiecewiseExp(
-        [
-            (-math.inf, -L, [(amp_left, p)]),
-            (-L, L, [(osc_pos, 1j * q), (osc_neg, -1j * q)]),
-            (L, math.inf, [(amp_right, -p)]),
-        ]
-    )
     potential = square_well(v0, half_width)
-    wave2 = partner_component(wave1, label, potential)
-
-    theta = _conjugation_phase(wave1, wave2)
-    factor = cmath.exp(1j * theta)
-    wave1 = wave1.scaled(factor)
-    wave2 = wave2.scaled(factor)
-    sign = _canonical_sign(wave1)
-    if sign < 0:
-        wave1 = wave1.scaled(-1.0)
-        wave2 = wave2.scaled(-1.0)
-    scale = 1.0 / math.sqrt(4.0 * product_integral(wave1.conjugate(), wave1).real)
-    wave1 = wave1.scaled(scale)
-    wave2 = wave2.scaled(scale)
+    p, _ = region_wavenumbers(label, v0, half_width)
+    if 2.0 * p * half_width > _EXP_RANGE:
+        raise UnsupportedRegime(
+            f"exterior coefficient exp(p L) = exp({p * half_width:.1f}) at "
+            f"epsilon={label.epsilon!r} squares beyond the double range"
+        )
+    wave1 = _carried_wave(potential, label)
+    wave1, wave2 = _canonical_gauge(wave1, partner_component(wave1, label, potential))
 
     points = max(int(points), 3) | 1  # symmetric grid wants an odd count
     extent = half_width + 12.0 / p

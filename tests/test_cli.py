@@ -82,6 +82,38 @@ class TestSweeps:
         assert code == 2
         assert "lo:hi:step" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--k", "3", "--v0", "8", "--scan-points", "0"],
+            ["spectrum", "--k", "3", "--v0", "8", "--scan-points", "-5"],
+            ["sweep-k", "--v0", "8", "--k", "1:2:0.5", "--scan-points", "1"],
+            ["sweep-v0", "--k", "3", "--v0", "1:2:0.5", "--scan-points", "0"],
+        ],
+    )
+    def test_too_few_scan_points_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "scan_points" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--k", "nan", "--v0", "2"],
+            ["spectrum", "--k", "2", "--v0", "nan"],
+            ["spectrum", "--k", "2", "--v0", "2", "--half-width", "-1"],
+            ["sweep-v0", "--k", "3", "--v0", "0:inf:1"],
+            ["sweep-k", "--v0", "3", "--k", "0:1:nan"],
+            ["sweep-v0", "--k", "nan", "--v0", "0:1:0.5"],
+            ["state", "--k", "2", "--v0", "2", "--epsilon", "nan"],
+        ],
+    )
+    def test_non_finite_or_flat_well_exits_2(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
     def test_sweep_output_is_byte_identical_across_runs(self, capsys):
         _, first, _ = run(capsys, "sweep-v0", "--k", "3", "--v0", "0:4:0.5")
         _, second, _ = run(capsys, "sweep-v0", "--k", "3", "--v0", "0:4:0.5")
@@ -120,6 +152,13 @@ class TestState:
         code, _, err = run(capsys, "state", "--k", "2", "--v0", "2", "--level", "7")
         assert code == 2
         assert "3 bound states" in err
+
+    def test_deep_well_level_exits_0(self, capsys):
+        code, out, _ = run(
+            capsys, "state", "--k", "12", "--v0", "35", "--half-width", "2", "--level", "2"
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 4002
 
     def test_non_eigenvalue_exits_2(self, capsys):
         code, _, err = run(capsys, "state", "--k", "2", "--v0", "2", "--epsilon", "1.0")

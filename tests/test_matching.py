@@ -1,5 +1,7 @@
-"""Matching system and secular functions: closed form, explicit 4x4 system,
-and the transfer-matrix route, cross-checked against one another."""
+"""Secular functions: the closed form and the transfer-matrix route,
+cross-checked against one another."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from diracwell import (
     FieldConfig,
     PiecewiseConstant,
     QuantumLabel,
-    assemble_match_system,
     find_roots,
     general_secular,
     secular_det_general,
@@ -39,6 +40,8 @@ class TestRegionWavenumbers:
             region_wavenumbers(QuantumLabel(k=2.0, epsilon=-1.9), 2.0)  # no oscillation
         with pytest.raises(OutsideAdmissibleBand):
             region_wavenumbers(QuantumLabel(k=2.0, epsilon=2.0), 2.0)  # p = 0 edge
+        with pytest.raises(OutsideAdmissibleBand):
+            region_wavenumbers(QuantumLabel(k=2.0, epsilon=math.nan), 2.0)
 
 
 class TestClosedFormSecular:
@@ -51,6 +54,15 @@ class TestClosedFormSecular:
         with pytest.raises(OutsideAdmissibleBand):
             secular_det_square_well(2.0, 3.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "k, v0, half_width",
+        [(math.nan, 2.0, 1.0), (2.0, math.nan, 1.0), (math.inf, 2.0, 1.0),
+         (2.0, -math.inf, 1.0), (2.0, 2.0, -1.0), (2.0, 2.0, 0.0), (2.0, 2.0, math.nan)],
+    )
+    def test_rejects_non_finite_or_flat_well(self, k, v0, half_width):
+        with pytest.raises(ConfigError):
+            square_well_secular(k, v0, half_width)
+
     def test_secular_function_domain(self):
         sec = square_well_secular(2.0, 2.0)
         assert (sec.lo, sec.hi) == (0.0, 2.0)
@@ -60,75 +72,6 @@ class TestClosedFormSecular:
     def test_sign_change_brackets_ground_state(self):
         sec = square_well_secular(2.0, 2.0)
         assert float(sec(0.2)) * float(sec(0.5)) < 0.0
-
-
-class TestMatchSystem:
-    def test_square_well_matrix_reproduced(self):
-        # hand-built 4x4 for coefficients (A, C, D, F):
-        #   left    A e^{p x}
-        #   middle  C e^{i q x} + D e^{-i q x}
-        #   right   F e^{-p x}
-        # value continuity at x = -L, +L and derivative jump i J psi with
-        # J = -v0 at the left step (written on the left exterior solution)
-        # and J = +v0 at the right step (right exterior solution).
-        k, eps, v0, half = 2.0, 1.0, 2.0, 1.0
-        p = np.sqrt(k * k - eps * eps)
-        q = np.sqrt((eps + v0) ** 2 - k * k)
-        el, eiq = np.exp(-p * half), np.exp(1j * q * half)
-        expected = np.array(
-            [
-                [el, -1 / eiq, -eiq, 0],
-                [(p - 1j * v0) * el, -1j * q / eiq, 1j * q * eiq, 0],
-                [0, eiq, 1 / eiq, -el],
-                [0, 1j * q * eiq, -1j * q / eiq, (p + 1j * v0) * el],
-            ]
-        )
-        system = assemble_match_system(square_well_config(v0), QuantumLabel(k, eps))
-        assert system.region_kinds == ("evanescent_left", "oscillatory", "evanescent_right")
-        np.testing.assert_allclose(system.matrix, expected, atol=1e-14)
-
-    def test_determinant_tracks_closed_form(self):
-        # det M = -4i e^{-2 p L} f(eps), frozen against the closed form
-        from diracwell.matching import _square_well_secular_value
-
-        config = square_well_config(2.0)
-        for eps in (0.2, 0.9, 1.5, 1.9):
-            det = np.linalg.det(assemble_match_system(config, QuantumLabel(2.0, eps)).matrix)
-            p = np.sqrt(4.0 - eps * eps)
-            pred = -4j * np.exp(-2.0 * p) * _square_well_secular_value(2.0, eps, 2.0, 1.0)
-            assert abs(det - pred) < 1e-12
-
-    def test_nullspace_only_at_roots(self):
-        config = square_well_config(2.0)
-        for eps in WELL22_ROOTS:
-            sv = assemble_match_system(config, QuantumLabel(2.0, eps)).singular_values()
-            assert sv[-1] < 1e-8 * sv[0]
-        sv = assemble_match_system(config, QuantumLabel(2.0, 1.0)).singular_values()
-        assert sv[-1] > 1e-3 * sv[0]
-
-    def test_interior_region_kinds(self):
-        # shallow well at this energy: interior cannot oscillate
-        system = assemble_match_system(square_well_config(0.5), QuantumLabel(2.0, 1.0))
-        assert system.region_kinds[1] == "evanescent"
-        # threshold (eps + v0)^2 = k^2: linear interior solution
-        system = assemble_match_system(square_well_config(1.0), QuantumLabel(2.0, 1.0))
-        assert system.region_kinds[1] == "degenerate"
-
-    def test_rejects_oscillatory_exterior(self):
-        with pytest.raises(UnboundedStateRequest):
-            assemble_match_system(square_well_config(2.0), QuantumLabel(2.0, 2.5))
-
-    def test_rejects_non_electrostatic(self):
-        from diracwell import Linear, Lorentzian
-
-        with pytest.raises(ConfigError):
-            assemble_match_system(
-                FieldConfig(electric=None, magnetic=Linear(1.0)), QuantumLabel(2.0, 0.5)
-            )
-        with pytest.raises(ConfigError):
-            assemble_match_system(
-                FieldConfig(electric=Lorentzian(-2.0)), QuantumLabel(2.0, 0.5)
-            )
 
 
 class TestTransferRoute:
@@ -183,6 +126,16 @@ class TestTransferRoute:
     def test_rejects_out_of_band(self):
         with pytest.raises(UnboundedStateRequest):
             secular_det_general(square_well_config(2.0), QuantumLabel(2.0, 2.5))
+
+    def test_rejects_non_electrostatic(self):
+        from diracwell import Linear, Lorentzian
+
+        with pytest.raises(ConfigError):
+            secular_det_general(
+                FieldConfig(electric=None, magnetic=Linear(1.0)), QuantumLabel(2.0, 0.5)
+            )
+        with pytest.raises(ConfigError):
+            secular_det_general(FieldConfig(electric=Lorentzian(-2.0)), QuantumLabel(2.0, 0.5))
 
     def test_negative_k_mirror(self):
         # spectrum depends on |k| for the electrostatic well

@@ -24,7 +24,7 @@ from diracwell import (
     sweep_k,
     sweep_v0,
 )
-from diracwell.errors import InvalidLevel, UnsupportedRegime
+from diracwell.errors import ConfigError, InvalidLevel, UnsupportedRegime
 from diracwell.spectrum import DEFAULT_SCAN_POINTS, SCAN_BLOCK
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
@@ -86,6 +86,13 @@ class TestFindRoots:
         assert count_bound_states(2.0, 2.0) == 3
         assert count_bound_states(2.0, 0.0) == 0
 
+    @pytest.mark.parametrize("scan_points", [1, 0, -5])
+    def test_rejects_too_few_scan_points(self, scan_points):
+        with pytest.raises(ConfigError):
+            find_roots(square_well_secular(3.0, 8.0), scan_points=scan_points)
+        with pytest.raises(ConfigError):
+            count_bound_states(3.0, 8.0, scan_points=scan_points)
+
     def test_scan_resolution_consistency(self):
         coarse = find_roots(square_well_secular(3.0, 8.0), scan_points=500)
         fine = find_roots(square_well_secular(3.0, 8.0), scan_points=5000)
@@ -110,6 +117,21 @@ class TestParameterGrid:
 
 
 class TestSweeps:
+    def test_rejects_non_finite_or_flat_wells(self):
+        grid = parameter_grid(0.5, 2.0, 0.5)
+        for call in (
+            lambda: sweep_k(math.nan, grid),
+            lambda: sweep_k(8.0, np.append(grid, math.inf)),
+            lambda: sweep_k(8.0, grid, half_width=0.0),
+            lambda: sweep_k(8.0, grid, scan_points=1),
+            lambda: sweep_v0(math.inf, grid),
+            lambda: sweep_v0(3.0, np.append(grid, math.nan)),
+            lambda: sweep_v0(3.0, grid, half_width=-1.0),
+            lambda: sweep_v0(3.0, grid, scan_points=0),
+        ):
+            with pytest.raises(ConfigError):
+                call()
+
     def test_sweep_k_cut_matches_direct_solve(self):
         branches = sweep_k(8.0, parameter_grid(2.8, 3.2, 0.1))
         cut = branch_cut(branches, 3.0)

@@ -1,14 +1,19 @@
 """Assembled bound states: conjugate structure, phase fixing, densities,
 orthonormality, reflection symmetry, and equation residuals."""
 
+import cmath
 import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracwell import (
+    FieldConfig,
+    PiecewiseConstant,
     PiecewiseExp,
     QuantumLabel,
     assemble_square_well_state,
@@ -17,6 +22,7 @@ from diracwell import (
     equation_residuals,
     find_roots,
     fix_phase,
+    general_secular,
     inner_product,
     partner_component,
     probability_density,
@@ -35,7 +41,10 @@ from diracwell.errors import (
     DegenerateMomentum,
     MismatchedMomentum,
     NotAnEigenvalue,
+    OutsideAdmissibleBand,
+    UnsupportedRegime,
 )
+from diracwell.states import _carried_wave, _carry
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +116,126 @@ class TestAssembly:
         eps = find_roots(square_well_secular(2.0, 2.0))[0]
         s = assemble_square_well_state(QuantumLabel(k=2.0, epsilon=eps), 2.0, points=801)
         assert len(s.x) == 801
+
+
+def assert_family_is_clean(states):
+    """The bounds `verify` applies: conjugate components, PT eigenvalue
+    +/-i and an orthonormal family."""
+    conj = max(float(np.max(np.abs(s.psi2 - np.conj(s.psi1)))) for s in states)
+    pt = max(min(abs(pt_eigenvalue(s) - 1j), abs(pt_eigenvalue(s) + 1j)) for s in states)
+    gram = np.array([[inner_product(a, b) for b in states] for a in states])
+    assert conj < 1e-10
+    assert pt < 1e-8
+    assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-8
+
+
+def assemble_all(k, v0, half_width, points=401):
+    roots = find_roots(square_well_secular(k, v0, half_width))
+    return [
+        assemble_square_well_state(QuantumLabel(k=k, epsilon=e), v0, half_width, points)
+        for e in roots
+    ]
+
+
+def side_limits(terms, x):
+    """(value, slope) at x of a sum of c exp(g x) terms."""
+    parts = [(c * cmath.exp(g * x), g) for c, g in terms]
+    return sum(v for v, _ in parts), sum(g * v for v, g in parts)
+
+
+class TestCarry:
+    # three steps, no symmetry: neither PT nor the closed form applies
+    PROFILE = PiecewiseConstant((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5))
+    K = 2.0
+
+    @pytest.fixture(scope="class")
+    def label(self):
+        roots = find_roots(general_secular(FieldConfig(electric=self.PROFILE), self.K))
+        assert len(roots) >= 2
+        return QuantumLabel(self.K, roots[1])
+
+    def check_steps(self, regions_terms, tol):
+        steps, values = self.PROFILE.breakpoints, self.PROFILE.values
+        for j, xb in enumerate(steps):
+            psi_l, dpsi_l = side_limits(regions_terms[j], xb)
+            psi_r, dpsi_r = side_limits(regions_terms[j + 1], xb)
+            scale = abs(psi_l) + abs(dpsi_l)
+            assert abs(psi_r - psi_l) < tol * scale
+            jump = 1j * (values[j + 1] - values[j]) * psi_l
+            assert abs(dpsi_r - dpsi_l - jump) < tol * scale
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_each_carry_is_continuous_and_jumps_by_i_j_psi(self, label, direction):
+        regions = _carry(self.PROFILE, label, direction)[::direction]
+        terms = [
+            [(a * cmath.exp(-g * x0), g), (b * cmath.exp(g * x0), -g)]
+            for x0, g, a, b in regions
+        ]
+        self.check_steps(terms, 1e-12)
+
+    def test_averaged_wave_matches_at_every_step(self, label):
+        wave = _carried_wave(self.PROFILE, label)
+        assert [r[:2] for r in wave.regions] == [
+            (-math.inf, -1.0), (-1.0, 0.3), (0.3, 1.2), (1.2, math.inf)
+        ]
+        # the outer steps carry the mismatch of a root bisected to 1e-10
+        self.check_steps([terms for _, _, terms in wave.regions], 1e-8)
+
+    def test_rejects_non_roots(self):
+        for k, v0 in ((2.0, 2.0), (3.0, 8.0)):
+            roots = find_roots(square_well_secular(k, v0))
+            for a, b in zip(roots[:-1], roots[1:]):
+                with pytest.raises(NotAnEigenvalue, match="no matching nullspace at epsilon="):
+                    assemble_square_well_state(QuantumLabel(k, 0.5 * (a + b)), v0)
+
+    def test_rejects_non_decaying_exterior(self):
+        with pytest.raises(OutsideAdmissibleBand):
+            assemble_square_well_state(QuantumLabel(k=2.0, epsilon=2.5), 2.0)
+
+
+class TestDeepWells:
+    @pytest.mark.parametrize("k, v0, half_width, count", [(12.0, 35.0, 2.0, 33), (20.0, 60.0, 2.0, 55)])
+    def test_every_root_assembles_cleanly(self, k, v0, half_width, count):
+        states = assemble_all(k, v0, half_width)
+        assert len(states) == count
+        assert_family_is_clean(states)
+
+    def test_widest_well_assembles(self):
+        states = assemble_all(50.0, 120.0, 3.0, points=201)
+        assert len(states) == 218
+        for s in states:
+            assert np.max(np.abs(s.psi2 - np.conj(s.psi1))) < 1e-10
+            assert abs(s.norm - 1.0) < 1e-12
+
+    def test_states_beyond_the_double_range_are_refused(self):
+        # exterior coefficients exp(p L) square in every product integral,
+        # which overflow to NaN once exp(2 p L) passes the largest double
+        k, v0, half_width = 120.0, 300.0, 3.0
+        roots = np.array(find_roots(square_well_secular(k, v0, half_width)))
+        two_pl = 2.0 * np.sqrt(k * k - roots**2) * half_width
+        limit = math.log(np.finfo(float).max)
+        below = roots[np.argmax(np.where(two_pl < limit, two_pl, -1.0))]
+        above = roots[np.argmin(np.where(two_pl > limit, two_pl, np.inf))]
+        s = assemble_square_well_state(QuantumLabel(k, float(below)), v0, half_width, 201)
+        assert abs(s.norm - 1.0) < 1e-12
+        assert np.max(np.abs(s.psi2 - np.conj(s.psi1))) < 1e-10
+        with pytest.raises(UnsupportedRegime):
+            assemble_square_well_state(QuantumLabel(k, float(above)), v0, half_width, 201)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        k=st.floats(0.2, 20.0),
+        half_width=st.floats(0.2, 3.0),
+        fill=st.floats(0.01, 1.0),
+    )
+    def test_random_wells_assemble_cleanly(self, k, half_width, fill):
+        # depth with 2 L q_max = 18 pi fill, so the well holds at most 20 states
+        reach = 9.0 * math.pi * fill / half_width
+        v0 = reach * reach / (k + math.hypot(k, reach))
+        states = assemble_all(k, v0, half_width)
+        assert len(states) <= 20
+        if states:
+            assert_family_is_clean(states)
 
 
 class TestPhaseFixing:
