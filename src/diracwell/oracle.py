@@ -25,7 +25,7 @@ from .core import (
     Tanh,
     evaluate_potential,
 )
-from .errors import GridTooCoarse, NonDecayingExterior, UnsupportedRegime
+from .errors import ConfigError, GridTooCoarse, NonDecayingExterior, UnsupportedRegime
 
 __all__ = [
     "GridSpec",
@@ -39,7 +39,7 @@ __all__ = [
 DEFAULT_STEP = 1e-3
 SMOOTH_TAIL_TOL = 1e-8
 SMOOTH_WINDOW_CAP = 50.0
-_RENORM_EVERY = 256
+PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth march
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,13 @@ def _seed_vectors(w: float, delta: np.ndarray, outward: bool) -> np.ndarray:
     return v
 
 
+def _check_momentum_and_step(k: float, step: float) -> None:
+    if not math.isfinite(k):
+        raise ConfigError(f"k must be finite, got {k}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ConfigError(f"step must be finite and positive, got {step}")
+
+
 def _renormalize(psi: np.ndarray) -> None:
     scale = np.maximum(np.abs(psi[:, 0]), np.abs(psi[:, 1]))
     psi /= scale[:, None]
@@ -265,8 +272,68 @@ def _advance_stepwise(config, k, delta_of, psi, points, step):
     return psi
 
 
-def _advance_sampled(config, k, delta_of, psi, x_from, x_to, step):
-    """Classical fourth-order march with field samples at the half steps."""
+def _mul(a, b):
+    """2x2 products a @ b taken elementwise over the trailing axes of
+    arrays shaped (2, 2, ...)."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
+def _rk4_propagators(w, d, h):
+    """Propagators P_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of the classical
+    fourth-order step psi -> psi + h/6 (k1 + 2 k2 + 2 k3 + k4), shaped
+    (2, 2, steps, energies).
+
+    w (samples, 1) and d (samples, energies) hold w = k + a and
+    d = eps - v at the 2 steps + 1 half-step samples, giving
+    M_0, M_m, M_1 = [[w, -d], [d, -w]] at each step's start, middle and
+    end.  With M^2 = (w^2 - d^2) I = s I and
+    M_a M_b = (w_a w_b - d_a d_b) I + (d_a w_b - w_a d_b) [[0, 1], [1, 0]],
+    the stages K1 = M_0, K2 = M_m (I + h/2 K1), K3 = M_m (I + h/2 K2),
+    K4 = M_1 (I + h K3) sum to
+        (1 + h^2 s_m / 2)(M_0 + M_1) + 4 M_m
+        + h (s_m I + M_m M_0 + M_1 M_m) + h^3 s_m / 4 M_1 M_0.
+    """
+    w0, wm, w1 = w[:-1:2], w[1::2], w[2::2]
+    d0, dm, d1 = d[:-1:2], d[1::2], d[2::2]
+    sm = wm * wm - dm * dm
+    g = 1.0 + 0.5 * h * h * sm
+    diag = g * (w0 + w1) + 4.0 * wm  # coefficient of diag(1, -1)
+    skew = g * (d0 + d1) + 4.0 * dm  # coefficient of [[0, -1], [1, 0]]
+    c3 = 0.25 * h * h * h * sm
+    # coefficients of I and of [[0, 1], [1, 0]]
+    ident = h * (sm + (wm * w0 - dm * d0) + (w1 * wm - d1 * dm)) + c3 * (w1 * w0 - d1 * d0)
+    swap = h * ((dm * w0 - wm * d0) + (d1 * wm - w1 * dm)) + c3 * (d1 * w0 - w1 * d0)
+    f = h / 6.0
+    p = np.empty((2, 2) + d0.shape)
+    p[0, 0] = 1.0 + f * (ident + diag)
+    p[1, 1] = 1.0 + f * (ident - diag)
+    p[0, 1] = f * (swap - skew)
+    p[1, 0] = f * (swap + skew)
+    return p
+
+
+def _chain(p):
+    """P_{m-1} ... P_1 P_0 for p shaped (2, 2, m, energies), up to a
+    positive factor per energy: neighbours are multiplied pairwise, and
+    every partial product is divided by its largest entry, which keeps it
+    finite and keeps the sign of its determinant."""
+    while p.shape[2] > 1:
+        m = p.shape[2]
+        q = _mul(p[:, :, 1::2], p[:, :, : m - 1 : 2])
+        if m % 2:  # the unpaired latest step multiplies the last pair
+            q[:, :, -1] = _mul(p[:, :, -1], q[:, :, -1])
+        q /= np.abs(q).max(axis=(0, 1))
+        p = q
+    return p[:, :, 0]
+
+
+def _advance_sampled(config, k, eps, psi, x_from, x_to, step):
+    """Classical fourth-order march with field samples at the half steps.
+
+    The steps are taken in blocks of at most PROPAGATOR_BLOCK (step x
+    energy) elements: each block's per-step propagators are built at once,
+    multiplied into one 2x2 per energy and applied to psi.
+    """
     span = x_to - x_from
     if span == 0.0:
         return psi
@@ -283,25 +350,13 @@ def _advance_sampled(config, k, delta_of, psi, x_from, x_to, step):
         if config.magnetic is not None
         else np.zeros(len(xs))
     )
-    w = k + ay
-
-    def apply(wj, dj, vec):
-        out = np.empty_like(vec)
-        out[:, 0] = wj * vec[:, 0] - dj * vec[:, 1]
-        out[:, 1] = dj * vec[:, 0] - wj * vec[:, 1]
-        return out
-
-    for j in range(n):
-        w0, wm, w1 = w[2 * j], w[2 * j + 1], w[2 * j + 2]
-        d0, dm, d1 = delta_of(v[2 * j]), delta_of(v[2 * j + 1]), delta_of(v[2 * j + 2])
-        k1 = apply(w0, d0, psi)
-        k2 = apply(wm, dm, psi + 0.5 * h * k1)
-        k3 = apply(wm, dm, psi + 0.5 * h * k2)
-        k4 = apply(w1, d1, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if j % _RENORM_EVERY == _RENORM_EVERY - 1:
-            _renormalize(psi)
-    _renormalize(psi)
+    w = (k + ay)[:, None]
+    per_block = max(1, PROPAGATOR_BLOCK // max(1, len(eps)))
+    for start in range(0, n, per_block):
+        s = slice(2 * start, 2 * min(start + per_block, n) + 1)
+        p = _chain(_rk4_propagators(w[s], eps - v[s, None], h))
+        psi = (p[:, 0] * psi[:, 0] + p[:, 1] * psi[:, 1]).T
+        _renormalize(psi)
     return psi
 
 
@@ -321,11 +376,15 @@ def dirac_shooting(
     no meaning.
 
     Raises NonDecayingExterior when some requested energy admits no
-    decaying solution on one of the exteriors.
+    decaying solution on one of the exteriors, and ConfigError for a
+    non-finite k or energy or a step that is not finite and positive.
     """
     k = label.k
     epsilon = label.epsilon
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
+    _check_momentum_and_step(k, step)
+    if not np.all(np.isfinite(eps)):
+        raise ConfigError("epsilon must be finite")
     x_lo, x_hi, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
     if x_match is None:
         x_match = 0.5 * (x_lo + x_hi)
@@ -362,12 +421,8 @@ def dirac_shooting(
             config, k, lambda v: eps - v, psi_right, right_pts, step
         )
     else:
-        psi_left = _advance_sampled(
-            config, k, lambda v: eps - v, psi_left, x_lo, x_match, step
-        )
-        psi_right = _advance_sampled(
-            config, k, lambda v: eps - v, psi_right, x_hi, x_match, step
-        )
+        psi_left = _advance_sampled(config, k, eps, psi_left, x_lo, x_match, step)
+        psi_right = _advance_sampled(config, k, eps, psi_right, x_hi, x_match, step)
 
     det = psi_left[:, 0] * psi_right[:, 1] - psi_left[:, 1] * psi_right[:, 0]
     return det if np.ndim(epsilon) else float(det[0])
@@ -386,9 +441,17 @@ def shooting_bound_states(
 
     A batched scan over the exterior-decay band brackets sign changes of
     the matching determinant; every bracket is then bisected in lockstep
-    (one batched determinant evaluation per iteration).  Roots within
-    edge_margin of the band edges are discarded.
+    (one batched determinant evaluation per iteration) until every
+    bracket is at most tol wide or down to adjacent doubles.  Roots within
+    edge_margin of the band edges are discarded.  Raises ConfigError for
+    fewer than two scan points, a tol that is not finite and positive, or
+    a k or step that dirac_shooting rejects.
     """
+    if scan_points < 2:
+        raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
+    _check_momentum_and_step(k, step)
     _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
     lo = max(v_minus - abs(k + a_minus), v_plus - abs(k + a_plus))
     hi = min(v_minus + abs(k + a_minus), v_plus + abs(k + a_plus))
@@ -405,6 +468,8 @@ def shooting_bound_states(
     fa = vals[idx].copy()
     while np.max(b - a) > tol:
         mid = 0.5 * (a + b)
+        if not np.any((a < mid) & (mid < b)):
+            break  # tol is below the spacing of doubles at every bracket
         fm = dirac_shooting(config, QuantumLabel(k, mid), step, x_match)
         goes_left = (fa < 0.0) == (fm < 0.0)
         a = np.where(goes_left, mid, a)

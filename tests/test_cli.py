@@ -206,6 +206,14 @@ class TestVerify:
         assert code == 0
         assert "5 states" in out
 
+    def test_deep_well_shoots_at_its_own_step(self, capsys):
+        # at a fixed step of 2e-3 level 32 of this well misses the closed
+        # form by 2e-5; the step follows the deepest interior wavenumber
+        code, out, _ = run(capsys, "verify", "--k", "12", "--v0", "35", "--half-width", "2")
+        assert code == 0
+        assert "routes 33/33/33" in out
+        assert all(line.startswith("PASS") for line in out.splitlines())
+
 
 class TestConfigFile:
     def test_file_supplies_defaults(self, capsys, tmp_path):

@@ -3,15 +3,18 @@ second-order problem and two-sided shooting on the first-order system.
 These share no algebra with the matching construction they check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from diracwell import (
+    CoulombLike,
     FieldConfig,
     Linear,
     Lorentzian,
     QuantumLabel,
+    Tanh,
     dirac_shooting,
     find_roots,
     grid_eigenvalues,
@@ -23,7 +26,9 @@ from diracwell import (
     square_well_config,
     square_well_secular,
 )
-from diracwell.errors import GridTooCoarse, NonDecayingExterior, UnsupportedRegime
+from diracwell import oracle
+from diracwell.core import evaluate_potential
+from diracwell.errors import ConfigError, GridTooCoarse, NonDecayingExterior, UnsupportedRegime
 from diracwell.oracle import GridSpec
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
@@ -207,3 +212,131 @@ class TestDiracShooting:
             assert len(secular) == len(shot)
             for a, b in zip(secular, shot):
                 assert abs(a - b) < 1e-5
+
+
+def _stepwise_rk4_march(config, k, eps, psi, x_from, x_to, step):
+    """The smooth-profile march one RK4 step at a time, renormalized every
+    256 steps: the reference the blockwise propagator product must match."""
+    span = x_to - x_from
+    if span == 0.0:
+        return psi
+    n = max(1, math.ceil(abs(span) / step))
+    h = span / n
+    xs = x_from + 0.5 * h * np.arange(2 * n + 1)
+    v = (
+        np.asarray(evaluate_potential(config.electric, xs), dtype=float)
+        if config.electric is not None
+        else np.zeros(len(xs))
+    )
+    ay = (
+        np.asarray(evaluate_potential(config.magnetic, xs), dtype=float)
+        if config.magnetic is not None
+        else np.zeros(len(xs))
+    )
+    w = k + ay
+
+    def apply(wj, dj, vec):
+        out = np.empty_like(vec)
+        out[:, 0] = wj * vec[:, 0] - dj * vec[:, 1]
+        out[:, 1] = dj * vec[:, 0] - wj * vec[:, 1]
+        return out
+
+    for j in range(n):
+        w0, wm, w1 = w[2 * j], w[2 * j + 1], w[2 * j + 2]
+        d0, dm, d1 = eps - v[2 * j], eps - v[2 * j + 1], eps - v[2 * j + 2]
+        k1 = apply(w0, d0, psi)
+        k2 = apply(wm, dm, psi + 0.5 * h * k1)
+        k3 = apply(wm, dm, psi + 0.5 * h * k2)
+        k4 = apply(w1, d1, psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if j % 256 == 255:
+            oracle._renormalize(psi)
+    oracle._renormalize(psi)
+    return psi
+
+
+# config, k and the half-width of its exterior-decay band
+SMOOTH_CASES = {
+    "lorentzian": (FieldConfig(electric=Lorentzian(-2.0)), 2.0, 2.0),
+    "tanh": (FieldConfig(electric=Tanh(0.5), magnetic=Lorentzian(-2.0)), 2.5, 2.0),
+    "coulomb": (FieldConfig(electric=CoulombLike(-1.5, cutoff=0.5)), 1.5, 1.5),
+    "magnetic": (FieldConfig(electric=None, magnetic=Lorentzian(-1.5)), 2.0, 2.0),
+}
+
+
+class TestFoldedMarch:
+    """The smooth-profile march multiplies each block's RK4 propagators
+    pairwise; it must reproduce the step-by-step march."""
+
+    @pytest.mark.parametrize("case", sorted(SMOOTH_CASES))
+    def test_determinants_match_the_stepwise_march(self, case, monkeypatch):
+        config, k, half_band = SMOOTH_CASES[case]
+        # 80 energies split each side's march into blocks of 102 steps
+        grid = np.linspace(-half_band, half_band, 82)[1:-1]
+        folded = dirac_shooting(config, QuantumLabel(k, grid), step=0.05)
+        monkeypatch.setattr(oracle, "_advance_sampled", _stepwise_rk4_march)
+        stepwise = dirac_shooting(config, QuantumLabel(k, grid), step=0.05)
+        np.testing.assert_allclose(folded, stepwise, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("case", sorted(SMOOTH_CASES))
+    def test_roots_match_the_stepwise_march(self, case, monkeypatch):
+        config, k, _ = SMOOTH_CASES[case]
+        kwargs = dict(scan_points=40, tol=1e-4, step=0.1)
+        folded = shooting_bound_states(config, k, **kwargs)
+        assert folded
+        monkeypatch.setattr(oracle, "_advance_sampled", _stepwise_rk4_march)
+        assert folded == shooting_bound_states(config, k, **kwargs)
+
+    def test_step_refinement_is_converged(self):
+        config = FieldConfig(electric=Lorentzian(-2.0))
+        coarse, fine = (
+            shooting_bound_states(config, 2.0, scan_points=150, tol=1e-9, step=h)
+            for h in (0.02, 0.005)
+        )
+        assert len(coarse) == len(LORENTZ_ROOTS)
+        np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=1e-6)
+
+    def test_memory_stays_per_block(self):
+        # 1900 steps a side against 500 energies: one (steps x energies)
+        # array of doubles would take 7.6 MB; the blocks peak near 1.2 MB
+        config = FieldConfig(electric=Tanh(0.5))
+        grid = np.linspace(-1.49, 1.49, 500)
+        tracemalloc.start()
+        try:
+            dirac_shooting(config, QuantumLabel(2.0, grid), step=0.005)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+class TestShootingInputs:
+    """Every shooting input either works or raises ConfigError."""
+
+    def test_zero_tolerance(self):
+        with pytest.raises(ConfigError):
+            shooting_bound_states(square_well_config(2.0), 2.0, scan_points=50, tol=0.0)
+
+    def test_tolerance_below_double_spacing_terminates(self):
+        kwargs = dict(scan_points=500, step=2e-3)
+        config = square_well_config(2.0)
+        tiny = shooting_bound_states(config, 2.0, tol=1e-300, **kwargs)
+        np.testing.assert_allclose(
+            tiny, shooting_bound_states(config, 2.0, tol=1e-9, **kwargs), rtol=0.0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize("step", [0.0, float("nan"), -1e-3, float("inf")])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ConfigError):
+            shooting_bound_states(square_well_config(2.0), 2.0, scan_points=50, step=step)
+        with pytest.raises(ConfigError):
+            dirac_shooting(square_well_config(2.0), QuantumLabel(2.0, 0.5), step=step)
+
+    def test_one_scan_point(self):
+        with pytest.raises(ConfigError):
+            shooting_bound_states(square_well_config(2.0), 2.0, scan_points=1)
+
+    @pytest.mark.parametrize("k, eps", [(2.0, float("nan")), (float("nan"), 0.5)])
+    def test_non_finite_label(self, k, eps):
+        with pytest.raises(ConfigError):
+            dirac_shooting(square_well_config(2.0), QuantumLabel(k, np.array([0.3, eps])))
