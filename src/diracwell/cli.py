@@ -251,7 +251,7 @@ def _cmd_verify(args) -> int:
     # the RK4 error grows as (q h)^4 with the deepest interior wavenumber q
     q_max = math.sqrt((abs(k) + abs(v0)) ** 2 - k * k)
     step = min(2e-3, 0.02 / q_max) if q_max > 0.0 else 2e-3
-    shot = shooting_bound_states(config, k, scan_points=500, tol=1e-9, step=step)
+    shot = shooting_bound_states(config, k, tol=1e-9, step=step)
     agree = (
         len(closed) == len(transfer) == len(shot)
         and all(abs(a - b) < 1e-5 for a, b in zip(closed, transfer))

@@ -234,13 +234,43 @@ def _renormalize(psi: np.ndarray) -> None:
     psi /= scale[:, None]
 
 
-def _advance_stepwise(config, k, delta_of, psi, points, step):
-    """March psi across constant segments with the one-step fourth-order
-    matrix raised to the segment's step count by squaring."""
-    n_eps = psi.shape[0]
-    eye = np.zeros((n_eps, 2, 2))
-    eye[:, 0, 0] = 1.0
-    eye[:, 1, 1] = 1.0
+def _rk4_power(s, h, n):
+    """Coefficients (u, v) of R^n = u I + v M, up to a positive factor per
+    energy, for the classical fourth-order step R on a constant segment.
+
+    M = [[w, -d], [d, -w]] squares to s I with s = w^2 - d^2, so
+    R = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 = u I + v M with y = h^2 s,
+    u = 1 + y/2 + y^2/24 and v = h (1 + y/6), and such pairs multiply as
+    (u1 u2 + s v1 v2, u1 v2 + v1 u2).  Every square is divided by
+    c = u^2 + |s| v^2 > 0, which bounds its |u| and |v| sqrt|s| by 1, so
+    a wide segment neither overflows (s > 0) nor underflows (s < 0).
+    u is even and v odd in h, bit for bit.
+    """
+    y = h * h * s
+    u = 1.0 + y * (0.5 + y / 24.0)
+    v = h * (1.0 + y / 6.0)
+    acc = None
+    while True:
+        if n & 1:
+            acc = (u, v) if acc is None else (acc[0] * u + s * acc[1] * v, acc[0] * v + acc[1] * u)
+        n >>= 1
+        if not n:
+            return acc
+        uu = u * u
+        svv = s * v * v
+        c = uu + np.abs(svv)
+        u, v = (uu + svv) / c, 2.0 * u * v / c
+
+
+def _advance_stepwise(config, k, eps, psi, points, step, powers):
+    """March psi across constant segments, applying on each the power
+    u I + v M of its one-step fourth-order matrix.
+
+    powers holds the powers already taken at these energies, keyed on
+    (|h|, steps, w, v): a segment marched with h < 0 takes (u, -v) from
+    the entry of its mirror image, so the march from the right of a
+    mirror-symmetric well reuses the powers of the march from the left.
+    """
     for a, b in zip(points[:-1], points[1:]):
         width = b - a
         if width == 0.0:
@@ -251,23 +281,16 @@ def _advance_stepwise(config, k, delta_of, psi, points, step):
         v = evaluate_potential(config.electric, mid) if config.electric is not None else 0.0
         ay = evaluate_potential(config.magnetic, mid) if config.magnetic is not None else 0.0
         w = k + ay
-        delta = delta_of(v)
-        A = np.empty((n_eps, 2, 2))
-        A[:, 0, 0] = h * w
-        A[:, 0, 1] = -h * delta
-        A[:, 1, 0] = h * delta
-        A[:, 1, 1] = -h * w
-        A2 = A @ A
-        A3 = A2 @ A
-        R = eye + A + A2 / 2.0 + A3 / 6.0 + (A3 @ A) / 24.0
-        acc = eye.copy()
-        m = n
-        while m:
-            if m & 1:
-                acc = R @ acc
-            R = R @ R
-            m >>= 1
-        psi = (acc @ psi[:, :, None])[:, :, 0]
+        d = eps - v
+        key = (abs(h), n, w, v)
+        if key not in powers:
+            powers[key] = _rk4_power(w * w - d * d, abs(h), n)
+        cu, cv = powers[key]
+        if h < 0.0:
+            cv = -cv
+        m0 = w * psi[:, 0] - d * psi[:, 1]
+        m1 = d * psi[:, 0] - w * psi[:, 1]
+        psi = np.stack([cu * psi[:, 0] + cv * m0, cu * psi[:, 1] + cv * m1], axis=1)
         _renormalize(psi)
     return psi
 
@@ -414,12 +437,9 @@ def dirac_shooting(
         inner = sorted(b for b in breaks if x_lo < b < x_hi)
         left_pts = [x_lo] + [b for b in inner if b <= x_match] + [x_match]
         right_pts = [x_hi] + [b for b in reversed(inner) if b > x_match] + [x_match]
-        psi_left = _advance_stepwise(
-            config, k, lambda v: eps - v, psi_left, left_pts, step
-        )
-        psi_right = _advance_stepwise(
-            config, k, lambda v: eps - v, psi_right, right_pts, step
-        )
+        powers: dict = {}
+        psi_left = _advance_stepwise(config, k, eps, psi_left, left_pts, step, powers)
+        psi_right = _advance_stepwise(config, k, eps, psi_right, right_pts, step, powers)
     else:
         psi_left = _advance_sampled(config, k, eps, psi_left, x_lo, x_match, step)
         psi_right = _advance_sampled(config, k, eps, psi_right, x_hi, x_match, step)
@@ -444,13 +464,16 @@ def shooting_bound_states(
     (one batched determinant evaluation per iteration) until every
     bracket is at most tol wide or down to adjacent doubles.  Roots within
     edge_margin of the band edges are discarded.  Raises ConfigError for
-    fewer than two scan points, a tol that is not finite and positive, or
-    a k or step that dirac_shooting rejects.
+    fewer than two scan points, a tol that is not finite and positive, an
+    edge_margin that is not finite and non-negative, or a k or step that
+    dirac_shooting rejects.
     """
     if scan_points < 2:
         raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
+    if not (edge_margin >= 0.0 and math.isfinite(edge_margin)):
+        raise ConfigError(f"edge_margin must be finite and non-negative, got {edge_margin}")
     _check_momentum_and_step(k, step)
     _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
     lo = max(v_minus - abs(k + a_minus), v_plus - abs(k + a_plus))

@@ -78,13 +78,22 @@ def _refine_brackets(values, rows, a, b, fa, tol) -> np.ndarray:
     a scalar bisection: it halves at 0.5 * (a + b), keeps the left half
     when the midpoint value has the sign of fa, stops on an exact zero and
     freezes as soon as b - a <= tol, so batching changes no bit of a root.
+    A bracket whose midpoint is no longer strictly inside it freezes too,
+    so a tol below the spacing of doubles ends at adjacent doubles.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     fa = np.array(fa, dtype=float)
     live = np.flatnonzero(b - a > tol)
     while live.size:
-        mid = 0.5 * (a[live] + b[live])
+        al, bl = a[live], b[live]
+        mid = 0.5 * (al + bl)
+        # a bracket down to adjacent doubles cannot shrink, whatever tol asks
+        inside = (al < mid) & (mid < bl)
+        if not inside.all():
+            live, mid = live[inside], mid[inside]
+            if not live.size:
+                break
         fm = np.asarray(values(rows[live], mid), dtype=float)
         same = (fa[live] < 0.0) == (fm < 0.0)
         a[live[same]] = mid[same]
@@ -106,10 +115,16 @@ def _roots_by_row(values, lo, hi, scan_points, tol, edge_margin=EDGE_MARGIN) -> 
     Each row gets its own uniform scan, evaluated in blocks of at most
     SCAN_BLOCK energies; the brackets of all rows are then bisected
     together, and roots within edge_margin of a domain edge are dropped.
-    Raises ConfigError for fewer than two scan points.
+    Raises ConfigError for fewer than two scan points, a tol that is not
+    finite and positive, or an edge_margin that is not finite and
+    non-negative.
     """
     if scan_points < 2:
         raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
+    if not (edge_margin >= 0.0 and math.isfinite(edge_margin)):
+        raise ConfigError(f"edge_margin must be finite and non-negative, got {edge_margin}")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     rows = np.flatnonzero(lo < hi)

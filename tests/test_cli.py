@@ -214,6 +214,14 @@ class TestVerify:
         assert "routes 33/33/33" in out
         assert all(line.startswith("PASS") for line in out.splitlines())
 
+    def test_shoots_with_the_default_scan(self, capsys):
+        # the top level sits 0.031 below the band edge, beyond the last point
+        # of a 500-point scan (0.080 below it) but not of the default scan
+        code, out, _ = run(capsys, "verify", "--k", "20", "--v0", "20", "--half-width", "1")
+        assert code == 0
+        assert "routes 23/23/23" in out
+        assert all(line.startswith("PASS") for line in out.splitlines())
+
 
 class TestConfigFile:
     def test_file_supplies_defaults(self, capsys, tmp_path):

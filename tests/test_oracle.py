@@ -13,10 +13,12 @@ from diracwell import (
     FieldConfig,
     Linear,
     Lorentzian,
+    PiecewiseConstant,
     QuantumLabel,
     Tanh,
     dirac_shooting,
     find_roots,
+    general_secular,
     grid_eigenvalues,
     landau_levels_proportional,
     partner_potentials,
@@ -340,3 +342,111 @@ class TestShootingInputs:
     def test_non_finite_label(self, k, eps):
         with pytest.raises(ConfigError):
             dirac_shooting(square_well_config(2.0), QuantumLabel(k, np.array([0.3, eps])))
+
+    @pytest.mark.parametrize("edge_margin", [float("nan"), -1e-6, float("inf")])
+    def test_edge_margin_must_be_finite_and_non_negative(self, edge_margin):
+        with pytest.raises(ConfigError):
+            shooting_bound_states(
+                square_well_config(2.0), 2.0, scan_points=500, edge_margin=edge_margin
+            )
+
+
+def _matmul_stepwise_march(config, k, eps, psi, points, step, powers):
+    """The square-well march with each segment's RK4 step built as an
+    (energies, 2, 2) matrix and powered by matrix squaring: the reference
+    the two-coefficient powering must match.  powers is ignored."""
+    n_eps = psi.shape[0]
+    eye = np.zeros((n_eps, 2, 2))
+    eye[:, 0, 0] = 1.0
+    eye[:, 1, 1] = 1.0
+    for a, b in zip(points[:-1], points[1:]):
+        width = b - a
+        if width == 0.0:
+            continue
+        n = max(1, math.ceil(abs(width) / step))
+        h = width / n
+        mid = 0.5 * (a + b)
+        v = evaluate_potential(config.electric, mid) if config.electric is not None else 0.0
+        ay = evaluate_potential(config.magnetic, mid) if config.magnetic is not None else 0.0
+        w = k + ay
+        delta = eps - v
+        A = np.empty((n_eps, 2, 2))
+        A[:, 0, 0] = h * w
+        A[:, 0, 1] = -h * delta
+        A[:, 1, 0] = h * delta
+        A[:, 1, 1] = -h * w
+        A2 = A @ A
+        A3 = A2 @ A
+        R = eye + A + A2 / 2.0 + A3 / 6.0 + (A3 @ A) / 24.0
+        acc = eye.copy()
+        m = n
+        while m:
+            if m & 1:
+                acc = R @ acc
+            R = R @ R
+            m >>= 1
+        psi = (acc @ psi[:, :, None])[:, :, 0]
+        oracle._renormalize(psi)
+    return psi
+
+
+# config, k, step, x_match and the exterior-decay band of the stepwise cases
+STEPWISE_CASES = {
+    "well-2-2-1": (square_well_config(2.0), 2.0, 1e-3, None, (-2.0, 2.0)),
+    "well-50-120-3": (square_well_config(120.0, 3.0), 50.0, 0.02 / math.sqrt(170.0**2 - 50.0**2),
+                      None, (-50.0, 50.0)),
+    "three-steps": (FieldConfig(electric=PiecewiseConstant((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5))),
+                    2.0, 1e-3, None, (-1.5, 2.0)),
+    "magnetic-step": (FieldConfig(electric=square_well(6.0),
+                                  magnetic=PiecewiseConstant((-0.5, 0.4), (0.0, 0.7, -0.3))),
+                      2.5, 1e-3, None, (-2.2, 2.2)),
+    "off-centre-match": (square_well_config(8.0), 3.0, 1e-3, 0.37, (-3.0, 3.0)),
+}
+
+
+class TestStepwisePower:
+    """Square and piecewise wells power each segment's RK4 step as
+    u I + v M; the result must match the matrix powering it replaced."""
+
+    @pytest.mark.parametrize("case", list(STEPWISE_CASES))
+    def test_determinants_match_the_matmul_powering(self, case, monkeypatch):
+        config, k, step, x_match, (lo, hi) = STEPWISE_CASES[case]
+        grid = np.linspace(lo, hi, 403)[1:-1]
+        powered = dirac_shooting(config, QuantumLabel(k, grid), step, x_match)
+        monkeypatch.setattr(oracle, "_advance_stepwise", _matmul_stepwise_march)
+        reference = dirac_shooting(config, QuantumLabel(k, grid), step, x_match)
+        np.testing.assert_array_equal(np.sign(powered), np.sign(reference))
+        np.testing.assert_allclose(powered, reference, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("case", list(STEPWISE_CASES))
+    def test_roots_match_the_matmul_powering(self, case, monkeypatch):
+        config, k, step, x_match, _ = STEPWISE_CASES[case]
+        tol = 1e-10
+        powered = shooting_bound_states(config, k, tol=tol, step=step, x_match=x_match)
+        assert powered
+        monkeypatch.setattr(oracle, "_advance_stepwise", _matmul_stepwise_march)
+        reference = shooting_bound_states(config, k, tol=tol, step=step, x_match=x_match)
+        assert len(powered) == len(reference)
+        np.testing.assert_allclose(powered, reference, rtol=0.0, atol=2.0 * tol)
+
+    def test_mirror_segments_give_equal_u_and_opposite_v(self):
+        # s of both signs: oscillatory and evanescent energies
+        s = np.linspace(-900.0, 400.0, 257)
+        for h, n in ((1e-3, 1000), (2.7e-4, 7411), (0.05, 1)):
+            u, v = oracle._rk4_power(s, h, n)
+            u_mirror, v_mirror = oracle._rk4_power(s, -h, n)
+            np.testing.assert_array_equal(u_mirror, u)
+            np.testing.assert_array_equal(v_mirror, -v)
+
+    def test_wide_barrier_double_well(self):
+        # two wells 40 apart: at k = 40 the barrier between them damps by
+        # about e^-1600, which overflowed the unnormalized matrix powers
+        config = FieldConfig(electric=PiecewiseConstant((-22.0, -20.0, 20.0, 22.0),
+                                                        (0.0, -60.0, 0.0, -47.0, 0.0)))
+        grid = np.linspace(-40.0, 40.0, 402)[1:-1]
+        assert np.all(np.isfinite(dirac_shooting(config, QuantumLabel(40.0, grid), step=2e-4)))
+        transfer = find_roots(general_secular(config, 40.0))
+        assert len(transfer) == 109
+        shot = shooting_bound_states(config, 40.0, step=2e-4)
+        assert len(shot) == len(transfer)
+        np.testing.assert_allclose(shot, transfer, rtol=0.0, atol=1e-5)

@@ -93,6 +93,22 @@ class TestFindRoots:
         with pytest.raises(ConfigError):
             count_bound_states(3.0, 8.0, scan_points=scan_points)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ConfigError):
+            find_roots(square_well_secular(2.0, 2.0), tol=tol)
+
+    def test_tolerance_below_double_spacing_terminates(self):
+        secular = square_well_secular(2.0, 2.0)
+        tiny = find_roots(secular, tol=1e-300)
+        assert len(tiny) == 3
+        np.testing.assert_allclose(tiny, find_roots(secular), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("edge_margin", [float("nan"), -1e-6, float("inf")])
+    def test_rejects_edge_margin_that_is_not_finite_and_non_negative(self, edge_margin):
+        with pytest.raises(ConfigError):
+            find_roots(square_well_secular(2.0, 2.0), edge_margin=edge_margin)
+
     def test_scan_resolution_consistency(self):
         coarse = find_roots(square_well_secular(3.0, 8.0), scan_points=500)
         fine = find_roots(square_well_secular(3.0, 8.0), scan_points=5000)
