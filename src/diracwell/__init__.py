@@ -17,7 +17,6 @@ from .core import (
     Lorentzian,
     PiecewiseConstant,
     QuantumLabel,
-    ReducedUnits,
     Tanh,
     build_M,
     classify_case,

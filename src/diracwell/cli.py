@@ -58,7 +58,12 @@ class RunConfig:
     out: str | None = None
 
 
+# every key some subcommand reads; any other, such as a retired option, is refused
+CONFIG_KEYS = {"k", "v0", "half_width", "format", "out", "points", "epsilon", "level", "beta", "levels", "alpha"}
+
+
 def _load_config_file(path: str | None) -> dict:
+    """The JSON object in path; ConfigError unless it holds CONFIG_KEYS only."""
     if path is None:
         return {}
     try:
@@ -68,6 +73,9 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     return raw
 
 
@@ -129,8 +137,7 @@ def _cmd_spectrum(args) -> int:
     k = float(_require(args, file_cfg, "k"))
     v0 = float(_require(args, file_cfg, "v0"))
     half_width = float(_merged(args, file_cfg, "half_width", 1.0))
-    scan_points = int(_merged(args, file_cfg, "scan_points", 2000))
-    roots = find_roots(square_well_secular(k, v0, half_width), scan_points)
+    roots = find_roots(square_well_secular(k, v0, half_width))
     if run.fmt == "csv":
         text = spectrum_to_csv(roots)
     else:
@@ -144,17 +151,14 @@ def _sweep_common(args, which: str) -> int:
     file_cfg = _load_config_file(args.config)
     run = _run_config(args, file_cfg)
     half_width = float(_merged(args, file_cfg, "half_width", 1.0))
-    scan_points = int(_merged(args, file_cfg, "scan_points", 2000))
     if which == "k":
         fixed = float(_require(args, file_cfg, "v0"))
         params = _parse_range(str(_require(args, file_cfg, "k")))
+        branches = sweep_k(fixed, params, half_width)
     else:
         fixed = float(_require(args, file_cfg, "k"))
         params = _parse_range(str(_require(args, file_cfg, "v0")))
-    if which == "k":
-        branches = sweep_k(fixed, params, half_width, scan_points)
-    else:
-        branches = sweep_v0(fixed, params, half_width, scan_points)
+        branches = sweep_v0(fixed, params, half_width)
     if run.fmt == "csv":
         text = branches_to_csv(branches)
     else:
@@ -340,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=float)
     sp.add_argument("--v0", type=float)
     sp.add_argument("--half-width", type=float, dest="half_width")
-    sp.add_argument("--scan-points", type=int, dest="scan_points")
     _add_common(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
@@ -348,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     sk.add_argument("--v0", type=float)
     sk.add_argument("--k", help="range lo:hi:step")
     sk.add_argument("--half-width", type=float, dest="half_width")
-    sk.add_argument("--scan-points", type=int, dest="scan_points")
     _add_common(sk)
     sk.set_defaults(func=_cmd_sweep_k)
 
@@ -356,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--k", type=float)
     sv.add_argument("--v0", help="range lo:hi:step")
     sv.add_argument("--half-width", type=float, dest="half_width")
-    sv.add_argument("--scan-points", type=int, dest="scan_points")
     _add_common(sv)
     sv.set_defaults(func=_cmd_sweep_v0)
 

@@ -1,4 +1,4 @@
-"""Field profiles, reduced units, and the first-order radial system.
+"""Field profiles in reduced units and the first-order radial system.
 
 PHYSICS SCOPE
     Massless Dirac-Weyl quasiparticles in a graphene monolayer subject to
@@ -15,7 +15,7 @@ PHYSICS SCOPE
 UNITS
     All solver-facing quantities are in reduced form: eps = E / (hbar vF),
     v = V / (hbar vF), a = e A_y / hbar, so that eps, v, a, and k all carry
-    dimension 1/length.  ReducedUnits converts laboratory values.
+    dimension 1/length.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ReducedUnits",
     "PiecewiseConstant",
     "Linear",
     "CoulombLike",
@@ -61,34 +60,6 @@ __all__ = [
 # holds to this tolerance on a 101-point probe grid.
 PROPORTIONALITY_TOL = 1e-12
 _PROBE_POINTS = 101
-
-
-@dataclass(frozen=True)
-class ReducedUnits:
-    """Conversion between laboratory and reduced (1/length) quantities.
-
-    Defaults leave values untouched, which is the convention used
-    throughout the solver.
-    """
-
-    fermi_velocity: float = 1.0
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.fermi_velocity <= 0 or self.hbar <= 0:
-            raise ConfigError("fermi_velocity and hbar must be positive")
-
-    def reduced_energy(self, energy: float) -> float:
-        return energy / (self.hbar * self.fermi_velocity)
-
-    def energy(self, reduced: float) -> float:
-        return reduced * self.hbar * self.fermi_velocity
-
-    def reduced_scalar_potential(self, potential: float) -> float:
-        return potential / (self.hbar * self.fermi_velocity)
-
-    def reduced_vector_potential(self, a_y: float, charge: float = 1.0) -> float:
-        return charge * a_y / self.hbar
 
 
 # ---------------------------------------------------------------------------

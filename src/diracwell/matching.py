@@ -45,6 +45,8 @@ class SecularFunction:
     hi: float
     k: float
     description: str = ""
+    # monotone theta(eps) on (lo, hi) crossing pi/2 + n pi at the roots
+    phase: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, epsilon):
         return self.f(epsilon)
@@ -90,6 +92,26 @@ def _square_well_secular_value(k, epsilon, v0, half_width):
     ) * np.sin(2.0 * half_width * q)
 
 
+def _square_well_phase(k, epsilon, v0, half_width):
+    """Phase theta = 2Lq + atan2(eps(eps+v0) - k^2, pq): the secular value
+    is hypot(pq, eps(eps+v0) - k^2) cos(theta).  theta increases across a
+    well's band and, unchanged bit for bit by (eps, v0) -> (-eps, -v0),
+    decreases across a barrier's."""
+    eps = np.asarray(epsilon, dtype=float)
+    p = np.sqrt(np.clip(k * k - eps**2, 0.0, None))
+    q = np.sqrt(np.clip((eps + v0) ** 2 - k * k, 0.0, None))
+    return 2.0 * half_width * q + np.arctan2(eps * (eps + v0) - k * k, p * q)
+
+
+def _square_well_band(k, v0):
+    """Band (lo, hi), elementwise: (max(-|k|, |k| - v0), |k|) for a well and,
+    as the secular value is invariant under (eps, v0) -> (-eps, -v0), its
+    mirror image for a barrier; empty for k = 0."""
+    kk = np.abs(k)
+    lo = np.maximum(-kk, kk - np.abs(v0))
+    return np.where(v0 < 0.0, -kk, lo), np.where(v0 < 0.0, -lo, kk)
+
+
 def secular_det_square_well(
     k: float, epsilon: float, v0: float, half_width: float = 1.0
 ) -> float:
@@ -113,19 +135,19 @@ def _check_well(k, v0, half_width) -> None:
 
 
 def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> SecularFunction:
-    """Secular function for the square well over its admissible band.
+    """Secular function and phase of the square well over its band.
 
     Raises ConfigError for a non-finite k or v0 or a width that is not
     finite and positive."""
     _check_well(k, v0, half_width)
-    kk = abs(k)
-    lo, hi = max(-kk, kk - v0), kk
+    lo, hi = _square_well_band(k, v0)
     return SecularFunction(
         f=lambda eps: _square_well_secular_value(k, eps, v0, half_width),
-        lo=lo,
-        hi=hi,
+        lo=float(lo),
+        hi=float(hi),
         k=k,
         description=f"square well v0={v0}, half_width={half_width}",
+        phase=lambda eps: _square_well_phase(k, eps, v0, half_width),
     )
 
 

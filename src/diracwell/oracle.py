@@ -40,6 +40,7 @@ DEFAULT_STEP = 1e-3
 SMOOTH_TAIL_TOL = 1e-8
 SMOOTH_WINDOW_CAP = 50.0
 PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth march
+EDGE_POINTS = 12  # geometric scan points toward each band edge
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +461,12 @@ def shooting_bound_states(
     """Bound-state energies of a field configuration by pure shooting.
 
     A batched scan over the exterior-decay band brackets sign changes of
-    the matching determinant; every bracket is then bisected in lockstep
+    the matching determinant at scan_points uniform points.  A stepwise
+    profile adds EDGE_POINTS toward each edge, geometric from
+    2 * edge_margin out to the outermost uniform point (or on it), so a
+    root in an edge cell is bracketed too; a smooth profile's levels can
+    crowd geometrically into a band edge (the Lorentzian's do), where no
+    finite scan completes them.  Every bracket is then bisected in lockstep
     (one batched determinant evaluation per iteration) until every
     bracket is at most tol wide or down to adjacent doubles.  Roots within
     edge_margin of the band edges are discarded.  Raises ConfigError for
@@ -481,6 +487,12 @@ def shooting_bound_states(
     if not lo < hi:
         return []
     grid = np.linspace(lo, hi, scan_points + 2)[1:-1]
+    if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
+        cell = (hi - lo) / (scan_points + 1)
+        near = min(2.0 * edge_margin / cell, 1.0) if edge_margin > 0.0 else 1.0
+        offsets = cell * near ** (1.0 - np.arange(EDGE_POINTS) / EDGE_POINTS)
+        low, high = np.minimum(lo + offsets, grid[0]), np.maximum(hi - offsets[::-1], grid[-1])
+        grid = np.concatenate([low, grid, high])
     vals = dirac_shooting(config, QuantumLabel(k, grid), step, x_match)
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]

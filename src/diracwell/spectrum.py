@@ -1,13 +1,13 @@
 """Root finding, spectral sweeps, and closed-form dispersive levels.
 
 Square-well bound states live strictly inside the admissible band
-(max(-|k|, |k| - v0), |k|): outside it either the exterior stops decaying
-or the interior stops oscillating.  Roots of a secular function are
-bracketed on a uniform scan of the band and polished by bisection, all
-brackets in lockstep; a sweep in k or v0 solves every parameter value in
-one such batched pass, chains the per-parameter roots into branches and
-flags the points where a branch runs into the lower band edge and
-disappears (a state collapsing into the continuum).
+(max(-|k|, |k| - v0), |k|), mirrored for a barrier, and are exactly the
+crossings theta = pi/2 + n pi of the monotone square-well phase: levels
+are counted in closed form and each is bisected on its own crossing.  A
+sweep in k or v0 solves every parameter value in one batched pass; a
+branch is a run of consecutive parameter values holding the same level.
+Secular functions without a phase are bracketed on an edge-refined scan
+and bisected, all brackets in lockstep.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .errors import ConfigError, InvalidLevel, UnsupportedRegime
 from .matching import (
     SecularFunction,
     _check_well,
-    _square_well_secular_value,
+    _square_well_band,
+    _square_well_phase,
     square_well_secular,
 )
 
@@ -45,8 +46,7 @@ __all__ = [
 DEFAULT_SCAN_POINTS = 2000
 DEFAULT_ROOT_TOL = 1e-10
 EDGE_MARGIN = 1e-6
-COLLAPSE_TOL = 1e-6
-SCAN_BLOCK = 8192  # energies per scan evaluation; bounds the grid of long sweeps
+EDGE_POINTS = 12  # geometric scan points toward each domain edge
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,67 @@ class AdmissibleBand:
 
 
 def admissible_interval(k: float, v0: float) -> AdmissibleBand:
-    """Band (max(-|k|, |k| - v0), |k|); degenerate (empty) for k = 0."""
-    kk = abs(k)
-    return AdmissibleBand(max(-kk, kk - v0), kk)
+    """Band (max(-|k|, |k| - v0), |k|) of a well, and its mirror image
+    (-|k|, min(|k|, |v0| - |k|)) for a barrier; empty for k = 0."""
+    return AdmissibleBand(*map(float, _square_well_band(k, v0)))
+
+
+def _level_ranges(phase, lo, hi):
+    """(rows, sign, u_lo, u_hi, first n, level count) of the rows whose
+    band holds two doubles or more.
+
+    A row's levels are the crossings phase = pi/2 + n pi strictly between
+    its phases at the innermost doubles (u_lo, u_hi) of its band, so no
+    level is missed and neither the spurious zero at a q -> 0 edge nor a
+    level that no double separates from an edge is one.  u = sign * eps:
+    a barrier's decreasing phase is its mirrored well's in u = -eps.
+    """
+    inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    live = np.flatnonzero(inner_lo < inner_hi)
+    inner_lo, inner_hi = inner_lo[live], inner_hi[live]
+    th_lo, th_hi = phase(live, inner_lo), phase(live, inner_hi)
+    sign = np.where(th_hi < th_lo, -1.0, 1.0)
+    u_lo, u_hi = np.sort([sign * inner_lo, sign * inner_hi], axis=0)
+    th_lo, th_hi = np.sort([th_lo, th_hi], axis=0)
+    first = np.floor((th_lo - 0.5 * math.pi) / math.pi).astype(int) + 1
+    last = np.ceil((th_hi - 0.5 * math.pi) / math.pi).astype(int) - 1
+    return live, sign, u_lo, u_hi, first, np.maximum(last - first + 1, 0)
+
+
+def _levels_by_row(phase, lo, hi):
+    """Every level of many rows, as (row, n, root) arrays sorted by row and root.
+
+    Row r has the phase eps -> phase(rows, eps), monotone on its open band
+    (lo[r], hi[r]) of the float arrays lo and hi (see _level_ranges).  Each
+    level bisects its crossing for its row's ceil(log2(width / spacing(|k|)))
+    halvings, about 54, to about one double spacing of |k| = max(|lo|, |hi|),
+    independently of the rows batched with it.
+    """
+    live, sign, u_lo, u_hi, first, count = _level_ranges(phase, lo, hi)
+    kk = np.maximum(np.abs(lo), np.abs(hi))[live]
+    halvings = np.ceil(np.log2((u_hi - u_lo) / np.spacing(kk)))
+    at = np.repeat(np.arange(live.size), count)
+    n = first[at] + np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
+    rows, s, target = live[at], sign[at], 0.5 * math.pi + n * math.pi
+    a, b = u_lo[at], u_hi[at]
+    for i in range(int(halvings.max(initial=0))):
+        mid = 0.5 * (a + b)
+        theta = phase(rows, s * mid)
+        halve = i < halvings[at]
+        a = np.where(halve & (theta <= target), mid, a)
+        b = np.where(halve & (theta >= target), mid, b)
+    root = s * 0.5 * (a + b)
+    n = np.where(s > 0.0, n, -n - 1)
+    order = np.lexsort((root, rows))
+    return rows[order], n[order], root[order]
+
+
+def _square_well_levels(k, v0, half_width):
+    """(row, n, root) of every level of the square wells (k[r], v0[r])."""
+    k, v0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(v0, dtype=float))
+    return _levels_by_row(
+        lambda rows, eps: _square_well_phase(k[rows], eps, v0[rows], half_width), *_square_well_band(k, v0)
+    )
 
 
 def _refine_brackets(values, rows, a, b, fa, tol) -> np.ndarray:
@@ -107,44 +165,45 @@ def _refine_brackets(values, rows, a, b, fa, tol) -> np.ndarray:
     return 0.5 * (a + b)
 
 
+def _scan_grid(lo, hi, scan_points, edge_margin) -> np.ndarray:
+    """Scan energies of each domain (lo[r], hi[r]), one row each.
+
+    scan_points uniform interior points, plus EDGE_POINTS toward each edge,
+    geometric from 2 * edge_margin out to the outermost uniform point, so a
+    root inside an edge cell is bracketed too.  They fall on the outermost
+    uniform points when 2 * edge_margin is zero or not below one cell.
+    """
+    uniform = np.linspace(lo, hi, scan_points + 2, axis=1)[:, 1:-1]
+    cell = ((hi - lo) / (scan_points + 1))[:, None]
+    near = np.minimum(2.0 * edge_margin / cell, 1.0) if edge_margin > 0.0 else 1.0
+    offsets = cell * near ** (1.0 - np.arange(EDGE_POINTS) / EDGE_POINTS)
+    low = np.minimum(lo[:, None] + offsets, uniform[:, :1])
+    high = np.maximum(hi[:, None] - offsets[:, ::-1], uniform[:, -1:])
+    return np.concatenate([low, uniform, high], axis=1)
+
+
 def _roots_by_row(values, lo, hi, scan_points, tol, edge_margin=EDGE_MARGIN) -> list[list[float]]:
     """Sorted roots of many secular functions, one list per row.
 
     Row r is the function x -> values(r, x) on the open domain
     (lo[r], hi[r]); values takes equally long arrays of rows and energies.
-    Each row gets its own uniform scan, evaluated in blocks of at most
-    SCAN_BLOCK energies; the brackets of all rows are then bisected
-    together, and roots within edge_margin of a domain edge are dropped.
-    Raises ConfigError for fewer than two scan points, a tol that is not
-    finite and positive, or an edge_margin that is not finite and
-    non-negative.
+    The brackets of all rows' scans are bisected together, and roots
+    within edge_margin of a domain edge are dropped.
     """
-    if scan_points < 2:
-        raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError(f"tol must be finite and positive, got {tol}")
-    if not (edge_margin >= 0.0 and math.isfinite(edge_margin)):
-        raise ConfigError(f"edge_margin must be finite and non-negative, got {edge_margin}")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     rows = np.flatnonzero(lo < hi)
-    per_block = max(1, SCAN_BLOCK // max(scan_points, 1))
-    no_rows, no_x = np.empty(0, dtype=int), np.empty(0)
-    brackets, hits = [(no_rows, no_x, no_x, no_x)], [(no_rows, no_x)]
-    for start in range(0, rows.size, per_block):
-        block = rows[start : start + per_block]
-        grid = np.linspace(lo[block], hi[block], scan_points + 2, axis=1)[:, 1:-1]
-        vals = values(np.repeat(block, grid.shape[1]), grid.ravel())
-        vals = np.asarray(vals, dtype=float).reshape(grid.shape)
-        sign = np.sign(vals)
-        r, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-        brackets.append((block[r], grid[r, i], grid[r, i + 1], vals[r, i]))
-        r, i = np.nonzero(sign == 0)  # scan point landing exactly on a root
-        hits.append((block[r], grid[r, i]))
-    br_rows, a, b, fa = map(np.concatenate, zip(*brackets))
-    hit_rows, hit_roots = map(np.concatenate, zip(*hits))
-    owner = np.concatenate([br_rows, hit_rows])
-    roots = np.concatenate([_refine_brackets(values, br_rows, a, b, fa, tol), hit_roots])
+    grid = _scan_grid(lo[rows], hi[rows], scan_points, edge_margin)
+    vals = values(np.repeat(rows, grid.shape[1]), grid.ravel())
+    vals = np.asarray(vals, dtype=float).reshape(grid.shape)
+    sign = np.sign(vals)
+    r, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    bracketed = _refine_brackets(values, rows[r], grid[r, i], grid[r, i + 1], vals[r, i], tol)
+    # a scan point on a root counts once, also where edge points coincide
+    fresh = np.concatenate([np.ones_like(sign[:, :1], dtype=bool), grid[:, 1:] > grid[:, :-1]], axis=1)
+    h, j = np.nonzero((sign == 0) & fresh)
+    owner = np.concatenate([rows[r], rows[h]])
+    roots = np.concatenate([bracketed, grid[h, j]])
     keep = (roots - lo[owner] > edge_margin) & (hi[owner] - roots > edge_margin)
     owner, roots = owner[keep], roots[keep]
     order = np.lexsort((roots, owner))
@@ -159,23 +218,35 @@ def find_roots(
     tol: float = DEFAULT_ROOT_TOL,
     edge_margin: float = EDGE_MARGIN,
 ) -> list[float]:
-    """All roots of a secular function strictly inside its domain.
+    """All roots of a secular function strictly inside its domain, sorted.
 
-    A uniform scan brackets sign changes, bisection refines each bracket to
-    width tol, and anything within edge_margin of a band edge is dropped:
-    the secular value vanishes at a q -> 0 edge without a bound state
-    there.
+    A function with a phase (the square well) is solved level by level,
+    complete whatever the scan settings.  Any other is scanned (see
+    _scan_grid), bisected to width tol, and roots within edge_margin of a
+    domain edge are dropped: the secular value can vanish at a band edge
+    without a bound state there.  Raises ConfigError for fewer than two
+    scan points, a tol that is not finite and positive, or an edge_margin
+    that is not finite and non-negative.
     """
+    if scan_points < 2:
+        raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
+    if not (edge_margin >= 0.0 and math.isfinite(edge_margin)):
+        raise ConfigError(f"edge_margin must be finite and non-negative, got {edge_margin}")
+    if secular.phase is not None:
+        lo, hi = np.array([secular.lo]), np.array([secular.hi])
+        return _levels_by_row(lambda rows, eps: secular.phase(eps), lo, hi)[2].tolist()
     return _roots_by_row(
         lambda rows, eps: secular(eps), [secular.lo], [secular.hi], scan_points, tol, edge_margin
     )[0]
 
 
-def count_bound_states(
-    k: float, v0: float, half_width: float = 1.0, scan_points: int = DEFAULT_SCAN_POINTS
-) -> int:
-    """Number of square-well bound states at fixed (k, v0)."""
-    return len(find_roots(square_well_secular(k, v0, half_width), scan_points))
+def count_bound_states(k: float, v0: float, half_width: float = 1.0) -> int:
+    """Number of square-well bound states at fixed (k, v0), in closed form."""
+    sec = square_well_secular(k, v0, half_width)
+    *_, count = _level_ranges(lambda rows, eps: sec.phase(eps), np.array([sec.lo]), np.array([sec.hi]))
+    return int(count.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +256,11 @@ def count_bound_states(
 
 @dataclass
 class SpectrumBranch:
-    """One continuously tracked root across a parameter sweep.
+    """One level followed across a run of consecutive parameter values.
 
     termination, when set, is (parameter value, boundary id) for the point
     where the branch left the band; for a v0 sweep the crossing of the
-    lower edge eps = -|k| is refined to the collapse tolerance.
+    lower edge eps = -|k| is the closed-form collapse depth.
     """
 
     param_name: str
@@ -197,14 +268,6 @@ class SpectrumBranch:
     params: list[float] = field(default_factory=list)
     epsilons: list[float] = field(default_factory=list)
     termination: tuple[float, str] | None = None
-
-    @property
-    def slope(self) -> float:
-        if len(self.params) < 2:
-            return 0.0
-        return (self.epsilons[-1] - self.epsilons[-2]) / (
-            self.params[-1] - self.params[-2]
-        )
 
 
 def parameter_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -216,140 +279,68 @@ def parameter_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return grid[grid <= hi + 0.5 * step]
 
 
-def _track(param_name, params, roots_per_param, on_termination=None) -> list[SpectrumBranch]:
-    """Chain per-parameter root lists into branches.
+def _branches(param_name, params, levels, end) -> list[SpectrumBranch]:
+    """Branches of a sweep from its (row, n, root) levels.
 
-    Matching is greedy nearest-to-prediction with a jump guard of ten local
-    step slopes; unmatched roots open new branches, unmatched branches
-    terminate.
+    A branch is a run of consecutive parameter values holding level n;
+    branches are numbered by first appearance, ties broken by energy.  A
+    branch that ends before the grid does gets the termination
+    end(branch, n, next parameter value).
     """
-    branches: list[SpectrumBranch] = []
-    active: list[SpectrumBranch] = []
-    for idx, (p, roots) in enumerate(zip(params, roots_per_param)):
-        step = abs(params[idx] - params[idx - 1]) if idx else 0.0
-        taken = [False] * len(roots)
-        survivors: list[SpectrumBranch] = []
-        pairs = []
-        for b in active:
-            pred = b.epsilons[-1] + b.slope * step
-            for j, r in enumerate(roots):
-                pairs.append((abs(r - pred), b.index, b, j))
-        matched = set()
-        for dist, _, b, j in sorted(pairs, key=lambda t: (t[0], t[1], t[3])):
-            if b.index in matched or taken[j]:
-                continue
-            guard = 10.0 * step * max(1.0, abs(b.slope))
-            if dist > guard:
-                continue
-            b.params.append(float(p))
-            b.epsilons.append(float(roots[j]))
-            taken[j] = True
-            matched.add(b.index)
-            survivors.append(b)
-        for b in active:
-            if b.index not in matched and on_termination is not None:
-                prev_p = params[idx - 1] if idx else p
-                on_termination(b, float(prev_p), float(p))
-        active = survivors
-        for j, r in enumerate(roots):
-            if not taken[j]:
-                b = SpectrumBranch(param_name, len(branches))
-                b.params.append(float(p))
-                b.epsilons.append(float(r))
-                branches.append(b)
-                active.append(b)
-        active.sort(key=lambda b: b.index)
+    rows, n, roots = levels
+    order = np.lexsort((rows, n))
+    rows, n, roots = rows[order], n[order], roots[order]
+    cuts = np.flatnonzero((np.diff(n) != 0) | (np.diff(rows) != 1)) + 1
+    runs = [(s, e) for s, e in zip(np.r_[0, cuts], np.r_[cuts, rows.size]) if e > s]
+    runs.sort(key=lambda run: (rows[run[0]], roots[run[0]]))
+    branches = []
+    for index, (s, e) in enumerate(runs):
+        branch = SpectrumBranch(param_name, index, params[rows[s:e]].tolist(), roots[s:e].tolist())
+        if rows[e - 1] + 1 < params.size:
+            branch.termination = end(branch, int(n[s]), float(params[rows[e - 1] + 1]))
+        branches.append(branch)
     return branches
 
 
-def sweep_k(
-    v0: float,
-    k_values,
-    half_width: float = 1.0,
-    scan_points: int = DEFAULT_SCAN_POINTS,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> list[SpectrumBranch]:
-    """Track square-well branches over a grid of momenta at fixed depth.
-
-    The roots at every momentum come from one batched pass.
-    """
+def sweep_k(v0: float, k_values, half_width: float = 1.0) -> list[SpectrumBranch]:
+    """Square-well branches over a grid of momenta at fixed depth, from one
+    batched pass.  A branch that ends before the grid does is flagged at its
+    last momentum with the band edge its last root was nearer to."""
     params = np.asarray(k_values, dtype=float)
     _check_well(params, v0, half_width)
-    kk = np.abs(params)
-    roots_per_param = _roots_by_row(
-        lambda rows, eps: _square_well_secular_value(params[rows], eps, v0, half_width),
-        np.maximum(-kk, kk - v0),
-        kk,
-        scan_points,
-        tol,
-    )
 
-    def terminate(branch, p_prev, p_next):
+    def end(branch, n, k_next):
         band = admissible_interval(branch.params[-1], v0)
         eps = branch.epsilons[-1]
         edge = "lower" if abs(eps - band.lo) <= abs(band.hi - eps) else "upper"
-        branch.termination = (p_prev, f"{edge} band edge")
+        return branch.params[-1], f"{edge} band edge"
 
-    return _track("k", params, roots_per_param, terminate)
+    return _branches("k", params, _square_well_levels(params, v0, half_width), end)
 
 
-def sweep_v0(
-    k: float,
-    v0_values,
-    half_width: float = 1.0,
-    scan_points: int = DEFAULT_SCAN_POINTS,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> list[SpectrumBranch]:
-    """Track square-well branches over a grid of depths at fixed momentum.
-
-    The roots at every depth come from one batched pass.  When a branch
-    reaches the lower band edge eps = -|k| and disappears, the crossing
-    depth is refined by bisecting the boundary secular value, and the
-    branch is flagged with a ('epsilon=-k') termination.
+def sweep_v0(k: float, v0_values, half_width: float = 1.0) -> list[SpectrumBranch]:
+    """Square-well branches over a grid of depths at fixed momentum, from one
+    batched pass.  Level n of a well leaves through eps = -|k| where
+    2L q(-|k|) = (n + 1) pi, at the depth |k| + sqrt(k^2 + ((n + 1) pi / 2L)^2):
+    a branch whose next depth lies at or past it ends there ('epsilon=-k'),
+    any other that ends before the grid does at its last depth ('band edge').
     """
     params = np.asarray(v0_values, dtype=float)
     _check_well(k, params, half_width)
     kk = abs(k)
-    roots_per_param = _roots_by_row(
-        lambda rows, eps: _square_well_secular_value(k, eps, params[rows], half_width),
-        np.maximum(-kk, kk - params),
-        np.full(params.shape, kk),
-        scan_points,
-        tol,
-    )
 
-    def boundary_value(rows, v):
-        return _square_well_secular_value(k, -kk, v, half_width)
+    def end(branch, n, v0_next):
+        collapse = kk + math.hypot(kk, (n + 1) * math.pi / (2.0 * half_width))
+        if n >= 0 and v0_next >= collapse:
+            return collapse, "epsilon=-k"
+        return branch.params[-1], "band edge"
 
-    def terminate(branch, p_prev, p_next):
-        eps = branch.epsilons[-1]
-        step = p_next - p_prev
-        near_lower = abs(eps - (-kk)) <= 10.0 * step * max(1.0, abs(branch.slope))
-        # the root can fall inside the edge margin one grid step before the
-        # edge value itself changes sign, so bracket one step past p_next
-        edges = (p_prev, p_next, p_next + step)
-        if near_lower:
-            for a, b in zip(edges[:-1], edges[1:]):
-                fa, fb = boundary_value(None, a), boundary_value(None, b)
-                if (fa < 0.0) != (fb < 0.0):
-                    (v_star,) = _refine_brackets(
-                        boundary_value, np.zeros(1, dtype=int), [a], [b], [fa], COLLAPSE_TOL * 1e-3
-                    )
-                    branch.termination = (float(v_star), "epsilon=-k")
-                    return
-        branch.termination = (p_prev, "band edge")
-
-    return _track("v0", params, roots_per_param, terminate)
+    return _branches("v0", params, _square_well_levels(k, params, half_width), end)
 
 
 def branch_cut(branches: list[SpectrumBranch], param: float, atol: float = 1e-9) -> list[float]:
     """Sorted root values sampled by the branches at one parameter value."""
-    out = []
-    for b in branches:
-        for p, e in zip(b.params, b.epsilons):
-            if abs(p - param) <= atol:
-                out.append(e)
-    return sorted(out)
+    return sorted(e for b in branches for p, e in zip(b.params, b.epsilons) if abs(p - param) <= atol)
 
 
 # ---------------------------------------------------------------------------

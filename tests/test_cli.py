@@ -51,6 +51,14 @@ class TestSpectrum:
         _, second, _ = run(capsys, "spectrum", "--k", "2", "--v0", "2")
         assert first == second
 
+    def test_barrier_prints_the_mirrored_levels(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--k", "2", "--v0", "-5")
+        _, well, _ = run(capsys, "spectrum", "--k", "2", "--v0", "5")
+        assert code == 0
+        barrier = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert len(barrier) == 4
+        assert barrier == [-float(line.split(",")[1]) for line in reversed(well.splitlines()[1:])]
+
 
 class TestSweeps:
     def test_sweep_v0_termination_records(self, capsys):
@@ -92,10 +100,13 @@ class TestSweeps:
         ],
     )
     def test_too_few_scan_points_exit_2(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "scan_points" in err
+        # levels are indexed by phase, so no subcommand takes --scan-points
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --scan-points" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -207,11 +218,13 @@ class TestVerify:
         assert "5 states" in out
 
     def test_deep_well_shoots_at_its_own_step(self, capsys):
-        # at a fixed step of 2e-3 level 32 of this well misses the closed
-        # form by 2e-5; the step follows the deepest interior wavenumber
+        # at a fixed step of 2e-3 level 33 of this well misses the closed
+        # form by 2e-5; the step follows the deepest interior wavenumber.
+        # The lowest level, 0.0074 above the band edge, sits inside the
+        # first scan cell: only edge-refined scans bracket it.
         code, out, _ = run(capsys, "verify", "--k", "12", "--v0", "35", "--half-width", "2")
         assert code == 0
-        assert "routes 33/33/33" in out
+        assert "routes 34/34/34" in out
         assert all(line.startswith("PASS") for line in out.splitlines())
 
     def test_shoots_with_the_default_scan(self, capsys):
@@ -250,6 +263,14 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         code, _, _ = run(capsys, "spectrum", "--config", str(cfg))
         assert code == 2
+
+    def test_unknown_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "retired.json"
+        cfg.write_text('{"k": 2, "v0": 2, "scan_points": 500}')
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unknown keys: scan_points" in err
 
     def test_bad_format_value_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "fmt.json"

@@ -1,4 +1,4 @@
-"""Unit conversion, potential families, classification, and the reduced
+"""Potential families, classification, and the reduced
 first-order system building blocks."""
 
 import json
@@ -15,7 +15,6 @@ from diracwell import (
     Lorentzian,
     PiecewiseConstant,
     QuantumLabel,
-    ReducedUnits,
     Tanh,
     build_M,
     classify_case,
@@ -34,34 +33,6 @@ from diracwell.errors import (
     SingularPoint,
     UnsupportedRegime,
 )
-
-
-class TestReducedUnits:
-    def test_defaults_are_identity(self):
-        units = ReducedUnits()
-        assert units.reduced_energy(1.7) == 1.7
-        assert units.energy(1.7) == 1.7
-        assert units.reduced_scalar_potential(-3.0) == -3.0
-        assert units.reduced_vector_potential(0.25) == 0.25
-
-    def test_round_trip(self):
-        units = ReducedUnits(fermi_velocity=1e6, hbar=1.054571817e-34)
-        e = 3.2e-20
-        assert units.energy(units.reduced_energy(e)) == pytest.approx(e, rel=1e-14)
-
-    def test_scaling_direction(self):
-        # doubling hbar*v_F halves the reduced energy
-        assert ReducedUnits(fermi_velocity=2.0).reduced_energy(4.0) == 2.0
-
-    def test_charge_factor(self):
-        units = ReducedUnits(hbar=2.0)
-        assert units.reduced_vector_potential(3.0, charge=-1.0) == -1.5
-
-    def test_rejects_nonpositive_constants(self):
-        with pytest.raises(ConfigError):
-            ReducedUnits(fermi_velocity=0.0)
-        with pytest.raises(ConfigError):
-            ReducedUnits(hbar=-1.0)
 
 
 class TestPiecewiseConstant:

@@ -67,7 +67,8 @@ class TestClosedFormSecular:
         sec = square_well_secular(2.0, 2.0)
         assert (sec.lo, sec.hi) == (0.0, 2.0)
         assert not sec.empty
-        assert square_well_secular(2.0, -1.0).empty
+        barrier = square_well_secular(2.0, -1.0)  # binds on the mirror band
+        assert (barrier.lo, barrier.hi) == (-2.0, -1.0)
 
     def test_sign_change_brackets_ground_state(self):
         sec = square_well_secular(2.0, 2.0)

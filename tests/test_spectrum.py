@@ -1,5 +1,5 @@
-"""Root finding, admissible bands, parameter sweeps with branch tracking,
-and the closed-form dispersive level formulas."""
+"""Root finding, admissible bands, parameter sweeps by level index, and the
+closed-form dispersive level formulas."""
 
 import math
 
@@ -25,7 +25,8 @@ from diracwell import (
     sweep_v0,
 )
 from diracwell.errors import ConfigError, InvalidLevel, UnsupportedRegime
-from diracwell.spectrum import DEFAULT_SCAN_POINTS, SCAN_BLOCK
+from diracwell.matching import _square_well_phase, general_secular, square_well_config
+from diracwell.spectrum import DEFAULT_SCAN_POINTS, EDGE_MARGIN, _scan_grid
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
 WELL38_ROOTS = (
@@ -51,8 +52,15 @@ class TestAdmissibleBand:
 
     def test_empty_cases(self):
         assert admissible_interval(2.0, 0.0).empty
-        assert admissible_interval(2.0, -1.0).empty
+        assert not admissible_interval(2.0, -1.0).empty  # a barrier binds on the mirror band
         assert admissible_interval(0.0, 5.0).empty  # zero momentum never binds
+
+    def test_barrier_band_is_the_mirror_image(self):
+        band = admissible_interval(2.0, -1.0)
+        assert (band.lo, band.hi) == (-2.0, -1.0)
+        for k, v0 in ((2.0, 5.0), (3.0, 8.0), (-1.5, 0.4)):
+            well, barrier = admissible_interval(k, v0), admissible_interval(k, -v0)
+            assert (barrier.lo, barrier.hi) == (-well.hi, -well.lo)
 
     def test_contains(self):
         band = admissible_interval(2.0, 2.0)
@@ -86,12 +94,21 @@ class TestFindRoots:
         assert count_bound_states(2.0, 2.0) == 3
         assert count_bound_states(2.0, 0.0) == 0
 
+    @pytest.mark.parametrize(
+        "k,v0,half_width,count",
+        [(2.0, 1e-4, 1.0, 1), (12.0, 35.0, 2.0, 34), (200.0, 500.0, 5.0, 1425),
+         (1000.0, 3000.0, 10.0, 13631), (2.0, -5.0, 1.0, 4)],
+    )
+    def test_levels_a_scan_missed(self, k, v0, half_width, count):
+        # a weakly bound level, a level inside the first scan cell, two deep
+        # wells that lost levels to shared or edge scan cells, and a barrier
+        roots = find_roots(square_well_secular(k, v0, half_width))
+        assert len(roots) == count_bound_states(k, v0, half_width) == count
+
     @pytest.mark.parametrize("scan_points", [1, 0, -5])
     def test_rejects_too_few_scan_points(self, scan_points):
         with pytest.raises(ConfigError):
             find_roots(square_well_secular(3.0, 8.0), scan_points=scan_points)
-        with pytest.raises(ConfigError):
-            count_bound_states(3.0, 8.0, scan_points=scan_points)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
     def test_rejects_tolerance_that_is_not_finite_and_positive(self, tol):
@@ -99,7 +116,7 @@ class TestFindRoots:
             find_roots(square_well_secular(2.0, 2.0), tol=tol)
 
     def test_tolerance_below_double_spacing_terminates(self):
-        secular = square_well_secular(2.0, 2.0)
+        secular = general_secular(square_well_config(2.0), 2.0)
         tiny = find_roots(secular, tol=1e-300)
         assert len(tiny) == 3
         np.testing.assert_allclose(tiny, find_roots(secular), rtol=0.0, atol=1e-10)
@@ -110,8 +127,9 @@ class TestFindRoots:
             find_roots(square_well_secular(2.0, 2.0), edge_margin=edge_margin)
 
     def test_scan_resolution_consistency(self):
-        coarse = find_roots(square_well_secular(3.0, 8.0), scan_points=500)
-        fine = find_roots(square_well_secular(3.0, 8.0), scan_points=5000)
+        secular = general_secular(square_well_config(8.0), 3.0)
+        coarse = find_roots(secular, scan_points=500)
+        fine = find_roots(secular, scan_points=5000)
         assert coarse == pytest.approx(fine, abs=1e-8)
 
 
@@ -139,11 +157,9 @@ class TestSweeps:
             lambda: sweep_k(math.nan, grid),
             lambda: sweep_k(8.0, np.append(grid, math.inf)),
             lambda: sweep_k(8.0, grid, half_width=0.0),
-            lambda: sweep_k(8.0, grid, scan_points=1),
             lambda: sweep_v0(math.inf, grid),
             lambda: sweep_v0(3.0, np.append(grid, math.nan)),
             lambda: sweep_v0(3.0, grid, half_width=-1.0),
-            lambda: sweep_v0(3.0, grid, scan_points=0),
         ):
             with pytest.raises(ConfigError):
                 call()
@@ -166,7 +182,13 @@ class TestSweeps:
             if b.termination is not None and b.termination[1] == "epsilon=-k"
         )
         assert len(hits) == 2
-        assert hits == pytest.approx(COLLAPSE_DEPTHS_K3, abs=1e-6)
+        assert hits == pytest.approx(COLLAPSE_DEPTHS_K3, abs=1e-12)
+
+    def test_sweep_v0_rows_hold_every_level(self):
+        params = parameter_grid(0.0, 8.0, 0.01)
+        branches = sweep_v0(3.0, params)
+        for v0 in params:
+            assert len(branch_cut(branches, v0)) == count_bound_states(3.0, v0)
 
     def test_sweep_v0_shallow_well_never_collapses(self):
         branches = sweep_v0(2.0, parameter_grid(0.0, 2.0, 0.1))
@@ -193,9 +215,9 @@ def samples_by_param(branches):
     return {p: sorted(es) for p, es in out.items()}
 
 
-def scalar_roots(secular, tol=1e-10, margin=1e-6):
+def scalar_roots(secular, tol=1e-10, margin=EDGE_MARGIN):
     """Reference: the same scan, then one scalar bisection per bracket."""
-    grid = np.linspace(secular.lo, secular.hi, DEFAULT_SCAN_POINTS + 2)[1:-1]
+    grid = _scan_grid(np.array([secular.lo]), np.array([secular.hi]), DEFAULT_SCAN_POINTS, margin)[0]
     vals = secular(grid)
     roots = [float(x) for x in grid[vals == 0.0]]
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
@@ -214,18 +236,17 @@ def scalar_roots(secular, tol=1e-10, margin=1e-6):
 
 
 class TestBatchedKernel:
-    """All brackets are bisected in lockstep and sweeps solve all parameter
-    values in one pass; every root must still be the scalar bisection's,
-    bit for bit."""
+    """Scanned brackets are bisected in lockstep and sweeps solve all
+    parameter values in one pass; every root must still be the scalar
+    bisection's, or the single well's, bit for bit."""
 
     @pytest.mark.parametrize("k,v0,half_width", [(2, 2, 1), (3, 8, 1), (-4, 11, 0.7), (50, 120, 3)])
     def test_roots_equal_scalar_bisection(self, k, v0, half_width):
-        secular = square_well_secular(k, v0, half_width)
+        secular = general_secular(square_well_config(v0, half_width), k)
         assert find_roots(secular) == scalar_roots(secular)
 
     def test_sweep_k_rows_equal_single_solves(self):
         params = parameter_grid(-3.0, 3.0, 0.5)  # hits k = 0 exactly
-        assert len(params) * DEFAULT_SCAN_POINTS > SCAN_BLOCK
         samples = samples_by_param(sweep_k(8.0, params))
         assert 0.0 in params and 0.0 not in samples  # empty band at k = 0
         for k in params:
@@ -233,7 +254,6 @@ class TestBatchedKernel:
 
     def test_sweep_v0_rows_equal_single_solves(self):
         params = parameter_grid(0.0, 8.0, 0.1)
-        assert len(params) * DEFAULT_SCAN_POINTS > SCAN_BLOCK
         branches = sweep_v0(3.0, params)
         collapses = [b for b in branches if b.termination and b.termination[1] == "epsilon=-k"]
         assert len(collapses) == 2
@@ -249,10 +269,43 @@ class TestBatchedKernel:
         tol=st.sampled_from([1e-10, 1e-7, 1e-4]),
     )
     def test_every_root_sits_in_a_sign_changing_bracket(self, k, v0, half_width, tol):
-        secular = square_well_secular(k, v0, half_width)
+        secular = general_secular(square_well_config(v0, half_width), k)
         for r in find_roots(secular, tol=tol):
-            lo, hi = secular(np.array([r - 0.5 * tol, r + 0.5 * tol]))
-            assert secular(r) == 0.0 or lo * hi < 0.0
+            # the final bracket lies on the scan, inside the edge margins
+            probes = np.clip([r - 0.5 * tol, r + 0.5 * tol], secular.lo + EDGE_MARGIN, secular.hi - EDGE_MARGIN)
+            left, right = secular(probes)
+            assert secular(r) == 0.0 or left * right < 0.0
+
+
+class TestPhaseLevels:
+    """Square-well levels indexed by phase, over barriers, deep wells and
+    wide wells."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.floats(-60.0, 60.0).filter(lambda k: abs(k) > 0.05),
+        v0=st.one_of(st.floats(-500.0, -1e-4), st.floats(1e-4, 500.0)),
+        half_width=st.floats(0.1, 10.0),
+    )
+    def test_levels_are_the_phase_crossings(self, k, v0, half_width):
+        secular = square_well_secular(k, v0, half_width)
+        roots = np.array(find_roots(secular))
+        assert len(roots) == count_bound_states(k, v0, half_width)
+        assert np.all((secular.lo < roots) & (roots < secular.hi))
+        assert np.all(np.diff(roots) > 0.0)
+        # theta passes pi/2 + n pi within two double spacings of |k| of each
+        # root, up to its own rounding, and n steps by one from root to root
+        n = np.round((_square_well_phase(k, roots, v0, half_width) - 0.5 * np.pi) / np.pi)
+        target = 0.5 * np.pi + n * np.pi
+        slack = 4.0 * np.spacing(np.abs(target))
+        reach = 2.0 * np.spacing(abs(k))
+        left = _square_well_phase(k, np.maximum(roots - reach, secular.lo), v0, half_width)
+        right = _square_well_phase(k, np.minimum(roots + reach, secular.hi), v0, half_width)
+        assert np.all(np.minimum(left, right) - slack <= target)
+        assert np.all(target <= np.maximum(left, right) + slack)
+        assert np.all(np.abs(np.diff(n)) == 1)
+        mirrored = find_roots(square_well_secular(k, -v0, half_width))
+        assert mirrored == [-r for r in reversed(roots.tolist())]
 
 
 class TestLandauLevels:

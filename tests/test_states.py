@@ -194,7 +194,12 @@ class TestCarry:
 
 
 class TestDeepWells:
-    @pytest.mark.parametrize("k, v0, half_width, count", [(12.0, 35.0, 2.0, 33), (20.0, 60.0, 2.0, 55)])
+    # then a weakly bound level 4e-8 below the band edge, and two barriers
+    @pytest.mark.parametrize(
+        "k, v0, half_width, count",
+        [(12.0, 35.0, 2.0, 34), (20.0, 60.0, 2.0, 55), (2.0, 1e-4, 1.0, 1),
+         (2.0, -5.0, 1.0, 4), (3.0, -8.0, 0.7, 4)],
+    )
     def test_every_root_assembles_cleanly(self, k, v0, half_width, count):
         states = assemble_all(k, v0, half_width)
         assert len(states) == count
