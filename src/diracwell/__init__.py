@@ -90,6 +90,7 @@ from .states import (
     current_density,
     equation_residuals,
     fix_phase,
+    gram_matrix,
     inner_product,
     partner_component,
     probability_density,

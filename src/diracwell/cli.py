@@ -41,7 +41,7 @@ from .states import (
     assemble_square_well_state,
     current_density,
     equation_residuals,
-    inner_product,
+    gram_matrix,
     pt_eigenvalue,
     state_to_csv,
     state_to_json,
@@ -79,18 +79,22 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
-def _merged(args: argparse.Namespace, file_cfg: dict, name: str, default):
-    """Explicit flag wins, then the config file, then the default."""
+def _merged(args: argparse.Namespace, file_cfg: dict, name: str, default, kind=float):
+    """Explicit flag wins, then the config file, whose value must have the
+    flag's type kind (an integer passes for a float), then the default."""
     value = getattr(args, name.replace("-", "_"), None)
     if value is not None:
         return value
-    if name in file_cfg:
-        return file_cfg[name]
-    return default
+    if name not in file_cfg:
+        return default
+    value = file_cfg[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
-def _require(args, file_cfg, name: str):
-    value = _merged(args, file_cfg, name, None)
+def _require(args, file_cfg, name: str, kind=float):
+    value = _merged(args, file_cfg, name, None, kind)
     if value is None:
         raise ConfigError(f"missing required option --{name.replace('_', '-')}")
     return value
@@ -120,10 +124,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _run_config(args, file_cfg) -> RunConfig:
-    fmt = _merged(args, file_cfg, "format", "csv")
+    fmt = _merged(args, file_cfg, "format", "csv", str)
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    return RunConfig(fmt=fmt, out=_merged(args, file_cfg, "out", None))
+    return RunConfig(fmt=fmt, out=_merged(args, file_cfg, "out", None, str))
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +138,9 @@ def _run_config(args, file_cfg) -> RunConfig:
 def _cmd_spectrum(args) -> int:
     file_cfg = _load_config_file(args.config)
     run = _run_config(args, file_cfg)
-    k = float(_require(args, file_cfg, "k"))
-    v0 = float(_require(args, file_cfg, "v0"))
-    half_width = float(_merged(args, file_cfg, "half_width", 1.0))
+    k = _require(args, file_cfg, "k")
+    v0 = _require(args, file_cfg, "v0")
+    half_width = _merged(args, file_cfg, "half_width", 1.0)
     roots = find_roots(square_well_secular(k, v0, half_width))
     if run.fmt == "csv":
         text = spectrum_to_csv(roots)
@@ -150,14 +154,14 @@ def _cmd_spectrum(args) -> int:
 def _sweep_common(args, which: str) -> int:
     file_cfg = _load_config_file(args.config)
     run = _run_config(args, file_cfg)
-    half_width = float(_merged(args, file_cfg, "half_width", 1.0))
+    half_width = _merged(args, file_cfg, "half_width", 1.0)
     if which == "k":
-        fixed = float(_require(args, file_cfg, "v0"))
-        params = _parse_range(str(_require(args, file_cfg, "k")))
+        fixed = _require(args, file_cfg, "v0")
+        params = _parse_range(_require(args, file_cfg, "k", str))
         branches = sweep_k(fixed, params, half_width)
     else:
-        fixed = float(_require(args, file_cfg, "k"))
-        params = _parse_range(str(_require(args, file_cfg, "v0")))
+        fixed = _require(args, file_cfg, "k")
+        params = _parse_range(_require(args, file_cfg, "v0", str))
         branches = sweep_v0(fixed, params, half_width)
     if run.fmt == "csv":
         text = branches_to_csv(branches)
@@ -183,17 +187,16 @@ def _cmd_sweep_v0(args) -> int:
 def _cmd_state(args) -> int:
     file_cfg = _load_config_file(args.config)
     run = _run_config(args, file_cfg)
-    k = float(_require(args, file_cfg, "k"))
-    v0 = float(_require(args, file_cfg, "v0"))
-    half_width = float(_merged(args, file_cfg, "half_width", 1.0))
-    points = int(_merged(args, file_cfg, "points", 4001))
+    k = _require(args, file_cfg, "k")
+    v0 = _require(args, file_cfg, "v0")
+    half_width = _merged(args, file_cfg, "half_width", 1.0)
+    points = _merged(args, file_cfg, "points", 4001, int)
     epsilon = _merged(args, file_cfg, "epsilon", None)
-    level = _merged(args, file_cfg, "level", None)
+    level = _merged(args, file_cfg, "level", None, int)
     if (epsilon is None) == (level is None):
         raise ConfigError("give exactly one of --epsilon or --level")
     if epsilon is None:
         roots = find_roots(square_well_secular(k, v0, half_width))
-        level = int(level)
         if not 0 <= level < len(roots):
             raise ConfigError(
                 f"level {level} out of range; this well holds {len(roots)} bound states"
@@ -210,10 +213,14 @@ def _cmd_state(args) -> int:
 def _cmd_landau(args) -> int:
     file_cfg = _load_config_file(args.config)
     run = _run_config(args, file_cfg)
-    beta = float(_require(args, file_cfg, "beta"))
-    levels = int(_merged(args, file_cfg, "levels", 5))
-    alpha = float(_merged(args, file_cfg, "alpha", 0.0))
-    k = float(_merged(args, file_cfg, "k", 0.0))
+    beta = _require(args, file_cfg, "beta")
+    levels = _merged(args, file_cfg, "levels", 5, int)
+    alpha = _merged(args, file_cfg, "alpha", 0.0)
+    k = _merged(args, file_cfg, "k", 0.0)
+    if levels < 0:
+        raise ConfigError(f"levels must be non-negative, got {levels}")
+    if not math.isfinite(k):  # the magnetic ladder ignores k but prints it
+        raise ConfigError(f"k must be finite, got {k}")
     rows = []
     for n in range(levels + 1):
         if alpha == 0.0:
@@ -239,9 +246,9 @@ def _cmd_landau(args) -> int:
 
 def _cmd_verify(args) -> int:
     file_cfg = _load_config_file(args.config)
-    k = float(_merged(args, file_cfg, "k", 2.0))
-    v0 = float(_merged(args, file_cfg, "v0", 2.0))
-    half_width = float(_merged(args, file_cfg, "half_width", 1.0))
+    k = _merged(args, file_cfg, "k", 2.0)
+    v0 = _merged(args, file_cfg, "v0", 2.0)
+    half_width = _merged(args, file_cfg, "half_width", 1.0)
     failures = []
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -290,8 +297,7 @@ def _cmd_verify(args) -> int:
 
     gram_ok, gram_detail = True, "no states"
     if states:
-        gram = np.array([[inner_product(a, b) for b in states] for a in states])
-        defect = float(np.max(np.abs(gram - np.eye(len(states)))))
+        defect = float(np.max(np.abs(gram_matrix(states) - np.eye(len(states)))))
         gram_ok, gram_detail = defect < 1e-8, f"max |G - I| {defect:.2e}"
     report("bound states are orthonormal", gram_ok, gram_detail)
 

@@ -79,11 +79,17 @@ def _level_ranges(phase, lo, hi):
     level is missed and neither the spurious zero at a q -> 0 edge nor a
     level that no double separates from an edge is one.  u = sign * eps:
     a barrier's decreasing phase is its mirrored well's in u = -eps.
+    UnsupportedRegime when a phase at a band end is not finite or doubles
+    there are pi or more apart: crossings are then not distinct doubles.
     """
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
     live = np.flatnonzero(inner_lo < inner_hi)
     inner_lo, inner_hi = inner_lo[live], inner_hi[live]
-    th_lo, th_hi = phase(live, inner_lo), phase(live, inner_hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        th_lo, th_hi = phase(live, inner_lo), phase(live, inner_hi)
+    reach = np.maximum(np.abs(th_lo), np.abs(th_hi))
+    if not np.all(np.spacing(reach) < math.pi):  # NaN for a phase that is not finite
+        raise UnsupportedRegime(f"phase reaches {np.max(reach):.3g}: levels are not distinct doubles")
     sign = np.where(th_hi < th_lo, -1.0, 1.0)
     u_lo, u_hi = np.sort([sign * inner_lo, sign * inner_hi], axis=0)
     th_lo, th_hi = np.sort([th_lo, th_hi], axis=0)
@@ -350,9 +356,9 @@ def branch_cut(branches: list[SpectrumBranch], param: float, atol: float = 1e-9)
 
 def landau_levels_magnetic(beta: float, n: int) -> tuple[float, float]:
     """Level pair (+sqrt(2 n beta), -sqrt(2 n beta)) of a uniform magnetic
-    field; independent of k."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    field; independent of k.  beta must be finite and positive."""
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise ConfigError(f"beta must be finite and positive, got {beta}")
     if n < 0:
         raise InvalidLevel(f"level index must be non-negative, got {n}")
     e = math.sqrt(2.0 * n * beta)
@@ -363,16 +369,16 @@ def landau_levels_proportional(
     alpha: float, beta: float, k: float, n: int
 ) -> tuple[float, float]:
     """Level pair -alpha k +/- (1 - alpha^2)^(3/4) sqrt(2 n beta) for
-    proportional profiles v = alpha a with a = beta x, |alpha| < 1."""
+    proportional profiles v = alpha a with a = beta x, |alpha| < 1, finite
+    k and beta as for landau_levels_magnetic."""
+    for name, value in (("alpha", alpha), ("k", k)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if abs(alpha) >= 1.0:
         raise UnsupportedRegime(
             f"levels exist in closed form only for |alpha| < 1, got {alpha}"
         )
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if n < 0:
-        raise InvalidLevel(f"level index must be non-negative, got {n}")
-    shift = (1.0 - alpha * alpha) ** 0.75 * math.sqrt(2.0 * n * beta)
+    shift = (1.0 - alpha * alpha) ** 0.75 * landau_levels_magnetic(beta, n)[0]
     return -alpha * k + shift, -alpha * k - shift
 
 

@@ -4,11 +4,11 @@ At a root of the secular function the rotated first component is carried
 across the steps of the well, as on the transfer route: the exterior
 solution that decays on one side is continued through every step and
 region, and each region's two exponential coefficients are read off the
-carried value and slope.  The second rotated component follows
-algebraically from the first-order system, the overall phase is fixed so
-the two components are complex conjugates, and the normalization integral
-is evaluated in closed form from the exponential pieces rather than by
-quadrature.
+carried value and slope, each region anchored at its own left step.  The
+second rotated component follows algebraically from the first-order
+system, the overall phase is fixed so the two components are complex
+conjugates, and norms and overlaps are evaluated in closed form from the
+exponential pieces rather than by quadrature.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from .core import (
 )
 from .errors import (
     BrokenPTSymmetry,
+    ConfigError,
     DegenerateMomentum,
     MismatchedMomentum,
+    NonDecayingExterior,
     NotAnEigenvalue,
     NotConjugatePair,
     UnsupportedRegime,
@@ -53,6 +55,7 @@ __all__ = [
     "count_density_nodes",
     "pt_eigenvalue",
     "inner_product",
+    "gram_matrix",
     "product_integral",
     "equation_residuals",
     "second_order_residuals",
@@ -63,111 +66,104 @@ __all__ = [
 NULLSPACE_TOL = 1e-6
 CONJUGATE_TOL = 1e-8
 PT_TOL = 1e-6
-_RATE_CUT = 1e-14
-# product integrals square the exterior coefficient exp(p L) of a state
-# carried from unit value at the step, so 2 p L must stay within range
-_EXP_RANGE = math.log(np.finfo(float).max)
+GRAM_BLOCK = 256  # gram_matrix rows per block: 4 * 256 * N term pairs, 23 MB at N = 1425
 
 
 class PiecewiseExp:
-    """Piecewise sum of complex exponentials on a partition of the line.
+    """Piecewise sum of two exponentials, one piece per region of a step profile.
 
-    regions is a sequence of (x_lo, x_hi, terms) triples with terms a
-    sequence of (coefficient, rate) pairs; on that piece the function is
-    sum_j c_j * exp(rate_j * x).  End pieces may extend to +/-inf as long
-    as every term decays toward the infinite end, which is what makes the
-    product integrals below exact.
+    Region i lies between steps[i-1] and steps[i] (the exteriors extend to
+    -inf and +inf), and there the function is a[i] exp(g[i] (x - x0)) +
+    b[i] exp(-g[i] (x - x0)) with x0 the region's left step; the left
+    exterior is anchored at the first step.  Each exterior keeps only its
+    decaying term: Re g > 0 at both ends, b = 0 on the left and a = 0 on
+    the right, otherwise NonDecayingExterior.  That is what makes the
+    integrals over the line exact.
     """
 
-    def __init__(self, regions):
-        self.regions = [
-            (float(lo), float(hi), tuple((complex(c), complex(g)) for c, g in terms))
-            for lo, hi, terms in regions
-        ]
-        self._edges = np.array([r[0] for r in self.regions[1:]])
-
-    def _terms_at(self, x: float):
-        i = int(np.searchsorted(self._edges, x, side="right"))
-        return self.regions[i][2]
+    def __init__(self, steps, g, a, b):
+        self.steps = tuple(map(float, steps))
+        self.table = np.array((g, a, b), dtype=complex)
+        self.g, self.a, self.b = self.table
+        if not (self.steps and self.table.shape == (3, len(self.steps) + 1)):
+            raise ConfigError("need at least one step and one region more than steps")
+        decaying = min(self.g[0].real, self.g[-1].real) > 0.0
+        if not (decaying and self.b[0] == 0 and self.a[-1] == 0):
+            raise NonDecayingExterior("each exterior must keep one decaying term only")
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        out = np.zeros(xs.shape, dtype=complex)
-        idx = np.searchsorted(self._edges, xs, side="right")
-        for i, (_, _, terms) in enumerate(self.regions):
-            m = idx == i
-            if not np.any(m):
-                continue
-            acc = np.zeros(np.count_nonzero(m), dtype=complex)
-            for c, g in terms:
-                acc += c * np.exp(g * xs[m])
-            out[m] = acc
+        i = np.searchsorted(self.steps, xs, side="right")
+        out = np.empty(xs.shape, dtype=complex)
+        last = len(self.steps)
+        for r in range(last + 1):
+            m = i == r
+            gt = self.g[r] * (xs[m] - self.steps[max(r - 1, 0)])
+            if r == last:  # each exterior skips its dropped term, which would overflow
+                out[m] = self.b[r] * np.exp(-gt)
+            else:  # 1 / exp(g t) = exp(-g t) stays finite inside: t >= 0, Re g >= 0
+                e = np.exp(gt)
+                out[m] = self.a[r] * e + (self.b[r] / e if r else 0.0)
         return out if np.ndim(x) else complex(out)
 
     def derivative(self) -> "PiecewiseExp":
-        return PiecewiseExp(
-            [(lo, hi, [(c * g, g) for c, g in terms]) for lo, hi, terms in self.regions]
-        )
+        return PiecewiseExp(self.steps, self.g, self.g * self.a, -self.g * self.b)
 
     def conjugate(self) -> "PiecewiseExp":
-        return PiecewiseExp(
-            [
-                (lo, hi, [(c.conjugate(), g.conjugate()) for c, g in terms])
-                for lo, hi, terms in self.regions
-            ]
-        )
+        return PiecewiseExp(self.steps, self.g.conj(), self.a.conj(), self.b.conj())
 
     def scaled(self, factor: complex) -> "PiecewiseExp":
-        return PiecewiseExp(
-            [(lo, hi, [(factor * c, g) for c, g in terms]) for lo, hi, terms in self.regions]
-        )
-
-    def max_abs_coefficient(self) -> float:
-        return max(abs(c) for _, _, terms in self.regions for c, _ in terms)
+        return PiecewiseExp(self.steps, self.g, factor * self.a, factor * self.b)
 
 
-def _exp_at(rate: complex, x: float) -> complex:
-    """exp(rate * x) with the decaying-infinite-end convention."""
-    if math.isinf(x):
-        decays = rate.real < 0 if x > 0 else rate.real > 0
-        if decays:
-            return 0j
-        raise ValueError("product integral diverges at an infinite end")
-    return cmath.exp(rate * x)
+def _span(rate, width: float):
+    """Integral of exp(rate t) over 0 <= t <= width, elementwise."""
+    z = rate * width
+    out = np.expm1(z)
+    np.divide(out, z, out=out, where=z != 0)
+    out += z == 0  # expm1(0) = 0 was left in place; the limit is 1
+    return width * out
+
+
+def _overlaps(steps, left, right) -> np.ndarray:
+    """(N, M) matrix of sum_c integral f_c(x) h_c(x) dx over the line, for
+    N groups (f_1, ..., f_C) in left and M groups (h_1, ..., h_C) in right
+    of waves on steps; the waves of a group share their rates.  Region by
+    region, (2N, 2M) closed-form term-pair integrals sum into the matrix.
+    """
+    n, m = len(left), len(right)
+    rl, cl = _terms(left)
+    rr, cr = _terms(right)
+    out = np.zeros((n, m), dtype=complex)
+    last = len(steps)
+    for r in range(last + 1):
+        if r == 0:  # a terms only, over t <= 0
+            out += (cl[r, :n] @ cr[r, :m].T) / (rl[r, :n, None] + rr[r, :m])
+        elif r == last:  # b terms only, over t >= 0
+            out -= (cl[r, n:] @ cr[r, m:].T) / (rl[r, n:, None] + rr[r, m:])
+        else:
+            pairs = (cl[r] @ cr[r].T) * _span(rl[r, :, None] + rr[r], steps[r] - steps[r - 1])
+            out += pairs.reshape(2, n, 2, m).sum(axis=(0, 2))
+    return out
+
+
+def _terms(groups):
+    """Rates (regions, 2N) and coefficients (regions, 2N, C) of N groups of
+    C waves: the a terms with rate g, then the b terms with rate -g."""
+    table = np.array([[w.table for w in ws] for ws in groups]).transpose(2, 3, 0, 1)
+    g = table[0, :, :, 0]
+    return np.concatenate((g, -g), axis=1), np.concatenate((table[1], table[2]), axis=1)
 
 
 def product_integral(f: PiecewiseExp, g: PiecewiseExp) -> complex:
     """Exact integral of f(x) g(x) over the whole line (no conjugation).
 
-    The partition is the union of both partitions; each term pair
-    integrates to c (e^(r x_hi) - e^(r x_lo)) / r with r the summed rate,
-    degenerating to a plain width when the rates cancel.
+    Both waves must lie on the same steps; on each region every pair of
+    terms integrates to a closed-form exponential integral.
     """
-    edges = sorted(
-        {r[0] for r in f.regions}
-        | {r[1] for r in f.regions}
-        | {r[0] for r in g.regions}
-        | {r[1] for r in g.regions}
-    )
-    total = 0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if math.isinf(lo):
-            probe = hi - 1.0
-        elif math.isinf(hi):
-            probe = lo + 1.0
-        else:
-            probe = 0.5 * (lo + hi)
-        for cf, gf in f._terms_at(probe):
-            for cg, gg in g._terms_at(probe):
-                c = cf * cg
-                if c == 0:
-                    continue
-                rate = gf + gg
-                if abs(rate) < _RATE_CUT:
-                    total += c * (hi - lo)
-                else:
-                    total += c * (_exp_at(rate, hi) - _exp_at(rate, lo)) / rate
-    return total
+    if f.steps != g.steps:
+        raise UnsupportedRegime("exact integrals need waves on the same steps")
+    return complex(_overlaps(f.steps, [[f]], [[g]])[0, 0])
 
 
 @dataclass(eq=False)
@@ -176,7 +172,7 @@ class BoundState:
 
     psi1 and psi2 are the rotated spinor components; after phase fixing
     they satisfy psi2 = conj(psi1), so the physical (real) components are
-    recovered by to_real_spinor.  The exact piecewise-exponential waves are
+    recovered by to_real_spinor.  The exact region tables of both waves are
     kept alongside the samples so integrals and residuals stay closed-form.
     """
 
@@ -229,27 +225,17 @@ def partner_component(
     """
     if label.k == 0:
         raise DegenerateMomentum("partner construction requires k != 0")
-    regions = []
-    for lo, hi, terms in wave1.regions:
-        if math.isinf(lo):
-            probe = hi - 1.0
-        elif math.isinf(hi):
-            probe = lo + 1.0
-        else:
-            probe = 0.5 * (lo + hi)
-        delta = label.epsilon - potential.evaluate(probe)
-        regions.append(
-            (lo, hi, [((g + 1j * delta) * c / label.k, g) for c, g in terms])
-        )
-    return PiecewiseExp(regions)
+    delta = label.epsilon - np.asarray(potential.values)
+    g = wave1.g
+    return PiecewiseExp(
+        wave1.steps, g, (g + 1j * delta) * wave1.a / label.k, (1j * delta - g) * wave1.b / label.k
+    )
 
 
-def _conjugation_phase(wave1: PiecewiseExp, wave2: PiecewiseExp) -> float:
+def _conjugation_phase(n1: float, n2: float, cross: complex) -> float:
     """Angle theta such that after multiplying both components by
-    exp(i theta) the second equals the conjugate of the first."""
-    n1 = product_integral(wave1.conjugate(), wave1).real
-    n2 = product_integral(wave2.conjugate(), wave2).real
-    cross = product_integral(wave1, wave2)
+    exp(i theta) the second equals the conjugate of the first, from their
+    norms n1, n2 and their bilinear cross integral."""
     if n1 <= 0 or n2 <= 0:
         raise NotConjugatePair("component norms must be positive")
     # Cauchy-Schwarz saturation <=> psi2 is a multiple of conj(psi1)
@@ -266,9 +252,10 @@ def _conjugation_phase(wave1: PiecewiseExp, wave2: PiecewiseExp) -> float:
     return -0.5 * cmath.phase(eta)
 
 
-def _canonical_sign(wave1: PiecewiseExp) -> float:
-    v = complex(wave1(0.0))
-    cut = 1e-12 * max(wave1.max_abs_coefficient(), 1e-300)
+def _canonical_sign(v: complex) -> float:
+    """+1 or -1, whichever makes v positive: its real part decides, then its
+    imaginary part; a part within 1e-12 of |v| counts as zero."""
+    cut = 1e-12 * abs(v)
     if abs(v.real) > cut:
         return 1.0 if v.real > 0 else -1.0
     if abs(v.imag) > cut:
@@ -306,9 +293,12 @@ def _canonical_gauge(
     """Both components times one factor: afterwards wave2 = conj(wave1),
     wave1 is positive at the origin (real part first, then imaginary) and
     the probability density integrates to one."""
-    factor = cmath.exp(1j * _conjugation_phase(wave1, wave2))
-    factor *= _canonical_sign(wave1.scaled(factor))
-    factor /= math.sqrt(4.0 * product_integral(wave1.conjugate(), wave1).real)
+    # both norms and the cross integral: the diagonal of one overlap matrix
+    left = [[wave1.conjugate()], [wave2.conjugate()], [wave1]]
+    n1, n2, cross = np.diagonal(_overlaps(wave1.steps, left, [[wave1], [wave2], [wave2]]))
+    factor = cmath.exp(1j * _conjugation_phase(n1.real, n2.real, complex(cross)))
+    factor *= _canonical_sign(factor * wave1(0.0))
+    factor /= math.sqrt(4.0 * n1.real)
     return wave1.scaled(factor), wave2.scaled(factor)
 
 
@@ -348,8 +338,8 @@ def _carry(
     +i J psi for a step of size J walking right, -i J psi walking left.
     Returns one (x0, g, a, b) per region in walking order: on that region
     the solution is a exp(g (x - x0)) + b exp(-g (x - x0)), with
-    g = sqrt(k^2 - (eps - v)^2) and x0 the step it was entered by (the
-    first step for the starting exterior).
+    g = sqrt(k^2 - (eps - v)^2) and x0 the region's left step (the first
+    step for the left exterior), in either direction.
     """
     k, eps = label.k, label.epsilon
     steps, values = potential.breakpoints, potential.values
@@ -363,11 +353,13 @@ def _carry(
             dpsi += 1j * (v - values[i - 1]) * psi
         g = cmath.sqrt(k * k - (eps - v) ** 2)
         a, b = 0.5 * (psi + dpsi / g), 0.5 * (psi - dpsi / g)
-        regions.append((x0, g, a, b))
         if 0 < i < len(steps):
             w = steps[i] - x0  # negative when walking left
             ea, eb = a * cmath.exp(g * w), b * cmath.exp(-g * w)
             psi, dpsi = ea + eb, g * (ea - eb)
+            if direction < 0:  # the coefficients at the far, left step
+                x0, a, b = steps[i], ea, eb
+        regions.append((x0, g, a, b))
     return regions
 
 
@@ -382,35 +374,18 @@ def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> Piecewis
     averaging splits the mismatch left by an inexact root between the two
     outer steps.
     """
-    forward = _carry(potential, label, 1)
-    backward = _carry(potential, label, -1)[::-1]
-    _, _, grow, decay = forward[-1]
-    growth = abs(grow) / (abs(grow) + abs(decay))
+    forward = np.array(_carry(potential, label, 1))[:, 1:].T  # rows g, a, b
+    backward = np.array(_carry(potential, label, -1)[::-1])[:, 1:].T
+    g, fw, bw = forward[0], forward[1:], backward[1:]
+    growth = abs(fw[0, -1]) / (abs(fw[0, -1]) + abs(fw[1, -1]))
     if growth > NULLSPACE_TOL:
         raise NotAnEigenvalue(
             f"no matching nullspace at epsilon={label.epsilon!r} "
             f"(right-growing part {growth:.3e} of the exterior amplitude)"
         )
-
-    def terms(regions):
-        out = [
-            [(a * cmath.exp(-g * x0), g), (b * cmath.exp(g * x0), -g)]
-            for x0, g, a, b in regions
-        ]
-        out[0], out[-1] = out[0][:1], out[-1][1:]
-        return out
-
-    fwd, bwd = terms(forward), terms(backward)
-    f = np.array([c for region in fwd[1:-1] for c, _ in region])
-    r = np.array([c for region in bwd[1:-1] for c, _ in region])
-    scale = np.vdot(r, f) / np.vdot(r, r)
-    edges = (-math.inf, *potential.breakpoints, math.inf)
-    return PiecewiseExp(
-        [
-            (lo, hi, [(0.5 * (cf + scale * cb), g) for (cf, g), (cb, _) in zip(tf, tb)])
-            for lo, hi, tf, tb in zip(edges[:-1], edges[1:], fwd, bwd)
-        ]
-    )
+    fw[0, -1] = fw[1, 0] = bw[0, -1] = bw[1, 0] = 0.0
+    scale = np.vdot(bw[:, 1:-1], fw[:, 1:-1]) / np.vdot(bw[:, 1:-1], bw[:, 1:-1])
+    return PiecewiseExp(potential.breakpoints, g, *(0.5 * (fw + scale * bw)))
 
 
 def assemble_square_well_state(
@@ -422,22 +397,19 @@ def assemble_square_well_state(
     decaying exterior and the two carries are averaged.  Raises
     NotAnEigenvalue when the solution that decays to the left still grows
     to the right by more than 1e-6 of its exterior amplitude, and
-    UnsupportedRegime when exp(2 p L) exceeds the double range, which the
-    exponential pieces cannot hold.  The returned state is phase-fixed,
-    sign-canonical, and normalized so the probability density integrates
-    to one (closed form, not quadrature).
+    ConfigError for fewer than 3 points.  The state is sampled on a
+    symmetric grid of points points, an even count rounded up to odd.  The
+    returned state is phase-fixed, sign-canonical, and normalized so the
+    probability density integrates to one (closed form, not quadrature).
     """
+    if points < 3:
+        raise ConfigError(f"a state needs at least 3 points, got {points}")
     potential = square_well(v0, half_width)
     p, _ = region_wavenumbers(label, v0, half_width)
-    if 2.0 * p * half_width > _EXP_RANGE:
-        raise UnsupportedRegime(
-            f"exterior coefficient exp(p L) = exp({p * half_width:.1f}) at "
-            f"epsilon={label.epsilon!r} squares beyond the double range"
-        )
     wave1 = _carried_wave(potential, label)
     wave1, wave2 = _canonical_gauge(wave1, partner_component(wave1, label, potential))
 
-    points = max(int(points), 3) | 1  # symmetric grid wants an odd count
+    points = int(points) | 1  # symmetric grid wants an odd count
     extent = half_width + 12.0 / p
     half = (points - 1) // 2
     pos = np.linspace(0.0, extent, half + 1)
@@ -498,17 +470,30 @@ def pt_eigenvalue(state: BoundState, tol: float = PT_TOL) -> complex:
     return complex(lam)
 
 
+def _gram(left: list[BoundState], right: list[BoundState]) -> np.ndarray:
+    """Bilinear overlaps of every state of left with every state of right."""
+    momenta = sorted({s.label.k for s in left + right})
+    if len(momenta) > 1:
+        raise MismatchedMomentum(f"overlap requires equal transverse momenta, got {momenta}")
+    if len({s.potential for s in left + right}) > 1:
+        raise UnsupportedRegime("overlaps need states of one potential")
+    steps = left[0].potential.breakpoints
+    return 2.0 * _overlaps(steps, [(s.wave2, s.wave1) for s in left], [(s.wave1, s.wave2) for s in right])
+
+
 def inner_product(a: BoundState, b: BoundState) -> complex:
     """Bilinear overlap 2 * integral(psi2_a psi1_b + psi1_a psi2_b) dx,
     evaluated exactly; square-well states at the same k are orthonormal
-    under it.  States at different k never mix (plane-wave factor)."""
-    if a.label.k != b.label.k:
-        raise MismatchedMomentum(
-            f"overlap requires equal transverse momenta, got {a.label.k!r} and {b.label.k!r}"
-        )
-    return 2.0 * (
-        product_integral(a.wave2, b.wave1) + product_integral(a.wave1, b.wave2)
-    )
+    under it.  States at different k never mix (plane-wave factor), and
+    states of different potentials raise UnsupportedRegime."""
+    return complex(_gram([a], [b])[0, 0])
+
+
+def gram_matrix(states: list[BoundState]) -> np.ndarray:
+    """Matrix of inner_product over every pair of states, built GRAM_BLOCK
+    rows at a time."""
+    rows = [_gram(states[i : i + GRAM_BLOCK], states) for i in range(0, len(states), GRAM_BLOCK)]
+    return np.concatenate(rows) if rows else np.zeros((0, 0), dtype=complex)
 
 
 def equation_residuals(state: BoundState, grid_derivatives: bool = False) -> ResidualReport:

@@ -59,6 +59,13 @@ class TestSpectrum:
         assert len(barrier) == 4
         assert barrier == [-float(line.split(",")[1]) for line in reversed(well.splitlines()[1:])]
 
+    def test_unresolvable_phase_exits_2(self, capsys):
+        # the phase at the upper band end overflows to inf: no count holds
+        code, out, err = run(capsys, "spectrum", "--k", "2", "--v0", "1e200")
+        assert code == 2
+        assert out == ""
+        assert "not distinct doubles" in err
+
 
 class TestSweeps:
     def test_sweep_v0_termination_records(self, capsys):
@@ -176,6 +183,14 @@ class TestState:
         assert code == 2
         assert "nullspace" in err
 
+    def test_too_few_points_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "state", "--k", "2", "--v0", "2", "--level", "0", "--points", "-5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least 3 points" in err
+
 
 class TestLandau:
     def test_magnetic_csv(self, capsys):
@@ -203,6 +218,23 @@ class TestLandau:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--beta", "0"], "beta"),
+            (["--beta", "nan"], "beta"),
+            (["--beta", "1", "--levels", "-1"], "levels"),
+            (["--beta", "1", "--alpha", "nan"], "alpha"),
+            (["--beta", "1", "--alpha", "0.5", "--k", "inf"], "k"),
+            (["--beta", "1", "--k", "nan"], "k"),
+        ],
+    )
+    def test_bad_inputs_exit_2(self, capsys, argv, name):
+        code, out, err = run(capsys, "landau", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {name} must" in err
+
 
 class TestVerify:
     def test_default_battery_passes(self, capsys):
@@ -225,6 +257,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--k", "12", "--v0", "35", "--half-width", "2")
         assert code == 0
         assert "routes 34/34/34" in out
+        assert all(line.startswith("PASS") for line in out.splitlines())
+
+    def test_wide_well_passes_every_line(self, capsys):
+        # 218 states: its Gram matrix is one batched overlap, not 47524 calls
+        code, out, _ = run(capsys, "verify", "--k", "50", "--v0", "120", "--half-width", "3")
+        assert code == 0
+        assert "routes 218/218/218" in out
         assert all(line.startswith("PASS") for line in out.splitlines())
 
     def test_shoots_with_the_default_scan(self, capsys):
@@ -271,6 +310,35 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert "unknown keys: scan_points" in err
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("spectrum", '{"k": "abc", "v0": 2}', "k"),
+            ("spectrum", '{"k": [1], "v0": 2}', "k"),
+            ("spectrum", '{"k": true, "v0": 2}', "k"),
+            ("spectrum", '{"k": 2, "v0": 2, "out": 1}', "out"),
+            ("state", '{"k": 2, "v0": 2, "level": 1.7}', "level"),
+            ("sweep-k", '{"v0": 8, "k": 1.5}', "k"),
+            ("landau", '{"beta": 1, "levels": null}', "levels"),
+        ],
+    )
+    def test_value_of_the_wrong_type_exits_2(self, capsys, tmp_path, command, text, key):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"config key '{key}' must be" in err
+
+    def test_values_of_the_flag_types_are_accepted(self, capsys, tmp_path):
+        # an integer passes for a float; a swept parameter is a range string
+        cfg = tmp_path / "typed.json"
+        cfg.write_text('{"v0": 8, "k": "1:2:0.5", "half_width": 1}')
+        code, from_file, _ = run(capsys, "sweep-k", "--config", str(cfg))
+        _, direct, _ = run(capsys, "sweep-k", "--v0", "8", "--k", "1:2:0.5")
+        assert code == 0
+        assert from_file == direct
 
     def test_bad_format_value_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "fmt.json"

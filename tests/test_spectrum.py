@@ -307,6 +307,17 @@ class TestPhaseLevels:
         mirrored = find_roots(square_well_secular(k, -v0, half_width))
         assert mirrored == [-r for r in reversed(roots.tolist())]
 
+    @pytest.mark.parametrize("v0", [1e17, -1e17, 1e200])
+    def test_unresolvable_phase_raises(self, v0):
+        # theta = 2 L q reaches 2e17, where doubles lie 32 apart, so crossings
+        # pi apart cannot be told apart; at 1e200 q overflows to inf
+        with pytest.raises(UnsupportedRegime, match="not distinct doubles"):
+            find_roots(square_well_secular(2.0, v0))
+        with pytest.raises(UnsupportedRegime):
+            count_bound_states(2.0, v0)
+        with pytest.raises(UnsupportedRegime):
+            sweep_v0(2.0, [1.0, v0])
+
 
 class TestLandauLevels:
     def test_magnetic_reference_values(self):
@@ -345,7 +356,7 @@ class TestLandauLevels:
         assert gap(0.9) == pytest.approx((1 - 0.81) ** 0.75 * math.sqrt(2.0), abs=1e-12)
 
     def test_error_paths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             landau_levels_magnetic(0.0, 1)
         with pytest.raises(InvalidLevel):
             landau_levels_magnetic(1.0, -1)
@@ -353,10 +364,21 @@ class TestLandauLevels:
             landau_levels_proportional(1.0, 1.0, 0.0, 1)
         with pytest.raises(UnsupportedRegime):
             landau_levels_proportional(-1.2, 1.0, 0.0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             landau_levels_proportional(0.5, -1.0, 0.0, 1)
         with pytest.raises(InvalidLevel):
             landau_levels_proportional(0.5, 1.0, 0.0, -2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_raise_config_error(self, bad):
+        with pytest.raises(ConfigError, match="beta"):
+            landau_levels_magnetic(bad, 1)
+        with pytest.raises(ConfigError, match="beta"):
+            landau_levels_proportional(0.5, bad, 0.0, 1)
+        with pytest.raises(ConfigError, match="alpha"):
+            landau_levels_proportional(bad, 1.0, 0.0, 1)
+        with pytest.raises(ConfigError, match="k must"):
+            landau_levels_proportional(0.5, 1.0, bad, 1)
 
 
 class TestSerialization:

@@ -23,6 +23,7 @@ from diracwell import (
     find_roots,
     fix_phase,
     general_secular,
+    gram_matrix,
     inner_product,
     partner_component,
     probability_density,
@@ -36,10 +37,13 @@ from diracwell import (
     to_real_spinor,
     with_phase,
 )
+from diracwell import states as states_module
 from diracwell.errors import (
     BrokenPTSymmetry,
+    ConfigError,
     DegenerateMomentum,
     MismatchedMomentum,
+    NonDecayingExterior,
     NotAnEigenvalue,
     OutsideAdmissibleBand,
     UnsupportedRegime,
@@ -56,31 +60,34 @@ def well22_states():
 
 
 class TestPiecewiseExp:
+    # exp(x) left of the step at 0 and exp(-x) right of it
+    CUSP = PiecewiseExp((0.0,), g=(1.0, 1.0), a=(1.0, 0.0), b=(0.0, 1.0))
+
     def test_evaluation_and_derivative(self):
-        f = PiecewiseExp([(-math.inf, 0.0, [(1.0, 1.0)]), (0.0, math.inf, [(1.0, -1.0)])])
+        f = self.CUSP
         assert f(0.0) == pytest.approx(1.0)
         assert f(-2.0) == pytest.approx(math.exp(-2.0))
         assert f.derivative()(1.0) == pytest.approx(-math.exp(-1.0))
 
     def test_product_integral_exact(self):
         # integral of exp(-2|x|) over the line is exactly 1
-        f = PiecewiseExp([(-math.inf, 0.0, [(1.0, 1.0)]), (0.0, math.inf, [(1.0, -1.0)])])
-        assert product_integral(f, f) == pytest.approx(1.0, abs=1e-15)
+        assert product_integral(self.CUSP, self.CUSP) == pytest.approx(1.0, abs=1e-15)
 
-    def test_product_integral_mixed_partitions(self):
-        f = PiecewiseExp([(-math.inf, 0.0, [(1.0, 1.0)]), (0.0, math.inf, [(1.0, -1.0)])])
-        g = PiecewiseExp([(-math.inf, 1.0, [(1.0, 0.5)]), (1.0, math.inf, [(1.0, -2.0)])])
-        # piecewise closed form: 1/1.5 + 2 (1 - e^{-1/2}) + e^{-3}/3
-        analytic = 1.0 / 1.5 + 2.0 * (1.0 - math.exp(-0.5)) + math.exp(-3.0) / 3.0
-        assert product_integral(f, g) == pytest.approx(analytic, abs=1e-14)
+    def test_product_integral_needs_shared_steps(self):
+        shifted = PiecewiseExp((1.0,), g=(1.0, 1.0), a=(1.0, 0.0), b=(0.0, 1.0))
+        with pytest.raises(UnsupportedRegime):
+            product_integral(self.CUSP, shifted)
 
     def test_divergent_integral_raises(self):
-        grow = PiecewiseExp([(-math.inf, math.inf, [(1.0, 0.5)])])
-        with pytest.raises(ValueError):
-            product_integral(grow, grow)
+        # an exterior term that grows outward would make every integral diverge
+        with pytest.raises(NonDecayingExterior):
+            PiecewiseExp((0.0,), g=(0.5, 0.5), a=(1.0, 1.0), b=(0.0, 0.0))
+        with pytest.raises(NonDecayingExterior):
+            PiecewiseExp((0.0,), g=(-0.5, 0.5), a=(1.0, 0.0), b=(0.0, 1.0))
 
     def test_conjugate_and_scale(self):
-        f = PiecewiseExp([(0.0, math.inf, [(1j, -1.0 + 2j)])])
+        # i exp((-1 + 2i) x) right of the step, zero left of it
+        f = PiecewiseExp((0.0,), g=(1.0, 1.0 - 2j), a=(0.0, 0.0), b=(0.0, 1j))
         assert f.conjugate()(1.0) == pytest.approx(np.conj(f(1.0)))
         assert f.scaled(2j)(1.0) == pytest.approx(2j * f(1.0))
 
@@ -108,7 +115,7 @@ class TestAssembly:
             assemble_square_well_state(QuantumLabel(k=2.0, epsilon=1.0), 2.0)
 
     def test_partner_needs_momentum(self):
-        wave = PiecewiseExp([(-math.inf, math.inf, [(1.0, -1.0)])])
+        wave = PiecewiseExp((-1.0, 1.0), g=(1.0, 1j, 1.0), a=(1.0, 0.5, 0.0), b=(0.0, 0.5, 1.0))
         with pytest.raises(DegenerateMomentum):
             partner_component(wave, QuantumLabel(k=0.0, epsilon=0.5), square_well(2.0))
 
@@ -116,6 +123,14 @@ class TestAssembly:
         eps = find_roots(square_well_secular(2.0, 2.0))[0]
         s = assemble_square_well_state(QuantumLabel(k=2.0, epsilon=eps), 2.0, points=801)
         assert len(s.x) == 801
+
+    def test_too_few_points_are_rejected(self):
+        label = QuantumLabel(k=2.0, epsilon=find_roots(square_well_secular(2.0, 2.0))[0])
+        for points in (2, 0, -5):
+            with pytest.raises(ConfigError, match="at least 3 points"):
+                assemble_square_well_state(label, 2.0, points=points)
+        # an even count is rounded up to the next odd one
+        assert len(assemble_square_well_state(label, 2.0, points=4).x) == 5
 
 
 def assert_family_is_clean(states):
@@ -175,11 +190,14 @@ class TestCarry:
 
     def test_averaged_wave_matches_at_every_step(self, label):
         wave = _carried_wave(self.PROFILE, label)
-        assert [r[:2] for r in wave.regions] == [
-            (-math.inf, -1.0), (-1.0, 0.3), (0.3, 1.2), (1.2, math.inf)
+        assert wave.steps == self.PROFILE.breakpoints
+        anchors = (wave.steps[0], *wave.steps)  # each region's left step
+        terms = [
+            [(a * cmath.exp(-g * x0), g), (b * cmath.exp(g * x0), -g)]
+            for x0, g, a, b in zip(anchors, wave.g, wave.a, wave.b)
         ]
         # the outer steps carry the mismatch of a root bisected to 1e-10
-        self.check_steps([terms for _, _, terms in wave.regions], 1e-8)
+        self.check_steps(terms, 1e-8)
 
     def test_rejects_non_roots(self):
         for k, v0 in ((2.0, 2.0), (3.0, 8.0)):
@@ -212,20 +230,39 @@ class TestDeepWells:
             assert np.max(np.abs(s.psi2 - np.conj(s.psi1))) < 1e-10
             assert abs(s.norm - 1.0) < 1e-12
 
-    def test_states_beyond_the_double_range_are_refused(self):
-        # exterior coefficients exp(p L) square in every product integral,
-        # which overflow to NaN once exp(2 p L) passes the largest double
+    def test_states_beyond_the_double_range_assemble(self):
+        # in absolute x the exterior coefficient exp(p L) would square past
+        # the largest double above the limit; anchored at its step no
+        # coefficient holds that factor
         k, v0, half_width = 120.0, 300.0, 3.0
         roots = np.array(find_roots(square_well_secular(k, v0, half_width)))
         two_pl = 2.0 * np.sqrt(k * k - roots**2) * half_width
         limit = math.log(np.finfo(float).max)
         below = roots[np.argmax(np.where(two_pl < limit, two_pl, -1.0))]
         above = roots[np.argmin(np.where(two_pl > limit, two_pl, np.inf))]
-        s = assemble_square_well_state(QuantumLabel(k, float(below)), v0, half_width, 201)
-        assert abs(s.norm - 1.0) < 1e-12
-        assert np.max(np.abs(s.psi2 - np.conj(s.psi1))) < 1e-10
-        with pytest.raises(UnsupportedRegime):
-            assemble_square_well_state(QuantumLabel(k, float(above)), v0, half_width, 201)
+        states = [
+            assemble_square_well_state(QuantumLabel(k, float(e)), v0, half_width, 201)
+            for e in (below, above)
+        ]
+        for s in states:
+            assert abs(s.norm - 1.0) < 1e-12
+        assert_family_is_clean(states)
+
+    def test_every_25th_root_of_the_deepest_well(self):
+        # 1425 levels; 53 of these 57 have 2 p L beyond the double range
+        k, v0, half_width = 200.0, 500.0, 5.0
+        roots = find_roots(square_well_secular(k, v0, half_width))[::25]
+        states = [
+            assemble_square_well_state(QuantumLabel(k, e), v0, half_width, 201) for e in roots
+        ]
+        assert len(states) == 57
+        assert max(abs(s.norm - 1.0) for s in states) < 1e-12
+        assert max(float(np.max(np.abs(s.psi2 - np.conj(s.psi1)))) for s in states) < 1e-10
+        pt = [pt_eigenvalue(s) for s in states]
+        assert max(min(abs(lam - 1j), abs(lam + 1j)) for lam in pt) < 1e-8
+        assert np.max(np.abs(gram_matrix(states) - np.eye(len(states)))) < 1e-8
+        # the sign rule holds: psi1 has a positive real part at the origin
+        assert all(s.psi1[len(s.x) // 2].real > 0.0 for s in states)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -360,6 +397,22 @@ class TestOverlaps:
         other = assemble_square_well_state(QuantumLabel(k=3.0, epsilon=eps), 8.0)
         with pytest.raises(MismatchedMomentum):
             inner_product(well22_states[0], other)
+
+    def test_different_potentials_are_rejected(self, well22_states):
+        eps = find_roots(square_well_secular(2.0, 3.0))[0]
+        other = assemble_square_well_state(QuantumLabel(k=2.0, epsilon=eps), 3.0)
+        with pytest.raises(UnsupportedRegime):
+            inner_product(well22_states[0], other)
+        with pytest.raises(UnsupportedRegime):
+            gram_matrix([well22_states[0], other])
+
+    @pytest.mark.parametrize("block", [256, 5])
+    def test_gram_matrix_equals_pairwise_inner_products(self, monkeypatch, block):
+        monkeypatch.setattr(states_module, "GRAM_BLOCK", block)
+        states = assemble_all(12.0, 35.0, 2.0)
+        pairwise = np.array([[inner_product(a, b) for b in states] for a in states])
+        assert np.max(np.abs(gram_matrix(states) - pairwise)) < 1e-14
+        assert gram_matrix([]).shape == (0, 0)
 
     def test_overlap_is_phase_invariant_up_to_square(self, well22_states):
         # the bilinear (unconjugated) overlap picks up exp(2 i theta)
