@@ -47,6 +47,8 @@ class SecularFunction:
     description: str = ""
     # monotone theta(eps) on (lo, hi) crossing pi/2 + n pi at the roots
     phase: Callable[[np.ndarray], np.ndarray] | None = None
+    # at least one root in exact arithmetic: a square well with k, v0 != 0
+    binds: bool = False
 
     def __call__(self, epsilon):
         return self.f(epsilon)
@@ -148,6 +150,7 @@ def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> Secular
         k=k,
         description=f"square well v0={v0}, half_width={half_width}",
         phase=lambda eps: _square_well_phase(k, eps, v0, half_width),
+        binds=bool(k != 0.0 and v0 != 0.0),
     )
 
 

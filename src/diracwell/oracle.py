@@ -26,6 +26,7 @@ from .core import (
     evaluate_potential,
 )
 from .errors import ConfigError, GridTooCoarse, NonDecayingExterior, UnsupportedRegime
+from .roots import EDGE_POINTS, _roots_by_row
 
 __all__ = [
     "GridSpec",
@@ -40,7 +41,6 @@ DEFAULT_STEP = 1e-3
 SMOOTH_TAIL_TOL = 1e-8
 SMOOTH_WINDOW_CAP = 50.0
 PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth march
-EDGE_POINTS = 12  # geometric scan points toward each band edge
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +466,14 @@ def shooting_bound_states(
     2 * edge_margin out to the outermost uniform point (or on it), so a
     root in an edge cell is bracketed too; a smooth profile's levels can
     crowd geometrically into a band edge (the Lorentzian's do), where no
-    finite scan completes them.  Every bracket is then bisected in lockstep
-    (one batched determinant evaluation per iteration) until every
-    bracket is at most tol wide or down to adjacent doubles.  Roots within
-    edge_margin of the band edges are discarded.  Raises ConfigError for
-    fewer than two scan points, a tol that is not finite and positive, an
-    edge_margin that is not finite and non-negative, or a k or step that
-    dirac_shooting rejects.
+    finite scan completes them.  The brackets are then bisected by the
+    package's root kernel (see roots._bisect): each batched determinant
+    evaluation, no larger than the scan, takes every bracket several
+    halvings further, and a bracket stops at width tol, on an exact zero
+    or at adjacent doubles.  Roots within edge_margin of the band edges
+    are discarded.  Raises ConfigError for fewer than two scan points, a
+    tol that is not finite and positive, an edge_margin that is not finite
+    and non-negative, or a k or step that dirac_shooting rejects.
     """
     if scan_points < 2:
         raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
@@ -484,31 +485,11 @@ def shooting_bound_states(
     _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
     lo = max(v_minus - abs(k + a_minus), v_plus - abs(k + a_plus))
     hi = min(v_minus + abs(k + a_minus), v_plus + abs(k + a_plus))
-    if not lo < hi:
-        return []
-    grid = np.linspace(lo, hi, scan_points + 2)[1:-1]
-    if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
-        cell = (hi - lo) / (scan_points + 1)
-        near = min(2.0 * edge_margin / cell, 1.0) if edge_margin > 0.0 else 1.0
-        offsets = cell * near ** (1.0 - np.arange(EDGE_POINTS) / EDGE_POINTS)
-        low, high = np.minimum(lo + offsets, grid[0]), np.maximum(hi - offsets[::-1], grid[-1])
-        grid = np.concatenate([low, grid, high])
-    vals = dirac_shooting(config, QuantumLabel(k, grid), step, x_match)
-    sign = np.sign(vals)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(idx) == 0:
-        return []
-    a = grid[idx].copy()
-    b = grid[idx + 1].copy()
-    fa = vals[idx].copy()
-    while np.max(b - a) > tol:
-        mid = 0.5 * (a + b)
-        if not np.any((a < mid) & (mid < b)):
-            break  # tol is below the spacing of doubles at every bracket
-        fm = dirac_shooting(config, QuantumLabel(k, mid), step, x_match)
-        goes_left = (fa < 0.0) == (fm < 0.0)
-        a = np.where(goes_left, mid, a)
-        fa = np.where(goes_left, fm, fa)
-        b = np.where(goes_left, b, mid)
-    roots = 0.5 * (a + b)
-    return [float(r) for r in roots if r - lo > edge_margin and hi - r > edge_margin]
+    # a smooth march costs in proportion to its energies: one halving a call
+    stepwise = _is_stepwise(config.electric) and _is_stepwise(config.magnetic)
+    return _roots_by_row(
+        lambda rows, eps: dirac_shooting(config, QuantumLabel(k, eps), step, x_match),
+        [lo], [hi], scan_points, tol, edge_margin,
+        edge_points=EDGE_POINTS if stepwise else 0,
+        budget=None if stepwise else 0,
+    )[0]

@@ -6,8 +6,10 @@ crossings theta = pi/2 + n pi of the monotone square-well phase: levels
 are counted in closed form and each is bisected on its own crossing.  A
 sweep in k or v0 solves every parameter value in one batched pass; a
 branch is a run of consecutive parameter values holding the same level.
-Secular functions without a phase are bracketed on an edge-refined scan
-and bisected, all brackets in lockstep.
+A genuine well that counts no level is refused, not reported empty.
+Secular functions without a phase go to the root kernel of roots.py:
+bracketed on an edge-refined scan and bisected, all brackets in lockstep
+and several halvings per batched call.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .matching import (
     _square_well_phase,
     square_well_secular,
 )
+from .roots import _roots_by_row
 
 __all__ = [
     "AdmissibleBand",
@@ -46,7 +49,6 @@ __all__ = [
 DEFAULT_SCAN_POINTS = 2000
 DEFAULT_ROOT_TOL = 1e-10
 EDGE_MARGIN = 1e-6
-EDGE_POINTS = 12  # geometric scan points toward each domain edge
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ def admissible_interval(k: float, v0: float) -> AdmissibleBand:
     return AdmissibleBand(*map(float, _square_well_band(k, v0)))
 
 
-def _level_ranges(phase, lo, hi):
+def _level_ranges(phase, lo, hi, binds):
     """(rows, sign, u_lo, u_hi, first n, level count) of the rows whose
     band holds two doubles or more.
 
@@ -80,7 +82,10 @@ def _level_ranges(phase, lo, hi):
     level that no double separates from an edge is one.  u = sign * eps:
     a barrier's decreasing phase is its mirrored well's in u = -eps.
     UnsupportedRegime when a phase at a band end is not finite or doubles
-    there are pi or more apart: crossings are then not distinct doubles.
+    there are pi or more apart: crossings are then not distinct doubles;
+    and when a row where binds holds counts no level: a genuine well
+    (k != 0, v0 != 0) holds one, as its phase grows by more than pi across
+    the band, so its level lies within a double of a band edge.
     """
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
     live = np.flatnonzero(inner_lo < inner_hi)
@@ -95,19 +100,28 @@ def _level_ranges(phase, lo, hi):
     th_lo, th_hi = np.sort([th_lo, th_hi], axis=0)
     first = np.floor((th_lo - 0.5 * math.pi) / math.pi).astype(int) + 1
     last = np.ceil((th_hi - 0.5 * math.pi) / math.pi).astype(int) - 1
-    return live, sign, u_lo, u_hi, first, np.maximum(last - first + 1, 0)
+    count = np.maximum(last - first + 1, 0)
+    empty = np.broadcast_to(binds, lo.shape).copy()
+    empty[live[count > 0]] = False
+    if empty.any():
+        raise UnsupportedRegime(
+            f"{np.count_nonzero(empty)} well(s) bind a level within one double of the band edge: "
+            "too weakly bound to resolve"
+        )
+    return live, sign, u_lo, u_hi, first, count
 
 
-def _levels_by_row(phase, lo, hi):
+def _levels_by_row(phase, lo, hi, binds):
     """Every level of many rows, as (row, n, root) arrays sorted by row and root.
 
     Row r has the phase eps -> phase(rows, eps), monotone on its open band
-    (lo[r], hi[r]) of the float arrays lo and hi (see _level_ranges).  Each
+    (lo[r], hi[r]) of the float arrays lo and hi, and holds a level where
+    binds is set (see _level_ranges).  Each
     level bisects its crossing for its row's ceil(log2(width / spacing(|k|)))
     halvings, about 54, to about one double spacing of |k| = max(|lo|, |hi|),
     independently of the rows batched with it.
     """
-    live, sign, u_lo, u_hi, first, count = _level_ranges(phase, lo, hi)
+    live, sign, u_lo, u_hi, first, count = _level_ranges(phase, lo, hi, binds)
     kk = np.maximum(np.abs(lo), np.abs(hi))[live]
     halvings = np.ceil(np.log2((u_hi - u_lo) / np.spacing(kk)))
     at = np.repeat(np.arange(live.size), count)
@@ -130,92 +144,10 @@ def _square_well_levels(k, v0, half_width):
     """(row, n, root) of every level of the square wells (k[r], v0[r])."""
     k, v0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(v0, dtype=float))
     return _levels_by_row(
-        lambda rows, eps: _square_well_phase(k[rows], eps, v0[rows], half_width), *_square_well_band(k, v0)
+        lambda rows, eps: _square_well_phase(k[rows], eps, v0[rows], half_width),
+        *_square_well_band(k, v0),
+        (k != 0.0) & (v0 != 0.0),
     )
-
-
-def _refine_brackets(values, rows, a, b, fa, tol) -> np.ndarray:
-    """Bisect many sign-changing brackets [a, b] in lockstep.
-
-    Bracket i belongs to row rows[i] and values(rows, x) evaluates each
-    row's function at its own x.  Every bracket takes exactly the steps of
-    a scalar bisection: it halves at 0.5 * (a + b), keeps the left half
-    when the midpoint value has the sign of fa, stops on an exact zero and
-    freezes as soon as b - a <= tol, so batching changes no bit of a root.
-    A bracket whose midpoint is no longer strictly inside it freezes too,
-    so a tol below the spacing of doubles ends at adjacent doubles.
-    """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    fa = np.array(fa, dtype=float)
-    live = np.flatnonzero(b - a > tol)
-    while live.size:
-        al, bl = a[live], b[live]
-        mid = 0.5 * (al + bl)
-        # a bracket down to adjacent doubles cannot shrink, whatever tol asks
-        inside = (al < mid) & (mid < bl)
-        if not inside.all():
-            live, mid = live[inside], mid[inside]
-            if not live.size:
-                break
-        fm = np.asarray(values(rows[live], mid), dtype=float)
-        same = (fa[live] < 0.0) == (fm < 0.0)
-        a[live[same]] = mid[same]
-        fa[live[same]] = fm[same]
-        b[live[~same]] = mid[~same]
-        # an exact zero shrinks its bracket onto mid, and 0.5 * (mid + mid) == mid
-        zero = fm == 0.0
-        a[live[zero]] = mid[zero]
-        b[live[zero]] = mid[zero]
-        live = live[b[live] - a[live] > tol]
-    return 0.5 * (a + b)
-
-
-def _scan_grid(lo, hi, scan_points, edge_margin) -> np.ndarray:
-    """Scan energies of each domain (lo[r], hi[r]), one row each.
-
-    scan_points uniform interior points, plus EDGE_POINTS toward each edge,
-    geometric from 2 * edge_margin out to the outermost uniform point, so a
-    root inside an edge cell is bracketed too.  They fall on the outermost
-    uniform points when 2 * edge_margin is zero or not below one cell.
-    """
-    uniform = np.linspace(lo, hi, scan_points + 2, axis=1)[:, 1:-1]
-    cell = ((hi - lo) / (scan_points + 1))[:, None]
-    near = np.minimum(2.0 * edge_margin / cell, 1.0) if edge_margin > 0.0 else 1.0
-    offsets = cell * near ** (1.0 - np.arange(EDGE_POINTS) / EDGE_POINTS)
-    low = np.minimum(lo[:, None] + offsets, uniform[:, :1])
-    high = np.maximum(hi[:, None] - offsets[:, ::-1], uniform[:, -1:])
-    return np.concatenate([low, uniform, high], axis=1)
-
-
-def _roots_by_row(values, lo, hi, scan_points, tol, edge_margin=EDGE_MARGIN) -> list[list[float]]:
-    """Sorted roots of many secular functions, one list per row.
-
-    Row r is the function x -> values(r, x) on the open domain
-    (lo[r], hi[r]); values takes equally long arrays of rows and energies.
-    The brackets of all rows' scans are bisected together, and roots
-    within edge_margin of a domain edge are dropped.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    rows = np.flatnonzero(lo < hi)
-    grid = _scan_grid(lo[rows], hi[rows], scan_points, edge_margin)
-    vals = values(np.repeat(rows, grid.shape[1]), grid.ravel())
-    vals = np.asarray(vals, dtype=float).reshape(grid.shape)
-    sign = np.sign(vals)
-    r, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-    bracketed = _refine_brackets(values, rows[r], grid[r, i], grid[r, i + 1], vals[r, i], tol)
-    # a scan point on a root counts once, also where edge points coincide
-    fresh = np.concatenate([np.ones_like(sign[:, :1], dtype=bool), grid[:, 1:] > grid[:, :-1]], axis=1)
-    h, j = np.nonzero((sign == 0) & fresh)
-    owner = np.concatenate([rows[r], rows[h]])
-    roots = np.concatenate([bracketed, grid[h, j]])
-    keep = (roots - lo[owner] > edge_margin) & (hi[owner] - roots > edge_margin)
-    owner, roots = owner[keep], roots[keep]
-    order = np.lexsort((roots, owner))
-    owner, roots = owner[order], roots[order]
-    bounds = np.searchsorted(owner, np.arange(lo.size + 1))
-    return [roots[s:e].tolist() for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def find_roots(
@@ -227,12 +159,14 @@ def find_roots(
     """All roots of a secular function strictly inside its domain, sorted.
 
     A function with a phase (the square well) is solved level by level,
-    complete whatever the scan settings.  Any other is scanned (see
-    _scan_grid), bisected to width tol, and roots within edge_margin of a
-    domain edge are dropped: the secular value can vanish at a band edge
-    without a bound state there.  Raises ConfigError for fewer than two
-    scan points, a tol that is not finite and positive, or an edge_margin
-    that is not finite and non-negative.
+    complete whatever the scan settings; UnsupportedRegime when it binds
+    but its level lies within a double of the band edge (see
+    _level_ranges).  Any other is scanned and bisected to width tol by
+    roots._roots_by_row, and roots within edge_margin of a domain edge are
+    dropped: the secular value can vanish at a band edge without a bound
+    state there.  Raises ConfigError for fewer than two scan points, a tol
+    that is not finite and positive, or an edge_margin that is not finite
+    and non-negative.
     """
     if scan_points < 2:
         raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
@@ -242,16 +176,18 @@ def find_roots(
         raise ConfigError(f"edge_margin must be finite and non-negative, got {edge_margin}")
     if secular.phase is not None:
         lo, hi = np.array([secular.lo]), np.array([secular.hi])
-        return _levels_by_row(lambda rows, eps: secular.phase(eps), lo, hi)[2].tolist()
+        return _levels_by_row(lambda rows, eps: secular.phase(eps), lo, hi, secular.binds)[2].tolist()
     return _roots_by_row(
         lambda rows, eps: secular(eps), [secular.lo], [secular.hi], scan_points, tol, edge_margin
     )[0]
 
 
 def count_bound_states(k: float, v0: float, half_width: float = 1.0) -> int:
-    """Number of square-well bound states at fixed (k, v0), in closed form."""
+    """Number of square-well bound states at fixed (k, v0), in closed form;
+    UnsupportedRegime for a well whose level no double resolves."""
     sec = square_well_secular(k, v0, half_width)
-    *_, count = _level_ranges(lambda rows, eps: sec.phase(eps), np.array([sec.lo]), np.array([sec.hi]))
+    lo, hi = np.array([sec.lo]), np.array([sec.hi])
+    *_, count = _level_ranges(lambda rows, eps: sec.phase(eps), lo, hi, sec.binds)
     return int(count.sum())
 
 

@@ -66,6 +66,14 @@ class TestSpectrum:
         assert out == ""
         assert "not distinct doubles" in err
 
+    def test_level_within_a_double_of_the_edge_exits_2(self, capsys):
+        # the level of a well this shallow is not an empty spectrum
+        code, out, err = run(capsys, "state", "--k", "1", "--v0", "1e-10", "--level", "0")
+        assert (code, out) == (2, "")
+        assert "within one double of the band edge" in err
+        code, out, _ = run(capsys, "spectrum", "--k", "1", "--v0", "0")
+        assert (code, out) == (0, "n,epsilon\n")
+
 
 class TestSweeps:
     def test_sweep_v0_termination_records(self, capsys):

@@ -26,7 +26,8 @@ from diracwell import (
 )
 from diracwell.errors import ConfigError, InvalidLevel, UnsupportedRegime
 from diracwell.matching import _square_well_phase, general_secular, square_well_config
-from diracwell.spectrum import DEFAULT_SCAN_POINTS, EDGE_MARGIN, _scan_grid
+from diracwell.roots import _scan_grid
+from diracwell.spectrum import DEFAULT_SCAN_POINTS, EDGE_MARGIN
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
 WELL38_ROOTS = (
@@ -317,6 +318,26 @@ class TestPhaseLevels:
             count_bound_states(2.0, v0)
         with pytest.raises(UnsupportedRegime):
             sweep_v0(2.0, [1.0, v0])
+
+    @pytest.mark.parametrize("v0", [1e-10, -1e-10, 1e-17])
+    def test_level_within_a_double_of_the_edge_raises(self, v0):
+        # a well with k, v0 != 0 binds a level, as theta grows by more than pi
+        # across its band; at |v0| = 1e-10 that level lies within one double
+        # of |k| = 1, and at 1e-17 the band itself is narrower than a double
+        with pytest.raises(UnsupportedRegime, match="within one double"):
+            find_roots(square_well_secular(1.0, v0))
+        with pytest.raises(UnsupportedRegime):
+            count_bound_states(1.0, v0)
+        with pytest.raises(UnsupportedRegime):
+            sweep_v0(1.0, [0.0, v0, 0.5])
+        with pytest.raises(UnsupportedRegime):
+            sweep_k(v0, [0.0, 1.0])
+
+    def test_zero_depth_or_momentum_stays_empty(self):
+        assert find_roots(square_well_secular(1.0, 0.0)) == []
+        assert find_roots(square_well_secular(0.0, 5.0)) == []
+        assert count_bound_states(1.0, 0.0) == count_bound_states(0.0, -5.0) == 0
+        assert sweep_v0(1.0, [0.0]) == sweep_k(5.0, [0.0]) == []
 
 
 class TestLandauLevels:
