@@ -11,7 +11,10 @@ delta-function derivative of the profile.
 Two equivalent secular quantities are built from this structure: the
 closed-form determinant condition for the symmetric square well, and a
 transfer-matrix value for arbitrary piecewise profiles whose zeros mark the
-bound states.
+bound states.  The transfer carry, _carry, is the package's one walk
+across the steps: it gives the secular value over an energy array, and at
+a root the (psi, psi') from which states.py reads each region's
+coefficients.
 """
 
 from __future__ import annotations
@@ -175,11 +178,12 @@ _SERIES_CUT = 1e-10
 
 def _propagator_entries(m, w):
     """Entries (c, s/kappa, kappa*s) of the (psi, psi') propagator over width w
-    for psi'' = m psi, elementwise in m.
+    for psi'' = m psi, elementwise in m, and the log of the factor divided out.
 
     The evanescent branch is rescaled by exp(-kappa w) (a positive factor,
-    harmless for locating zeros) so wide regions cannot overflow; near
-    m = 0 an expansion in m w^2 keeps everything smooth.
+    harmless for locating zeros) so wide regions cannot overflow; the log
+    returned is kappa w there and 0 elsewhere.  Near m = 0 an expansion in
+    m w^2 keeps everything smooth.
     """
     m = np.asarray(m, dtype=float)
     z = m * w * w
@@ -199,7 +203,40 @@ def _propagator_entries(m, w):
     evan = (~series) & (m > 0.0)
     c = np.where(series, c_se, np.where(evan, c_ev, c_os))
     sdiv = np.where(series, sdiv_se, np.where(evan, sdiv_ev, sdiv_os))
-    return c, sdiv, m * sdiv
+    return c, sdiv, m * sdiv, np.where(evan, kap * w, 0.0)
+
+
+def _carry(potential: PiecewiseConstant, k, eps, psi, dpsi, direction: int):
+    """Carry (psi, psi') of psi'' = m psi, m = k^2 - (eps - v)^2, across the
+    steps of a piecewise profile, elementwise in eps.
+
+    The seed (psi, dpsi) lies in the starting exterior at its step: the
+    first walking right (direction=+1), the last walking left (-1).  Into a
+    region of value v from one of value u, psi' jumps by i (v - u) psi;
+    across a region the propagator of _propagator_entries over |w| applies,
+    its odd entries times direction.  Returns (psi, psi', log) per region in
+    the profile's order: the pair at the region's left step (the first step
+    for the left exterior), on its side, where the solution is
+    exp(log) (psi, psi').
+    """
+    steps, values = potential.breakpoints, potential.values
+    last = len(values) - 1
+    log = np.zeros(np.shape(eps))
+    regions = [None] * (last + 1)
+    walk = range(last + 1) if direction > 0 else range(last, -1, -1)
+    for r in walk:
+        if r != walk[0]:
+            dpsi = dpsi + 1j * (values[r] - values[r - direction]) * psi
+        if direction > 0:
+            regions[r] = psi, dpsi, log
+        if 0 < r < last:
+            m = k * k - (eps - values[r]) ** 2
+            c, sdiv, ks, rescale = _propagator_entries(m, steps[r] - steps[r - 1])
+            psi, dpsi = c * psi + direction * sdiv * dpsi, direction * ks * psi + c * dpsi
+            log = log + rescale
+        if direction < 0:
+            regions[r] = psi, dpsi, log
+    return regions
 
 
 def _exterior_directions(k, delta, p):
@@ -220,8 +257,8 @@ def secular_det_general(config: FieldConfig, label: QuantumLabel):
 
     The pair (psi_t1, psi_t1') is seeded at the leftmost step with the
     exact decaying exterior solution, carried through every region and
-    derivative jump, and finally projected on the component along the
-    right-growing exterior direction.  Seeding with the phase inherited
+    derivative jump by _carry, and finally projected on the component along
+    the right-growing exterior direction.  Seeding with the phase inherited
     from the real two-component solution makes the projection real, so the
     returned value changes sign transversally at every bound state.
 
@@ -234,7 +271,6 @@ def secular_det_general(config: FieldConfig, label: QuantumLabel):
     scalar = eps.ndim == 0
     eps = np.atleast_1d(eps)
 
-    breaks = pot.breakpoints
     values = pot.values
     d_lo = eps - values[0]
     d_hi = eps - values[-1]
@@ -249,15 +285,7 @@ def secular_det_general(config: FieldConfig, label: QuantumLabel):
 
     grow, _ = _exterior_directions(k, d_lo, p_lo)
     psi = 0.5 * (grow[0] - 1j * grow[1]) * np.ones_like(eps)
-    dpsi = p_lo * psi
-
-    for i, xb in enumerate(breaks):
-        dpsi = dpsi + 1j * (values[i + 1] - values[i]) * psi
-        if i + 1 < len(breaks):
-            w = breaks[i + 1] - xb
-            m = k * k - (eps - values[i + 1]) ** 2
-            c, sdiv, ks = _propagator_entries(m, w)
-            psi, dpsi = c * psi + sdiv * dpsi, ks * psi + c * dpsi
+    psi = _carry(pot, k, eps, psi, p_lo * psi, 1)[-1][0]
 
     _, decay = _exterior_directions(k, d_hi, p_hi)
     out = 2.0 * np.real(psi) * decay[1] + 2.0 * np.imag(psi) * decay[0]

@@ -26,7 +26,7 @@ from .core import (
     evaluate_potential,
 )
 from .errors import ConfigError, GridTooCoarse, NonDecayingExterior, UnsupportedRegime
-from .roots import EDGE_POINTS, _roots_by_row
+from .roots import EDGE_POINTS, _check_scan, _roots_by_row
 
 __all__ = [
     "GridSpec",
@@ -455,7 +455,6 @@ def shooting_bound_states(
     scan_points: int = 2000,
     tol: float = 1e-10,
     step: float = DEFAULT_STEP,
-    edge_margin: float = 1e-6,
     x_match: float | None = None,
 ) -> list[float]:
     """Bound-state energies of a field configuration by pure shooting.
@@ -463,24 +462,19 @@ def shooting_bound_states(
     A batched scan over the exterior-decay band brackets sign changes of
     the matching determinant at scan_points uniform points.  A stepwise
     profile adds EDGE_POINTS toward each edge, geometric from
-    2 * edge_margin out to the outermost uniform point (or on it), so a
+    2 * EDGE_MARGIN out to the outermost uniform point (or on it), so a
     root in an edge cell is bracketed too; a smooth profile's levels can
     crowd geometrically into a band edge (the Lorentzian's do), where no
     finite scan completes them.  The brackets are then bisected by the
     package's root kernel (see roots._bisect): each batched determinant
     evaluation, no larger than the scan, takes every bracket several
     halvings further, and a bracket stops at width tol, on an exact zero
-    or at adjacent doubles.  Roots within edge_margin of the band edges
+    or at adjacent doubles.  Roots within EDGE_MARGIN of the band edges
     are discarded.  Raises ConfigError for fewer than two scan points, a
-    tol that is not finite and positive, an edge_margin that is not finite
-    and non-negative, or a k or step that dirac_shooting rejects.
+    tol that is not finite and positive, or a k or step that
+    dirac_shooting rejects.
     """
-    if scan_points < 2:
-        raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError(f"tol must be finite and positive, got {tol}")
-    if not (edge_margin >= 0.0 and math.isfinite(edge_margin)):
-        raise ConfigError(f"edge_margin must be finite and non-negative, got {edge_margin}")
+    _check_scan(scan_points, tol)
     _check_momentum_and_step(k, step)
     _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
     lo = max(v_minus - abs(k + a_minus), v_plus - abs(k + a_plus))
@@ -489,7 +483,7 @@ def shooting_bound_states(
     stepwise = _is_stepwise(config.electric) and _is_stepwise(config.magnetic)
     return _roots_by_row(
         lambda rows, eps: dirac_shooting(config, QuantumLabel(k, eps), step, x_match),
-        [lo], [hi], scan_points, tol, edge_margin,
+        [lo], [hi], scan_points, tol,
         edge_points=EDGE_POINTS if stepwise else 0,
         budget=None if stepwise else 0,
     )[0]

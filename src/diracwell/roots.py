@@ -4,15 +4,29 @@ Many real functions, one per row, are scanned on their own domains and
 every sign-changing bracket is bisected in lockstep, several halvings per
 batched evaluation.  Each halving is the scalar bisection's step bit for
 bit, so batching and the number of levels per call change no root.  The
-module needs numpy only and imports nothing from the package: the
-transfer route and the shooting oracle share it without sharing algebra.
+module needs numpy and imports only the package's errors: the transfer
+route and the shooting oracle share it without sharing algebra.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import ConfigError
+
 EDGE_POINTS = 12  # geometric scan points toward each domain edge
+EDGE_MARGIN = 1e-6  # roots this close to a domain edge are dropped
+
+
+def _check_scan(scan_points, tol) -> None:
+    """Raise ConfigError for fewer than two scan points or a tol that is not
+    finite and positive."""
+    if scan_points < 2:
+        raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
 
 
 def _scan_grid(lo, hi, scan_points, edge_margin, edge_points=EDGE_POINTS) -> np.ndarray:
@@ -120,7 +134,7 @@ def _bisect(values, rows, a, b, fa, tol, budget) -> np.ndarray:
 
 
 def _roots_by_row(
-    values, lo, hi, scan_points, tol, edge_margin, edge_points=EDGE_POINTS, budget=None
+    values, lo, hi, scan_points, tol, edge_points=EDGE_POINTS, budget=None
 ) -> list[list[float]]:
     """Sorted roots of many functions, one list per row.
 
@@ -128,13 +142,14 @@ def _roots_by_row(
     (lo[r], hi[r]); values takes equally long arrays of rows and energies.
     The rows are scanned together (see _scan_grid), the brackets of all
     rows are bisected together (see _bisect) with calls of at most budget
-    points, by default the scan's own size, and roots within edge_margin
-    of a domain edge are dropped.
+    points, by default the scan's own size, and roots within EDGE_MARGIN
+    of a domain edge are dropped: a secular value can vanish at a band
+    edge without a bound state there.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     rows = np.flatnonzero(lo < hi)
-    grid = _scan_grid(lo[rows], hi[rows], scan_points, edge_margin, edge_points)
+    grid = _scan_grid(lo[rows], hi[rows], scan_points, EDGE_MARGIN, edge_points)
     vals = values(np.repeat(rows, grid.shape[1]), grid.ravel())
     vals = np.asarray(vals, dtype=float).reshape(grid.shape)
     sign = np.sign(vals)
@@ -146,7 +161,7 @@ def _roots_by_row(
     h, j = np.nonzero((sign == 0) & fresh)
     owner = np.concatenate([rows[r], rows[h]])
     roots = np.concatenate([bracketed, grid[h, j]])
-    keep = (roots - lo[owner] > edge_margin) & (hi[owner] - roots > edge_margin)
+    keep = (roots - lo[owner] > EDGE_MARGIN) & (hi[owner] - roots > EDGE_MARGIN)
     owner, roots = owner[keep], roots[keep]
     order = np.lexsort((roots, owner))
     owner, roots = owner[order], roots[order]

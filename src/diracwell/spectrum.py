@@ -27,7 +27,7 @@ from .matching import (
     _square_well_phase,
     square_well_secular,
 )
-from .roots import _roots_by_row
+from .roots import EDGE_MARGIN, _check_scan, _roots_by_row  # noqa: F401  EDGE_MARGIN is re-exported
 
 __all__ = [
     "AdmissibleBand",
@@ -48,7 +48,6 @@ __all__ = [
 
 DEFAULT_SCAN_POINTS = 2000
 DEFAULT_ROOT_TOL = 1e-10
-EDGE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,6 @@ def find_roots(
     secular: SecularFunction,
     scan_points: int = DEFAULT_SCAN_POINTS,
     tol: float = DEFAULT_ROOT_TOL,
-    edge_margin: float = EDGE_MARGIN,
 ) -> list[float]:
     """All roots of a secular function strictly inside its domain, sorted.
 
@@ -162,23 +160,16 @@ def find_roots(
     complete whatever the scan settings; UnsupportedRegime when it binds
     but its level lies within a double of the band edge (see
     _level_ranges).  Any other is scanned and bisected to width tol by
-    roots._roots_by_row, and roots within edge_margin of a domain edge are
-    dropped: the secular value can vanish at a band edge without a bound
-    state there.  Raises ConfigError for fewer than two scan points, a tol
-    that is not finite and positive, or an edge_margin that is not finite
-    and non-negative.
+    roots._roots_by_row, which drops roots within EDGE_MARGIN of a domain
+    edge.  Raises ConfigError for fewer than two scan points or a tol that
+    is not finite and positive.
     """
-    if scan_points < 2:
-        raise ConfigError(f"scan_points must be at least 2, got {scan_points}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError(f"tol must be finite and positive, got {tol}")
-    if not (edge_margin >= 0.0 and math.isfinite(edge_margin)):
-        raise ConfigError(f"edge_margin must be finite and non-negative, got {edge_margin}")
+    _check_scan(scan_points, tol)
     if secular.phase is not None:
         lo, hi = np.array([secular.lo]), np.array([secular.hi])
         return _levels_by_row(lambda rows, eps: secular.phase(eps), lo, hi, secular.binds)[2].tolist()
     return _roots_by_row(
-        lambda rows, eps: secular(eps), [secular.lo], [secular.hi], scan_points, tol, edge_margin
+        lambda rows, eps: secular(eps), [secular.lo], [secular.hi], scan_points, tol
     )[0]
 
 

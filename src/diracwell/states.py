@@ -1,14 +1,15 @@
 """Bound-state assembly: wavefunctions, densities, and exact integrals.
 
 At a root of the secular function the rotated first component is carried
-across the steps of the well, as on the transfer route: the exterior
-solution that decays on one side is continued through every step and
-region, and each region's two exponential coefficients are read off the
-carried value and slope, each region anchored at its own left step.  The
-second rotated component follows algebraically from the first-order
-system, the overall phase is fixed so the two components are complex
-conjugates, and norms and overlaps are evaluated in closed form from the
-exponential pieces rather than by quadrature.
+across the steps of the well by the transfer route's own kernel,
+matching._carry: the exterior solution that decays on one side is
+continued through every step and region, and each region's two
+exponential coefficients are read off the carried value and slope, with
+the kernel's rescale restored, each region anchored at its own left
+step.  The second rotated component follows algebraically from the
+first-order system, the overall phase is fixed so the two components are
+complex conjugates, and norms and overlaps are evaluated in closed form
+from the exponential pieces rather than by quadrature.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     NotConjugatePair,
     UnsupportedRegime,
 )
-from .matching import region_wavenumbers
+from .matching import _carry, region_wavenumbers
 
 __all__ = [
     "PiecewiseExp",
@@ -326,46 +327,11 @@ def with_phase(state: BoundState, theta: float) -> BoundState:
     )
 
 
-def _carry(
-    potential: PiecewiseConstant, label: QuantumLabel, direction: int
-) -> list[tuple[float, complex, complex, complex]]:
-    """Carry the exterior solution that decays on the starting side across
-    every step of the profile.
-
-    direction=+1 starts at the leftmost step with (psi, psi') = (1, p) and
-    walks right, direction=-1 starts at the rightmost step with (1, -p) and
-    walks left.  Entering a region, psi' changes by i (v_new - v_old) psi:
-    +i J psi for a step of size J walking right, -i J psi walking left.
-    Returns one (x0, g, a, b) per region in walking order: on that region
-    the solution is a exp(g (x - x0)) + b exp(-g (x - x0)), with
-    g = sqrt(k^2 - (eps - v)^2) and x0 the region's left step (the first
-    step for the left exterior), in either direction.
-    """
-    k, eps = label.k, label.epsilon
-    steps, values = potential.breakpoints, potential.values
-    if direction < 0:
-        steps, values = steps[::-1], values[::-1]
-    psi, dpsi = 1.0, direction * math.sqrt(k * k - (eps - values[0]) ** 2)
-    regions = []
-    for i, v in enumerate(values):
-        x0 = steps[max(i - 1, 0)]
-        if i:
-            dpsi += 1j * (v - values[i - 1]) * psi
-        g = cmath.sqrt(k * k - (eps - v) ** 2)
-        a, b = 0.5 * (psi + dpsi / g), 0.5 * (psi - dpsi / g)
-        if 0 < i < len(steps):
-            w = steps[i] - x0  # negative when walking left
-            ea, eb = a * cmath.exp(g * w), b * cmath.exp(-g * w)
-            psi, dpsi = ea + eb, g * (ea - eb)
-            if direction < 0:  # the coefficients at the far, left step
-                x0, a, b = steps[i], ea, eb
-        regions.append((x0, g, a, b))
-    return regions
-
-
 def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> PiecewiseExp:
     """Rotated first component at a root, as the region-by-region average
-    of the left-to-right and right-to-left carries.
+    of the two walks of matching._carry from the decaying exteriors,
+    (psi, psi') = (1, p) at the first step and (1, -p) at the last.  Region
+    coefficients are (a, b) = (psi +/- psi'/g) exp(log) / 2 at its left step.
 
     Raises NotAnEigenvalue when the left-decaying solution keeps a
     right-growing part above NULLSPACE_TOL of its exterior amplitude.  The
@@ -374,9 +340,15 @@ def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> Piecewis
     averaging splits the mismatch left by an inexact root between the two
     outer steps.
     """
-    forward = np.array(_carry(potential, label, 1))[:, 1:].T  # rows g, a, b
-    backward = np.array(_carry(potential, label, -1)[::-1])[:, 1:].T
-    g, fw, bw = forward[0], forward[1:], backward[1:]
+    k, eps = label.k, label.epsilon
+    g = np.sqrt((k * k - (eps - np.asarray(potential.values)) ** 2).astype(complex))
+
+    def coefficients(direction):  # rows a, b
+        seed = g[0].real if direction > 0 else -g[-1].real
+        psi, dpsi, log = map(np.array, zip(*_carry(potential, k, eps, 1.0, seed, direction)))
+        return np.array((psi + dpsi / g, psi - dpsi / g)) * (0.5 * np.exp(log))
+
+    fw, bw = coefficients(1), coefficients(-1)
     growth = abs(fw[0, -1]) / (abs(fw[0, -1]) + abs(fw[1, -1]))
     if growth > NULLSPACE_TOL:
         raise NotAnEigenvalue(
@@ -496,6 +468,19 @@ def gram_matrix(states: list[BoundState]) -> np.ndarray:
     return np.concatenate(rows) if rows else np.zeros((0, 0), dtype=complex)
 
 
+def _stencil_points(state: BoundState, stencil):
+    """(x, psi1, psi2, d1, d2) at the grid points x[2:-2] that lie more than
+    five spacings h from every step: the components there and their grid
+    derivatives stencil(psi, h), a five-point stencil centred on x[2:-2]."""
+    x, waves = state.x, (state.psi1, state.psi2)
+    h = x[1] - x[0]
+    xin = x[2:-2]
+    keep = np.ones(len(xin), dtype=bool)
+    for b in state.potential.breakpoints:
+        keep &= np.abs(xin - b) > 5.0 * h
+    return xin[keep], *(w[2:-2][keep] for w in waves), *(stencil(w, h)[keep] for w in waves)
+
+
 def equation_residuals(state: BoundState, grid_derivatives: bool = False) -> ResidualReport:
     """Residuals of the coupled first-order system along the grid.
 
@@ -506,23 +491,14 @@ def equation_residuals(state: BoundState, grid_derivatives: bool = False) -> Res
     """
     k = state.label.k
     eps = state.label.epsilon
-    x = state.x
-    psi1 = state.psi1
-    psi2 = state.psi2
     if grid_derivatives:
-        h = x[1] - x[0]
-        d1 = (-psi1[4:] + 8 * psi1[3:-1] - 8 * psi1[1:-3] + psi1[:-4]) / (12 * h)
-        d2 = (-psi2[4:] + 8 * psi2[3:-1] - 8 * psi2[1:-3] + psi2[:-4]) / (12 * h)
-        xin = x[2:-2]
-        keep = np.ones(len(xin), dtype=bool)
-        for b in state.potential.breakpoints:
-            keep &= np.abs(xin - b) > 5.0 * h
-        x_eval, psi1, psi2 = xin[keep], psi1[2:-2][keep], psi2[2:-2][keep]
-        d1, d2 = d1[keep], d2[keep]
+        x_eval, psi1, psi2, d1, d2 = _stencil_points(
+            state, lambda w, h: (-w[4:] + 8 * w[3:-1] - 8 * w[1:-3] + w[:-4]) / (12 * h)
+        )
     else:
-        x_eval = x
-        d1 = state.wave1.derivative()(x)
-        d2 = state.wave2.derivative()(x)
+        x_eval, psi1, psi2 = state.x, state.psi1, state.psi2
+        d1 = state.wave1.derivative()(x_eval)
+        d2 = state.wave2.derivative()(x_eval)
     delta = eps - evaluate_potential(state.potential, x_eval)
     r1 = d1 + 1j * delta * psi1 - k * psi2
     r2 = d2 - 1j * delta * psi2 - k * psi1
@@ -540,24 +516,17 @@ def second_order_residuals(state: BoundState, grid_derivatives: bool = False) ->
     in equation_residuals.
     """
     eps = state.label.epsilon
-    x = state.x
-    w1 = state.psi1
-    w2 = state.psi2
     if grid_derivatives:
-        h = x[1] - x[0]
-        d1 = (-w1[4:] + 16 * w1[3:-1] - 30 * w1[2:-2] + 16 * w1[1:-3] - w1[:-4]) / (12 * h * h)
-        d2 = (-w2[4:] + 16 * w2[3:-1] - 30 * w2[2:-2] + 16 * w2[1:-3] - w2[:-4]) / (12 * h * h)
-        xin = x[2:-2]
-        keep = np.ones(len(xin), dtype=bool)
-        for b in state.potential.breakpoints:
-            keep &= np.abs(xin - b) > 5.0 * h
-        x_eval, w1, w2 = xin[keep], w1[2:-2][keep], w2[2:-2][keep]
-        d1, d2 = d1[keep], d2[keep]
+        x_eval, w1, w2, d1, d2 = _stencil_points(
+            state,
+            lambda w, h: (-w[4:] + 16 * w[3:-1] - 30 * w[2:-2] + 16 * w[1:-3] - w[:-4]) / (12 * h * h),
+        )
     else:
+        x = state.x
         keep = np.ones(len(x), dtype=bool)
         for b in state.potential.breakpoints:
             keep &= x != b
-        x_eval, w1, w2 = x[keep], w1[keep], w2[keep]
+        x_eval, w1, w2 = x[keep], state.psi1[keep], state.psi2[keep]
         dd1 = state.wave1.derivative().derivative()
         dd2 = state.wave2.derivative().derivative()
         d1, d2 = dd1(x_eval), dd2(x_eval)

@@ -343,13 +343,6 @@ class TestShootingInputs:
         with pytest.raises(ConfigError):
             dirac_shooting(square_well_config(2.0), QuantumLabel(k, np.array([0.3, eps])))
 
-    @pytest.mark.parametrize("edge_margin", [float("nan"), -1e-6, float("inf")])
-    def test_edge_margin_must_be_finite_and_non_negative(self, edge_margin):
-        with pytest.raises(ConfigError):
-            shooting_bound_states(
-                square_well_config(2.0), 2.0, scan_points=500, edge_margin=edge_margin
-            )
-
 
 def _matmul_stepwise_march(config, k, eps, psi, points, step, powers):
     """The square-well march with each segment's RK4 step built as an

@@ -122,11 +122,6 @@ class TestFindRoots:
         assert len(tiny) == 3
         np.testing.assert_allclose(tiny, find_roots(secular), rtol=0.0, atol=1e-10)
 
-    @pytest.mark.parametrize("edge_margin", [float("nan"), -1e-6, float("inf")])
-    def test_rejects_edge_margin_that_is_not_finite_and_non_negative(self, edge_margin):
-        with pytest.raises(ConfigError):
-            find_roots(square_well_secular(2.0, 2.0), edge_margin=edge_margin)
-
     def test_scan_resolution_consistency(self):
         secular = general_secular(square_well_config(8.0), 3.0)
         coarse = find_roots(secular, scan_points=500)

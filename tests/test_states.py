@@ -48,7 +48,9 @@ from diracwell.errors import (
     OutsideAdmissibleBand,
     UnsupportedRegime,
 )
-from diracwell.states import _carried_wave, _carry
+from diracwell.matching import _carry
+from diracwell.oracle import shooting_bound_states
+from diracwell.states import _carried_wave
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +160,23 @@ def side_limits(terms, x):
     return sum(v for v, _ in parts), sum(g * v for v, g in parts)
 
 
+def check_steps(profile, g, a, b, tol):
+    """Assert that the wave with region coefficients (g, a, b), each region
+    anchored at its left step, is continuous at every step of profile and
+    that its slope jumps there by i J psi, relative to |psi| + |psi'|."""
+    steps, values = profile.breakpoints, profile.values
+    anchors = (steps[0], *steps)
+    terms = [[(ai * cmath.exp(-gi * x0), gi), (bi * cmath.exp(gi * x0), -gi)]
+             for x0, gi, ai, bi in zip(anchors, g, a, b)]
+    for j, xb in enumerate(steps):
+        psi_l, dpsi_l = side_limits(terms[j], xb)
+        psi_r, dpsi_r = side_limits(terms[j + 1], xb)
+        scale = abs(psi_l) + abs(dpsi_l)
+        assert abs(psi_r - psi_l) < tol * scale
+        jump = 1j * (values[j + 1] - values[j]) * psi_l
+        assert abs(dpsi_r - dpsi_l - jump) < tol * scale
+
+
 class TestCarry:
     # three steps, no symmetry: neither PT nor the closed form applies
     PROFILE = PiecewiseConstant((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5))
@@ -169,35 +188,21 @@ class TestCarry:
         assert len(roots) >= 2
         return QuantumLabel(self.K, roots[1])
 
-    def check_steps(self, regions_terms, tol):
-        steps, values = self.PROFILE.breakpoints, self.PROFILE.values
-        for j, xb in enumerate(steps):
-            psi_l, dpsi_l = side_limits(regions_terms[j], xb)
-            psi_r, dpsi_r = side_limits(regions_terms[j + 1], xb)
-            scale = abs(psi_l) + abs(dpsi_l)
-            assert abs(psi_r - psi_l) < tol * scale
-            jump = 1j * (values[j + 1] - values[j]) * psi_l
-            assert abs(dpsi_r - dpsi_l - jump) < tol * scale
-
     @pytest.mark.parametrize("direction", [1, -1])
     def test_each_carry_is_continuous_and_jumps_by_i_j_psi(self, label, direction):
-        regions = _carry(self.PROFILE, label, direction)[::direction]
-        terms = [
-            [(a * cmath.exp(-g * x0), g), (b * cmath.exp(g * x0), -g)]
-            for x0, g, a, b in regions
-        ]
-        self.check_steps(terms, 1e-12)
+        k, eps = label.k, label.epsilon
+        g = np.sqrt((k * k - (eps - np.array(self.PROFILE.values)) ** 2).astype(complex))
+        seed = g[0].real if direction > 0 else -g[-1].real
+        regions = _carry(self.PROFILE, k, eps, 1.0, seed, direction)
+        psi, dpsi, log = map(np.array, zip(*regions))
+        scale = 0.5 * np.exp(log)
+        check_steps(self.PROFILE, g, (psi + dpsi / g) * scale, (psi - dpsi / g) * scale, 1e-12)
 
     def test_averaged_wave_matches_at_every_step(self, label):
         wave = _carried_wave(self.PROFILE, label)
         assert wave.steps == self.PROFILE.breakpoints
-        anchors = (wave.steps[0], *wave.steps)  # each region's left step
-        terms = [
-            [(a * cmath.exp(-g * x0), g), (b * cmath.exp(g * x0), -g)]
-            for x0, g, a, b in zip(anchors, wave.g, wave.a, wave.b)
-        ]
         # the outer steps carry the mismatch of a root bisected to 1e-10
-        self.check_steps(terms, 1e-8)
+        check_steps(self.PROFILE, wave.g, wave.a, wave.b, 1e-8)
 
     def test_rejects_non_roots(self):
         for k, v0 in ((2.0, 2.0), (3.0, 8.0)):
@@ -209,6 +214,28 @@ class TestCarry:
     def test_rejects_non_decaying_exterior(self):
         with pytest.raises(OutsideAdmissibleBand):
             assemble_square_well_state(QuantumLabel(k=2.0, epsilon=2.5), 2.0)
+
+
+class TestEvanescentBarrier:
+    # a double well whose middle barrier is evanescent at every level, so
+    # the carry rescales it and the wave must restore the factor
+    PROFILE = PiecewiseConstant((-2.0, -0.5, 0.5, 2.0), (0.0, -5.0, 0.0, -5.0, 0.0))
+    K = 2.0
+
+    @pytest.fixture(scope="class")
+    def roots(self):
+        return find_roots(general_secular(FieldConfig(electric=self.PROFILE), self.K))
+
+    def test_transfer_roots_agree_with_shooting(self, roots):
+        shot = shooting_bound_states(FieldConfig(electric=self.PROFILE), self.K, step=5e-4)
+        assert len(roots) == len(shot) == 6
+        np.testing.assert_allclose(roots, shot, rtol=0.0, atol=1e-8)
+
+    def test_carried_wave_matches_at_every_step_of_every_root(self, roots):
+        for eps in roots:
+            assert self.K**2 - eps**2 > 0.0  # the barrier is evanescent
+            wave = _carried_wave(self.PROFILE, QuantumLabel(self.K, eps))
+            check_steps(self.PROFILE, wave.g, wave.a, wave.b, 1e-7)
 
 
 class TestDeepWells:
