@@ -48,8 +48,9 @@ class SecularFunction:
     hi: float
     k: float
     description: str = ""
-    # monotone theta(eps) on (lo, hi) crossing pi/2 + n pi at the roots
-    phase: Callable[[np.ndarray], np.ndarray] | None = None
+    # (theta, dtheta/deps) of a monotone theta on (lo, hi) that crosses
+    # pi/2 + n pi at the roots
+    phase: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     # at least one root in exact arithmetic: a square well with k, v0 != 0
     binds: bool = False
 
@@ -83,15 +84,21 @@ def region_wavenumbers(
     return math.sqrt(p_sq), math.sqrt(q_sq)
 
 
+def _square_well_pq(k, eps, v0):
+    """Exterior decay rate p and interior wavenumber q, elementwise; clamping
+    at zero keeps the square roots real under rounding at the band edges."""
+    p = np.sqrt(np.maximum(k * k - eps**2, 0.0))
+    return p, np.sqrt(np.maximum((eps + v0) ** 2 - k * k, 0.0))
+
+
 def _square_well_secular_value(k, epsilon, v0, half_width):
     """Closed-form secular value; no admissibility check, vectorized.
 
     Both factors vanish together at the q -> 0 band edge, so the value is
-    continuous there; clipping keeps square roots real under rounding.
+    continuous there.
     """
     eps = np.asarray(epsilon, dtype=float)
-    p = np.sqrt(np.clip(k * k - eps**2, 0.0, None))
-    q = np.sqrt(np.clip((eps + v0) ** 2 - k * k, 0.0, None))
+    p, q = _square_well_pq(k, eps, v0)
     return p * q * np.cos(2.0 * half_width * q) - (
         eps * (eps + v0) - k * k
     ) * np.sin(2.0 * half_width * q)
@@ -102,10 +109,25 @@ def _square_well_phase(k, epsilon, v0, half_width):
     is hypot(pq, eps(eps+v0) - k^2) cos(theta).  theta increases across a
     well's band and, unchanged bit for bit by (eps, v0) -> (-eps, -v0),
     decreases across a barrier's."""
+    return _square_well_phase_slope(k, epsilon, v0, half_width)[0]
+
+
+def _square_well_phase_slope(k, epsilon, v0, half_width):
+    """(theta, dtheta/deps) of _square_well_phase.
+
+    With N = eps(eps+v0) - k^2 and D = pq, dtheta/deps is
+    2L(eps+v0)/q + (N'D - ND')/(N^2 + D^2), where N' = 2 eps + v0 and
+    D' = (p^2 (eps+v0) - eps q^2)/(pq).  Where p or q vanishes the slope is
+    infinite or NaN, without a warning.
+    """
     eps = np.asarray(epsilon, dtype=float)
-    p = np.sqrt(np.clip(k * k - eps**2, 0.0, None))
-    q = np.sqrt(np.clip((eps + v0) ** 2 - k * k, 0.0, None))
-    return 2.0 * half_width * q + np.arctan2(eps * (eps + v0) - k * k, p * q)
+    p, q = _square_well_pq(k, eps, v0)
+    n, d = eps * (eps + v0) - k * k, p * q
+    theta = 2.0 * half_width * q + np.arctan2(n, d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dd = (p * p * (eps + v0) - eps * q * q) / d
+        slope = 2.0 * half_width * (eps + v0) / q + ((2.0 * eps + v0) * d - n * dd) / (n * n + d * d)
+    return theta, slope
 
 
 def _square_well_band(k, v0):
@@ -152,7 +174,7 @@ def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> Secular
         hi=float(hi),
         k=k,
         description=f"square well v0={v0}, half_width={half_width}",
-        phase=lambda eps: _square_well_phase(k, eps, v0, half_width),
+        phase=lambda eps: _square_well_phase_slope(k, eps, v0, half_width),
         binds=bool(k != 0.0 and v0 != 0.0),
     )
 

@@ -3,10 +3,12 @@
 Square-well bound states live strictly inside the admissible band
 (max(-|k|, |k| - v0), |k|), mirrored for a barrier, and are exactly the
 crossings theta = pi/2 + n pi of the monotone square-well phase: levels
-are counted in closed form and each is bisected on its own crossing.  A
-sweep in k or v0 solves every parameter value in one batched pass; a
-branch is a run of consecutive parameter values holding the same level.
-A genuine well that counts no level is refused, not reported empty.
+are counted in closed form and each takes bracketed Newton steps on its
+own crossing, with the closed-form slope dtheta/deps.  A sweep in k or v0
+solves every parameter value in one batched pass; a branch is a run of
+consecutive parameter values holding the same level.  A genuine well that
+counts no level is refused, not reported empty, and so is one whose phase
+rounding moves a level by more than DEFAULT_ROOT_TOL.
 Secular functions without a phase go to the root kernel of roots.py:
 bracketed on an edge-refined scan and bisected, all brackets in lockstep
 and several halvings per batched call.
@@ -24,7 +26,7 @@ from .matching import (
     SecularFunction,
     _check_well,
     _square_well_band,
-    _square_well_phase,
+    _square_well_phase_slope,
     square_well_secular,
 )
 from .roots import EDGE_MARGIN, _check_scan, _roots_by_row  # noqa: F401  EDGE_MARGIN is re-exported
@@ -48,6 +50,8 @@ __all__ = [
 
 DEFAULT_SCAN_POINTS = 2000
 DEFAULT_ROOT_TOL = 1e-10
+MAX_GRID_POINTS = 1_000_000
+NEWTON_CALLS = 40  # batched phase calls after which a level still open is bisected
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,8 @@ def admissible_interval(k: float, v0: float) -> AdmissibleBand:
 
 
 def _level_ranges(phase, lo, hi, binds):
-    """(rows, sign, u_lo, u_hi, first n, level count) of the rows whose
-    band holds two doubles or more.
+    """(rows, sign, u_lo, u_hi, theta there, first n, level count) of the
+    rows whose band holds two doubles or more; phase(rows, eps)[0] is theta.
 
     A row's levels are the crossings phase = pi/2 + n pi strictly between
     its phases at the innermost doubles (u_lo, u_hi) of its band, so no
@@ -90,7 +94,7 @@ def _level_ranges(phase, lo, hi, binds):
     live = np.flatnonzero(inner_lo < inner_hi)
     inner_lo, inner_hi = inner_lo[live], inner_hi[live]
     with np.errstate(over="ignore", invalid="ignore"):
-        th_lo, th_hi = phase(live, inner_lo), phase(live, inner_hi)
+        th_lo, th_hi = np.split(phase(np.r_[live, live], np.r_[inner_lo, inner_hi])[0], 2)
     reach = np.maximum(np.abs(th_lo), np.abs(th_hi))
     if not np.all(np.spacing(reach) < math.pi):  # NaN for a phase that is not finite
         raise UnsupportedRegime(f"phase reaches {np.max(reach):.3g}: levels are not distinct doubles")
@@ -107,34 +111,64 @@ def _level_ranges(phase, lo, hi, binds):
             f"{np.count_nonzero(empty)} well(s) bind a level within one double of the band edge: "
             "too weakly bound to resolve"
         )
-    return live, sign, u_lo, u_hi, first, count
+    return live, sign, u_lo, u_hi, th_lo, th_hi, first, count
 
 
 def _levels_by_row(phase, lo, hi, binds):
     """Every level of many rows, as (row, n, root) arrays sorted by row and root.
 
-    Row r has the phase eps -> phase(rows, eps), monotone on its open band
-    (lo[r], hi[r]) of the float arrays lo and hi, and holds a level where
-    binds is set (see _level_ranges).  Each
-    level bisects its crossing for its row's ceil(log2(width / spacing(|k|)))
-    halvings, about 54, to about one double spacing of |k| = max(|lo|, |hi|),
-    independently of the rows batched with it.
+    Row r has the phase eps -> phase(rows, eps) = (theta, dtheta/deps),
+    theta monotone on its open band (lo[r], hi[r]) of the float arrays lo
+    and hi, and holds a level where binds is set (see _level_ranges).
+
+    Each level takes bracketed Newton steps on its crossing, in
+    u = sign * eps, from the linear interpolation of theta across its row's
+    band.  Every evaluation narrows the bracket [a, b], onto the point itself
+    where theta is the target, and a step that is not finite or leaves
+    (a, b) goes to the midpoint instead.  A step shorter than reach is
+    stretched to it; reach starts at spacing(|k|), |k| = max(|lo|, |hi|),
+    and doubles with each stretch, so that the bracket also closes from the
+    far side once theta's rounding makes the step's sign random.  A level is
+    done at b - a <= spacing(|k|), as 0.5 (a + b), and leaves the batch:
+    about 6 calls (median), and a level still open after NEWTON_CALLS calls
+    is bisected.  UnsupportedRegime when the rounding of theta,
+    spacing(theta) / theta', could move a root by more than DEFAULT_ROOT_TOL.
     """
-    live, sign, u_lo, u_hi, first, count = _level_ranges(phase, lo, hi, binds)
-    kk = np.maximum(np.abs(lo), np.abs(hi))[live]
-    halvings = np.ceil(np.log2((u_hi - u_lo) / np.spacing(kk)))
+    live, sign, u_lo, u_hi, th_lo, th_hi, first, count = _level_ranges(phase, lo, hi, binds)
     at = np.repeat(np.arange(live.size), count)
     n = first[at] + np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
     rows, s, target = live[at], sign[at], 0.5 * math.pi + n * math.pi
     a, b = u_lo[at], u_hi[at]
-    for i in range(int(halvings.max(initial=0))):
-        mid = 0.5 * (a + b)
-        theta = phase(rows, s * mid)
-        halve = i < halvings[at]
-        a = np.where(halve & (theta <= target), mid, a)
-        b = np.where(halve & (theta >= target), mid, b)
-    root = s * 0.5 * (a + b)
-    n = np.where(s > 0.0, n, -n - 1)
+    x = a + (target - th_lo[at]) / (th_hi[at] - th_lo[at]) * (b - a)
+    width = reach = np.spacing(np.maximum(np.abs(lo), np.abs(hi))[rows])
+    root, slope_at = np.empty(at.size), np.empty(at.size)
+    todo, calls = np.arange(at.size), 0
+    while todo.size:
+        x = np.where((a < x) & (x < b) & (calls < NEWTON_CALLS), x, 0.5 * (a + b))
+        theta, slope = phase(rows, s * x)
+        calls += 1
+        f, slope = theta - target, s * slope
+        a, b = np.where(f <= 0.0, x, a), np.where(f >= 0.0, x, b)
+        done = b - a <= width
+        root[todo[done]], slope_at[todo[done]] = 0.5 * (a + b)[done], slope[done]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -f / slope
+        stretch = np.abs(step) < reach
+        x = x + np.where(stretch, np.copysign(reach, step), step)
+        reach = np.where(stretch, 2.0 * reach, reach)
+        keep = ~done
+        todo, rows, s, target, a, b, x, width, reach = (
+            v[keep] for v in (todo, rows, s, target, a, b, x, width, reach)
+        )
+    blur = np.spacing(np.abs(0.5 * math.pi + n * math.pi)) / slope_at
+    blurred = ~(blur <= DEFAULT_ROOT_TOL)  # NaN for a slope that is not finite
+    if blurred.any():
+        raise UnsupportedRegime(
+            f"phase rounding moves {np.count_nonzero(blurred)} level(s) by up to "
+            f"{np.max(blur[blurred]):.3g}, more than {DEFAULT_ROOT_TOL:g}"
+        )
+    rows, root = live[at], sign[at] * root
+    n = np.where(sign[at] > 0.0, n, -n - 1)
     order = np.lexsort((root, rows))
     return rows[order], n[order], root[order]
 
@@ -143,7 +177,7 @@ def _square_well_levels(k, v0, half_width):
     """(row, n, root) of every level of the square wells (k[r], v0[r])."""
     k, v0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(v0, dtype=float))
     return _levels_by_row(
-        lambda rows, eps: _square_well_phase(k[rows], eps, v0[rows], half_width),
+        lambda rows, eps: _square_well_phase_slope(k[rows], eps, v0[rows], half_width),
         *_square_well_band(k, v0),
         (k != 0.0) & (v0 != 0.0),
     )
@@ -159,7 +193,8 @@ def find_roots(
     A function with a phase (the square well) is solved level by level,
     complete whatever the scan settings; UnsupportedRegime when it binds
     but its level lies within a double of the band edge (see
-    _level_ranges).  Any other is scanned and bisected to width tol by
+    _level_ranges), or when the phase's rounding could move a level by
+    more than DEFAULT_ROOT_TOL (see _levels_by_row).  Any other is scanned and bisected to width tol by
     roots._roots_by_row, which drops roots within EDGE_MARGIN of a domain
     edge.  Raises ConfigError for fewer than two scan points or a tol that
     is not finite and positive.
@@ -204,10 +239,16 @@ class SpectrumBranch:
 
 
 def parameter_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Uniform grid lo, lo+step, ..., not exceeding hi by more than step/2."""
+    """Uniform grid lo, lo+step, ..., not exceeding hi by more than step/2.
+
+    ConfigError, before anything is allocated, for a grid of more than
+    MAX_GRID_POINTS points."""
     if step <= 0:
         raise ValueError("step must be positive")
-    n = int(math.floor((hi - lo) / step + 0.5))
+    span = (hi - lo) / step + 0.5
+    if not span < MAX_GRID_POINTS:
+        raise ConfigError(f"grid {lo}:{hi}:{step} has more than {MAX_GRID_POINTS} points")
+    n = int(math.floor(span))
     grid = lo + step * np.arange(n + 1)
     return grid[grid <= hi + 0.5 * step]
 
@@ -283,12 +324,15 @@ def branch_cut(branches: list[SpectrumBranch], param: float, atol: float = 1e-9)
 
 def landau_levels_magnetic(beta: float, n: int) -> tuple[float, float]:
     """Level pair (+sqrt(2 n beta), -sqrt(2 n beta)) of a uniform magnetic
-    field; independent of k.  beta must be finite and positive."""
+    field; independent of k.  beta must be finite and positive;
+    UnsupportedRegime when 2 n beta overflows a double."""
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ConfigError(f"beta must be finite and positive, got {beta}")
     if n < 0:
         raise InvalidLevel(f"level index must be non-negative, got {n}")
     e = math.sqrt(2.0 * n * beta)
+    if math.isinf(e):
+        raise UnsupportedRegime(f"level {n} at beta={beta} overflows a double")
     return e, -e if n else 0.0
 
 
@@ -297,7 +341,7 @@ def landau_levels_proportional(
 ) -> tuple[float, float]:
     """Level pair -alpha k +/- (1 - alpha^2)^(3/4) sqrt(2 n beta) for
     proportional profiles v = alpha a with a = beta x, |alpha| < 1, finite
-    k and beta as for landau_levels_magnetic."""
+    k and beta and n as for landau_levels_magnetic."""
     for name, value in (("alpha", alpha), ("k", k)):
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")

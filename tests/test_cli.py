@@ -66,6 +66,13 @@ class TestSpectrum:
         assert out == ""
         assert "not distinct doubles" in err
 
+    @pytest.mark.parametrize("v0", ["1e8", "1e12"])
+    def test_level_that_phase_rounding_moves_exits_2(self, capsys, v0):
+        # theta near 2 v0 rounds by more than DEFAULT_ROOT_TOL times its slope
+        code, out, err = run(capsys, "spectrum", "--k", "2", "--v0", v0)
+        assert (code, out) == (2, "")
+        assert "phase rounding moves" in err
+
     def test_level_within_a_double_of_the_edge_exits_2(self, capsys):
         # the level of a well this shallow is not an empty spectrum
         code, out, err = run(capsys, "state", "--k", "1", "--v0", "1e-10", "--level", "0")
@@ -139,6 +146,18 @@ class TestSweeps:
         code, out, _ = run(capsys, *argv)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-v0", "--k", "3", "--v0", "0:1e9:1e-9"],
+            ["sweep-k", "--v0", "8", "--k", "0:1e-300:1e-310"],
+        ],
+    )
+    def test_grid_of_too_many_points_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "points" in err
 
     def test_sweep_output_is_byte_identical_across_runs(self, capsys):
         _, first, _ = run(capsys, "sweep-v0", "--k", "3", "--v0", "0:4:0.5")
@@ -225,6 +244,13 @@ class TestLandau:
         code, _, err = run(capsys, "landau", "--beta", "1", "--alpha", "1.5")
         assert code == 2
         assert "alpha" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--alpha", "0.5", "--k", "1"]])
+    def test_level_that_overflows_exits_2(self, capsys, extra):
+        # 2 n beta overflows to inf at n = 1: no level is printed as inf
+        code, out, err = run(capsys, "landau", "--beta", "1e308", "--levels", "2", *extra)
+        assert (code, out) == (2, "")
+        assert "overflows" in err
 
     @pytest.mark.parametrize(
         "argv, name",

@@ -2,6 +2,7 @@
 closed-form dispersive level formulas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,21 @@ from diracwell import (
     sweep_v0,
 )
 from diracwell.errors import ConfigError, InvalidLevel, UnsupportedRegime
-from diracwell.matching import _square_well_phase, general_secular, square_well_config
+from diracwell import matching, spectrum
+from diracwell.matching import (
+    _square_well_phase,
+    _square_well_phase_slope,
+    general_secular,
+    square_well_config,
+)
 from diracwell.roots import _scan_grid
-from diracwell.spectrum import DEFAULT_SCAN_POINTS, EDGE_MARGIN
+from diracwell.spectrum import (
+    DEFAULT_SCAN_POINTS,
+    EDGE_MARGIN,
+    MAX_GRID_POINTS,
+    NEWTON_CALLS,
+    _levels_by_row,
+)
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
 WELL38_ROOTS = (
@@ -144,6 +157,19 @@ class TestParameterGrid:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             parameter_grid(0.0, 1.0, 0.0)
+
+    def test_refuses_a_grid_of_too_many_points_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for lo, hi, step in ((0.0, 1e9, 1e-9), (0.0, 1e-300, 1e-310), (0.0, float(MAX_GRID_POINTS), 1.0)):
+                with pytest.raises(ConfigError, match="points"):
+                    parameter_grid(lo, hi, step)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_largest_grid_is_accepted(self):
+        assert len(parameter_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
 
 
 class TestSweeps:
@@ -328,11 +354,130 @@ class TestPhaseLevels:
         with pytest.raises(UnsupportedRegime):
             sweep_k(v0, [0.0, 1.0])
 
+    @pytest.mark.parametrize("v0", [1e8, 1e12, -1e8])
+    def test_level_that_phase_rounding_moves_raises(self, v0):
+        # theta ~ 2 v0 rounds by spacing(theta), which moves a root by that
+        # over theta' ~ 2.5: 1.2e-8 at 1e8, far above DEFAULT_ROOT_TOL
+        with pytest.raises(UnsupportedRegime, match="phase rounding moves"):
+            find_roots(square_well_secular(2.0, v0))
+        with pytest.raises(UnsupportedRegime, match="phase rounding moves"):
+            sweep_v0(2.0, [1.0, v0])
+        assert count_bound_states(2.0, v0) >= 3  # the count itself stays exact
+
     def test_zero_depth_or_momentum_stays_empty(self):
         assert find_roots(square_well_secular(1.0, 0.0)) == []
         assert find_roots(square_well_secular(0.0, 5.0)) == []
         assert count_bound_states(1.0, 0.0) == count_bound_states(0.0, -5.0) == 0
         assert sweep_v0(1.0, [0.0]) == sweep_k(5.0, [0.0]) == []
+
+
+def halved_levels(k, v0, half_width, most=40):
+    """Reference: level count and up to `most` roots {index: root}, each
+    crossing theta = pi/2 + n pi halved on its own with scalar calls,
+    ceil(log2(width / spacing(|k|))) times from the band's innermost doubles,
+    in u = sign * eps, moving a to the midpoint where theta is at most the
+    target and b where it is at least the target."""
+    band = admissible_interval(k, v0)
+    lo, hi = math.nextafter(band.lo, band.hi), math.nextafter(band.hi, band.lo)
+    theta = lambda eps: float(_square_well_phase(k, eps, v0, half_width))
+    s = -1.0 if theta(hi) < theta(lo) else 1.0
+    u_lo, u_hi = sorted((s * lo, s * hi))
+    t_lo, t_hi = sorted((theta(lo), theta(hi)))
+    first = math.floor((t_lo - 0.5 * math.pi) / math.pi) + 1
+    count = max(math.ceil((t_hi - 0.5 * math.pi) / math.pi) - first, 0)
+    halvings = math.ceil(math.log2((u_hi - u_lo) / np.spacing(abs(k))))
+    roots = {}
+    for i in sorted({round(x) for x in np.linspace(0, count - 1, min(count, most))}):
+        target, a, b = 0.5 * math.pi + (first + i) * math.pi, u_lo, u_hi
+        for _ in range(halvings):
+            mid = 0.5 * (a + b)
+            th = theta(s * mid)
+            a, b = (mid if th <= target else a), (mid if th >= target else b)
+        roots[i if s > 0.0 else count - 1 - i] = s * 0.5 * (a + b)
+    return count, roots
+
+
+# the paper's two sweeps, the deep well and, unjittered, the benchmark's
+# seeded depth and momentum sweeps
+PHASE_CALL_CASES = {
+    "sweep_v0-3-0:8:0.01": lambda: sweep_v0(3.0, parameter_grid(0.0, 8.0, 0.01)),
+    "sweep_k-8-0.1:6:0.01": lambda: sweep_k(8.0, parameter_grid(0.1, 6.0, 0.01)),
+    "well-200-500-5": lambda: find_roots(square_well_secular(200.0, 500.0, 5.0)),
+    **{
+        f"sweep_v0-{k}-0:{hi}-L{L}":
+            lambda k=k, hi=hi, L=L: sweep_v0(k, parameter_grid(0.0, hi, hi / 100), L)
+        for k, hi, L in ((1.5, 5.0, 1.0), (2.5, 7.0, 0.8), (3.5, 9.0, 1.2), (2.0, 6.0, 1.5))
+    },
+    **{
+        f"sweep_k-{v0}-0.1:{hi}-L{L}":
+            lambda v0=v0, hi=hi, L=L: sweep_k(v0, parameter_grid(0.1, hi, (hi - 0.1) / 100), L)
+        for v0, hi, L in ((5.0, 3.0, 1.0), (7.0, 4.0, 0.8), (9.0, 5.0, 1.2), (6.0, 6.0, 1.5))
+    },
+}
+
+
+class TestNewtonLevels:
+    """Bracketed Newton steps on the phase: the slope, the number of batched
+    phase calls, agreement with a scalar halving, termination."""
+
+    def test_slope_is_the_derivative_and_theta_is_unchanged(self):
+        rng = np.random.default_rng(7)
+        for k, v0, half_width in ((2.0, 2.0, 1.0), (3.0, 8.0, 1.0), (50.0, 120.0, 3.0), (2.0, -5.0, 1.0)):
+            band = admissible_interval(k, v0)
+            eps = band.lo + (band.hi - band.lo) * rng.uniform(0.05, 0.95, 200)
+            theta, slope = _square_well_phase_slope(k, eps, v0, half_width)
+            p = np.sqrt(np.clip(k * k - eps**2, 0.0, None))
+            q = np.sqrt(np.clip((eps + v0) ** 2 - k * k, 0.0, None))
+            assert np.array_equal(theta, 2.0 * half_width * q + np.arctan2(eps * (eps + v0) - k * k, p * q))
+            h = 1e-6 * (band.hi - band.lo)
+            up, down = (_square_well_phase(k, eps + d, v0, half_width) for d in (h, -h))
+            central = (up - down) / (2 * h)
+            np.testing.assert_allclose(slope, central, rtol=1e-6)
+            mirrored = _square_well_phase_slope(k, -eps, -v0, half_width)
+            assert np.array_equal(mirrored[0], theta) and np.array_equal(mirrored[1], -slope)
+
+    @pytest.mark.parametrize("solve", PHASE_CALL_CASES.values(), ids=PHASE_CALL_CASES.keys())
+    def test_at_most_32_batched_phase_calls(self, monkeypatch, solve):
+        calls = []
+        original = matching._square_well_phase_slope
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(matching, "_square_well_phase_slope", counted)
+        monkeypatch.setattr(spectrum, "_square_well_phase_slope", counted)
+        solve()
+        assert 0 < len(calls) <= 32
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.floats(-60.0, 60.0).filter(lambda k: abs(k) > 0.05),
+        v0=st.one_of(st.floats(-500.0, -1e-4), st.floats(1e-4, 500.0)),
+        half_width=st.floats(0.1, 3.0),
+    )
+    def test_roots_match_a_scalar_halving_of_theta(self, k, v0, half_width):
+        count, expected = halved_levels(k, v0, half_width)
+        roots = find_roots(square_well_secular(k, v0, half_width))
+        assert len(roots) == count
+        for i, root in expected.items():
+            assert abs(roots[i] - root) <= 1e-11
+
+    def test_a_misleading_slope_still_terminates(self):
+        # a slope 1000 times too steep creeps toward every root; after
+        # NEWTON_CALLS calls the open levels are bisected
+        k, v0, half_width = np.array([3.0]), np.array([8.0]), 1.0
+        calls = []
+
+        def steep(rows, eps):
+            calls.append(1)
+            theta, slope = _square_well_phase_slope(k[rows], eps, v0[rows], half_width)
+            return theta, 1e3 * slope
+
+        lo, hi = matching._square_well_band(k, v0)
+        _, _, roots = _levels_by_row(steep, lo, hi, np.array([True]))
+        np.testing.assert_allclose(roots, find_roots(square_well_secular(3.0, 8.0)), rtol=0.0, atol=1e-14)
+        assert NEWTON_CALLS < len(calls) <= NEWTON_CALLS + 60
 
 
 class TestLandauLevels:
@@ -384,6 +529,14 @@ class TestLandauLevels:
             landau_levels_proportional(0.5, -1.0, 0.0, 1)
         with pytest.raises(InvalidLevel):
             landau_levels_proportional(0.5, 1.0, 0.0, -2)
+
+    def test_level_that_overflows_raises(self):
+        # 2 n beta is inf at n = 1: refused, never returned as a level
+        assert landau_levels_magnetic(1e308, 0) == (0.0, 0.0)
+        with pytest.raises(UnsupportedRegime, match="overflows"):
+            landau_levels_magnetic(1e308, 1)
+        with pytest.raises(UnsupportedRegime, match="overflows"):
+            landau_levels_proportional(0.5, 1e308, 1.0, 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_raise_config_error(self, bad):
