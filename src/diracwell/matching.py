@@ -8,13 +8,15 @@ solution is a two-exponential combination; at a step of size J the value is
 continuous while the derivative jumps by i J psi, the imprint of the
 delta-function derivative of the profile.
 
-Two equivalent secular quantities are built from this structure: the
-closed-form determinant condition for the symmetric square well, and a
-transfer-matrix value for arbitrary piecewise profiles whose zeros mark the
-bound states.  The transfer carry, _carry, is the package's one walk
-across the steps: it gives the secular value over an energy array, and at
-a root the (psi, psi') from which states.py reads each region's
-coefficients.
+Two equivalent secular quantities are built from this structure, each
+with a phase that increases strictly across its band and crosses
+pi/2 + n pi at the bound states: the closed-form determinant condition
+for the symmetric square well, and a transfer phase for arbitrary
+piecewise profiles, the Prufer angle of the solution that decays to the
+left measured against the right exterior's decaying direction.  The
+transfer carry, _carry, is the package's one walk across the steps: it
+gives that phase and its slope over an energy array, and at a root the
+(psi, psi') from which states.py reads each region's coefficients.
 """
 
 from __future__ import annotations
@@ -41,16 +43,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SecularFunction:
-    """Real function of eps whose sign changes bracket the bound states."""
+    """Real function of eps whose sign changes at the bound states, and its
+    phase, whose crossings of pi/2 + n pi are the bound states."""
 
     f: Callable[[np.ndarray], np.ndarray]
     lo: float
     hi: float
     k: float
-    description: str = ""
     # (theta, dtheta/deps) of a monotone theta on (lo, hi) that crosses
     # pi/2 + n pi at the roots
-    phase: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    phase: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    description: str = ""
     # at least one root in exact arithmetic: a square well with k, v0 != 0
     binds: bool = False
 
@@ -261,65 +264,92 @@ def _carry(potential: PiecewiseConstant, k, eps, psi, dpsi, direction: int):
     return regions
 
 
-def _exterior_directions(k, delta, p):
-    """(psi_1, psi_2) eigenvectors of M along the growing (+p) and decaying
-    (-p) directions, in a representation that stays nonzero for the given
-    sign of k."""
+def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
+    """(theta, dtheta/deps) of a piecewise profile, elementwise in eps.
+
+    theta = pi/2 + phi(x_R) - phi_R, where phi = -arg psi_t1 is the Prufer
+    angle of the solution that decays to the left, read at every step off
+    the regions of _carry, and phi_R is the right exterior's decaying
+    direction: bound states are the crossings theta = pi/2 + n pi.  Across
+    a region phi changes by less than pi, except that an oscillatory one
+    (q^2 = -m > 0) adds sign(d) pi for each of its floor(q w / pi)
+    half-turns, each of which negates psi_t1.  (r^2 dphi/deps)' = r^2 with
+    r = 2 |psi_t1| makes dtheta/deps the integral of |psi|^2 over x < x_R
+    divided by |psi(x_R)|^2, region by region in closed form, plus the
+    right exterior's 1 / (2 p_R): theta increases strictly.  Where a
+    decay rate vanishes the slope is infinite, without a warning.
+    """
+    steps, values = potential.breakpoints, potential.values
+    d_lo, d_hi = eps - values[0], eps - values[-1]
+    p_lo = np.sqrt(np.maximum(k * k - d_lo**2, 0.0))
+    p_hi = np.sqrt(np.maximum(k * k - d_hi**2, 0.0))
+    # angles of the left exterior's growing and the right one's decaying
+    # eigenvector of M = [[k, -d], [d, -k]], (k + p, d) and (d, k + p), or
+    # for k < 0 (d, k - p) and (p - k, -d): each on one branch over the band
     if k >= 0.0:
-        grow = (k + p, delta)
-        decay = (delta, k + p)
+        phi_l, phi_r = np.arctan2(d_lo, k + p_lo), np.arctan2(k + p_hi, d_hi)
     else:
-        grow = (delta, k - p)
-        decay = (k - p, delta)
-    return grow, decay
+        phi_l, phi_r = np.arctan2(k - p_lo, d_lo), np.arctan2(-d_hi, p_hi - k)
+    seed = np.exp(-1j * phi_l)
+    regions = _carry(potential, k, eps, seed, p_lo * seed, 1)
+    theta = phi_l - phi_r + 0.5 * math.pi
+    # the solution is exp(log) (psi, psi'): integrals of |psi|^2 are summed
+    # in units of exp(2 log) at the last step, which no factor exceeds
+    last_log = regions[-1][2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area = np.exp(-2.0 * last_log) / (2.0 * p_lo)
+        for r in range(1, len(values) - 1):
+            psi, dpsi, log = regions[r]
+            end_psi, end_dpsi, end_log = regions[r + 1]
+            end_dpsi = end_dpsi - 1j * (values[r + 1] - values[r]) * end_psi  # before the jump
+            d, w = eps - values[r], steps[r] - steps[r - 1]
+            m = k * k - d * d
+            turns = np.floor(np.sqrt(np.maximum(-m, 0.0)) * w / math.pi)
+            flip = 1.0 - 2.0 * (turns % 2.0)
+            theta = theta + np.sign(d) * turns * math.pi - np.angle(flip * end_psi * np.conj(psi))
+            # 2m int |psi|^2 = [Re(conj(psi) psi')] across the region
+            # - w (|psi'|^2 - m |psi|^2), the last constant there; near
+            # m = 0 the cubic in w instead
+            cross, size, grad = (np.conj(psi) * dpsi).real, np.abs(psi) ** 2, np.abs(dpsi) ** 2
+            left = np.exp(2.0 * (log - last_log))
+            right = np.exp(2.0 * (end_log - last_log)) * (np.conj(end_psi) * end_dpsi).real
+            exact = (right - left * (cross + w * (grad - m * size))) / (2.0 * m)
+            series = left * w * (size + w * cross + w * w * grad / 3.0)
+            area = area + np.where(np.abs(m * w * w) < _SERIES_CUT, series, exact)
+        slope = area / np.abs(regions[-1][0]) ** 2 + 1.0 / (2.0 * p_hi)
+    return theta, slope
 
 
 def secular_det_general(config: FieldConfig, label: QuantumLabel):
-    """Transfer-matrix secular value for a piecewise electrostatic profile.
-
-    The pair (psi_t1, psi_t1') is seeded at the leftmost step with the
-    exact decaying exterior solution, carried through every region and
-    derivative jump by _carry, and finally projected on the component along
-    the right-growing exterior direction.  Seeding with the phase inherited
-    from the real two-component solution makes the projection real, so the
-    returned value changes sign transversally at every bound state.
+    """Transfer-matrix secular value cos(theta) of a piecewise electrostatic
+    profile, theta its phase (see _transfer_phase_slope): the value changes
+    sign transversally at every bound state.
 
     epsilon may be a float or an array (the transfer algebra is
     elementwise); exteriors that cannot decay raise UnboundedStateRequest.
     """
     pot = _electrostatic_steps(config)
     k = label.k
-    eps = np.asarray(label.epsilon, dtype=float)
-    scalar = eps.ndim == 0
-    eps = np.atleast_1d(eps)
-
-    values = pot.values
-    d_lo = eps - values[0]
-    d_hi = eps - values[-1]
-    p_lo_sq = k * k - d_lo**2
-    p_hi_sq = k * k - d_hi**2
-    if np.any(p_lo_sq <= 0.0) or np.any(p_hi_sq <= 0.0):
-        raise UnboundedStateRequest(
-            "an exterior region cannot decay at the requested (k, epsilon)"
-        )
-    p_lo = np.sqrt(p_lo_sq)
-    p_hi = np.sqrt(p_hi_sq)
-
-    grow, _ = _exterior_directions(k, d_lo, p_lo)
-    psi = 0.5 * (grow[0] - 1j * grow[1]) * np.ones_like(eps)
-    psi = _carry(pot, k, eps, psi, p_lo * psi, 1)[-1][0]
-
-    _, decay = _exterior_directions(k, d_hi, p_hi)
-    out = 2.0 * np.real(psi) * decay[1] + 2.0 * np.imag(psi) * decay[0]
-    return float(out[0]) if scalar else out
+    eps = np.atleast_1d(np.asarray(label.epsilon, dtype=float))
+    for v in (pot.values[0], pot.values[-1]):
+        if np.any(k * k - (eps - v) ** 2 <= 0.0):
+            raise UnboundedStateRequest(
+                "an exterior region cannot decay at the requested (k, epsilon)"
+            )
+    out = np.cos(_transfer_phase_slope(pot, k, eps)[0])
+    return out if np.ndim(label.epsilon) else float(out[0])
 
 
 def general_secular(config: FieldConfig, k: float) -> SecularFunction:
-    """Secular function for an arbitrary piecewise electrostatic profile.
+    """Secular function and phase of an arbitrary piecewise electrostatic
+    profile.
 
     The domain is the energy window where both exterior regions decay.
+    Raises ConfigError for a k that is not finite.
     """
     pot = _electrostatic_steps(config)
+    if not math.isfinite(k):
+        raise ConfigError(f"k must be finite, got {k}")
     kk = abs(k)
     v_lo, v_hi = pot.values[0], pot.values[-1]
     lo = max(v_lo, v_hi) - kk
@@ -329,6 +359,7 @@ def general_secular(config: FieldConfig, k: float) -> SecularFunction:
         lo=lo,
         hi=hi,
         k=k,
+        phase=lambda eps: _transfer_phase_slope(pot, k, eps),
         description=f"piecewise profile with {len(pot.breakpoints)} steps",
     )
 

@@ -4,8 +4,9 @@ Many real functions, one per row, are scanned on their own domains and
 every sign-changing bracket is bisected in lockstep, several halvings per
 batched evaluation.  Each halving is the scalar bisection's step bit for
 bit, so batching and the number of levels per call change no root.  The
-module needs numpy and imports only the package's errors: the transfer
-route and the shooting oracle share it without sharing algebra.
+module needs numpy and imports only the package's errors: the shooting
+oracle solves with it, and so shares no algebra with the phase routes of
+spectrum.py.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ solves every parameter value in one batched pass; a branch is a run of
 consecutive parameter values holding the same level.  A genuine well that
 counts no level is refused, not reported empty, and so is one whose phase
 rounding moves a level by more than DEFAULT_ROOT_TOL.
-Secular functions without a phase go to the root kernel of roots.py:
-bracketed on an edge-refined scan and bisected, all brackets in lockstep
-and several halvings per batched call.
+A piecewise well's transfer phase (matching._transfer_phase_slope) is
+solved by the same kernel, its levels counted between its phases at the
+innermost doubles of its band.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .matching import (
     _square_well_phase_slope,
     square_well_secular,
 )
-from .roots import EDGE_MARGIN, _check_scan, _roots_by_row  # noqa: F401  EDGE_MARGIN is re-exported
 
 __all__ = [
     "AdmissibleBand",
@@ -48,7 +47,6 @@ __all__ = [
     "branches_to_json_payload",
 ]
 
-DEFAULT_SCAN_POINTS = 2000
 DEFAULT_ROOT_TOL = 1e-10
 MAX_GRID_POINTS = 1_000_000
 NEWTON_CALLS = 40  # batched phase calls after which a level still open is bisected
@@ -114,6 +112,19 @@ def _level_ranges(phase, lo, hi, binds):
     return live, sign, u_lo, u_hi, th_lo, th_hi, first, count
 
 
+def _narrowed(rows, x, theta, target, a, b):
+    """Brackets [a, b] of the levels in rows, each narrowed onto the
+    nearest of its row's points x with theta at or below and above its
+    target; x holds one point per level, ordered along each row as the
+    targets are, so that theta, monotone, is ordered there too."""
+    # complex numbers order by (real, imag): by row, then by theta
+    below = np.searchsorted(rows + 1j * theta, rows + 1j * target, side="right") - 1
+    above = np.minimum(below + 1, x.size - 1)
+    a = np.where((below >= 0) & (rows[below] == rows), np.maximum(a, x[below]), a)
+    b = np.where((above > below) & (rows[above] == rows), np.minimum(b, x[above]), b)
+    return a, b
+
+
 def _levels_by_row(phase, lo, hi, binds):
     """Every level of many rows, as (row, n, root) arrays sorted by row and root.
 
@@ -123,16 +134,19 @@ def _levels_by_row(phase, lo, hi, binds):
 
     Each level takes bracketed Newton steps on its crossing, in
     u = sign * eps, from the linear interpolation of theta across its row's
-    band.  Every evaluation narrows the bracket [a, b], onto the point itself
-    where theta is the target, and a step that is not finite or leaves
-    (a, b) goes to the midpoint instead.  A step shorter than reach is
-    stretched to it; reach starts at spacing(|k|), |k| = max(|lo|, |hi|),
-    and doubles with each stretch, so that the bracket also closes from the
-    far side once theta's rounding makes the step's sign random.  A level is
-    done at b - a <= spacing(|k|), as 0.5 (a + b), and leaves the batch:
-    about 6 calls (median), and a level still open after NEWTON_CALLS calls
-    is bisected.  UnsupportedRegime when the rounding of theta,
-    spacing(theta) / theta', could move a root by more than DEFAULT_ROOT_TOL.
+    band; the first call's points, one per level, also narrow each level's
+    bracket onto its row's nearest points on either side of its target (see
+    _narrowed).  Every evaluation narrows the bracket [a, b], onto the
+    point itself where theta is the target, and a step that is not finite
+    or leaves (a, b) goes to the midpoint instead.  A step shorter than
+    reach is stretched to it; reach starts at spacing(|k|),
+    |k| = max(|lo|, |hi|), and doubles with each stretch, so that the
+    bracket also closes from the far side once theta's rounding makes the
+    step's sign random.  A level is done at b - a <= spacing(|k|), as
+    0.5 (a + b), and leaves the batch: about 6 calls (median), and a level
+    still open after NEWTON_CALLS calls is bisected.  UnsupportedRegime
+    when the rounding of theta, spacing(theta) / theta', could move a root
+    by more than DEFAULT_ROOT_TOL.
     """
     live, sign, u_lo, u_hi, th_lo, th_hi, first, count = _level_ranges(phase, lo, hi, binds)
     at = np.repeat(np.arange(live.size), count)
@@ -149,6 +163,8 @@ def _levels_by_row(phase, lo, hi, binds):
         calls += 1
         f, slope = theta - target, s * slope
         a, b = np.where(f <= 0.0, x, a), np.where(f >= 0.0, x, b)
+        if calls == 1:
+            a, b = _narrowed(rows, x, theta, target, a, b)
         done = b - a <= width
         root[todo[done]], slope_at[todo[done]] = 0.5 * (a + b)[done], slope[done]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -183,38 +199,22 @@ def _square_well_levels(k, v0, half_width):
     )
 
 
-def find_roots(
-    secular: SecularFunction,
-    scan_points: int = DEFAULT_SCAN_POINTS,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> list[float]:
-    """All roots of a secular function strictly inside its domain, sorted.
+def find_roots(secular: SecularFunction) -> list[float]:
+    """All roots of a secular function strictly inside its domain, sorted:
+    the crossings of its phase, solved level by level (see _levels_by_row).
 
-    A function with a phase (the square well) is solved level by level,
-    complete whatever the scan settings; UnsupportedRegime when it binds
-    but its level lies within a double of the band edge (see
-    _level_ranges), or when the phase's rounding could move a level by
-    more than DEFAULT_ROOT_TOL (see _levels_by_row).  Any other is scanned and bisected to width tol by
-    roots._roots_by_row, which drops roots within EDGE_MARGIN of a domain
-    edge.  Raises ConfigError for fewer than two scan points or a tol that
-    is not finite and positive.
+    UnsupportedRegime when it binds but its level lies within a double of
+    the band edge (see _level_ranges), or when the phase's rounding could
+    move a level by more than DEFAULT_ROOT_TOL.
     """
-    _check_scan(scan_points, tol)
-    if secular.phase is not None:
-        lo, hi = np.array([secular.lo]), np.array([secular.hi])
-        return _levels_by_row(lambda rows, eps: secular.phase(eps), lo, hi, secular.binds)[2].tolist()
-    return _roots_by_row(
-        lambda rows, eps: secular(eps), [secular.lo], [secular.hi], scan_points, tol
-    )[0]
+    lo, hi = np.array([secular.lo]), np.array([secular.hi])
+    return _levels_by_row(lambda rows, eps: secular.phase(eps), lo, hi, secular.binds)[2].tolist()
 
 
 def count_bound_states(k: float, v0: float, half_width: float = 1.0) -> int:
-    """Number of square-well bound states at fixed (k, v0), in closed form;
-    UnsupportedRegime for a well whose level no double resolves."""
-    sec = square_well_secular(k, v0, half_width)
-    lo, hi = np.array([sec.lo]), np.array([sec.hi])
-    *_, count = _level_ranges(lambda rows, eps: sec.phase(eps), lo, hi, sec.binds)
-    return int(count.sum())
+    """Number of square-well bound states at fixed (k, v0): the length of
+    find_roots, so it raises the same UnsupportedRegime."""
+    return len(find_roots(square_well_secular(k, v0, half_width)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracwell import (
     FieldConfig,
     PiecewiseConstant,
     QuantumLabel,
+    count_bound_states,
     find_roots,
     general_secular,
     secular_det_general,
@@ -82,8 +85,8 @@ class TestTransferRoute:
         for _ in range(20):
             k = float(rng.uniform(0.5, 5.0))
             v0 = float(rng.uniform(0.5, 10.0))
-            closed = find_roots(square_well_secular(k, v0), scan_points=10_000)
-            general = find_roots(general_secular(square_well_config(v0), k), scan_points=10_000)
+            closed = find_roots(square_well_secular(k, v0))
+            general = find_roots(general_secular(square_well_config(v0), k))
             assert len(closed) == len(general)
             for a, b in zip(closed, general):
                 assert abs(a - b) < 1e-8
@@ -138,8 +141,101 @@ class TestTransferRoute:
         with pytest.raises(ConfigError):
             secular_det_general(FieldConfig(electric=Lorentzian(-2.0)), QuantumLabel(2.0, 0.5))
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_k(self, k):
+        with pytest.raises(ConfigError):
+            general_secular(square_well_config(2.0), k)
+
+    @pytest.mark.parametrize(
+        "k, v0, half_width, count",
+        [(2.0, 2.0, 1.0, 3), (3.0, 8.0, 1.0, 5), (50.0, 120.0, 3.0, 218), (200.0, 500.0, 5.0, 1425),
+         (2.0, 1e-4, 1.0, 1), (50.0, 20.0, 3.0, 94)],
+    )
+    def test_band_edge_levels_match_the_closed_form(self, k, v0, half_width, count):
+        # (2, 1e-4) binds its level and (50, 20) its top levels within 1e-4
+        # of the band edge, where a scan of the secular value lost them
+        closed = find_roots(square_well_secular(k, v0, half_width))
+        transfer = find_roots(general_secular(square_well_config(v0, half_width), k))
+        assert len(transfer) == len(closed) == count
+        np.testing.assert_allclose(transfer, closed, rtol=0.0, atol=1e-10)
+
     def test_negative_k_mirror(self):
         # spectrum depends on |k| for the electrostatic well
         plus = find_roots(general_secular(square_well_config(2.0), 2.0))
         minus = find_roots(general_secular(square_well_config(2.0), -2.0))
         assert minus == pytest.approx(plus, abs=1e-9)
+
+
+def scan_count(steps, values, k, points=20_000):
+    """Reference level count of a piecewise well: sign changes of
+    det(psi(x_R), decaying direction) on a scan refined geometrically down
+    to the innermost doubles of the band, psi carried across the regions
+    by the real system psi' = M psi, M = [[k, -d], [d, -k]], d = eps - v,
+    and renormalized after each."""
+    lo, hi = max(values[0], values[-1]) - abs(k), min(values[0], values[-1]) + abs(k)
+    if not lo < hi:
+        return 0
+    edge = (hi - lo) * np.geomspace(1e-18, 1.0 / (points + 1), 60)
+    eps = np.concatenate([lo + edge, np.linspace(lo, hi, points + 2)[1:-1], hi - edge])
+    eps = np.unique(np.clip(eps, np.nextafter(lo, hi), np.nextafter(hi, lo)))  # down to the innermost doubles
+    d = eps - values[0]
+    p = np.sqrt(k * k - d * d)
+    psi = np.array([k + p, d]) if k >= 0 else np.array([d, k - p])  # growing to the right
+    for r in range(1, len(values) - 1):
+        d, w = eps - values[r], steps[r] - steps[r - 1]
+        m = k * k - d * d
+        rate = np.sqrt(np.abs(m))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # exp(M w) = c I + s M, times exp(-rate w) where m > 0
+            c = np.where(m > 0, 0.5 * (1 + np.exp(-2 * rate * w)), np.cos(rate * w))
+            s = np.where(m > 0, (1 - np.exp(-2 * rate * w)) / (2 * rate), np.sin(rate * w) / rate)
+        s = np.where(rate > 0, s, w)
+        psi = c * psi + s * np.array([k * psi[0] - d * psi[1], d * psi[0] - k * psi[1]])
+        psi = psi / np.hypot(*psi)
+    d = eps - values[-1]
+    p = np.sqrt(k * k - d * d)
+    decay = np.array([d, k + p]) if k >= 0 else np.array([k - p, d])
+    det = np.sign(psi[0] * decay[1] - psi[1] * decay[0])
+    return int(np.count_nonzero(det[:-1] * det[1:] < 0))
+
+
+@st.composite
+def piecewise_wells(draw):
+    """(steps, values, k): 1-4 inner regions, barriers up to 6 wide, each
+    region a little wider than the one before so that no two wells are
+    copies whose levels pair up within one scan cell."""
+    n = draw(st.integers(1, 4))
+    widths = np.array(draw(st.lists(st.floats(0.05, 6.0), min_size=n, max_size=n))) + 0.01 * np.arange(n)
+    steps = tuple(np.cumsum(np.r_[-1.0, widths]).tolist())
+    inner = draw(st.lists(st.floats(-30.0, 15.0), min_size=n, max_size=n))
+    outer = draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+    k = draw(st.floats(0.3, 8.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return steps, (outer[0], *inner, outer[1]), k
+
+
+class TestTransferPhase:
+    """The transfer phase counts and places every level: against the closed
+    form on square wells and against a dense scan on asymmetric wells."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.floats(-60.0, 60.0).filter(lambda k: abs(k) > 0.05),
+        v0=st.one_of(st.floats(-500.0, -1e-4), st.floats(1e-4, 500.0)),
+        half_width=st.floats(0.1, 10.0),
+    )
+    def test_square_wells_match_the_closed_form(self, k, v0, half_width):
+        transfer = find_roots(general_secular(square_well_config(v0, half_width), k))
+        assert len(transfer) == count_bound_states(k, v0, half_width)
+        closed = find_roots(square_well_secular(k, v0, half_width))
+        np.testing.assert_allclose(transfer, closed, rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(well=piecewise_wells())
+    @example(well=((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5), 2.0))  # TestCarry's
+    @example(well=((-2.0, -0.5, 0.5, 2.0), (0.0, -5.0, 0.0, -5.0, 0.0), 2.0))  # TestEvanescentBarrier's
+    @example(well=((-22.0, -20.0, 20.0, 22.0), (0.0, -60.0, 0.0, -47.0, 0.0), 40.0))  # 109 levels
+    def test_piecewise_wells_match_a_dense_scan(self, well):
+        steps, values, k = well
+        roots = find_roots(general_secular(FieldConfig(electric=PiecewiseConstant(steps, values)), k))
+        assert len(roots) == scan_count(steps, values, k)
+        assert np.all(np.diff(roots) > 0.0)

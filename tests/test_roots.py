@@ -16,8 +16,9 @@ from diracwell import (
     general_secular,
     shooting_bound_states,
     square_well_config,
+    square_well_secular,
 )
-from diracwell.roots import EDGE_POINTS, _bisect, _scan_grid
+from diracwell.roots import EDGE_POINTS, _bisect, _roots_by_row, _scan_grid
 
 
 def scalar_bisection(f, a, b, fa, tol):
@@ -154,14 +155,28 @@ class TestLevelsPerCall:
         assert (sizes[0] > 6) == (budget >= 18)  # two levels fit from 6 * 3 points on
 
     def test_transfer_route_takes_few_calls(self):
-        secular = general_secular(square_well_config(8.0, 1.2), 3.0)
+        # the phases at the levels' start points narrow every bracket once:
+        # without that, Newton steps on the transfer phase, which wiggles
+        # within each half-turn, took 84 calls here
+        secular = general_secular(square_well_config(500.0, 5.0), 200.0)
         calls = []
 
         def counted(eps):
             calls.append(np.size(eps))
+            return secular.phase(eps)
+
+        assert len(find_roots(dataclasses.replace(secular, phase=counted))) == 1425
+        assert len(calls) <= 16
+
+    def test_scan_and_bisection_take_few_calls(self):
+        secular = square_well_secular(3.0, 8.0, 1.2)
+        calls = []
+
+        def counted(rows, eps):
+            calls.append(np.size(eps))
             return secular.f(eps)
 
-        roots = find_roots(dataclasses.replace(secular, f=counted))
+        roots = _roots_by_row(counted, [secular.lo], [secular.hi], 2000, 1e-10)[0]
         assert len(roots) == 6
         assert len(calls) <= 6  # one scan, then a few calls of several levels each
         assert max(calls) == calls[0]

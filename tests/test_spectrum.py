@@ -27,16 +27,9 @@ from diracwell import (
 )
 from diracwell.errors import ConfigError, InvalidLevel, UnsupportedRegime
 from diracwell import matching, spectrum
-from diracwell.matching import (
-    _square_well_phase,
-    _square_well_phase_slope,
-    general_secular,
-    square_well_config,
-)
-from diracwell.roots import _scan_grid
+from diracwell.matching import _square_well_phase, _square_well_phase_slope
+from diracwell.roots import EDGE_MARGIN, _roots_by_row, _scan_grid
 from diracwell.spectrum import (
-    DEFAULT_SCAN_POINTS,
-    EDGE_MARGIN,
     MAX_GRID_POINTS,
     NEWTON_CALLS,
     _levels_by_row,
@@ -119,27 +112,11 @@ class TestFindRoots:
         roots = find_roots(square_well_secular(k, v0, half_width))
         assert len(roots) == count_bound_states(k, v0, half_width) == count
 
-    @pytest.mark.parametrize("scan_points", [1, 0, -5])
-    def test_rejects_too_few_scan_points(self, scan_points):
-        with pytest.raises(ConfigError):
-            find_roots(square_well_secular(3.0, 8.0), scan_points=scan_points)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
-    def test_rejects_tolerance_that_is_not_finite_and_positive(self, tol):
-        with pytest.raises(ConfigError):
-            find_roots(square_well_secular(2.0, 2.0), tol=tol)
-
     def test_tolerance_below_double_spacing_terminates(self):
-        secular = general_secular(square_well_config(2.0), 2.0)
-        tiny = find_roots(secular, tol=1e-300)
+        sec = square_well_secular(2.0, 2.0)
+        tiny = kernel_roots(sec.f, sec.lo, sec.hi, tol=1e-300)
         assert len(tiny) == 3
-        np.testing.assert_allclose(tiny, find_roots(secular), rtol=0.0, atol=1e-10)
-
-    def test_scan_resolution_consistency(self):
-        secular = general_secular(square_well_config(8.0), 3.0)
-        coarse = find_roots(secular, scan_points=500)
-        fine = find_roots(secular, scan_points=5000)
-        assert coarse == pytest.approx(fine, abs=1e-8)
+        np.testing.assert_allclose(tiny, kernel_roots(sec.f, sec.lo, sec.hi), rtol=0.0, atol=1e-10)
 
 
 class TestParameterGrid:
@@ -237,16 +214,25 @@ def samples_by_param(branches):
     return {p: sorted(es) for p, es in out.items()}
 
 
-def scalar_roots(secular, tol=1e-10, margin=EDGE_MARGIN):
+SCAN_POINTS = 2000
+
+
+def kernel_roots(f, lo, hi, tol=1e-10):
+    """Roots of the plain function f on (lo, hi) by the scan-and-bisect
+    kernel that the shooting oracle uses."""
+    return _roots_by_row(lambda rows, eps: f(eps), [lo], [hi], SCAN_POINTS, tol)[0]
+
+
+def scalar_roots(f, lo, hi, tol=1e-10, margin=EDGE_MARGIN):
     """Reference: the same scan, then one scalar bisection per bracket."""
-    grid = _scan_grid(np.array([secular.lo]), np.array([secular.hi]), DEFAULT_SCAN_POINTS, margin)[0]
-    vals = secular(grid)
+    grid = _scan_grid(np.array([lo]), np.array([hi]), SCAN_POINTS, margin)[0]
+    vals = f(grid)
     roots = [float(x) for x in grid[vals == 0.0]]
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
         a, b, fa = grid[i], grid[i + 1], vals[i]
         while b - a > tol:
             mid = 0.5 * (a + b)
-            fm = secular(mid)
+            fm = f(mid)
             if fm == 0.0:
                 a = b = mid
             elif (fa < 0.0) == (fm < 0.0):
@@ -254,18 +240,18 @@ def scalar_roots(secular, tol=1e-10, margin=EDGE_MARGIN):
             else:
                 b = mid
         roots.append(float(0.5 * (a + b)))
-    return sorted(r for r in roots if r - secular.lo > margin and secular.hi - r > margin)
+    return sorted(r for r in roots if r - lo > margin and hi - r > margin)
 
 
 class TestBatchedKernel:
-    """Scanned brackets are bisected in lockstep and sweeps solve all
+    """The scan kernel bisects its brackets in lockstep and sweeps solve all
     parameter values in one pass; every root must still be the scalar
     bisection's, or the single well's, bit for bit."""
 
     @pytest.mark.parametrize("k,v0,half_width", [(2, 2, 1), (3, 8, 1), (-4, 11, 0.7), (50, 120, 3)])
     def test_roots_equal_scalar_bisection(self, k, v0, half_width):
-        secular = general_secular(square_well_config(v0, half_width), k)
-        assert find_roots(secular) == scalar_roots(secular)
+        sec = square_well_secular(k, v0, half_width)
+        assert kernel_roots(sec.f, sec.lo, sec.hi) == scalar_roots(sec.f, sec.lo, sec.hi)
 
     def test_sweep_k_rows_equal_single_solves(self):
         params = parameter_grid(-3.0, 3.0, 0.5)  # hits k = 0 exactly
@@ -291,12 +277,12 @@ class TestBatchedKernel:
         tol=st.sampled_from([1e-10, 1e-7, 1e-4]),
     )
     def test_every_root_sits_in_a_sign_changing_bracket(self, k, v0, half_width, tol):
-        secular = general_secular(square_well_config(v0, half_width), k)
-        for r in find_roots(secular, tol=tol):
+        sec = square_well_secular(k, v0, half_width)
+        for r in kernel_roots(sec.f, sec.lo, sec.hi, tol):
             # the final bracket lies on the scan, inside the edge margins
-            probes = np.clip([r - 0.5 * tol, r + 0.5 * tol], secular.lo + EDGE_MARGIN, secular.hi - EDGE_MARGIN)
-            left, right = secular(probes)
-            assert secular(r) == 0.0 or left * right < 0.0
+            probes = np.clip([r - 0.5 * tol, r + 0.5 * tol], sec.lo + EDGE_MARGIN, sec.hi - EDGE_MARGIN)
+            left, right = sec(probes)
+            assert sec(r) == 0.0 or left * right < 0.0
 
 
 class TestPhaseLevels:
@@ -362,7 +348,8 @@ class TestPhaseLevels:
             find_roots(square_well_secular(2.0, v0))
         with pytest.raises(UnsupportedRegime, match="phase rounding moves"):
             sweep_v0(2.0, [1.0, v0])
-        assert count_bound_states(2.0, v0) >= 3  # the count itself stays exact
+        with pytest.raises(UnsupportedRegime, match="phase rounding moves"):
+            count_bound_states(2.0, v0)  # the count is the solve's
 
     def test_zero_depth_or_momentum_stays_empty(self):
         assert find_roots(square_well_secular(1.0, 0.0)) == []
