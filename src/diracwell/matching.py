@@ -53,7 +53,6 @@ class SecularFunction:
     # (theta, dtheta/deps) of a monotone theta on (lo, hi) that crosses
     # pi/2 + n pi at the roots
     phase: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    description: str = ""
     # at least one root in exact arithmetic: a square well with k, v0 != 0
     binds: bool = False
 
@@ -107,21 +106,16 @@ def _square_well_secular_value(k, epsilon, v0, half_width):
     ) * np.sin(2.0 * half_width * q)
 
 
-def _square_well_phase(k, epsilon, v0, half_width):
-    """Phase theta = 2Lq + atan2(eps(eps+v0) - k^2, pq): the secular value
-    is hypot(pq, eps(eps+v0) - k^2) cos(theta).  theta increases across a
-    well's band and, unchanged bit for bit by (eps, v0) -> (-eps, -v0),
-    decreases across a barrier's."""
-    return _square_well_phase_slope(k, epsilon, v0, half_width)[0]
-
-
 def _square_well_phase_slope(k, epsilon, v0, half_width):
-    """(theta, dtheta/deps) of _square_well_phase.
+    """(theta, dtheta/deps) of the phase theta = 2Lq + atan2(N, D) with
+    N = eps(eps+v0) - k^2 and D = pq: the secular value is
+    hypot(D, N) cos(theta).  theta increases across a well's band and,
+    unchanged bit for bit by (eps, v0) -> (-eps, -v0), decreases across a
+    barrier's.
 
-    With N = eps(eps+v0) - k^2 and D = pq, dtheta/deps is
-    2L(eps+v0)/q + (N'D - ND')/(N^2 + D^2), where N' = 2 eps + v0 and
-    D' = (p^2 (eps+v0) - eps q^2)/(pq).  Where p or q vanishes the slope is
-    infinite or NaN, without a warning.
+    dtheta/deps is 2L(eps+v0)/q + (N'D - ND')/(N^2 + D^2), where
+    N' = 2 eps + v0 and D' = (p^2 (eps+v0) - eps q^2)/(pq).  Where p or q
+    vanishes the slope is infinite or NaN, without a warning.
     """
     eps = np.asarray(epsilon, dtype=float)
     p, q = _square_well_pq(k, eps, v0)
@@ -176,7 +170,6 @@ def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> Secular
         lo=float(lo),
         hi=float(hi),
         k=k,
-        description=f"square well v0={v0}, half_width={half_width}",
         phase=lambda eps: _square_well_phase_slope(k, eps, v0, half_width),
         binds=bool(k != 0.0 and v0 != 0.0),
     )
@@ -360,7 +353,6 @@ def general_secular(config: FieldConfig, k: float) -> SecularFunction:
         hi=hi,
         k=k,
         phase=lambda eps: _transfer_phase_slope(pot, k, eps),
-        description=f"piecewise profile with {len(pot.breakpoints)} steps",
     )
 
 

@@ -4,8 +4,10 @@ Nothing here shares algebra with the matching construction.  The grid
 route discretizes the decoupled second-order problem with a three-point
 stencil and Dirichlet walls; the shooting route integrates the coupled
 first-order system numerically from both exteriors and looks for the
-matching determinant to vanish.  Agreement between these and the secular
-roots is the main correctness evidence for the solver.
+matching determinant to vanish, which it finds with its own scan and
+lockstep bisection: the module imports only core and errors from the
+package.  Agreement between these and the secular roots is the main
+correctness evidence for the solver.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .core import (
     evaluate_potential,
 )
 from .errors import ConfigError, GridTooCoarse, NonDecayingExterior, UnsupportedRegime
-from .roots import EDGE_POINTS, _check_scan, _roots_by_row
 
 __all__ = [
     "GridSpec",
@@ -41,6 +42,8 @@ DEFAULT_STEP = 1e-3
 SMOOTH_TAIL_TOL = 1e-8
 SMOOTH_WINDOW_CAP = 50.0
 PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth march
+EDGE_POINTS = 12  # geometric scan points toward each band edge of a stepwise profile
+EDGE_MARGIN = 1e-6  # roots this close to a band edge are dropped
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +61,8 @@ class GridSpec:
     boundary: str = "dirichlet"
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.points < 3:
@@ -120,8 +125,11 @@ def proportional_oscillator_levels(
 
     The window spans +/- span oscillator lengths.  With richardson=True the
     three-point values at h and h/2 are extrapolated, removing the leading
-    h^2 error.
+    h^2 error.  Raises ValueError for a non-finite alpha or beta or a beta
+    that is not positive, and UnsupportedRegime for |alpha| >= 1.
     """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
     if abs(alpha) >= 1.0:
         raise UnsupportedRegime(
             f"oscillator reduction requires |alpha| < 1, got {alpha}"
@@ -449,6 +457,135 @@ def dirac_shooting(
     return det if np.ndim(epsilon) else float(det[0])
 
 
+# ---------------------------------------------------------------------------
+# roots of the matching determinant: a scan, then lockstep bisection
+# ---------------------------------------------------------------------------
+
+
+def _scan_grid(lo, hi, scan_points, stepwise) -> np.ndarray:
+    """Scan energies of the band (lo, hi).
+
+    scan_points uniform interior points and, for a stepwise profile,
+    EDGE_POINTS toward each edge, geometric from 2 * EDGE_MARGIN out to the
+    outermost uniform point, so a root inside an edge cell is bracketed
+    too.  They fall on the outermost uniform points when 2 * EDGE_MARGIN is
+    not below one cell.
+    """
+    uniform = np.linspace(lo, hi, scan_points + 2)[1:-1]
+    if not stepwise:
+        return uniform
+    cell = (hi - lo) / (scan_points + 1)
+    near = min(2.0 * EDGE_MARGIN / cell, 1.0)
+    offsets = cell * near ** (1.0 - np.arange(EDGE_POINTS) / EDGE_POINTS)
+    low = np.minimum(lo + offsets, uniform[0])
+    high = np.maximum(hi - offsets[::-1], uniform[-1])
+    return np.concatenate([low, uniform, high])
+
+
+def _depth(live, budget, a, b, tol) -> int:
+    """Halvings per call: the most whose midpoint tree, 2^depth - 1 points
+    per bracket, keeps the call within budget points, at least one, spread
+    evenly over the calls that the widest bracket still needs to reach tol
+    or adjacent doubles."""
+    most = max(1, (int(budget) // live + 1).bit_length() - 1)
+    if most == 1:
+        return 1
+    floor = np.maximum(tol, np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    need = max(1, int(np.ceil(np.log2(np.max((b - a) / floor)))))
+    calls = -(-need // most)
+    return -(-need // calls)
+
+
+def _midpoints(a, b, depth) -> np.ndarray:
+    """Every midpoint that depth halvings of the brackets [a, b] can visit,
+    shaped (brackets, 2^depth - 1): level j's 2^j midpoints, in order, start
+    at column 2^j - 1.  Each is 0.5 * (a + b) of its parent interval, as in
+    scalar bisection, whose bracket is always a pair of neighbouring ends
+    of one level."""
+    levels = [0.5 * (a + b)[:, None]]
+    ends = np.stack([a, levels[0][:, 0], b], axis=1)
+    for _ in range(depth - 1):
+        mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
+        levels.append(mid)
+        grown = np.empty((ends.shape[0], 2 * ends.shape[1] - 1))
+        grown[:, ::2] = ends
+        grown[:, 1::2] = mid
+        ends = grown
+    return np.concatenate(levels, axis=1)
+
+
+def _bisect(values, a, b, fa, tol, budget) -> np.ndarray:
+    """Midpoints of the sign-changing brackets [a, b] of values, a function
+    of an energy array, bisected to width tol.
+
+    Each call evaluates every midpoint the next few halvings can visit (see
+    _depth, _midpoints) and replays the scalar steps on them: a bracket
+    halves at 0.5 * (a + b), keeps the right half when the midpoint value
+    has the sign of fa, stops on an exact zero and freezes as soon as
+    b - a <= tol, so no bit of a root depends on the batching.  A bracket
+    whose midpoint is not strictly inside it freezes too, so a tol below
+    the spacing of doubles ends at adjacent doubles.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    live = np.flatnonzero(b - a > tol)
+    # the live brackets' state, compacted only when some bracket freezes
+    al, bl, fl = a[live], b[live], np.asarray(fa, dtype=float)[live]
+    while live.size:
+        depth = _depth(live.size, budget, al, bl, tol)
+        if depth == 1:
+            mids, node = 0.5 * (al + bl), slice(None)
+        else:
+            # each bracket's tree is a heap: node h has children 2h + 1 (left
+            # half) and 2h + 2 (right half), at flat index base + h
+            mids = _midpoints(al, bl, depth)
+            node = base = np.arange(live.size) * mids.shape[1]
+            mids = mids.ravel()
+        fm = np.asarray(values(mids), dtype=float)
+        for level in range(depth):
+            m, f = mids[node], fm[node]
+            inside = (al < m) & (m < bl)
+            go = inside if level == 0 else go & inside
+            # fa need not follow a: only whether it is negative is read,
+            # and a moves only to midpoints that agree with it on that
+            same = (fl < 0.0) == (f < 0.0)
+            right = go & same
+            al = np.where(right, m, al)
+            bl = np.where(go ^ right, m, bl)
+            if not f.all():  # an exact zero shrinks its bracket onto m
+                zero = go & (f == 0.0)
+                al = np.where(zero, m, al)
+                bl = np.where(zero, m, bl)
+            go &= bl - al > tol
+            if level + 1 < depth:
+                node = 2 * node - base + 1 + same
+        if not go.all():
+            a[live], b[live] = al, bl
+            live, al, bl, fl = live[go], al[go], bl[go], fl[go]
+    return 0.5 * (a + b)
+
+
+def _scan_roots(values, lo, hi, scan_points, tol, stepwise) -> list[float]:
+    """Sorted roots of values on the open band (lo, hi): the brackets of
+    _scan_grid, bisected together by _bisect in calls of up to the scan's
+    size for a stepwise profile and of one halving for a smooth one, whose
+    march costs in proportion to its energies.  Roots within EDGE_MARGIN of
+    an edge are dropped: the determinant can vanish at a band edge without
+    a bound state there."""
+    if not lo < hi:
+        return []
+    grid = _scan_grid(lo, hi, scan_points, stepwise)
+    vals = np.asarray(values(grid), dtype=float)
+    sign = np.sign(vals)
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    bracketed = _bisect(values, grid[i], grid[i + 1], vals[i], tol, grid.size if stepwise else 0)
+    # a scan point on a root counts once, also where edge points coincide
+    fresh = np.concatenate([[True], grid[1:] > grid[:-1]])
+    roots = np.concatenate([bracketed, grid[(sign == 0) & fresh]])
+    roots = roots[(roots - lo > EDGE_MARGIN) & (hi - roots > EDGE_MARGIN)]
+    return np.sort(roots).tolist()
+
+
 def shooting_bound_states(
     config: FieldConfig,
     k: float,
@@ -459,31 +596,26 @@ def shooting_bound_states(
 ) -> list[float]:
     """Bound-state energies of a field configuration by pure shooting.
 
-    A batched scan over the exterior-decay band brackets sign changes of
-    the matching determinant at scan_points uniform points.  A stepwise
-    profile adds EDGE_POINTS toward each edge, geometric from
-    2 * EDGE_MARGIN out to the outermost uniform point (or on it), so a
-    root in an edge cell is bracketed too; a smooth profile's levels can
-    crowd geometrically into a band edge (the Lorentzian's do), where no
-    finite scan completes them.  The brackets are then bisected by the
-    package's root kernel (see roots._bisect): each batched determinant
-    evaluation, no larger than the scan, takes every bracket several
-    halvings further, and a bracket stops at width tol, on an exact zero
-    or at adjacent doubles.  Roots within EDGE_MARGIN of the band edges
-    are discarded.  Raises ConfigError for fewer than two scan points, a
-    tol that is not finite and positive, or a k or step that
-    dirac_shooting rejects.
+    The zeros of dirac_shooting's matching determinant on the band where
+    both exteriors decay, found by _scan_roots: scan_points uniform scan
+    points (with EDGE_POINTS toward each edge for a stepwise profile; a
+    smooth profile's levels can crowd into a band edge, where no finite
+    scan completes them), each bracket bisected to width tol, an exact
+    zero or adjacent doubles, and roots within EDGE_MARGIN of an edge
+    dropped.  Raises ConfigError for a scan_points that is not an integer
+    of at least two, a tol that is not finite and positive, or a k or step
+    that dirac_shooting rejects.
     """
-    _check_scan(scan_points, tol)
+    if not isinstance(scan_points, (int, np.integer)) or scan_points < 2:
+        raise ConfigError(f"scan_points must be an integer of at least 2, got {scan_points!r}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
     _check_momentum_and_step(k, step)
     _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
     lo = max(v_minus - abs(k + a_minus), v_plus - abs(k + a_plus))
     hi = min(v_minus + abs(k + a_minus), v_plus + abs(k + a_plus))
-    # a smooth march costs in proportion to its energies: one halving a call
-    stepwise = _is_stepwise(config.electric) and _is_stepwise(config.magnetic)
-    return _roots_by_row(
-        lambda rows, eps: dirac_shooting(config, QuantumLabel(k, eps), step, x_match),
-        [lo], [hi], scan_points, tol,
-        edge_points=EDGE_POINTS if stepwise else 0,
-        budget=None if stepwise else 0,
-    )[0]
+    return _scan_roots(
+        lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step, x_match),
+        lo, hi, scan_points, tol,
+        stepwise=_is_stepwise(config.electric) and _is_stepwise(config.magnetic),
+    )

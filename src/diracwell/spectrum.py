@@ -11,7 +11,8 @@ counts no level is refused, not reported empty, and so is one whose phase
 rounding moves a level by more than DEFAULT_ROOT_TOL.
 A piecewise well's transfer phase (matching._transfer_phase_slope) is
 solved by the same kernel, its levels counted between its phases at the
-innermost doubles of its band.
+innermost doubles of its band.  Only the shooting oracle, kept
+independent of this level kernel, scans and bisects (oracle._scan_roots).
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ class AdmissibleBand:
     @property
     def empty(self) -> bool:
         return not (self.lo < self.hi)
-
-    def contains(self, epsilon: float, margin: float = 0.0) -> bool:
-        return self.lo + margin < epsilon < self.hi - margin
 
 
 def admissible_interval(k: float, v0: float) -> AdmissibleBand:

@@ -2,8 +2,10 @@
 second-order problem and two-sided shooting on the first-order system.
 These share no algebra with the matching construction they check."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,12 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 2)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 100, boundary="periodic")
+
+    @pytest.mark.parametrize("x_min, x_max", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                                              (-math.inf, 1.0), (-math.inf, math.inf)])
+    def test_non_finite_bounds(self, x_min, x_max):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(x_min, x_max, 10)
 
     def test_spacing_and_refinement(self):
         spec = GridSpec(0.0, 1.0, 11)
@@ -121,6 +129,15 @@ class TestProportionalOscillator:
             proportional_oscillator_levels(1.0, 1.0, 3)
         with pytest.raises(ValueError):
             proportional_oscillator_levels(0.5, 0.0, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs(self, bad):
+        # a NaN beta failed inside scipy and an infinite one as a grid
+        # whose x_max did not exceed x_min
+        with pytest.raises(ValueError, match="finite"):
+            proportional_oscillator_levels(0.5, bad, 3)
+        with pytest.raises(ValueError, match="finite"):
+            proportional_oscillator_levels(bad, 1.0, 3)
 
 
 class TestDiracShooting:
@@ -338,6 +355,16 @@ class TestShootingInputs:
         with pytest.raises(ConfigError):
             shooting_bound_states(square_well_config(2.0), 2.0, scan_points=1)
 
+    @pytest.mark.parametrize("scan_points", [2.5, 300.0, "300", None])
+    def test_scan_points_must_be_an_integer(self, scan_points):
+        with pytest.raises(ConfigError, match="integer"):
+            shooting_bound_states(square_well_config(2.0), 2.0, scan_points=scan_points)
+
+    def test_numpy_integer_scan_points(self):
+        config = square_well_config(2.0)
+        assert shooting_bound_states(config, 2.0, scan_points=np.int64(50)) == shooting_bound_states(
+            config, 2.0, scan_points=50)
+
     @pytest.mark.parametrize("k, eps", [(2.0, float("nan")), (float("nan"), 0.5)])
     def test_non_finite_label(self, k, eps):
         with pytest.raises(ConfigError):
@@ -443,3 +470,14 @@ class TestStepwisePower:
         shot = shooting_bound_states(config, 40.0, step=2e-4)
         assert len(shot) == len(transfer)
         np.testing.assert_allclose(shot, transfer, rtol=0.0, atol=1e-5)
+
+
+def test_oracle_imports_only_core_and_errors_from_the_package():
+    # the oracles' agreement with the matching routes is evidence only while
+    # they share no code with them
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
+    assert relative == {"core", "errors"}
+    assert not any(name.split(".")[0] == "diracwell" for name in absolute)

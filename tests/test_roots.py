@@ -1,6 +1,6 @@
-"""The shared root kernel: its scan, several bisection levels per batched
-call, and the shooting route built on it.  Every root must be a scalar
-bisection's, bit for bit, however many levels a call takes."""
+"""The shooting oracle's root kernel: its scan, several bisection levels
+per batched call, and the shooting route built on it.  Every root must be
+a scalar bisection's, bit for bit, however many levels a call takes."""
 
 import dataclasses
 
@@ -18,7 +18,8 @@ from diracwell import (
     square_well_config,
     square_well_secular,
 )
-from diracwell.roots import EDGE_POINTS, _bisect, _roots_by_row, _scan_grid
+from diracwell import oracle
+from diracwell.oracle import EDGE_MARGIN, EDGE_POINTS, _bisect, _scan_grid, _scan_roots
 
 
 def scalar_bisection(f, a, b, fa, tol):
@@ -37,9 +38,19 @@ def scalar_bisection(f, a, b, fa, tol):
     return 0.5 * (a + b)
 
 
+def scalar_roots(f, lo, hi, scan_points, tol):
+    """Reference: the stepwise scan, then one scalar bisection per bracket."""
+    grid = _scan_grid(lo, hi, scan_points, stepwise=True)
+    vals = f(grid)
+    roots = [float(x) for x in grid[vals == 0.0]]
+    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+        roots.append(float(scalar_bisection(f, grid[i], grid[i + 1], vals[i], tol)))
+    return sorted(r for r in roots if r - lo > EDGE_MARGIN and hi - r > EDGE_MARGIN)
+
+
 def old_shooting_scan(lo, hi, scan_points, edge_margin):
-    """The stepwise scan shooting_bound_states built on its own before it
-    took the shared grid."""
+    """The stepwise scan shooting_bound_states built on its own before its
+    root kernel existed, at any edge margin."""
     grid = np.linspace(lo, hi, scan_points + 2)[1:-1]
     cell = (hi - lo) / (scan_points + 1)
     near = min(2.0 * edge_margin / cell, 1.0) if edge_margin > 0.0 else 1.0
@@ -49,21 +60,24 @@ def old_shooting_scan(lo, hi, scan_points, edge_margin):
 
 
 BANDS = [(-2.0, 2.0), (0.0, 2.0), (-50.0, 50.0), (-2.2, -0.3), (1.9999, 2.0)]
-SCANS = [(2, 1e-6), (50, 0.0), (50, 1e-6), (500, 1e-6), (500, 0.05), (2000, 1e-6), (2000, 1e-12)]
+# the margin is the constant EDGE_MARGIN; 0.05 and 1e-12 patched in check the
+# geometric edge points where 2 * margin exceeds a cell or lies far below one
+SCANS = [(2, 1e-6), (50, 1e-6), (500, 1e-6), (500, 0.05), (2000, 1e-6), (2000, 1e-12)]
 
 
 class TestScanGrid:
     @pytest.mark.parametrize("band", BANDS)
     @pytest.mark.parametrize("scan_points, edge_margin", SCANS)
-    def test_shooting_scan_is_the_shared_grid(self, band, scan_points, edge_margin):
+    def test_shooting_scan_is_the_shared_grid(self, band, scan_points, edge_margin, monkeypatch):
+        monkeypatch.setattr(oracle, "EDGE_MARGIN", edge_margin)
         lo, hi = band
-        shared = _scan_grid(np.array([lo]), np.array([hi]), scan_points, edge_margin)[0]
-        np.testing.assert_array_equal(shared, old_shooting_scan(lo, hi, scan_points, edge_margin))
+        grid = _scan_grid(lo, hi, scan_points, stepwise=True)
+        np.testing.assert_array_equal(grid, old_shooting_scan(lo, hi, scan_points, edge_margin))
 
     @pytest.mark.parametrize("band", BANDS)
     def test_no_edge_points_is_the_uniform_scan(self, band):
         lo, hi = band
-        uniform = _scan_grid(np.array([lo]), np.array([hi]), 150, 1e-6, edge_points=0)[0]
+        uniform = _scan_grid(lo, hi, 150, stepwise=False)
         np.testing.assert_array_equal(uniform, np.linspace(lo, hi, 152)[1:-1])
 
 
@@ -79,29 +93,23 @@ class TestShootingKernel:
     @pytest.mark.parametrize("case", list(SHOOTING_WELLS))
     def test_roots_equal_scalar_bisection(self, case):
         config, k = SHOOTING_WELLS[case]
-        step, tol, scan_points, margin = 2e-3, 1e-10, 300, 1e-6
+        step, tol, scan_points = 2e-3, 1e-10, 300
         shoot = lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step)
-        lo, hi = -abs(k), abs(k)
-        grid = _scan_grid(np.array([lo]), np.array([hi]), scan_points, margin)[0]
-        vals = shoot(grid)
-        reference = [float(x) for x in grid[vals == 0.0]]
-        for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-            reference.append(float(scalar_bisection(shoot, grid[i], grid[i + 1], vals[i], tol)))
-        reference = sorted(r for r in reference if r - lo > margin and hi - r > margin)
+        reference = scalar_roots(shoot, -abs(k), abs(k), scan_points, tol)
         assert reference
         assert shooting_bound_states(config, k, scan_points, tol, step) == reference
 
 
 def kernel_roots(f, a, b, tol, budget):
-    """Roots of the kernel on brackets [a, b] of one row, and its call count."""
+    """Roots of the kernel on brackets [a, b], and its call count."""
     calls = []
 
-    def values(rows, x):
+    def values(x):
         calls.append(x.size)
         return f(x)
 
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    roots = _bisect(values, np.zeros(a.size, dtype=int), a, b, f(a), tol, budget)
+    roots = _bisect(values, a, b, f(a), tol, budget)
     return roots, len(calls)
 
 
@@ -146,11 +154,11 @@ class TestLevelsPerCall:
         ends = np.linspace(0.5, 10.5, 7)
         sizes = []
 
-        def values(rows, x):
+        def values(x):
             sizes.append(x.size)
             return np.sin(x)
 
-        _bisect(values, np.zeros(6, dtype=int), ends[:-1], ends[1:], np.sin(ends[:-1]), 1e-10, budget)
+        _bisect(values, ends[:-1], ends[1:], np.sin(ends[:-1]), 1e-10, budget)
         assert max(sizes) <= max(budget, 6)
         assert (sizes[0] > 6) == (budget >= 18)  # two levels fit from 6 * 3 points on
 
@@ -172,11 +180,11 @@ class TestLevelsPerCall:
         secular = square_well_secular(3.0, 8.0, 1.2)
         calls = []
 
-        def counted(rows, eps):
+        def counted(eps):
             calls.append(np.size(eps))
             return secular.f(eps)
 
-        roots = _roots_by_row(counted, [secular.lo], [secular.hi], 2000, 1e-10)[0]
+        roots = _scan_roots(counted, secular.lo, secular.hi, 2000, 1e-10, stepwise=True)
         assert len(roots) == 6
         assert len(calls) <= 6  # one scan, then a few calls of several levels each
         assert max(calls) == calls[0]

@@ -27,8 +27,9 @@ from diracwell import (
 )
 from diracwell.errors import ConfigError, InvalidLevel, UnsupportedRegime
 from diracwell import matching, spectrum
-from diracwell.matching import _square_well_phase, _square_well_phase_slope
-from diracwell.roots import EDGE_MARGIN, _roots_by_row, _scan_grid
+from diracwell.matching import _square_well_phase_slope
+from diracwell.oracle import EDGE_MARGIN, _scan_roots
+from test_roots import scalar_roots
 from diracwell.spectrum import (
     MAX_GRID_POINTS,
     NEWTON_CALLS,
@@ -68,12 +69,6 @@ class TestAdmissibleBand:
         for k, v0 in ((2.0, 5.0), (3.0, 8.0), (-1.5, 0.4)):
             well, barrier = admissible_interval(k, v0), admissible_interval(k, -v0)
             assert (barrier.lo, barrier.hi) == (-well.hi, -well.lo)
-
-    def test_contains(self):
-        band = admissible_interval(2.0, 2.0)
-        assert band.contains(1.0)
-        assert not band.contains(0.0)  # open interval
-        assert not band.contains(1.9999, margin=1e-3)
 
 
 class TestFindRoots:
@@ -218,40 +213,21 @@ SCAN_POINTS = 2000
 
 
 def kernel_roots(f, lo, hi, tol=1e-10):
-    """Roots of the plain function f on (lo, hi) by the scan-and-bisect
-    kernel that the shooting oracle uses."""
-    return _roots_by_row(lambda rows, eps: f(eps), [lo], [hi], SCAN_POINTS, tol)[0]
-
-
-def scalar_roots(f, lo, hi, tol=1e-10, margin=EDGE_MARGIN):
-    """Reference: the same scan, then one scalar bisection per bracket."""
-    grid = _scan_grid(np.array([lo]), np.array([hi]), SCAN_POINTS, margin)[0]
-    vals = f(grid)
-    roots = [float(x) for x in grid[vals == 0.0]]
-    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        a, b, fa = grid[i], grid[i + 1], vals[i]
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if fm == 0.0:
-                a = b = mid
-            elif (fa < 0.0) == (fm < 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        roots.append(float(0.5 * (a + b)))
-    return sorted(r for r in roots if r - lo > margin and hi - r > margin)
+    """Roots of the plain function f on (lo, hi) by the shooting oracle's
+    scan-and-bisect kernel, with a stepwise profile's scan."""
+    return _scan_roots(f, lo, hi, SCAN_POINTS, tol, stepwise=True)
 
 
 class TestBatchedKernel:
-    """The scan kernel bisects its brackets in lockstep and sweeps solve all
-    parameter values in one pass; every root must still be the scalar
-    bisection's, or the single well's, bit for bit."""
+    """The shooting oracle's kernel bisects its brackets in lockstep and
+    sweeps solve all parameter values in one pass; every root must still be
+    the scalar bisection's, or the single well's, bit for bit."""
 
     @pytest.mark.parametrize("k,v0,half_width", [(2, 2, 1), (3, 8, 1), (-4, 11, 0.7), (50, 120, 3)])
     def test_roots_equal_scalar_bisection(self, k, v0, half_width):
         sec = square_well_secular(k, v0, half_width)
-        assert kernel_roots(sec.f, sec.lo, sec.hi) == scalar_roots(sec.f, sec.lo, sec.hi)
+        reference = scalar_roots(sec.f, sec.lo, sec.hi, SCAN_POINTS, 1e-10)
+        assert kernel_roots(sec.f, sec.lo, sec.hi) == reference
 
     def test_sweep_k_rows_equal_single_solves(self):
         params = parameter_grid(-3.0, 3.0, 0.5)  # hits k = 0 exactly
@@ -303,12 +279,12 @@ class TestPhaseLevels:
         assert np.all(np.diff(roots) > 0.0)
         # theta passes pi/2 + n pi within two double spacings of |k| of each
         # root, up to its own rounding, and n steps by one from root to root
-        n = np.round((_square_well_phase(k, roots, v0, half_width) - 0.5 * np.pi) / np.pi)
+        n = np.round((_square_well_phase_slope(k, roots, v0, half_width)[0] - 0.5 * np.pi) / np.pi)
         target = 0.5 * np.pi + n * np.pi
         slack = 4.0 * np.spacing(np.abs(target))
         reach = 2.0 * np.spacing(abs(k))
-        left = _square_well_phase(k, np.maximum(roots - reach, secular.lo), v0, half_width)
-        right = _square_well_phase(k, np.minimum(roots + reach, secular.hi), v0, half_width)
+        left = _square_well_phase_slope(k, np.maximum(roots - reach, secular.lo), v0, half_width)[0]
+        right = _square_well_phase_slope(k, np.minimum(roots + reach, secular.hi), v0, half_width)[0]
         assert np.all(np.minimum(left, right) - slack <= target)
         assert np.all(target <= np.maximum(left, right) + slack)
         assert np.all(np.abs(np.diff(n)) == 1)
@@ -366,7 +342,7 @@ def halved_levels(k, v0, half_width, most=40):
     target and b where it is at least the target."""
     band = admissible_interval(k, v0)
     lo, hi = math.nextafter(band.lo, band.hi), math.nextafter(band.hi, band.lo)
-    theta = lambda eps: float(_square_well_phase(k, eps, v0, half_width))
+    theta = lambda eps: float(_square_well_phase_slope(k, eps, v0, half_width)[0])
     s = -1.0 if theta(hi) < theta(lo) else 1.0
     u_lo, u_hi = sorted((s * lo, s * hi))
     t_lo, t_hi = sorted((theta(lo), theta(hi)))
@@ -417,7 +393,7 @@ class TestNewtonLevels:
             q = np.sqrt(np.clip((eps + v0) ** 2 - k * k, 0.0, None))
             assert np.array_equal(theta, 2.0 * half_width * q + np.arctan2(eps * (eps + v0) - k * k, p * q))
             h = 1e-6 * (band.hi - band.lo)
-            up, down = (_square_well_phase(k, eps + d, v0, half_width) for d in (h, -h))
+            up, down = (_square_well_phase_slope(k, eps + d, v0, half_width)[0] for d in (h, -h))
             central = (up - down) / (2 * h)
             np.testing.assert_allclose(slope, central, rtol=1e-6)
             mirrored = _square_well_phase_slope(k, -eps, -v0, half_width)
