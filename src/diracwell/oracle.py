@@ -3,10 +3,12 @@
 Nothing here shares algebra with the matching construction.  The grid
 route discretizes the decoupled second-order problem with a three-point
 stencil and Dirichlet walls; the shooting route integrates the coupled
-first-order system numerically from both exteriors and looks for the
-matching determinant to vanish, which it finds with its own scan and
-lockstep bisection: the module imports only core and errors from the
-package.  Agreement between these and the secular roots is the main
+first-order system numerically from both exteriors and matches the two
+solutions.  On a stepwise profile it counts the windings of its own RK4
+march, so its phase gives every level, solved by a bracketed Illinois
+secant; on a smooth profile it scans the matching determinant and
+bisects it in lockstep.  The module imports only core and errors from
+the package.  Agreement between these and the secular roots is the main
 correctness evidence for the solver.
 """
 
@@ -42,8 +44,8 @@ DEFAULT_STEP = 1e-3
 SMOOTH_TAIL_TOL = 1e-8
 SMOOTH_WINDOW_CAP = 50.0
 PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth march
-EDGE_POINTS = 12  # geometric scan points toward each band edge of a stepwise profile
-EDGE_MARGIN = 1e-6  # roots this close to a band edge are dropped
+EDGE_MARGIN = 1e-6  # roots of the smooth scan this close to a band edge are dropped
+SECANT_CALLS = 40  # phase calls after which a crossing still open is bisected
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +67,8 @@ class GridSpec:
             raise ValueError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if not isinstance(self.points, (int, np.integer)):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 3:
             raise ValueError("need at least three grid points")
         if self.boundary != "dirichlet":
@@ -203,32 +207,24 @@ def _is_stepwise(profile) -> bool:
     return profile is None or profile.is_zero() or isinstance(profile, PiecewiseConstant)
 
 
-def _seed_vectors(w: float, delta: np.ndarray, outward: bool) -> np.ndarray:
-    """Unit eigenvectors of the constant exterior system, batch over delta.
+def _seed_vectors(w: float, delta: np.ndarray, outward: bool):
+    """Unit eigenvectors (psi_1, psi_2) of the constant exterior system,
+    batch over delta.
 
     outward=False gives the direction growing to the right (decaying toward
     -inf), outward=True the one decaying toward +inf.  The representation
-    switches with the sign of w to avoid cancellation.
+    switches with the sign of w to avoid cancellation, and keeps the angle
+    atan2(psi_2, psi_1) on one branch over the band: for w < 0 the decaying
+    direction is (p - w, -delta), as (w - p, delta) would jump by 2 pi at
+    delta = 0.
     """
     p = np.sqrt(w * w - delta * delta)
-    n = len(delta)
-    v = np.empty((n, 2))
     if not outward:
-        if w >= 0:
-            v[:, 0] = w + p
-            v[:, 1] = delta
-        else:
-            v[:, 0] = delta
-            v[:, 1] = w - p
+        first, second = (w + p, delta) if w >= 0 else (delta, w - p)
     else:
-        if w >= 0:
-            v[:, 0] = delta
-            v[:, 1] = w + p
-        else:
-            v[:, 0] = w - p
-            v[:, 1] = delta
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v
+        first, second = (delta, w + p) if w >= 0 else (p - w, -delta)
+    norm = np.sqrt(first * first + second * second)
+    return first / norm, second / norm
 
 
 def _check_momentum_and_step(k: float, step: float) -> None:
@@ -244,64 +240,102 @@ def _renormalize(psi: np.ndarray) -> None:
 
 
 def _rk4_power(s, h, n):
-    """Coefficients (u, v) of R^n = u I + v M, up to a positive factor per
-    energy, for the classical fourth-order step R on a constant segment.
+    """Coefficients (u_n, v_n) of R^n = u_n I + v_n M, up to a positive
+    factor per energy, for the classical fourth-order step R on a constant
+    segment, and where s < 0 the half-turns floor(n alpha / pi) of R^n.
 
     M = [[w, -d], [d, -w]] squares to s I with s = w^2 - d^2, so
     R = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 = u I + v M with y = h^2 s,
-    u = 1 + y/2 + y^2/24 and v = h (1 + y/6), and such pairs multiply as
-    (u1 u2 + s v1 v2, u1 v2 + v1 u2).  Every square is divided by
-    c = u^2 + |s| v^2 > 0, which bounds its |u| and |v| sqrt|s| by 1, so
-    a wide segment neither overflows (s > 0) nor underflows (s < 0).
-    u is even and v odd in h, bit for bit.
+    u = 1 + y/2 + y^2/24 and v = h (1 + y/6).  With sigma = sqrt|s|, R^n is
+    taken in closed form:
+    - s < 0: M / sigma squares to -I, so R is a rotation by
+      alpha = atan2(v sigma, u) times a positive factor, and
+      (u_n, v_n) = (cos n alpha, sin n alpha / sigma);
+    - s > 0: R has the eigenvalues u +/- v sigma > 0, so with their ratio
+      r = 1 - 2 v sigma / (u + v sigma),
+      (u_n, v_n) = ((1 + r^n) / 2, (1 - r^n) / (2 sigma));
+    - s = 0: R = I + h M, so (u_n, v_n) = (1, n h).
+    All are bounded, so a wide segment neither overflows nor underflows.
+    The half-turns are NaN where the one-step u or v is not positive: such
+    a step turns by pi/2 or more, too coarse to count.
+    Everything is taken at |h|, then v_n negated for h < 0: u_n is even and
+    v_n odd in h, bit for bit.
     """
-    y = h * h * s
+    h_abs = abs(h)
+    y = h_abs * h_abs * s
     u = 1.0 + y * (0.5 + y / 24.0)
-    v = h * (1.0 + y / 6.0)
-    acc = None
-    while True:
-        if n & 1:
-            acc = (u, v) if acc is None else (acc[0] * u + s * acc[1] * v, acc[0] * v + acc[1] * u)
-        n >>= 1
-        if not n:
-            return acc
-        uu = u * u
-        svv = s * v * v
-        c = uu + np.abs(svv)
-        u, v = (uu + svv) / c, 2.0 * u * v / c
+    v = h_abs * (1.0 + y / 6.0)
+    sigma = np.sqrt(np.abs(s))
+    vs = v * sigma
+    osc = s < 0.0
+    angle = n * np.arctan2(vs, u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decay = np.expm1(n * np.log1p(-2.0 * vs / (u + vs)))  # r^n - 1
+        un = np.where(osc, np.cos(angle), 1.0 + 0.5 * decay)
+        vn = np.where(s == 0.0, n * h_abs, np.where(osc, np.sin(angle), -0.5 * decay) / sigma)
+    turns = np.where((u > 0.0) & (v > 0.0), np.floor(angle / math.pi), np.nan)
+    return un, (vn if h >= 0.0 else -vn), turns
 
 
-def _advance_stepwise(config, k, eps, psi, points, step, powers):
-    """March psi across constant segments, applying on each the power
-    u I + v M of its one-step fourth-order matrix.
-
-    powers holds the powers already taken at these energies, keyed on
-    (|h|, steps, w, v): a segment marched with h < 0 takes (u, -v) from
-    the entry of its mirror image, so the march from the right of a
-    mirror-symmetric well reuses the powers of the march from the left.
-    """
+def _segments(config, k, points, step):
+    """(h, steps, w, v) of the constant segments between neighbouring
+    points, marched in steps of h no longer than step."""
+    out = []
     for a, b in zip(points[:-1], points[1:]):
         width = b - a
         if width == 0.0:
             continue
         n = max(1, math.ceil(abs(width) / step))
-        h = width / n
         mid = 0.5 * (a + b)
         v = evaluate_potential(config.electric, mid) if config.electric is not None else 0.0
         ay = evaluate_potential(config.magnetic, mid) if config.magnetic is not None else 0.0
-        w = k + ay
+        out.append((width / n, n, k + ay, v))
+    return out
+
+
+def _advance_stepwise(segments, eps, psi, powers):
+    """March psi = (psi_1, psi_2) across constant segments, applying on
+    each the power u I + v M of its one-step fourth-order matrix, and carry
+    its angle phi = atan2(psi_2, psi_1) continuously from its first value.
+    Returns (psi, phi).
+
+    On a segment the angle obeys phi' = d - w sin 2 phi.  Where s < 0 it
+    turns one way, by the sign g = sign(d) sign(h): R^n, a rotation by
+    n alpha (see _rk4_power), turns it by g (floor(n alpha / pi) pi + rem),
+    rem in [0, pi) being the wrapped change in atan2, read in
+    [-pi/2, 3pi/2) so that rounding cannot carry it across a half-turn.
+    Where s >= 0 the change stays within (-pi, pi), the wrapped change.
+    Both read the change in a window [c, c + 2 pi): c = g (floor + 1/2) pi
+    - pi where s < 0, and -pi elsewhere.
+
+    powers holds, per energy, (u, v, g (floor + 1/2) pi) of the segments
+    already taken at these energies, keyed on (|h|, steps, w, v): a segment
+    marched with h < 0 negates the entry of its mirror image, whose v and g
+    are odd in h, so the march from the right of a mirror-symmetric well
+    reuses the powers of the march from the left.
+    """
+    p1, p2 = psi
+    wrapped = phi = np.arctan2(p2, p1)
+    for h, n, w, v in segments:
         d = eps - v
         key = (abs(h), n, w, v)
         if key not in powers:
-            powers[key] = _rk4_power(w * w - d * d, abs(h), n)
-        cu, cv = powers[key]
+            s = w * w - d * d
+            cu, cv, turns = _rk4_power(s, abs(h), n)
+            powers[key] = cu, cv, np.where(s < 0.0, np.sign(d) * (turns + 0.5) * math.pi, 0.0)
+        cu, cv, lead = powers[key]
         if h < 0.0:
-            cv = -cv
-        m0 = w * psi[:, 0] - d * psi[:, 1]
-        m1 = d * psi[:, 0] - w * psi[:, 1]
-        psi = np.stack([cu * psi[:, 0] + cv * m0, cu * psi[:, 1] + cv * m1], axis=1)
-        _renormalize(psi)
-    return psi
+            cv, lead = -cv, -lead
+        m1 = w * p1 - d * p2
+        m2 = d * p1 - w * p2
+        p1, p2 = cu * p1 + cv * m1, cu * p2 + cv * m2
+        scale = np.maximum(np.abs(p1), np.abs(p2))
+        p1, p2 = p1 / scale, p2 / scale
+        now = np.arctan2(p2, p1)
+        low = lead - math.pi
+        phi = phi + low + np.mod(now - wrapped - low, 2.0 * math.pi)
+        wrapped = now
+    return (p1, p2), phi
 
 
 def _mul(a, b):
@@ -392,6 +426,58 @@ def _advance_sampled(config, k, eps, psi, x_from, x_to, step):
     return psi
 
 
+def _shooter(config: FieldConfig, k: float, step: float, x_match):
+    """Two-sided shooting as a function of an energy array: eps -> (det,
+    theta), theta the shooting phase of a stepwise profile and None for a
+    smooth one.
+
+    The coupled first-order system is integrated from each exterior window
+    edge, seeded with the decaying exterior direction, to x_match.  det is
+    the determinant of the two arriving directions, and theta = phi_L - phi_R
+    the difference of their angles, each carried continuously from its
+    seed's branch (see _seed_vectors, _advance_stepwise).  Either solution
+    has (r^2 dphi/deps)' = r^2, so theta increases strictly with eps, and
+    det = -|psi_L| |psi_R| sin theta: bound states are the crossings
+    theta = n pi.  Both exteriors must decay or, at a band edge, be
+    critical: |eps - v| <= |k + a|, where w^2 - d^2 rounds to no negative.
+    The window and a stepwise profile's segments are laid out once.
+    """
+    x_lo, x_hi, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
+    if x_match is None:
+        x_match = 0.5 * (x_lo + x_hi)
+    if not x_lo <= x_match <= x_hi:
+        raise ValueError(f"x_match must lie in [{x_lo}, {x_hi}]")
+    w_left, w_right = k + a_minus, k + a_plus
+
+    if not (_is_stepwise(config.electric) and _is_stepwise(config.magnetic)):
+        def shoot(eps):
+            psi_left = np.stack(_seed_vectors(w_left, eps - v_minus, outward=False), axis=1)
+            psi_right = np.stack(_seed_vectors(w_right, eps - v_plus, outward=True), axis=1)
+            psi_left = _advance_sampled(config, k, eps, psi_left, x_lo, x_match, step)
+            psi_right = _advance_sampled(config, k, eps, psi_right, x_hi, x_match, step)
+            return psi_left[:, 0] * psi_right[:, 1] - psi_left[:, 1] * psi_right[:, 0], None
+
+        return shoot
+
+    breaks: set[float] = set()
+    for profile in (config.electric, config.magnetic):
+        if isinstance(profile, PiecewiseConstant):
+            breaks.update(profile.breakpoints)
+    inner = sorted(b for b in breaks if x_lo < b < x_hi)
+    left = _segments(config, k, [x_lo] + [b for b in inner if b <= x_match] + [x_match], step)
+    right = _segments(config, k, [x_hi] + [b for b in reversed(inner) if b > x_match] + [x_match], step)
+
+    def shoot(eps):
+        powers: dict = {}
+        psi_left, phi_left = _advance_stepwise(
+            left, eps, _seed_vectors(w_left, eps - v_minus, outward=False), powers)
+        psi_right, phi_right = _advance_stepwise(
+            right, eps, _seed_vectors(w_right, eps - v_plus, outward=True), powers)
+        return psi_left[0] * psi_right[1] - psi_left[1] * psi_right[0], phi_left - phi_right
+
+    return shoot
+
+
 def dirac_shooting(
     config: FieldConfig,
     label: QuantumLabel,
@@ -411,175 +497,153 @@ def dirac_shooting(
     decaying solution on one of the exteriors, and ConfigError for a
     non-finite k or energy or a step that is not finite and positive.
     """
-    k = label.k
     epsilon = label.epsilon
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
-    _check_momentum_and_step(k, step)
+    _check_momentum_and_step(label.k, step)
     if not np.all(np.isfinite(eps)):
         raise ConfigError("epsilon must be finite")
-    x_lo, x_hi, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
-    if x_match is None:
-        x_match = 0.5 * (x_lo + x_hi)
-    if not x_lo <= x_match <= x_hi:
-        raise ValueError(f"x_match must lie in [{x_lo}, {x_hi}]")
-
-    w_left = k + a_minus
-    w_right = k + a_plus
-    d_left = eps - v_minus
-    d_right = eps - v_plus
-    if np.any(w_left * w_left - d_left * d_left <= 0.0) or np.any(
-        w_right * w_right - d_right * d_right <= 0.0
-    ):
-        raise NonDecayingExterior(
-            "no decaying exterior direction at some requested energy; "
-            "bound states require |epsilon - v| < |k + a| on both tails"
-        )
-
-    psi_left = _seed_vectors(w_left, d_left, outward=False)
-    psi_right = _seed_vectors(w_right, d_right, outward=True)
-
-    if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
-        breaks: set[float] = set()
-        for profile in (config.electric, config.magnetic):
-            if isinstance(profile, PiecewiseConstant):
-                breaks.update(profile.breakpoints)
-        inner = sorted(b for b in breaks if x_lo < b < x_hi)
-        left_pts = [x_lo] + [b for b in inner if b <= x_match] + [x_match]
-        right_pts = [x_hi] + [b for b in reversed(inner) if b > x_match] + [x_match]
-        powers: dict = {}
-        psi_left = _advance_stepwise(config, k, eps, psi_left, left_pts, step, powers)
-        psi_right = _advance_stepwise(config, k, eps, psi_right, right_pts, step, powers)
-    else:
-        psi_left = _advance_sampled(config, k, eps, psi_left, x_lo, x_match, step)
-        psi_right = _advance_sampled(config, k, eps, psi_right, x_hi, x_match, step)
-
-    det = psi_left[:, 0] * psi_right[:, 1] - psi_left[:, 1] * psi_right[:, 0]
+    _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
+    for w, v in ((label.k + a_minus, v_minus), (label.k + a_plus, v_plus)):
+        d = eps - v
+        if np.any(w * w - d * d <= 0.0):
+            raise NonDecayingExterior(
+                "no decaying exterior direction at some requested energy; "
+                "bound states require |epsilon - v| < |k + a| on both tails"
+            )
+    det = _shooter(config, label.k, step, x_match)(eps)[0]
     return det if np.ndim(epsilon) else float(det[0])
 
 
 # ---------------------------------------------------------------------------
-# roots of the matching determinant: a scan, then lockstep bisection
+# roots: crossings of a stepwise profile's phase; a scan and bisection of a
+# smooth profile's determinant
 # ---------------------------------------------------------------------------
 
 
-def _scan_grid(lo, hi, scan_points, stepwise) -> np.ndarray:
-    """Scan energies of the band (lo, hi).
+def _finite(theta) -> np.ndarray:
+    if not np.all(np.isfinite(theta)):
+        raise UnsupportedRegime(
+            "the shooting phase is not finite at some band energy: a segment's RK4 step "
+            "turns by pi/2 or more there, too coarse to count its windings; take a smaller step"
+        )
+    return theta
 
-    scan_points uniform interior points and, for a stepwise profile,
-    EDGE_POINTS toward each edge, geometric from 2 * EDGE_MARGIN out to the
-    outermost uniform point, so a root inside an edge cell is bracketed
-    too.  They fall on the outermost uniform points when 2 * EDGE_MARGIN is
-    not below one cell.
+
+def _phase_roots(theta, lo, hi, tol) -> list[float]:
+    """Sorted crossings theta = n pi on the open band (lo, hi) of theta, a
+    function of an energy array increasing in energy.
+
+    The crossings are those strictly between theta at the innermost doubles
+    of the band, so none is missed and a zero of the determinant at a band
+    edge is none.  All are solved at once by a bracketed Illinois secant on
+    theta - n pi, from the linear interpolation of theta across the band;
+    the first call's points, one per crossing, also narrow each bracket
+    onto the nearest of them on either side of its target.  A secant point
+    that is not strictly inside its bracket, and every point after
+    SECANT_CALLS calls, is the bracket's midpoint instead.  A crossing is
+    done, at 0.5 (a + b), once its bracket [a, b] is tol wide, holds no
+    double inside, or has closed onto an exact zero.  UnsupportedRegime
+    where theta is not finite: the step is too coarse (see _rk4_power).
     """
-    uniform = np.linspace(lo, hi, scan_points + 2)[1:-1]
-    if not stepwise:
-        return uniform
-    cell = (hi - lo) / (scan_points + 1)
-    near = min(2.0 * EDGE_MARGIN / cell, 1.0)
-    offsets = cell * near ** (1.0 - np.arange(EDGE_POINTS) / EDGE_POINTS)
-    low = np.minimum(lo + offsets, uniform[0])
-    high = np.maximum(hi - offsets[::-1], uniform[-1])
-    return np.concatenate([low, uniform, high])
+    if not lo < hi:
+        return []
+    ends = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
+    if not ends[0] < ends[1]:
+        return []
+    th_lo, th_hi = _finite(theta(ends))
+    target = math.pi * np.arange(math.floor(th_lo / math.pi) + 1, math.ceil(th_hi / math.pi))
+    a, b = np.full(target.size, ends[0]), np.full(target.size, ends[1])
+    fa, fb = th_lo - target, th_hi - target
+    roots = np.empty(target.size)
+    todo = np.arange(target.size)
+    kept = np.zeros(target.size)  # the end the last step kept: -1 for a, 1 for b
+    calls = 0
+    while todo.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = a - fa * (b - a) / (fb - fa)
+        x = np.where((a < x) & (x < b) & (calls < SECANT_CALLS), x, 0.5 * (a + b))
+        f = _finite(theta(x)) - target
+        calls += 1
+        lower, upper = f <= 0.0, f >= 0.0
+        # Illinois: an end kept twice in a row has its value halved
+        fb = np.where(lower & (kept > 0.0), 0.5 * fb, fb)
+        fa = np.where(upper & (kept < 0.0), 0.5 * fa, fa)
+        a, fa = np.where(lower, x, a), np.where(lower, f, fa)
+        b, fb = np.where(upper, x, b), np.where(upper, f, fb)
+        kept = np.where(lower, 1.0, -1.0)
+        if calls == 1:
+            # the first call's points are ordered as the targets are, and so
+            # is theta there, up to its rounding, which the checks absorb
+            th = f + target
+            below = np.searchsorted(th, target, side="right") - 1
+            j = np.maximum(below, 0)
+            use = (below >= 0) & (th[j] <= target) & (x[j] > a)
+            a, fa = np.where(use, x[j], a), np.where(use, th[j] - target, fa)
+            j = np.minimum(below + 1, x.size - 1)
+            use = (below + 1 < x.size) & (th[j] >= target) & (x[j] < b)
+            b, fb = np.where(use, x[j], b), np.where(use, th[j] - target, fb)
+            b = np.where(fa == 0.0, a, b)  # an exact zero closes the bracket
+            kept[:] = 0.0
+        done = (b - a <= tol) | ~(np.nextafter(a, b) < b)
+        roots[todo[done]] = 0.5 * (a + b)[done]
+        keep = ~done
+        todo, target, a, b, fa, fb, kept = (v[keep] for v in (todo, target, a, b, fa, fb, kept))
+    return roots.tolist()
 
 
-def _depth(live, budget, a, b, tol) -> int:
-    """Halvings per call: the most whose midpoint tree, 2^depth - 1 points
-    per bracket, keeps the call within budget points, at least one, spread
-    evenly over the calls that the widest bracket still needs to reach tol
-    or adjacent doubles."""
-    most = max(1, (int(budget) // live + 1).bit_length() - 1)
-    if most == 1:
-        return 1
-    floor = np.maximum(tol, np.spacing(np.maximum(np.abs(a), np.abs(b))))
-    need = max(1, int(np.ceil(np.log2(np.max((b - a) / floor)))))
-    calls = -(-need // most)
-    return -(-need // calls)
+def _scan_grid(lo, hi, scan_points) -> np.ndarray:
+    """The scan_points uniform interior points of the band (lo, hi)."""
+    return np.linspace(lo, hi, scan_points + 2)[1:-1]
 
 
-def _midpoints(a, b, depth) -> np.ndarray:
-    """Every midpoint that depth halvings of the brackets [a, b] can visit,
-    shaped (brackets, 2^depth - 1): level j's 2^j midpoints, in order, start
-    at column 2^j - 1.  Each is 0.5 * (a + b) of its parent interval, as in
-    scalar bisection, whose bracket is always a pair of neighbouring ends
-    of one level."""
-    levels = [0.5 * (a + b)[:, None]]
-    ends = np.stack([a, levels[0][:, 0], b], axis=1)
-    for _ in range(depth - 1):
-        mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
-        levels.append(mid)
-        grown = np.empty((ends.shape[0], 2 * ends.shape[1] - 1))
-        grown[:, ::2] = ends
-        grown[:, 1::2] = mid
-        ends = grown
-    return np.concatenate(levels, axis=1)
-
-
-def _bisect(values, a, b, fa, tol, budget) -> np.ndarray:
+def _bisect(values, a, b, fa, tol) -> np.ndarray:
     """Midpoints of the sign-changing brackets [a, b] of values, a function
-    of an energy array, bisected to width tol.
+    of an energy array, bisected in lockstep to width tol.
 
-    Each call evaluates every midpoint the next few halvings can visit (see
-    _depth, _midpoints) and replays the scalar steps on them: a bracket
-    halves at 0.5 * (a + b), keeps the right half when the midpoint value
-    has the sign of fa, stops on an exact zero and freezes as soon as
-    b - a <= tol, so no bit of a root depends on the batching.  A bracket
-    whose midpoint is not strictly inside it freezes too, so a tol below
-    the spacing of doubles ends at adjacent doubles.
+    Each call halves every live bracket as scalar bisection does: at
+    0.5 * (a + b), keeping the right half when the midpoint value has the
+    sign of fa.  A bracket stops on an exact zero, at b - a <= tol, or when
+    its midpoint is not strictly inside it, so a tol below the spacing of
+    doubles ends at adjacent doubles.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     live = np.flatnonzero(b - a > tol)
-    # the live brackets' state, compacted only when some bracket freezes
+    # the live brackets' state, compacted only when some bracket stops
     al, bl, fl = a[live], b[live], np.asarray(fa, dtype=float)[live]
     while live.size:
-        depth = _depth(live.size, budget, al, bl, tol)
-        if depth == 1:
-            mids, node = 0.5 * (al + bl), slice(None)
-        else:
-            # each bracket's tree is a heap: node h has children 2h + 1 (left
-            # half) and 2h + 2 (right half), at flat index base + h
-            mids = _midpoints(al, bl, depth)
-            node = base = np.arange(live.size) * mids.shape[1]
-            mids = mids.ravel()
-        fm = np.asarray(values(mids), dtype=float)
-        for level in range(depth):
-            m, f = mids[node], fm[node]
-            inside = (al < m) & (m < bl)
-            go = inside if level == 0 else go & inside
-            # fa need not follow a: only whether it is negative is read,
-            # and a moves only to midpoints that agree with it on that
-            same = (fl < 0.0) == (f < 0.0)
-            right = go & same
-            al = np.where(right, m, al)
-            bl = np.where(go ^ right, m, bl)
-            if not f.all():  # an exact zero shrinks its bracket onto m
-                zero = go & (f == 0.0)
-                al = np.where(zero, m, al)
-                bl = np.where(zero, m, bl)
-            go &= bl - al > tol
-            if level + 1 < depth:
-                node = 2 * node - base + 1 + same
+        m = 0.5 * (al + bl)
+        f = np.asarray(values(m), dtype=float)
+        go = (al < m) & (m < bl)
+        # fa need not follow a: only whether it is negative is read, and a
+        # moves only to midpoints that agree with it on that
+        right = go & ((fl < 0.0) == (f < 0.0))
+        al = np.where(right, m, al)
+        bl = np.where(go ^ right, m, bl)
+        if not f.all():  # an exact zero shrinks its bracket onto m
+            zero = go & (f == 0.0)
+            al = np.where(zero, m, al)
+            bl = np.where(zero, m, bl)
+        go &= bl - al > tol
         if not go.all():
             a[live], b[live] = al, bl
             live, al, bl, fl = live[go], al[go], bl[go], fl[go]
     return 0.5 * (a + b)
 
 
-def _scan_roots(values, lo, hi, scan_points, tol, stepwise) -> list[float]:
+def _scan_roots(values, lo, hi, scan_points, tol) -> list[float]:
     """Sorted roots of values on the open band (lo, hi): the brackets of
-    _scan_grid, bisected together by _bisect in calls of up to the scan's
-    size for a stepwise profile and of one halving for a smooth one, whose
-    march costs in proportion to its energies.  Roots within EDGE_MARGIN of
+    _scan_grid, bisected together by _bisect.  Roots within EDGE_MARGIN of
     an edge are dropped: the determinant can vanish at a band edge without
     a bound state there."""
     if not lo < hi:
         return []
-    grid = _scan_grid(lo, hi, scan_points, stepwise)
+    grid = _scan_grid(lo, hi, scan_points)
     vals = np.asarray(values(grid), dtype=float)
     sign = np.sign(vals)
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    bracketed = _bisect(values, grid[i], grid[i + 1], vals[i], tol, grid.size if stepwise else 0)
-    # a scan point on a root counts once, also where edge points coincide
+    bracketed = _bisect(values, grid[i], grid[i + 1], vals[i], tol)
+    # a scan point on a root counts once, also where a narrow band repeats points
     fresh = np.concatenate([[True], grid[1:] > grid[:-1]])
     roots = np.concatenate([bracketed, grid[(sign == 0) & fresh]])
     roots = roots[(roots - lo > EDGE_MARGIN) & (hi - roots > EDGE_MARGIN)]
@@ -594,17 +658,20 @@ def shooting_bound_states(
     step: float = DEFAULT_STEP,
     x_match: float | None = None,
 ) -> list[float]:
-    """Bound-state energies of a field configuration by pure shooting.
+    """Bound-state energies of a field configuration by pure shooting, on
+    the band where both exteriors decay, each to bracket width tol, an
+    exact zero or adjacent doubles.
 
-    The zeros of dirac_shooting's matching determinant on the band where
-    both exteriors decay, found by _scan_roots: scan_points uniform scan
-    points (with EDGE_POINTS toward each edge for a stepwise profile; a
-    smooth profile's levels can crowd into a band edge, where no finite
-    scan completes them), each bracket bisected to width tol, an exact
-    zero or adjacent doubles, and roots within EDGE_MARGIN of an edge
-    dropped.  Raises ConfigError for a scan_points that is not an integer
-    of at least two, a tol that is not finite and positive, or a k or step
-    that dirac_shooting rejects.
+    A stepwise profile (electric, magnetic or both piecewise constant) has
+    them as the crossings theta = n pi of its shooting phase (see _shooter),
+    counted and solved by _phase_roots, so none is lost at a band edge.  A
+    smooth profile has them as the zeros of dirac_shooting's determinant,
+    found by _scan_roots on scan_points uniform points; its levels can
+    crowd into a band edge, where no finite scan completes them.  Raises
+    ConfigError for a scan_points that is not an integer of at least two,
+    a tol that is not finite and positive, or a k or step that
+    dirac_shooting rejects, and UnsupportedRegime for a step too coarse to
+    count a stepwise profile's windings.
     """
     if not isinstance(scan_points, (int, np.integer)) or scan_points < 2:
         raise ConfigError(f"scan_points must be an integer of at least 2, got {scan_points!r}")
@@ -614,8 +681,10 @@ def shooting_bound_states(
     _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
     lo = max(v_minus - abs(k + a_minus), v_plus - abs(k + a_plus))
     hi = min(v_minus + abs(k + a_minus), v_plus + abs(k + a_plus))
+    if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
+        shoot = _shooter(config, k, step, x_match)
+        return _phase_roots(lambda eps: shoot(eps)[1], lo, hi, tol)
     return _scan_roots(
         lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step, x_match),
         lo, hi, scan_points, tol,
-        stepwise=_is_stepwise(config.electric) and _is_stepwise(config.magnetic),
     )

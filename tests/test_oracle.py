@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from diracwell import (
     CoulombLike,
@@ -34,6 +36,7 @@ from diracwell import oracle
 from diracwell.core import evaluate_potential
 from diracwell.errors import ConfigError, GridTooCoarse, NonDecayingExterior, UnsupportedRegime
 from diracwell.oracle import GridSpec
+from test_matching import piecewise_wells
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
 # shooting zero set of the Lorentzian well, strength -2, k = 2, step 0.01
@@ -54,6 +57,17 @@ class TestGridSpec:
     def test_non_finite_bounds(self, x_min, x_max):
         with pytest.raises(ValueError, match="finite"):
             GridSpec(x_min, x_max, 10)
+
+    @pytest.mark.parametrize("points", [10.5, 100.0, "100", None])
+    def test_points_must_be_an_integer(self, points):
+        # a float count reached numpy's TypeError in grid_eigenvalues
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(0.0, 1.0, points)
+
+    def test_numpy_integer_points(self):
+        spec = GridSpec(0.0, 1.0, np.int64(11))
+        assert spec.spacing == GridSpec(0.0, 1.0, 11).spacing
+        assert spec.refined().points == 21
 
     def test_spacing_and_refinement(self):
         spec = GridSpec(0.0, 1.0, 11)
@@ -129,6 +143,10 @@ class TestProportionalOscillator:
             proportional_oscillator_levels(1.0, 1.0, 3)
         with pytest.raises(ValueError):
             proportional_oscillator_levels(0.5, 0.0, 3)
+
+    def test_non_integer_points(self):
+        with pytest.raises(ValueError, match="integer"):
+            proportional_oscillator_levels(0.5, 1.0, 3, points=1001.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs(self, bad):
@@ -371,24 +389,17 @@ class TestShootingInputs:
             dirac_shooting(square_well_config(2.0), QuantumLabel(k, np.array([0.3, eps])))
 
 
-def _matmul_stepwise_march(config, k, eps, psi, points, step, powers):
-    """The square-well march with each segment's RK4 step built as an
+def _matmul_stepwise_march(segments, eps, psi, powers):
+    """The stepwise march with each segment's RK4 step built as an
     (energies, 2, 2) matrix and powered by matrix squaring: the reference
-    the two-coefficient powering must match.  powers is ignored."""
+    the closed-form powers must match.  powers is ignored, and the angle
+    returned is 0: the reference carries none."""
+    psi = np.stack(psi, axis=1)
     n_eps = psi.shape[0]
     eye = np.zeros((n_eps, 2, 2))
     eye[:, 0, 0] = 1.0
     eye[:, 1, 1] = 1.0
-    for a, b in zip(points[:-1], points[1:]):
-        width = b - a
-        if width == 0.0:
-            continue
-        n = max(1, math.ceil(abs(width) / step))
-        h = width / n
-        mid = 0.5 * (a + b)
-        v = evaluate_potential(config.electric, mid) if config.electric is not None else 0.0
-        ay = evaluate_potential(config.magnetic, mid) if config.magnetic is not None else 0.0
-        w = k + ay
+    for h, n, w, v in segments:
         delta = eps - v
         A = np.empty((n_eps, 2, 2))
         A[:, 0, 0] = h * w
@@ -407,7 +418,7 @@ def _matmul_stepwise_march(config, k, eps, psi, points, step, powers):
             m >>= 1
         psi = (acc @ psi[:, :, None])[:, :, 0]
         oracle._renormalize(psi)
-    return psi
+    return (psi[:, 0], psi[:, 1]), np.zeros(n_eps)
 
 
 # config, k, step, x_match and the exterior-decay band of the stepwise cases
@@ -440,23 +451,28 @@ class TestStepwisePower:
 
     @pytest.mark.parametrize("case", list(STEPWISE_CASES))
     def test_roots_match_the_matmul_powering(self, case, monkeypatch):
+        # the phase's crossings, solved to tol, are sign changes of the
+        # matrix-powered determinant within 2 tol, one between each pair of
+        # neighbouring roots
         config, k, step, x_match, _ = STEPWISE_CASES[case]
         tol = 1e-10
-        powered = shooting_bound_states(config, k, tol=tol, step=step, x_match=x_match)
-        assert powered
+        roots = np.array(shooting_bound_states(config, k, tol=tol, step=step, x_match=x_match))
+        assert roots.size
         monkeypatch.setattr(oracle, "_advance_stepwise", _matmul_stepwise_march)
-        reference = shooting_bound_states(config, k, tol=tol, step=step, x_match=x_match)
-        assert len(powered) == len(reference)
-        np.testing.assert_allclose(powered, reference, rtol=0.0, atol=2.0 * tol)
+        det = lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step, x_match)
+        assert np.all(det(roots - 2.0 * tol) * det(roots + 2.0 * tol) < 0.0)
+        between = det(0.5 * (roots[:-1] + roots[1:]))
+        assert np.all(between[:-1] * between[1:] < 0.0)
 
     def test_mirror_segments_give_equal_u_and_opposite_v(self):
         # s of both signs: oscillatory and evanescent energies
         s = np.linspace(-900.0, 400.0, 257)
         for h, n in ((1e-3, 1000), (2.7e-4, 7411), (0.05, 1)):
-            u, v = oracle._rk4_power(s, h, n)
-            u_mirror, v_mirror = oracle._rk4_power(s, -h, n)
+            u, v, turns = oracle._rk4_power(s, h, n)
+            u_mirror, v_mirror, turns_mirror = oracle._rk4_power(s, -h, n)
             np.testing.assert_array_equal(u_mirror, u)
             np.testing.assert_array_equal(v_mirror, -v)
+            np.testing.assert_array_equal(turns_mirror, turns)
 
     def test_wide_barrier_double_well(self):
         # two wells 40 apart: at k = 40 the barrier between them damps by
@@ -470,6 +486,92 @@ class TestStepwisePower:
         shot = shooting_bound_states(config, 40.0, step=2e-4)
         assert len(shot) == len(transfer)
         np.testing.assert_allclose(shot, transfer, rtol=0.0, atol=1e-5)
+
+
+def shooting_step(config, k):
+    """min(1e-3, 0.02 / q_max), q_max the largest interior wavenumber over
+    the band: the shooting oracle's RK4 error grows as (q h)^4."""
+    values = [profile.values if isinstance(profile, PiecewiseConstant) else (0.0,)
+              for profile in (config.electric, config.magnetic)]
+    v, a = values[0], values[1]
+    lo = max(v[0] - abs(k + a[0]), v[-1] - abs(k + a[-1]))
+    hi = min(v[0] + abs(k + a[0]), v[-1] + abs(k + a[-1]))
+    q_max = max(math.sqrt(max((e - vi) ** 2 - (k + ai) ** 2, 0.0)) for e in (lo, hi) for vi in v for ai in a)
+    return min(1e-3, 0.02 / q_max) if q_max > 0.0 else 1e-3, lo, hi
+
+
+@st.composite
+def stepwise_wells(draw):
+    """(config, k, x_match): square wells and barriers with signed k, deep
+    and wide, or asymmetric piecewise wells with wide barriers."""
+    if draw(st.booleans()):
+        k = draw(st.floats(-40.0, 40.0).filter(lambda k: abs(k) > 0.05))
+        v0 = draw(st.floats(1e-3, 300.0)) * draw(st.sampled_from([1.0, -1.0]))
+        return square_well_config(v0, draw(st.floats(0.1, 6.0))), k, None
+    steps, values, k = draw(piecewise_wells())
+    return FieldConfig(electric=PiecewiseConstant(steps, values)), k, None
+
+
+MAGNETIC_STEP = FieldConfig(electric=square_well(6.0), magnetic=PiecewiseConstant((-0.5, 0.4), (0.0, 0.7, -0.3)))
+
+
+class TestShootingPhase:
+    """Stepwise profiles are shot by counting the windings of the RK4
+    march: every level is found, however near a band edge."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(well=stepwise_wells())
+    @example(well=(FieldConfig(electric=PiecewiseConstant((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5))), 2.0,
+                   None))  # TestCarry's
+    @example(well=(FieldConfig(electric=PiecewiseConstant((-2.0, -0.5, 0.5, 2.0), (0.0, -5.0, 0.0, -5.0, 0.0))),
+                   2.0, None))  # TestEvanescentBarrier's
+    @example(well=(FieldConfig(electric=PiecewiseConstant((-22.0, -20.0, 20.0, 22.0),
+                                                          (0.0, -60.0, 0.0, -47.0, 0.0))), 40.0, None))  # 109 levels
+    @example(well=(MAGNETIC_STEP, 2.5, None))
+    @example(well=(square_well_config(8.0), 3.0, 0.37))
+    def test_roots_match_the_transfer_route(self, well):
+        config, k, x_match = well
+        step, lo, hi = shooting_step(config, k)
+        if config.magnetic is None:
+            try:
+                reference = find_roots(general_secular(config, k))
+            except UnsupportedRegime:  # a level within a double of the band edge
+                reject()
+        else:
+            # no transfer route for a vector potential: the determinant's
+            # sign changes at half the step, scanned and bisected
+            det = lambda eps: dirac_shooting(config, QuantumLabel(k, eps), 0.5 * step, x_match)
+            reference = oracle._scan_roots(det, lo, hi, 4000, 1e-12)
+        shot = shooting_bound_states(config, k, step=step, x_match=x_match)
+        assert len(shot) == len(reference)
+        np.testing.assert_allclose(shot, reference, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("k, v0, half_width, count", [(50.0, 20.0, 3.0, 94), (2.0, 1e-4, 1.0, 1)])
+    def test_levels_at_the_band_edge(self, k, v0, half_width, count):
+        # the scan lost 4 top levels of (50, 20, 3) and the one level of
+        # (2, 1e-4, 1), 4e-8 below the band edge; verify's step
+        step = min(2e-3, 0.02 / math.sqrt((abs(k) + v0) ** 2 - k * k))
+        shot = shooting_bound_states(square_well_config(v0, half_width), k, tol=1e-9, step=step)
+        closed = find_roots(square_well_secular(k, v0, half_width))
+        assert len(shot) == len(closed) == count
+        np.testing.assert_allclose(shot, closed, rtol=0.0, atol=1e-6)
+
+    def test_bisection_after_the_secant_calls(self, monkeypatch):
+        # every point a midpoint: the same levels, each within tol
+        config, tol = square_well_config(8.0), 1e-10
+        secant = shooting_bound_states(config, 3.0, tol=tol)
+        monkeypatch.setattr(oracle, "SECANT_CALLS", 0)
+        halved = shooting_bound_states(config, 3.0, tol=tol)
+        assert len(halved) == len(secant) == 5
+        np.testing.assert_allclose(halved, secant, rtol=0.0, atol=tol)
+
+    def test_coarse_step_is_refused(self):
+        # q h reaches 4.4 at the band's upper edge: the one-step v is
+        # negative there, and the winding count would be wrong
+        with pytest.raises(UnsupportedRegime, match="too coarse"):
+            shooting_bound_states(square_well_config(20.0), 2.0, step=0.2)
+        u, v, turns = oracle._rk4_power(np.array([4.0 - 21.9**2]), 0.2, 5)
+        assert np.isnan(turns).all()
 
 
 def test_oracle_imports_only_core_and_errors_from_the_package():

@@ -1,14 +1,16 @@
-"""The shooting oracle's root kernel: its scan, several bisection levels
-per batched call, and the shooting route built on it.  Every root must be
-a scalar bisection's, bit for bit, however many levels a call takes."""
+"""The shooting oracle's root kernels: the uniform scan and lockstep
+bisection of a smooth profile's determinant, whose roots must be a scalar
+bisection's bit for bit, and the phase crossings of a stepwise profile."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from diracwell import (
     FieldConfig,
+    Lorentzian,
     PiecewiseConstant,
     QuantumLabel,
     dirac_shooting,
@@ -19,11 +21,11 @@ from diracwell import (
     square_well_secular,
 )
 from diracwell import oracle
-from diracwell.oracle import EDGE_MARGIN, EDGE_POINTS, _bisect, _scan_grid, _scan_roots
+from diracwell.oracle import _bisect, _scan_grid, _scan_roots
 
 
 def scalar_bisection(f, a, b, fa, tol):
-    """One bracket, one halving at a time: the steps the kernel replays."""
+    """One bracket, one halving at a time: the steps the kernel takes."""
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -39,29 +41,20 @@ def scalar_bisection(f, a, b, fa, tol):
 
 
 def scalar_roots(f, lo, hi, scan_points, tol):
-    """Reference: the stepwise scan, then one scalar bisection per bracket."""
-    grid = _scan_grid(lo, hi, scan_points, stepwise=True)
+    """Reference: the uniform scan, then one scalar bisection per bracket,
+    roots within the module's EDGE_MARGIN of an edge dropped."""
+    grid = _scan_grid(lo, hi, scan_points)
     vals = f(grid)
     roots = [float(x) for x in grid[vals == 0.0]]
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
         roots.append(float(scalar_bisection(f, grid[i], grid[i + 1], vals[i], tol)))
-    return sorted(r for r in roots if r - lo > EDGE_MARGIN and hi - r > EDGE_MARGIN)
-
-
-def old_shooting_scan(lo, hi, scan_points, edge_margin):
-    """The stepwise scan shooting_bound_states built on its own before its
-    root kernel existed, at any edge margin."""
-    grid = np.linspace(lo, hi, scan_points + 2)[1:-1]
-    cell = (hi - lo) / (scan_points + 1)
-    near = min(2.0 * edge_margin / cell, 1.0) if edge_margin > 0.0 else 1.0
-    offsets = cell * near ** (1.0 - np.arange(EDGE_POINTS) / EDGE_POINTS)
-    low, high = np.minimum(lo + offsets, grid[0]), np.maximum(hi - offsets[::-1], grid[-1])
-    return np.concatenate([low, grid, high])
+    margin = oracle.EDGE_MARGIN
+    return sorted(r for r in roots if r - lo > margin and hi - r > margin)
 
 
 BANDS = [(-2.0, 2.0), (0.0, 2.0), (-50.0, 50.0), (-2.2, -0.3), (1.9999, 2.0)]
-# the margin is the constant EDGE_MARGIN; 0.05 and 1e-12 patched in check the
-# geometric edge points where 2 * margin exceeds a cell or lies far below one
+# the margin is the constant EDGE_MARGIN; 0.05 and 1e-12 patched in check
+# margins wider than a scan cell and far below one
 SCANS = [(2, 1e-6), (50, 1e-6), (500, 1e-6), (500, 0.05), (2000, 1e-6), (2000, 1e-12)]
 
 
@@ -69,48 +62,58 @@ class TestScanGrid:
     @pytest.mark.parametrize("band", BANDS)
     @pytest.mark.parametrize("scan_points, edge_margin", SCANS)
     def test_shooting_scan_is_the_shared_grid(self, band, scan_points, edge_margin, monkeypatch):
+        # the smooth scan evaluates the uniform grid first, and keeps the
+        # reference's roots on it: none within the margin of an edge
         monkeypatch.setattr(oracle, "EDGE_MARGIN", edge_margin)
         lo, hi = band
-        grid = _scan_grid(lo, hi, scan_points, stepwise=True)
-        np.testing.assert_array_equal(grid, old_shooting_scan(lo, hi, scan_points, edge_margin))
+        zeros = np.array([lo + 0.5 * edge_margin, lo + 2.0 * edge_margin, 0.5 * (lo + hi),
+                          hi - 2.0 * edge_margin, hi - 0.5 * edge_margin])
+        f = lambda x: np.prod(np.subtract.outer(x, zeros), axis=-1)
+        calls = []
+
+        def values(x):
+            calls.append(x)
+            return f(x)
+
+        roots = _scan_roots(values, lo, hi, scan_points, 1e-10)
+        np.testing.assert_array_equal(calls[0], np.linspace(lo, hi, scan_points + 2)[1:-1])
+        assert roots == scalar_roots(f, lo, hi, scan_points, 1e-10)
+        assert all(r - lo > edge_margin and hi - r > edge_margin for r in roots)
 
     @pytest.mark.parametrize("band", BANDS)
     def test_no_edge_points_is_the_uniform_scan(self, band):
         lo, hi = band
-        uniform = _scan_grid(lo, hi, 150, stepwise=False)
+        uniform = _scan_grid(lo, hi, 150)
         np.testing.assert_array_equal(uniform, np.linspace(lo, hi, 152)[1:-1])
 
 
+# config, k and shooting step
 SHOOTING_WELLS = {
-    "square-2-2": (square_well_config(2.0), 2.0),
-    "square-3-8": (square_well_config(8.0), 3.0),
-    "negative-k": (square_well_config(11.0, 0.7), -4.0),
-    "asymmetric": (FieldConfig(electric=PiecewiseConstant((-1.0, 0.2, 1.0), (0.0, -6.0, -3.0, 0.0))), 2.5),
+    "square-2-2": (square_well_config(2.0), 2.0, 2e-3),
+    "square-3-8": (square_well_config(8.0), 3.0, 2e-3),
+    "negative-k": (square_well_config(11.0, 0.7), -4.0, 2e-3),
+    "asymmetric": (FieldConfig(electric=PiecewiseConstant((-1.0, 0.2, 1.0), (0.0, -6.0, -3.0, 0.0))), 2.5,
+                   2e-3),
+    "lorentzian": (FieldConfig(electric=Lorentzian(-2.0)), 2.0, 0.02),
 }
 
 
 class TestShootingKernel:
     @pytest.mark.parametrize("case", list(SHOOTING_WELLS))
     def test_roots_equal_scalar_bisection(self, case):
-        config, k = SHOOTING_WELLS[case]
-        step, tol, scan_points = 2e-3, 1e-10, 300
+        # a smooth profile's roots are the scan's, bit for bit; a stepwise
+        # profile's phase crossings are the same zeros of its determinant
+        config, k, step = SHOOTING_WELLS[case]
+        tol, scan_points = 1e-10, 300
         shoot = lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step)
         reference = scalar_roots(shoot, -abs(k), abs(k), scan_points, tol)
         assert reference
-        assert shooting_bound_states(config, k, scan_points, tol, step) == reference
-
-
-def kernel_roots(f, a, b, tol, budget):
-    """Roots of the kernel on brackets [a, b], and its call count."""
-    calls = []
-
-    def values(x):
-        calls.append(x.size)
-        return f(x)
-
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    roots = _bisect(values, a, b, f(a), tol, budget)
-    return roots, len(calls)
+        roots = shooting_bound_states(config, k, scan_points, tol, step)
+        if oracle._is_stepwise(config.electric):
+            assert len(roots) == len(reference)
+            np.testing.assert_allclose(roots, reference, rtol=0.0, atol=tol)
+        else:
+            assert roots == reference
 
 
 ONE = np.nextafter(1.0, 2.0) - 1.0  # one double spacing at 1
@@ -121,8 +124,8 @@ RANDOM_A, RANDOM_B = _ZEROS - _RNG.uniform(0.01, 1.5, 40), _ZEROS + _RNG.uniform
 
 
 class TestLevelsPerCall:
-    """Forcing one halving per call and leaving the depth to the budget
-    must give the same bits."""
+    """Halving every bracket once per call must give a scalar bisection's
+    bits."""
 
     @pytest.mark.parametrize(
         "f, a, b, tol",
@@ -140,27 +143,26 @@ class TestLevelsPerCall:
         ],
     )
     def test_roots_do_not_depend_on_the_depth(self, f, a, b, tol):
-        one, shallow_calls = kernel_roots(f, a, b, tol, budget=0)
-        deep, deep_calls = kernel_roots(f, a, b, tol, budget=4096)
-        np.testing.assert_array_equal(deep, one)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        roots = _bisect(f, a, b, f(a), tol)
         scalar_f = lambda x: float(f(np.array([x]))[0])
         scalar = [scalar_bisection(scalar_f, lo, hi, scalar_f(lo), tol) for lo, hi in zip(a, b)]
-        np.testing.assert_array_equal(one, scalar)
-        assert deep_calls < shallow_calls
+        np.testing.assert_array_equal(roots, scalar)
 
-    @pytest.mark.parametrize("budget", [0, 6, 17, 18, 100, 2024])
-    def test_a_call_stays_within_the_budget(self, budget):
-        # six brackets: a call of d levels evaluates 6 (2^d - 1) points
-        ends = np.linspace(0.5, 10.5, 7)
+    @pytest.mark.parametrize("brackets", [0, 6, 17, 18, 100, 2024])
+    def test_a_call_stays_within_the_budget(self, brackets):
+        # a call evaluates one midpoint per live bracket: brackets 3 wide
+        # around zeros of sin halve 35 times down to 1e-10
+        lo = np.pi * np.arange(brackets) + 0.5
         sizes = []
 
         def values(x):
             sizes.append(x.size)
             return np.sin(x)
 
-        _bisect(values, ends[:-1], ends[1:], np.sin(ends[:-1]), 1e-10, budget)
-        assert max(sizes) <= max(budget, 6)
-        assert (sizes[0] > 6) == (budget >= 18)  # two levels fit from 6 * 3 points on
+        roots = _bisect(values, lo, lo + 3.0, np.sin(lo), 1e-10)
+        np.testing.assert_allclose(roots, np.pi * np.arange(1, brackets + 1), rtol=0.0, atol=1e-10)
+        assert sizes == ([brackets] * 35 if brackets else [])
 
     def test_transfer_route_takes_few_calls(self):
         # the phases at the levels' start points narrow every bracket once:
@@ -176,7 +178,31 @@ class TestLevelsPerCall:
         assert len(find_roots(dataclasses.replace(secular, phase=counted))) == 1425
         assert len(calls) <= 16
 
+    def test_stepwise_shooting_takes_few_calls(self, monkeypatch):
+        # the phase at the band's ends, then Illinois steps on every level
+        # at once; the scan and the replayed bisection took 32 calls on
+        # 46197 energies here
+        k, v0, half_width = 200.0, 500.0, 5.0
+        step = 0.02 / math.sqrt((k + v0) ** 2 - k * k)
+        calls = []
+        shooter = oracle._shooter
+
+        def counted_shooter(*args):
+            shoot = shooter(*args)
+
+            def counted(eps):
+                calls.append(np.size(eps))
+                return shoot(eps)
+
+            return counted
+
+        monkeypatch.setattr(oracle, "_shooter", counted_shooter)
+        assert len(shooting_bound_states(square_well_config(v0, half_width), k, step=step)) == 1425
+        assert len(calls) <= 12
+        assert sum(calls) <= 12 * 1425
+
     def test_scan_and_bisection_take_few_calls(self):
+        # one scan, then one call per halving of the scan's cells to tol
         secular = square_well_secular(3.0, 8.0, 1.2)
         calls = []
 
@@ -184,8 +210,8 @@ class TestLevelsPerCall:
             calls.append(np.size(eps))
             return secular.f(eps)
 
-        roots = _scan_roots(counted, secular.lo, secular.hi, 2000, 1e-10, stepwise=True)
+        roots = _scan_roots(counted, secular.lo, secular.hi, 2000, 1e-10)
         assert len(roots) == 6
-        assert len(calls) <= 6  # one scan, then a few calls of several levels each
+        cell = (secular.hi - secular.lo) / 2001
+        assert len(calls) == 1 + math.ceil(math.log2(cell / 1e-10))
         assert max(calls) == calls[0]
-

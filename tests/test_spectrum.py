@@ -214,8 +214,8 @@ SCAN_POINTS = 2000
 
 def kernel_roots(f, lo, hi, tol=1e-10):
     """Roots of the plain function f on (lo, hi) by the shooting oracle's
-    scan-and-bisect kernel, with a stepwise profile's scan."""
-    return _scan_roots(f, lo, hi, SCAN_POINTS, tol, stepwise=True)
+    scan-and-bisect kernel, on its uniform scan."""
+    return _scan_roots(f, lo, hi, SCAN_POINTS, tol)
 
 
 class TestBatchedKernel:
