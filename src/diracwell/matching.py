@@ -49,7 +49,6 @@ class SecularFunction:
     f: Callable[[np.ndarray], np.ndarray]
     lo: float
     hi: float
-    k: float
     # (theta, dtheta/deps) of a monotone theta on (lo, hi) that crosses
     # pi/2 + n pi at the roots
     phase: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -169,7 +168,6 @@ def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> Secular
         f=lambda eps: _square_well_secular_value(k, eps, v0, half_width),
         lo=float(lo),
         hi=float(hi),
-        k=k,
         phase=lambda eps: _square_well_phase_slope(k, eps, v0, half_width),
         binds=bool(k != 0.0 and v0 != 0.0),
     )
@@ -351,7 +349,6 @@ def general_secular(config: FieldConfig, k: float) -> SecularFunction:
         f=lambda eps: secular_det_general(config, QuantumLabel(k, eps)),
         lo=lo,
         hi=hi,
-        k=k,
         phase=lambda eps: _transfer_phase_slope(pot, k, eps),
     )
 

@@ -5,10 +5,9 @@ route discretizes the decoupled second-order problem with a three-point
 stencil and Dirichlet walls; the shooting route integrates the coupled
 first-order system numerically from both exteriors and matches the two
 solutions.  On a stepwise profile it counts the windings of its own RK4
-march, so its phase gives every level, solved by a bracketed Illinois
-secant; on a smooth profile it scans the matching determinant and
-bisects it in lockstep.  The module imports only core and errors from
-the package.  Agreement between these and the secular roots is the main
+march, so its phase gives every level; on a smooth profile it scans the
+matching determinant.  One bracketed Illinois secant solves both.  The
+module imports only core and errors from the package.  Agreement between these and the secular roots is the main
 correctness evidence for the solver.
 """
 
@@ -44,8 +43,7 @@ DEFAULT_STEP = 1e-3
 SMOOTH_TAIL_TOL = 1e-8
 SMOOTH_WINDOW_CAP = 50.0
 PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth march
-EDGE_MARGIN = 1e-6  # roots of the smooth scan this close to a band edge are dropped
-SECANT_CALLS = 40  # phase calls after which a crossing still open is bisected
+SECANT_CALLS = 40  # calls after which a bracket still open is bisected
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +58,6 @@ class GridSpec:
     x_min: float
     x_max: float
     points: int
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
@@ -71,15 +68,13 @@ class GridSpec:
             raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 3:
             raise ValueError("need at least three grid points")
-        if self.boundary != "dirichlet":
-            raise ValueError(f"unsupported boundary condition {self.boundary!r}")
 
     @property
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.points - 1)
 
     def refined(self) -> "GridSpec":
-        return GridSpec(self.x_min, self.x_max, 2 * self.points - 1, self.boundary)
+        return GridSpec(self.x_min, self.x_max, 2 * self.points - 1)
 
 
 def grid_eigenvalues(u, spec: GridSpec, count: int, tol: float | None = None) -> np.ndarray:
@@ -515,8 +510,8 @@ def dirac_shooting(
 
 
 # ---------------------------------------------------------------------------
-# roots: crossings of a stepwise profile's phase; a scan and bisection of a
-# smooth profile's determinant
+# roots: one Illinois secant on a stepwise profile's phase crossings and a
+# smooth profile's scanned determinant
 # ---------------------------------------------------------------------------
 
 
@@ -529,125 +524,101 @@ def _finite(theta) -> np.ndarray:
     return theta
 
 
+def _illinois(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
+    """Solve values = target, values a function of an energy array, on the
+    brackets [a, b] at once by the Illinois secant; calls counts the calls
+    of values already spent on them.
+
+    fa and fb are values - target at a and b, of opposite signs.  Each
+    call evaluates one point per live bracket, the secant point, or the
+    midpoint where that is not strictly inside or calls have reached
+    SECANT_CALLS; it replaces the end whose value has its sign, an end kept
+    twice in a row has its value halved, and an exact zero closes the
+    bracket.  A bracket is done, at 0.5 (a + b), once it is tol wide, holds
+    no double inside, or has closed onto an exact zero.
+    """
+    target = np.zeros(np.shape(a)) + target
+    roots = np.empty(target.size)
+    todo = np.arange(target.size)
+    kept = np.zeros(target.size)  # the end the last step kept: -1 for a, 1 for b
+    while True:
+        done = (b - a <= tol) | ~(np.nextafter(a, b) < b)
+        roots[todo[done]] = 0.5 * (a + b)[done]
+        keep = ~done
+        todo, target, a, b, fa, fb, kept = (v[keep] for v in (todo, target, a, b, fa, fb, kept))
+        if not todo.size:
+            return roots
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = a - fa * (b - a) / (fb - fa)
+        x = np.where((a < x) & (x < b) & (calls < SECANT_CALLS), x, 0.5 * (a + b))
+        f = np.asarray(values(x), dtype=float) - target
+        calls += 1
+        same = (f < 0.0) == (fa < 0.0)
+        move_a, move_b = same | (f == 0.0), ~same | (f == 0.0)
+        # Illinois: an end kept twice in a row has its value halved
+        fb = np.where(move_a & (kept > 0.0), 0.5 * fb, fb)
+        fa = np.where(move_b & (kept < 0.0), 0.5 * fa, fa)
+        a, fa = np.where(move_a, x, a), np.where(move_a, f, fa)
+        b, fb = np.where(move_b, x, b), np.where(move_b, f, fb)
+        kept = np.where(move_a, 1.0, -1.0)
+
+
 def _phase_roots(theta, lo, hi, tol) -> list[float]:
     """Sorted crossings theta = n pi on the open band (lo, hi) of theta, a
     function of an energy array increasing in energy.
 
     The crossings are those strictly between theta at the innermost doubles
     of the band, so none is missed and a zero of the determinant at a band
-    edge is none.  All are solved at once by a bracketed Illinois secant on
-    theta - n pi, from the linear interpolation of theta across the band;
-    the first call's points, one per crossing, also narrow each bracket
-    onto the nearest of them on either side of its target.  A secant point
-    that is not strictly inside its bracket, and every point after
-    SECANT_CALLS calls, is the bracket's midpoint instead.  A crossing is
-    done, at 0.5 (a + b), once its bracket [a, b] is tol wide, holds no
-    double inside, or has closed onto an exact zero.  UnsupportedRegime
-    where theta is not finite: the step is too coarse (see _rk4_power).
+    edge is none.  One regula-falsi call from the band's ends takes one
+    point per crossing; those points, ordered as the crossings are, narrow
+    each bracket onto the nearest of them on either side of its target.
+    _illinois solves the brackets on theta - n pi.
+    UnsupportedRegime where theta is not finite: the step is too coarse
+    (see _rk4_power).
     """
-    if not lo < hi:
-        return []
     ends = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
-    if not ends[0] < ends[1]:
+    if not lo < ends[0] < ends[1]:
         return []
     th_lo, th_hi = _finite(theta(ends))
     target = math.pi * np.arange(math.floor(th_lo / math.pi) + 1, math.ceil(th_hi / math.pi))
     a, b = np.full(target.size, ends[0]), np.full(target.size, ends[1])
     fa, fb = th_lo - target, th_hi - target
-    roots = np.empty(target.size)
-    todo = np.arange(target.size)
-    kept = np.zeros(target.size)  # the end the last step kept: -1 for a, 1 for b
-    calls = 0
-    while todo.size:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = a - fa * (b - a) / (fb - fa)
-        x = np.where((a < x) & (x < b) & (calls < SECANT_CALLS), x, 0.5 * (a + b))
-        f = _finite(theta(x)) - target
-        calls += 1
-        lower, upper = f <= 0.0, f >= 0.0
-        # Illinois: an end kept twice in a row has its value halved
-        fb = np.where(lower & (kept > 0.0), 0.5 * fb, fb)
-        fa = np.where(upper & (kept < 0.0), 0.5 * fa, fa)
-        a, fa = np.where(lower, x, a), np.where(lower, f, fa)
-        b, fb = np.where(upper, x, b), np.where(upper, f, fb)
-        kept = np.where(lower, 1.0, -1.0)
-        if calls == 1:
-            # the first call's points are ordered as the targets are, and so
-            # is theta there, up to its rounding, which the checks absorb
-            th = f + target
-            below = np.searchsorted(th, target, side="right") - 1
-            j = np.maximum(below, 0)
-            use = (below >= 0) & (th[j] <= target) & (x[j] > a)
-            a, fa = np.where(use, x[j], a), np.where(use, th[j] - target, fa)
-            j = np.minimum(below + 1, x.size - 1)
-            use = (below + 1 < x.size) & (th[j] >= target) & (x[j] < b)
-            b, fb = np.where(use, x[j], b), np.where(use, th[j] - target, fb)
-            b = np.where(fa == 0.0, a, b)  # an exact zero closes the bracket
-            kept[:] = 0.0
-        done = (b - a <= tol) | ~(np.nextafter(a, b) < b)
-        roots[todo[done]] = 0.5 * (a + b)[done]
-        keep = ~done
-        todo, target, a, b, fa, fb, kept = (v[keep] for v in (todo, target, a, b, fa, fb, kept))
-    return roots.tolist()
+    x = np.clip(a - fa * (b - a) / (fb - fa), a, b)
+    th = _finite(theta(x))
+    # theta at the points is ordered as the targets are, up to its
+    # rounding, which the checks absorb
+    below = np.searchsorted(th, target, side="right") - 1
+    j = np.maximum(below, 0)
+    use = (below >= 0) & (th[j] <= target) & (x[j] > a)
+    a, fa = np.where(use, x[j], a), np.where(use, th[j] - target, fa)
+    j = np.minimum(below + 1, x.size - 1)
+    use = (below + 1 < x.size) & (th[j] >= target) & (x[j] < b)
+    b, fb = np.where(use, x[j], b), np.where(use, th[j] - target, fb)
+    b = np.where(fa == 0.0, a, b)  # an exact zero closes the bracket
+    return _illinois(lambda eps: _finite(theta(eps)), a, b, fa, fb, target, tol, 1).tolist()
 
 
 def _scan_grid(lo, hi, scan_points) -> np.ndarray:
-    """The scan_points uniform interior points of the band (lo, hi)."""
-    return np.linspace(lo, hi, scan_points + 2)[1:-1]
-
-
-def _bisect(values, a, b, fa, tol) -> np.ndarray:
-    """Midpoints of the sign-changing brackets [a, b] of values, a function
-    of an energy array, bisected in lockstep to width tol.
-
-    Each call halves every live bracket as scalar bisection does: at
-    0.5 * (a + b), keeping the right half when the midpoint value has the
-    sign of fa.  A bracket stops on an exact zero, at b - a <= tol, or when
-    its midpoint is not strictly inside it, so a tol below the spacing of
-    doubles ends at adjacent doubles.
-    """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    live = np.flatnonzero(b - a > tol)
-    # the live brackets' state, compacted only when some bracket stops
-    al, bl, fl = a[live], b[live], np.asarray(fa, dtype=float)[live]
-    while live.size:
-        m = 0.5 * (al + bl)
-        f = np.asarray(values(m), dtype=float)
-        go = (al < m) & (m < bl)
-        # fa need not follow a: only whether it is negative is read, and a
-        # moves only to midpoints that agree with it on that
-        right = go & ((fl < 0.0) == (f < 0.0))
-        al = np.where(right, m, al)
-        bl = np.where(go ^ right, m, bl)
-        if not f.all():  # an exact zero shrinks its bracket onto m
-            zero = go & (f == 0.0)
-            al = np.where(zero, m, al)
-            bl = np.where(zero, m, bl)
-        go &= bl - al > tol
-        if not go.all():
-            a[live], b[live] = al, bl
-            live, al, bl, fl = live[go], al[go], bl[go], fl[go]
-    return 0.5 * (a + b)
+    """The scan_points uniform interior points of the band (lo, hi),
+    clipped to its innermost doubles, so that none lies on an edge."""
+    grid = np.linspace(lo, hi, scan_points + 2)[1:-1]
+    return np.clip(grid, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
 
 def _scan_roots(values, lo, hi, scan_points, tol) -> list[float]:
-    """Sorted roots of values on the open band (lo, hi): the brackets of
-    _scan_grid, bisected together by _bisect.  Roots within EDGE_MARGIN of
-    an edge are dropped: the determinant can vanish at a band edge without
-    a bound state there."""
-    if not lo < hi:
+    """Sorted roots of values on the open band (lo, hi): the scan points
+    where values is exactly zero, and the sign-changing cells of
+    _scan_grid, solved together by _illinois."""
+    if not np.nextafter(lo, hi) < hi:
         return []
     grid = _scan_grid(lo, hi, scan_points)
     vals = np.asarray(values(grid), dtype=float)
     sign = np.sign(vals)
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    bracketed = _bisect(values, grid[i], grid[i + 1], vals[i], tol)
+    bracketed = _illinois(values, grid[i], grid[i + 1], vals[i], vals[i + 1], 0.0, tol, 1)
     # a scan point on a root counts once, also where a narrow band repeats points
     fresh = np.concatenate([[True], grid[1:] > grid[:-1]])
-    roots = np.concatenate([bracketed, grid[(sign == 0) & fresh]])
-    roots = roots[(roots - lo > EDGE_MARGIN) & (hi - roots > EDGE_MARGIN)]
-    return np.sort(roots).tolist()
+    return np.sort(np.concatenate([bracketed, grid[(sign == 0) & fresh]])).tolist()
 
 
 def shooting_bound_states(
@@ -659,19 +630,19 @@ def shooting_bound_states(
     x_match: float | None = None,
 ) -> list[float]:
     """Bound-state energies of a field configuration by pure shooting, on
-    the band where both exteriors decay, each to bracket width tol, an
-    exact zero or adjacent doubles.
+    the band where both exteriors decay, each solved by _illinois to
+    bracket width tol, an exact zero or adjacent doubles.
 
     A stepwise profile (electric, magnetic or both piecewise constant) has
     them as the crossings theta = n pi of its shooting phase (see _shooter),
-    counted and solved by _phase_roots, so none is lost at a band edge.  A
-    smooth profile has them as the zeros of dirac_shooting's determinant,
-    found by _scan_roots on scan_points uniform points; its levels can
-    crowd into a band edge, where no finite scan completes them.  Raises
-    ConfigError for a scan_points that is not an integer of at least two,
-    a tol that is not finite and positive, or a k or step that
-    dirac_shooting rejects, and UnsupportedRegime for a step too coarse to
-    count a stepwise profile's windings.
+    counted by _phase_roots, so none is lost at a band edge.  A smooth
+    profile has them as the zeros of dirac_shooting's determinant that
+    _scan_roots brackets on scan_points uniform points, however near an
+    edge; its levels can crowd into a band edge, where no finite scan
+    completes them.  Raises ConfigError for a scan_points that is not an
+    integer of at least two, a tol that is not finite and positive, or a k
+    or step that dirac_shooting rejects, and UnsupportedRegime for a step
+    too coarse to count a stepwise profile's windings.
     """
     if not isinstance(scan_points, (int, np.integer)) or scan_points < 2:
         raise ConfigError(f"scan_points must be an integer of at least 2, got {scan_points!r}")

@@ -11,10 +11,10 @@ counts no level is refused, not reported empty, and so is one whose phase
 rounding moves a level by more than DEFAULT_ROOT_TOL.
 A piecewise well's transfer phase (matching._transfer_phase_slope) is
 solved by the same kernel, its levels counted between its phases at the
-innermost doubles of its band.  The shooting oracle keeps kernels of its
-own, independent of this one: it solves a stepwise profile's phase
-crossings by an Illinois secant (oracle._phase_roots) and scans and
-bisects a smooth profile's determinant (oracle._scan_roots).
+innermost doubles of its band.  The shooting oracle keeps one solver of
+its own, independent of this one: an Illinois secant (oracle._illinois)
+on a stepwise profile's phase crossings and a smooth profile's scanned
+determinant.
 """
 
 from __future__ import annotations

@@ -166,7 +166,7 @@ class TestTransferRoute:
         assert minus == pytest.approx(plus, abs=1e-9)
 
 
-def scan_count(steps, values, k, points=20_000):
+def scan_count(steps, values, k, points=100_000):
     """Reference level count of a piecewise well: sign changes of
     det(psi(x_R), decaying direction) on a scan refined geometrically down
     to the innermost doubles of the band, psi carried across the regions
@@ -234,6 +234,9 @@ class TestTransferPhase:
     @example(well=((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5), 2.0))  # TestCarry's
     @example(well=((-2.0, -0.5, 0.5, 2.0), (0.0, -5.0, 0.0, -5.0, 0.0), 2.0))  # TestEvanescentBarrier's
     @example(well=((-22.0, -20.0, 20.0, 22.0), (0.0, -60.0, 0.0, -47.0, 0.0), 40.0))  # 109 levels
+    # 35 levels, two of them 3.8e-4 apart, which 20000 scan points counted as 33
+    @example(well=((-1.0, 1.109375, 1.61546875, 2.6354687500000002, 6.580512929190437),
+                   (0.0, 11.0, -10.875, 0.0, 14.70703125, 0.0), 6.6875))
     def test_piecewise_wells_match_a_dense_scan(self, well):
         steps, values, k = well
         roots = find_roots(general_secular(FieldConfig(electric=PiecewiseConstant(steps, values)), k))

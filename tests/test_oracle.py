@@ -49,8 +49,6 @@ class TestGridSpec:
             GridSpec(1.0, 1.0, 100)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 2)
-        with pytest.raises(ValueError):
-            GridSpec(0.0, 1.0, 100, boundary="periodic")
 
     @pytest.mark.parametrize("x_min, x_max", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
                                               (-math.inf, 1.0), (-math.inf, math.inf)])
@@ -219,6 +217,16 @@ class TestDiracShooting:
             assert got == pytest.approx(want, abs=1e-3)
         assert all(-2.0 < r < 2.0 for r in roots)
 
+    @pytest.mark.parametrize("step", [0.01, 0.005])
+    def test_smooth_level_near_the_band_edge(self, step):
+        # a level 2e-7 inside the band edge -1e-5: a 1e-6 margin at the band
+        # edges dropped it, though k = 1e-4 found the same level at -0.980 k
+        k = 1e-5
+        roots = shooting_bound_states(FieldConfig(electric=Lorentzian(-5.0)), k, scan_points=150, tol=1e-8,
+                                      step=step)
+        assert len(roots) == 1
+        assert roots[0] / k == pytest.approx(-0.980, abs=1e-3)
+
     def test_rejects_non_decaying_energy(self):
         with pytest.raises(NonDecayingExterior):
             dirac_shooting(square_well_config(2.0), QuantumLabel(2.0, 2.5))
@@ -317,12 +325,16 @@ class TestFoldedMarch:
 
     @pytest.mark.parametrize("case", sorted(SMOOTH_CASES))
     def test_roots_match_the_stepwise_march(self, case, monkeypatch):
+        # the secant reads the determinant's values, which the two marches
+        # round differently, so the roots agree far inside tol, not bit for bit
         config, k, _ = SMOOTH_CASES[case]
         kwargs = dict(scan_points=40, tol=1e-4, step=0.1)
         folded = shooting_bound_states(config, k, **kwargs)
         assert folded
         monkeypatch.setattr(oracle, "_advance_sampled", _stepwise_rk4_march)
-        assert folded == shooting_bound_states(config, k, **kwargs)
+        stepwise = shooting_bound_states(config, k, **kwargs)
+        assert len(folded) == len(stepwise)
+        np.testing.assert_allclose(folded, stepwise, rtol=0.0, atol=1e-12)
 
     def test_step_refinement_is_converged(self):
         config = FieldConfig(electric=Lorentzian(-2.0))
@@ -557,7 +569,8 @@ class TestShootingPhase:
         np.testing.assert_allclose(shot, closed, rtol=0.0, atol=1e-6)
 
     def test_bisection_after_the_secant_calls(self, monkeypatch):
-        # every point a midpoint: the same levels, each within tol
+        # every point after the first call a midpoint: the same levels,
+        # each within tol
         config, tol = square_well_config(8.0), 1e-10
         secant = shooting_bound_states(config, 3.0, tol=tol)
         monkeypatch.setattr(oracle, "SECANT_CALLS", 0)

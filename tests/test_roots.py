@@ -1,12 +1,14 @@
-"""The shooting oracle's root kernels: the uniform scan and lockstep
-bisection of a smooth profile's determinant, whose roots must be a scalar
-bisection's bit for bit, and the phase crossings of a stepwise profile."""
+"""The shooting oracle's one root solver, the Illinois secant of
+oracle._illinois: on the uniform scan of a smooth profile's determinant,
+where its roots must be a scalar Illinois secant's bit for bit, and on the
+phase crossings of a stepwise profile."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracwell import (
     FieldConfig,
@@ -14,60 +16,64 @@ from diracwell import (
     PiecewiseConstant,
     QuantumLabel,
     dirac_shooting,
-    find_roots,
-    general_secular,
     shooting_bound_states,
     square_well_config,
     square_well_secular,
 )
 from diracwell import oracle
-from diracwell.oracle import _bisect, _scan_grid, _scan_roots
+from diracwell.oracle import _illinois, _scan_grid, _scan_roots
 
 
-def scalar_bisection(f, a, b, fa, tol):
-    """One bracket, one halving at a time: the steps the kernel takes."""
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            a = b = mid
-        elif (fa < 0.0) == (fm < 0.0):
-            a, fa = mid, fm
+def scalar_illinois(f, a, b, fa, fb, tol, calls=1):
+    """One bracket, one point at a time: the steps the kernel takes."""
+    kept = 0  # the end the last step kept: -1 for a, 1 for b
+    while b - a > tol and np.nextafter(a, b) < b:
+        x = a - fa * (b - a) / (fb - fa)
+        if not (a < x < b and calls < oracle.SECANT_CALLS):
+            x = 0.5 * (a + b)
+        fx = f(x)
+        calls += 1
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            if kept > 0:
+                fb *= 0.5
+            a, fa, kept = x, fx, 1
         else:
-            b = mid
+            if kept < 0:
+                fa *= 0.5
+            b, fb, kept = x, fx, -1
     return 0.5 * (a + b)
 
 
 def scalar_roots(f, lo, hi, scan_points, tol):
-    """Reference: the uniform scan, then one scalar bisection per bracket,
-    roots within the module's EDGE_MARGIN of an edge dropped."""
+    """Reference: the uniform scan, then one scalar Illinois secant per
+    sign-changing cell; every root is kept, however near an edge."""
     grid = _scan_grid(lo, hi, scan_points)
     vals = f(grid)
-    roots = [float(x) for x in grid[vals == 0.0]]
+    roots = [float(x) for x in np.unique(grid[vals == 0.0])]
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        roots.append(float(scalar_bisection(f, grid[i], grid[i + 1], vals[i], tol)))
-    margin = oracle.EDGE_MARGIN
-    return sorted(r for r in roots if r - lo > margin and hi - r > margin)
+        roots.append(float(scalar_illinois(f, grid[i], grid[i + 1], vals[i], vals[i + 1], tol)))
+    return sorted(roots)
 
 
+ONE = np.nextafter(1.0, 2.0) - 1.0  # one double spacing at 1
 BANDS = [(-2.0, 2.0), (0.0, 2.0), (-50.0, 50.0), (-2.2, -0.3), (1.9999, 2.0)]
-# the margin is the constant EDGE_MARGIN; 0.05 and 1e-12 patched in check
-# margins wider than a scan cell and far below one
+# scan points, and the distance of the planted zeros from each edge: a
+# cell and more, about a cell, and far below one
 SCANS = [(2, 1e-6), (50, 1e-6), (500, 1e-6), (500, 0.05), (2000, 1e-6), (2000, 1e-12)]
 
 
 class TestScanGrid:
     @pytest.mark.parametrize("band", BANDS)
-    @pytest.mark.parametrize("scan_points, edge_margin", SCANS)
-    def test_shooting_scan_is_the_shared_grid(self, band, scan_points, edge_margin, monkeypatch):
-        # the smooth scan evaluates the uniform grid first, and keeps the
-        # reference's roots on it: none within the margin of an edge
-        monkeypatch.setattr(oracle, "EDGE_MARGIN", edge_margin)
+    @pytest.mark.parametrize("scan_points, distance", SCANS)
+    def test_shooting_scan_is_the_shared_grid(self, band, scan_points, distance):
+        # the smooth scan evaluates the uniform grid first, none of it on an
+        # edge, and returns the reference's roots: every zero its cells
+        # bracket, however near an edge
         lo, hi = band
-        zeros = np.array([lo + 0.5 * edge_margin, lo + 2.0 * edge_margin, 0.5 * (lo + hi),
-                          hi - 2.0 * edge_margin, hi - 0.5 * edge_margin])
+        zeros = np.array([lo + 0.5 * distance, lo + 2.0 * distance, 0.5 * (lo + hi),
+                          hi - 2.0 * distance, hi - 0.5 * distance])
         f = lambda x: np.prod(np.subtract.outer(x, zeros), axis=-1)
         calls = []
 
@@ -76,15 +82,34 @@ class TestScanGrid:
             return f(x)
 
         roots = _scan_roots(values, lo, hi, scan_points, 1e-10)
-        np.testing.assert_array_equal(calls[0], np.linspace(lo, hi, scan_points + 2)[1:-1])
+        grid = np.linspace(lo, hi, scan_points + 2)[1:-1]
+        np.testing.assert_array_equal(calls[0], grid)
+        assert np.all((lo < calls[0]) & (calls[0] < hi))
         assert roots == scalar_roots(f, lo, hi, scan_points, 1e-10)
-        assert all(r - lo > edge_margin and hi - r > edge_margin for r in roots)
+        for z in zeros:
+            cell = np.searchsorted(grid, z)
+            if 0 < cell < grid.size and np.sum((grid[cell - 1] < zeros) & (zeros < grid[cell])) == 1:
+                assert min(abs(r - z) for r in roots) <= 1e-10
 
     @pytest.mark.parametrize("band", BANDS)
     def test_no_edge_points_is_the_uniform_scan(self, band):
         lo, hi = band
         uniform = _scan_grid(lo, hi, 150)
         np.testing.assert_array_equal(uniform, np.linspace(lo, hi, 152)[1:-1])
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0 + 4 * ONE), (-1.0 - 3 * ONE, -1.0)])
+    def test_a_zero_on_the_edge_of_a_narrow_band_is_no_root(self, lo, hi):
+        # uniform points a few doubles apart round onto the edges; clipped
+        # to the innermost doubles, they never meet a zero on an edge
+        grid = _scan_grid(lo, hi, 150)
+        assert np.all((lo < grid) & (grid < hi))
+        assert _scan_roots(lambda x: (x - lo) * (x - hi), lo, hi, 150, 1e-10) == []
+
+    def test_tolerance_below_double_spacing_terminates(self):
+        sec = square_well_secular(2.0, 2.0)
+        tiny = _scan_roots(sec.f, sec.lo, sec.hi, 2000, 1e-300)
+        assert len(tiny) == 3
+        np.testing.assert_allclose(tiny, _scan_roots(sec.f, sec.lo, sec.hi, 2000, 1e-10), rtol=0.0, atol=1e-10)
 
 
 # config, k and shooting step
@@ -100,9 +125,13 @@ SHOOTING_WELLS = {
 
 class TestShootingKernel:
     @pytest.mark.parametrize("case", list(SHOOTING_WELLS))
-    def test_roots_equal_scalar_bisection(self, case):
-        # a smooth profile's roots are the scan's, bit for bit; a stepwise
-        # profile's phase crossings are the same zeros of its determinant
+    def test_roots_equal_scalar_bisection(self, case, monkeypatch):
+        # a smooth profile's roots are the scan's under the scalar Illinois
+        # secant, bit for bit; a stepwise profile's phase crossings are the
+        # same zeros of its determinant.  Each side is marched in one block
+        # at every call, so that an energy's determinant does not depend on
+        # the other energies of its call
+        monkeypatch.setattr(oracle, "PROPAGATOR_BLOCK", 10**6)
         config, k, step = SHOOTING_WELLS[case]
         tol, scan_points = 1e-10, 300
         shoot = lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step)
@@ -116,7 +145,36 @@ class TestShootingKernel:
             assert roots == reference
 
 
-ONE = np.nextafter(1.0, 2.0) - 1.0  # one double spacing at 1
+SCAN_POINTS = 2000
+
+
+class TestBatchedKernel:
+    """The solver moves every bracket of the scan at once; every root must
+    still be the scalar Illinois secant's, bit for bit."""
+
+    @pytest.mark.parametrize("k,v0,half_width", [(2, 2, 1), (3, 8, 1), (-4, 11, 0.7), (50, 120, 3)])
+    def test_roots_equal_the_scalar_secant(self, k, v0, half_width):
+        sec = square_well_secular(k, v0, half_width)
+        reference = scalar_roots(sec.f, sec.lo, sec.hi, SCAN_POINTS, 1e-10)
+        assert _scan_roots(sec.f, sec.lo, sec.hi, SCAN_POINTS, 1e-10) == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.floats(-15.0, 15.0).filter(lambda k: abs(k) > 0.1),
+        v0=st.floats(0.0, 40.0),
+        half_width=st.floats(0.2, 3.0),
+        tol=st.sampled_from([1e-10, 1e-7, 1e-4]),
+    )
+    def test_every_root_sits_in_a_sign_changing_bracket(self, k, v0, half_width, tol):
+        sec = square_well_secular(k, v0, half_width)
+        for r in _scan_roots(sec.f, sec.lo, sec.hi, SCAN_POINTS, tol):
+            # the final bracket lies on the scan, inside the innermost doubles
+            probes = np.clip([r - 0.5 * tol, r + 0.5 * tol],
+                             np.nextafter(sec.lo, sec.hi), np.nextafter(sec.hi, sec.lo))
+            left, right = sec(probes)
+            assert sec(r) == 0.0 or left * right < 0.0
+
+
 # 40 brackets around the zeros of cos with ends that are not dyadic
 _ZEROS = (np.arange(40) + 0.5) * np.pi
 _RNG = np.random.default_rng(7)
@@ -124,13 +182,13 @@ RANDOM_A, RANDOM_B = _ZEROS - _RNG.uniform(0.01, 1.5, 40), _ZEROS + _RNG.uniform
 
 
 class TestLevelsPerCall:
-    """Halving every bracket once per call must give a scalar bisection's
-    bits."""
+    """Moving every bracket once per call must give a scalar Illinois
+    secant's bits."""
 
     @pytest.mark.parametrize(
         "f, a, b, tol",
         [
-            # dyadic roots: some bisection midpoint hits each one exactly
+            # dyadic roots: some midpoint or secant point hits each one exactly
             (lambda x: x - 0.375, [0.0], [1.0], 1e-10),
             (lambda x: np.sign(x - 0.8125), [0.0], [1.0], 1e-300),
             (lambda x: x - 2.0**-20, [0.0, -1.0], [1.0, 3.0], 1e-12),
@@ -144,39 +202,32 @@ class TestLevelsPerCall:
     )
     def test_roots_do_not_depend_on_the_depth(self, f, a, b, tol):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        roots = _bisect(f, a, b, f(a), tol)
+        roots = _illinois(f, a, b, f(a), f(b), 0.0, tol, 1)
         scalar_f = lambda x: float(f(np.array([x]))[0])
-        scalar = [scalar_bisection(scalar_f, lo, hi, scalar_f(lo), tol) for lo, hi in zip(a, b)]
+        scalar = [scalar_illinois(scalar_f, lo, hi, scalar_f(lo), scalar_f(hi), tol) for lo, hi in zip(a, b)]
         np.testing.assert_array_equal(roots, scalar)
 
     @pytest.mark.parametrize("brackets", [0, 6, 17, 18, 100, 2024])
     def test_a_call_stays_within_the_budget(self, brackets):
-        # a call evaluates one midpoint per live bracket: brackets 3 wide
-        # around zeros of sin halve 35 times down to 1e-10
+        # a call evaluates one point inside each live bracket: brackets 3
+        # wide around zeros of sin, solved to 1e-10
         lo = np.pi * np.arange(brackets) + 0.5
-        sizes = []
+        points = []
 
         def values(x):
-            sizes.append(x.size)
+            points.append(x)
             return np.sin(x)
 
-        roots = _bisect(values, lo, lo + 3.0, np.sin(lo), 1e-10)
+        roots = _illinois(values, lo, lo + 3.0, np.sin(lo), np.sin(lo + 3.0), 0.0, 1e-10, 1)
         np.testing.assert_allclose(roots, np.pi * np.arange(1, brackets + 1), rtol=0.0, atol=1e-10)
-        assert sizes == ([brackets] * 35 if brackets else [])
-
-    def test_transfer_route_takes_few_calls(self):
-        # the phases at the levels' start points narrow every bracket once:
-        # without that, Newton steps on the transfer phase, which wiggles
-        # within each half-turn, took 84 calls here
-        secular = general_secular(square_well_config(500.0, 5.0), 200.0)
-        calls = []
-
-        def counted(eps):
-            calls.append(np.size(eps))
-            return secular.phase(eps)
-
-        assert len(find_roots(dataclasses.replace(secular, phase=counted))) == 1425
-        assert len(calls) <= 16
+        sizes = [x.size for x in points]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[:1] == ([brackets] if brackets else [])
+        for x in points:
+            owner = np.floor((x - 0.5) / np.pi)
+            assert np.all(x - 0.5 - np.pi * owner < 3.0)  # inside a bracket
+            assert np.unique(owner).size == x.size  # and one per bracket
+        assert len(sizes) <= 19  # halving to tol took 35 calls
 
     def test_stepwise_shooting_takes_few_calls(self, monkeypatch):
         # the phase at the band's ends, then Illinois steps on every level
@@ -202,7 +253,8 @@ class TestLevelsPerCall:
         assert sum(calls) <= 12 * 1425
 
     def test_scan_and_bisection_take_few_calls(self):
-        # one scan, then one call per halving of the scan's cells to tol
+        # one scan, then Illinois steps on every cell at once: halving the
+        # cells to tol took 1 + 25 calls
         secular = square_well_secular(3.0, 8.0, 1.2)
         calls = []
 
@@ -212,6 +264,5 @@ class TestLevelsPerCall:
 
         roots = _scan_roots(counted, secular.lo, secular.hi, 2000, 1e-10)
         assert len(roots) == 6
-        cell = (secular.hi - secular.lo) / 2001
-        assert len(calls) == 1 + math.ceil(math.log2(cell / 1e-10))
+        assert len(calls) == 6
         assert max(calls) == calls[0]
