@@ -14,9 +14,12 @@ pi/2 + n pi at the bound states: the closed-form determinant condition
 for the symmetric square well, and a transfer phase for arbitrary
 piecewise profiles, the Prufer angle of the solution that decays to the
 left measured against the right exterior's decaying direction.  The
-transfer carry, _carry, is the package's one walk across the steps: it
-gives that phase and its slope over an energy array, and at a root the
-(psi, psi') from which states.py reads each region's coefficients.
+transfer carry, _carry, is the package's one walk across the steps.  The
+phase and its slope over an energy array are read off one walk, which
+hands back each inner region's entry and exit pairs with its m, q w and
+rescale; the slope's integral is summed in the walk's own running scale.
+At a root the walk gives the (psi, psi') from which states.py reads each
+region's coefficients.
 """
 
 from __future__ import annotations
@@ -190,36 +193,41 @@ def _electrostatic_steps(config: FieldConfig) -> PiecewiseConstant:
 
 
 _SERIES_CUT = 1e-10
+# below this |m w^2| a region's integral of |psi|^2 takes its series in
+# m w^2, whose error is of order |m w^2|^3 / 100: the closed form's
+# difference cancels to a relative error that grows as 1 / |m w^2|, 1e-3
+# of the slope at |m w^2| = 1e-10
+_AREA_SERIES_CUT = 1e-3
 
 
 def _propagator_entries(m, w):
     """Entries (c, s/kappa, kappa*s) of the (psi, psi') propagator over width w
-    for psi'' = m psi, elementwise in m, and the log of the factor divided out.
+    for psi'' = m psi, elementwise in m; then sqrt(|m|) w (kappa w where
+    m > 0, q w where m < 0) and the log of the factor divided out.
 
     The evanescent branch is rescaled by exp(-kappa w) (a positive factor,
     harmless for locating zeros) so wide regions cannot overflow; the log
-    returned is kappa w there and 0 elsewhere.  Near m = 0 an expansion in
-    m w^2 keeps everything smooth.
+    returned is kappa w there and 0 elsewhere.  Where |m w^2| < _SERIES_CUT
+    an expansion in m w^2 keeps everything smooth; it is built only where
+    some entry needs it.
     """
     m = np.asarray(m, dtype=float)
     z = m * w * w
-    kap = np.sqrt(np.clip(m, 0.0, None))
-    q = np.sqrt(np.clip(-m, 0.0, None))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        decay = np.exp(-2.0 * kap * w)
-        c_ev = 0.5 * (1.0 + decay)
-        sdiv_ev = np.where(kap > 0.0, (1.0 - decay) / np.where(kap > 0.0, 2.0 * kap, 1.0), w)
-        c_os = np.cos(q * w)
-        sdiv_os = np.where(q > 0.0, np.sin(q * w) / np.where(q > 0.0, q, 1.0), w)
-    c_se = 1.0 + z / 2.0 + z * z / 24.0
-    sdiv_se = w * (1.0 + z / 6.0 + z * z / 120.0)
-
     series = np.abs(z) < _SERIES_CUT
-    evan = (~series) & (m > 0.0)
-    c = np.where(series, c_se, np.where(evan, c_ev, c_os))
-    sdiv = np.where(series, sdiv_se, np.where(evan, sdiv_ev, sdiv_os))
-    return c, sdiv, m * sdiv, np.where(evan, kap * w, 0.0)
+    expand = series.any()
+    rate = np.sqrt(np.abs(m))
+    rw = rate * w
+    evan = m > 0.0
+    if expand:
+        rate = np.where(series, 1.0, rate)  # no 0/0: the series replaces these entries
+    half = 0.5 * np.exp(-2.0 * rw)
+    c = np.where(evan, 0.5 + half, np.cos(rw))
+    sdiv = np.where(evan, 0.5 - half, np.sin(rw)) / rate
+    if not expand:
+        return c, sdiv, m * sdiv, rw, np.where(evan, rw, 0.0)
+    c = np.where(series, 1.0 + z / 2.0 + z * z / 24.0, c)
+    sdiv = np.where(series, w * (1.0 + z / 6.0 + z * z / 120.0), sdiv)
+    return c, sdiv, m * sdiv, rw, np.where(evan & ~series, rw, 0.0)
 
 
 def _carry(potential: PiecewiseConstant, k, eps, psi, dpsi, direction: int):
@@ -230,15 +238,20 @@ def _carry(potential: PiecewiseConstant, k, eps, psi, dpsi, direction: int):
     first walking right (direction=+1), the last walking left (-1).  Into a
     region of value v from one of value u, psi' jumps by i (v - u) psi;
     across a region the propagator of _propagator_entries over |w| applies,
-    its odd entries times direction.  Returns (psi, psi', log) per region in
-    the profile's order: the pair at the region's left step (the first step
-    for the left exterior), on its side, where the solution is
-    exp(log) (psi, psi').
+    its odd entries times direction.  Returns (regions, spans).  regions
+    holds (psi, psi', log) per region in the profile's order: the pair at
+    the region's left step (the first step for the left exterior), on its
+    side, where the solution is exp(log) (psi, psi').  spans holds, per
+    inner region in walk order, (psi, psi') where the walk enters it, the
+    pair where it leaves it before the next jump (already divided by
+    exp(rescale)), d = eps - v, m, and the sqrt(|m|) w and rescale of
+    _propagator_entries.
     """
     steps, values = potential.breakpoints, potential.values
     last = len(values) - 1
     log = np.zeros(np.shape(eps))
     regions = [None] * (last + 1)
+    spans = []
     walk = range(last + 1) if direction > 0 else range(last, -1, -1)
     for r in walk:
         if r != walk[0]:
@@ -246,29 +259,37 @@ def _carry(potential: PiecewiseConstant, k, eps, psi, dpsi, direction: int):
         if direction > 0:
             regions[r] = psi, dpsi, log
         if 0 < r < last:
-            m = k * k - (eps - values[r]) ** 2
-            c, sdiv, ks, rescale = _propagator_entries(m, steps[r] - steps[r - 1])
-            psi, dpsi = c * psi + direction * sdiv * dpsi, direction * ks * psi + c * dpsi
+            d = eps - values[r]
+            m = k * k - d**2
+            c, sdiv, ks, rw, rescale = _propagator_entries(m, steps[r] - steps[r - 1])
+            if direction < 0:
+                sdiv, ks = -sdiv, -ks
+            end_psi, end_dpsi = c * psi + sdiv * dpsi, ks * psi + c * dpsi
+            spans.append((psi, dpsi, end_psi, end_dpsi, d, m, rw, rescale))
+            psi, dpsi = end_psi, end_dpsi
             log = log + rescale
         if direction < 0:
             regions[r] = psi, dpsi, log
-    return regions
+    return regions, spans
 
 
 def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
-    """(theta, dtheta/deps) of a piecewise profile, elementwise in eps.
+    """(theta, dtheta/deps) of a piecewise profile, elementwise in eps, read
+    off the one walk of _carry from the left exterior.
 
     theta = pi/2 + phi(x_R) - phi_R, where phi = -arg psi_t1 is the Prufer
-    angle of the solution that decays to the left, read at every step off
-    the regions of _carry, and phi_R is the right exterior's decaying
-    direction: bound states are the crossings theta = pi/2 + n pi.  Across
-    a region phi changes by less than pi, except that an oscillatory one
-    (q^2 = -m > 0) adds sign(d) pi for each of its floor(q w / pi)
-    half-turns, each of which negates psi_t1.  (r^2 dphi/deps)' = r^2 with
-    r = 2 |psi_t1| makes dtheta/deps the integral of |psi|^2 over x < x_R
-    divided by |psi(x_R)|^2, region by region in closed form, plus the
-    right exterior's 1 / (2 p_R): theta increases strictly.  Where a
-    decay rate vanishes the slope is infinite, without a warning.
+    angle of the solution that decays to the left, read at every step, and
+    phi_R is the right exterior's decaying direction: bound states are the
+    crossings theta = pi/2 + n pi.  Across a region phi changes by less
+    than pi, except that an oscillatory one (q^2 = -m > 0) adds sign(d) pi
+    for each of its floor(q w / pi) half-turns, each of which negates
+    psi_t1; q w is the walk's.  (r^2 dphi/deps)' = r^2 with r = 2 |psi_t1|
+    makes dtheta/deps the integral of |psi|^2 over x < x_R divided by
+    |psi(x_R)|^2, plus the right exterior's 1 / (2 p_R): theta increases
+    strictly.  The integral is summed in the walk's running scale, region
+    by region in closed form: area <- area exp(-2 rescale) + the region's
+    integral in units of exp(2 log) at its exit, so no term overflows.
+    Where a decay rate vanishes the slope is infinite, without a warning.
     """
     steps, values = potential.breakpoints, potential.values
     d_lo, d_hi = eps - values[0], eps - values[-1]
@@ -282,31 +303,32 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
     else:
         phi_l, phi_r = np.arctan2(k - p_lo, d_lo), np.arctan2(-d_hi, p_hi - k)
     seed = np.exp(-1j * phi_l)
-    regions = _carry(potential, k, eps, seed, p_lo * seed, 1)
+    regions, spans = _carry(potential, k, eps, seed, p_lo * seed, 1)
     theta = phi_l - phi_r + 0.5 * math.pi
-    # the solution is exp(log) (psi, psi'): integrals of |psi|^2 are summed
-    # in units of exp(2 log) at the last step, which no factor exceeds
-    last_log = regions[-1][2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        area = np.exp(-2.0 * last_log) / (2.0 * p_lo)
-        for r in range(1, len(values) - 1):
-            psi, dpsi, log = regions[r]
-            end_psi, end_dpsi, end_log = regions[r + 1]
-            end_dpsi = end_dpsi - 1j * (values[r + 1] - values[r]) * end_psi  # before the jump
-            d, w = eps - values[r], steps[r] - steps[r - 1]
-            m = k * k - d * d
-            turns = np.floor(np.sqrt(np.maximum(-m, 0.0)) * w / math.pi)
+        area = 1.0 / (2.0 * p_lo)
+        for r, (psi, dpsi, end_psi, end_dpsi, d, m, rw, rescale) in enumerate(spans, 1):
+            turns = np.floor(np.where(m < 0.0, rw, 0.0) / math.pi)
             flip = 1.0 - 2.0 * (turns % 2.0)
-            theta = theta + np.sign(d) * turns * math.pi - np.angle(flip * end_psi * np.conj(psi))
+            turn = flip * end_psi * np.conj(psi)
+            theta = theta + np.sign(d) * turns * math.pi - np.arctan2(turn.imag, turn.real)
             # 2m int |psi|^2 = [Re(conj(psi) psi')] across the region
-            # - w (|psi'|^2 - m |psi|^2), the last constant there; near
-            # m = 0 the cubic in w instead
+            # - w (|psi'|^2 - m |psi|^2), the last constant there, in units
+            # of exp(2 log) at the exit, where the entry's terms shrink by
+            # exp(-2 rescale)
+            w, shrink = steps[r] - steps[r - 1], np.exp(-2.0 * rescale)
             cross, size, grad = (np.conj(psi) * dpsi).real, np.abs(psi) ** 2, np.abs(dpsi) ** 2
-            left = np.exp(2.0 * (log - last_log))
-            right = np.exp(2.0 * (end_log - last_log)) * (np.conj(end_psi) * end_dpsi).real
-            exact = (right - left * (cross + w * (grad - m * size))) / (2.0 * m)
-            series = left * w * (size + w * cross + w * w * grad / 3.0)
-            area = area + np.where(np.abs(m * w * w) < _SERIES_CUT, series, exact)
+            inside = ((np.conj(end_psi) * end_dpsi).real - shrink * (cross + w * (grad - m * size))) / (2.0 * m)
+            near = rw * rw < _AREA_SERIES_CUT
+            if near.any():
+                # that difference cancels as m w^2 -> 0: there the integral
+                # of |c psi + (s/kappa) psi'|^2 to second order in z = m w^2
+                z = m * w * w
+                series = w * (size * (1.0 + z * (1.0 / 3.0 + z / 15.0))
+                              + w * cross * (1.0 + z * (1.0 / 3.0 + z * (2.0 / 45.0)))
+                              + w * w * grad * (1.0 / 3.0 + z * (1.0 / 15.0 + z * (2.0 / 315.0))))
+                inside = np.where(near, shrink * series, inside)
+            area = area * shrink + inside
         slope = area / np.abs(regions[-1][0]) ** 2 + 1.0 / (2.0 * p_hi)
     return theta, slope
 

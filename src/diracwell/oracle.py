@@ -43,6 +43,7 @@ DEFAULT_STEP = 1e-3
 SMOOTH_TAIL_TOL = 1e-8
 SMOOTH_WINDOW_CAP = 50.0
 PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth march
+PROPAGATOR_STEPS = 512  # steps per block of the smooth march
 SECANT_CALLS = 40  # calls after which a bracket still open is bisected
 
 
@@ -342,9 +343,9 @@ def _mul(a, b):
 def _rk4_propagators(w, d, h):
     """Propagators P_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of the classical
     fourth-order step psi -> psi + h/6 (k1 + 2 k2 + 2 k3 + k4), shaped
-    (2, 2, steps, energies).
+    (2, 2, energies, steps).
 
-    w (samples, 1) and d (samples, energies) hold w = k + a and
+    w (1, samples) and d (energies, samples) hold w = k + a and
     d = eps - v at the 2 steps + 1 half-step samples, giving
     M_0, M_m, M_1 = [[w, -d], [d, -w]] at each step's start, middle and
     end.  With M^2 = (w^2 - d^2) I = s I and
@@ -354,46 +355,59 @@ def _rk4_propagators(w, d, h):
         (1 + h^2 s_m / 2)(M_0 + M_1) + 4 M_m
         + h (s_m I + M_m M_0 + M_1 M_m) + h^3 s_m / 4 M_1 M_0.
     """
-    w0, wm, w1 = w[:-1:2], w[1::2], w[2::2]
-    d0, dm, d1 = d[:-1:2], d[1::2], d[2::2]
-    sm = wm * wm - dm * dm
-    g = 1.0 + 0.5 * h * h * sm
-    diag = g * (w0 + w1) + 4.0 * wm  # coefficient of diag(1, -1)
-    skew = g * (d0 + d1) + 4.0 * dm  # coefficient of [[0, -1], [1, 0]]
-    c3 = 0.25 * h * h * h * sm
-    # coefficients of I and of [[0, 1], [1, 0]]
-    ident = h * (sm + (wm * w0 - dm * d0) + (w1 * wm - d1 * dm)) + c3 * (w1 * w0 - d1 * d0)
-    swap = h * ((dm * w0 - wm * d0) + (d1 * wm - w1 * dm)) + c3 * (d1 * w0 - w1 * d0)
+    w0, wm, w1 = w[:, :-1:2], w[:, 1::2], w[:, 2::2]
+    d0, dm, d1 = d[:, :-1:2], d[:, 1::2], d[:, 2::2]
     f = h / 6.0
+    sm = wm * wm - dm * dm
+    fg = f + (0.5 * f * h * h) * sm
+    c3 = (0.25 * f * h * h * h) * sm
+    wsum, dsum = w0 + w1, d0 + d1
+    # h/6 times the coefficients of diag(1, -1) and [[0, -1], [1, 0]], and
+    # of I and [[0, 1], [1, 0]], where M_m M_0 + M_1 M_m adds
+    # w_m (w_0 + w_1) - d_m (d_0 + d_1) to the first and
+    # d_m (w_0 - w_1) + w_m (d_1 - d_0) to the second
+    diag = fg * wsum + (4.0 * f) * wm
+    skew = fg * dsum + (4.0 * f) * dm
+    ident = (f * h) * (sm + wm * wsum - dm * dsum) + c3 * (w1 * w0 - d1 * d0)
+    swap = (f * h) * (dm * (w0 - w1) + wm * (d1 - d0)) + c3 * (d1 * w0 - w1 * d0)
     p = np.empty((2, 2) + d0.shape)
-    p[0, 0] = 1.0 + f * (ident + diag)
-    p[1, 1] = 1.0 + f * (ident - diag)
-    p[0, 1] = f * (swap - skew)
-    p[1, 0] = f * (swap + skew)
+    one = 1.0 + ident
+    np.add(one, diag, out=p[0, 0])
+    np.subtract(one, diag, out=p[1, 1])
+    np.subtract(swap, skew, out=p[0, 1])
+    np.add(swap, skew, out=p[1, 0])
     return p
 
 
 def _chain(p):
-    """P_{m-1} ... P_1 P_0 for p shaped (2, 2, m, energies), up to a
+    """P_{m-1} ... P_1 P_0 for p shaped (2, 2, energies, m), up to a
     positive factor per energy: neighbours are multiplied pairwise, and
-    every partial product is divided by its largest entry, which keeps it
-    finite and keeps the sign of its determinant."""
-    while p.shape[2] > 1:
-        m = p.shape[2]
-        q = _mul(p[:, :, 1::2], p[:, :, : m - 1 : 2])
+    every second round of products is divided by its largest entry, which
+    keeps it finite and keeps the sign of its determinant.  A round
+    multiplies at most three factors, whose largest entries a, b, c bound
+    the product's by 4 a b c, so two rounds from entries at most e stay
+    below 256 e^9."""
+    rounds = 0
+    while p.shape[3] > 1:
+        m = p.shape[3]
+        q = _mul(p[..., 1::2], p[..., : m - 1 : 2])
         if m % 2:  # the unpaired latest step multiplies the last pair
-            q[:, :, -1] = _mul(p[:, :, -1], q[:, :, -1])
-        q /= np.abs(q).max(axis=(0, 1))
+            q[..., -1] = _mul(p[..., -1], q[..., -1])
+        rounds += 1
+        if rounds % 2 == 0:
+            q /= np.abs(q).max(axis=(0, 1))
         p = q
-    return p[:, :, 0]
+    return p[..., 0]
 
 
 def _advance_sampled(config, k, eps, psi, x_from, x_to, step):
     """Classical fourth-order march with field samples at the half steps.
 
-    The steps are taken in blocks of at most PROPAGATOR_BLOCK (step x
+    The march is cut into blocks of PROPAGATOR_STEPS steps and the
+    energies into chunks that keep a block within PROPAGATOR_BLOCK (step x
     energy) elements: each block's per-step propagators are built at once,
-    multiplied into one 2x2 per energy and applied to psi.
+    multiplied into one 2x2 per energy and applied to psi.  The blocks do
+    not depend on the energies, so neither does any energy's result.
     """
     span = x_to - x_from
     if span == 0.0:
@@ -411,14 +425,18 @@ def _advance_sampled(config, k, eps, psi, x_from, x_to, step):
         if config.magnetic is not None
         else np.zeros(len(xs))
     )
-    w = (k + ay)[:, None]
-    per_block = max(1, PROPAGATOR_BLOCK // max(1, len(eps)))
-    for start in range(0, n, per_block):
-        s = slice(2 * start, 2 * min(start + per_block, n) + 1)
-        p = _chain(_rk4_propagators(w[s], eps - v[s, None], h))
-        psi = (p[:, 0] * psi[:, 0] + p[:, 1] * psi[:, 1]).T
-        _renormalize(psi)
-    return psi
+    w = (k + ay)[None, :]
+    chunk = PROPAGATOR_BLOCK // min(n, PROPAGATOR_STEPS)
+    out = np.empty_like(psi)
+    for e in range(0, len(eps), chunk):
+        part = psi[e : e + chunk]
+        for start in range(0, n, PROPAGATOR_STEPS):
+            s = slice(2 * start, 2 * min(start + PROPAGATOR_STEPS, n) + 1)
+            p = _chain(_rk4_propagators(w[:, s], eps[e : e + chunk, None] - v[s], h))
+            part = (p[:, 0] * part[:, 0] + p[:, 1] * part[:, 1]).T
+            _renormalize(part)
+        out[e : e + chunk] = part
+    return out
 
 
 def _shooter(config: FieldConfig, k: float, step: float, x_match):
@@ -530,13 +548,16 @@ def _illinois(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
     of values already spent on them.
 
     fa and fb are values - target at a and b, of opposite signs.  Each
-    call evaluates one point per live bracket, the secant point, or the
-    midpoint where that is not strictly inside or calls have reached
-    SECANT_CALLS; it replaces the end whose value has its sign, an end kept
-    twice in a row has its value halved, and an exact zero closes the
-    bracket.  A bracket is done, at 0.5 (a + b), once it is tol wide, holds
-    no double inside, or has closed onto an exact zero.
+    call evaluates one point per live bracket: the secant point, clipped to
+    [a + g, b - g] with g = 0.45 tol so that an end already on the root is
+    passed and the bracket closes, or the midpoint where the clipped point
+    is not strictly inside or calls have reached SECANT_CALLS.  It replaces
+    the end whose value has its sign, an end kept twice in a row has its
+    value halved, and an exact zero closes the bracket.  A bracket is done,
+    at 0.5 (a + b), once it is tol wide, holds no double inside, or has
+    closed onto an exact zero.
     """
+    gap = 0.45 * tol
     target = np.zeros(np.shape(a)) + target
     roots = np.empty(target.size)
     todo = np.arange(target.size)
@@ -550,6 +571,7 @@ def _illinois(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
             return roots
         with np.errstate(divide="ignore", invalid="ignore"):
             x = a - fa * (b - a) / (fb - fa)
+        x = np.minimum(np.maximum(x, a + gap), b - gap)
         x = np.where((a < x) & (x < b) & (calls < SECANT_CALLS), x, 0.5 * (a + b))
         f = np.asarray(values(x), dtype=float) - target
         calls += 1

@@ -345,7 +345,7 @@ def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> Piecewis
 
     def coefficients(direction):  # rows a, b
         seed = g[0].real if direction > 0 else -g[-1].real
-        psi, dpsi, log = map(np.array, zip(*_carry(potential, k, eps, 1.0, seed, direction)))
+        psi, dpsi, log = map(np.array, zip(*_carry(potential, k, eps, 1.0, seed, direction)[0]))
         return np.array((psi + dpsi / g, psi - dpsi / g)) * (0.5 * np.exp(log))
 
     fw, bw = coefficients(1), coefficients(-1)

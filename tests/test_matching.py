@@ -21,6 +21,7 @@ from diracwell import (
     square_well_secular,
 )
 from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnboundedStateRequest
+from diracwell.matching import _transfer_phase_slope
 
 # reference spectrum of the (k=2, v0=2, L=1) well, lowest first
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
@@ -242,3 +243,26 @@ class TestTransferPhase:
         roots = find_roots(general_secular(FieldConfig(electric=PiecewiseConstant(steps, values)), k))
         assert len(roots) == scan_count(steps, values, k)
         assert np.all(np.diff(roots) > 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(well=piecewise_wells(), share=st.floats(0.001, 0.999))
+    # 109 levels behind a barrier of kappa w = 1467
+    @example(well=((-22.0, -20.0, 20.0, 22.0), (0.0, -60.0, 0.0, -47.0, 0.0), 40.0), share=0.3)
+    # m = 0 in the region of value -2, and m = 1.02e-10 just past the
+    # propagator's series cut, where the closed-form integral cancelled to
+    # 1e-3 of the slope
+    @example(well=((-1.0, 0.0, 1.0), (0.0, -4.0, -2.0, 0.0), 2.0), share=0.5)
+    @example(well=((-1.0, 0.0, 1.0), (0.0, -4.0, -2.0, 0.0), 2.0), share=0.5 - 6.4e-12)
+    @example(well=((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5), -2.0), share=0.4)  # k < 0
+    def test_slope_is_the_derivative_of_the_phase(self, well, share):
+        # the slope summed in the walk's running scale against central
+        # differences of theta at h and h/2, extrapolated to h^4
+        steps, values, k = well
+        lo, hi = max(values[0], values[-1]) - abs(k), min(values[0], values[-1]) + abs(k)
+        if not lo < hi:
+            return
+        eps, h = lo + share * (hi - lo), 1e-6 * (hi - lo)
+        theta, slope = _transfer_phase_slope(
+            PiecewiseConstant(steps, values), k, eps + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
+        derivative = (4.0 * (theta[3] - theta[1]) / h - (theta[4] - theta[0]) / (2.0 * h)) / 3.0
+        assert slope[2] == pytest.approx(derivative, rel=1e-5)

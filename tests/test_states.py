@@ -193,7 +193,7 @@ class TestCarry:
         k, eps = label.k, label.epsilon
         g = np.sqrt((k * k - (eps - np.array(self.PROFILE.values)) ** 2).astype(complex))
         seed = g[0].real if direction > 0 else -g[-1].real
-        regions = _carry(self.PROFILE, k, eps, 1.0, seed, direction)
+        regions, _ = _carry(self.PROFILE, k, eps, 1.0, seed, direction)
         psi, dpsi, log = map(np.array, zip(*regions))
         scale = 0.5 * np.exp(log)
         check_steps(self.PROFILE, g, (psi + dpsi / g) * scale, (psi - dpsi / g) * scale, 1e-12)
