@@ -393,6 +393,35 @@ class TestOutputFile:
         assert target.read_text().startswith("n,epsilon\n")
 
 
+PINNED = Path(__file__).parent / "data" / "cli_stdout"
+
+
+class TestPinnedOutput:
+    """stdout of the spectrum of every CI verify well, and of the paper's
+    k = 3 collapse sweep, byte for byte as recorded in tests/data: the
+    root kernels' fast paths may not move a single bit of a root."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("spectrum_2_2.csv", ["spectrum", "--k", "2", "--v0", "2"]),
+            ("spectrum_3_8.csv", ["spectrum", "--k", "3", "--v0", "8"]),
+            ("spectrum_30_40_1.5.csv", ["spectrum", "--k", "30", "--v0", "40", "--half-width", "1.5"]),
+            ("spectrum_2_-5.csv", ["spectrum", "--k", "2", "--v0", "-5"]),
+            ("spectrum_2_0.csv", ["spectrum", "--k", "2", "--v0", "0"]),
+            ("spectrum_50_20_3.csv", ["spectrum", "--k", "50", "--v0", "20", "--half-width", "3"]),
+            ("spectrum_2_1e-4.csv", ["spectrum", "--k", "2", "--v0", "1e-4"]),
+            ("spectrum_50_120_3.csv", ["spectrum", "--k", "50", "--v0", "120", "--half-width", "3"]),
+            ("spectrum_200_500_5.csv", ["spectrum", "--k", "200", "--v0", "500", "--half-width", "5"]),
+            ("sweep_v0_3_0-8-0.01.csv", ["sweep-v0", "--k", "3", "--v0", "0:8:0.01"]),
+        ],
+    )
+    def test_stdout_is_byte_identical_to_the_recorded_output(self, capsys, name, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (PINNED / name).read_text()
+
+
 class TestImports:
     def test_import_and_spectrum_leave_scipy_linalg_unloaded(self):
         script = (
