@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -55,7 +56,8 @@ class SecularFunction:
     # (theta, dtheta/deps) of a monotone theta on (lo, hi) that crosses
     # pi/2 + n pi at the roots
     phase: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    # at least one root in exact arithmetic: a square well with k, v0 != 0
+    # at least one root in exact arithmetic: a square well with k, v0 != 0,
+    # or a profile that binds by the weak-coupling rule (see _binds)
     binds: bool = False
 
     def __call__(self, epsilon):
@@ -207,9 +209,10 @@ def _propagator_entries(m, w):
 
     The evanescent branch is rescaled by exp(-kappa w) (a positive factor,
     harmless for locating zeros) so wide regions cannot overflow; the log
-    returned is kappa w there and 0 elsewhere.  Where |m w^2| < _SERIES_CUT
-    an expansion in m w^2 keeps everything smooth; it is built only where
-    some entry needs it.
+    returned is kappa w there and 0 elsewhere, or None where no element is
+    evanescent: then the entries are the cosine and sine alone, and nothing
+    is rescaled.  Where |m w^2| < _SERIES_CUT an expansion in m w^2 keeps
+    everything smooth; it is built only where some entry needs it.
     """
     m = np.asarray(m, dtype=float)
     z = m * w * w
@@ -220,14 +223,17 @@ def _propagator_entries(m, w):
     evan = m > 0.0
     if expand:
         rate = np.where(series, 1.0, rate)  # no 0/0: the series replaces these entries
-    half = 0.5 * np.exp(-2.0 * rw)
-    c = np.where(evan, 0.5 + half, np.cos(rw))
-    sdiv = np.where(evan, 0.5 - half, np.sin(rw)) / rate
-    if not expand:
-        return c, sdiv, m * sdiv, rw, np.where(evan, rw, 0.0)
-    c = np.where(series, 1.0 + z / 2.0 + z * z / 24.0, c)
-    sdiv = np.where(series, w * (1.0 + z / 6.0 + z * z / 120.0), sdiv)
-    return c, sdiv, m * sdiv, rw, np.where(evan & ~series, rw, 0.0)
+    if evan.any():
+        half = 0.5 * np.exp(-2.0 * rw)
+        c = np.where(evan, 0.5 + half, np.cos(rw))
+        sdiv = np.where(evan, 0.5 - half, np.sin(rw)) / rate
+        rescale = np.where(evan & ~series if expand else evan, rw, 0.0)
+    else:
+        c, sdiv, rescale = np.cos(rw), np.sin(rw) / rate, None
+    if expand:
+        c = np.where(series, 1.0 + z / 2.0 + z * z / 24.0, c)
+        sdiv = np.where(series, w * (1.0 + z / 6.0 + z * z / 120.0), sdiv)
+    return c, sdiv, m * sdiv, rw, rescale
 
 
 def _carry(potential: PiecewiseConstant, k, eps, psi, dpsi, direction: int):
@@ -245,7 +251,7 @@ def _carry(potential: PiecewiseConstant, k, eps, psi, dpsi, direction: int):
     inner region in walk order, (psi, psi') where the walk enters it, the
     pair where it leaves it before the next jump (already divided by
     exp(rescale)), d = eps - v, m, and the sqrt(|m|) w and rescale of
-    _propagator_entries.
+    _propagator_entries (None for a region that rescales nothing).
     """
     steps, values = potential.breakpoints, potential.values
     last = len(values) - 1
@@ -267,7 +273,8 @@ def _carry(potential: PiecewiseConstant, k, eps, psi, dpsi, direction: int):
             end_psi, end_dpsi = c * psi + sdiv * dpsi, ks * psi + c * dpsi
             spans.append((psi, dpsi, end_psi, end_dpsi, d, m, rw, rescale))
             psi, dpsi = end_psi, end_dpsi
-            log = log + rescale
+            if rescale is not None:
+                log = log + rescale
         if direction < 0:
             regions[r] = psi, dpsi, log
     return regions, spans
@@ -288,13 +295,19 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
     |psi(x_R)|^2, plus the right exterior's 1 / (2 p_R): theta increases
     strictly.  The integral is summed in the walk's running scale, region
     by region in closed form: area <- area exp(-2 rescale) + the region's
-    integral in units of exp(2 log) at its exit, so no term overflows.
-    Where a decay rate vanishes the slope is infinite, without a warning.
+    integral in units of exp(2 log) at its exit, so no term overflows; a
+    region that rescales nothing shrinks nothing.  Equal exteriors share
+    their d and p.  Where a decay rate vanishes the slope is infinite,
+    without a warning.
     """
     steps, values = potential.breakpoints, potential.values
-    d_lo, d_hi = eps - values[0], eps - values[-1]
+    d_lo = eps - values[0]
     p_lo = np.sqrt(np.maximum(k * k - d_lo**2, 0.0))
-    p_hi = np.sqrt(np.maximum(k * k - d_hi**2, 0.0))
+    if values[0] == values[-1]:
+        d_hi, p_hi = d_lo, p_lo
+    else:
+        d_hi = eps - values[-1]
+        p_hi = np.sqrt(np.maximum(k * k - d_hi**2, 0.0))
     # angles of the left exterior's growing and the right one's decaying
     # eigenvector of M = [[k, -d], [d, -k]], (k + p, d) and (d, k + p), or
     # for k < 0 (d, k - p) and (p - k, -d): each on one branch over the band
@@ -316,9 +329,13 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
             # - w (|psi'|^2 - m |psi|^2), the last constant there, in units
             # of exp(2 log) at the exit, where the entry's terms shrink by
             # exp(-2 rescale)
-            w, shrink = steps[r] - steps[r - 1], np.exp(-2.0 * rescale)
+            w = steps[r] - steps[r - 1]
             cross, size, grad = (np.conj(psi) * dpsi).real, np.abs(psi) ** 2, np.abs(dpsi) ** 2
-            inside = ((np.conj(end_psi) * end_dpsi).real - shrink * (cross + w * (grad - m * size))) / (2.0 * m)
+            entry = cross + w * (grad - m * size)
+            if rescale is not None:
+                shrink = np.exp(-2.0 * rescale)
+                entry, area = shrink * entry, area * shrink
+            inside = ((np.conj(end_psi) * end_dpsi).real - entry) / (2.0 * m)
             near = rw * rw < _AREA_SERIES_CUT
             if near.any():
                 # that difference cancels as m w^2 -> 0: there the integral
@@ -327,8 +344,8 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
                 series = w * (size * (1.0 + z * (1.0 / 3.0 + z / 15.0))
                               + w * cross * (1.0 + z * (1.0 / 3.0 + z * (2.0 / 45.0)))
                               + w * w * grad * (1.0 / 3.0 + z * (1.0 / 15.0 + z * (2.0 / 315.0))))
-                inside = np.where(near, shrink * series, inside)
-            area = area * shrink + inside
+                inside = np.where(near, series if rescale is None else shrink * series, inside)
+            area = area + inside
         slope = area / np.abs(regions[-1][0]) ** 2 + 1.0 / (2.0 * p_hi)
     return theta, slope
 
@@ -353,12 +370,30 @@ def secular_det_general(config: FieldConfig, label: QuantumLabel):
     return out if np.ndim(label.epsilon) else float(out[0])
 
 
+def _binds(potential: PiecewiseConstant, k: float) -> bool:
+    """Whether the profile binds a level in exact arithmetic by the 1D
+    weak-coupling rule (B. Simon, Ann. Phys. 97, 279 (1976), with mass |k|
+    at the Dirac band edge): k != 0, equal exteriors v_inf and a nonzero
+    integral of v - v_inf, whose sign is taken exactly over the profile's
+    floats, so that no underflow can clear it.  False where the rule
+    proves nothing: a zero integral or unequal exteriors."""
+    values, steps = potential.values, potential.breakpoints
+    if k == 0.0 or values[0] != values[-1]:
+        return False
+    outer = Fraction(values[0])
+    return 0 != sum(
+        (Fraction(v) - outer) * (Fraction(right) - Fraction(left))
+        for v, left, right in zip(values[1:-1], steps, steps[1:])
+    )
+
+
 def general_secular(config: FieldConfig, k: float) -> SecularFunction:
     """Secular function and phase of an arbitrary piecewise electrostatic
     profile.
 
-    The domain is the energy window where both exterior regions decay.
-    Raises ConfigError for a k that is not finite.
+    The domain is the energy window where both exterior regions decay, and
+    binds is set by the weak-coupling rule of _binds.  Raises ConfigError
+    for a k that is not finite.
     """
     pot = _electrostatic_steps(config)
     if not math.isfinite(k):
@@ -372,6 +407,7 @@ def general_secular(config: FieldConfig, k: float) -> SecularFunction:
         lo=lo,
         hi=hi,
         phase=lambda eps: _transfer_phase_slope(pot, k, eps),
+        binds=_binds(pot, k),
     )
 
 

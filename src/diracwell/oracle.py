@@ -253,7 +253,9 @@ def _rk4_power(s, h, n):
     - s = 0: R = I + h M, so (u_n, v_n) = (1, n h).
     All are bounded, so a wide segment neither overflows nor underflows.
     The half-turns are NaN where the one-step u or v is not positive: such
-    a step turns by pi/2 or more, too coarse to count.
+    a step turns by pi/2 or more, too coarse to count.  The decay branch
+    is taken only where some s >= 0, and the NaN mask only where some u or
+    v is not positive.
     Everything is taken at |h|, then v_n negated for h < 0: u_n is even and
     v_n odd in h, bit for bit.
     """
@@ -265,11 +267,17 @@ def _rk4_power(s, h, n):
     vs = v * sigma
     osc = s < 0.0
     angle = n * np.arctan2(vs, u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        decay = np.expm1(n * np.log1p(-2.0 * vs / (u + vs)))  # r^n - 1
-        un = np.where(osc, np.cos(angle), 1.0 + 0.5 * decay)
-        vn = np.where(s == 0.0, n * h_abs, np.where(osc, np.sin(angle), -0.5 * decay) / sigma)
-    turns = np.where((u > 0.0) & (v > 0.0), np.floor(angle / math.pi), np.nan)
+    if osc.all():
+        un, vn = np.cos(angle), np.sin(angle) / sigma
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            decay = np.expm1(n * np.log1p(-2.0 * vs / (u + vs)))  # r^n - 1
+            un = np.where(osc, np.cos(angle), 1.0 + 0.5 * decay)
+            vn = np.where(s == 0.0, n * h_abs, np.where(osc, np.sin(angle), -0.5 * decay) / sigma)
+    turns = np.floor(angle / math.pi)
+    fine = (u > 0.0) & (v > 0.0)
+    if not fine.all():
+        turns = np.where(fine, turns, np.nan)
     return un, (vn if h >= 0.0 else -vn), turns
 
 
@@ -564,15 +572,21 @@ def _illinois(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
     kept = np.zeros(target.size)  # the end the last step kept: -1 for a, 1 for b
     while True:
         done = (b - a <= tol) | ~(np.nextafter(a, b) < b)
-        roots[todo[done]] = 0.5 * (a + b)[done]
-        keep = ~done
-        todo, target, a, b, fa, fb, kept = (v[keep] for v in (todo, target, a, b, fa, fb, kept))
+        if done.any():
+            roots[todo[done]] = 0.5 * (a + b)[done]
+            keep = ~done
+            todo, target, a, b, fa, fb, kept = (v[keep] for v in (todo, target, a, b, fa, fb, kept))
         if not todo.size:
             return roots
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = a - fa * (b - a) / (fb - fa)
-        x = np.minimum(np.maximum(x, a + gap), b - gap)
-        x = np.where((a < x) & (x < b) & (calls < SECANT_CALLS), x, 0.5 * (a + b))
+        if calls < SECANT_CALLS:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = a - fa * (b - a) / (fb - fa)
+            x = np.minimum(np.maximum(x, a + gap), b - gap)
+            inside = (a < x) & (x < b)
+            if not inside.all():
+                x = np.where(inside, x, 0.5 * (a + b))
+        else:
+            x = 0.5 * (a + b)
         f = np.asarray(values(x), dtype=float) - target
         calls += 1
         same = (f < 0.0) == (fa < 0.0)
@@ -603,6 +617,8 @@ def _phase_roots(theta, lo, hi, tol) -> list[float]:
         return []
     th_lo, th_hi = _finite(theta(ends))
     target = math.pi * np.arange(math.floor(th_lo / math.pi) + 1, math.ceil(th_hi / math.pi))
+    if not target.size:
+        return []
     a, b = np.full(target.size, ends[0]), np.full(target.size, ends[1])
     fa, fb = th_lo - target, th_hi - target
     x = np.clip(a - fa * (b - a) / (fb - fa), a, b)

@@ -92,23 +92,28 @@ def _level_ranges(phase, lo, hi, binds):
     live = np.flatnonzero(inner_lo < inner_hi)
     inner_lo, inner_hi = inner_lo[live], inner_hi[live]
     with np.errstate(over="ignore", invalid="ignore"):
-        th_lo, th_hi = np.split(phase(np.r_[live, live], np.r_[inner_lo, inner_hi])[0], 2)
+        theta = phase(np.concatenate((live, live)), np.concatenate((inner_lo, inner_hi)))[0]
+    th_lo, th_hi = theta[: live.size], theta[live.size :]
     reach = np.maximum(np.abs(th_lo), np.abs(th_hi))
     if not np.all(np.spacing(reach) < math.pi):  # NaN for a phase that is not finite
         raise UnsupportedRegime(f"phase reaches {np.max(reach):.3g}: levels are not distinct doubles")
-    sign = np.where(th_hi < th_lo, -1.0, 1.0)
-    u_lo, u_hi = np.sort([sign * inner_lo, sign * inner_hi], axis=0)
-    th_lo, th_hi = np.sort([th_lo, th_hi], axis=0)
+    flip = th_hi < th_lo
+    sign = np.where(flip, -1.0, 1.0)
+    u_lo, u_hi = inner_lo, inner_hi
+    if flip.any():
+        u_lo, u_hi = np.where(flip, -inner_hi, inner_lo), np.where(flip, -inner_lo, inner_hi)
+        th_lo, th_hi = np.where(flip, th_hi, th_lo), np.where(flip, th_lo, th_hi)
     first = np.floor((th_lo - 0.5 * math.pi) / math.pi).astype(int) + 1
     last = np.ceil((th_hi - 0.5 * math.pi) / math.pi).astype(int) - 1
     count = np.maximum(last - first + 1, 0)
-    empty = np.broadcast_to(binds, lo.shape).copy()
-    empty[live[count > 0]] = False
-    if empty.any():
-        raise UnsupportedRegime(
-            f"{np.count_nonzero(empty)} well(s) bind a level within one double of the band edge: "
-            "too weakly bound to resolve"
-        )
+    if np.any(binds):
+        empty = np.broadcast_to(binds, lo.shape).copy()
+        empty[live[count > 0]] = False
+        if empty.any():
+            raise UnsupportedRegime(
+                f"{np.count_nonzero(empty)} well(s) bind a level within one double of the band edge: "
+                "too weakly bound to resolve"
+            )
     return live, sign, u_lo, u_hi, th_lo, th_hi, first, count
 
 
@@ -157,25 +162,37 @@ def _levels_by_row(phase, lo, hi, binds):
     width = reach = np.spacing(np.maximum(np.abs(lo), np.abs(hi))[rows])
     root, slope_at = np.empty(at.size), np.empty(at.size)
     todo, calls = np.arange(at.size), 0
+    mirrored = bool((sign < 0.0).any())
     while todo.size:
-        x = np.where((a < x) & (x < b) & (calls < NEWTON_CALLS), x, 0.5 * (a + b))
-        theta, slope = phase(rows, s * x)
+        if calls < NEWTON_CALLS:
+            inside = (a < x) & (x < b)
+            if not inside.all():
+                x = np.where(inside, x, 0.5 * (a + b))
+        else:
+            x = 0.5 * (a + b)
+        theta, slope = phase(rows, s * x if mirrored else x)
         calls += 1
-        f, slope = theta - target, s * slope
+        f = theta - target
+        if mirrored:
+            slope = s * slope
         a, b = np.where(f <= 0.0, x, a), np.where(f >= 0.0, x, b)
         if calls == 1:
             a, b = _narrowed(rows, x, theta, target, a, b)
         done = b - a <= width
-        root[todo[done]], slope_at[todo[done]] = 0.5 * (a + b)[done], slope[done]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = -f / slope
         stretch = np.abs(step) < reach
-        x = x + np.where(stretch, np.copysign(reach, step), step)
-        reach = np.where(stretch, 2.0 * reach, reach)
-        keep = ~done
-        todo, rows, s, target, a, b, x, width, reach = (
-            v[keep] for v in (todo, rows, s, target, a, b, x, width, reach)
-        )
+        if stretch.any():
+            x = x + np.where(stretch, np.copysign(reach, step), step)
+            reach = np.where(stretch, 2.0 * reach, reach)
+        else:
+            x = x + step
+        if done.any():
+            root[todo[done]], slope_at[todo[done]] = 0.5 * (a + b)[done], slope[done]
+            keep = ~done
+            todo, rows, s, target, a, b, x, width, reach = (
+                v[keep] for v in (todo, rows, s, target, a, b, x, width, reach)
+            )
     blur = np.spacing(np.abs(0.5 * math.pi + n * math.pi)) / slope_at
     blurred = ~(blur <= DEFAULT_ROOT_TOL)  # NaN for a slope that is not finite
     if blurred.any():
@@ -183,8 +200,10 @@ def _levels_by_row(phase, lo, hi, binds):
             f"phase rounding moves {np.count_nonzero(blurred)} level(s) by up to "
             f"{np.max(blur[blurred]):.3g}, more than {DEFAULT_ROOT_TOL:g}"
         )
-    rows, root = live[at], sign[at] * root
-    n = np.where(sign[at] > 0.0, n, -n - 1)
+    rows = live[at]
+    if mirrored:
+        root = sign[at] * root
+        n = np.where(sign[at] > 0.0, n, -n - 1)
     order = np.lexsort((root, rows))
     return rows[order], n[order], root[order]
 

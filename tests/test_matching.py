@@ -20,8 +20,8 @@ from diracwell import (
     square_well_config,
     square_well_secular,
 )
-from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnboundedStateRequest
-from diracwell.matching import _transfer_phase_slope
+from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnboundedStateRequest, UnsupportedRegime
+from diracwell.matching import _propagator_entries, _transfer_phase_slope
 
 # reference spectrum of the (k=2, v0=2, L=1) well, lowest first
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
@@ -166,6 +166,36 @@ class TestTransferRoute:
         minus = find_roots(general_secular(square_well_config(2.0), -2.0))
         assert minus == pytest.approx(plus, abs=1e-9)
 
+    @pytest.mark.parametrize("k, v0, half_width", [(2.0, 1e-300, 1.0), (2.0, 2.0, 1e-300),
+                                                   (5e-324, 1.0, 1.0), (2.0, 2.0, 5e-324)])
+    def test_weakly_binding_square_wells_raise_by_both_routes(self, k, v0, half_width):
+        # each binds a level within one double of the band edge
+        with pytest.raises(UnsupportedRegime, match="within one double"):
+            find_roots(square_well_secular(k, v0, half_width))
+        with pytest.raises(UnsupportedRegime, match="within one double"):
+            find_roots(general_secular(square_well_config(v0, half_width), k))
+
+    def test_a_weakly_binding_piecewise_well_raises(self):
+        # it binds at |k| - eps of about 2.7 v^2: 2.7e-8 at v = 1e-4, and
+        # 2.7e-18 at v = 1e-9, below a double of |k| = 2
+        well = lambda v: FieldConfig(electric=PiecewiseConstant((-1.0, 0.3, 1.0), (0.0, -v, -v / 2, 0.0)))
+        assert len(find_roots(general_secular(well(1e-4), 2.0))) == 1
+        with pytest.raises(UnsupportedRegime, match="within one double"):
+            find_roots(general_secular(well(1e-9), 2.0))
+
+    @pytest.mark.parametrize(
+        "values, k, binds",
+        [
+            ((0.0, -1e-300, -1e-300, 0.0), 2.0, True),  # an integral that underflows a double
+            ((0.5, -1.0, 2.0, 0.5), 2.0, False),  # a zero integral proves nothing
+            ((0.0, -1.0, -1.0, 0.5), 2.0, False),  # and neither do unequal exteriors
+            ((0.0, -1.0, -1.0, 0.0), 0.0, False),
+        ],
+    )
+    def test_binds_by_the_weak_coupling_rule(self, values, k, binds):
+        config = FieldConfig(electric=PiecewiseConstant((-1.0, 0.0, 1.0), values))
+        assert general_secular(config, k).binds is binds
+
 
 def scan_count(steps, values, k, points=100_000):
     """Reference level count of a piecewise well: sign changes of
@@ -266,3 +296,40 @@ class TestTransferPhase:
             PiecewiseConstant(steps, values), k, eps + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
         derivative = (4.0 * (theta[3] - theta[1]) / h - (theta[4] - theta[0]) / (2.0 * h)) / 3.0
         assert slope[2] == pytest.approx(derivative, rel=1e-5)
+
+
+def bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+class TestFastPaths:
+    """A batch that holds no evanescent element skips the evanescent branch
+    and its rescale, but no element's result may depend on what shares its
+    batch: each energy alone gives the bits it gives in a batch that mixes
+    oscillatory, evanescent, m = 0 and series-cut elements."""
+
+    def test_propagator_entries_alone_and_in_a_mixed_batch(self):
+        w = 2.0
+        m = np.array([-4.0, -1e-12, 0.0, 3e-12, 2.5, -1e-11, 1e-20, 0.7, -30.0])
+        entries = lambda m: [e if e is not None else np.zeros(m.shape) for e in _propagator_entries(m, w)]
+        batch = entries(m)
+        assert _propagator_entries(m[:1], w)[4] is None  # the oscillatory fast path
+        for i in range(m.size):
+            assert bits(*entries(m[i : i + 1])) == bits(*(e[i : i + 1] for e in batch))
+
+    @pytest.mark.parametrize(
+        "k, v0, half_width, eps",
+        [
+            # interior m > 0 below eps = 0, m = 0 at 0 and series-cut around it
+            (2.0, 2.0, 1.0, [-1.5, -1e-12, 0.0, 1e-12, 0.35, 1.0, 1.9]),
+            # in band the interior is oscillatory throughout; the mixed
+            # elements lie below the band, where m = 0 at eps = -17
+            (8.0, 25.0, 1.2, [-7.5, -1.0, 3.0, 7.9, -20.0, -17.0, -17.0 - 2e-14, -17.0 + 2e-14]),
+        ],
+    )
+    def test_transfer_phase_alone_and_in_a_mixed_batch(self, k, v0, half_width, eps):
+        well = square_well_config(v0, half_width).electric
+        eps = np.array(eps)
+        theta, slope = _transfer_phase_slope(well, k, eps)
+        for i in range(eps.size):
+            assert bits(*_transfer_phase_slope(well, k, eps[i : i + 1])) == bits(theta[i : i + 1], slope[i : i + 1])

@@ -486,6 +486,17 @@ class TestStepwisePower:
             np.testing.assert_array_equal(v_mirror, -v)
             np.testing.assert_array_equal(turns_mirror, turns)
 
+    @pytest.mark.parametrize("h, n", [(1e-3, 1000), (-2.7e-4, 7411), (0.2, 5)])
+    def test_power_alone_and_in_a_mixed_batch(self, h, n):
+        # a batch with every s < 0 and a fine step skips the decay branch and
+        # the NaN mask; each s alone gives the bits it gives in a batch of
+        # oscillatory, decaying, s = 0 and too coarse (at h = 0.2) elements
+        s = np.array([-900.0, -4.0, -1e-300, 0.0, 1e-300, 4.0, 400.0, 4.0 - 21.9**2])
+        batch = oracle._rk4_power(s, h, n)
+        for i in range(s.size):
+            alone = oracle._rk4_power(s[i : i + 1], h, n)
+            assert [a.tobytes() for a in alone] == [b[i : i + 1].tobytes() for b in batch]
+
     def test_wide_barrier_double_well(self):
         # two wells 40 apart: at k = 40 the barrier between them damps by
         # about e^-1600, which overflowed the unnormalized matrix powers

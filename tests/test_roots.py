@@ -21,7 +21,7 @@ from diracwell import (
     square_well_secular,
 )
 from diracwell import oracle
-from diracwell.oracle import _illinois, _scan_grid, _scan_roots
+from diracwell.oracle import _illinois, _phase_roots, _scan_grid, _scan_roots
 
 
 def scalar_illinois(f, a, b, fa, fb, tol, calls=1):
@@ -236,6 +236,25 @@ class TestLevelsPerCall:
             assert np.unique(owner).size == x.size  # and one per bracket
         # halving to tol took 35 calls, the secant point unclipped 19
         assert len(sizes) <= 7
+
+    @pytest.mark.parametrize("lo, hi", [(-2.0, 2.0), (-2.0, -2.0 + 1e-15), (1.0, 1.0)])
+    def test_nothing_to_solve_takes_at_most_the_band_end_call(self, lo, hi):
+        # no bracket: no call at all; theta within (0, pi) on the band: no
+        # call after the one at the band's ends
+        def refuse(x):
+            raise AssertionError(f"a call on {x.size} points")
+
+        empty = np.empty(0)
+        assert _illinois(refuse, empty, empty, empty, empty, 0.0, 1e-10, 1).size == 0
+        sizes = []
+
+        def theta(eps):
+            sizes.append(eps.size)
+            assert len(sizes) == 1, "a call after the band's ends"
+            return 1.0 + 0.1 * eps
+
+        assert _phase_roots(theta, lo, hi, 1e-10) == []
+        assert sizes in ([], [2])
 
     def test_stepwise_shooting_takes_few_calls(self, monkeypatch):
         # the phase at the band's ends, then Illinois steps on every level

@@ -404,6 +404,23 @@ class TestNewtonLevels:
         for i, root in expected.items():
             assert abs(roots[i] - root) <= 1e-11
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [([], []), ([1.0], [1.0]), ([-2.0, 0.0], [2.0, 1e-300]), ([-2.0], [-2.0 + 1e-15])],
+    )
+    def test_nothing_to_solve_takes_only_the_band_end_call(self, lo, hi):
+        # rows without a crossing: theta stays within (-pi/2, pi/2)
+        sizes = []
+
+        def phase(rows, eps):
+            sizes.append(eps.size)
+            assert len(sizes) == 1, "a call after the band's ends"
+            return 0.1 * eps, np.full(eps.shape, 0.1)
+
+        lo, hi = np.array(lo), np.array(hi)
+        rows, n, roots = _levels_by_row(phase, lo, hi, np.zeros(lo.shape, dtype=bool))
+        assert rows.size == n.size == roots.size == 0
+
     def test_a_misleading_slope_still_terminates(self):
         # a slope 1000 times too steep creeps toward every root; after
         # NEWTON_CALLS calls the open levels are bisected
