@@ -563,7 +563,8 @@ def _illinois(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
     the end whose value has its sign, an end kept twice in a row has its
     value halved, and an exact zero closes the bracket.  A bracket is done,
     at 0.5 (a + b), once it is tol wide, holds no double inside, or has
-    closed onto an exact zero.
+    closed onto an exact zero; only a call where some bracket is done
+    compacts the batch, and with no bracket values is never called.
     """
     gap = 0.45 * tol
     target = np.zeros(np.shape(a)) + target
@@ -605,9 +606,10 @@ def _phase_roots(theta, lo, hi, tol) -> list[float]:
 
     The crossings are those strictly between theta at the innermost doubles
     of the band, so none is missed and a zero of the determinant at a band
-    edge is none.  One regula-falsi call from the band's ends takes one
-    point per crossing; those points, ordered as the crossings are, narrow
-    each bracket onto the nearest of them on either side of its target.
+    edge is none; with none, the call at the band's ends is the only one.
+    One regula-falsi call from the band's ends takes one point per
+    crossing; those points, ordered as the crossings are, narrow each
+    bracket onto the nearest of them on either side of its target.
     _illinois solves the brackets on theta - n pi.
     UnsupportedRegime where theta is not finite: the step is too coarse
     (see _rk4_power).

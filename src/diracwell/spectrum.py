@@ -149,9 +149,11 @@ def _levels_by_row(phase, lo, hi, binds):
     bracket also closes from the far side once theta's rounding makes the
     step's sign random.  A level is done at b - a <= spacing(|k|), as
     0.5 (a + b), and leaves the batch: about 6 calls (median), and a level
-    still open after NEWTON_CALLS calls is bisected.  UnsupportedRegime
-    when the rounding of theta, spacing(theta) / theta', could move a root
-    by more than DEFAULT_ROOT_TOL.
+    still open after NEWTON_CALLS calls is bisected.  Only a call where
+    some level closes compacts the batch, and a batch without a mirrored
+    (barrier) row skips the sign products.  UnsupportedRegime when the
+    rounding of theta, spacing(theta) / theta', could move a root by more
+    than DEFAULT_ROOT_TOL.
     """
     live, sign, u_lo, u_hi, th_lo, th_hi, first, count = _level_ranges(phase, lo, hi, binds)
     at = np.repeat(np.arange(live.size), count)
