@@ -424,10 +424,13 @@ class TestPinnedOutput:
 
 class TestImports:
     def test_import_and_spectrum_leave_scipy_linalg_unloaded(self):
+        # and fractions (with decimal), which only the transfer route's
+        # binding rule needs
         script = (
             "import contextlib, io, sys\n"
             "import diracwell\n"
             "assert 'scipy.linalg' not in sys.modules, 'import diracwell'\n"
+            "assert 'fractions' not in sys.modules, 'import diracwell'\n"
             "from diracwell.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert main(['spectrum', '--k', '2', '--v0', '2']) == 0\n"
