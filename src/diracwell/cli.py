@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,51 +49,49 @@ from .states import (
 __all__ = ["main"]
 
 
-@dataclass
-class RunConfig:
-    """Options shared by every subcommand after merging --config and flags."""
-
-    fmt: str = "csv"
-    out: str | None = None
-
-
-# every key some subcommand reads; any other, such as a retired option, is refused
-CONFIG_KEYS = {"k", "v0", "half_width", "format", "out", "points", "epsilon", "level", "beta", "levels", "alpha"}
-
-
-def _load_config_file(path: str | None) -> dict:
-    """The JSON object in path; ConfigError unless it holds CONFIG_KEYS only."""
-    if path is None:
-        return {}
+def _load_config_file(path: str) -> dict:
+    """The JSON object in path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or an integer of too many digits
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(raw) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     return raw
 
 
-def _merged(args: argparse.Namespace, file_cfg: dict, name: str, default, kind=float):
-    """Explicit flag wins, then the config file, whose value must have the
-    flag's type kind (an integer passes for a float), then the default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name not in file_cfg:
-        return default
-    value = file_cfg[name]
+def _config_value(action: argparse.Action, value):
+    """value converted by action's type, which it must have (an integer
+    passes for a float, a bool for nothing), and one of its choices."""
+    kind = action.type or str
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ConfigError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+        raise ConfigError(f"config key {action.dest!r} must be {kind.__name__}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {action.dest!r} must be one of {', '.join(action.choices)}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:  # an integer past the largest double
+        raise ConfigError(f"config key {action.dest!r} overflows a double, got {value!r}") from exc
 
 
-def _require(args, file_cfg, name: str, kind=float):
-    value = _merged(args, file_cfg, name, None, kind)
+def _parse_with_config(parser: argparse.ArgumentParser, argv, args) -> argparse.Namespace:
+    """argv parsed again with the config file's values as the defaults of
+    the chosen subcommand, so that flags still win.  A key is unknown when
+    no subcommand has an option of that name."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    chosen = subs.choices[args.command]
+    raw = _load_config_file(args.config)
+    known = {a.dest for sub in subs.choices.values() for a in sub._actions} - {"help", "config"}
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ConfigError(f"config file {args.config} has unknown keys: {', '.join(unknown)}")
+    chosen.set_defaults(**{a.dest: _config_value(a, raw[a.dest]) for a in chosen._actions if a.dest in raw})
+    return parser.parse_args(argv)
+
+
+def _require(args: argparse.Namespace, name: str):
+    value = getattr(args, name)
     if value is None:
         raise ConfigError(f"missing required option --{name.replace('_', '-')}")
     return value
@@ -123,56 +120,42 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _run_config(args, file_cfg) -> RunConfig:
-    fmt = _merged(args, file_cfg, "format", "csv", str)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    return RunConfig(fmt=fmt, out=_merged(args, file_cfg, "out", None, str))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_spectrum(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    run = _run_config(args, file_cfg)
-    k = _require(args, file_cfg, "k")
-    v0 = _require(args, file_cfg, "v0")
-    half_width = _merged(args, file_cfg, "half_width", 1.0)
-    roots = find_roots(square_well_secular(k, v0, half_width))
-    if run.fmt == "csv":
+    k, v0 = _require(args, "k"), _require(args, "v0")
+    roots = find_roots(square_well_secular(k, v0, args.half_width))
+    if args.format == "csv":
         text = spectrum_to_csv(roots)
     else:
-        payload = {"k": k, "v0": v0, "half_width": half_width, "roots": roots}
+        payload = {"k": k, "v0": v0, "half_width": args.half_width, "roots": roots}
         text = json.dumps(payload, sort_keys=True) + "\n"
-    _emit(text, run.out)
+    _emit(text, args.out)
     return 0
 
 
 def _sweep_common(args, which: str) -> int:
-    file_cfg = _load_config_file(args.config)
-    run = _run_config(args, file_cfg)
-    half_width = _merged(args, file_cfg, "half_width", 1.0)
     if which == "k":
-        fixed = _require(args, file_cfg, "v0")
-        params = _parse_range(_require(args, file_cfg, "k", str))
-        branches = sweep_k(fixed, params, half_width)
+        fixed = _require(args, "v0")
+        params = _parse_range(_require(args, "k"))
+        branches = sweep_k(fixed, params, args.half_width)
     else:
-        fixed = _require(args, file_cfg, "k")
-        params = _parse_range(_require(args, file_cfg, "v0", str))
-        branches = sweep_v0(fixed, params, half_width)
-    if run.fmt == "csv":
+        fixed = _require(args, "k")
+        params = _parse_range(_require(args, "v0"))
+        branches = sweep_v0(fixed, params, args.half_width)
+    if args.format == "csv":
         text = branches_to_csv(branches)
     else:
         payload = {
             "fixed": {"v0" if which == "k" else "k": fixed},
-            "half_width": half_width,
+            "half_width": args.half_width,
             "branches": branches_to_json_payload(branches),
         }
         text = json.dumps(payload, sort_keys=True) + "\n"
-    _emit(text, run.out)
+    _emit(text, args.out)
     return 0
 
 
@@ -185,38 +168,28 @@ def _cmd_sweep_v0(args) -> int:
 
 
 def _cmd_state(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    run = _run_config(args, file_cfg)
-    k = _require(args, file_cfg, "k")
-    v0 = _require(args, file_cfg, "v0")
-    half_width = _merged(args, file_cfg, "half_width", 1.0)
-    points = _merged(args, file_cfg, "points", 4001, int)
-    epsilon = _merged(args, file_cfg, "epsilon", None)
-    level = _merged(args, file_cfg, "level", None, int)
+    k, v0 = _require(args, "k"), _require(args, "v0")
+    epsilon, level = args.epsilon, args.level
     if (epsilon is None) == (level is None):
         raise ConfigError("give exactly one of --epsilon or --level")
     if epsilon is None:
-        roots = find_roots(square_well_secular(k, v0, half_width))
+        roots = find_roots(square_well_secular(k, v0, args.half_width))
         if not 0 <= level < len(roots):
             raise ConfigError(
                 f"level {level} out of range; this well holds {len(roots)} bound states"
             )
         epsilon = roots[level]
     state = assemble_square_well_state(
-        QuantumLabel(k=k, epsilon=float(epsilon)), v0, half_width, points
+        QuantumLabel(k=k, epsilon=float(epsilon)), v0, args.half_width, args.points
     )
-    text = state_to_csv(state) if run.fmt == "csv" else state_to_json(state) + "\n"
-    _emit(text, run.out)
+    text = state_to_csv(state) if args.format == "csv" else state_to_json(state) + "\n"
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_landau(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    run = _run_config(args, file_cfg)
-    beta = _require(args, file_cfg, "beta")
-    levels = _merged(args, file_cfg, "levels", 5, int)
-    alpha = _merged(args, file_cfg, "alpha", 0.0)
-    k = _merged(args, file_cfg, "k", 0.0)
+    beta = _require(args, "beta")
+    levels, alpha, k = args.levels, args.alpha, args.k
     if levels < 0:
         raise ConfigError(f"levels must be non-negative, got {levels}")
     if not math.isfinite(k):  # the magnetic ladder ignores k but prints it
@@ -228,7 +201,7 @@ def _cmd_landau(args) -> int:
         else:
             plus, minus = landau_levels_proportional(alpha, beta, k, n)
         rows.append((n, plus, minus))
-    if run.fmt == "csv":
+    if args.format == "csv":
         lines = ["n,epsilon_plus,epsilon_minus"]
         lines += [f"{n},{p!r},{m!r}" for n, p, m in rows]
         text = "\n".join(lines) + "\n"
@@ -240,15 +213,12 @@ def _cmd_landau(args) -> int:
             "levels": [{"n": n, "plus": p, "minus": m} for n, p, m in rows],
         }
         text = json.dumps(payload, sort_keys=True) + "\n"
-    _emit(text, run.out)
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    k = _merged(args, file_cfg, "k", 2.0)
-    v0 = _merged(args, file_cfg, "v0", 2.0)
-    half_width = _merged(args, file_cfg, "half_width", 1.0)
+    k, v0, half_width = args.k, args.v0, args.half_width
     failures = []
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -333,7 +303,7 @@ def _add_common(sub) -> None:
     # clobbered by the subparser default
     sub.add_argument("--config", default=argparse.SUPPRESS,
                      help="JSON file with option defaults")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="output path (stdout when omitted)")
 
 
@@ -349,46 +319,46 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("spectrum", help="bound-state energies of one well")
     sp.add_argument("--k", type=float)
     sp.add_argument("--v0", type=float)
-    sp.add_argument("--half-width", type=float, dest="half_width")
+    sp.add_argument("--half-width", type=float, dest="half_width", default=1.0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
     sk = subs.add_parser("sweep-k", help="trace branches over transverse momentum")
     sk.add_argument("--v0", type=float)
     sk.add_argument("--k", help="range lo:hi:step")
-    sk.add_argument("--half-width", type=float, dest="half_width")
+    sk.add_argument("--half-width", type=float, dest="half_width", default=1.0)
     _add_common(sk)
     sk.set_defaults(func=_cmd_sweep_k)
 
     sv = subs.add_parser("sweep-v0", help="trace branches over well depth")
     sv.add_argument("--k", type=float)
     sv.add_argument("--v0", help="range lo:hi:step")
-    sv.add_argument("--half-width", type=float, dest="half_width")
+    sv.add_argument("--half-width", type=float, dest="half_width", default=1.0)
     _add_common(sv)
     sv.set_defaults(func=_cmd_sweep_v0)
 
     st = subs.add_parser("state", help="one sampled eigenfunction with densities")
     st.add_argument("--k", type=float)
     st.add_argument("--v0", type=float)
-    st.add_argument("--half-width", type=float, dest="half_width")
+    st.add_argument("--half-width", type=float, dest="half_width", default=1.0)
     st.add_argument("--epsilon", type=float, help="energy of a known root")
     st.add_argument("--level", type=int, help="state number, lowest energy first")
-    st.add_argument("--points", type=int)
+    st.add_argument("--points", type=int, default=4001)
     _add_common(st)
     st.set_defaults(func=_cmd_state)
 
     ld = subs.add_parser("landau", help="closed-form dispersive levels")
     ld.add_argument("--beta", type=float)
-    ld.add_argument("--levels", type=int, help="highest level index to print")
-    ld.add_argument("--alpha", type=float, help="scalar/vector proportionality")
-    ld.add_argument("--k", type=float)
+    ld.add_argument("--levels", type=int, default=5, help="highest level index to print")
+    ld.add_argument("--alpha", type=float, default=0.0, help="scalar/vector proportionality")
+    ld.add_argument("--k", type=float, default=0.0)
     _add_common(ld)
     ld.set_defaults(func=_cmd_landau)
 
     vf = subs.add_parser("verify", help="run the built-in cross-check battery")
-    vf.add_argument("--k", type=float)
-    vf.add_argument("--v0", type=float)
-    vf.add_argument("--half-width", type=float, dest="half_width")
+    vf.add_argument("--k", type=float, default=2.0)
+    vf.add_argument("--v0", type=float, default=2.0)
+    vf.add_argument("--half-width", type=float, dest="half_width", default=1.0)
     vf.add_argument("--config", default=argparse.SUPPRESS,
                     help="JSON file with option defaults")
     vf.set_defaults(func=_cmd_verify)
@@ -400,6 +370,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            args = _parse_with_config(parser, argv, args)
         return args.func(args)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -544,13 +544,10 @@ def second_order_residuals(state: BoundState, grid_derivatives: bool = False) ->
 
 def state_to_csv(state: BoundState) -> str:
     density = current_density(state)
+    columns = (state.x, state.psi1.real, state.psi1.imag, state.psi2.real, state.psi2.imag,
+               density.rho, density.j_y)
     lines = ["x,re_psi1,im_psi1,re_psi2,im_psi2,rho,jy"]
-    for i in range(len(state.x)):
-        lines.append(
-            f"{float(state.x[i])!r},{float(state.psi1[i].real)!r},{float(state.psi1[i].imag)!r},"
-            f"{float(state.psi2[i].real)!r},{float(state.psi2[i].imag)!r},"
-            f"{float(density.rho[i])!r},{float(density.j_y[i])!r}"
-        )
+    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,9 @@
 """Command-line behavior: schemas, config merging, exit codes, and
 byte-stable output.  Everything drives main(argv) in-process, except the
-import check, which needs a fresh interpreter."""
+import check and the closed-pipe check, which need a fresh interpreter."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import diracwell
+from diracwell import cli
 from diracwell.cli import main
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
@@ -21,6 +23,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(diracwell.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestSpectrum:
@@ -111,6 +120,43 @@ class TestSweeps:
         code, _, err = run(capsys, "sweep-v0", "--k", "3", "--v0", "0:8")
         assert code == 2
         assert "lo:hi:step" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("0:x:1", "non-numeric"), ("2:1:0.1", "hi >= lo"), ("0:1:0", "step > 0")],
+    )
+    def test_bad_range_parts_exit_2(self, capsys, text, message):
+        code, out, err = run(capsys, "sweep-v0", "--k", "3", "--v0", text)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_barrier_to_well_sweep_ends_the_barrier_branches_at_the_band_edge(self, capsys):
+        # a range with a negative low end is one token, --v0=lo:hi:step
+        code, out, _ = run(capsys, "sweep-v0", "--k", "2", "--v0=-6:6:0.05")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        last = {b: float(p) for p, b, e in rows if not e.startswith("termination=")}
+        ends = {b: (float(p), e) for p, b, e in rows if e.startswith("termination=")}
+        barrier = [b for b in last if last[b] < 0.0]
+        assert len(barrier) == 5
+        # a barrier level unbinds at eps = -|k| as the barrier shallows,
+        # and its branch ends at its last depth
+        assert [ends[b] for b in barrier] == [(last[b], "termination=band edge") for b in barrier]
+        # the well levels collapse at |k| + sqrt(k^2 + ((n + 1) pi / 2L)^2)
+        collapses = sorted(v for b, v in ends.items() if b not in barrier)
+        assert [e for _, e in collapses] == ["termination=epsilon=-k"] * 2
+        assert [p for p, _ in collapses] == pytest.approx(
+            [2.0 + math.hypot(2.0, (n + 1) * math.pi / 2.0) for n in (0, 1)], abs=1e-12
+        )
+
+    def test_sweep_v0_json_terminations_match_the_csv(self, capsys):
+        _, text, _ = run(capsys, "sweep-v0", "--k", "3", "--v0", "0:8:0.1")
+        code, out, _ = run(capsys, "sweep-v0", "--k", "3", "--v0", "0:8:0.1", "--format", "json")
+        assert code == 0
+        ends = [b["termination"] for b in json.loads(out)["branches"] if b["termination"]]
+        assert [e["boundary"] for e in ends] == ["epsilon=-k", "epsilon=-k"]
+        csv_params = [float(l.split(",")[0]) for l in text.splitlines() if "termination=" in l]
+        assert sorted(e["param"] for e in ends) == sorted(csv_params)
 
     @pytest.mark.parametrize(
         "argv",
@@ -300,6 +346,16 @@ class TestVerify:
         assert "routes 218/218/218" in out
         assert all(line.startswith("PASS") for line in out.splitlines())
 
+    def test_a_dropped_root_fails_verification(self, capsys, monkeypatch):
+        shoot = cli.shooting_bound_states
+        monkeypatch.setattr(cli, "shooting_bound_states", lambda *a, **kw: shoot(*a, **kw)[:-1])
+        code, out, err = run(capsys, "verify")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL  three independent routes agree on the spectrum (3 states, routes 3/3/2)"
+        )
+        assert "verification failed: 1 check(s) failed" in err
+
     def test_shoots_with_the_default_scan(self, capsys):
         # the top level sits 0.031 below the band edge, beyond the last point
         # of a 500-point scan (0.080 below it) but not of the default scan
@@ -374,6 +430,21 @@ class TestConfigFile:
         assert code == 0
         assert from_file == direct
 
+    def test_values_take_the_flag_type_and_other_commands_keys_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text('{"k": 2, "v0": 2, "format": "json", "beta": 1}')
+        code, out, _ = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 0
+        assert '"k": 2.0' in out
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_integer_past_the_largest_double_exits_2(self, capsys, tmp_path, digits):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text('{"k": 1%s, "v0": 2}' % ("0" * digits))
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "config" in err
+
     def test_bad_format_value_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "fmt.json"
         cfg.write_text('{"k": 2, "v0": 2, "format": "yaml"}')
@@ -391,6 +462,21 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n,epsilon\n")
+
+    def test_reader_that_closes_the_pipe_early_gets_exit_0(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "diracwell.cli", "sweep-v0", "--k", "3", "--v0", "0:8:0.01"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=src_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the output is larger than the pipe holds
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert first == b"param,branch,epsilon\n"
+        assert err == b""
 
 
 PINNED = Path(__file__).parent / "data" / "cli_stdout"
@@ -436,12 +522,7 @@ class TestImports:
             "    assert main(['spectrum', '--k', '2', '--v0', '2']) == 0\n"
             "assert 'scipy.linalg' not in sys.modules, 'diracwell spectrum'\n"
         )
-        src = str(Path(diracwell.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
         )
         assert result.returncode == 0, result.stderr

@@ -268,10 +268,19 @@ class TestTransferPhase:
     # 35 levels, two of them 3.8e-4 apart, which 20000 scan points counted as 33
     @example(well=((-1.0, 1.109375, 1.61546875, 2.6354687500000002, 6.580512929190437),
                    (0.0, 11.0, -10.875, 0.0, 14.70703125, 0.0), 6.6875))
+    # equal exteriors around a step of 1e-9 bind a level within one double
+    # of the band edge, which the solver refuses and the scan does not see
+    @example(well=((-1.0, 0.0), (0.0, 1e-9, 0.0), 1.0))
     def test_piecewise_wells_match_a_dense_scan(self, well):
         steps, values, k = well
-        roots = find_roots(general_secular(FieldConfig(electric=PiecewiseConstant(steps, values)), k))
-        assert len(roots) == scan_count(steps, values, k)
+        count = scan_count(steps, values, k)
+        try:
+            roots = find_roots(general_secular(FieldConfig(electric=PiecewiseConstant(steps, values)), k))
+        except UnsupportedRegime as exc:
+            assert "within one double of the band edge" in str(exc)
+            assert count == 0
+            return
+        assert len(roots) == count
         assert np.all(np.diff(roots) > 0.0)
 
     @settings(max_examples=40, deadline=None)

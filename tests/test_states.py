@@ -487,6 +487,19 @@ class TestSerialization:
         assert len(lines) == len(s.x) + 1
         assert all(len(line.split(",")) == 7 for line in lines[1:])
 
+    def test_csv_rows_equal_the_per_sample_reference(self, well22_states):
+        # the repr of each sample read as a Python float, one row at a time
+        for s in well22_states:
+            d = current_density(s)
+            rows = [
+                ",".join(repr(float(v)) for v in (
+                    s.x[i], s.psi1[i].real, s.psi1[i].imag, s.psi2[i].real, s.psi2[i].imag,
+                    d.rho[i], d.j_y[i],
+                ))
+                for i in range(len(s.x))
+            ]
+            assert state_to_csv(s).splitlines()[1:] == rows
+
     def test_json_keys_and_determinism(self, well22_states):
         s = well22_states[1]
         payload = json.loads(state_to_json(s))
