@@ -65,9 +65,7 @@ from .oracle import (
     shooting_bound_states,
 )
 from .spectrum import (
-    AdmissibleBand,
     SpectrumBranch,
-    admissible_interval,
     branch_cut,
     branches_to_csv,
     branches_to_json_payload,

@@ -58,7 +58,7 @@ class MismatchedMomentum(SolverError):
 
 
 class InvalidLevel(SolverError):
-    """A negative oscillator level index was requested."""
+    """A level index that is not a non-negative integer was requested."""
 
 
 class NonDecayingExterior(SolverError):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -130,13 +131,26 @@ def _square_well_phase_slope(k, epsilon, v0, half_width):
     return theta, slope
 
 
-def _square_well_band(k, v0):
-    """Band (lo, hi), elementwise: (max(-|k|, |k| - v0), |k|) for a well and,
-    as the secular value is invariant under (eps, v0) -> (-eps, -v0), its
-    mirror image for a barrier; empty for k = 0."""
+def _band(k, values):
+    """Band (lo, hi) of a piecewise profile, elementwise in k and in its
+    values: the window (max(vL, vR) - |k|, min(vL, vR) + |k|) where both
+    exteriors decay, narrowed to where some inner region oscillates.  lo
+    stays where an inner value exceeds max(vL, vR), as that region
+    oscillates at the window's foot, and is raised to min(inner) + |k|
+    otherwise; hi likewise with the roles swapped.  The narrowing is exact:
+    with D the free Dirac operator of mass |k|, ||D psi|| >= |k| ||psi||
+    while (H - eps) psi = 0 gives D psi = (eps - V) psi, so a level needs
+    |eps - V| > |k| on some region.  Empty for a profile with no inner
+    region, and for k = 0."""
     kk = np.abs(k)
-    lo = np.maximum(-kk, kk - np.abs(v0))
-    return np.where(v0 < 0.0, -kk, lo), np.where(v0 < 0.0, -lo, kk)
+    top, bottom = np.maximum(values[0], values[-1]), np.minimum(values[0], values[-1])
+    lo, hi = top - kk, bottom + kk
+    inner = values[1:-1]
+    if not len(inner):
+        return lo, lo
+    peak, floor = reduce(np.maximum, inner), reduce(np.minimum, inner)
+    return (np.where(peak > top, lo, np.maximum(lo, floor + kk)),
+            np.where(floor < bottom, hi, np.minimum(hi, peak - kk)))
 
 
 def secular_det_square_well(
@@ -167,7 +181,7 @@ def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> Secular
     Raises ConfigError for a non-finite k or v0 or a width that is not
     finite and positive."""
     _check_well(k, v0, half_width)
-    lo, hi = _square_well_band(k, v0)
+    lo, hi = _band(k, (0.0, -v0, 0.0))
     return SecularFunction(
         f=lambda eps: _square_well_secular_value(k, eps, v0, half_width),
         lo=float(lo),
@@ -392,21 +406,19 @@ def general_secular(config: FieldConfig, k: float) -> SecularFunction:
     """Secular function and phase of an arbitrary piecewise electrostatic
     profile.
 
-    The domain is the energy window where both exterior regions decay, and
-    binds is set by the weak-coupling rule of _binds.  Raises ConfigError
-    for a k that is not finite.
+    The domain is the band of _band, the one the square well's closed form
+    shares: the window where both exteriors decay, narrowed to where some
+    inner region oscillates.  binds is set by the weak-coupling rule of
+    _binds.  Raises ConfigError for a k that is not finite.
     """
     pot = _electrostatic_steps(config)
     if not math.isfinite(k):
         raise ConfigError(f"k must be finite, got {k}")
-    kk = abs(k)
-    v_lo, v_hi = pot.values[0], pot.values[-1]
-    lo = max(v_lo, v_hi) - kk
-    hi = min(v_lo, v_hi) + kk
+    lo, hi = _band(k, pot.values)
     return SecularFunction(
         f=lambda eps: secular_det_general(config, QuantumLabel(k, eps)),
-        lo=lo,
-        hi=hi,
+        lo=float(lo),
+        hi=float(hi),
         phase=lambda eps: _transfer_phase_slope(pot, k, eps),
         binds=_binds(pot, k),
     )

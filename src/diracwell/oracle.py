@@ -571,33 +571,33 @@ def _illinois(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
     roots = np.empty(target.size)
     todo = np.arange(target.size)
     kept = np.zeros(target.size)  # the end the last step kept: -1 for a, 1 for b
-    while True:
-        done = (b - a <= tol) | ~(np.nextafter(a, b) < b)
-        if done.any():
-            roots[todo[done]] = 0.5 * (a + b)[done]
-            keep = ~done
-            todo, target, a, b, fa, fb, kept = (v[keep] for v in (todo, target, a, b, fa, fb, kept))
-        if not todo.size:
-            return roots
-        if calls < SECANT_CALLS:
-            with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            done = (b - a <= tol) | ~(np.nextafter(a, b) < b)
+            if done.any():
+                roots[todo[done]] = 0.5 * (a + b)[done]
+                keep = ~done
+                todo, target, a, b, fa, fb, kept = (v[keep] for v in (todo, target, a, b, fa, fb, kept))
+            if not todo.size:
+                return roots
+            if calls < SECANT_CALLS:
                 x = a - fa * (b - a) / (fb - fa)
-            x = np.minimum(np.maximum(x, a + gap), b - gap)
-            inside = (a < x) & (x < b)
-            if not inside.all():
-                x = np.where(inside, x, 0.5 * (a + b))
-        else:
-            x = 0.5 * (a + b)
-        f = np.asarray(values(x), dtype=float) - target
-        calls += 1
-        same = (f < 0.0) == (fa < 0.0)
-        move_a, move_b = same | (f == 0.0), ~same | (f == 0.0)
-        # Illinois: an end kept twice in a row has its value halved
-        fb = np.where(move_a & (kept > 0.0), 0.5 * fb, fb)
-        fa = np.where(move_b & (kept < 0.0), 0.5 * fa, fa)
-        a, fa = np.where(move_a, x, a), np.where(move_a, f, fa)
-        b, fb = np.where(move_b, x, b), np.where(move_b, f, fb)
-        kept = np.where(move_a, 1.0, -1.0)
+                x = np.minimum(np.maximum(x, a + gap), b - gap)
+                inside = (a < x) & (x < b)
+                if not inside.all():
+                    x = np.where(inside, x, 0.5 * (a + b))
+            else:
+                x = 0.5 * (a + b)
+            f = np.asarray(values(x), dtype=float) - target
+            calls += 1
+            same = (f < 0.0) == (fa < 0.0)
+            move_a, move_b = same | (f == 0.0), ~same | (f == 0.0)
+            # Illinois: an end kept twice in a row has its value halved
+            fb = np.where(move_a & (kept > 0.0), 0.5 * fb, fb)
+            fa = np.where(move_b & (kept < 0.0), 0.5 * fa, fa)
+            a, fa = np.where(move_a, x, a), np.where(move_a, f, fa)
+            b, fb = np.where(move_b, x, b), np.where(move_b, f, fb)
+            kept = np.where(move_a, 1.0, -1.0)
 
 
 def _phase_roots(theta, lo, hi, tol) -> list[float]:

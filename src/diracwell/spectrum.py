@@ -1,6 +1,6 @@
 """Root finding, spectral sweeps, and closed-form dispersive levels.
 
-Square-well bound states live strictly inside the admissible band
+Square-well bound states live strictly inside the band of matching._band,
 (max(-|k|, |k| - v0), |k|), mirrored for a barrier, and are exactly the
 crossings theta = pi/2 + n pi of the monotone square-well phase: levels
 are counted in closed form and each takes bracketed Newton steps on its
@@ -10,16 +10,17 @@ consecutive parameter values holding the same level.  A genuine well that
 counts no level is refused, not reported empty, and so is one whose phase
 rounding moves a level by more than DEFAULT_ROOT_TOL.
 A piecewise well's transfer phase (matching._transfer_phase_slope) is
-solved by the same kernel, its levels counted between its phases at the
-innermost doubles of its band.  The shooting oracle keeps one solver of
-its own, independent of this one: an Illinois secant (oracle._illinois)
-on a stepwise profile's phase crossings and a smooth profile's scanned
-determinant.
+solved by the same kernel on the band of the same rule, its levels
+counted between its phases at the innermost doubles of that band.  The
+shooting oracle keeps one solver of its own, independent of this one: an
+Illinois secant (oracle._illinois) on a stepwise profile's phase
+crossings and a smooth profile's scanned determinant.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,16 +28,14 @@ import numpy as np
 from .errors import ConfigError, InvalidLevel, UnsupportedRegime
 from .matching import (
     SecularFunction,
+    _band,
     _check_well,
-    _square_well_band,
     _square_well_phase_slope,
     square_well_secular,
 )
 
 __all__ = [
-    "AdmissibleBand",
     "SpectrumBranch",
-    "admissible_interval",
     "find_roots",
     "count_bound_states",
     "sweep_k",
@@ -53,24 +52,6 @@ __all__ = [
 DEFAULT_ROOT_TOL = 1e-10
 MAX_GRID_POINTS = 1_000_000
 NEWTON_CALLS = 40  # batched phase calls after which a level still open is bisected
-
-
-@dataclass(frozen=True)
-class AdmissibleBand:
-    """Open energy interval that can host square-well bound states."""
-
-    lo: float
-    hi: float
-
-    @property
-    def empty(self) -> bool:
-        return not (self.lo < self.hi)
-
-
-def admissible_interval(k: float, v0: float) -> AdmissibleBand:
-    """Band (max(-|k|, |k| - v0), |k|) of a well, and its mirror image
-    (-|k|, min(|k|, |v0| - |k|)) for a barrier; empty for k = 0."""
-    return AdmissibleBand(*map(float, _square_well_band(k, v0)))
 
 
 def _level_ranges(phase, lo, hi, binds):
@@ -165,36 +146,36 @@ def _levels_by_row(phase, lo, hi, binds):
     root, slope_at = np.empty(at.size), np.empty(at.size)
     todo, calls = np.arange(at.size), 0
     mirrored = bool((sign < 0.0).any())
-    while todo.size:
-        if calls < NEWTON_CALLS:
-            inside = (a < x) & (x < b)
-            if not inside.all():
-                x = np.where(inside, x, 0.5 * (a + b))
-        else:
-            x = 0.5 * (a + b)
-        theta, slope = phase(rows, s * x if mirrored else x)
-        calls += 1
-        f = theta - target
-        if mirrored:
-            slope = s * slope
-        a, b = np.where(f <= 0.0, x, a), np.where(f >= 0.0, x, b)
-        if calls == 1:
-            a, b = _narrowed(rows, x, theta, target, a, b)
-        done = b - a <= width
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while todo.size:
+            if calls < NEWTON_CALLS:
+                inside = (a < x) & (x < b)
+                if not inside.all():
+                    x = np.where(inside, x, 0.5 * (a + b))
+            else:
+                x = 0.5 * (a + b)
+            theta, slope = phase(rows, s * x if mirrored else x)
+            calls += 1
+            f = theta - target
+            if mirrored:
+                slope = s * slope
+            a, b = np.where(f <= 0.0, x, a), np.where(f >= 0.0, x, b)
+            if calls == 1:
+                a, b = _narrowed(rows, x, theta, target, a, b)
+            done = b - a <= width
             step = -f / slope
-        stretch = np.abs(step) < reach
-        if stretch.any():
-            x = x + np.where(stretch, np.copysign(reach, step), step)
-            reach = np.where(stretch, 2.0 * reach, reach)
-        else:
-            x = x + step
-        if done.any():
-            root[todo[done]], slope_at[todo[done]] = 0.5 * (a + b)[done], slope[done]
-            keep = ~done
-            todo, rows, s, target, a, b, x, width, reach = (
-                v[keep] for v in (todo, rows, s, target, a, b, x, width, reach)
-            )
+            stretch = np.abs(step) < reach
+            if stretch.any():
+                x = x + np.where(stretch, np.copysign(reach, step), step)
+                reach = np.where(stretch, 2.0 * reach, reach)
+            else:
+                x = x + step
+            if done.any():
+                root[todo[done]], slope_at[todo[done]] = 0.5 * (a + b)[done], slope[done]
+                keep = ~done
+                todo, rows, s, target, a, b, x, width, reach = (
+                    v[keep] for v in (todo, rows, s, target, a, b, x, width, reach)
+                )
     blur = np.spacing(np.abs(0.5 * math.pi + n * math.pi)) / slope_at
     blurred = ~(blur <= DEFAULT_ROOT_TOL)  # NaN for a slope that is not finite
     if blurred.any():
@@ -215,7 +196,7 @@ def _square_well_levels(k, v0, half_width):
     k, v0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(v0, dtype=float))
     return _levels_by_row(
         lambda rows, eps: _square_well_phase_slope(k[rows], eps, v0[rows], half_width),
-        *_square_well_band(k, v0),
+        *_band(k, (0.0, -v0, 0.0)),
         (k != 0.0) & (v0 != 0.0),
     )
 
@@ -262,10 +243,13 @@ class SpectrumBranch:
 def parameter_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Uniform grid lo, lo+step, ..., not exceeding hi by more than step/2.
 
-    ConfigError, before anything is allocated, for a grid of more than
-    MAX_GRID_POINTS points."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    ValueError for a step that is not positive and finite (NaN included);
+    ConfigError for bounds that are not finite and, before anything is
+    allocated, for a grid of more than MAX_GRID_POINTS points."""
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid bounds must be finite, got {lo}:{hi}")
     span = (hi - lo) / step + 0.5
     if not span < MAX_GRID_POINTS:
         raise ConfigError(f"grid {lo}:{hi}:{step} has more than {MAX_GRID_POINTS} points")
@@ -305,9 +289,9 @@ def sweep_k(v0: float, k_values, half_width: float = 1.0) -> list[SpectrumBranch
     _check_well(params, v0, half_width)
 
     def end(branch, n, k_next):
-        band = admissible_interval(branch.params[-1], v0)
+        lo, hi = _band(branch.params[-1], (0.0, -v0, 0.0))
         eps = branch.epsilons[-1]
-        edge = "lower" if abs(eps - band.lo) <= abs(band.hi - eps) else "upper"
+        edge = "lower" if abs(eps - lo) <= abs(hi - eps) else "upper"
         return branch.params[-1], f"{edge} band edge"
 
     return _branches("k", params, _square_well_levels(params, v0, half_width), end)
@@ -345,12 +329,13 @@ def branch_cut(branches: list[SpectrumBranch], param: float, atol: float = 1e-9)
 
 def landau_levels_magnetic(beta: float, n: int) -> tuple[float, float]:
     """Level pair (+sqrt(2 n beta), -sqrt(2 n beta)) of a uniform magnetic
-    field; independent of k.  beta must be finite and positive;
-    UnsupportedRegime when 2 n beta overflows a double."""
+    field; independent of k.  beta must be finite and positive and n a
+    non-negative integer, not a bool; UnsupportedRegime when 2 n beta
+    overflows a double."""
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ConfigError(f"beta must be finite and positive, got {beta}")
-    if n < 0:
-        raise InvalidLevel(f"level index must be non-negative, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise InvalidLevel(f"level index must be a non-negative integer, got {n!r}")
     e = math.sqrt(2.0 * n * beta)
     if math.isinf(e):
         raise UnsupportedRegime(f"level {n} at beta={beta} overflows a double")

@@ -1,6 +1,7 @@
 """Secular functions: the closed form and the transfer-matrix route,
 cross-checked against one another."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from diracwell import (
     square_well_secular,
 )
 from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnboundedStateRequest, UnsupportedRegime
-from diracwell.matching import _propagator_entries, _transfer_phase_slope
+from diracwell.matching import _band, _propagator_entries, _transfer_phase_slope
 
 # reference spectrum of the (k=2, v0=2, L=1) well, lowest first
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
@@ -125,7 +126,9 @@ class TestTransferRoute:
             electric=PiecewiseConstant((-1.0, 1.0), (0.5, -3.0, -0.5))
         )
         sec = general_secular(lopsided, 2.0)
-        assert sec.lo == pytest.approx(0.5 - 2.0)
+        # the exteriors decay on (-1.5, 1.5), and the inner region of -3
+        # oscillates only above -3 + 2
+        assert sec.lo == -1.0
         assert sec.hi == pytest.approx(-0.5 + 2.0)
 
     def test_rejects_out_of_band(self):
@@ -282,6 +285,34 @@ class TestTransferPhase:
             return
         assert len(roots) == count
         assert np.all(np.diff(roots) > 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(well=piecewise_wells(), scale=st.floats(0.02, 1.0) | st.floats(-1.0, -0.02))
+    @example(well=((-1.0, 1.0), (0.0, -2.0, 0.0), 2.0), scale=1.0)  # lowest level 0.35 above the raised lo of 0
+    @example(well=((-1.0, 0.5), (0.5, 3.0, -0.5), 2.0), scale=1.0)  # barrier only, unequal exteriors
+    @example(well=((-1.0, 0.0), (0.0, 1e-9, 0.0), 1.0), scale=1.0)  # refused on both
+    def test_band_keeps_every_level_of_the_exterior_window(self, well, scale):
+        # scale makes wells shallow enough for the band to narrow the
+        # window, and a negative one turns wells into barriers
+        steps, values, k = well
+        values = tuple(scale * v for v in values)
+        secular = general_secular(FieldConfig(electric=PiecewiseConstant(steps, values)), k)
+        lo, hi = _band(k, values)
+        assert (secular.lo, secular.hi) == (lo, hi)
+        outer = (values[0], values[-1])
+        window = dataclasses.replace(secular, lo=max(outer) - abs(k), hi=min(outer) + abs(k))
+        solved = []
+        for sec in (secular, window):
+            try:
+                solved.append(find_roots(sec))
+            except UnsupportedRegime:
+                solved.append(None)
+        roots, wide = solved
+        assert (roots is None) == (wide is None)
+        if roots is not None:
+            assert len(roots) == len(wide)
+            np.testing.assert_allclose(roots, wide, rtol=0.0, atol=1e-12)
+            assert all(lo < root < hi for root in roots)
 
     @settings(max_examples=40, deadline=None)
     @given(well=piecewise_wells(), share=st.floats(0.001, 0.999))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from diracwell import (
     SpectrumBranch,
-    admissible_interval,
     branch_cut,
     branches_to_csv,
     branches_to_json_payload,
@@ -50,25 +49,28 @@ COLLAPSE_DEPTHS_K3 = (6.386355134989882, 7.343915791206059)
 
 
 class TestAdmissibleBand:
+    """The square well's band, as square_well_secular carries it."""
+
     def test_reference_bands(self):
-        band = admissible_interval(3.0, 8.0)
+        band = square_well_secular(3.0, 8.0)
         assert (band.lo, band.hi) == (-3.0, 3.0)
-        band = admissible_interval(2.0, 2.0)
+        band = square_well_secular(2.0, 2.0)
         assert (band.lo, band.hi) == (0.0, 2.0)
 
     def test_sign_of_k_is_immaterial(self):
-        assert admissible_interval(-3.0, 8.0) == admissible_interval(3.0, 8.0)
+        well, mirrored = square_well_secular(-3.0, 8.0), square_well_secular(3.0, 8.0)
+        assert (well.lo, well.hi) == (mirrored.lo, mirrored.hi)
 
     def test_empty_cases(self):
-        assert admissible_interval(2.0, 0.0).empty
-        assert not admissible_interval(2.0, -1.0).empty  # a barrier binds on the mirror band
-        assert admissible_interval(0.0, 5.0).empty  # zero momentum never binds
+        assert square_well_secular(2.0, 0.0).empty
+        assert not square_well_secular(2.0, -1.0).empty  # a barrier binds on the mirror band
+        assert square_well_secular(0.0, 5.0).empty  # zero momentum never binds
 
     def test_barrier_band_is_the_mirror_image(self):
-        band = admissible_interval(2.0, -1.0)
+        band = square_well_secular(2.0, -1.0)
         assert (band.lo, band.hi) == (-2.0, -1.0)
         for k, v0 in ((2.0, 5.0), (3.0, 8.0), (-1.5, 0.4)):
-            well, barrier = admissible_interval(k, v0), admissible_interval(k, -v0)
+            well, barrier = square_well_secular(k, v0), square_well_secular(k, -v0)
             assert (barrier.lo, barrier.hi) == (-well.hi, -well.lo)
 
 
@@ -136,8 +138,10 @@ class TestParameterGrid:
         assert grid[-1] == pytest.approx(8.0, abs=1e-12)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            parameter_grid(0.0, 1.0, 0.0)
+        # lo + inf * 0 is NaN, so an infinite step would give an empty grid
+        for step in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step must be positive"):
+                parameter_grid(0.0, 1.0, step)
 
     def test_refuses_a_grid_of_too_many_points_before_allocating(self):
         tracemalloc.start()
@@ -145,6 +149,10 @@ class TestParameterGrid:
             for lo, hi, step in ((0.0, 1e9, 1e-9), (0.0, 1e-300, 1e-310), (0.0, float(MAX_GRID_POINTS), 1.0)):
                 with pytest.raises(ConfigError, match="points"):
                     parameter_grid(lo, hi, step)
+            # bounds that are not finite are named, not counted as points
+            for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)):
+                with pytest.raises(ConfigError, match="grid bounds must be finite"):
+                    parameter_grid(lo, hi, 0.1)
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
         finally:
             tracemalloc.stop()
@@ -318,7 +326,7 @@ def halved_levels(k, v0, half_width, most=40):
     ceil(log2(width / spacing(|k|))) times from the band's innermost doubles,
     in u = sign * eps, moving a to the midpoint where theta is at most the
     target and b where it is at least the target."""
-    band = admissible_interval(k, v0)
+    band = square_well_secular(k, v0, half_width)
     lo, hi = math.nextafter(band.lo, band.hi), math.nextafter(band.hi, band.lo)
     theta = lambda eps: float(_square_well_phase_slope(k, eps, v0, half_width)[0])
     s = -1.0 if theta(hi) < theta(lo) else 1.0
@@ -364,7 +372,7 @@ class TestNewtonLevels:
     def test_slope_is_the_derivative_and_theta_is_unchanged(self):
         rng = np.random.default_rng(7)
         for k, v0, half_width in ((2.0, 2.0, 1.0), (3.0, 8.0, 1.0), (50.0, 120.0, 3.0), (2.0, -5.0, 1.0)):
-            band = admissible_interval(k, v0)
+            band = square_well_secular(k, v0, half_width)
             eps = band.lo + (band.hi - band.lo) * rng.uniform(0.05, 0.95, 200)
             theta, slope = _square_well_phase_slope(k, eps, v0, half_width)
             p = np.sqrt(np.clip(k * k - eps**2, 0.0, None))
@@ -432,7 +440,7 @@ class TestNewtonLevels:
             theta, slope = _square_well_phase_slope(k[rows], eps, v0[rows], half_width)
             return theta, 1e3 * slope
 
-        lo, hi = matching._square_well_band(k, v0)
+        lo, hi = matching._band(k, (0.0, -v0, 0.0))
         _, _, roots = _levels_by_row(steep, lo, hi, np.array([True]))
         np.testing.assert_allclose(roots, find_roots(square_well_secular(3.0, 8.0)), rtol=0.0, atol=1e-14)
         assert NEWTON_CALLS < len(calls) <= NEWTON_CALLS + 60
@@ -487,6 +495,13 @@ class TestLandauLevels:
             landau_levels_proportional(0.5, -1.0, 0.0, 1)
         with pytest.raises(InvalidLevel):
             landau_levels_proportional(0.5, 1.0, 0.0, -2)
+        # a float or bool names no level: 1.5 would give +-sqrt(3)
+        for n in (1.5, 2.0, True, np.float64(1.0)):
+            with pytest.raises(InvalidLevel, match="integer"):
+                landau_levels_magnetic(1.0, n)
+            with pytest.raises(InvalidLevel, match="integer"):
+                landau_levels_proportional(0.5, 1.0, 0.0, n)
+        assert landau_levels_magnetic(1.0, np.int64(1)) == landau_levels_magnetic(1.0, 1)
 
     def test_level_that_overflows_raises(self):
         # 2 n beta is inf at n = 1: refused, never returned as a level
