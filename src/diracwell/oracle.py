@@ -45,6 +45,7 @@ SMOOTH_WINDOW_CAP = 50.0
 PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth march
 PROPAGATOR_STEPS = 512  # steps per block of the smooth march
 SECANT_CALLS = 40  # calls after which a bracket still open is bisected
+OSCILLATOR_SPAN = 14.0  # half-width of the oscillator grid, in oscillator lengths
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +118,16 @@ def proportional_oscillator_levels(
     beta: float,
     count: int,
     points: int = 6001,
-    span: float = 14.0,
     richardson: bool = True,
 ) -> np.ndarray:
     """Grid eigenvalues of the oscillator the proportional problem reduces
     to; level n sits at 2 n beta sqrt(1 - alpha^2) in exact arithmetic.
 
-    The window spans +/- span oscillator lengths.  With richardson=True the
-    three-point values at h and h/2 are extrapolated, removing the leading
-    h^2 error.  Raises ValueError for a non-finite alpha or beta or a beta
-    that is not positive, and UnsupportedRegime for |alpha| >= 1.
+    The window spans +/- OSCILLATOR_SPAN oscillator lengths.  With
+    richardson=True the three-point values at h and h/2 are extrapolated,
+    removing the leading h^2 error.  Raises ValueError for a non-finite
+    alpha or beta or a beta that is not positive, and UnsupportedRegime
+    for |alpha| >= 1.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
@@ -139,7 +140,7 @@ def proportional_oscillator_levels(
     scale = beta * math.sqrt(1.0 - alpha * alpha)
     length = 1.0 / math.sqrt(scale)
     u = lambda x: scale**2 * x**2 - scale
-    spec = GridSpec(-span * length, span * length, points)
+    spec = GridSpec(-OSCILLATOR_SPAN * length, OSCILLATOR_SPAN * length, points)
     coarse = grid_eigenvalues(u, spec, count)
     if not richardson:
         return coarse

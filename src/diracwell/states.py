@@ -2,14 +2,14 @@
 
 At a root of the secular function the rotated first component is carried
 across the steps of the well by the transfer route's own kernel,
-matching._carry: the exterior solution that decays on one side is
-continued through every step and region, and each region's two
-exponential coefficients are read off the carried value and slope, with
-the kernel's rescale restored, each region anchored at its own left
-step.  The second rotated component follows algebraically from the
-first-order system, the overall phase is fixed so the two components are
-complex conjugates, and norms and overlaps are evaluated in closed form
-from the exponential pieces rather than by quadrature.
+matching._carry: the exterior solutions that decay on either side are
+continued through every step and region and joined where they agree
+best, and each region's two exponential coefficients are read off the
+carried pairs at its two steps, anchored at its left step.  The second
+rotated component follows algebraically from the first-order system, the
+overall phase is fixed so the two components are complex conjugates, and
+norms and overlaps are evaluated in closed form from the exponential
+pieces rather than by quadrature.
 """
 
 from __future__ import annotations
@@ -209,11 +209,7 @@ class ResidualReport:
 
     @property
     def max_abs(self) -> float:
-        if len(self.x) == 0:
-            return 0.0
-        return float(
-            max(np.max(np.abs(self.residual_1)), np.max(np.abs(self.residual_2)))
-        )
+        return float(max(np.abs(r).max(initial=0.0) for r in (self.residual_1, self.residual_2)))
 
 
 def partner_component(
@@ -316,48 +312,53 @@ def fix_phase(state: BoundState) -> BoundState:
 def with_phase(state: BoundState, theta: float) -> BoundState:
     """Copy of a state with both components multiplied by exp(i theta)."""
     factor = cmath.exp(1j * theta)
+    w1, w2 = state.wave1.scaled(factor), state.wave2.scaled(factor)
     return _sample_state(
-        state.label,
-        state.v0,
-        state.half_width,
-        state.wave1.scaled(factor),
-        state.wave2.scaled(factor),
-        state.potential,
-        state.x,
+        state.label, state.v0, state.half_width, w1, w2, state.potential, state.x
     )
 
 
 def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> PiecewiseExp:
-    """Rotated first component at a root, as the region-by-region average
-    of the two walks of matching._carry from the decaying exteriors,
-    (psi, psi') = (1, p) at the first step and (1, -p) at the last.  Region
-    coefficients are (a, b) = (psi +/- psi'/g) exp(log) / 2 at its left step.
-
-    Raises NotAnEigenvalue when the left-decaying solution keeps a
-    right-growing part above NULLSPACE_TOL of its exterior amplitude.  The
-    right-to-left carry is scaled onto the other by least squares over the
-    interior coefficients; each exterior keeps its decaying term only, so
-    averaging splits the mismatch left by an inexact root between the two
-    outer steps.
+    """Rotated first component at a root, from the walks of
+    matching._carry out of the decaying exteriors, (psi, psi') = (1, p)
+    at the first step and (1, -p) at the last; a root's rounding grows
+    along a walk.  Pairs at the steps before a join region r come from
+    the left walk, the others from the right walk, scaled onto it by
+    their larger left-step coefficient (psi +/- psi'/g) / 2 at r.  r is
+    an exterior, so the wave is one walk and one solution, when that
+    walk's growing share there is within NULLSPACE_TOL; else, for a
+    state between barriers, r is the region whose coefficients are most
+    nearly parallel in the two walks.  Each b is read at its region's
+    left step, and where Re g > 0 each a at the right step, where its
+    term is largest.  Raises NotAnEigenvalue when the walks differ at r
+    by more than NULLSPACE_TOL.
     """
     k, eps = label.k, label.epsilon
-    g = np.sqrt((k * k - (eps - np.asarray(potential.values)) ** 2).astype(complex))
+    steps, values = potential.breakpoints, np.asarray(potential.values)
+    g = np.sqrt((k * k - (eps - values) ** 2).astype(complex))
+    shift = np.exp(-g[:-1] * np.diff((steps[0], *steps)))  # exp(-g w), w = 0 on the left exterior
+    jumps = 1j * np.diff(values)
 
-    def coefficients(direction):  # rows a, b
+    def walk(direction):  # rows a, b at each region's left step; a before, b after each step; logs
         seed = g[0].real if direction > 0 else -g[-1].real
         psi, dpsi, log = map(np.array, zip(*_carry(potential, k, eps, 1.0, seed, direction)[0]))
-        return np.array((psi + dpsi / g, psi - dpsi / g)) * (0.5 * np.exp(log))
+        left = 0.5 * np.array((psi + dpsi / g, psi - dpsi / g))
+        right = 0.5 * (psi[1:] + (dpsi[1:] - jumps * psi[1:]) / g[:-1]) * shift
+        return left, np.array((np.where(g[:-1].real > 0, right, left[0, :-1]), left[1, 1:])), log
 
-    fw, bw = coefficients(1), coefficients(-1)
-    growth = abs(fw[0, -1]) / (abs(fw[0, -1]) + abs(fw[1, -1]))
-    if growth > NULLSPACE_TOL:
+    (lf, sf, logf), (lb, sb, logb) = walk(1), walk(-1)
+    u, v = lf / np.abs(lf).sum(0), lb / np.abs(lb).sum(0)
+    mismatch = np.abs(u[0] * v[1] - u[1] * v[0])
+    r = len(mismatch) - 1 if mismatch[-1] <= mismatch[0] else 0  # one walk
+    r = r if mismatch[r] <= NULLSPACE_TOL else int(np.argmin(mismatch))
+    if not mismatch[r] <= NULLSPACE_TOL:
         raise NotAnEigenvalue(
-            f"no matching nullspace at epsilon={label.epsilon!r} "
-            f"(right-growing part {growth:.3e} of the exterior amplitude)"
+            f"no matching nullspace at epsilon={label.epsilon!r} (walks differ by {mismatch[r]:.3e} at best)"
         )
-    fw[0, -1] = fw[1, 0] = bw[0, -1] = bw[1, 0] = 0.0
-    scale = np.vdot(bw[:, 1:-1], fw[:, 1:-1]) / np.vdot(bw[:, 1:-1], bw[:, 1:-1])
-    return PiecewiseExp(potential.breakpoints, g, *(0.5 * (fw + scale * bw)))
+    big = np.argmax(np.abs(lb[:, r]))
+    a, b = np.concatenate((sf[:, :r] * np.exp(logf[1 : r + 1] - logf[r]),
+                           sb[:, r:] * (lf[big, r] / lb[big, r] * np.exp(logb[r + 1 :] - logb[r]))), axis=1)
+    return PiecewiseExp(steps, g, (*a, 0.0), (0.0, *b))
 
 
 def assemble_square_well_state(
@@ -365,14 +366,13 @@ def assemble_square_well_state(
 ) -> BoundState:
     """Build the normalized bound state of a square well at a secular root.
 
-    The rotated first component is carried across both steps from each
-    decaying exterior and the two carries are averaged.  Raises
-    NotAnEigenvalue when the solution that decays to the left still grows
-    to the right by more than 1e-6 of its exterior amplitude, and
-    ConfigError for fewer than 3 points.  The state is sampled on a
-    symmetric grid of points points, an even count rounded up to odd.  The
-    returned state is phase-fixed, sign-canonical, and normalized so the
-    probability density integrates to one (closed form, not quadrature).
+    The rotated first component is carried across both steps from the
+    decaying exteriors (see _carried_wave).  Raises NotAnEigenvalue when
+    its walks disagree by more than 1e-6, and ConfigError for fewer than
+    3 points.  The state is sampled on a symmetric grid of points
+    points, an even count rounded up to odd, phase-fixed,
+    sign-canonical, and normalized so the probability density integrates
+    to one (closed form, not quadrature).
     """
     if points < 3:
         raise ConfigError(f"a state needs at least 3 points, got {points}")

@@ -131,6 +131,12 @@ class TestTransferRoute:
         assert sec.lo == -1.0
         assert sec.hi == pytest.approx(-0.5 + 2.0)
 
+    def test_one_step_profile_has_no_levels(self):
+        # no inner region: the band is empty and the solve returns nothing
+        sec = general_secular(FieldConfig(electric=PiecewiseConstant((0.0,), (0.0, 1.0))), 2.0)
+        assert sec.empty
+        assert find_roots(sec) == []
+
     def test_rejects_out_of_band(self):
         with pytest.raises(UnboundedStateRequest):
             secular_det_general(square_well_config(2.0), QuantumLabel(2.0, 2.5))

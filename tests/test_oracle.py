@@ -190,6 +190,20 @@ class TestDiracShooting:
         for other in sets[1:]:
             assert other == pytest.approx(sets[0], abs=1e-8)
 
+    @pytest.mark.parametrize("x_match", [-1.0, 1.0])
+    def test_match_point_on_a_step(self, x_match):
+        # the segment between the step and the match point has zero width
+        base = shooting_bound_states(square_well_config(2.0), 2.0)
+        roots = shooting_bound_states(square_well_config(2.0), 2.0, x_match=x_match)
+        assert len(base) == len(roots) == 3
+        np.testing.assert_allclose(roots, base, rtol=0.0, atol=1e-9)
+
+    def test_match_point_at_a_smooth_window_edge(self):
+        # the march from that edge to the match point spans nothing
+        config = FieldConfig(electric=Lorentzian(-2.0))
+        det = dirac_shooting(config, QuantumLabel(2.0, np.array([-0.5, 0.5, 1.5])), x_match=50.0)
+        assert np.all(np.isfinite(det))
+
     def test_step_refinement_is_converged(self):
         coarse = shooting_bound_states(
             square_well_config(2.0), 2.0, scan_points=500, tol=1e-9, step=4e-3

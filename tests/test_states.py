@@ -45,6 +45,7 @@ from diracwell.errors import (
     MismatchedMomentum,
     NonDecayingExterior,
     NotAnEigenvalue,
+    NotConjugatePair,
     OutsideAdmissibleBand,
     UnsupportedRegime,
 )
@@ -198,10 +199,10 @@ class TestCarry:
         scale = 0.5 * np.exp(log)
         check_steps(self.PROFILE, g, (psi + dpsi / g) * scale, (psi - dpsi / g) * scale, 1e-12)
 
-    def test_averaged_wave_matches_at_every_step(self, label):
+    def test_carried_wave_matches_at_every_step(self, label):
         wave = _carried_wave(self.PROFILE, label)
         assert wave.steps == self.PROFILE.breakpoints
-        # the outer steps carry the mismatch of a root bisected to 1e-10
+        # one walk: the step to its far exterior carries the root's rounding
         check_steps(self.PROFILE, wave.g, wave.a, wave.b, 1e-8)
 
     def test_rejects_non_roots(self):
@@ -214,6 +215,77 @@ class TestCarry:
     def test_rejects_non_decaying_exterior(self):
         with pytest.raises(OutsideAdmissibleBand):
             assemble_square_well_state(QuantumLabel(k=2.0, epsilon=2.5), 2.0)
+
+
+def step_mismatches(wave, profile):
+    """|psi_r - psi_l| and |psi'_r - psi'_l - i J psi_l| at every step of
+    profile, over the largest |psi| there, from the wave's own table."""
+    steps = np.array(profile.breakpoints)
+    g, a, b = wave.g[:-1], wave.a[:-1], wave.b[:-1]
+    t = np.diff(steps, prepend=steps[0])  # each region's width; 0 on the left exterior
+    psi_l, dpsi_l = a * np.exp(g * t) + b * np.exp(-g * t), g * (a * np.exp(g * t) - b * np.exp(-g * t))
+    psi_r, dpsi_r = wave.a[1:] + wave.b[1:], wave.g[1:] * (wave.a[1:] - wave.b[1:])
+    top = np.max(np.abs(psi_r))
+    jump = 1j * np.diff(profile.values) * psi_l
+    return np.abs(psi_r - psi_l) / top, np.abs(dpsi_r - dpsi_l - jump) / top
+
+
+def assert_every_root_carries(profile, k, tol=1e-6):
+    """Every transfer root of profile at k carries, continuous at every step
+    and with the slope's i J psi jump, to tol of the wave's largest |psi|."""
+    roots = find_roots(general_secular(FieldConfig(electric=profile), k))
+    for eps in roots:
+        values, slopes = step_mismatches(_carried_wave(profile, QuantumLabel(k, eps)), profile)
+        assert max(values.max(), slopes.max()) <= tol, (profile, k, eps)
+    return len(roots)
+
+
+class TestRandomPiecewiseWells:
+    # a root's rounding grows along a walk: one walk carries a state whose
+    # barriers all rise towards it from that walk's start, and a state
+    # between two barriers takes the two walks joined between them
+    def test_every_root_carries(self):
+        rng = np.random.default_rng(0)
+        count = 0
+        for _ in range(300):
+            inner = int(rng.integers(1, 5))
+            steps = tuple(np.sort(rng.uniform(-3.0, 3.0, inner + 1)))
+            profile = PiecewiseConstant(steps, (0.0, *rng.uniform(-12.0, 6.0, inner), 0.0))
+            count += assert_every_root_carries(profile, rng.uniform(0.3, 6.0) * rng.choice((-1.0, 1.0)))
+        assert count > 1000
+
+    def test_state_between_two_barriers(self):
+        # barriers of kappa w = 14 on both sides of the level's well: each
+        # walk alone keeps a growing share of 4e-4 at its far end
+        profile = PiecewiseConstant(
+            (-2.5733755510995326, -2.405523349309626, 0.14379074217479015,
+             0.4378192090330879, 2.9771443516291356),
+            (0.0, 4.775673722548493, -1.984968274773026, 5.314248107733022,
+             -6.26305328217885, 0.0),
+        )
+        assert assert_every_root_carries(profile, -5.95183770377078) == 15
+
+    def test_growing_term_across_a_barrier(self):
+        # a barrier of kappa w = 19.6 right of a level's well: read at the
+        # barrier's left step, its growing term is lost to rounding, and the
+        # wave misses the next step by 1e-6
+        profile = PiecewiseConstant(
+            (-2.7079665201674423, -2.6149422570765317, 0.9364065376946806,
+             1.5590806028531077, 2.8101312413439796),
+            (0.0, -7.884111143160447, 3.5021948785040724, -11.781402857032328,
+             -8.505313480172747, 0.0),
+        )
+        assert assert_every_root_carries(profile, -5.858328044966112) > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wide_barrier_double_well(self):
+        # the barrier's kappa w reaches 1386, past what exp holds in a double
+        profile = PiecewiseConstant((-22.0, -20.0, 20.0, 22.0), (0.0, -60.0, 0.0, -47.0, 0.0))
+        roots = find_roots(general_secular(FieldConfig(electric=profile), 40.0))
+        assert len(roots) == 109
+        for eps in roots:
+            wave = _carried_wave(profile, QuantumLabel(40.0, eps))
+            assert np.all(np.isfinite(wave.table))
 
 
 class TestEvanescentBarrier:
@@ -334,6 +406,11 @@ class TestPhaseFixing:
             np.testing.assert_allclose((a - 1j * b) / 2.0, s.psi1, atol=1e-15)
             # second real component is carried by the conjugate partner
             np.testing.assert_allclose(b, -2.0 * s.psi1.imag, atol=0.0)
+
+    def test_components_that_are_not_conjugate_are_refused(self, well22_states):
+        s = well22_states[0]
+        with pytest.raises(NotConjugatePair, match="not conjugate-collinear"):
+            fix_phase(dataclasses.replace(s, wave2=s.wave1))
 
 
 class TestReflectionConjugation:
@@ -510,3 +587,8 @@ class TestSerialization:
         assert payload["k"] == 2.0
         assert payload["pt_eigenvalue"] == pytest.approx([0.0, -1.0], abs=1e-8)
         assert state_to_json(s) == state_to_json(s)
+
+    def test_json_of_a_state_without_reflection_symmetry(self, well22_states):
+        s = well22_states[0]
+        skewed = dataclasses.replace(s, psi1=s.psi1 * np.linspace(1.0, 2.0, len(s.x)))
+        assert json.loads(state_to_json(skewed))["pt_eigenvalue"] is None
