@@ -18,6 +18,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .errors import (
     UnsupportedRegime,
 )
 from .matching import _carry, region_wavenumbers
+from .spectrum import MAX_GRID_POINTS
 
 __all__ = [
     "PiecewiseExp",
@@ -167,7 +169,7 @@ def product_integral(f: PiecewiseExp, g: PiecewiseExp) -> complex:
     return complex(_overlaps(f.steps, [[f]], [[g]])[0, 0])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BoundState:
     """One normalized bound state sampled on a symmetric grid.
 
@@ -175,6 +177,9 @@ class BoundState:
     they satisfy psi2 = conj(psi1), so the physical (real) components are
     recovered by to_real_spinor.  The exact region tables of both waves are
     kept alongside the samples so integrals and residuals stay closed-form.
+    The samples are read-only, so the CSV text kept on a state once
+    written (see state_to_csv) cannot go stale; a writeable array passed
+    in may be the caller's, and the state keeps a copy of it instead.
     """
 
     label: QuantumLabel
@@ -187,6 +192,20 @@ class BoundState:
     wave1: PiecewiseExp = field(repr=False)
     wave2: PiecewiseExp = field(repr=False)
     potential: PiecewiseConstant = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("x", "psi1", "psi2"):
+            samples = getattr(self, name)
+            if samples.flags.writeable:
+                samples = samples.copy()
+                samples.flags.writeable = False
+                object.__setattr__(self, name, samples)
+
+    @cached_property
+    def _csv(self) -> str:  # see state_to_csv
+        lines = [",".join(COLUMNS)]
+        lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in _columns(self)))]
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -270,14 +289,16 @@ def _sample_state(
     x: np.ndarray,
 ) -> BoundState:
     norm = 4.0 * product_integral(wave1.conjugate(), wave1).real
+    psi1, psi2 = wave1(x), wave2(x)
+    psi1.flags.writeable = psi2.flags.writeable = False  # fresh: the state need not copy them
     return BoundState(
         label=label,
         v0=v0,
         half_width=half_width,
         norm=norm,
         x=x,
-        psi1=wave1(x),
-        psi2=wave2(x),
+        psi1=psi1,
+        psi2=psi2,
         wave1=wave1,
         wave2=wave2,
         potential=potential,
@@ -368,20 +389,24 @@ def assemble_square_well_state(
 
     The rotated first component is carried across both steps from the
     decaying exteriors (see _carried_wave).  Raises NotAnEigenvalue when
-    its walks disagree by more than 1e-6, and ConfigError for fewer than
-    3 points.  The state is sampled on a symmetric grid of points
-    points, an even count rounded up to odd, phase-fixed,
+    its walks disagree by more than 1e-6, and ConfigError, before
+    anything is allocated, for fewer than 3 points or, once an even
+    count is rounded up to odd, more than MAX_GRID_POINTS.  The state is
+    sampled on a symmetric grid of that many points, phase-fixed,
     sign-canonical, and normalized so the probability density integrates
     to one (closed form, not quadrature).
     """
     if points < 3:
         raise ConfigError(f"a state needs at least 3 points, got {points}")
+    points = int(points) | 1  # symmetric grid wants an odd count
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"a state takes at most {MAX_GRID_POINTS} points, got {points} once rounded up to odd")
     potential = square_well(v0, half_width)
     p, _ = region_wavenumbers(label, v0, half_width)
     wave1 = _carried_wave(potential, label)
     wave1, wave2 = _canonical_gauge(wave1, partner_component(wave1, label, potential))
 
-    points = int(points) | 1  # symmetric grid wants an odd count
     extent = half_width + 12.0 / p
     half = (points - 1) // 2
     pos = np.linspace(0.0, extent, half + 1)
@@ -542,35 +567,45 @@ def second_order_residuals(state: BoundState, grid_derivatives: bool = False) ->
 # ---------------------------------------------------------------------------
 
 
-def state_to_csv(state: BoundState) -> str:
+COLUMNS = ("x", "re_psi1", "im_psi1", "re_psi2", "im_psi2", "rho", "jy")
+
+
+def _columns(state: BoundState) -> tuple[np.ndarray, ...]:
     density = current_density(state)
-    columns = (state.x, state.psi1.real, state.psi1.imag, state.psi2.real, state.psi2.imag,
-               density.rho, density.j_y)
-    lines = ["x,re_psi1,im_psi1,re_psi2,im_psi2,rho,jy"]
-    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
-    return "\n".join(lines) + "\n"
+    return (state.x, state.psi1.real, state.psi1.imag, state.psi2.real, state.psi2.imag,
+            density.rho, density.j_y)
+
+
+def state_to_csv(state: BoundState) -> str:
+    """One row per sample, each value the shortest repr that reads back
+    to the same double.  The text is formatted once and kept on the state
+    (a dataclasses.replace copy starts without it)."""
+    return state._csv
 
 
 def state_to_json(state: BoundState) -> str:
-    density = current_density(state)
+    """The scalars and the sample columns as json.dumps(payload,
+    sort_keys=True) writes them.  A state already written as CSV with
+    finite samples only has its columns laid out from the CSV's tokens,
+    which are the ones json prints, instead of formatted again."""
     try:
         lam = pt_eigenvalue(state)
         pt = [lam.real, lam.imag]
     except BrokenPTSymmetry:
         pt = None
-    payload = {
+    scalars = {
         "k": state.label.k,
         "epsilon": state.label.epsilon,
         "v0": state.v0,
         "half_width": state.half_width,
         "norm": state.norm,
         "pt_eigenvalue": pt,
-        "x": state.x.tolist(),
-        "re_psi1": state.psi1.real.tolist(),
-        "im_psi1": state.psi1.imag.tolist(),
-        "re_psi2": state.psi2.real.tolist(),
-        "im_psi2": state.psi2.imag.tolist(),
-        "rho": density.rho.tolist(),
-        "jy": density.j_y.tolist(),
     }
-    return json.dumps(payload, sort_keys=True)
+    csv = vars(state).get("_csv")
+    if csv is None or "nan" in csv or "inf" in csv:  # json writes those as NaN and Infinity
+        columns = {key: c.tolist() for key, c in zip(COLUMNS, _columns(state))}
+        return json.dumps(scalars | columns, sort_keys=True)
+    tokens = csv[csv.index("\n") + 1 : -1].replace("\n", ",").split(",")
+    fields = {key: json.dumps(value) for key, value in scalars.items()}
+    fields |= {key: "[" + ", ".join(tokens[i :: len(COLUMNS)]) + "]" for i, key in enumerate(COLUMNS)}
+    return "{" + ", ".join(f"{json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "}"

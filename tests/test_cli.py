@@ -239,6 +239,11 @@ class TestState:
         assert code == 2
         assert "exactly one" in err
 
+    def test_too_many_points_exit_2(self, capsys):
+        code, _, err = run(capsys, "state", "--k", "2", "--v0", "2", "--level", "0", "--points", "1000000")
+        assert code == 2
+        assert "at most 1000000 points" in err
+
     def test_level_out_of_range(self, capsys):
         code, _, err = run(capsys, "state", "--k", "2", "--v0", "2", "--level", "7")
         assert code == 2
@@ -483,9 +488,11 @@ PINNED = Path(__file__).parent / "data" / "cli_stdout"
 
 
 class TestPinnedOutput:
-    """stdout of the spectrum of every CI verify well, and of the paper's
-    k = 3 collapse sweep, byte for byte as recorded in tests/data: the
-    root kernels' fast paths may not move a single bit of a root."""
+    """stdout of the spectrum of every CI verify well, of the paper's
+    k = 3 collapse sweep, and of one state of the k = 3, v0 = 8 well as
+    CSV and as JSON, byte for byte as recorded in tests/data: the root
+    kernels' fast paths may not move a single bit of a root, nor the
+    serializers a single character of a sample."""
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -500,6 +507,9 @@ class TestPinnedOutput:
             ("spectrum_50_120_3.csv", ["spectrum", "--k", "50", "--v0", "120", "--half-width", "3"]),
             ("spectrum_200_500_5.csv", ["spectrum", "--k", "200", "--v0", "500", "--half-width", "5"]),
             ("sweep_v0_3_0-8-0.01.csv", ["sweep-v0", "--k", "3", "--v0", "0:8:0.01"]),
+            ("state_3_8_4_201.csv", ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201"]),
+            ("state_3_8_4_201.json",
+             ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201", "--format", "json"]),
         ],
     )
     def test_stdout_is_byte_identical_to_the_recorded_output(self, capsys, name, argv):

@@ -330,17 +330,21 @@ class TestTransferPhase:
     @example(well=((-1.0, 0.0, 1.0), (0.0, -4.0, -2.0, 0.0), 2.0), share=0.5)
     @example(well=((-1.0, 0.0, 1.0), (0.0, -4.0, -2.0, 0.0), 2.0), share=0.5 - 6.4e-12)
     @example(well=((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5), -2.0), share=0.4)  # k < 0
+    # a band 4.4e-16 wide: all five energies round to 1.5, so there is no difference to take
+    @example(well=((-1.0, 0.0), (0.0, 0.0, 2.9999999999999996), 1.5), share=0.5)
     def test_slope_is_the_derivative_of_the_phase(self, well, share):
         # the slope summed in the walk's running scale against central
-        # differences of theta at h and h/2, extrapolated to h^4
+        # differences of theta at h and h/2, extrapolated to h^4, each taken
+        # over the energies as a double stores them
         steps, values, k = well
         lo, hi = max(values[0], values[-1]) - abs(k), min(values[0], values[-1]) + abs(k)
-        if not lo < hi:
-            return
         eps, h = lo + share * (hi - lo), 1e-6 * (hi - lo)
-        theta, slope = _transfer_phase_slope(
-            PiecewiseConstant(steps, values), k, eps + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
-        derivative = (4.0 * (theta[3] - theta[1]) / h - (theta[4] - theta[0]) / (2.0 * h)) / 3.0
+        e = eps + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        if not np.all(np.diff(e) > 0.0):
+            return
+        theta, slope = _transfer_phase_slope(PiecewiseConstant(steps, values), k, e)
+        derivative = (4.0 * (theta[3] - theta[1]) / (e[3] - e[1])
+                      - (theta[4] - theta[0]) / (e[4] - e[0])) / 3.0
         assert slope[2] == pytest.approx(derivative, rel=1e-5)
 
 

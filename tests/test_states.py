@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from diracwell.errors import (
 )
 from diracwell.matching import _carry
 from diracwell.oracle import shooting_bound_states
+from diracwell.spectrum import MAX_GRID_POINTS
 from diracwell.states import _carried_wave
 
 
@@ -134,6 +136,35 @@ class TestAssembly:
                 assemble_square_well_state(label, 2.0, points=points)
         # an even count is rounded up to the next odd one
         assert len(assemble_square_well_state(label, 2.0, points=4).x) == 5
+
+    # an even count is rounded up to odd first, so the cap itself is one past it
+    @pytest.mark.parametrize("points", [MAX_GRID_POINTS, MAX_GRID_POINTS + 1])
+    def test_too_many_points_are_refused_before_allocating(self, points):
+        label = QuantumLabel(k=2.0, epsilon=find_roots(square_well_secular(2.0, 2.0))[0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"at most {MAX_GRID_POINTS} points"):
+                assemble_square_well_state(label, 2.0, points=points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # one grid of that size alone is 8 MB
+
+    def test_samples_are_read_only(self, well22_states):
+        s = well22_states[0]
+        for copy in (s, fix_phase(s), with_phase(s, 0.7)):
+            for samples in (copy.x, copy.psi1, copy.psi2):
+                with pytest.raises(ValueError, match="read-only"):
+                    samples[0] = 0.0
+        # phase fixing reads them and returns the same samples
+        assert np.max(np.abs(fix_phase(with_phase(s, 0.7)).psi1 - s.psi1)) < 1e-12
+        # the grid a caller passes in stays writeable; the state holds a read-only copy
+        x = np.array(s.x)
+        again = fix_phase(dataclasses.replace(s, x=x))
+        assert x.flags.writeable and not again.x.flags.writeable
+        assert not np.shares_memory(x, again.x)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.norm = 2.0
 
 
 def assert_family_is_clean(states):
@@ -587,6 +618,43 @@ class TestSerialization:
         assert payload["k"] == 2.0
         assert payload["pt_eigenvalue"] == pytest.approx([0.0, -1.0], abs=1e-8)
         assert state_to_json(s) == state_to_json(s)
+
+    @pytest.mark.parametrize("well", [(2.0, 2.0, 1.0), (3.0, 8.0, 1.0), (4.0, 7.8, 1.35)])
+    def test_json_after_csv_equals_json_of_a_fresh_state(self, well):
+        # the second JSON is laid out from the CSV's tokens, the first is not
+        for s in assemble_all(*well, points=4001):
+            fresh = state_to_json(s)
+            state_to_csv(s)
+            assert state_to_json(s) == fresh
+
+    @pytest.mark.parametrize("build", [fix_phase, lambda s: s], ids=["fix_phase", "replace"])
+    def test_writing_into_the_callers_arrays_leaves_the_text_alone(self, well22_states, build):
+        s = well22_states[0]
+        x, psi1 = np.array(s.x), np.array(s.psi1)
+        t = build(dataclasses.replace(s, x=x, psi1=psi1))
+        expected = state_to_csv(t), state_to_json(t)
+        x[0], psi1[0] = 5.0, 5.0
+        assert (state_to_csv(t), state_to_json(t)) == expected
+        assert state_to_json(dataclasses.replace(t)) == expected[1]  # formatted afresh from t's samples
+
+    def test_a_copy_starts_without_the_csv_text(self, well22_states):
+        s = well22_states[0]
+        text = state_to_csv(s)
+        assert state_to_csv(s) is text
+        assert "_csv" not in vars(dataclasses.replace(s))
+
+    @pytest.mark.parametrize(
+        "bad, token", [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")]
+    )
+    def test_non_finite_samples_are_written_alike_in_both_orders(self, well22_states, bad, token):
+        s = well22_states[0]
+        x = np.array(s.x)
+        x[7] = bad
+        fresh = state_to_json(dataclasses.replace(s, x=x))
+        damaged = dataclasses.replace(s, x=x)
+        state_to_csv(damaged)
+        assert state_to_json(damaged) == fresh
+        assert f"{token}, " in fresh
 
     def test_json_of_a_state_without_reflection_symmetry(self, well22_states):
         s = well22_states[0]
