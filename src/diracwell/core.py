@@ -1,4 +1,4 @@
-"""Field profiles in reduced units and the first-order radial system.
+"""Field profiles in reduced units, field configurations and their cases.
 
 PHYSICS SCOPE
     Massless Dirac-Weyl quasiparticles in a graphene monolayer subject to
@@ -22,17 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DiscontinuityPoint,
-    SingularPoint,
-    UnsupportedRegime,
-)
+from .errors import ConfigError, DiscontinuityPoint, SingularPoint
 
 __all__ = [
     "PiecewiseConstant",
@@ -46,14 +41,11 @@ __all__ = [
     "CaseClass",
     "square_well",
     "evaluate_potential",
-    "potential_derivative",
     "potential_to_json",
     "potential_from_json",
     "classify_case",
-    "build_M",
     "effective_potential_electric",
     "effective_energy",
-    "superpotential_proportional",
 ]
 
 # Proportionality between the two field profiles is accepted only when it
@@ -247,11 +239,6 @@ def evaluate_potential(potential: Potential1D, x):
     return potential.evaluate(x)
 
 
-def potential_derivative(potential: Potential1D, x):
-    """Spatial derivative of the profile at x."""
-    return potential.derivative(x)
-
-
 def potential_to_json(potential: Potential1D) -> str:
     tag = _FAMILY_TAGS[type(potential)]
     if isinstance(potential, PiecewiseConstant):
@@ -413,15 +400,6 @@ def classify_case(config: FieldConfig) -> CaseClass:
 # ---------------------------------------------------------------------------
 
 
-def build_M(config: FieldConfig, label: QuantumLabel, x: float) -> np.ndarray:
-    """Coefficient matrix [[W, -Delta], [Delta, -W]] of the first-order system."""
-    a = 0.0 if config.magnetic is None else config.magnetic.evaluate(x)
-    v = 0.0 if config.electric is None else config.electric.evaluate(x)
-    w = label.k + a
-    delta = label.epsilon - v
-    return np.array([[w, -delta], [delta, -w]])
-
-
 def effective_potential_electric(potential: Potential1D, epsilon: float, x):
     """Complex effective potential i v' + 2 eps v - v^2 of the decoupled
     second-order equation for the rotated component in a purely electric
@@ -435,31 +413,3 @@ def effective_potential_electric(potential: Potential1D, epsilon: float, x):
 def effective_energy(label: QuantumLabel) -> float:
     """Effective eigenvalue -(k^2 - eps^2) of the decoupled equation."""
     return -(label.k**2 - label.epsilon**2)
-
-
-def superpotential_proportional(
-    alpha: float, label: QuantumLabel, magnetic: Potential1D, x
-):
-    """Superpotential W and shifted eigenvalue mu for proportional profiles.
-
-    For v = alpha * a with |alpha| < 1 the problem maps onto partner
-    Hamiltonians -d^2/dx^2 + W^2 +/- W' at eigenvalue
-    mu = (eps + alpha k)^2 / (1 - alpha^2), with
-
-        W(x) = (eps alpha + k) / sqrt(1 - alpha^2)
-               + sqrt(1 - alpha^2) * a(x).
-
-    |alpha| >= 1 has no solver here and raises UnsupportedRegime.
-    """
-    if abs(alpha) >= 1.0:
-        raise UnsupportedRegime(
-            "only |alpha| < 1 maps onto an oscillator-like problem; "
-            f"got alpha = {alpha}"
-        )
-    root = math.sqrt(1.0 - alpha * alpha)
-    a = magnetic.evaluate(x)
-    w = (label.epsilon * alpha + label.k) / root + root * np.asarray(a)
-    mu = (label.epsilon + alpha * label.k) ** 2 / (1.0 - alpha * alpha)
-    if np.ndim(x):
-        return w, mu
-    return float(w), float(mu)

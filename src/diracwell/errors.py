@@ -26,7 +26,9 @@ class DiscontinuityPoint(SolverError):
 
 
 class UnsupportedRegime(SolverError):
-    """The requested proportionality regime has no solver in this package."""
+    """The request lies outside what a solver here can resolve: a field
+    regime or profile it does not handle, or levels that rounding or the
+    step size leaves unresolved."""
 
 
 class OutsideAdmissibleBand(SolverError):
@@ -64,6 +66,3 @@ class InvalidLevel(SolverError):
 class NonDecayingExterior(SolverError):
     """The asymptotic system admits no decaying direction on one side."""
 
-
-class GridTooCoarse(SolverError):
-    """Halving the grid spacing moved an eigenvalue more than the tolerance."""

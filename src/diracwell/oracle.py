@@ -28,12 +28,11 @@ from .core import (
     Tanh,
     evaluate_potential,
 )
-from .errors import ConfigError, GridTooCoarse, NonDecayingExterior, UnsupportedRegime
+from .errors import ConfigError, NonDecayingExterior, UnsupportedRegime
 
 __all__ = [
     "GridSpec",
     "grid_eigenvalues",
-    "partner_potentials",
     "proportional_oscillator_levels",
     "dirac_shooting",
     "shooting_bound_states",
@@ -46,6 +45,7 @@ PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth marc
 PROPAGATOR_STEPS = 512  # steps per block of the smooth march
 SECANT_CALLS = 40  # calls after which a bracket still open is bisected
 OSCILLATOR_SPAN = 14.0  # half-width of the oscillator grid, in oscillator lengths
+OSCILLATOR_POINTS = 6001  # points of the coarser oscillator grid; the finer one halves h
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +79,10 @@ class GridSpec:
         return GridSpec(self.x_min, self.x_max, 2 * self.points - 1)
 
 
-def grid_eigenvalues(u, spec: GridSpec, count: int, tol: float | None = None) -> np.ndarray:
+def grid_eigenvalues(u, spec: GridSpec, count: int) -> np.ndarray:
     """Lowest eigenvalues of -psi'' + u(x) psi with walls at the grid ends.
 
-    u maps an x array to the potential samples.  With tol set, the spectrum
-    is recomputed on a doubled grid; a level moving by more than tol raises
-    GridTooCoarse, otherwise the doubled-grid values are returned.
+    u maps an x array to the potential samples.
     """
     from scipy.linalg import eigh_tridiagonal  # deferred: scipy.linalg dominates import time
 
@@ -93,41 +91,20 @@ def grid_eigenvalues(u, spec: GridSpec, count: int, tol: float | None = None) ->
     interior = x[1:-1]
     diag = 2.0 / h**2 + np.asarray(u(interior), dtype=float)
     off = np.full(len(interior) - 1, -1.0 / h**2)
-    vals = eigh_tridiagonal(
+    return eigh_tridiagonal(
         diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
     )
-    if tol is None:
-        return vals
-    fine = grid_eigenvalues(u, spec.refined(), count)
-    shift = np.max(np.abs(fine - vals))
-    if shift > tol:
-        raise GridTooCoarse(
-            f"eigenvalues moved by {shift:.3e} under grid doubling (tol {tol:g})"
-        )
-    return fine
 
 
-def partner_potentials(w, w_prime):
-    """Pair of second-order potentials w^2 -/+ w' sharing a spectrum up to
-    the ground level; handy for factorization checks."""
-    return (lambda x: w(x) ** 2 - w_prime(x), lambda x: w(x) ** 2 + w_prime(x))
-
-
-def proportional_oscillator_levels(
-    alpha: float,
-    beta: float,
-    count: int,
-    points: int = 6001,
-    richardson: bool = True,
-) -> np.ndarray:
+def proportional_oscillator_levels(alpha: float, beta: float, count: int) -> np.ndarray:
     """Grid eigenvalues of the oscillator the proportional problem reduces
     to; level n sits at 2 n beta sqrt(1 - alpha^2) in exact arithmetic.
 
-    The window spans +/- OSCILLATOR_SPAN oscillator lengths.  With
-    richardson=True the three-point values at h and h/2 are extrapolated,
-    removing the leading h^2 error.  Raises ValueError for a non-finite
-    alpha or beta or a beta that is not positive, and UnsupportedRegime
-    for |alpha| >= 1.
+    The window spans +/- OSCILLATOR_SPAN oscillator lengths on
+    OSCILLATOR_POINTS points, and the three-point values at h and h/2 are
+    Richardson-extrapolated, removing the leading h^2 error.  Raises
+    ValueError for a non-finite alpha or beta or a beta that is not
+    positive, and UnsupportedRegime for |alpha| >= 1.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
@@ -140,10 +117,8 @@ def proportional_oscillator_levels(
     scale = beta * math.sqrt(1.0 - alpha * alpha)
     length = 1.0 / math.sqrt(scale)
     u = lambda x: scale**2 * x**2 - scale
-    spec = GridSpec(-OSCILLATOR_SPAN * length, OSCILLATOR_SPAN * length, points)
+    spec = GridSpec(-OSCILLATOR_SPAN * length, OSCILLATOR_SPAN * length, OSCILLATOR_POINTS)
     coarse = grid_eigenvalues(u, spec, count)
-    if not richardson:
-        return coarse
     fine = grid_eigenvalues(u, spec.refined(), count)
     return (4.0 * fine - coarse) / 3.0
 

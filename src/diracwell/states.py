@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,10 +53,8 @@ __all__ = [
     "partner_component",
     "fix_phase",
     "with_phase",
-    "to_real_spinor",
     "probability_density",
     "current_density",
-    "count_density_nodes",
     "pt_eigenvalue",
     "inner_product",
     "gram_matrix",
@@ -175,7 +174,7 @@ class BoundState:
 
     psi1 and psi2 are the rotated spinor components; after phase fixing
     they satisfy psi2 = conj(psi1), so the physical (real) components are
-    recovered by to_real_spinor.  The exact region tables of both waves are
+    (2 Re psi1, -2 Im psi1).  The exact region tables of both waves are
     kept alongside the samples so integrals and residuals stay closed-form.
     The samples are read-only, so the CSV text kept on a state once
     written (see state_to_csv) cannot go stale; a writeable array passed
@@ -390,12 +389,15 @@ def assemble_square_well_state(
     The rotated first component is carried across both steps from the
     decaying exteriors (see _carried_wave).  Raises NotAnEigenvalue when
     its walks disagree by more than 1e-6, and ConfigError, before
-    anything is allocated, for fewer than 3 points or, once an even
-    count is rounded up to odd, more than MAX_GRID_POINTS.  The state is
+    anything is carried, for points that are not an integer (a bool is
+    not), fewer than 3 or, once an even count is rounded up to odd, more
+    than MAX_GRID_POINTS.  The state is
     sampled on a symmetric grid of that many points, phase-fixed,
     sign-canonical, and normalized so the probability density integrates
     to one (closed form, not quadrature).
     """
+    if not isinstance(points, numbers.Integral) or isinstance(points, bool):
+        raise ConfigError(f"points must be an integer, got {points!r}")
     if points < 3:
         raise ConfigError(f"a state needs at least 3 points, got {points}")
     points = int(points) | 1  # symmetric grid wants an odd count
@@ -414,12 +416,6 @@ def assemble_square_well_state(
     return _sample_state(label, v0, half_width, wave1, wave2, potential, x)
 
 
-def to_real_spinor(state: BoundState) -> tuple[np.ndarray, np.ndarray]:
-    """Real spinor components (2 Re psi1, -2 Im psi1) of a phase-fixed
-    state; the rotated first component is recovered as (a - i b) / 2."""
-    return 2.0 * state.psi1.real, -2.0 * state.psi1.imag
-
-
 def probability_density(state: BoundState) -> DensityProfile:
     """rho = 4 |psi1|^2, the squared real spinor; integrates to one for a
     normalized state.  Phase-invariant."""
@@ -433,36 +429,25 @@ def current_density(state: BoundState) -> DensityProfile:
     identically for a bound state and j_y = -8 Re(psi1) Im(psi1), which is
     bounded by rho pointwise."""
     rho = 4.0 * (state.psi1.real**2 + state.psi1.imag**2)
-    j_y = -8.0 * state.psi1.real * state.psi1.imag
+    with np.errstate(invalid="ignore"):  # an infinite part times a zero one is NaN
+        j_y = -8.0 * state.psi1.real * state.psi1.imag
     return DensityProfile(x=state.x, rho=rho, j_x=np.zeros_like(j_y), j_y=j_y)
 
 
-def count_density_nodes(profile: DensityProfile, depth: float = 1e-3) -> int:
-    """Interior local minima of rho lying below depth * max(rho).
-
-    The density of a relativistic bound state does not vanish exactly
-    between lobes, so nodes are counted as deep minima rather than zeros.
-    """
-    rho = profile.rho
-    peak = float(np.max(rho))
-    inner = rho[1:-1]
-    minima = (inner < rho[:-2]) & (inner < rho[2:]) & (inner < depth * peak)
-    return int(np.count_nonzero(minima))
-
-
-def pt_eigenvalue(state: BoundState, tol: float = PT_TOL) -> complex:
+def pt_eigenvalue(state: BoundState) -> complex:
     """Eigenvalue lambda of the parity-conjugation map conj(psi1(-x)) =
     lambda psi1(x); +/-i for the square-well states, alternating with the
-    excitation index.  Raises BrokenPTSymmetry when no lambda fits."""
+    excitation index.  Raises BrokenPTSymmetry when no lambda fits to
+    PT_TOL, and for a null state or one with a non-finite sample."""
     flipped = np.conjugate(state.psi1[::-1])
-    denom = np.vdot(state.psi1, state.psi1)
-    if denom == 0:
-        raise BrokenPTSymmetry("cannot fit a PT eigenvalue to a null state")
+    denom = np.vdot(state.psi1, state.psi1)  # NaN, with no warning, for a non-finite sample
+    if not 0.0 < denom.real < math.inf:
+        raise BrokenPTSymmetry(f"cannot fit a PT eigenvalue to a state of squared norm {denom.real}")
     lam = np.vdot(state.psi1, flipped) / denom
     residual = np.linalg.norm(flipped - lam * state.psi1) / np.linalg.norm(flipped)
-    if residual > tol:
+    if residual > PT_TOL:
         raise BrokenPTSymmetry(
-            f"reflection-conjugation misfit {residual:.3e} exceeds {tol:g}"
+            f"reflection-conjugation misfit {residual:.3e} exceeds {PT_TOL:g}"
         )
     return complex(lam)
 

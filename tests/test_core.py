@@ -1,5 +1,5 @@
-"""Potential families, classification, and the reduced
-first-order system building blocks."""
+"""Potential families, classification, and the decoupled equation's
+building blocks."""
 
 import json
 import math
@@ -16,23 +16,15 @@ from diracwell import (
     PiecewiseConstant,
     QuantumLabel,
     Tanh,
-    build_M,
     classify_case,
     effective_energy,
     effective_potential_electric,
     evaluate_potential,
-    potential_derivative,
     potential_from_json,
     potential_to_json,
     square_well,
-    superpotential_proportional,
 )
-from diracwell.errors import (
-    ConfigError,
-    DiscontinuityPoint,
-    SingularPoint,
-    UnsupportedRegime,
-)
+from diracwell.errors import ConfigError, DiscontinuityPoint, SingularPoint
 
 
 class TestPiecewiseConstant:
@@ -57,15 +49,15 @@ class TestPiecewiseConstant:
 
     def test_derivative_zero_between_steps(self):
         well = square_well(2.0)
-        assert potential_derivative(well, 0.5) == 0.0
-        np.testing.assert_allclose(potential_derivative(well, np.array([-3.0, 0.0, 3.0])), 0.0)
+        assert well.derivative(0.5) == 0.0
+        np.testing.assert_allclose(well.derivative(np.array([-3.0, 0.0, 3.0])), 0.0)
 
     def test_derivative_raises_on_step(self):
         well = square_well(2.0)
         with pytest.raises(DiscontinuityPoint):
-            potential_derivative(well, 1.0)
+            well.derivative(1.0)
         with pytest.raises(DiscontinuityPoint):
-            potential_derivative(well, np.array([0.0, -1.0]))
+            well.derivative(np.array([0.0, -1.0]))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -85,7 +77,7 @@ class TestPiecewiseConstant:
 class TestSmoothFamilies:
     def test_linear(self):
         assert evaluate_potential(Linear(1.0), 0.5) == 0.5
-        assert potential_derivative(Linear(2.5), -3.0) == 2.5
+        assert Linear(2.5).derivative(-3.0) == 2.5
         assert Linear(0.0).is_zero()
 
     def test_lorentzian(self):
@@ -95,20 +87,20 @@ class TestSmoothFamilies:
         # derivative matches a central difference
         h = 1e-6
         fd = (evaluate_potential(pot, 0.7 + h) - evaluate_potential(pot, 0.7 - h)) / (2 * h)
-        assert potential_derivative(pot, 0.7) == pytest.approx(fd, abs=1e-8)
+        assert pot.derivative(0.7) == pytest.approx(fd, abs=1e-8)
 
     def test_tanh(self):
         pot = Tanh(1.5)
         assert evaluate_potential(pot, 0.0) == 0.0
         assert evaluate_potential(pot, 20.0) == pytest.approx(1.5)
-        assert potential_derivative(pot, 0.0) == 1.5
+        assert pot.derivative(0.0) == 1.5
 
     def test_coulomb_singularity(self):
         bare = CoulombLike(1.0)
         with pytest.raises(SingularPoint):
             evaluate_potential(bare, 0.0)
         with pytest.raises(SingularPoint):
-            potential_derivative(bare, np.array([1.0, 0.0]))
+            bare.derivative(np.array([1.0, 0.0]))
         assert evaluate_potential(bare, 2.0) == 0.5
 
     def test_coulomb_cutoff_clamps(self):
@@ -116,9 +108,9 @@ class TestSmoothFamilies:
         assert evaluate_potential(reg, 0.0) == 10.0
         assert evaluate_potential(reg, 0.05) == 10.0
         assert evaluate_potential(reg, 0.5) == 2.0
-        assert potential_derivative(reg, 0.05) == 0.0
+        assert reg.derivative(0.05) == 0.0
         with pytest.raises(DiscontinuityPoint):
-            potential_derivative(reg, 0.1)
+            reg.derivative(0.1)
         with pytest.raises(ConfigError):
             CoulombLike(1.0, cutoff=-0.1)
 
@@ -203,29 +195,6 @@ class TestClassifyCase:
 
 
 class TestReducedSystem:
-    def test_build_M_square_well_inside(self):
-        config = FieldConfig(electric=square_well(2.0))
-        m = build_M(config, QuantumLabel(k=2.0, epsilon=-1.0), 0.0)
-        np.testing.assert_allclose(m, [[2.0, -1.0], [1.0, -2.0]])
-
-    def test_build_M_with_vector_part(self):
-        config = FieldConfig(electric=square_well(2.0), magnetic=Linear(1.0))
-        m = build_M(config, QuantumLabel(k=1.0, epsilon=0.0), 1.0)
-        # outside the well: W = k + x, Delta = eps
-        np.testing.assert_allclose(m, [[2.0, 0.0], [0.0, -2.0]])
-
-    def test_M_algebra(self):
-        # trace zero, and M^2 = (W^2 - Delta^2) I everywhere
-        rng = np.random.default_rng(7)
-        config = FieldConfig(electric=Lorentzian(-2.0), magnetic=Tanh(0.5))
-        for _ in range(200):
-            k, eps, x = rng.uniform(-3, 3, size=3)
-            m = build_M(config, QuantumLabel(k=float(k), epsilon=float(eps)), float(x))
-            assert m[0, 0] + m[1, 1] == 0.0
-            w = k + config.magnetic.evaluate(float(x))
-            delta = eps - config.electric.evaluate(float(x))
-            np.testing.assert_allclose(m @ m, (w * w - delta * delta) * np.eye(2), atol=1e-12)
-
     def test_effective_potential_square_well(self):
         well = square_well(2.0)
         assert effective_potential_electric(well, 1.0, 0.0) == pytest.approx(-8.0)
@@ -243,20 +212,3 @@ class TestReducedSystem:
             -3.874490, abs=1e-5
         )
 
-    def test_superpotential_zero_alpha(self):
-        label = QuantumLabel(k=1.5, epsilon=0.7)
-        w, mu = superpotential_proportional(0.0, label, Linear(2.0), 0.3)
-        assert w == pytest.approx(1.5 + 2.0 * 0.3)
-        assert mu == pytest.approx(0.7**2)
-
-    def test_superpotential_values(self):
-        label = QuantumLabel(k=0.0, epsilon=1.0)
-        w, mu = superpotential_proportional(0.6, label, Linear(0.0), 0.0)
-        assert w == pytest.approx(0.75)
-        assert mu == pytest.approx(1.5625)
-
-    def test_superpotential_rejects_steep_mixing(self):
-        label = QuantumLabel(k=1.0, epsilon=0.0)
-        for alpha in (1.0, -1.0, 1.5):
-            with pytest.raises(UnsupportedRegime):
-                superpotential_proportional(alpha, label, Linear(1.0), 0.0)

@@ -18,7 +18,6 @@ from diracwell import (
     PiecewiseExp,
     QuantumLabel,
     assemble_square_well_state,
-    count_density_nodes,
     current_density,
     equation_residuals,
     find_roots,
@@ -35,7 +34,6 @@ from diracwell import (
     square_well_secular,
     state_to_csv,
     state_to_json,
-    to_real_spinor,
     with_phase,
 )
 from diracwell import states as states_module
@@ -126,8 +124,9 @@ class TestAssembly:
 
     def test_requested_point_count_is_honored(self):
         eps = find_roots(square_well_secular(2.0, 2.0))[0]
-        s = assemble_square_well_state(QuantumLabel(k=2.0, epsilon=eps), 2.0, points=801)
-        assert len(s.x) == 801
+        for points in (801, np.int64(801)):
+            s = assemble_square_well_state(QuantumLabel(k=2.0, epsilon=eps), 2.0, points=points)
+            assert len(s.x) == 801
 
     def test_too_few_points_are_rejected(self):
         label = QuantumLabel(k=2.0, epsilon=find_roots(square_well_secular(2.0, 2.0))[0])
@@ -136,6 +135,14 @@ class TestAssembly:
                 assemble_square_well_state(label, 2.0, points=points)
         # an even count is rounded up to the next odd one
         assert len(assemble_square_well_state(label, 2.0, points=4).x) == 5
+
+    @pytest.mark.parametrize("points", [5.5, math.nan, "7", True])
+    def test_points_that_are_not_an_integer_are_refused_before_carrying(self, points, monkeypatch):
+        # 5.5 used to sample 5 points, and NaN failed in int() after the carry
+        label = QuantumLabel(k=2.0, epsilon=find_roots(square_well_secular(2.0, 2.0))[0])
+        monkeypatch.setattr(states_module, "_carried_wave", None)
+        with pytest.raises(ConfigError, match="points must be an integer"):
+            assemble_square_well_state(label, 2.0, points=points)
 
     # an even count is rounded up to odd first, so the cap itself is one past it
     @pytest.mark.parametrize("points", [MAX_GRID_POINTS, MAX_GRID_POINTS + 1])
@@ -431,13 +438,6 @@ class TestPhaseFixing:
             probability_density(rot).rho, probability_density(s).rho, atol=1e-14
         )
 
-    def test_real_spinor_round_trip(self, well22_states):
-        for s in well22_states:
-            a, b = to_real_spinor(s)
-            np.testing.assert_allclose((a - 1j * b) / 2.0, s.psi1, atol=1e-15)
-            # second real component is carried by the conjugate partner
-            np.testing.assert_allclose(b, -2.0 * s.psi1.imag, atol=0.0)
-
     def test_components_that_are_not_conjugate_are_refused(self, well22_states):
         s = well22_states[0]
         with pytest.raises(NotConjugatePair, match="not conjugate-collinear"):
@@ -470,6 +470,15 @@ class TestReflectionConjugation:
         with pytest.raises(BrokenPTSymmetry):
             pt_eigenvalue(doctored)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 1.0), 0.0])
+    def test_null_or_non_finite_samples_are_rejected(self, well22_states, bad):
+        # a non-finite sample used to give nan+nanj, warning in the divide
+        s = well22_states[0]
+        samples = np.array(s.psi1)
+        samples[7 if bad else slice(None)] = bad
+        with pytest.raises(BrokenPTSymmetry, match="squared norm"):
+            pt_eigenvalue(dataclasses.replace(s, psi1=samples))
+
 
 class TestDensities:
     def test_density_integrates_to_one(self, well22_states):
@@ -495,17 +504,15 @@ class TestDensities:
             assert np.all(np.abs(d.j_y) <= d.rho + 1e-12)
 
     def test_node_structure(self, well22_states):
-        # the relativistic density never reaches zero between lobes, so the
-        # default depth cut sees no nodes even in excited states; counting
-        # minima at any depth recovers the 0 / 1 / 2 ladder
+        # the relativistic density never reaches zero between lobes, but its
+        # interior minima recover the 0 / 1 / 2 ladder
         dips = []
         for n, s in enumerate(well22_states):
             d = probability_density(s)
-            assert count_density_nodes(d) == 0
-            assert count_density_nodes(d, depth=1.0) == n
+            inner = d.rho[1:-1]
+            is_min = (inner < d.rho[:-2]) & (inner < d.rho[2:])
+            assert np.count_nonzero(is_min) == n
             if n:
-                inner = d.rho[1:-1]
-                is_min = (inner < d.rho[:-2]) & (inner < d.rho[2:])
                 dips.append(float(np.min(inner[is_min]) / np.max(d.rho)))
         assert dips[0] == pytest.approx(0.220815, abs=1e-3)
         assert dips[1] == pytest.approx(0.324989, abs=1e-3)
@@ -644,17 +651,27 @@ class TestSerialization:
         assert "_csv" not in vars(dataclasses.replace(s))
 
     @pytest.mark.parametrize(
-        "bad, token", [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")]
+        "name, bad, token",
+        [
+            pytest.param("x", math.nan, "NaN", id="nan-NaN"),
+            pytest.param("x", math.inf, "Infinity", id="inf-Infinity"),
+            pytest.param("x", -math.inf, "-Infinity", id="-inf--Infinity"),
+            pytest.param("psi1", math.nan, "NaN", id="psi1-nan"),
+            pytest.param("psi1", math.inf, "Infinity", id="psi1-inf"),
+            pytest.param("psi1", complex(math.inf, 1.0), "Infinity", id="psi1-inf+1j"),
+        ],
     )
-    def test_non_finite_samples_are_written_alike_in_both_orders(self, well22_states, bad, token):
+    def test_non_finite_samples_are_written_alike_in_both_orders(self, well22_states, name, bad, token):
         s = well22_states[0]
-        x = np.array(s.x)
-        x[7] = bad
-        fresh = state_to_json(dataclasses.replace(s, x=x))
-        damaged = dataclasses.replace(s, x=x)
+        samples = np.array(getattr(s, name))
+        samples[7] = bad
+        fresh = state_to_json(dataclasses.replace(s, **{name: samples}))
+        damaged = dataclasses.replace(s, **{name: samples})
         state_to_csv(damaged)
         assert state_to_json(damaged) == fresh
         assert f"{token}, " in fresh
+        # a non-finite psi1 has no PT eigenvalue, where it used to be [NaN, NaN]
+        assert (json.loads(fresh)["pt_eigenvalue"] is None) == (name == "psi1")
 
     def test_json_of_a_state_without_reflection_symmetry(self, well22_states):
         s = well22_states[0]
