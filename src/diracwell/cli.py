@@ -26,6 +26,7 @@ from .errors import ConfigError, SolverError, VerificationFailure
 from .matching import general_secular, square_well_secular, square_well_config
 from .oracle import shooting_bound_states
 from .spectrum import (
+    MAX_GRID_POINTS,
     branches_to_csv,
     branches_to_json_payload,
     find_roots,
@@ -192,6 +193,8 @@ def _cmd_landau(args) -> int:
     levels, alpha, k = args.levels, args.alpha, args.k
     if levels < 0:
         raise ConfigError(f"levels must be non-negative, got {levels}")
+    if levels >= MAX_GRID_POINTS:  # refused before any row is built
+        raise ConfigError(f"levels must be below {MAX_GRID_POINTS}, got {levels}")
     if not math.isfinite(k):  # the magnetic ladder ignores k but prints it
         raise ConfigError(f"k must be finite, got {k}")
     rows = []

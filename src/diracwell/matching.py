@@ -68,9 +68,7 @@ class SecularFunction:
         return not (self.lo < self.hi)
 
 
-def region_wavenumbers(
-    label: QuantumLabel, v0: float, half_width: float = 1.0
-) -> tuple[float, float]:
+def region_wavenumbers(label: QuantumLabel, v0: float) -> tuple[float, float]:
     """Exterior decay rate p and interior wavenumber q for the square well.
 
     Raises OutsideAdmissibleBand naming the violated condition; the
@@ -161,7 +159,7 @@ def secular_det_square_well(
     Bound states of the square well are exactly its zeros inside the
     admissible band.
     """
-    region_wavenumbers(QuantumLabel(k, epsilon), v0, half_width)
+    region_wavenumbers(QuantumLabel(k, epsilon), v0)
     return float(_square_well_secular_value(k, epsilon, v0, half_width))
 
 

@@ -5,11 +5,11 @@ across the steps of the well by the transfer route's own kernel,
 matching._carry: the exterior solutions that decay on either side are
 continued through every step and region and joined where they agree
 best, and each region's two exponential coefficients are read off the
-carried pairs at its two steps, anchored at its left step.  The second
-rotated component follows algebraically from the first-order system, the
-overall phase is fixed so the two components are complex conjugates, and
-norms and overlaps are evaluated in closed form from the exponential
-pieces rather than by quadrature.
+carried pairs at the steps where they are largest, their anchors.  The
+second rotated component follows algebraically from the first-order
+system, the overall phase is fixed so the two components are complex
+conjugates, and norms and overlaps are evaluated in closed form from the
+exponential pieces rather than by quadrature.
 """
 
 from __future__ import annotations
@@ -75,20 +75,26 @@ class PiecewiseExp:
     """Piecewise sum of two exponentials, one piece per region of a step profile.
 
     Region i lies between steps[i-1] and steps[i] (the exteriors extend to
-    -inf and +inf), and there the function is a[i] exp(g[i] (x - x0)) +
-    b[i] exp(-g[i] (x - x0)) with x0 the region's left step; the left
-    exterior is anchored at the first step.  Each exterior keeps only its
-    decaying term: Re g > 0 at both ends, b = 0 on the left and a = 0 on
-    the right, otherwise NonDecayingExterior.  That is what makes the
-    integrals over the line exact.
+    -inf and +inf), and there the function is a[i] exp(g[i] (x - xa)) +
+    b[i] exp(-g[i] (x - xb)), each term anchored where it is largest: xa
+    is the region's right step where Re g > 0 (the a term grows), every
+    other anchor the left step, the first step on the left exterior.
+    Each exterior keeps only its decaying term: Re g > 0 at both ends,
+    b = 0 on the left and a = 0 on the right, otherwise
+    NonDecayingExterior.  That is what makes the integrals over the line
+    exact.  Steps must be finite and increasing and g, a, b finite.
     """
 
     def __init__(self, steps, g, a, b):
-        self.steps = tuple(map(float, steps))
+        self.steps = steps = tuple(map(float, steps))
         self.table = np.array((g, a, b), dtype=complex)
         self.g, self.a, self.b = self.table
-        if not (self.steps and self.table.shape == (3, len(self.steps) + 1)):
+        if not (steps and self.table.shape == (3, len(steps) + 1)):
             raise ConfigError("need at least one step and one region more than steps")
+        if not (all(map(math.isfinite, steps)) and all(x < y for x, y in zip(steps, steps[1:]))):
+            raise ConfigError(f"steps must be finite and strictly increasing, got {steps}")
+        if not np.isfinite(self.table).all():
+            raise ConfigError("rates and coefficients must be finite")
         decaying = min(self.g[0].real, self.g[-1].real) > 0.0
         if not (decaying and self.b[0] == 0 and self.a[-1] == 0):
             raise NonDecayingExterior("each exterior must keep one decaying term only")
@@ -100,12 +106,15 @@ class PiecewiseExp:
         last = len(self.steps)
         for r in range(last + 1):
             m = i == r
-            gt = self.g[r] * (xs[m] - self.steps[max(r - 1, 0)])
+            g, a, b = self.table[:, r]
+            gt = g * (xs[m] - self.steps[max(r - 1, 0)])
             if r == last:  # each exterior skips its dropped term, which would overflow
-                out[m] = self.b[r] * np.exp(-gt)
-            else:  # 1 / exp(g t) = exp(-g t) stays finite inside: t >= 0, Re g >= 0
+                out[m] = b * np.exp(-gt)
+            elif g.real > 0:  # a grows across the region: anchored at its right step
+                out[m] = a * np.exp(g * (xs[m] - self.steps[r])) + (b * np.exp(-gt) if r else 0.0)
+            else:  # both terms anchored at the left step, where t = 0
                 e = np.exp(gt)
-                out[m] = self.a[r] * e + (self.b[r] / e if r else 0.0)
+                out[m] = a * e + b / e
         return out if np.ndim(x) else complex(out)
 
     def derivative(self) -> "PiecewiseExp":
@@ -118,13 +127,15 @@ class PiecewiseExp:
         return PiecewiseExp(self.steps, self.g, factor * self.a, factor * self.b)
 
 
-def _span(rate, width: float):
-    """Integral of exp(rate t) over 0 <= t <= width, elementwise."""
+def _span(rate, width: float, lead=None):
+    """Integral of exp(lead + rate t) over 0 <= t <= width, elementwise; given a lead, from its larger end."""
     z = rate * width
+    if lead is not None:
+        lead, z = np.where(z.real > 0, lead + z, lead), np.where(z.real > 0, -z, z)
     out = np.expm1(z)
     np.divide(out, z, out=out, where=z != 0)
     out += z == 0  # expm1(0) = 0 was left in place; the limit is 1
-    return width * out
+    return width * out if lead is None else width * out * np.exp(lead)
 
 
 def _overlaps(steps, left, right) -> np.ndarray:
@@ -134,8 +145,10 @@ def _overlaps(steps, left, right) -> np.ndarray:
     region, (2N, 2M) closed-form term-pair integrals sum into the matrix.
     """
     n, m = len(left), len(right)
-    rl, cl = _terms(left)
-    rr, cr = _terms(right)
+    widths = np.diff((steps[0], *steps, steps[-1]))  # 0 on both exteriors
+    rl, cl, ll = _terms(left, widths)
+    rr, cr, lr = _terms(right, widths)
+    grows = ll.any(axis=1) | lr.any(axis=1)  # the regions where some a term grows
     out = np.zeros((n, m), dtype=complex)
     last = len(steps)
     for r in range(last + 1):
@@ -144,17 +157,20 @@ def _overlaps(steps, left, right) -> np.ndarray:
         elif r == last:  # b terms only, over t >= 0
             out -= (cl[r, n:] @ cr[r, m:].T) / (rl[r, n:, None] + rr[r, m:])
         else:
-            pairs = (cl[r] @ cr[r].T) * _span(rl[r, :, None] + rr[r], steps[r] - steps[r - 1])
+            lead = ll[r, :, None] + lr[r] if grows[r] else None
+            pairs = (cl[r] @ cr[r].T) * _span(rl[r, :, None] + rr[r], widths[r], lead)
             out += pairs.reshape(2, n, 2, m).sum(axis=(0, 2))
     return out
 
 
-def _terms(groups):
-    """Rates (regions, 2N) and coefficients (regions, 2N, C) of N groups of
-    C waves: the a terms with rate g, then the b terms with rate -g."""
+def _terms(groups, widths):
+    """Rates and left-step logs (regions, 2N) and coefficients (regions, 2N,
+    C) of N groups of C waves: the a terms with rate g, then the b terms
+    with rate -g; a growing a term, anchored at the right step, logs -g w."""
     table = np.array([[w.table for w in ws] for ws in groups]).transpose(2, 3, 0, 1)
     g = table[0, :, :, 0]
-    return np.concatenate((g, -g), axis=1), np.concatenate((table[1], table[2]), axis=1)
+    lead = np.where(g.real > 0, -g * widths[:, None], 0.0)
+    return tuple(np.concatenate(p, axis=1) for p in ((g, -g), (table[1], table[2]), (lead, 0 * lead)))
 
 
 def product_integral(f: PiecewiseExp, g: PiecewiseExp) -> complex:
@@ -348,22 +364,21 @@ def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> Piecewis
     an exterior, so the wave is one walk and one solution, when that
     walk's growing share there is within NULLSPACE_TOL; else, for a
     state between barriers, r is the region whose coefficients are most
-    nearly parallel in the two walks.  Each b is read at its region's
-    left step, and where Re g > 0 each a at the right step, where its
-    term is largest.  Raises NotAnEigenvalue when the walks differ at r
-    by more than NULLSPACE_TOL.
+    nearly parallel in the two walks.  Each coefficient is read and kept
+    at its anchor: each b at its region's left step, and where Re g > 0
+    each a at the right step, where its term is largest.  Raises
+    NotAnEigenvalue when the walks differ at r by more than NULLSPACE_TOL.
     """
     k, eps = label.k, label.epsilon
     steps, values = potential.breakpoints, np.asarray(potential.values)
     g = np.sqrt((k * k - (eps - values) ** 2).astype(complex))
-    shift = np.exp(-g[:-1] * np.diff((steps[0], *steps)))  # exp(-g w), w = 0 on the left exterior
     jumps = 1j * np.diff(values)
 
     def walk(direction):  # rows a, b at each region's left step; a before, b after each step; logs
         seed = g[0].real if direction > 0 else -g[-1].real
         psi, dpsi, log = map(np.array, zip(*_carry(potential, k, eps, 1.0, seed, direction)[0]))
         left = 0.5 * np.array((psi + dpsi / g, psi - dpsi / g))
-        right = 0.5 * (psi[1:] + (dpsi[1:] - jumps * psi[1:]) / g[:-1]) * shift
+        right = 0.5 * (psi[1:] + (dpsi[1:] - jumps * psi[1:]) / g[:-1])
         return left, np.array((np.where(g[:-1].real > 0, right, left[0, :-1]), left[1, 1:])), log
 
     (lf, sf, logf), (lb, sb, logb) = walk(1), walk(-1)
@@ -405,7 +420,7 @@ def assemble_square_well_state(
         raise ConfigError(
             f"a state takes at most {MAX_GRID_POINTS} points, got {points} once rounded up to odd")
     potential = square_well(v0, half_width)
-    p, _ = region_wavenumbers(label, v0, half_width)
+    p, _ = region_wavenumbers(label, v0)
     wave1 = _carried_wave(potential, label)
     wave1, wave2 = _canonical_gauge(wave1, partner_component(wave1, label, potential))
 

@@ -15,6 +15,7 @@ import pytest
 import diracwell
 from diracwell import cli
 from diracwell.cli import main
+from diracwell.spectrum import MAX_GRID_POINTS
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
 
@@ -302,6 +303,18 @@ class TestLandau:
         code, out, err = run(capsys, "landau", "--beta", "1e308", "--levels", "2", *extra)
         assert (code, out) == (2, "")
         assert "overflows" in err
+
+    def test_more_levels_than_the_cap_exit_2_before_any_row(self, capsys, monkeypatch):
+        # refused before the loop, which keeps every row in memory
+        monkeypatch.setattr(cli, "landau_levels_magnetic", None)
+        code, out, err = run(capsys, "landau", "--beta", "1", "--levels", str(MAX_GRID_POINTS))
+        assert (code, out) == (2, "")
+        assert f"error: levels must be below {MAX_GRID_POINTS}" in err
+        # the cap counts rows, level 0 included
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+        assert run(capsys, "landau", "--beta", "1", "--levels", "2")[0] == 0
+        assert run(capsys, "landau", "--beta", "1", "--levels", "3")[0] == 2
 
     @pytest.mark.parametrize(
         "argv, name",

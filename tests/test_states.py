@@ -51,7 +51,7 @@ from diracwell.errors import (
 from diracwell.matching import _carry
 from diracwell.oracle import shooting_bound_states
 from diracwell.spectrum import MAX_GRID_POINTS
-from diracwell.states import _carried_wave
+from diracwell.states import _canonical_gauge, _carried_wave, _overlaps, _sample_state
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,39 @@ class TestPiecewiseExp:
             PiecewiseExp((0.0,), g=(0.5, 0.5), a=(1.0, 1.0), b=(0.0, 0.0))
         with pytest.raises(NonDecayingExterior):
             PiecewiseExp((0.0,), g=(-0.5, 0.5), a=(1.0, 0.0), b=(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "steps, g, a, b",
+        [
+            # unsorted steps: its product_integral with itself was -1.909
+            ((1.0, 0.0), (1, 1j, 1), (1, 1, 0), (0, 1, 1)),
+            ((0.0, 0.0), (1, 1j, 1), (1, 1, 0), (0, 1, 1)),
+            ((0.0, math.inf), (1, 1j, 1), (1, 1, 0), (0, 1, 1)),
+            ((math.nan,), (1, 1), (1, 0), (0, 1)),
+            # min(1.0, nan) is 1.0: a NaN exterior rate passed the decay check
+            ((0.0,), (1.0, math.nan), (1, 0), (0, 1)),
+            ((0.0, 1.0), (1, math.inf, 1), (1, 1, 0), (0, 1, 1)),
+            ((0.0, 1.0), (1, 1j, 1), (1, math.nan, 0), (0, 1, 1)),
+            ((0.0, 1.0), (1, 1j, 1), (1, 1, 0), (0, complex(1, math.inf), 1)),
+        ],
+        ids=["unsorted", "repeated", "infinite-step", "nan-step", "nan-rate",
+             "infinite-rate", "nan-a", "infinite-b"],
+    )
+    def test_bad_tables_are_refused(self, steps, g, a, b):
+        with pytest.raises(ConfigError):
+            PiecewiseExp(steps, g=g, a=a, b=b)
+
+    @pytest.mark.parametrize("width", [1.0, 2000.0])
+    def test_growing_term_is_anchored_at_its_right_step(self, width):
+        # exp(x - w) on 0 < x < w and exp(w - x) right of it: the inner term
+        # grows, so its coefficient 1 is its value at the right step
+        f = PiecewiseExp((0.0, width), g=(1.0, 1.0, 1.0), a=(0.0, 1.0, 0.0), b=(0.0, 0.0, 1.0))
+        assert f(width - 0.5) == pytest.approx(math.exp(-0.5))
+        assert f(width + 0.5) == pytest.approx(math.exp(-0.5))
+        assert f(0.5) == pytest.approx(math.exp(0.5 - width))
+        # (1 - exp(-2 w)) / 2 inside and 1/2 right of it, with no overflow
+        want = 1.0 - 0.5 * math.exp(-2.0 * width)
+        assert product_integral(f, f) == pytest.approx(want, rel=1e-15)
 
     def test_conjugate_and_scale(self):
         # i exp((-1 + 2i) x) right of the step, zero left of it
@@ -200,13 +233,14 @@ def side_limits(terms, x):
 
 
 def check_steps(profile, g, a, b, tol):
-    """Assert that the wave with region coefficients (g, a, b), each region
-    anchored at its left step, is continuous at every step of profile and
-    that its slope jumps there by i J psi, relative to |psi| + |psi'|."""
+    """Assert that the wave with region coefficients (g, a, b), anchored as
+    PiecewiseExp anchors them (a at the right step where Re g > 0, every
+    other term at the left step), is continuous at every step of profile
+    and that its slope jumps there by i J psi, relative to |psi| + |psi'|."""
     steps, values = profile.breakpoints, profile.values
-    anchors = (steps[0], *steps)
-    terms = [[(ai * cmath.exp(-gi * x0), gi), (bi * cmath.exp(gi * x0), -gi)]
-             for x0, gi, ai, bi in zip(anchors, g, a, b)]
+    lefts, rights = (steps[0], *steps), (*steps, steps[-1])
+    terms = [[(ai * cmath.exp(-gi * (xr if gi.real > 0 else xl)), gi), (bi * cmath.exp(gi * xl), -gi)]
+             for xl, xr, gi, ai, bi in zip(lefts, rights, g, a, b)]
     for j, xb in enumerate(steps):
         psi_l, dpsi_l = side_limits(terms[j], xb)
         psi_r, dpsi_r = side_limits(terms[j + 1], xb)
@@ -235,7 +269,11 @@ class TestCarry:
         regions, _ = _carry(self.PROFILE, k, eps, 1.0, seed, direction)
         psi, dpsi, log = map(np.array, zip(*regions))
         scale = 0.5 * np.exp(log)
-        check_steps(self.PROFILE, g, (psi + dpsi / g) * scale, (psi - dpsi / g) * scale, 1e-12)
+        # the pairs sit at the left steps, where a growing a term is exp(-g w) of its anchor value
+        steps = self.PROFILE.breakpoints
+        w = np.diff(steps, prepend=steps[0], append=steps[-1])  # 0 on both exteriors
+        a = (psi + dpsi / g) * scale * np.exp(np.where(g.real > 0, g * w, 0.0))
+        check_steps(self.PROFILE, g, a, (psi - dpsi / g) * scale, 1e-12)
 
     def test_carried_wave_matches_at_every_step(self, label):
         wave = _carried_wave(self.PROFILE, label)
@@ -257,24 +295,55 @@ class TestCarry:
 
 def step_mismatches(wave, profile):
     """|psi_r - psi_l| and |psi'_r - psi'_l - i J psi_l| at every step of
-    profile, over the largest |psi| there, from the wave's own table."""
+    profile, over the largest |psi| there, from the wave's own table read
+    by PiecewiseExp's anchoring rule."""
     steps = np.array(profile.breakpoints)
-    g, a, b = wave.g[:-1], wave.a[:-1], wave.b[:-1]
-    t = np.diff(steps, prepend=steps[0])  # each region's width; 0 on the left exterior
-    psi_l, dpsi_l = a * np.exp(g * t) + b * np.exp(-g * t), g * (a * np.exp(g * t) - b * np.exp(-g * t))
-    psi_r, dpsi_r = wave.a[1:] + wave.b[1:], wave.g[1:] * (wave.a[1:] - wave.b[1:])
+    g = wave.g
+    w = np.diff(steps, prepend=steps[0], append=steps[-1])  # each region's width; 0 on both exteriors
+    grows = g.real > 0  # the a term is anchored at the right step
+    a_l, a_r = wave.a * np.exp(np.where(grows, -g * w, 0.0)), wave.a * np.exp(np.where(grows, 0.0, g * w))
+    b_l, b_r = wave.b, wave.b * np.exp(-g * w)
+    psi_l, dpsi_l = (a_r + b_r)[:-1], (g * (a_r - b_r))[:-1]
+    psi_r, dpsi_r = (a_l + b_l)[1:], (g * (a_l - b_l))[1:]
     top = np.max(np.abs(psi_r))
     jump = 1j * np.diff(profile.values) * psi_l
     return np.abs(psi_r - psi_l) / top, np.abs(dpsi_r - dpsi_l - jump) / top
 
 
+def assemble_waves(profile, label):
+    """The carried wave at a root and the canonical-gauge pair built from
+    it, as assemble_square_well_state builds a state's waves."""
+    wave = _carried_wave(profile, label)
+    return wave, _canonical_gauge(wave, partner_component(wave, label, profile))
+
+
+def assemble_profile(profile, k):
+    """States at every transfer root of profile at k, sampled on 801 points
+    from 2 left of the first step to 2 right of the last."""
+    steps = profile.breakpoints
+    x = np.linspace(steps[0] - 2.0, steps[-1] + 2.0, 801)
+    states = []
+    for eps in find_roots(general_secular(FieldConfig(electric=profile), k)):
+        label = QuantumLabel(k, eps)
+        _, (wave1, wave2) = assemble_waves(profile, label)
+        states.append(_sample_state(label, math.nan, math.nan, wave1, wave2, profile, x))
+    return states
+
+
 def assert_every_root_carries(profile, k, tol=1e-6):
     """Every transfer root of profile at k carries, continuous at every step
-    and with the slope's i J psi jump, to tol of the wave's largest |psi|."""
+    and with the slope's i J psi jump, to tol of the wave's largest |psi|,
+    and the waves assembled from them have the Gram matrix gram_matrix
+    would give their states, the identity to 1e-8."""
     roots = find_roots(general_secular(FieldConfig(electric=profile), k))
+    pairs = []
     for eps in roots:
-        values, slopes = step_mismatches(_carried_wave(profile, QuantumLabel(k, eps)), profile)
+        wave, pair = assemble_waves(profile, QuantumLabel(k, eps))
+        values, slopes = step_mismatches(wave, profile)
         assert max(values.max(), slopes.max()) <= tol, (profile, k, eps)
+        pairs.append(pair)
+    gram = 2.0 * _overlaps(profile.breakpoints, [p[::-1] for p in pairs], pairs)
+    assert np.max(np.abs(gram - np.eye(len(roots))), initial=0.0) < 1e-8, (profile, k)
     return len(roots)
 
 
@@ -346,6 +415,30 @@ class TestEvanescentBarrier:
             assert self.K**2 - eps**2 > 0.0  # the barrier is evanescent
             wave = _carried_wave(self.PROFILE, QuantumLabel(self.K, eps))
             check_steps(self.PROFILE, wave.g, wave.a, wave.b, 1e-7)
+
+
+class TestPiecewiseStates:
+    # a growing term anchored where it is largest: no term and no integral
+    # of a pair of terms overflows, however wide the barrier (warnings are
+    # errors here, as everywhere in the suite)
+    @pytest.mark.parametrize(
+        "profile, k, count",
+        [
+            # the barrier's kappa w reaches 1386, past what exp holds in a double
+            (PiecewiseConstant((-22.0, -20.0, 20.0, 22.0), (0.0, -60.0, 0.0, -47.0, 0.0)), 40.0, 109),
+            (TestEvanescentBarrier.PROFILE, TestEvanescentBarrier.K, 6),
+            (TestCarry.PROFILE, TestCarry.K, 4),
+        ],
+        ids=["wide-barrier-double-well", "evanescent-double-barrier", "three-steps"],
+    )
+    def test_every_root_assembles(self, profile, k, count):
+        states = assemble_profile(profile, k)
+        assert len(states) == count
+        assert max(abs(s.norm - 1.0) for s in states) < 1e-12
+        assert max(float(np.max(np.abs(s.psi2 - np.conj(s.psi1)))) for s in states) < 1e-10
+        assert max(equation_residuals(s).max_abs for s in states) < 1e-8
+        assert max(second_order_residuals(s).max_abs for s in states) < 1e-8
+        assert np.max(np.abs(gram_matrix(states) - np.eye(count))) < 1e-8
 
 
 class TestDeepWells:
