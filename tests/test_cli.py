@@ -502,10 +502,12 @@ PINNED = Path(__file__).parent / "data" / "cli_stdout"
 
 class TestPinnedOutput:
     """stdout of the spectrum of every CI verify well, of the paper's
-    k = 3 collapse sweep, and of one state of the k = 3, v0 = 8 well as
-    CSV and as JSON, byte for byte as recorded in tests/data: the root
-    kernels' fast paths may not move a single bit of a root, nor the
-    serializers a single character of a sample."""
+    k = 3 collapse sweep, of one state of the k = 3, v0 = 8 well, of a
+    momentum sweep and of a proportional-field Landau ladder, as CSV and
+    as JSON, and of five verify batteries (the empty-spectrum well among
+    them), byte for byte as recorded in tests/data: the root kernels'
+    fast paths may not move a single bit of a root, nor the serializers a
+    single character of a sample."""
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -523,6 +525,15 @@ class TestPinnedOutput:
             ("state_3_8_4_201.csv", ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201"]),
             ("state_3_8_4_201.json",
              ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201", "--format", "json"]),
+            ("spectrum_2_2.json", ["spectrum", "--k", "2", "--v0", "2", "--format", "json"]),
+            ("sweep_k_3_0.5-4-0.5.json", ["sweep-k", "--v0", "3", "--k", "0.5:4:0.5", "--format", "json"]),
+            ("landau_0.5_1_2.csv", ["landau", "--alpha", "0.5", "--beta", "1", "--k", "2"]),
+            ("landau_0.5_1_2.json", ["landau", "--alpha", "0.5", "--beta", "1", "--k", "2", "--format", "json"]),
+            ("verify_2_2.txt", ["verify", "--k", "2", "--v0", "2"]),
+            ("verify_3_8.txt", ["verify", "--k", "3", "--v0", "8"]),
+            ("verify_2_-5.txt", ["verify", "--k", "2", "--v0", "-5"]),
+            ("verify_2_0.txt", ["verify", "--k", "2", "--v0", "0"]),
+            ("verify_30_40_1.5.txt", ["verify", "--k", "30", "--v0", "40", "--half-width", "1.5"]),
         ],
     )
     def test_stdout_is_byte_identical_to_the_recorded_output(self, capsys, name, argv):
