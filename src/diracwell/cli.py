@@ -7,8 +7,11 @@ prints closed-form dispersive levels, and `verify` runs the built-in
 cross-check battery.  Output is CSV by default, JSON with --format json,
 and byte-stable across runs for fixed inputs.
 
+Every subcommand but `verify` hands its result to one writer, which
+formats only the chosen format.  `verify` prints one line per check row.
+
 Exit codes: 0 on success, 1 when verification fails, 2 for bad arguments
-or configuration.
+or configuration, including an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -113,12 +116,23 @@ def _parse_range(text: str) -> np.ndarray:
     return parameter_grid(lo, hi, step)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _write(args, formats: dict) -> int:
+    """The text of the chosen format, and only that one, on stdout or in
+    the --out file; formats maps each format to the call that builds it."""
+    text = formats[args.format]()
+    if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -126,49 +140,25 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> dict:
     k, v0 = _require(args, "k"), _require(args, "v0")
     roots = find_roots(square_well_secular(k, v0, args.half_width))
-    if args.format == "csv":
-        text = spectrum_to_csv(roots)
-    else:
-        payload = {"k": k, "v0": v0, "half_width": args.half_width, "roots": roots}
-        text = json.dumps(payload, sort_keys=True) + "\n"
-    _emit(text, args.out)
-    return 0
+    payload = {"k": k, "v0": v0, "half_width": args.half_width, "roots": roots}
+    return {"csv": lambda: spectrum_to_csv(roots), "json": lambda: _json(payload)}
 
 
-def _sweep_common(args, which: str) -> int:
-    if which == "k":
-        fixed = _require(args, "v0")
-        params = _parse_range(_require(args, "k"))
-        branches = sweep_k(fixed, params, args.half_width)
-    else:
-        fixed = _require(args, "k")
-        params = _parse_range(_require(args, "v0"))
-        branches = sweep_v0(fixed, params, args.half_width)
-    if args.format == "csv":
-        text = branches_to_csv(branches)
-    else:
-        payload = {
-            "fixed": {"v0" if which == "k" else "k": fixed},
-            "half_width": args.half_width,
-            "branches": branches_to_json_payload(branches),
-        }
-        text = json.dumps(payload, sort_keys=True) + "\n"
-    _emit(text, args.out)
-    return 0
+def _cmd_sweep(args) -> dict:
+    fixed_name, sweep = {"k": ("v0", sweep_k), "v0": ("k", sweep_v0)}[args.swept]
+    fixed = _require(args, fixed_name)
+    branches = sweep(fixed, _parse_range(_require(args, args.swept)), args.half_width)
+    return {
+        "csv": lambda: branches_to_csv(branches),
+        "json": lambda: _json({"fixed": {fixed_name: fixed}, "half_width": args.half_width,
+                               "branches": branches_to_json_payload(branches)}),
+    }
 
 
-def _cmd_sweep_k(args) -> int:
-    return _sweep_common(args, "k")
-
-
-def _cmd_sweep_v0(args) -> int:
-    return _sweep_common(args, "v0")
-
-
-def _cmd_state(args) -> int:
+def _cmd_state(args) -> dict:
     k, v0 = _require(args, "k"), _require(args, "v0")
     epsilon, level = args.epsilon, args.level
     if (epsilon is None) == (level is None):
@@ -183,12 +173,10 @@ def _cmd_state(args) -> int:
     state = assemble_square_well_state(
         QuantumLabel(k=k, epsilon=float(epsilon)), v0, args.half_width, args.points
     )
-    text = state_to_csv(state) if args.format == "csv" else state_to_json(state) + "\n"
-    _emit(text, args.out)
-    return 0
+    return {"csv": lambda: state_to_csv(state), "json": lambda: state_to_json(state) + "\n"}
 
 
-def _cmd_landau(args) -> int:
+def _cmd_landau(args) -> dict:
     beta = _require(args, "beta")
     levels, alpha, k = args.levels, args.alpha, args.k
     if levels < 0:
@@ -197,38 +185,50 @@ def _cmd_landau(args) -> int:
         raise ConfigError(f"levels must be below {MAX_GRID_POINTS}, got {levels}")
     if not math.isfinite(k):  # the magnetic ladder ignores k but prints it
         raise ConfigError(f"k must be finite, got {k}")
-    rows = []
-    for n in range(levels + 1):
-        if alpha == 0.0:
-            plus, minus = landau_levels_magnetic(beta, n)
-        else:
-            plus, minus = landau_levels_proportional(alpha, beta, k, n)
-        rows.append((n, plus, minus))
-    if args.format == "csv":
-        lines = ["n,epsilon_plus,epsilon_minus"]
-        lines += [f"{n},{p!r},{m!r}" for n, p, m in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "alpha": alpha,
-            "beta": beta,
-            "k": k,
-            "levels": [{"n": n, "plus": p, "minus": m} for n, p, m in rows],
-        }
-        text = json.dumps(payload, sort_keys=True) + "\n"
-    _emit(text, args.out)
-    return 0
+    rows = [(n, *(landau_levels_magnetic(beta, n) if alpha == 0.0
+                  else landau_levels_proportional(alpha, beta, k, n))) for n in range(levels + 1)]
+    return {
+        "csv": lambda: "".join(["n,epsilon_plus,epsilon_minus\n"] + [f"{n},{p!r},{m!r}\n" for n, p, m in rows]),
+        "json": lambda: _json({"alpha": alpha, "beta": beta, "k": k,
+                               "levels": [{"n": n, "plus": p, "minus": m} for n, p, m in rows]}),
+    }
 
 
-def _cmd_verify(args) -> int:
-    k, v0, half_width = args.k, args.v0, args.half_width
-    failures = []
+def _pt_check(states) -> tuple[bool, str]:
+    try:
+        worst = max(0.0, *(abs(abs(lam.imag) - 1.0) + abs(lam.real) for lam in map(pt_eigenvalue, states)))
+    except SolverError as exc:
+        return False, str(exc)
+    return worst < 1e-8, f"max |lambda -/+ i| defect {worst:.2e}"
 
-    def report(name: str, ok: bool, detail: str) -> None:
-        print(f"{'PASS' if ok else 'FAIL'}  {name} ({detail})")
-        if not ok:
-            failures.append(name)
 
+def _gram_check(states) -> tuple[bool, str]:
+    defect = float(np.max(np.abs(gram_matrix(states) - np.eye(len(states)))))
+    return defect < 1e-8, f"max |G - I| {defect:.2e}"
+
+
+def _residual_check(states) -> tuple[bool, str]:
+    worst = max(equation_residuals(s).max_abs for s in states)
+    return worst < 1e-8, f"max residual {worst:.2e}"
+
+
+def _density_check(states) -> tuple[bool, str]:
+    norm = max(abs(s.norm - 1.0) for s in states)
+    bound = max(0.0, *(float(np.max(np.abs(d.j_y) - d.rho)) for d in map(current_density, states)))
+    return norm < 1e-12 and bound <= 1e-12, f"norm defect {norm:.2e}, |jy|-rho max {bound:.2e}"
+
+
+# the checks that need at least one state; a well without states passes each
+_STATE_CHECKS = (
+    ("reflection-conjugation eigenvalues are +/-i", _pt_check),
+    ("bound states are orthonormal", _gram_check),
+    ("sampled states satisfy the first-order system", _residual_check),
+    ("densities normalized and current bounded by density", _density_check),
+)
+
+
+def _checks(k: float, v0: float, half_width: float):
+    """The battery's (name, ok, detail) rows, each computed when asked for."""
     config = square_well_config(v0, half_width)
     closed = find_roots(square_well_secular(k, v0, half_width))
     transfer = find_roots(general_secular(config, k))
@@ -236,61 +236,23 @@ def _cmd_verify(args) -> int:
     q_max = math.sqrt((abs(k) + abs(v0)) ** 2 - k * k)
     step = min(2e-3, 0.02 / q_max) if q_max > 0.0 else 2e-3
     shot = shooting_bound_states(config, k, tol=1e-9, step=step)
-    agree = (
-        len(closed) == len(transfer) == len(shot)
-        and all(abs(a - b) < 1e-5 for a, b in zip(closed, transfer))
-        and all(abs(a - b) < 1e-5 for a, b in zip(closed, shot))
-    )
-    report(
-        "three independent routes agree on the spectrum",
-        agree,
-        f"{len(closed)} states, routes {len(closed)}/{len(transfer)}/{len(shot)}",
-    )
+    agree = len(closed) == len(transfer) == len(shot) and all(
+        abs(a - b) < 1e-5 for other in (transfer, shot) for a, b in zip(closed, other))
+    counts = f"{len(closed)} states, routes {len(closed)}/{len(transfer)}/{len(shot)}"
+    yield "three independent routes agree on the spectrum", agree, counts
+    states = [assemble_square_well_state(QuantumLabel(k=k, epsilon=e), v0, half_width, 2001) for e in closed]
+    conj = max((float(np.max(np.abs(s.psi2 - np.conj(s.psi1)))) for s in states), default=0.0)
+    yield "rotated components are conjugate after phase fixing", conj < 1e-10, f"max defect {conj:.2e}"
+    for name, check in _STATE_CHECKS:
+        yield (name, *check(states)) if states else (name, True, "no states")
 
-    states = [
-        assemble_square_well_state(QuantumLabel(k=k, epsilon=e), v0, half_width, 2001)
-        for e in closed
-    ]
 
-    conj = max(float(np.max(np.abs(s.psi2 - np.conj(s.psi1)))) for s in states) if states else 0.0
-    report("rotated components are conjugate after phase fixing", conj < 1e-10, f"max defect {conj:.2e}")
-
-    pt_ok, pt_detail = True, "no states"
-    if states:
-        worst = 0.0
-        try:
-            for s in states:
-                lam = pt_eigenvalue(s)
-                worst = max(worst, abs(abs(lam.imag) - 1.0) + abs(lam.real))
-            pt_detail = f"max |lambda -/+ i| defect {worst:.2e}"
-            pt_ok = worst < 1e-8
-        except SolverError as exc:
-            pt_ok, pt_detail = False, str(exc)
-    report("reflection-conjugation eigenvalues are +/-i", pt_ok, pt_detail)
-
-    gram_ok, gram_detail = True, "no states"
-    if states:
-        defect = float(np.max(np.abs(gram_matrix(states) - np.eye(len(states)))))
-        gram_ok, gram_detail = defect < 1e-8, f"max |G - I| {defect:.2e}"
-    report("bound states are orthonormal", gram_ok, gram_detail)
-
-    res_ok, res_detail = True, "no states"
-    if states:
-        worst = max(equation_residuals(s).max_abs for s in states)
-        res_ok, res_detail = worst < 1e-8, f"max residual {worst:.2e}"
-    report("sampled states satisfy the first-order system", res_ok, res_detail)
-
-    den_ok, den_detail = True, "no states"
-    if states:
-        norm_defect = max(abs(s.norm - 1.0) for s in states)
-        bound_defect = 0.0
-        for s in states:
-            d = current_density(s)
-            bound_defect = max(bound_defect, float(np.max(np.abs(d.j_y) - d.rho)))
-        den_ok = norm_defect < 1e-12 and bound_defect <= 1e-12
-        den_detail = f"norm defect {norm_defect:.2e}, |jy|-rho max {bound_defect:.2e}"
-    report("densities normalized and current bounded by density", den_ok, den_detail)
-
+def _cmd_verify(args) -> int:
+    failures = []
+    for name, ok, detail in _checks(args.k, args.v0, args.half_width):
+        print(f"{'PASS' if ok else 'FAIL'}  {name} ({detail})")
+        if not ok:
+            failures.append(name)
     if failures:
         raise VerificationFailure(f"{len(failures)} check(s) failed: {', '.join(failures)}")
     return 0
@@ -301,13 +263,12 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub) -> None:
-    # SUPPRESS keeps a --config given before the subcommand from being
-    # clobbered by the subparser default
-    sub.add_argument("--config", default=argparse.SUPPRESS,
-                     help="JSON file with option defaults")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", help="output path (stdout when omitted)")
+def _well(swept: str | None = None, default: float | None = None) -> list:
+    """--k and --v0, the swept one last as a range string, then --half-width."""
+    fixed = {"type": float, "default": default}
+    names = sorted(("k", "v0"), key=lambda name: name == swept)
+    options = [(f"--{name}", {"help": "range lo:hi:step"} if name == swept else fixed) for name in names]
+    return options + [("--half-width", {"type": float, "default": 1.0})]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,53 +280,34 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON file with option defaults")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("spectrum", help="bound-state energies of one well")
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--v0", type=float)
-    sp.add_argument("--half-width", type=float, dest="half_width", default=1.0)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_spectrum)
+    def add(name: str, help: str, run, options: list, output: bool = True, **defaults) -> None:
+        sub = subs.add_parser(name, help=help)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        # SUPPRESS keeps a --config given before the subcommand from being
+        # clobbered by the subparser default
+        sub.add_argument("--config", default=argparse.SUPPRESS,
+                         help="JSON file with option defaults")
+        if output:
+            sub.add_argument("--format", choices=("csv", "json"), default="csv")
+            sub.add_argument("--out", help="output path (stdout when omitted)")
+        sub.set_defaults(func=(lambda args: _write(args, run(args))) if output else run, **defaults)
 
-    sk = subs.add_parser("sweep-k", help="trace branches over transverse momentum")
-    sk.add_argument("--v0", type=float)
-    sk.add_argument("--k", help="range lo:hi:step")
-    sk.add_argument("--half-width", type=float, dest="half_width", default=1.0)
-    _add_common(sk)
-    sk.set_defaults(func=_cmd_sweep_k)
-
-    sv = subs.add_parser("sweep-v0", help="trace branches over well depth")
-    sv.add_argument("--k", type=float)
-    sv.add_argument("--v0", help="range lo:hi:step")
-    sv.add_argument("--half-width", type=float, dest="half_width", default=1.0)
-    _add_common(sv)
-    sv.set_defaults(func=_cmd_sweep_v0)
-
-    st = subs.add_parser("state", help="one sampled eigenfunction with densities")
-    st.add_argument("--k", type=float)
-    st.add_argument("--v0", type=float)
-    st.add_argument("--half-width", type=float, dest="half_width", default=1.0)
-    st.add_argument("--epsilon", type=float, help="energy of a known root")
-    st.add_argument("--level", type=int, help="state number, lowest energy first")
-    st.add_argument("--points", type=int, default=4001)
-    _add_common(st)
-    st.set_defaults(func=_cmd_state)
-
-    ld = subs.add_parser("landau", help="closed-form dispersive levels")
-    ld.add_argument("--beta", type=float)
-    ld.add_argument("--levels", type=int, default=5, help="highest level index to print")
-    ld.add_argument("--alpha", type=float, default=0.0, help="scalar/vector proportionality")
-    ld.add_argument("--k", type=float, default=0.0)
-    _add_common(ld)
-    ld.set_defaults(func=_cmd_landau)
-
-    vf = subs.add_parser("verify", help="run the built-in cross-check battery")
-    vf.add_argument("--k", type=float, default=2.0)
-    vf.add_argument("--v0", type=float, default=2.0)
-    vf.add_argument("--half-width", type=float, dest="half_width", default=1.0)
-    vf.add_argument("--config", default=argparse.SUPPRESS,
-                    help="JSON file with option defaults")
-    vf.set_defaults(func=_cmd_verify)
-
+    add("spectrum", "bound-state energies of one well", _cmd_spectrum, _well())
+    add("sweep-k", "trace branches over transverse momentum", _cmd_sweep, _well("k"), swept="k")
+    add("sweep-v0", "trace branches over well depth", _cmd_sweep, _well("v0"), swept="v0")
+    add("state", "one sampled eigenfunction with densities", _cmd_state, _well() + [
+        ("--epsilon", {"type": float, "help": "energy of a known root"}),
+        ("--level", {"type": int, "help": "state number, lowest energy first"}),
+        ("--points", {"type": int, "default": 4001}),
+    ])
+    add("landau", "closed-form dispersive levels", _cmd_landau, [
+        ("--beta", {"type": float}),
+        ("--levels", {"type": int, "default": 5, "help": "highest level index to print"}),
+        ("--alpha", {"type": float, "default": 0.0, "help": "scalar/vector proportionality"}),
+        ("--k", {"type": float, "default": 0.0}),
+    ])
+    add("verify", "run the built-in cross-check battery", _cmd_verify, _well(default=2.0), output=False)
     return parser
 
 

@@ -9,8 +9,9 @@ class SolverError(Exception):
     """Base class for all solver errors."""
 
 
-class ConfigError(SolverError):
-    """A field configuration, CLI flag set, or config file is invalid."""
+class ConfigError(SolverError, ValueError):
+    """A field configuration, CLI flag set, config file or argument value is
+    invalid.  It is also a ValueError, as a bad argument value is."""
 
 
 class VerificationFailure(SolverError):

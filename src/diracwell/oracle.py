@@ -63,13 +63,13 @@ class GridSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
+            raise ConfigError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if self.x_max <= self.x_min:
-            raise ValueError("x_max must exceed x_min")
+            raise ConfigError("x_max must exceed x_min")
         if not isinstance(self.points, (int, np.integer)):
-            raise ValueError(f"points must be an integer, got {self.points!r}")
+            raise ConfigError(f"points must be an integer, got {self.points!r}")
         if self.points < 3:
-            raise ValueError("need at least three grid points")
+            raise ConfigError("need at least three grid points")
 
     @property
     def spacing(self) -> float:
@@ -103,17 +103,17 @@ def proportional_oscillator_levels(alpha: float, beta: float, count: int) -> np.
     The window spans +/- OSCILLATOR_SPAN oscillator lengths on
     OSCILLATOR_POINTS points, and the three-point values at h and h/2 are
     Richardson-extrapolated, removing the leading h^2 error.  Raises
-    ValueError for a non-finite alpha or beta or a beta that is not
+    ConfigError for a non-finite alpha or beta or a beta that is not
     positive, and UnsupportedRegime for |alpha| >= 1.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
+        raise ConfigError(f"alpha and beta must be finite, got {alpha}, {beta}")
     if abs(alpha) >= 1.0:
         raise UnsupportedRegime(
             f"oscillator reduction requires |alpha| < 1, got {alpha}"
         )
     if beta <= 0:
-        raise ValueError("beta must be positive")
+        raise ConfigError("beta must be positive")
     scale = beta * math.sqrt(1.0 - alpha * alpha)
     length = 1.0 / math.sqrt(scale)
     u = lambda x: scale**2 * x**2 - scale
@@ -443,7 +443,7 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match):
     if x_match is None:
         x_match = 0.5 * (x_lo + x_hi)
     if not x_lo <= x_match <= x_hi:
-        raise ValueError(f"x_match must lie in [{x_lo}, {x_hi}]")
+        raise ConfigError(f"x_match must lie in [{x_lo}, {x_hi}]")
     w_left, w_right = k + a_minus, k + a_plus
 
     if not (_is_stepwise(config.electric) and _is_stepwise(config.magnetic)):

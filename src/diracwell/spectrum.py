@@ -243,11 +243,11 @@ class SpectrumBranch:
 def parameter_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Uniform grid lo, lo+step, ..., not exceeding hi by more than step/2.
 
-    ValueError for a step that is not positive and finite (NaN included);
-    ConfigError for bounds that are not finite and, before anything is
-    allocated, for a grid of more than MAX_GRID_POINTS points."""
+    ConfigError for a step that is not positive and finite (NaN included),
+    for bounds that are not finite and, before anything is allocated, for
+    a grid of more than MAX_GRID_POINTS points."""
     if not (step > 0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
+        raise ConfigError(f"step must be positive and finite, got {step}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"grid bounds must be finite, got {lo}:{hi}")
     span = (hi - lo) / step + 0.5

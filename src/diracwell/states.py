@@ -82,7 +82,8 @@ class PiecewiseExp:
     Each exterior keeps only its decaying term: Re g > 0 at both ends,
     b = 0 on the left and a = 0 on the right, otherwise
     NonDecayingExterior.  That is what makes the integrals over the line
-    exact.  Steps must be finite and increasing and g, a, b finite.
+    exact.  Steps must be finite and increasing, g, a, b finite and Re g
+    >= 0 inside, where a b term would otherwise grow away from its anchor.
     """
 
     def __init__(self, steps, g, a, b):
@@ -95,6 +96,8 @@ class PiecewiseExp:
             raise ConfigError(f"steps must be finite and strictly increasing, got {steps}")
         if not np.isfinite(self.table).all():
             raise ConfigError("rates and coefficients must be finite")
+        if (self.g[1:-1].real < 0).any():
+            raise ConfigError(f"inner rates must have Re g >= 0, got {self.g[1:-1]}")
         decaying = min(self.g[0].real, self.g[-1].real) > 0.0
         if not (decaying and self.b[0] == 0 and self.a[-1] == 0):
             raise NonDecayingExterior("each exterior must keep one decaying term only")

@@ -245,6 +245,18 @@ class TestState:
         assert code == 2
         assert "at most 1000000 points" in err
 
+    @pytest.mark.parametrize("fmt, unused", [("json", "state_to_csv"), ("csv", "state_to_json")])
+    def test_only_the_chosen_format_is_built(self, capsys, monkeypatch, fmt, unused):
+        # the CSV of a 4001-point state alone takes tens of milliseconds
+        def refuse(state):
+            raise AssertionError(f"{unused} called for --format {fmt}")
+
+        monkeypatch.setattr(cli, unused, refuse)
+        argv = ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201", "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (PINNED / f"state_3_8_4_201.{fmt}").read_text()
+
     def test_level_out_of_range(self, capsys):
         code, _, err = run(capsys, "state", "--k", "2", "--v0", "2", "--level", "7")
         assert code == 2
@@ -480,6 +492,15 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n,epsilon\n")
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        # exit 1 is kept for a failed verification, not a traceback
+        target = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+        code, out, err = run(capsys, "spectrum", "--k", "2", "--v0", "2", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not (tmp_path / "missing").exists()
 
     def test_reader_that_closes_the_pipe_early_gets_exit_0(self):
         proc = subprocess.Popen(

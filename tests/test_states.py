@@ -101,9 +101,12 @@ class TestPiecewiseExp:
             ((0.0, 1.0), (1, math.inf, 1), (1, 1, 0), (0, 1, 1)),
             ((0.0, 1.0), (1, 1j, 1), (1, math.nan, 0), (0, 1, 1)),
             ((0.0, 1.0), (1, 1j, 1), (1, 1, 0), (0, complex(1, math.inf), 1)),
+            # Re g < 0 inside: the b term grows away from its left-step
+            # anchor, and evaluating at 799 divided by zero
+            ((0.0, 800.0), (1, -1, 1), (1, 0, 0), (0, 1, 0)),
         ],
         ids=["unsorted", "repeated", "infinite-step", "nan-step", "nan-rate",
-             "infinite-rate", "nan-a", "infinite-b"],
+             "infinite-rate", "nan-a", "infinite-b", "inner-rate-decaying"],
     )
     def test_bad_tables_are_refused(self, steps, g, a, b):
         with pytest.raises(ConfigError):
