@@ -658,7 +658,8 @@ def shooting_bound_states(
     completes them.  Raises ConfigError for a scan_points that is not an
     integer of at least two, a tol that is not finite and positive, or a k
     or step that dirac_shooting rejects, and UnsupportedRegime for a step
-    too coarse to count a stepwise profile's windings.
+    too coarse to count a stepwise profile's windings or a nonzero exterior
+    k + a whose square underflows to zero.
     """
     if not isinstance(scan_points, (int, np.integer)) or scan_points < 2:
         raise ConfigError(f"scan_points must be an integer of at least 2, got {scan_points!r}")
@@ -666,6 +667,8 @@ def shooting_bound_states(
         raise ConfigError(f"tol must be finite and positive, got {tol}")
     _check_momentum_and_step(k, step)
     _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
+    if any(w != 0.0 and w * w == 0.0 for w in (k + a_minus, k + a_plus)):  # no seed has a norm
+        raise UnsupportedRegime(f"exterior k + a underflows when squared: k={k}, a={a_minus}, {a_plus}")
     lo = max(v_minus - abs(k + a_minus), v_plus - abs(k + a_plus))
     hi = min(v_minus + abs(k + a_minus), v_plus + abs(k + a_plus))
     if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):

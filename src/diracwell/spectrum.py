@@ -52,6 +52,7 @@ __all__ = [
 DEFAULT_ROOT_TOL = 1e-10
 MAX_GRID_POINTS = 1_000_000
 NEWTON_CALLS = 40  # batched phase calls after which a level still open is bisected
+CUT_ATOL = 1e-9  # branch_cut takes the samples this near its parameter
 
 
 def _level_ranges(phase, lo, hi, binds):
@@ -317,9 +318,9 @@ def sweep_v0(k: float, v0_values, half_width: float = 1.0) -> list[SpectrumBranc
     return _branches("v0", params, _square_well_levels(k, params, half_width), end)
 
 
-def branch_cut(branches: list[SpectrumBranch], param: float, atol: float = 1e-9) -> list[float]:
-    """Sorted root values sampled by the branches at one parameter value."""
-    return sorted(e for b in branches for p, e in zip(b.params, b.epsilons) if abs(p - param) <= atol)
+def branch_cut(branches: list[SpectrumBranch], param: float) -> list[float]:
+    """Sorted root values sampled by the branches within CUT_ATOL of one parameter value."""
+    return sorted(e for b in branches for p, e in zip(b.params, b.epsilons) if abs(p - param) <= CUT_ATOL)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,10 @@ from .errors import (
     NonDecayingExterior,
     NotAnEigenvalue,
     NotConjugatePair,
+    OutsideAdmissibleBand,
     UnsupportedRegime,
 )
-from .matching import _carry, region_wavenumbers
+from .matching import _carry
 from .spectrum import MAX_GRID_POINTS
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "BoundState",
     "DensityProfile",
     "ResidualReport",
+    "assemble_state",
     "assemble_square_well_state",
     "partner_component",
     "fix_phase",
@@ -201,8 +203,6 @@ class BoundState:
     """
 
     label: QuantumLabel
-    v0: float
-    half_width: float
     norm: float
     x: np.ndarray = field(repr=False)
     psi1: np.ndarray = field(repr=False)
@@ -298,29 +298,12 @@ def _canonical_sign(v: complex) -> float:
 
 
 def _sample_state(
-    label: QuantumLabel,
-    v0: float,
-    half_width: float,
-    wave1: PiecewiseExp,
-    wave2: PiecewiseExp,
-    potential: PiecewiseConstant,
-    x: np.ndarray,
+    label: QuantumLabel, wave1: PiecewiseExp, wave2: PiecewiseExp, potential: PiecewiseConstant, x: np.ndarray
 ) -> BoundState:
     norm = 4.0 * product_integral(wave1.conjugate(), wave1).real
     psi1, psi2 = wave1(x), wave2(x)
     psi1.flags.writeable = psi2.flags.writeable = False  # fresh: the state need not copy them
-    return BoundState(
-        label=label,
-        v0=v0,
-        half_width=half_width,
-        norm=norm,
-        x=x,
-        psi1=psi1,
-        psi2=psi2,
-        wave1=wave1,
-        wave2=wave2,
-        potential=potential,
-    )
+    return BoundState(label, norm, x, psi1, psi2, wave1, wave2, potential)
 
 
 def _canonical_gauge(
@@ -343,18 +326,14 @@ def fix_phase(state: BoundState) -> BoundState:
     (real part first, then imaginary) at the origin and unit norm.
     Idempotent."""
     w1, w2 = _canonical_gauge(state.wave1, state.wave2)
-    return _sample_state(
-        state.label, state.v0, state.half_width, w1, w2, state.potential, state.x
-    )
+    return _sample_state(state.label, w1, w2, state.potential, state.x)
 
 
 def with_phase(state: BoundState, theta: float) -> BoundState:
     """Copy of a state with both components multiplied by exp(i theta)."""
     factor = cmath.exp(1j * theta)
     w1, w2 = state.wave1.scaled(factor), state.wave2.scaled(factor)
-    return _sample_state(
-        state.label, state.v0, state.half_width, w1, w2, state.potential, state.x
-    )
+    return _sample_state(state.label, w1, w2, state.potential, state.x)
 
 
 def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> PiecewiseExp:
@@ -399,20 +378,20 @@ def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> Piecewis
     return PiecewiseExp(steps, g, (*a, 0.0), (0.0, *b))
 
 
-def assemble_square_well_state(
-    label: QuantumLabel, v0: float, half_width: float = 1.0, points: int = 4001
-) -> BoundState:
-    """Build the normalized bound state of a square well at a secular root.
+def assemble_state(potential: PiecewiseConstant, label: QuantumLabel, points: int = 4001) -> BoundState:
+    """Build the normalized bound state of a step profile at a secular root.
 
-    The rotated first component is carried across both steps from the
+    The rotated first component is carried across every step from the
     decaying exteriors (see _carried_wave).  Raises NotAnEigenvalue when
-    its walks disagree by more than 1e-6, and ConfigError, before
-    anything is carried, for points that are not an integer (a bool is
+    its walks disagree by more than 1e-6, and, before anything is
+    carried, ConfigError for points that are not an integer (a bool is
     not), fewer than 3 or, once an even count is rounded up to odd, more
-    than MAX_GRID_POINTS.  The state is
-    sampled on a symmetric grid of that many points, phase-fixed,
-    sign-canonical, and normalized so the probability density integrates
-    to one (closed form, not quadrature).
+    than MAX_GRID_POINTS, or for a potential that is not a
+    PiecewiseConstant with a step, and OutsideAdmissibleBand for an
+    exterior that does not decay.  The state is sampled on a grid
+    symmetric about the origin that reaches 12 decay lengths past both
+    outer steps, phase-fixed, sign-canonical, and normalized so the
+    probability density integrates to one (closed form, not quadrature).
     """
     if not isinstance(points, numbers.Integral) or isinstance(points, bool):
         raise ConfigError(f"points must be an integer, got {points!r}")
@@ -422,16 +401,27 @@ def assemble_square_well_state(
     if points > MAX_GRID_POINTS:
         raise ConfigError(
             f"a state takes at most {MAX_GRID_POINTS} points, got {points} once rounded up to odd")
-    potential = square_well(v0, half_width)
-    p, _ = region_wavenumbers(label, v0)
+    if not (isinstance(potential, PiecewiseConstant) and potential.breakpoints):
+        raise ConfigError(f"states need a piecewise-constant profile with a step, got {potential!r}")
+    k, eps = label.k, label.epsilon
+    if not all(k * k - (eps - v) ** 2 > 0.0 for v in (potential.values[0], potential.values[-1])):
+        raise OutsideAdmissibleBand(f"decaying exteriors need |epsilon - V| < |k|: eps={eps}, k={k}")
     wave1 = _carried_wave(potential, label)
     wave1, wave2 = _canonical_gauge(wave1, partner_component(wave1, label, potential))
 
-    extent = half_width + 12.0 / p
+    steps = potential.breakpoints
+    extent = max(12.0 / wave1.g[0].real - steps[0], steps[-1] + 12.0 / wave1.g[-1].real)
     half = (points - 1) // 2
     pos = np.linspace(0.0, extent, half + 1)
     x = np.concatenate([-pos[::-1][:-1], pos])
-    return _sample_state(label, v0, half_width, wave1, wave2, potential, x)
+    return _sample_state(label, wave1, wave2, potential, x)
+
+
+def assemble_square_well_state(
+    label: QuantumLabel, v0: float, half_width: float = 1.0, points: int = 4001
+) -> BoundState:
+    """assemble_state of the square well of depth v0 and half-width half_width."""
+    return assemble_state(square_well(v0, half_width), label, points)
 
 
 def probability_density(state: BoundState) -> DensityProfile:
@@ -590,7 +580,13 @@ def state_to_json(state: BoundState) -> str:
     """The scalars and the sample columns as json.dumps(payload,
     sort_keys=True) writes them.  A state already written as CSV with
     finite samples only has its columns laid out from the CSV's tokens,
-    which are the ones json prints, instead of formatted again."""
+    which are the ones json prints, instead of formatted again.  Its v0
+    and half_width are read off the state's square well; any other
+    potential raises UnsupportedRegime."""
+    well = state.potential
+    v0, half_width = -well.values[1], well.breakpoints[-1]
+    if not (len(well.values) == 3 and half_width > 0 and well == square_well(v0, half_width)):
+        raise UnsupportedRegime(f"state JSON is defined for square wells only, got {well!r}")
     try:
         lam = pt_eigenvalue(state)
         pt = [lam.real, lam.imag]
@@ -599,8 +595,8 @@ def state_to_json(state: BoundState) -> str:
     scalars = {
         "k": state.label.k,
         "epsilon": state.label.epsilon,
-        "v0": state.v0,
-        "half_width": state.half_width,
+        "v0": v0,
+        "half_width": half_width,
         "norm": state.norm,
         "pt_eigenvalue": pt,
     }

@@ -354,6 +354,10 @@ class TestVerify:
         assert len(lines) == 6
         assert all(line.startswith("PASS") for line in lines)
 
+    def test_momentum_whose_square_underflows_exits_2(self, capsys):
+        code, _, err = run(capsys, "verify", "--k", "1e-300", "--v0", "2")  # was a RuntimeWarning
+        assert code == 2 and "underflows when squared" in err
+
     def test_custom_well(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "3", "--v0", "8")
         assert code == 0

@@ -330,17 +330,18 @@ class TestTransferPhase:
     @example(well=((-1.0, 0.0, 1.0), (0.0, -4.0, -2.0, 0.0), 2.0), share=0.5)
     @example(well=((-1.0, 0.0, 1.0), (0.0, -4.0, -2.0, 0.0), 2.0), share=0.5 - 6.4e-12)
     @example(well=((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5), -2.0), share=0.4)  # k < 0
-    # a band 4.4e-16 wide: all five energies round to 1.5, so there is no difference to take
+    # a band 4.4e-16 wide: no step that rounding leaves accurate fits in it
     @example(well=((-1.0, 0.0), (0.0, 0.0, 2.9999999999999996), 1.5), share=0.5)
     def test_slope_is_the_derivative_of_the_phase(self, well, share):
         # the slope summed in the walk's running scale against central
         # differences of theta at h and h/2, extrapolated to h^4, each taken
-        # over the energies as a double stores them
+        # over the energies as a double stores them, with h at least 1e7 spacings of eps
         steps, values, k = well
         lo, hi = max(values[0], values[-1]) - abs(k), min(values[0], values[-1]) + abs(k)
-        eps, h = lo + share * (hi - lo), 1e-6 * (hi - lo)
+        eps = lo + share * (hi - lo)
+        h = max(1e-6 * (hi - lo), 1e7 * np.spacing(abs(eps)))
         e = eps + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        if not np.all(np.diff(e) > 0.0):
+        if not lo < e[0] < e[-1] < hi:
             return
         theta, slope = _transfer_phase_slope(PiecewiseConstant(steps, values), k, e)
         derivative = (4.0 * (theta[3] - theta[1]) / (e[3] - e[1])

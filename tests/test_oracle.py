@@ -398,6 +398,19 @@ class TestShootingInputs:
         with pytest.raises(ConfigError):
             dirac_shooting(square_well_config(2.0), QuantumLabel(k, np.array([0.3, eps])))
 
+    @pytest.mark.parametrize("electric, magnetic, k", [
+        (square_well(2.0), None, 1e-200), (square_well(2.0), None, -5e-324), (Lorentzian(-2.0), None, 1e-300),
+        (square_well(2.0), PiecewiseConstant((-0.5, 0.5), (1e-200, 0.0, 0.0)), 0.0),  # the left k + a only
+    ])
+    def test_exterior_momentum_whose_square_underflows_is_refused(self, electric, magnetic, k, monkeypatch):
+        # the seeds had norm 0: a divide-by-zero warning, then a refusal
+        # that asked for a smaller step; 1e-160 still squares and shoots
+        assert len(shooting_bound_states(square_well_config(2.0), 1e-160)) == 1
+        monkeypatch.setattr(oracle, "_shooter", None)
+        monkeypatch.setattr(oracle, "_scan_roots", None)
+        with pytest.raises(UnsupportedRegime, match="underflows when squared"):
+            shooting_bound_states(FieldConfig(electric, magnetic), k)
+
 
 def _matmul_stepwise_march(segments, eps, psi, powers):
     """The stepwise march with each segment's RK4 step built as an

@@ -1,7 +1,6 @@
 """Assembled bound states: conjugate structure, phase fixing, densities,
 orthonormality, reflection symmetry, and equation residuals."""
 
-import cmath
 import dataclasses
 import json
 import math
@@ -14,10 +13,12 @@ from hypothesis import strategies as st
 
 from diracwell import (
     FieldConfig,
+    Lorentzian,
     PiecewiseConstant,
     PiecewiseExp,
     QuantumLabel,
     assemble_square_well_state,
+    assemble_state,
     current_density,
     equation_residuals,
     find_roots,
@@ -48,10 +49,10 @@ from diracwell.errors import (
     OutsideAdmissibleBand,
     UnsupportedRegime,
 )
-from diracwell.matching import _carry
+from diracwell.matching import _carry, region_wavenumbers
 from diracwell.oracle import shooting_bound_states
 from diracwell.spectrum import MAX_GRID_POINTS
-from diracwell.states import _canonical_gauge, _carried_wave, _overlaps, _sample_state
+from diracwell.states import _carried_wave
 
 
 @pytest.fixture(scope="module")
@@ -149,10 +150,6 @@ class TestAssembly:
         for s in well22_states:
             assert abs(s.psi1[0]) < 1e-4 * np.max(np.abs(s.psi1))
 
-    def test_rejects_non_eigenvalue(self):
-        with pytest.raises(NotAnEigenvalue):
-            assemble_square_well_state(QuantumLabel(k=2.0, epsilon=1.0), 2.0)
-
     def test_partner_needs_momentum(self):
         wave = PiecewiseExp((-1.0, 1.0), g=(1.0, 1j, 1.0), a=(1.0, 0.5, 0.0), b=(0.0, 0.5, 1.0))
         with pytest.raises(DegenerateMomentum):
@@ -229,28 +226,28 @@ def assemble_all(k, v0, half_width, points=401):
     ]
 
 
-def side_limits(terms, x):
-    """(value, slope) at x of a sum of c exp(g x) terms."""
-    parts = [(c * cmath.exp(g * x), g) for c, g in terms]
-    return sum(v for v, _ in parts), sum(g * v for v, g in parts)
+def step_mismatches(profile, g, a, b):
+    """|psi_r - psi_l|, |psi'_r - psi'_l - i J psi_l|, |psi_l| + |psi'_l| and
+    |psi_r| at every step of profile, for the wave with region coefficients
+    (g, a, b) anchored as PiecewiseExp anchors them: a at the right step
+    where Re g > 0, every other term at the left step."""
+    steps = np.array(profile.breakpoints)
+    g, a, b = map(np.asarray, (g, a, b))
+    w = np.diff(steps, prepend=steps[0], append=steps[-1])  # each region's width; 0 on both exteriors
+    grows = g.real > 0
+    a_l, a_r = a * np.exp(np.where(grows, -g * w, 0.0)), a * np.exp(np.where(grows, 0.0, g * w))
+    b_l, b_r = b, b * np.exp(-g * w)
+    psi_l, dpsi_l = (a_r + b_r)[:-1], (g * (a_r - b_r))[:-1]
+    psi_r, dpsi_r = (a_l + b_l)[1:], (g * (a_l - b_l))[1:]
+    jump = 1j * np.diff(profile.values) * psi_l
+    return np.abs(psi_r - psi_l), np.abs(dpsi_r - dpsi_l - jump), np.abs(psi_l) + np.abs(dpsi_l), np.abs(psi_r)
 
 
 def check_steps(profile, g, a, b, tol):
-    """Assert that the wave with region coefficients (g, a, b), anchored as
-    PiecewiseExp anchors them (a at the right step where Re g > 0, every
-    other term at the left step), is continuous at every step of profile
+    """Assert that the wave (g, a, b) is continuous at every step of profile
     and that its slope jumps there by i J psi, relative to |psi| + |psi'|."""
-    steps, values = profile.breakpoints, profile.values
-    lefts, rights = (steps[0], *steps), (*steps, steps[-1])
-    terms = [[(ai * cmath.exp(-gi * (xr if gi.real > 0 else xl)), gi), (bi * cmath.exp(gi * xl), -gi)]
-             for xl, xr, gi, ai, bi in zip(lefts, rights, g, a, b)]
-    for j, xb in enumerate(steps):
-        psi_l, dpsi_l = side_limits(terms[j], xb)
-        psi_r, dpsi_r = side_limits(terms[j + 1], xb)
-        scale = abs(psi_l) + abs(dpsi_l)
-        assert abs(psi_r - psi_l) < tol * scale
-        jump = 1j * (values[j + 1] - values[j]) * psi_l
-        assert abs(dpsi_r - dpsi_l - jump) < tol * scale
+    values, slopes, scale, _ = step_mismatches(profile, g, a, b)
+    assert np.all(values < tol * scale) and np.all(slopes < tol * scale)
 
 
 class TestCarry:
@@ -291,63 +288,26 @@ class TestCarry:
                 with pytest.raises(NotAnEigenvalue, match="no matching nullspace at epsilon="):
                     assemble_square_well_state(QuantumLabel(k, 0.5 * (a + b)), v0)
 
-    def test_rejects_non_decaying_exterior(self):
+    def test_rejects_non_decaying_exterior(self, monkeypatch):
+        monkeypatch.setattr(states_module, "_carried_wave", None)
         with pytest.raises(OutsideAdmissibleBand):
             assemble_square_well_state(QuantumLabel(k=2.0, epsilon=2.5), 2.0)
+        for eps in (2.4, -1.6, math.nan):  # past the exterior at 0, past the one at 0.5
+            with pytest.raises(OutsideAdmissibleBand, match="decaying exteriors"):
+                assemble_state(self.PROFILE, QuantumLabel(self.K, eps))
 
 
-def step_mismatches(wave, profile):
-    """|psi_r - psi_l| and |psi'_r - psi'_l - i J psi_l| at every step of
-    profile, over the largest |psi| there, from the wave's own table read
-    by PiecewiseExp's anchoring rule."""
-    steps = np.array(profile.breakpoints)
-    g = wave.g
-    w = np.diff(steps, prepend=steps[0], append=steps[-1])  # each region's width; 0 on both exteriors
-    grows = g.real > 0  # the a term is anchored at the right step
-    a_l, a_r = wave.a * np.exp(np.where(grows, -g * w, 0.0)), wave.a * np.exp(np.where(grows, 0.0, g * w))
-    b_l, b_r = wave.b, wave.b * np.exp(-g * w)
-    psi_l, dpsi_l = (a_r + b_r)[:-1], (g * (a_r - b_r))[:-1]
-    psi_r, dpsi_r = (a_l + b_l)[1:], (g * (a_l - b_l))[1:]
-    top = np.max(np.abs(psi_r))
-    jump = 1j * np.diff(profile.values) * psi_l
-    return np.abs(psi_r - psi_l) / top, np.abs(dpsi_r - dpsi_l - jump) / top
-
-
-def assemble_waves(profile, label):
-    """The carried wave at a root and the canonical-gauge pair built from
-    it, as assemble_square_well_state builds a state's waves."""
-    wave = _carried_wave(profile, label)
-    return wave, _canonical_gauge(wave, partner_component(wave, label, profile))
-
-
-def assemble_profile(profile, k):
-    """States at every transfer root of profile at k, sampled on 801 points
-    from 2 left of the first step to 2 right of the last."""
-    steps = profile.breakpoints
-    x = np.linspace(steps[0] - 2.0, steps[-1] + 2.0, 801)
-    states = []
-    for eps in find_roots(general_secular(FieldConfig(electric=profile), k)):
-        label = QuantumLabel(k, eps)
-        _, (wave1, wave2) = assemble_waves(profile, label)
-        states.append(_sample_state(label, math.nan, math.nan, wave1, wave2, profile, x))
-    return states
-
-
-def assert_every_root_carries(profile, k, tol=1e-6):
-    """Every transfer root of profile at k carries, continuous at every step
-    and with the slope's i J psi jump, to tol of the wave's largest |psi|,
-    and the waves assembled from them have the Gram matrix gram_matrix
-    would give their states, the identity to 1e-8."""
+def assert_every_root_carries(profile, k, tol=1e-6, points=3):
+    """The states at every transfer root of profile at k, each wave
+    continuous at every step and with the slope's i J psi jump, to tol of
+    its largest |psi|, and their Gram matrix the identity to 1e-8."""
     roots = find_roots(general_secular(FieldConfig(electric=profile), k))
-    pairs = []
-    for eps in roots:
-        wave, pair = assemble_waves(profile, QuantumLabel(k, eps))
-        values, slopes = step_mismatches(wave, profile)
-        assert max(values.max(), slopes.max()) <= tol, (profile, k, eps)
-        pairs.append(pair)
-    gram = 2.0 * _overlaps(profile.breakpoints, [p[::-1] for p in pairs], pairs)
-    assert np.max(np.abs(gram - np.eye(len(roots))), initial=0.0) < 1e-8, (profile, k)
-    return len(roots)
+    states = [assemble_state(profile, QuantumLabel(k, eps), points) for eps in roots]
+    for s in states:
+        values, slopes, _, size = step_mismatches(profile, *s.wave1.table)
+        assert max(values.max(), slopes.max()) <= tol * size.max(), (profile, k, s.label.epsilon)
+    assert np.max(np.abs(gram_matrix(states) - np.eye(len(states))), initial=0.0) < 1e-8, (profile, k)
+    return states
 
 
 class TestRandomPiecewiseWells:
@@ -361,7 +321,7 @@ class TestRandomPiecewiseWells:
             inner = int(rng.integers(1, 5))
             steps = tuple(np.sort(rng.uniform(-3.0, 3.0, inner + 1)))
             profile = PiecewiseConstant(steps, (0.0, *rng.uniform(-12.0, 6.0, inner), 0.0))
-            count += assert_every_root_carries(profile, rng.uniform(0.3, 6.0) * rng.choice((-1.0, 1.0)))
+            count += len(assert_every_root_carries(profile, rng.uniform(0.3, 6.0) * rng.choice((-1.0, 1.0))))
         assert count > 1000
 
     def test_state_between_two_barriers(self):
@@ -373,7 +333,7 @@ class TestRandomPiecewiseWells:
             (0.0, 4.775673722548493, -1.984968274773026, 5.314248107733022,
              -6.26305328217885, 0.0),
         )
-        assert assert_every_root_carries(profile, -5.95183770377078) == 15
+        assert len(assert_every_root_carries(profile, -5.95183770377078)) == 15
 
     def test_growing_term_across_a_barrier(self):
         # a barrier of kappa w = 19.6 right of a level's well: read at the
@@ -385,17 +345,7 @@ class TestRandomPiecewiseWells:
             (0.0, -7.884111143160447, 3.5021948785040724, -11.781402857032328,
              -8.505313480172747, 0.0),
         )
-        assert assert_every_root_carries(profile, -5.858328044966112) > 0
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_wide_barrier_double_well(self):
-        # the barrier's kappa w reaches 1386, past what exp holds in a double
-        profile = PiecewiseConstant((-22.0, -20.0, 20.0, 22.0), (0.0, -60.0, 0.0, -47.0, 0.0))
-        roots = find_roots(general_secular(FieldConfig(electric=profile), 40.0))
-        assert len(roots) == 109
-        for eps in roots:
-            wave = _carried_wave(profile, QuantumLabel(40.0, eps))
-            assert np.all(np.isfinite(wave.table))
+        assert len(assert_every_root_carries(profile, -5.858328044966112)) > 0
 
 
 class TestEvanescentBarrier:
@@ -435,13 +385,43 @@ class TestPiecewiseStates:
         ids=["wide-barrier-double-well", "evanescent-double-barrier", "three-steps"],
     )
     def test_every_root_assembles(self, profile, k, count):
-        states = assemble_profile(profile, k)
+        states = assert_every_root_carries(profile, k, points=101)
         assert len(states) == count
         assert max(abs(s.norm - 1.0) for s in states) < 1e-12
         assert max(float(np.max(np.abs(s.psi2 - np.conj(s.psi1)))) for s in states) < 1e-10
         assert max(equation_residuals(s).max_abs for s in states) < 1e-8
         assert max(second_order_residuals(s).max_abs for s in states) < 1e-8
-        assert np.max(np.abs(gram_matrix(states) - np.eye(count))) < 1e-8
+
+
+class TestAssembleState:
+    # the wells of the CI verify steps
+    @pytest.mark.parametrize(
+        "k, v0, half_width",
+        [(2.0, 2.0, 1.0), (3.0, 8.0, 1.0), (30.0, 40.0, 1.5), (2.0, -5.0, 1.0), (2.0, 0.0, 1.0),
+         (50.0, 20.0, 3.0), (2.0, 1e-4, 1.0), (50.0, 120.0, 3.0), (200.0, 500.0, 5.0)],
+    )
+    def test_square_wells_write_the_bytes_of_assemble_square_well_state(self, k, v0, half_width):
+        # every 25th root of the 1425-level well; the grid reaches 12 / p
+        # past both steps, p as region_wavenumbers gives it
+        roots = find_roots(square_well_secular(k, v0, half_width))
+        for eps in roots[:: 25 if len(roots) > 1000 else 1]:
+            label = QuantumLabel(k, eps)
+            s = assemble_state(square_well(v0, half_width), label, 21)
+            t = assemble_square_well_state(label, v0, half_width, 21)
+            assert (state_to_csv(s), state_to_json(s)) == (state_to_csv(t), state_to_json(t))
+            assert s.x[-1] == -s.x[0] == half_width + 12.0 / region_wavenumbers(label, v0)[0]
+
+    def test_only_step_profiles_are_assembled(self, monkeypatch):
+        monkeypatch.setattr(states_module, "_carried_wave", None)
+        for potential in (Lorentzian(-2.0), PiecewiseConstant((), (0.0,))):
+            with pytest.raises(ConfigError, match="piecewise-constant profile with a step"):
+                assemble_state(potential, QuantumLabel(2.0, 0.5))
+
+    def test_json_is_refused_off_the_square_well(self):
+        s = assert_every_root_carries(TestCarry.PROFILE, TestCarry.K, points=21)[0]
+        with pytest.raises(UnsupportedRegime, match="square wells only"):
+            state_to_json(s)
+        assert len(state_to_csv(s).splitlines()) == len(s.x) + 1 == 22
 
 
 class TestDeepWells:
