@@ -349,11 +349,18 @@ def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> Piecewis
     nearly parallel in the two walks.  Each coefficient is read and kept
     at its anchor: each b at its region's left step, and where Re g > 0
     each a at the right step, where its term is largest.  Raises
-    NotAnEigenvalue when the walks differ at r by more than NULLSPACE_TOL.
+    OutsideAdmissibleBand, before any walk, unless both exteriors decay
+    (Re g > 0, so not NaN) and no region has g = 0, which the reads
+    divide by; NotAnEigenvalue when the walks differ at r by more than
+    NULLSPACE_TOL.
     """
     k, eps = label.k, label.epsilon
     steps, values = potential.breakpoints, np.asarray(potential.values)
-    g = np.sqrt((k * k - (eps - values) ** 2).astype(complex))
+    with np.errstate(over="ignore", invalid="ignore"):  # |eps - V| past 1e154: g^2 = -inf, not decaying
+        g = np.sqrt((k * k - (eps - values) ** 2).astype(complex))
+    if not (g[0].real > 0.0 < g[-1].real and np.all(g != 0)):
+        raise OutsideAdmissibleBand(
+            f"decaying exteriors need |epsilon - V| < |k|, and no region |epsilon - V| = |k|: eps={eps}, k={k}")
     jumps = 1j * np.diff(values)
 
     def walk(direction):  # rows a, b at each region's left step; a before, b after each step; logs
@@ -388,10 +395,11 @@ def assemble_state(potential: PiecewiseConstant, label: QuantumLabel, points: in
     not), fewer than 3 or, once an even count is rounded up to odd, more
     than MAX_GRID_POINTS, or for a potential that is not a
     PiecewiseConstant with a step, and OutsideAdmissibleBand for an
-    exterior that does not decay.  The state is sampled on a grid
-    symmetric about the origin that reaches 12 decay lengths past both
-    outer steps, phase-fixed, sign-canonical, and normalized so the
-    probability density integrates to one (closed form, not quadrature).
+    exterior that does not decay or a region where |epsilon - V| = |k|.
+    The state is sampled on a grid symmetric about the origin that
+    reaches 12 decay lengths past both outer steps, phase-fixed,
+    sign-canonical, and normalized so the probability density integrates
+    to one (closed form, not quadrature).
     """
     if not isinstance(points, numbers.Integral) or isinstance(points, bool):
         raise ConfigError(f"points must be an integer, got {points!r}")
@@ -403,9 +411,6 @@ def assemble_state(potential: PiecewiseConstant, label: QuantumLabel, points: in
             f"a state takes at most {MAX_GRID_POINTS} points, got {points} once rounded up to odd")
     if not (isinstance(potential, PiecewiseConstant) and potential.breakpoints):
         raise ConfigError(f"states need a piecewise-constant profile with a step, got {potential!r}")
-    k, eps = label.k, label.epsilon
-    if not all(k * k - (eps - v) ** 2 > 0.0 for v in (potential.values[0], potential.values[-1])):
-        raise OutsideAdmissibleBand(f"decaying exteriors need |epsilon - V| < |k|: eps={eps}, k={k}")
     wave1 = _carried_wave(potential, label)
     wave1, wave2 = _canonical_gauge(wave1, partner_component(wave1, label, potential))
 

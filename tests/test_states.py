@@ -57,10 +57,7 @@ from diracwell.states import _carried_wave
 
 @pytest.fixture(scope="module")
 def well22_states():
-    roots = find_roots(square_well_secular(2.0, 2.0))
-    return [
-        assemble_square_well_state(QuantumLabel(k=2.0, epsilon=e), 2.0) for e in roots
-    ]
+    return assemble_all(2.0, 2.0, 1.0, points=4001)
 
 
 class TestPiecewiseExp:
@@ -150,6 +147,10 @@ class TestAssembly:
         for s in well22_states:
             assert abs(s.psi1[0]) < 1e-4 * np.max(np.abs(s.psi1))
 
+    def test_rejects_non_eigenvalue(self):
+        with pytest.raises(NotAnEigenvalue):
+            assemble_square_well_state(QuantumLabel(k=2.0, epsilon=1.0), 2.0)
+
     def test_partner_needs_momentum(self):
         wave = PiecewiseExp((-1.0, 1.0), g=(1.0, 1j, 1.0), a=(1.0, 0.5, 0.0), b=(0.0, 0.5, 1.0))
         with pytest.raises(DegenerateMomentum):
@@ -212,18 +213,14 @@ def assert_family_is_clean(states):
     +/-i and an orthonormal family."""
     conj = max(float(np.max(np.abs(s.psi2 - np.conj(s.psi1)))) for s in states)
     pt = max(min(abs(pt_eigenvalue(s) - 1j), abs(pt_eigenvalue(s) + 1j)) for s in states)
-    gram = np.array([[inner_product(a, b) for b in states] for a in states])
     assert conj < 1e-10
     assert pt < 1e-8
-    assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-8
+    assert np.max(np.abs(gram_matrix(states) - np.eye(len(states)))) < 1e-8
 
 
-def assemble_all(k, v0, half_width, points=401):
-    roots = find_roots(square_well_secular(k, v0, half_width))
-    return [
-        assemble_square_well_state(QuantumLabel(k=k, epsilon=e), v0, half_width, points)
-        for e in roots
-    ]
+def assemble_all(k, v0, half_width, points=401, every=1):
+    roots = find_roots(square_well_secular(k, v0, half_width))[::every]
+    return [assemble_square_well_state(QuantumLabel(k, e), v0, half_width, points) for e in roots]
 
 
 def step_mismatches(profile, g, a, b):
@@ -289,12 +286,18 @@ class TestCarry:
                     assemble_square_well_state(QuantumLabel(k, 0.5 * (a + b)), v0)
 
     def test_rejects_non_decaying_exterior(self, monkeypatch):
-        monkeypatch.setattr(states_module, "_carried_wave", None)
+        monkeypatch.setattr(states_module, "_carry", None)
         with pytest.raises(OutsideAdmissibleBand):
             assemble_square_well_state(QuantumLabel(k=2.0, epsilon=2.5), 2.0)
-        for eps in (2.4, -1.6, math.nan):  # past the exterior at 0, past the one at 0.5
+        for eps in (2.4, -1.6, math.nan, 1e200):  # past the exterior at 0, past the one at 0.5
             with pytest.raises(OutsideAdmissibleBand, match="decaying exteriors"):
                 assemble_state(self.PROFILE, QuantumLabel(self.K, eps))
+
+    def test_rejects_a_region_at_the_band_edge(self, monkeypatch):
+        monkeypatch.setattr(states_module, "_carry", None)  # g = 0 inside, which the walk's reads divide by
+        for potential, eps in ((square_well(3.0), -1.0), (self.PROFILE, -0.5)):  # q = 0; the inner -2.5
+            with pytest.raises(OutsideAdmissibleBand, match="no region [|]epsilon - V[|] = [|]k[|]"):
+                assemble_state(potential, QuantumLabel(self.K, eps))
 
 
 def assert_every_root_carries(profile, k, tol=1e-6, points=3):
@@ -346,6 +349,16 @@ class TestRandomPiecewiseWells:
              -8.505313480172747, 0.0),
         )
         assert len(assert_every_root_carries(profile, -5.858328044966112)) > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wide_barrier_double_well(self):
+        # the barrier's kappa w reaches 1386, past what exp holds in a double
+        profile = PiecewiseConstant((-22.0, -20.0, 20.0, 22.0), (0.0, -60.0, 0.0, -47.0, 0.0))
+        roots = find_roots(general_secular(FieldConfig(electric=profile), 40.0))
+        assert len(roots) == 109
+        for eps in roots:
+            wave = _carried_wave(profile, QuantumLabel(40.0, eps))
+            assert np.all(np.isfinite(wave.table))
 
 
 class TestEvanescentBarrier:
@@ -400,15 +413,12 @@ class TestAssembleState:
         [(2.0, 2.0, 1.0), (3.0, 8.0, 1.0), (30.0, 40.0, 1.5), (2.0, -5.0, 1.0), (2.0, 0.0, 1.0),
          (50.0, 20.0, 3.0), (2.0, 1e-4, 1.0), (50.0, 120.0, 3.0), (200.0, 500.0, 5.0)],
     )
-    def test_square_wells_write_the_bytes_of_assemble_square_well_state(self, k, v0, half_width):
-        # every 25th root of the 1425-level well; the grid reaches 12 / p
-        # past both steps, p as region_wavenumbers gives it
+    def test_square_well_grid_reaches_12_decay_lengths_past_the_steps(self, k, v0, half_width):
+        # every 25th root of the 1425-level well; p as region_wavenumbers gives it
         roots = find_roots(square_well_secular(k, v0, half_width))
         for eps in roots[:: 25 if len(roots) > 1000 else 1]:
             label = QuantumLabel(k, eps)
-            s = assemble_state(square_well(v0, half_width), label, 21)
-            t = assemble_square_well_state(label, v0, half_width, 21)
-            assert (state_to_csv(s), state_to_json(s)) == (state_to_csv(t), state_to_json(t))
+            s = assemble_state(square_well(v0, half_width), label, 3)
             assert s.x[-1] == -s.x[0] == half_width + 12.0 / region_wavenumbers(label, v0)[0]
 
     def test_only_step_profiles_are_assembled(self, monkeypatch):
@@ -463,17 +473,10 @@ class TestDeepWells:
 
     def test_every_25th_root_of_the_deepest_well(self):
         # 1425 levels; 53 of these 57 have 2 p L beyond the double range
-        k, v0, half_width = 200.0, 500.0, 5.0
-        roots = find_roots(square_well_secular(k, v0, half_width))[::25]
-        states = [
-            assemble_square_well_state(QuantumLabel(k, e), v0, half_width, 201) for e in roots
-        ]
+        states = assemble_all(200.0, 500.0, 5.0, points=201, every=25)
         assert len(states) == 57
         assert max(abs(s.norm - 1.0) for s in states) < 1e-12
-        assert max(float(np.max(np.abs(s.psi2 - np.conj(s.psi1)))) for s in states) < 1e-10
-        pt = [pt_eigenvalue(s) for s in states]
-        assert max(min(abs(lam - 1j), abs(lam + 1j)) for lam in pt) < 1e-8
-        assert np.max(np.abs(gram_matrix(states) - np.eye(len(states)))) < 1e-8
+        assert_family_is_clean(states)
         # the sign rule holds: psi1 has a positive real part at the origin
         assert all(s.psi1[len(s.x) // 2].real > 0.0 for s in states)
 
