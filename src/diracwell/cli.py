@@ -27,7 +27,6 @@ import numpy as np
 from .core import QuantumLabel
 from .errors import ConfigError, SolverError, VerificationFailure
 from .matching import general_secular, square_well_secular, square_well_config
-from .oracle import shooting_bound_states
 from .spectrum import (
     MAX_GRID_POINTS,
     branches_to_csv,
@@ -39,15 +38,6 @@ from .spectrum import (
     spectrum_to_csv,
     sweep_k,
     sweep_v0,
-)
-from .states import (
-    assemble_square_well_state,
-    current_density,
-    equation_residuals,
-    gram_matrix,
-    pt_eigenvalue,
-    state_to_csv,
-    state_to_json,
 )
 
 __all__ = ["main"]
@@ -170,10 +160,12 @@ def _cmd_state(args) -> dict:
                 f"level {level} out of range; this well holds {len(roots)} bound states"
             )
         epsilon = roots[level]
-    state = assemble_square_well_state(
+    from . import states  # only state and verify run it
+
+    state = states.assemble_square_well_state(
         QuantumLabel(k=k, epsilon=float(epsilon)), v0, args.half_width, args.points
     )
-    return {"csv": lambda: state_to_csv(state), "json": lambda: state_to_json(state) + "\n"}
+    return {"csv": lambda: states.state_to_csv(state), "json": lambda: states.state_to_json(state) + "\n"}
 
 
 def _cmd_landau(args) -> dict:
@@ -195,6 +187,7 @@ def _cmd_landau(args) -> dict:
 
 
 def _pt_check(states) -> tuple[bool, str]:
+    from .states import pt_eigenvalue
     try:
         worst = max(0.0, *(abs(abs(lam.imag) - 1.0) + abs(lam.real) for lam in map(pt_eigenvalue, states)))
     except SolverError as exc:
@@ -203,16 +196,19 @@ def _pt_check(states) -> tuple[bool, str]:
 
 
 def _gram_check(states) -> tuple[bool, str]:
+    from .states import gram_matrix
     defect = float(np.max(np.abs(gram_matrix(states) - np.eye(len(states)))))
     return defect < 1e-8, f"max |G - I| {defect:.2e}"
 
 
 def _residual_check(states) -> tuple[bool, str]:
+    from .states import equation_residuals
     worst = max(equation_residuals(s).max_abs for s in states)
     return worst < 1e-8, f"max residual {worst:.2e}"
 
 
 def _density_check(states) -> tuple[bool, str]:
+    from .states import current_density
     norm = max(abs(s.norm - 1.0) for s in states)
     bound = max(0.0, *(float(np.max(np.abs(d.j_y) - d.rho)) for d in map(current_density, states)))
     return norm < 1e-12 and bound <= 1e-12, f"norm defect {norm:.2e}, |jy|-rho max {bound:.2e}"
@@ -229,22 +225,24 @@ _STATE_CHECKS = (
 
 def _checks(k: float, v0: float, half_width: float):
     """The battery's (name, ok, detail) rows, each computed when asked for."""
+    from . import oracle, states
+
     config = square_well_config(v0, half_width)
     closed = find_roots(square_well_secular(k, v0, half_width))
     transfer = find_roots(general_secular(config, k))
     # the RK4 error grows as (q h)^4 with the deepest interior wavenumber q
     q_max = math.sqrt((abs(k) + abs(v0)) ** 2 - k * k)
     step = min(2e-3, 0.02 / q_max) if q_max > 0.0 else 2e-3
-    shot = shooting_bound_states(config, k, tol=1e-9, step=step)
+    shot = oracle.shooting_bound_states(config, k, tol=1e-9, step=step)
     agree = len(closed) == len(transfer) == len(shot) and all(
         abs(a - b) < 1e-5 for other in (transfer, shot) for a, b in zip(closed, other))
     counts = f"{len(closed)} states, routes {len(closed)}/{len(transfer)}/{len(shot)}"
     yield "three independent routes agree on the spectrum", agree, counts
-    states = [assemble_square_well_state(QuantumLabel(k=k, epsilon=e), v0, half_width, 2001) for e in closed]
-    conj = max((float(np.max(np.abs(s.psi2 - np.conj(s.psi1)))) for s in states), default=0.0)
+    found = [states.assemble_square_well_state(QuantumLabel(k=k, epsilon=e), v0, half_width, 2001) for e in closed]
+    conj = max((float(np.max(np.abs(s.psi2 - np.conj(s.psi1)))) for s in found), default=0.0)
     yield "rotated components are conjugate after phase fixing", conj < 1e-10, f"max defect {conj:.2e}"
     for name, check in _STATE_CHECKS:
-        yield (name, *check(states)) if states else (name, True, "no states")
+        yield (name, *check(found)) if found else (name, True, "no states")
 
 
 def _cmd_verify(args) -> int:

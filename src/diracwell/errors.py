@@ -4,6 +4,11 @@ Every error raised intentionally by this package derives from SolverError, so
 callers can catch the package's failures without masking programming bugs.
 """
 
+__all__ = ["SolverError", "ConfigError", "VerificationFailure", "SingularPoint", "DiscontinuityPoint",
+           "UnsupportedRegime", "OutsideAdmissibleBand", "UnboundedStateRequest", "NotAnEigenvalue",
+           "DegenerateMomentum", "NotConjugatePair", "BrokenPTSymmetry", "MismatchedMomentum",
+           "InvalidLevel", "NonDecayingExterior"]
+
 
 class SolverError(Exception):
     """Base class for all solver errors."""

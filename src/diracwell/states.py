@@ -273,7 +273,7 @@ def _conjugation_phase(n1: float, n2: float, cross: complex) -> float:
     if n1 <= 0 or n2 <= 0:
         raise NotConjugatePair("component norms must be positive")
     # Cauchy-Schwarz saturation <=> psi2 is a multiple of conj(psi1)
-    collinearity = abs(cross) ** 2 / (n1 * n2)
+    collinearity = (abs(cross) / n1) * (abs(cross) / n2)  # squares overflow past decay lengths of 1e154
     if abs(collinearity - 1.0) > CONJUGATE_TOL:
         raise NotConjugatePair(
             f"components are not conjugate-collinear (defect {abs(collinearity - 1.0):.3e})"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import diracwell
-from diracwell import cli
+from diracwell import cli, oracle, states
 from diracwell.cli import main
 from diracwell.spectrum import MAX_GRID_POINTS
 
@@ -251,7 +251,7 @@ class TestState:
         def refuse(state):
             raise AssertionError(f"{unused} called for --format {fmt}")
 
-        monkeypatch.setattr(cli, unused, refuse)
+        monkeypatch.setattr(states, unused, refuse)
         argv = ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201", "--format", fmt]
         code, out, _ = run(capsys, *argv)
         assert code == 0
@@ -261,6 +261,13 @@ class TestState:
         code, _, err = run(capsys, "state", "--k", "2", "--v0", "2", "--level", "7")
         assert code == 2
         assert "3 bound states" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_decay_length_near_1e155_is_assembled(self, capsys):
+        # the squares of the component norms would overflow a double
+        code, out, err = run(capsys, "state", "--k", "1e-155", "--v0", "2", "--level", "0", "--points", "201")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 202
 
     def test_deep_well_level_exits_0(self, capsys):
         code, out, _ = run(
@@ -381,14 +388,22 @@ class TestVerify:
         assert all(line.startswith("PASS") for line in out.splitlines())
 
     def test_a_dropped_root_fails_verification(self, capsys, monkeypatch):
-        shoot = cli.shooting_bound_states
-        monkeypatch.setattr(cli, "shooting_bound_states", lambda *a, **kw: shoot(*a, **kw)[:-1])
+        shoot = oracle.shooting_bound_states
+        monkeypatch.setattr(oracle, "shooting_bound_states", lambda *a, **kw: shoot(*a, **kw)[:-1])
         code, out, err = run(capsys, "verify")
         assert code == 1
         assert out.splitlines()[0] == (
             "FAIL  three independent routes agree on the spectrum (3 states, routes 3/3/2)"
         )
         assert "verification failed: 1 check(s) failed" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_decay_length_near_1e160_is_refused_with_one_error_line(self, capsys):
+        # the norms' squares no longer overflow, but psi2 = (psi1' + i delta psi1) / k
+        # keeps too few digits at this k, and assembly refuses the state
+        code, _, err = run(capsys, "verify", "--k", "1e-160", "--v0", "2")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_shoots_with_the_default_scan(self, capsys):
         # the top level sits 0.031 below the band edge, beyond the last point
@@ -567,13 +582,20 @@ class TestPinnedOutput:
         assert out == (PINNED / name).read_text()
 
 
+def run_fresh(script: str) -> None:
+    """script run in a fresh interpreter, which must exit 0."""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env())
+    assert result.returncode == 0, result.stderr
+
+
 class TestImports:
     def test_import_and_spectrum_leave_scipy_linalg_unloaded(self):
         # and fractions (with decimal), which only the transfer route's
-        # binding rule needs
-        script = (
+        # binding rule needs; diracwell.__all__ loads every library module
+        run_fresh(
             "import contextlib, io, sys\n"
             "import diracwell\n"
+            "diracwell.__all__\n"
             "assert 'scipy.linalg' not in sys.modules, 'import diracwell'\n"
             "assert 'fractions' not in sys.modules, 'import diracwell'\n"
             "from diracwell.cli import main\n"
@@ -581,7 +603,46 @@ class TestImports:
             "    assert main(['spectrum', '--k', '2', '--v0', '2']) == 0\n"
             "assert 'scipy.linalg' not in sys.modules, 'diracwell spectrum'\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
+
+    def test_import_diracwell_loads_no_module_and_no_numpy(self):
+        run_fresh(
+            "import sys\n"
+            "import diracwell\n"
+            "loaded = [m for m in sys.modules if m.startswith(('diracwell.', 'numpy'))]\n"
+            "assert not loaded, loaded\n"
         )
-        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            (["spectrum", "--k", "2", "--v0", "2"], ["states", "oracle"]),
+            (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], ["states", "oracle"]),
+            (["sweep-v0", "--k", "2", "--v0", "0:4:1"], ["states", "oracle"]),
+            (["landau", "--beta", "1"], ["states", "oracle"]),
+            (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201"], ["oracle"]),
+        ],
+        ids=["spectrum", "sweep-k", "sweep-v0", "landau", "state"],
+    )
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, unloaded):
+        run_fresh(
+            "import contextlib, io, sys\n"
+            "from diracwell.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            f"loaded = [m for m in {unloaded!r} if 'diracwell.' + m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+
+    def test_star_import_and_dir_give_the_union_of_the_library_exports(self):
+        run_fresh(
+            "import importlib, pkgutil\n"
+            "import diracwell\n"
+            "names = set()\n"
+            "for m in pkgutil.iter_modules(diracwell.__path__):\n"
+            "    if m.name != 'cli':\n"
+            "        names |= set(importlib.import_module('diracwell.' + m.name).__all__)\n"
+            "star = {}\n"
+            "exec('from diracwell import *', star)\n"
+            "assert set(star) - {'__builtins__'} == names, set(star) ^ names\n"
+            "assert dir(diracwell) == sorted(names), set(dir(diracwell)) ^ names\n"
+        )
