@@ -77,7 +77,9 @@ def _level_ranges(phase, lo, hi, binds):
         theta = phase(np.concatenate((live, live)), np.concatenate((inner_lo, inner_hi)))[0]
     th_lo, th_hi = theta[: live.size], theta[live.size :]
     reach = np.maximum(np.abs(th_lo), np.abs(th_hi))
-    if not np.all(np.spacing(reach) < math.pi):  # NaN for a phase that is not finite
+    if not np.all(np.isfinite(reach)):
+        raise UnsupportedRegime("phase is not finite at a band end: levels are not distinct doubles")
+    if not np.all(np.spacing(reach) < math.pi):
         raise UnsupportedRegime(f"phase reaches {np.max(reach):.3g}: levels are not distinct doubles")
     flip = th_hi < th_lo
     sign = np.where(flip, -1.0, 1.0)

@@ -71,6 +71,7 @@ NULLSPACE_TOL = 1e-6
 CONJUGATE_TOL = 1e-8
 PT_TOL = 1e-6
 GRAM_BLOCK = 256  # gram_matrix rows per block: 4 * 256 * N term pairs, 23 MB at N = 1425
+CSV_BLOCK = 4096  # values state_to_csv formats at once: larger blocks cost memory and gain no speed
 
 
 class PiecewiseExp:
@@ -221,9 +222,11 @@ class BoundState:
 
     @cached_property
     def _csv(self) -> str:  # see state_to_csv
-        lines = [",".join(COLUMNS)]
-        lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in _columns(self)))]
-        return "\n".join(lines) + "\n"
+        from ._floatfmt import format_rows
+
+        table, rows = np.column_stack(_columns(self)), CSV_BLOCK // len(COLUMNS)
+        blocks = (format_rows(table[i : i + rows]) for i in range(0, len(table), rows))
+        return ",".join(COLUMNS) + "\n" + "".join(blocks)
 
 
 @dataclass(frozen=True)
@@ -576,8 +579,10 @@ def _columns(state: BoundState) -> tuple[np.ndarray, ...]:
 
 def state_to_csv(state: BoundState) -> str:
     """One row per sample, each value the shortest repr that reads back
-    to the same double.  The text is formatted once and kept on the state
-    (a dataclasses.replace copy starts without it)."""
+    to the same double, byte for byte as repr writes it but formatted
+    CSV_BLOCK values at a time by a numpy kernel.  The text is formatted
+    once and kept on the state (a dataclasses.replace copy starts without
+    it)."""
     return state._csv
 
 

@@ -76,6 +76,13 @@ class TestSpectrum:
         assert out == ""
         assert "not distinct doubles" in err
 
+    @pytest.mark.parametrize("k, v0", [("1e300", "1e300"), ("2", "1e200")], ids=["nan", "inf"])
+    def test_a_band_end_phase_that_is_not_finite_is_named_so(self, capsys, k, v0):
+        # not "phase reaches nan": a NaN phase reaches no value
+        code, out, err = run(capsys, "spectrum", "--k", k, "--v0", v0)
+        assert (code, out) == (2, "")
+        assert err == "error: phase is not finite at a band end: levels are not distinct doubles\n"
+
     @pytest.mark.parametrize("v0", ["1e8", "1e12"])
     def test_level_that_phase_rounding_moves_exits_2(self, capsys, v0):
         # theta near 2 v0 rounds by more than DEFAULT_ROOT_TOL times its slope
@@ -613,22 +620,28 @@ class TestImports:
         )
 
     @pytest.mark.parametrize(
-        "argv, unloaded",
+        "argv, loaded, unloaded",
         [
-            (["spectrum", "--k", "2", "--v0", "2"], ["states", "oracle"]),
-            (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], ["states", "oracle"]),
-            (["sweep-v0", "--k", "2", "--v0", "0:4:1"], ["states", "oracle"]),
-            (["landau", "--beta", "1"], ["states", "oracle"]),
-            (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201"], ["oracle"]),
+            (["spectrum", "--k", "2", "--v0", "2"], [], ["states", "oracle", "_floatfmt"]),
+            (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], [], ["states", "oracle", "_floatfmt"]),
+            (["sweep-v0", "--k", "2", "--v0", "0:4:1"], [], ["states", "oracle", "_floatfmt"]),
+            (["landau", "--beta", "1"], [], ["states", "oracle", "_floatfmt"]),
+            (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201"], ["states", "_floatfmt"], ["oracle"]),
+            (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201", "--format", "json"],
+             ["states"], ["oracle", "_floatfmt"]),
+            (["verify"], ["states", "oracle"], ["_floatfmt"]),
         ],
-        ids=["spectrum", "sweep-k", "sweep-v0", "landau", "state"],
+        ids=["spectrum", "sweep-k", "sweep-v0", "landau", "state", "state-json", "verify"],
     )
-    def test_a_command_loads_only_the_modules_it_runs(self, argv, unloaded):
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, loaded, unloaded):
+        # only a state written as CSV formats its samples with the vectorized kernel
         run_fresh(
             "import contextlib, io, sys\n"
             "from diracwell.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0\n"
+            f"missing = [m for m in {loaded!r} if 'diracwell.' + m not in sys.modules]\n"
+            "assert not missing, missing\n"
             f"loaded = [m for m in {unloaded!r} if 'diracwell.' + m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
