@@ -1,14 +1,15 @@
 """Independent cross-checks: grid diagonalization and direct shooting.
 
 Nothing here shares algebra with the matching construction.  The grid
-route discretizes the decoupled second-order problem with a three-point
-stencil and Dirichlet walls; the shooting route integrates the coupled
-first-order system numerically from both exteriors and matches the two
-solutions.  On a stepwise profile it counts the windings of its own RK4
-march, so its phase gives every level; on a smooth profile it scans the
-matching determinant.  One bracketed Illinois secant solves both.  The
-module imports only core and errors from the package.  Agreement between these and the secular roots is the main
-correctness evidence for the solver.
+route diagonalizes the decoupled second-order problem in a sine
+discrete-variable representation between Dirichlet walls, with numpy
+alone; the shooting route integrates the coupled first-order system
+numerically from both exteriors and matches the two solutions.  On a
+stepwise profile it counts the windings of its own RK4 march, so its
+phase gives every level; on a smooth profile it scans the matching
+determinant.  One bracketed Illinois secant solves both.  The module
+imports only core and errors from the package.  Agreement between these
+and the secular roots is the main correctness evidence for the solver.
 """
 
 from __future__ import annotations
@@ -45,7 +46,11 @@ PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth marc
 PROPAGATOR_STEPS = 512  # steps per block of the smooth march
 SECANT_CALLS = 40  # calls after which a bracket still open is bisected
 OSCILLATOR_SPAN = 14.0  # half-width of the oscillator grid, in oscillator lengths
-OSCILLATOR_POINTS = 6001  # points of the coarser oscillator grid; the finer one halves h
+OSCILLATOR_POINTS = 129  # momentum cutoff pi (points - 1) / (2 span) = 14.4 / length: the span again
+OSCILLATOR_MARGIN = 3.0  # oscillator lengths kept between the highest turning point and a wall
+# levels n with turning point sqrt(2 n + 1) at most OSCILLATOR_SPAN - OSCILLATOR_MARGIN
+OSCILLATOR_LEVELS = int(((OSCILLATOR_SPAN - OSCILLATOR_MARGIN) ** 2 - 1.0) / 2.0) + 1
+GRID_MATRIX_CAP = 2**22  # elements of the dense (points - 2)^2 grid matrix: 32 MB of doubles
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +60,9 @@ OSCILLATOR_POINTS = 6001  # points of the coarser oscillator grid; the finer one
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid for the three-point Dirichlet eigenproblem."""
+    """Uniform grid with Dirichlet walls at x_min and x_max, whose
+    points - 2 interior points carry the sine DVR; its dense matrix may
+    hold at most GRID_MATRIX_CAP elements."""
 
     x_min: float
     x_max: float
@@ -70,41 +77,56 @@ class GridSpec:
             raise ConfigError(f"points must be an integer, got {self.points!r}")
         if self.points < 3:
             raise ConfigError("need at least three grid points")
+        if (int(self.points) - 2) ** 2 > GRID_MATRIX_CAP:
+            raise ConfigError(
+                f"points={self.points} needs a dense matrix of more than {GRID_MATRIX_CAP} elements"
+            )
 
     @property
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.points - 1)
 
-    def refined(self) -> "GridSpec":
-        return GridSpec(self.x_min, self.x_max, 2 * self.points - 1)
+
+def _check_count(count) -> None:
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ConfigError(f"count must be a positive integer, got {count!r}")
 
 
 def grid_eigenvalues(u, spec: GridSpec, count: int) -> np.ndarray:
-    """Lowest eigenvalues of -psi'' + u(x) psi with walls at the grid ends.
+    """Lowest count eigenvalues of -psi'' + u(x) psi with walls at the grid
+    ends, from the sine discrete-variable representation (Colbert and
+    Miller, J. Chem. Phys. 96, 1982 (1992)).
 
-    u maps an x array to the potential samples.
+    With N = points - 1 intervals of length L / N, the interior points
+    x_i = x_min + i L / N, i = 1 .. N - 1, carry H = T + diag(u(x_i)), where
+    T = S diag((j pi / L)^2) S and S_ij = sqrt(2 / N) sin(pi i j / N) is the
+    orthonormal DST-I matrix: T is exact on the box's sine modes, so the
+    error falls off exponentially with the points per wavelength rather
+    than as h^2.  u maps an x array to the potential samples.  Raises
+    ConfigError for a count that is not a positive integer or exceeds the
+    N - 1 interior points.
     """
-    from scipy.linalg import eigh_tridiagonal  # deferred: scipy.linalg dominates import time
-
-    x = np.linspace(spec.x_min, spec.x_max, spec.points)
-    h = spec.spacing
-    interior = x[1:-1]
-    diag = 2.0 / h**2 + np.asarray(u(interior), dtype=float)
-    off = np.full(len(interior) - 1, -1.0 / h**2)
-    return eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
-    )
+    _check_count(count)
+    n = int(spec.points) - 1
+    if count > n - 1:
+        raise ConfigError(f"count={count} exceeds the {n - 1} interior grid points")
+    i = np.arange(1, n)
+    sine = math.sqrt(2.0 / n) * np.sin((math.pi / n) * np.outer(i, i))
+    ham = (sine * (i * (math.pi / (spec.x_max - spec.x_min))) ** 2) @ sine
+    ham[np.diag_indices(n - 1)] += np.asarray(u(spec.x_min + i * spec.spacing), dtype=float)
+    return np.linalg.eigvalsh(ham)[:count]
 
 
 def proportional_oscillator_levels(alpha: float, beta: float, count: int) -> np.ndarray:
     """Grid eigenvalues of the oscillator the proportional problem reduces
     to; level n sits at 2 n beta sqrt(1 - alpha^2) in exact arithmetic.
 
-    The window spans +/- OSCILLATOR_SPAN oscillator lengths on
-    OSCILLATOR_POINTS points, and the three-point values at h and h/2 are
-    Richardson-extrapolated, removing the leading h^2 error.  Raises
-    ConfigError for a non-finite alpha or beta or a beta that is not
-    positive, and UnsupportedRegime for |alpha| >= 1.
+    One sine DVR solve (see grid_eigenvalues) on OSCILLATOR_POINTS points
+    spanning +/- OSCILLATOR_SPAN oscillator lengths.  Raises ConfigError
+    for a non-finite alpha or beta, a beta that is not positive or a count
+    that is not a positive integer, and UnsupportedRegime for |alpha| >= 1
+    or a count above OSCILLATOR_LEVELS, whose highest level would come
+    within OSCILLATOR_MARGIN oscillator lengths of a wall.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ConfigError(f"alpha and beta must be finite, got {alpha}, {beta}")
@@ -114,13 +136,16 @@ def proportional_oscillator_levels(alpha: float, beta: float, count: int) -> np.
         )
     if beta <= 0:
         raise ConfigError("beta must be positive")
+    _check_count(count)
+    if count > OSCILLATOR_LEVELS:
+        raise UnsupportedRegime(
+            f"count={count} exceeds the {OSCILLATOR_LEVELS} levels the oscillator window resolves"
+        )
     scale = beta * math.sqrt(1.0 - alpha * alpha)
     length = 1.0 / math.sqrt(scale)
     u = lambda x: scale**2 * x**2 - scale
     spec = GridSpec(-OSCILLATOR_SPAN * length, OSCILLATOR_SPAN * length, OSCILLATOR_POINTS)
-    coarse = grid_eigenvalues(u, spec, count)
-    fine = grid_eigenvalues(u, spec.refined(), count)
-    return (4.0 * fine - coarse) / 3.0
+    return grid_eigenvalues(u, spec, count)
 
 
 # ---------------------------------------------------------------------------

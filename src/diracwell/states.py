@@ -611,8 +611,10 @@ def state_to_json(state: BoundState) -> str:
         "pt_eigenvalue": pt,
     }
     csv = vars(state).get("_csv")
-    if csv is None or "nan" in csv or "inf" in csv:  # json writes those as NaN and Infinity
-        columns = {key: c.tolist() for key, c in zip(COLUMNS, _columns(state))}
+    samples = _columns(state)
+    # json writes a non-finite sample as NaN or Infinity, the CSV as nan or inf
+    if csv is None or not all(np.isfinite(c).all() for c in samples):
+        columns = {key: c.tolist() for key, c in zip(COLUMNS, samples)}
         return json.dumps(scalars | columns, sort_keys=True)
     tokens = csv[csv.index("\n") + 1 : -1].replace("\n", ",").split(",")
     fields = {key: json.dumps(value) for key, value in scalars.items()}

@@ -611,6 +611,15 @@ class TestImports:
             "assert 'scipy.linalg' not in sys.modules, 'diracwell spectrum'\n"
         )
 
+    def test_the_grid_oracle_loads_no_scipy(self):
+        run_fresh(
+            "import sys\n"
+            "from diracwell import proportional_oscillator_levels\n"
+            "proportional_oscillator_levels(0.5, 1, 6)\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0].startswith('scipy')]\n"
+            "assert not loaded, loaded\n"
+        )
+
     def test_import_diracwell_loads_no_module_and_no_numpy(self):
         run_fresh(
             "import sys\n"

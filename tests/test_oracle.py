@@ -64,27 +64,54 @@ class TestGridSpec:
     def test_numpy_integer_points(self):
         spec = GridSpec(0.0, 1.0, np.int64(11))
         assert spec.spacing == GridSpec(0.0, 1.0, 11).spacing
-        assert spec.refined().points == 21
 
-    def test_spacing_and_refinement(self):
-        spec = GridSpec(0.0, 1.0, 11)
-        assert spec.spacing == pytest.approx(0.1)
-        fine = spec.refined()
-        assert fine.points == 21
-        assert fine.spacing == pytest.approx(0.05)
+    def test_spacing(self):
+        assert GridSpec(0.0, 1.0, 11).spacing == pytest.approx(0.1)
+
+    def test_points_whose_dense_matrix_exceeds_the_cap_are_refused_before_any_allocation(self):
+        # the DVR matrix is dense, (points - 2)^2 doubles; np.int64(2**40)
+        # would wrap to a small square in int64 arithmetic
+        top = math.isqrt(oracle.GRID_MATRIX_CAP) + 2
+        assert GridSpec(0.0, 1.0, top).points == top
+        tracemalloc.start()
+        try:
+            for points in (top + 1, 10**12, np.int64(2**40)):
+                with pytest.raises(ConfigError, match="dense matrix"):
+                    GridSpec(0.0, 1.0, points)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 16
+        finally:
+            tracemalloc.stop()
 
 
 class TestGridEigenvalues:
     def test_particle_in_a_box(self):
-        spec = GridSpec(0.0, math.pi, 4001)
-        vals = grid_eigenvalues(lambda x: 0.0 * x, spec, 3)
-        assert vals == pytest.approx([1.0, 4.0, 9.0], abs=1e-4)
+        # the sine DVR is exact on the box's modes: u = 0 on [0, pi] gives
+        # j^2, up to rounding of about eps ||H|| = eps (points - 2)^2
+        vals = grid_eigenvalues(lambda x: 0.0 * x, GridSpec(0.0, math.pi, 65), 63)
+        j = np.arange(1, 64)
+        np.testing.assert_allclose(vals, j * j, rtol=1e-12, atol=0.0)
 
     def test_shifted_oscillator(self):
         # u = x^2 - 1 has exact levels 0, 2, 4, ...
-        spec = GridSpec(-12.0, 12.0, 4001)
-        vals = grid_eigenvalues(lambda x: x * x - 1.0, spec, 3)
-        assert vals == pytest.approx([0.0, 2.0, 4.0], abs=1e-4)
+        vals = grid_eigenvalues(lambda x: x * x - 1.0, GridSpec(-12.0, 12.0, 129), 3)
+        np.testing.assert_allclose(vals, [0.0, 2.0, 4.0], rtol=0.0, atol=1e-12)
+
+    def test_potential_is_sampled_on_the_interior_points(self):
+        seen = []
+        grid_eigenvalues(lambda x: seen.append(x) or 0.0 * x, GridSpec(-1.0, 3.0, 9), 1)
+        np.testing.assert_allclose(seen[0], np.arange(1, 8) * 0.5 - 1.0, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True, "3", None])
+    def test_count_must_be_a_positive_integer(self, count):
+        # a slice of the eigenvalues would silently drop a level for -1
+        with pytest.raises(ConfigError, match="count"):
+            grid_eigenvalues(lambda x: x * x, GridSpec(-1.0, 1.0, 9), count)
+
+    def test_count_above_the_interior_points_is_refused(self):
+        spec = GridSpec(-1.0, 1.0, 9)
+        assert len(grid_eigenvalues(lambda x: x * x, spec, np.int64(7))) == 7
+        with pytest.raises(ConfigError, match="7 interior"):
+            grid_eigenvalues(lambda x: x * x, spec, 8)
 
 
 class TestFactorizationPartners:
@@ -93,25 +120,53 @@ class TestFactorizationPartners:
         # w^2 + w' = x^2 + 1 with spectra {0,2,4,...} and {2,4,6,...}; the
         # upper partner reproduces the base spectrum from its first level
         # shifted by one index
-        spec = GridSpec(-12.0, 12.0, 8001)
+        spec = GridSpec(-12.0, 12.0, 129)
         base = grid_eigenvalues(lambda x: x * x - 1.0, spec, 4)
         mate = grid_eigenvalues(lambda x: x * x + 1.0, spec, 3)
-        assert base == pytest.approx([0.0, 2.0, 4.0, 6.0], abs=1e-4)
-        np.testing.assert_allclose(mate, base[1:], atol=1e-4)
+        np.testing.assert_allclose(base, [0.0, 2.0, 4.0, 6.0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(mate, base[1:], rtol=0.0, atol=1e-12)
+
+
+OSCILLATOR_GRID = [(alpha, beta) for alpha in (0.0, 0.3, 0.6, 0.9) for beta in (0.05, 0.5, 1.0, 3.0, 40.0)]
 
 
 class TestProportionalOscillator:
-    def test_levels_match_closed_form(self):
-        b = 1.0 * math.sqrt(1.0 - 0.25)
-        exact = np.array([0.0, 2.0 * b, 4.0 * b])
-        levels = proportional_oscillator_levels(0.5, 1.0, 3)
-        assert levels == pytest.approx(exact, abs=1e-8)
-        # the three-point values on the same grid miss that by far: the
-        # levels are Richardson-extrapolated
-        reach = oracle.OSCILLATOR_SPAN / math.sqrt(b)
-        spec = GridSpec(-reach, reach, oracle.OSCILLATOR_POINTS)
-        plain = grid_eigenvalues(lambda x: b * b * x * x - b, spec, 3)
-        assert np.max(np.abs(plain - exact)) > 1e-6
+    @pytest.mark.parametrize("alpha, beta", OSCILLATOR_GRID)
+    def test_levels_match_closed_form(self, alpha, beta):
+        # level n at 2 n beta sqrt(1 - alpha^2), n = 0 measured on the scale
+        scale = beta * math.sqrt(1.0 - alpha * alpha)
+        n = np.arange(6)
+        levels = proportional_oscillator_levels(alpha, beta, 6)
+        assert np.max(np.abs(levels - 2.0 * n * scale) / (scale * np.maximum(2.0 * n, 1.0))) < 1e-11
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.6, 0.05), (0.9, 40.0)])
+    def test_levels_are_converged_in_points_and_span(self, alpha, beta):
+        # 1.5 times the points on a window 2 oscillator lengths wider
+        scale = beta * math.sqrt(1.0 - alpha * alpha)
+        reach = (oracle.OSCILLATOR_SPAN + 2.0) / math.sqrt(scale)
+        wide = GridSpec(-reach, reach, 3 * (oracle.OSCILLATOR_POINTS - 1) // 2 + 1)
+        count = oracle.OSCILLATOR_LEVELS
+        levels = proportional_oscillator_levels(alpha, beta, count)
+        finer = grid_eigenvalues(lambda x: scale**2 * x**2 - scale, wide, count)
+        assert np.max(np.abs(levels - finer) / np.maximum(finer, scale)) < 1e-12
+
+    def test_highest_accepted_level_matches_closed_form(self):
+        count = oracle.OSCILLATOR_LEVELS
+        n = np.arange(count)
+        levels = proportional_oscillator_levels(0.0, 1.0, count)
+        assert np.max(np.abs(levels - 2.0 * n) / np.maximum(2.0 * n, 1.0)) < 1e-11
+
+    @pytest.mark.parametrize("count", [oracle.OSCILLATOR_LEVELS + 1, 90, 120])
+    def test_count_the_window_cannot_hold_is_refused(self, count):
+        # their highest level comes within OSCILLATOR_MARGIN oscillator
+        # lengths of a wall, in position and in momentum alike
+        with pytest.raises(UnsupportedRegime, match="oscillator window"):
+            proportional_oscillator_levels(0.0, 1.0, count)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ConfigError, match="count"):
+            proportional_oscillator_levels(0.5, 1.0, count)
 
     def test_matches_dispersive_formula(self):
         # the level formula and the oscillator reduction agree through
@@ -618,3 +673,14 @@ def test_oracle_imports_only_core_and_errors_from_the_package():
     absolute |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
     assert relative == {"core", "errors"}
     assert not any(name.split(".")[0] == "diracwell" for name in absolute)
+
+
+def test_no_module_of_the_package_imports_scipy():
+    # the grid oracle diagonalizes with numpy; scipy.linalg alone cost more
+    # import time than the rest of a command
+    src = Path(oracle.__file__).parents[1]
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+        assert not any(name.split(".")[0] == "scipy" for name in names), path.name
