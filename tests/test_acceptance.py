@@ -203,6 +203,9 @@ def test_criterion_09_dispersive_levels(capsys):
                 formula = landau_levels_magnetic(beta, n)
             else:
                 formula = landau_levels_proportional(alpha, beta, k, n)
+            # the n = 0 level maps through sqrt(mu): the oracle's mu0 of about
+            # 2.7e-13 beta sqrt(1 - alpha^2), where the exact value is 0, reads
+            # as the 4.3e-7 this claim prints at beta = 1, growing like sqrt(beta)
             shift = math.sqrt(max(float(mu_grid[n]), 0.0)) * stretch
             mapped = (-alpha * k + shift, -alpha * k - shift)
             for f, g in zip(formula, mapped):

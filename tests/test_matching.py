@@ -334,22 +334,33 @@ class TestTransferPhase:
     @example(well=((-1.0, 0.0), (0.0, 0.0, 2.9999999999999996), 1.5), share=0.5)
     def test_slope_is_the_derivative_of_the_phase(self, well, share):
         # the slope summed in the walk's running scale against central
-        # differences of theta at h and h/2, extrapolated to h^4, each taken
-        # over the energies as a double stores them, with h at least 1e7
-        # spacings of eps and at most a tenth of the distance to the nearer
-        # band edge, where theta bends like a square root: there the
-        # extrapolation errs by about 0.014 (h / distance)^4
+        # differences of theta at steps s and s/2, extrapolated to s^4,
+        # wherever eps +- h fits in the band, h at least 1e7 spacings of eps.
+        # theta bends like the square roots of eps - lo and hi - eps, where
+        # differences in eps within a few h of an edge err by up to 5e-2, so
+        # they are taken in phi, where eps = lo + (hi - lo) sin^2 phi
+        # and theta is smooth, over the phi of the energies as a double
+        # stores them.  s is the phi step of h, raised to 1e7 spacings of the
+        # largest of eps, k and the values (eps - v resolves no finer), and
+        # at most 0.1, where the extrapolation errs by about 2e-7, and half
+        # the way to the nearer edge
         steps, values, k = well
         lo, hi = max(values[0], values[-1]) - abs(k), min(values[0], values[-1]) + abs(k)
         eps = lo + share * (hi - lo)
-        floor = 1e7 * np.spacing(abs(eps))
-        h = min(max(1e-6 * (hi - lo), floor), 0.1 * min(eps - lo, hi - eps))
-        if not h >= floor:  # no step that rounding leaves accurate is that near
+        h = max(1e-6 * (hi - lo), 1e7 * np.spacing(abs(eps)))
+        if not lo < eps - h < eps + h < hi:
             return
-        e = eps + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        theta, slope = _transfer_phase_slope(PiecewiseConstant(steps, values), k, e)
-        derivative = (4.0 * (theta[3] - theta[1]) / (e[3] - e[1])
-                      - (theta[4] - theta[0]) / (e[4] - e[0])) / 3.0
+        potential = PiecewiseConstant(steps, values)
+        phase = lambda x: np.arctan2(np.sqrt(x - lo), np.sqrt(hi - x))
+        jacobian = 2.0 * math.sqrt((eps - lo) * (hi - eps))  # d eps / d phi
+        floor = 1e7 * np.spacing(max(abs(eps), abs(k), *map(abs, values))) / jacobian
+        edge = 0.5 * min(phase(eps), 0.5 * math.pi - phase(eps))
+        p = phase(eps) + min(max(h / jacobian, floor), 0.1, edge) * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        e = np.where(p < 0.25 * math.pi, lo + (hi - lo) * np.sin(p) ** 2, hi - (hi - lo) * np.cos(p) ** 2)
+        e[2], p = eps, phase(e)
+        theta, slope = _transfer_phase_slope(potential, k, e)
+        derivative = (4.0 * (theta[3] - theta[1]) / (p[3] - p[1])
+                      - (theta[4] - theta[0]) / (p[4] - p[0])) / 3.0 / jacobian
         assert slope[2] == pytest.approx(derivative, rel=1e-5)
 
 
