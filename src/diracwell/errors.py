@@ -2,12 +2,12 @@
 
 Every error raised intentionally by this package derives from SolverError, so
 callers can catch the package's failures without masking programming bugs.
+Each refusal rule has one class.
 """
 
 __all__ = ["SolverError", "ConfigError", "VerificationFailure", "SingularPoint", "DiscontinuityPoint",
-           "UnsupportedRegime", "OutsideAdmissibleBand", "UnboundedStateRequest", "NotAnEigenvalue",
-           "DegenerateMomentum", "NotConjugatePair", "BrokenPTSymmetry", "MismatchedMomentum",
-           "InvalidLevel", "NonDecayingExterior"]
+           "UnsupportedRegime", "OutsideAdmissibleBand", "NotAnEigenvalue", "NotConjugatePair",
+           "BrokenPTSymmetry"]
 
 
 class SolverError(Exception):
@@ -15,8 +15,9 @@ class SolverError(Exception):
 
 
 class ConfigError(SolverError, ValueError):
-    """A field configuration, CLI flag set, config file or argument value is
-    invalid.  It is also a ValueError, as a bad argument value is."""
+    """A field configuration, CLI flag set, config file, argument value,
+    level index or coefficient table is invalid.  It is also a ValueError,
+    as a bad argument value is."""
 
 
 class VerificationFailure(SolverError):
@@ -33,24 +34,19 @@ class DiscontinuityPoint(SolverError):
 
 class UnsupportedRegime(SolverError):
     """The request lies outside what a solver here can resolve: a field
-    regime or profile it does not handle, or levels that rounding or the
-    step size leaves unresolved."""
+    regime or profile it does not handle (such as one with no constant
+    exterior), overlaps of states of different k or potentials, or levels
+    that rounding or the step size leaves unresolved."""
 
 
 class OutsideAdmissibleBand(SolverError):
-    """(k, epsilon) violates a condition required for a bound state."""
-
-
-class UnboundedStateRequest(SolverError):
-    """Matching was requested where an exterior region cannot decay."""
+    """(k, epsilon) admits no bound state: some exterior cannot decay, as
+    |epsilon - v| >= |k + a| there (at k = 0 with a = 0 none can), or a
+    square well's interior does not oscillate."""
 
 
 class NotAnEigenvalue(SolverError):
     """State assembly was attempted at an epsilon that is not a root."""
-
-
-class DegenerateMomentum(SolverError):
-    """An operation that divides by k was requested at k = 0."""
 
 
 class NotConjugatePair(SolverError):
@@ -59,16 +55,3 @@ class NotConjugatePair(SolverError):
 
 class BrokenPTSymmetry(SolverError):
     """A state is not an eigenfunction of the parity-conjugation operation."""
-
-
-class MismatchedMomentum(SolverError):
-    """An inner product was requested between states of different k."""
-
-
-class InvalidLevel(SolverError):
-    """A level index that is not a non-negative integer was requested."""
-
-
-class NonDecayingExterior(SolverError):
-    """The asymptotic system admits no decaying direction on one side."""
-

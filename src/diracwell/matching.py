@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .core import FieldConfig, PiecewiseConstant, QuantumLabel, classify_case, square_well
-from .errors import ConfigError, OutsideAdmissibleBand, UnboundedStateRequest
+from .errors import ConfigError, OutsideAdmissibleBand
 
 __all__ = [
     "SecularFunction",
@@ -367,14 +367,14 @@ def secular_det_general(config: FieldConfig, label: QuantumLabel):
     sign transversally at every bound state.
 
     epsilon may be a float or an array (the transfer algebra is
-    elementwise); exteriors that cannot decay raise UnboundedStateRequest.
+    elementwise); exteriors that cannot decay raise OutsideAdmissibleBand.
     """
     pot = _electrostatic_steps(config)
     k = label.k
     eps = np.atleast_1d(np.asarray(label.epsilon, dtype=float))
     for v in (pot.values[0], pot.values[-1]):
         if np.any(k * k - (eps - v) ** 2 <= 0.0):
-            raise UnboundedStateRequest(
+            raise OutsideAdmissibleBand(
                 "an exterior region cannot decay at the requested (k, epsilon)"
             )
     out = np.cos(_transfer_phase_slope(pot, k, eps)[0])

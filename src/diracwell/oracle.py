@@ -29,7 +29,7 @@ from .core import (
     Tanh,
     evaluate_potential,
 )
-from .errors import ConfigError, NonDecayingExterior, UnsupportedRegime
+from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 
 __all__ = [
     "GridSpec",
@@ -166,7 +166,7 @@ def _profile_window(profile, which: str):
         if profile.slope == 0.0:
             return -1.0, 1.0, 0.0, 0.0
         if which == "electric":
-            raise NonDecayingExterior(
+            raise UnsupportedRegime(
                 "a linear scalar potential grows without bound; no exterior decay window exists"
             )
         raise UnsupportedRegime(
@@ -515,7 +515,7 @@ def dirac_shooting(
     of the result is what root bracketing consumes, the magnitude carries
     no meaning.
 
-    Raises NonDecayingExterior when some requested energy admits no
+    Raises OutsideAdmissibleBand when some requested energy admits no
     decaying solution on one of the exteriors, and ConfigError for a
     non-finite k or energy or a step that is not finite and positive.
     """
@@ -528,7 +528,7 @@ def dirac_shooting(
     for w, v in ((label.k + a_minus, v_minus), (label.k + a_plus, v_plus)):
         d = eps - v
         if np.any(w * w - d * d <= 0.0):
-            raise NonDecayingExterior(
+            raise OutsideAdmissibleBand(
                 "no decaying exterior direction at some requested energy; "
                 "bound states require |epsilon - v| < |k + a| on both tails"
             )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidLevel, UnsupportedRegime
+from .errors import ConfigError, UnsupportedRegime
 from .matching import (
     SecularFunction,
     _band,
@@ -338,7 +338,7 @@ def landau_levels_magnetic(beta: float, n: int) -> tuple[float, float]:
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ConfigError(f"beta must be finite and positive, got {beta}")
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise InvalidLevel(f"level index must be a non-negative integer, got {n!r}")
+        raise ConfigError(f"level index must be a non-negative integer, got {n!r}")
     e = math.sqrt(2.0 * n * beta)
     if math.isinf(e):
         raise UnsupportedRegime(f"level {n} at beta={beta} overflows a double")

@@ -34,9 +34,6 @@ from .core import (
 from .errors import (
     BrokenPTSymmetry,
     ConfigError,
-    DegenerateMomentum,
-    MismatchedMomentum,
-    NonDecayingExterior,
     NotAnEigenvalue,
     NotConjugatePair,
     OutsideAdmissibleBand,
@@ -84,7 +81,7 @@ class PiecewiseExp:
     other anchor the left step, the first step on the left exterior.
     Each exterior keeps only its decaying term: Re g > 0 at both ends,
     b = 0 on the left and a = 0 on the right, otherwise
-    NonDecayingExterior.  That is what makes the integrals over the line
+    ConfigError.  That is what makes the integrals over the line
     exact.  Steps must be finite and increasing, g, a, b finite and Re g
     >= 0 inside, where a b term would otherwise grow away from its anchor.
     """
@@ -103,7 +100,7 @@ class PiecewiseExp:
             raise ConfigError(f"inner rates must have Re g >= 0, got {self.g[1:-1]}")
         decaying = min(self.g[0].real, self.g[-1].real) > 0.0
         if not (decaying and self.b[0] == 0 and self.a[-1] == 0):
-            raise NonDecayingExterior("each exterior must keep one decaying term only")
+            raise ConfigError("each exterior must keep one decaying term only")
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
@@ -258,10 +255,11 @@ def partner_component(
     """Second rotated component (w' + i (eps - v) w) / k, region by region.
 
     The construction divides by the transverse momentum, so k = 0 has no
-    partner this way (the two rotated components decouple there).
+    partner this way (the two rotated components decouple there, and no
+    exterior decays): OutsideAdmissibleBand.
     """
     if label.k == 0:
-        raise DegenerateMomentum("partner construction requires k != 0")
+        raise OutsideAdmissibleBand("partner construction requires k != 0")
     delta = label.epsilon - np.asarray(potential.values)
     g = wave1.g
     return PiecewiseExp(
@@ -435,7 +433,8 @@ def assemble_square_well_state(
 def probability_density(state: BoundState) -> DensityProfile:
     """rho = 4 |psi1|^2, the squared real spinor; integrates to one for a
     normalized state.  Phase-invariant."""
-    rho = 4.0 * (state.psi1.real**2 + state.psi1.imag**2)
+    with np.errstate(over="ignore"):  # a part past 1e154 squares to inf
+        rho = 4.0 * (state.psi1.real**2 + state.psi1.imag**2)
     zeros = np.zeros_like(rho)
     return DensityProfile(x=state.x, rho=rho, j_x=zeros, j_y=zeros)
 
@@ -444,8 +443,8 @@ def current_density(state: BoundState) -> DensityProfile:
     """Current of the canonical (phase-fixed) representation: j_x vanishes
     identically for a bound state and j_y = -8 Re(psi1) Im(psi1), which is
     bounded by rho pointwise."""
-    rho = 4.0 * (state.psi1.real**2 + state.psi1.imag**2)
-    with np.errstate(invalid="ignore"):  # an infinite part times a zero one is NaN
+    rho = probability_density(state).rho
+    with np.errstate(over="ignore", invalid="ignore"):  # large parts give inf; inf times 0 is NaN
         j_y = -8.0 * state.psi1.real * state.psi1.imag
     return DensityProfile(x=state.x, rho=rho, j_x=np.zeros_like(j_y), j_y=j_y)
 
@@ -472,7 +471,7 @@ def _gram(left: list[BoundState], right: list[BoundState]) -> np.ndarray:
     """Bilinear overlaps of every state of left with every state of right."""
     momenta = sorted({s.label.k for s in left + right})
     if len(momenta) > 1:
-        raise MismatchedMomentum(f"overlap requires equal transverse momenta, got {momenta}")
+        raise UnsupportedRegime(f"overlap requires equal transverse momenta, got {momenta}")
     if len({s.potential for s in left + right}) > 1:
         raise UnsupportedRegime("overlaps need states of one potential")
     steps = left[0].potential.breakpoints
@@ -482,8 +481,8 @@ def _gram(left: list[BoundState], right: list[BoundState]) -> np.ndarray:
 def inner_product(a: BoundState, b: BoundState) -> complex:
     """Bilinear overlap 2 * integral(psi2_a psi1_b + psi1_a psi2_b) dx,
     evaluated exactly; square-well states at the same k are orthonormal
-    under it.  States at different k never mix (plane-wave factor), and
-    states of different potentials raise UnsupportedRegime."""
+    under it.  States at different k never mix (plane-wave factor); they,
+    and states of different potentials, raise UnsupportedRegime."""
     return complex(_gram([a], [b])[0, 0])
 
 
@@ -588,11 +587,11 @@ def state_to_csv(state: BoundState) -> str:
 
 def state_to_json(state: BoundState) -> str:
     """The scalars and the sample columns as json.dumps(payload,
-    sort_keys=True) writes them.  A state already written as CSV with
-    finite samples only has its columns laid out from the CSV's tokens,
-    which are the ones json prints, instead of formatted again.  Its v0
-    and half_width are read off the state's square well; any other
-    potential raises UnsupportedRegime."""
+    sort_keys=True) writes them.  The columns are laid out from the CSV's
+    tokens (see state_to_csv), which are the ones json prints but for
+    nan and inf, written NaN and Infinity.  Its v0 and half_width are read
+    off the state's square well; any other potential raises
+    UnsupportedRegime."""
     well = state.potential
     v0, half_width = -well.values[1], well.breakpoints[-1]
     if not (len(well.values) == 3 and half_width > 0 and well == square_well(v0, half_width)):
@@ -610,12 +609,9 @@ def state_to_json(state: BoundState) -> str:
         "norm": state.norm,
         "pt_eigenvalue": pt,
     }
-    csv = vars(state).get("_csv")
-    samples = _columns(state)
-    # json writes a non-finite sample as NaN or Infinity, the CSV as nan or inf
-    if csv is None or not all(np.isfinite(c).all() for c in samples):
-        columns = {key: c.tolist() for key, c in zip(COLUMNS, samples)}
-        return json.dumps(scalars | columns, sort_keys=True)
+    csv = state._csv
+    if "n" in csv:  # a nan or inf token, which json writes NaN or Infinity (one scan, not two replaces)
+        csv = csv.replace("nan", "NaN").replace("inf", "Infinity")
     tokens = csv[csv.index("\n") + 1 : -1].replace("\n", ",").split(",")
     fields = {key: json.dumps(value) for key, value in scalars.items()}
     fields |= {key: "[" + ", ".join(tokens[i :: len(COLUMNS)]) + "]" for i, key in enumerate(COLUMNS)}

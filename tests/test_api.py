@@ -1,7 +1,9 @@
 """The public API is declared once, by each library module's __all__."""
 
+import ast
 import importlib
 import math
+import pathlib
 import pkgutil
 import types
 
@@ -9,13 +11,25 @@ import pytest
 
 import diracwell
 from diracwell import (
+    FieldConfig,
     GridSpec,
+    Linear,
+    PiecewiseExp,
     QuantumLabel,
+    assemble_square_well_state,
     dirac_shooting,
+    find_roots,
+    inner_product,
+    landau_levels_magnetic,
     parameter_grid,
+    partner_component,
     proportional_oscillator_levels,
+    secular_det_general,
+    square_well,
     square_well_config,
+    square_well_secular,
 )
+from diracwell import errors
 from diracwell.errors import SolverError
 
 # cli is the console entry point (diracwell.cli:main); the package does not load it
@@ -70,3 +84,66 @@ def test_a_bad_argument_is_a_solver_error_and_a_value_error(call):
     with pytest.raises(SolverError) as caught:
         call()
     assert isinstance(caught.value, ValueError)
+
+
+SOURCES = sorted(pathlib.Path(diracwell.__file__).parent.glob("*.py"))
+
+
+def _raised_names():
+    """(module, name) of every class raised by name in the package source."""
+    found = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, (ast.Name, ast.Attribute)):
+                    found.add((path.stem, exc.id if isinstance(exc, ast.Name) else exc.attr))
+    return found
+
+
+def test_every_error_class_is_raised_and_every_raised_solver_error_is_declared():
+    raised = _raised_names()
+    unraised = set(errors.__all__) - {"SolverError"} - {name for _, name in raised}
+    assert not unraised, f"error classes that nothing raises: {sorted(unraised)}"
+    undeclared = []
+    for module, name in raised:
+        cls = vars(importlib.import_module(f"diracwell.{module}")).get(name)
+        if isinstance(cls, type) and issubclass(cls, SolverError) and name not in errors.__all__:
+            undeclared.append(f"{module}.{name}")
+    assert not undeclared, f"raised SolverError classes outside errors.__all__: {undeclared}"
+
+
+def _two_momenta():
+    k2, k3 = (QuantumLabel(k, find_roots(square_well_secular(k, 8.0))[0]) for k in (2.0, 3.0))
+    return inner_product(assemble_square_well_state(k2, 8.0, points=201),
+                         assemble_square_well_state(k3, 8.0, points=201))
+
+
+# each rule's refusals share one class; the messages are those of the classes folded into it
+@pytest.mark.parametrize(
+    "call, cls, message",
+    [
+        (lambda: PiecewiseExp((0.0,), g=(0.5, 0.5), a=(1.0, 1.0), b=(0.0, 0.0)),
+         errors.ConfigError, "each exterior must keep one decaying term only"),
+        (lambda: dirac_shooting(square_well_config(2.0), QuantumLabel(2.0, 2.5)), errors.OutsideAdmissibleBand,
+         "no decaying exterior direction at some requested energy; "
+         "bound states require |epsilon - v| < |k + a| on both tails"),
+        (lambda: dirac_shooting(FieldConfig(electric=Linear(1.0)), QuantumLabel(2.0, 0.5)), errors.UnsupportedRegime,
+         "a linear scalar potential grows without bound; no exterior decay window exists"),
+        (lambda: secular_det_general(square_well_config(2.0), QuantumLabel(2.0, 2.5)), errors.OutsideAdmissibleBand,
+         "an exterior region cannot decay at the requested (k, epsilon)"),
+        (lambda: partner_component(PiecewiseExp((0.0,), g=(1.0, 1.0), a=(1.0, 0.0), b=(0.0, 1.0)),
+                                   QuantumLabel(0.0, 0.5), square_well(2.0)),
+         errors.OutsideAdmissibleBand, "partner construction requires k != 0"),
+        (_two_momenta, errors.UnsupportedRegime, "overlap requires equal transverse momenta, got [2.0, 3.0]"),
+        (lambda: landau_levels_magnetic(1.0, -1), errors.ConfigError,
+         "level index must be a non-negative integer, got -1"),
+    ],
+    ids=["table-exterior", "shooting-band", "shooting-linear-electric", "transfer-band", "partner-k0",
+         "overlap-momenta", "landau-level"],
+)
+def test_a_refusal_raises_its_rules_class_with_its_message(call, cls, message):
+    with pytest.raises(SolverError) as caught:
+        call()
+    assert type(caught.value) is cls
+    assert str(caught.value) == message

@@ -254,7 +254,7 @@ class TestState:
 
     @pytest.mark.parametrize("fmt, unused", [("json", "state_to_csv"), ("csv", "state_to_json")])
     def test_only_the_chosen_format_is_built(self, capsys, monkeypatch, fmt, unused):
-        # the CSV of a 4001-point state alone takes tens of milliseconds
+        # JSON lays its columns out from the CSV's tokens, but not through state_to_csv
         def refuse(state):
             raise AssertionError(f"{unused} called for --format {fmt}")
 
@@ -637,7 +637,7 @@ class TestImports:
             (["landau", "--beta", "1"], [], ["states", "oracle", "_floatfmt"]),
             (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201"], ["states", "_floatfmt"], ["oracle"]),
             (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201", "--format", "json"],
-             ["states"], ["oracle", "_floatfmt"]),
+             ["states", "_floatfmt"], ["oracle"]),
             (["verify"], ["states", "oracle"], ["_floatfmt"]),
         ],
         ids=["spectrum", "sweep-k", "sweep-v0", "landau", "state", "state-json", "verify"],

@@ -21,7 +21,7 @@ from diracwell import (
     square_well_config,
     square_well_secular,
 )
-from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnboundedStateRequest, UnsupportedRegime
+from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 from diracwell.matching import _band, _propagator_entries, _transfer_phase_slope
 
 # reference spectrum of the (k=2, v0=2, L=1) well, lowest first
@@ -138,7 +138,7 @@ class TestTransferRoute:
         assert find_roots(sec) == []
 
     def test_rejects_out_of_band(self):
-        with pytest.raises(UnboundedStateRequest):
+        with pytest.raises(OutsideAdmissibleBand):
             secular_det_general(square_well_config(2.0), QuantumLabel(2.0, 2.5))
 
     def test_rejects_non_electrostatic(self):

@@ -33,7 +33,7 @@ from diracwell import (
 )
 from diracwell import oracle
 from diracwell.core import evaluate_potential
-from diracwell.errors import ConfigError, NonDecayingExterior, UnsupportedRegime
+from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 from diracwell.oracle import GridSpec
 from test_matching import piecewise_wells
 
@@ -281,11 +281,11 @@ class TestDiracShooting:
         assert roots[0] / k == pytest.approx(-0.980, abs=1e-3)
 
     def test_rejects_non_decaying_energy(self):
-        with pytest.raises(NonDecayingExterior):
+        with pytest.raises(OutsideAdmissibleBand):
             dirac_shooting(square_well_config(2.0), QuantumLabel(2.0, 2.5))
 
     def test_rejects_linear_electric(self):
-        with pytest.raises(NonDecayingExterior):
+        with pytest.raises(UnsupportedRegime):
             dirac_shooting(FieldConfig(electric=Linear(1.0)), QuantumLabel(2.0, 0.5))
 
     def test_rejects_linear_magnetic(self):

@@ -27,7 +27,7 @@ from diracwell import (
     sweep_k,
     sweep_v0,
 )
-from diracwell.errors import ConfigError, InvalidLevel, UnsupportedRegime
+from diracwell.errors import ConfigError, UnsupportedRegime
 from diracwell import matching, spectrum
 from diracwell.matching import _square_well_phase_slope
 from diracwell.spectrum import (
@@ -485,7 +485,7 @@ class TestLandauLevels:
     def test_error_paths(self):
         with pytest.raises(ConfigError):
             landau_levels_magnetic(0.0, 1)
-        with pytest.raises(InvalidLevel):
+        with pytest.raises(ConfigError):
             landau_levels_magnetic(1.0, -1)
         with pytest.raises(UnsupportedRegime):
             landau_levels_proportional(1.0, 1.0, 0.0, 1)
@@ -493,13 +493,13 @@ class TestLandauLevels:
             landau_levels_proportional(-1.2, 1.0, 0.0, 1)
         with pytest.raises(ConfigError):
             landau_levels_proportional(0.5, -1.0, 0.0, 1)
-        with pytest.raises(InvalidLevel):
+        with pytest.raises(ConfigError):
             landau_levels_proportional(0.5, 1.0, 0.0, -2)
         # a float or bool names no level: 1.5 would give +-sqrt(3)
         for n in (1.5, 2.0, True, np.float64(1.0)):
-            with pytest.raises(InvalidLevel, match="integer"):
+            with pytest.raises(ConfigError, match="integer"):
                 landau_levels_magnetic(1.0, n)
-            with pytest.raises(InvalidLevel, match="integer"):
+            with pytest.raises(ConfigError, match="integer"):
                 landau_levels_proportional(0.5, 1.0, 0.0, n)
         assert landau_levels_magnetic(1.0, np.int64(1)) == landau_levels_magnetic(1.0, 1)
 

@@ -41,9 +41,6 @@ from diracwell import states as states_module
 from diracwell.errors import (
     BrokenPTSymmetry,
     ConfigError,
-    DegenerateMomentum,
-    MismatchedMomentum,
-    NonDecayingExterior,
     NotAnEigenvalue,
     NotConjugatePair,
     OutsideAdmissibleBand,
@@ -81,9 +78,9 @@ class TestPiecewiseExp:
 
     def test_divergent_integral_raises(self):
         # an exterior term that grows outward would make every integral diverge
-        with pytest.raises(NonDecayingExterior):
+        with pytest.raises(ConfigError):
             PiecewiseExp((0.0,), g=(0.5, 0.5), a=(1.0, 1.0), b=(0.0, 0.0))
-        with pytest.raises(NonDecayingExterior):
+        with pytest.raises(ConfigError):
             PiecewiseExp((0.0,), g=(-0.5, 0.5), a=(1.0, 0.0), b=(0.0, 1.0))
 
     @pytest.mark.parametrize(
@@ -153,7 +150,7 @@ class TestAssembly:
 
     def test_partner_needs_momentum(self):
         wave = PiecewiseExp((-1.0, 1.0), g=(1.0, 1j, 1.0), a=(1.0, 0.5, 0.0), b=(0.0, 0.5, 1.0))
-        with pytest.raises(DegenerateMomentum):
+        with pytest.raises(OutsideAdmissibleBand):
             partner_component(wave, QuantumLabel(k=0.0, epsilon=0.5), square_well(2.0))
 
     def test_requested_point_count_is_honored(self):
@@ -616,7 +613,7 @@ class TestOverlaps:
     def test_mixed_momenta_are_rejected(self, well22_states):
         eps = find_roots(square_well_secular(3.0, 8.0))[0]
         other = assemble_square_well_state(QuantumLabel(k=3.0, epsilon=eps), 8.0)
-        with pytest.raises(MismatchedMomentum):
+        with pytest.raises(UnsupportedRegime):
             inner_product(well22_states[0], other)
 
     def test_different_potentials_are_rejected(self, well22_states):
@@ -673,6 +670,12 @@ class TestResiduals:
             assert np.min(np.abs(report.x - b)) > 5.0 * h
 
 
+def dumped(state, text):
+    """json.dumps of text's scalars and the state's sample columns."""
+    columns = {key: c.tolist() for key, c in zip(states_module.COLUMNS, states_module._columns(state))}
+    return json.dumps(json.loads(text) | columns, sort_keys=True)
+
+
 class TestSerialization:
     def test_csv_shape(self, well22_states):
         s = well22_states[0]
@@ -707,11 +710,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("well", [(2.0, 2.0, 1.0), (3.0, 8.0, 1.0), (4.0, 7.8, 1.35)])
     def test_json_after_csv_equals_json_of_a_fresh_state(self, well):
-        # the second JSON is laid out from the CSV's tokens, the first is not
+        # both are laid out from the CSV's tokens, byte for byte as json.dumps writes the samples
         for s in assemble_all(*well, points=4001):
             fresh = state_to_json(s)
             state_to_csv(s)
-            assert state_to_json(s) == fresh
+            assert state_to_json(s) == fresh == dumped(s, fresh)
 
     @pytest.mark.parametrize("build", [fix_phase, lambda s: s], ids=["fix_phase", "replace"])
     def test_writing_into_the_callers_arrays_leaves_the_text_alone(self, well22_states, build):
@@ -738,6 +741,8 @@ class TestSerialization:
             pytest.param("psi1", math.nan, "NaN", id="psi1-nan"),
             pytest.param("psi1", math.inf, "Infinity", id="psi1-inf"),
             pytest.param("psi1", complex(math.inf, 1.0), "Infinity", id="psi1-inf+1j"),
+            # finite, but its density overflows: rho is Infinity and j_y -Infinity
+            pytest.param("psi1", complex(1e200, 1e200), "-Infinity", id="psi1-1e200+1e200j"),
         ],
     )
     def test_non_finite_samples_are_written_alike_in_both_orders(self, well22_states, name, bad, token):
@@ -748,6 +753,7 @@ class TestSerialization:
         damaged = dataclasses.replace(s, **{name: samples})
         state_to_csv(damaged)
         assert state_to_json(damaged) == fresh
+        assert fresh == dumped(damaged, fresh)
         assert f"{token}, " in fresh
         # a non-finite psi1 has no PT eigenvalue, where it used to be [NaN, NaN]
         assert (json.loads(fresh)["pt_eigenvalue"] is None) == (name == "psi1")
