@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -374,19 +375,31 @@ def spectrum_to_csv(roots: list[float]) -> str:
 
 
 def branches_to_csv(branches: list[SpectrumBranch]) -> str:
-    """Sample rows 'param,branch,epsilon' in (param, branch) order, followed
-    by one 'param,branch,termination=<boundary>' row per terminated branch."""
-    rows = []
-    for b in branches:
-        for p, e in zip(b.params, b.epsilons):
-            rows.append((p, b.index, e))
-    rows.sort(key=lambda t: (t[0], t[1]))
-    lines = ["param,branch,epsilon"]
-    lines += [f"{p!r},{i},{e!r}" for p, i, e in rows]
-    for b in branches:
-        if b.termination is not None:
-            p_star, boundary = b.termination
-            lines.append(f"{p_star!r},{b.index},termination={boundary}")
+    """Sample rows 'param,branch,epsilon' in (param, branch) order, ties in
+    input order, followed by one 'param,branch,termination=<boundary>' row
+    per terminated branch; values are written as repr writes their floats.
+    ConfigError for a branch without one energy per parameter value and
+    for a parameter or energy that is not finite."""
+    sizes = [len(b.params) for b in branches]
+    if sizes != [len(b.epsilons) for b in branches]:
+        raise ConfigError("a branch needs one energy per parameter value")
+    params = np.fromiter(chain.from_iterable(b.params for b in branches), float, sum(sizes))
+    eps = np.fromiter(chain.from_iterable(b.epsilons for b in branches), float, params.size)
+    ends = [(b.termination, b.index) for b in branches if b.termination is not None]
+    if not (np.isfinite(params).all() and np.isfinite(eps).all() and all(math.isfinite(t[0]) for t, _ in ends)):
+        raise ConfigError("branch parameters and energies must be finite")
+    which = np.repeat(np.arange(len(branches)), sizes)
+    order = np.lexsort((np.array([b.index for b in branches], dtype=np.int64)[which], params))
+    # each distinct parameter (by its bits: 0.0 and -0.0 apart) and branch tag is formatted once
+    values, slot = np.unique(params[order].view(np.int64), return_inverse=True)
+    texts = ["\n" + repr(p) for p in values.view(float).tolist()]
+    tags = [f",{b.index}," for b in branches]
+    pieces = [""] * (3 * params.size)
+    pieces[0::3] = map(texts.__getitem__, slot.tolist())
+    pieces[1::3] = map(tags.__getitem__, which[order].tolist())
+    pieces[2::3] = map(repr, eps[order].tolist())
+    lines = ["param,branch,epsilon" + "".join(pieces)]
+    lines += [f"{p!r},{i},termination={boundary}" for (p, boundary), i in ends]
     return "\n".join(lines) + "\n"
 
 

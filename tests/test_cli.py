@@ -549,12 +549,12 @@ PINNED = Path(__file__).parent / "data" / "cli_stdout"
 
 class TestPinnedOutput:
     """stdout of the spectrum of every CI verify well, of the paper's
-    k = 3 collapse sweep, of one state of the k = 3, v0 = 8 well, of a
-    momentum sweep and of a proportional-field Landau ladder, as CSV and
-    as JSON, and of five verify batteries (the empty-spectrum well among
-    them), byte for byte as recorded in tests/data: the root kernels'
-    fast paths may not move a single bit of a root, nor the serializers a
-    single character of a sample."""
+    k = 3 collapse sweep and a barrier-to-well sweep, of one state of the
+    k = 3, v0 = 8 well, of a momentum sweep and of a proportional-field
+    Landau ladder, as CSV and as JSON, and of five verify batteries (the
+    empty-spectrum well among them), byte for byte as recorded in
+    tests/data: the root kernels' fast paths may not move a single bit of
+    a root, nor the serializers a single character of a sample."""
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -569,6 +569,7 @@ class TestPinnedOutput:
             ("spectrum_50_120_3.csv", ["spectrum", "--k", "50", "--v0", "120", "--half-width", "3"]),
             ("spectrum_200_500_5.csv", ["spectrum", "--k", "200", "--v0", "500", "--half-width", "5"]),
             ("sweep_v0_3_0-8-0.01.csv", ["sweep-v0", "--k", "3", "--v0", "0:8:0.01"]),
+            ("sweep_v0_2_-6-6-0.05.csv", ["sweep-v0", "--k", "2", "--v0=-6:6:0.05"]),
             ("state_3_8_4_201.csv", ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201"]),
             ("state_3_8_4_201.json",
              ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201", "--format", "json"]),
@@ -643,7 +644,8 @@ class TestImports:
         ids=["spectrum", "sweep-k", "sweep-v0", "landau", "state", "state-json", "verify"],
     )
     def test_a_command_loads_only_the_modules_it_runs(self, argv, loaded, unloaded):
-        # only a state written as CSV formats its samples with the vectorized kernel
+        # only a state, as CSV or as JSON (which reuses the CSV's tokens), formats
+        # its samples with the vectorized kernel
         run_fresh(
             "import contextlib, io, sys\n"
             "from diracwell.cli import main\n"

@@ -523,6 +523,43 @@ class TestLandauLevels:
             landau_levels_proportional(0.5, 1.0, bad, 1)
 
 
+def _tuple_csv(branches):
+    """The reference writer: one (param, index, epsilon) tuple per sample,
+    a stable sort on (param, index) and repr of every value."""
+    rows = []
+    for b in branches:
+        for p, e in zip(b.params, b.epsilons):
+            rows.append((p, b.index, e))
+    rows.sort(key=lambda t: (t[0], t[1]))
+    lines = ["param,branch,epsilon"]
+    lines += [f"{p!r},{i},{e!r}" for p, i, e in rows]
+    for b in branches:
+        if b.termination is not None:
+            p_star, boundary = b.termination
+            lines.append(f"{p_star!r},{b.index},termination={boundary}")
+    return "\n".join(lines) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def branch_lists(draw):
+    """Branches sampling a few shared parameter values, 0.0 and -0.0 among
+    them, with repeated and interleaved indices and both termination kinds."""
+    pool = [0.0, -0.0] + draw(st.lists(FINITE, min_size=1, max_size=5))
+    branches = []
+    for _ in range(draw(st.integers(0, 6))):
+        params = draw(st.lists(st.sampled_from(pool), max_size=8))
+        epsilons = draw(st.lists(FINITE, min_size=len(params), max_size=len(params)))
+        branch = SpectrumBranch("v0", draw(st.integers(0, 3)), params, epsilons)
+        boundary = draw(st.sampled_from([None, "epsilon=-k", "band edge", "lower band edge"]))
+        if boundary is not None:
+            branch.termination = (draw(st.sampled_from(pool)), boundary)
+        branches.append(branch)
+    return branches
+
+
 class TestSerialization:
     def test_spectrum_csv(self):
         assert spectrum_to_csv([0.5, 1.25]) == "n,epsilon\n0,0.5\n1,1.25\n"
@@ -540,6 +577,36 @@ class TestSerialization:
             "2.0,1,0.25",
             "2.5,0,termination=epsilon=-k",
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(branches=branch_lists())
+    def test_branches_csv_equals_the_tuple_writer(self, branches):
+        assert branches_to_csv(branches) == _tuple_csv(branches)
+
+    def test_branches_csv_keeps_each_zero_sign_and_ties_in_input_order(self):
+        a = SpectrumBranch("v0", 1, params=[0.0, -0.0], epsilons=[1.0, 2.0])
+        b = SpectrumBranch("v0", 0, params=[-0.0, 0.0], epsilons=[3.0, 4.0])
+        assert branches_to_csv([a, b]).splitlines()[1:] == [
+            "-0.0,0,3.0", "0.0,0,4.0", "0.0,1,1.0", "-0.0,1,2.0"
+        ]
+        assert branches_to_csv([a, b]) == _tuple_csv([a, b])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_branches_csv_refuses_a_parameter_that_is_not_finite(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            branches_to_csv([SpectrumBranch("v0", 0, params=[1.0, bad], epsilons=[0.5, 0.25])])
+        ended = SpectrumBranch("v0", 0, params=[1.0], epsilons=[0.5], termination=(bad, "band edge"))
+        with pytest.raises(ConfigError, match="finite"):
+            branches_to_csv([ended])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_branches_csv_refuses_an_energy_that_is_not_finite(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            branches_to_csv([SpectrumBranch("k", 0, params=[1.0, 2.0], epsilons=[bad, 0.25])])
+
+    def test_branches_csv_refuses_a_branch_without_one_energy_per_parameter(self):
+        with pytest.raises(ConfigError, match="one energy per parameter"):
+            branches_to_csv([SpectrumBranch("k", 0, params=[1.0, 2.0], epsilons=[0.5])])
 
     def test_branches_json_payload(self):
         a = SpectrumBranch("k", 0, params=[1.0], epsilons=[0.5])
