@@ -7,9 +7,11 @@ alone; the shooting route integrates the coupled first-order system
 numerically from both exteriors and matches the two solutions.  On a
 stepwise profile it counts the windings of its own RK4 march, so its
 phase gives every level; on a smooth profile it scans the matching
-determinant.  One bracketed Illinois secant solves both.  The module
-imports only core and errors from the package.  Agreement between these
-and the secular roots is the main correctness evidence for the solver.
+determinant.  One bracketed Anderson-Bjorck secant solves both, on a
+stepwise profile from the cells of one first call on a uniform grid of
+its band.  The module imports only core and errors from the package.
+Agreement between these and the secular roots is the main correctness
+evidence for the solver.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ SMOOTH_WINDOW_CAP = 50.0
 PROPAGATOR_BLOCK = 8192  # (step x energy) elements per block of the smooth march
 PROPAGATOR_STEPS = 512  # steps per block of the smooth march
 SECANT_CALLS = 40  # calls after which a bracket still open is bisected
+PHASE_GRID = 64  # points of the first phase call on a stepwise profile's band
 OSCILLATOR_SPAN = 14.0  # half-width of the oscillator grid, in oscillator lengths
 OSCILLATOR_POINTS = 129  # momentum cutoff pi (points - 1) / (2 span) = 14.4 / length: the span again
 OSCILLATOR_MARGIN = 3.0  # oscillator lengths kept between the highest turning point and a wall
@@ -300,8 +303,9 @@ def _segments(config, k, points, step):
 
 def _advance_stepwise(segments, eps, psi, powers):
     """March psi = (psi_1, psi_2) across constant segments, applying on
-    each the power u I + v M of its one-step fourth-order matrix, and carry
-    its angle phi = atan2(psi_2, psi_1) continuously from its first value.
+    each the power u I + v M of its one-step fourth-order matrix as the one
+    2x2 matrix [[u + v w, -v d], [v d, u - v w]], and carry its angle
+    phi = atan2(psi_2, psi_1) continuously from its first value.
     Returns (psi, phi).
 
     On a segment the angle obeys phi' = d - w sin 2 phi.  Where s < 0 it
@@ -313,27 +317,27 @@ def _advance_stepwise(segments, eps, psi, powers):
     Both read the change in a window [c, c + 2 pi): c = g (floor + 1/2) pi
     - pi where s < 0, and -pi elsewhere.
 
-    powers holds, per energy, (u, v, g (floor + 1/2) pi) of the segments
-    already taken at these energies, keyed on (|h|, steps, w, v): a segment
-    marched with h < 0 negates the entry of its mirror image, whose v and g
-    are odd in h, so the march from the right of a mirror-symmetric well
-    reuses the powers of the march from the left.
+    powers holds, per energy, (u + v w, v d, u - v w, g (floor + 1/2) pi)
+    of the segments already taken at these energies, keyed on
+    (|h|, steps, w, v): a segment marched with h < 0 takes the entry of its
+    mirror image with v and g negated, as both are odd in h, so the march
+    from the right of a mirror-symmetric well reuses the powers of the
+    march from the left.
     """
     p1, p2 = psi
     wrapped = phi = np.arctan2(p2, p1)
     for h, n, w, v in segments:
-        d = eps - v
         key = (abs(h), n, w, v)
         if key not in powers:
+            d = eps - v
             s = w * w - d * d
             cu, cv, turns = _rk4_power(s, abs(h), n)
-            powers[key] = cu, cv, np.where(s < 0.0, np.sign(d) * (turns + 0.5) * math.pi, 0.0)
-        cu, cv, lead = powers[key]
+            lead = np.where(s < 0.0, np.sign(d) * (turns + 0.5) * math.pi, 0.0)
+            powers[key] = cu + cv * w, cv * d, cu - cv * w, lead
+        diag, vd, anti, lead = powers[key]
         if h < 0.0:
-            cv, lead = -cv, -lead
-        m1 = w * p1 - d * p2
-        m2 = d * p1 - w * p2
-        p1, p2 = cu * p1 + cv * m1, cu * p2 + cv * m2
+            diag, vd, anti, lead = anti, -vd, diag, -lead
+        p1, p2 = diag * p1 - vd * p2, vd * p1 + anti * p2
         scale = np.maximum(np.abs(p1), np.abs(p2))
         p1, p2 = p1 / scale, p2 / scale
         now = np.arctan2(p2, p1)
@@ -537,8 +541,8 @@ def dirac_shooting(
 
 
 # ---------------------------------------------------------------------------
-# roots: one Illinois secant on a stepwise profile's phase crossings and a
-# smooth profile's scanned determinant
+# roots: one Anderson-Bjorck secant on a stepwise profile's phase crossings
+# and a smooth profile's scanned determinant
 # ---------------------------------------------------------------------------
 
 
@@ -551,21 +555,23 @@ def _finite(theta) -> np.ndarray:
     return theta
 
 
-def _illinois(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
+def _anderson_bjorck(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
     """Solve values = target, values a function of an energy array, on the
-    brackets [a, b] at once by the Illinois secant; calls counts the calls
-    of values already spent on them.
+    brackets [a, b] at once by the Anderson-Bjorck secant (Anderson and
+    Bjorck, BIT 13, 253 (1973)); calls counts the calls of values already
+    spent on them.
 
     fa and fb are values - target at a and b, of opposite signs.  Each
     call evaluates one point per live bracket: the secant point, clipped to
     [a + g, b - g] with g = 0.45 tol so that an end already on the root is
     passed and the bracket closes, or the midpoint where the clipped point
     is not strictly inside or calls have reached SECANT_CALLS.  It replaces
-    the end whose value has its sign, an end kept twice in a row has its
-    value halved, and an exact zero closes the bracket.  A bracket is done,
-    at 0.5 (a + b), once it is tol wide, holds no double inside, or has
-    closed onto an exact zero; only a call where some bracket is done
-    compacts the batch, and with no bracket values is never called.
+    the end whose value has its sign; an end kept twice in a row has its
+    value scaled by m = 1 - f_new / f_replaced, or halved where m <= 0; and
+    an exact zero closes the bracket.  A bracket is done, at 0.5 (a + b),
+    once it is tol wide, holds no double inside, or has closed onto an
+    exact zero; only a call where some bracket is done compacts the batch,
+    and with no bracket values is never called.
     """
     gap = 0.45 * tol
     target = np.zeros(np.shape(a)) + target
@@ -593,9 +599,12 @@ def _illinois(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
             calls += 1
             same = (f < 0.0) == (fa < 0.0)
             move_a, move_b = same | (f == 0.0), ~same | (f == 0.0)
-            # Illinois: an end kept twice in a row has its value halved
-            fb = np.where(move_a & (kept > 0.0), 0.5 * fb, fb)
-            fa = np.where(move_b & (kept < 0.0), 0.5 * fa, fa)
+            # Anderson-Bjorck: an end kept twice in a row is scaled by
+            # 1 - f_new / f_replaced, or halved where that is not positive
+            m = 1.0 - f / np.where(move_a, fa, fb)
+            m = np.where(m > 0.0, m, 0.5)
+            fb = np.where(move_a & (kept > 0.0), m * fb, fb)
+            fa = np.where(move_b & (kept < 0.0), m * fa, fa)
             a, fa = np.where(move_a, x, a), np.where(move_a, f, fa)
             b, fb = np.where(move_b, x, b), np.where(move_b, f, fb)
             kept = np.where(move_a, 1.0, -1.0)
@@ -605,38 +614,30 @@ def _phase_roots(theta, lo, hi, tol) -> list[float]:
     """Sorted crossings theta = n pi on the open band (lo, hi) of theta, a
     function of an energy array increasing in energy.
 
-    The crossings are those strictly between theta at the innermost doubles
-    of the band, so none is missed and a zero of the determinant at a band
-    edge is none; with none, the call at the band's ends is the only one.
-    One regula-falsi call from the band's ends takes one point per
-    crossing; those points, ordered as the crossings are, narrow each
-    bracket onto the nearest of them on either side of its target.
-    _illinois solves the brackets on theta - n pi.
-    UnsupportedRegime where theta is not finite: the step is too coarse
-    (see _rk4_power).
+    The first call takes theta on PHASE_GRID points: the band's innermost
+    doubles and uniform points between them.  The crossings are those
+    strictly between theta at those two doubles, so none is missed and a
+    zero of the determinant at a band edge is none; with none, that call is
+    the only one.  Each crossing's bracket is the grid cell that holds its
+    target: its right end is the first point where theta reaches the
+    target, read off theta's running maximum so that rounding that is not
+    monotone cannot lose or repeat a crossing, and an end on the target
+    closes the bracket.  _anderson_bjorck solves the brackets on
+    theta - n pi.  UnsupportedRegime where theta is not finite: the step is
+    too coarse (see _rk4_power).
     """
-    ends = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
+    ends = np.nextafter(lo, hi), np.nextafter(hi, lo)
     if not lo < ends[0] < ends[1]:
         return []
-    th_lo, th_hi = _finite(theta(ends))
-    target = math.pi * np.arange(math.floor(th_lo / math.pi) + 1, math.ceil(th_hi / math.pi))
+    grid = np.linspace(*ends, PHASE_GRID)
+    th = _finite(theta(grid))
+    target = math.pi * np.arange(math.floor(th[0] / math.pi) + 1, math.ceil(th[-1] / math.pi))
     if not target.size:
         return []
-    a, b = np.full(target.size, ends[0]), np.full(target.size, ends[1])
-    fa, fb = th_lo - target, th_hi - target
-    x = np.clip(a - fa * (b - a) / (fb - fa), a, b)
-    th = _finite(theta(x))
-    # theta at the points is ordered as the targets are, up to its
-    # rounding, which the checks absorb
-    below = np.searchsorted(th, target, side="right") - 1
-    j = np.maximum(below, 0)
-    use = (below >= 0) & (th[j] <= target) & (x[j] > a)
-    a, fa = np.where(use, x[j], a), np.where(use, th[j] - target, fa)
-    j = np.minimum(below + 1, x.size - 1)
-    use = (below + 1 < x.size) & (th[j] >= target) & (x[j] < b)
-    b, fb = np.where(use, x[j], b), np.where(use, th[j] - target, fb)
-    b = np.where(fa == 0.0, a, b)  # an exact zero closes the bracket
-    return _illinois(lambda eps: _finite(theta(eps)), a, b, fa, fb, target, tol, 1).tolist()
+    j = np.searchsorted(np.maximum.accumulate(th), target)
+    a, b, fa, fb = grid[j - 1], grid[j], th[j - 1] - target, th[j] - target
+    a = np.where(fb == 0.0, b, a)  # an exact zero closes the bracket
+    return _anderson_bjorck(lambda eps: _finite(theta(eps)), a, b, fa, fb, target, tol, 1).tolist()
 
 
 def _scan_grid(lo, hi, scan_points) -> np.ndarray:
@@ -649,14 +650,14 @@ def _scan_grid(lo, hi, scan_points) -> np.ndarray:
 def _scan_roots(values, lo, hi, scan_points, tol) -> list[float]:
     """Sorted roots of values on the open band (lo, hi): the scan points
     where values is exactly zero, and the sign-changing cells of
-    _scan_grid, solved together by _illinois."""
+    _scan_grid, solved together by _anderson_bjorck."""
     if not np.nextafter(lo, hi) < hi:
         return []
     grid = _scan_grid(lo, hi, scan_points)
     vals = np.asarray(values(grid), dtype=float)
     sign = np.sign(vals)
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    bracketed = _illinois(values, grid[i], grid[i + 1], vals[i], vals[i + 1], 0.0, tol, 1)
+    bracketed = _anderson_bjorck(values, grid[i], grid[i + 1], vals[i], vals[i + 1], 0.0, tol, 1)
     # a scan point on a root counts once, also where a narrow band repeats points
     fresh = np.concatenate([[True], grid[1:] > grid[:-1]])
     return np.sort(np.concatenate([bracketed, grid[(sign == 0) & fresh]])).tolist()
@@ -671,7 +672,7 @@ def shooting_bound_states(
     x_match: float | None = None,
 ) -> list[float]:
     """Bound-state energies of a field configuration by pure shooting, on
-    the band where both exteriors decay, each solved by _illinois to
+    the band where both exteriors decay, each solved by _anderson_bjorck to
     bracket width tol, an exact zero or adjacent doubles.
 
     A stepwise profile (electric, magnetic or both piecewise constant) has

@@ -13,8 +13,10 @@ A piecewise well's transfer phase (matching._transfer_phase_slope) is
 solved by the same kernel on the band of the same rule, its levels
 counted between its phases at the innermost doubles of that band.  The
 shooting oracle keeps one solver of its own, independent of this one: an
-Illinois secant (oracle._illinois) on a stepwise profile's phase
-crossings and a smooth profile's scanned determinant.
+Anderson-Bjorck secant (oracle._anderson_bjorck) on a stepwise profile's
+phase crossings, bracketed from one grid call, and a smooth profile's
+scanned determinant.  The CSV and JSON sweep writers refuse the same
+branches, in one gathering step (_gathered).
 """
 
 from __future__ import annotations
@@ -374,12 +376,11 @@ def spectrum_to_csv(roots: list[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def branches_to_csv(branches: list[SpectrumBranch]) -> str:
-    """Sample rows 'param,branch,epsilon' in (param, branch) order, ties in
-    input order, followed by one 'param,branch,termination=<boundary>' row
-    per terminated branch; values are written as repr writes their floats.
-    ConfigError for a branch without one energy per parameter value and
-    for a parameter or energy that is not finite."""
+def _gathered(branches: list[SpectrumBranch]):
+    """(sample count per branch, parameters, energies, ((param, boundary),
+    index) per terminated branch); ConfigError for a branch without one
+    energy per parameter value and for a parameter or energy that is not
+    finite."""
     sizes = [len(b.params) for b in branches]
     if sizes != [len(b.epsilons) for b in branches]:
         raise ConfigError("a branch needs one energy per parameter value")
@@ -388,6 +389,15 @@ def branches_to_csv(branches: list[SpectrumBranch]) -> str:
     ends = [(b.termination, b.index) for b in branches if b.termination is not None]
     if not (np.isfinite(params).all() and np.isfinite(eps).all() and all(math.isfinite(t[0]) for t, _ in ends)):
         raise ConfigError("branch parameters and energies must be finite")
+    return sizes, params, eps, ends
+
+
+def branches_to_csv(branches: list[SpectrumBranch]) -> str:
+    """Sample rows 'param,branch,epsilon' in (param, branch) order, ties in
+    input order, followed by one 'param,branch,termination=<boundary>' row
+    per terminated branch; values are written as repr writes their floats.
+    ConfigError for the branches _gathered refuses."""
+    sizes, params, eps, ends = _gathered(branches)
     which = np.repeat(np.arange(len(branches)), sizes)
     order = np.lexsort((np.array([b.index for b in branches], dtype=np.int64)[which], params))
     # each distinct parameter (by its bits: 0.0 and -0.0 apart) and branch tag is formatted once
@@ -404,15 +414,13 @@ def branches_to_csv(branches: list[SpectrumBranch]) -> str:
 
 
 def branches_to_json_payload(branches: list[SpectrumBranch]) -> list[dict]:
-    out = []
-    for b in branches:
-        payload = {
-            "param_name": b.param_name,
-            "index": b.index,
-            "samples": [[p, e] for p, e in zip(b.params, b.epsilons)],
-            "termination": None,
-        }
-        if b.termination is not None:
-            payload["termination"] = {"param": b.termination[0], "boundary": b.termination[1]}
-        out.append(payload)
-    return out
+    """One dict per branch, its samples [param, epsilon] as floats.
+    ConfigError for the branches _gathered refuses, so that the JSON holds
+    no NaN or Infinity and drops no sample."""
+    sizes, params, eps, _ = _gathered(branches)
+    samples = np.stack([params, eps], axis=1).tolist()
+    starts = np.cumsum([0] + sizes).tolist()
+    return [{"param_name": b.param_name, "index": b.index, "samples": samples[start:end],
+             "termination": None if b.termination is None
+             else {"param": b.termination[0], "boundary": b.termination[1]}}
+            for b, start, end in zip(branches, starts, starts[1:])]

@@ -1,7 +1,8 @@
-"""The shooting oracle's one root solver, the Illinois secant of
-oracle._illinois: on the uniform scan of a smooth profile's determinant,
-where its roots must be a scalar Illinois secant's bit for bit, and on the
-phase crossings of a stepwise profile."""
+"""The shooting oracle's one root solver, the Anderson-Bjorck secant of
+oracle._anderson_bjorck: on the uniform scan of a smooth profile's
+determinant, where its roots must be a scalar Anderson-Bjorck secant's bit
+for bit, and on the phase crossings of a stepwise profile, bracketed by the
+cells of one first call on oracle.PHASE_GRID points of the band."""
 
 import math
 
@@ -16,16 +17,19 @@ from diracwell import (
     PiecewiseConstant,
     QuantumLabel,
     dirac_shooting,
+    find_roots,
     shooting_bound_states,
     square_well_config,
     square_well_secular,
 )
 from diracwell import oracle
-from diracwell.oracle import _illinois, _phase_roots, _scan_grid, _scan_roots
+from diracwell.oracle import _anderson_bjorck, _phase_roots, _scan_grid, _scan_roots
 
 
-def scalar_illinois(f, a, b, fa, fb, tol, calls=1):
-    """One bracket, one point at a time: the steps the kernel takes."""
+def scalar_anderson_bjorck(f, a, b, fa, fb, tol, calls=1):
+    """One bracket, one point at a time: the steps the kernel takes.  An
+    end kept twice in a row is scaled by 1 - f_new / f_replaced, or halved
+    where that is not positive."""
     kept = 0  # the end the last step kept: -1 for a, 1 for b
     while b - a > tol and np.nextafter(a, b) < b:
         x = min(max(a - fa * (b - a) / (fb - fa), a + 0.45 * tol), b - 0.45 * tol)
@@ -37,23 +41,25 @@ def scalar_illinois(f, a, b, fa, fb, tol, calls=1):
             return x
         if (fx < 0.0) == (fa < 0.0):
             if kept > 0:
-                fb *= 0.5
+                m = 1.0 - fx / fa
+                fb *= m if m > 0.0 else 0.5
             a, fa, kept = x, fx, 1
         else:
             if kept < 0:
-                fa *= 0.5
+                m = 1.0 - fx / fb
+                fa *= m if m > 0.0 else 0.5
             b, fb, kept = x, fx, -1
     return 0.5 * (a + b)
 
 
 def scalar_roots(f, lo, hi, scan_points, tol):
-    """Reference: the uniform scan, then one scalar Illinois secant per
+    """Reference: the uniform scan, then one scalar Anderson-Bjorck secant per
     sign-changing cell; every root is kept, however near an edge."""
     grid = _scan_grid(lo, hi, scan_points)
     vals = f(grid)
     roots = [float(x) for x in np.unique(grid[vals == 0.0])]
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        roots.append(float(scalar_illinois(f, grid[i], grid[i + 1], vals[i], vals[i + 1], tol)))
+        roots.append(float(scalar_anderson_bjorck(f, grid[i], grid[i + 1], vals[i], vals[i + 1], tol)))
     return sorted(roots)
 
 
@@ -126,7 +132,7 @@ SHOOTING_WELLS = {
 class TestShootingKernel:
     @pytest.mark.parametrize("case", list(SHOOTING_WELLS))
     def test_roots_equal_scalar_bisection(self, case):
-        # a smooth profile's roots are the scan's under the scalar Illinois
+        # a smooth profile's roots are the scan's under the scalar Anderson-Bjorck
         # secant, bit for bit; a stepwise profile's phase crossings are the
         # same zeros of its determinant
         config, k, step = SHOOTING_WELLS[case]
@@ -157,7 +163,7 @@ SCAN_POINTS = 2000
 
 class TestBatchedKernel:
     """The solver moves every bracket of the scan at once; every root must
-    still be the scalar Illinois secant's, bit for bit."""
+    still be the scalar Anderson-Bjorck secant's, bit for bit."""
 
     @pytest.mark.parametrize("k,v0,half_width", [(2, 2, 1), (3, 8, 1), (-4, 11, 0.7), (50, 120, 3)])
     def test_roots_equal_the_scalar_secant(self, k, v0, half_width):
@@ -189,7 +195,7 @@ RANDOM_A, RANDOM_B = _ZEROS - _RNG.uniform(0.01, 1.5, 40), _ZEROS + _RNG.uniform
 
 
 class TestLevelsPerCall:
-    """Moving every bracket once per call must give a scalar Illinois
+    """Moving every bracket once per call must give a scalar Anderson-Bjorck
     secant's bits."""
 
     @pytest.mark.parametrize(
@@ -209,9 +215,10 @@ class TestLevelsPerCall:
     )
     def test_roots_do_not_depend_on_the_depth(self, f, a, b, tol):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        roots = _illinois(f, a, b, f(a), f(b), 0.0, tol, 1)
+        roots = _anderson_bjorck(f, a, b, f(a), f(b), 0.0, tol, 1)
         scalar_f = lambda x: float(f(np.array([x]))[0])
-        scalar = [scalar_illinois(scalar_f, lo, hi, scalar_f(lo), scalar_f(hi), tol) for lo, hi in zip(a, b)]
+        scalar = [scalar_anderson_bjorck(scalar_f, lo, hi, scalar_f(lo), scalar_f(hi), tol)
+                  for lo, hi in zip(a, b)]
         np.testing.assert_array_equal(roots, scalar)
 
     @pytest.mark.parametrize("brackets", [0, 6, 17, 18, 100, 2024])
@@ -225,7 +232,7 @@ class TestLevelsPerCall:
             points.append(x)
             return np.sin(x)
 
-        roots = _illinois(values, lo, lo + 3.0, np.sin(lo), np.sin(lo + 3.0), 0.0, 1e-10, 1)
+        roots = _anderson_bjorck(values, lo, lo + 3.0, np.sin(lo), np.sin(lo + 3.0), 0.0, 1e-10, 1)
         np.testing.assert_allclose(roots, np.pi * np.arange(1, brackets + 1), rtol=0.0, atol=1e-10)
         sizes = [x.size for x in points]
         assert sizes == sorted(sizes, reverse=True)
@@ -240,48 +247,53 @@ class TestLevelsPerCall:
     @pytest.mark.parametrize("lo, hi", [(-2.0, 2.0), (-2.0, -2.0 + 1e-15), (1.0, 1.0)])
     def test_nothing_to_solve_takes_at_most_the_band_end_call(self, lo, hi):
         # no bracket: no call at all; theta within (0, pi) on the band: no
-        # call after the one at the band's ends
+        # call after the first, on the band's grid of PHASE_GRID points
         def refuse(x):
             raise AssertionError(f"a call on {x.size} points")
 
         empty = np.empty(0)
-        assert _illinois(refuse, empty, empty, empty, empty, 0.0, 1e-10, 1).size == 0
+        assert _anderson_bjorck(refuse, empty, empty, empty, empty, 0.0, 1e-10, 1).size == 0
         sizes = []
 
         def theta(eps):
             sizes.append(eps.size)
-            assert len(sizes) == 1, "a call after the band's ends"
+            assert len(sizes) == 1, "a call after the band's grid"
             return 1.0 + 0.1 * eps
 
         assert _phase_roots(theta, lo, hi, 1e-10) == []
-        assert sizes in ([], [2])
+        assert sizes in ([], [oracle.PHASE_GRID])
 
     def test_stepwise_shooting_takes_few_calls(self, monkeypatch):
-        # the phase at the band's ends, then Illinois steps on every level
-        # at once; the scan and the replayed bisection took 32 calls on
-        # 46197 energies here
+        # the phase on the band's grid, then Anderson-Bjorck steps on every
+        # level at once; the scan and the replayed bisection took 32 calls
+        # on 46197 energies here
         k, v0, half_width = 200.0, 500.0, 5.0
         step = 0.02 / math.sqrt((k + v0) ** 2 - k * k)
-        calls = []
-        shooter = oracle._shooter
-
-        def counted_shooter(*args):
-            shoot = shooter(*args)
-
-            def counted(eps):
-                calls.append(np.size(eps))
-                return shoot(eps)
-
-            return counted
-
-        monkeypatch.setattr(oracle, "_shooter", counted_shooter)
+        calls = counted_shooter(monkeypatch)
         assert len(shooting_bound_states(square_well_config(v0, half_width), k, step=step)) == 1425
-        assert len(calls) <= 12
+        assert len(calls) <= 8
         assert sum(calls) <= 12 * 1425
 
+    # (k, v0, half_width) and the calls it takes; (50, 20, 3) has a level
+    # just above its interior threshold |k| - v0, where theta is flat and
+    # then rises steeply
+    @pytest.mark.parametrize("k, v0, half_width, budget",
+                             [(2, 2, 1, 6), (3, 8, 1, 5), (50, 20, 3, 28), (2, 1e-4, 1, 9)])
+    def test_stepwise_shooting_stays_within_its_budget(self, monkeypatch, k, v0, half_width, budget):
+        # the step the benchmark's routes take: the RK4 error grows as
+        # (q h)^4 with the deepest interior wavenumber q
+        step = min(1e-3, 0.02 / math.sqrt((abs(k) + v0) ** 2 - k * k))
+        calls = counted_shooter(monkeypatch)
+        shot = shooting_bound_states(square_well_config(v0, half_width), k, step=step)
+        closed = find_roots(square_well_secular(k, v0, half_width))
+        assert len(shot) == len(closed)
+        np.testing.assert_allclose(shot, closed, rtol=0.0, atol=1e-5)
+        assert calls[0] == oracle.PHASE_GRID
+        assert len(calls) <= budget
+
     def test_scan_and_bisection_take_few_calls(self):
-        # one scan, then Illinois steps on every cell at once: halving the
-        # cells to tol took 1 + 25 calls
+        # one scan, then Anderson-Bjorck steps on every cell at once:
+        # halving the cells to tol took 1 + 25 calls
         secular = square_well_secular(3.0, 8.0, 1.2)
         calls = []
 
@@ -291,5 +303,95 @@ class TestLevelsPerCall:
 
         roots = _scan_roots(counted, secular.lo, secular.hi, 2000, 1e-10)
         assert len(roots) == 6
-        assert len(calls) == 6
+        assert len(calls) == 5
         assert max(calls) == calls[0]
+
+
+def counted_shooter(monkeypatch) -> list:
+    """Wrap oracle._shooter so that each call of a shooter it builds
+    appends its number of energies to the returned list."""
+    calls = []
+    shooter = oracle._shooter
+
+    def counting(*args):
+        shoot = shooter(*args)
+
+        def counted(eps):
+            calls.append(np.size(eps))
+            return shoot(eps)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_shooter", counting)
+    return calls
+
+
+def phase_grid(lo, hi):
+    """The points of _phase_roots' first call: the band's innermost doubles
+    and uniform points between them."""
+    return np.linspace(np.nextafter(lo, hi), np.nextafter(hi, lo), oracle.PHASE_GRID)
+
+
+class TestGridStart:
+    """Each crossing starts from the grid cell of the first call that holds
+    its target, and is found exactly once."""
+
+    LO, HI, TOL = -2.0, 2.0, 1e-10
+
+    def solve(self, theta):
+        sizes = []
+
+        def counted(eps):
+            sizes.append(np.size(eps))
+            return theta(eps)
+
+        roots = _phase_roots(counted, self.LO, self.HI, self.TOL)
+        assert sizes[0] == oracle.PHASE_GRID
+        return roots, sizes
+
+    def test_the_first_call_is_the_band_grid(self):
+        grid = phase_grid(self.LO, self.HI)
+        seen = []
+
+        def theta(eps):
+            seen.append(eps)
+            return 1.0 + 0.1 * eps
+
+        assert _phase_roots(theta, self.LO, self.HI, self.TOL) == []
+        np.testing.assert_array_equal(seen[0], grid)
+        assert grid[0] == np.nextafter(self.LO, self.HI) and grid[-1] == np.nextafter(self.HI, self.LO)
+
+    def test_a_target_on_a_grid_point_closes_at_once(self):
+        # theta is exactly pi at grid point 20: its bracket closes there,
+        # with no call after the first
+        at = phase_grid(self.LO, self.HI)[20]
+        roots, sizes = self.solve(lambda eps: math.pi + 0.5 * (eps - at))
+        assert roots == [at]
+        assert sizes == [oracle.PHASE_GRID]
+
+    def test_three_crossings_in_one_cell(self):
+        # theta climbs by 3 pi inside the cell between grid points 30 and
+        # 31, linearly, so each crossing is known in closed form
+        grid = phase_grid(self.LO, self.HI)
+        a, b = grid[30], grid[31]
+        theta = lambda eps: 0.5 + 0.01 * eps + 3.0 * math.pi * np.clip((eps - a) / (b - a), 0.0, 1.0)
+        roots, _ = self.solve(theta)
+        exact = [a + (n * math.pi - 0.5 - 0.01 * a) / (0.01 + 3.0 * math.pi / (b - a)) for n in (1, 2, 3)]
+        assert len(roots) == 3
+        assert roots == sorted(roots)
+        np.testing.assert_allclose(roots, exact, rtol=0.0, atol=self.TOL)
+        assert all(a < r < b for r in roots)
+
+    def test_rounding_that_is_not_monotone_across_a_cell(self):
+        # theta rounds to a hair above pi at grid point 10 and a hair below
+        # at 11, then climbs on: the one crossing of pi is found once, in
+        # the first cell whose right end reaches pi
+        grid = phase_grid(self.LO, self.HI)
+        knots = [grid[0], grid[9], grid[10], grid[11], grid[12], grid[-1]]
+        values = [1.0, math.pi - 0.1, math.pi + 1e-15, math.pi - 1e-15, math.pi + 0.1, 4.0]
+        theta = lambda eps: np.interp(eps, knots, values)
+        assert theta(grid[11]) < math.pi < theta(grid[10])
+        roots, _ = self.solve(theta)
+        assert len(roots) == 1
+        assert grid[9] < roots[0] <= grid[10]
+        assert abs(theta(np.array(roots))[0] - math.pi) < 1e-9

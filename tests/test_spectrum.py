@@ -2,6 +2,7 @@
 closed-form dispersive level formulas."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -614,6 +615,35 @@ class TestSerialization:
         assert payload == [
             {"param_name": "k", "index": 0, "samples": [[1.0, 0.5]], "termination": None}
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(branches=branch_lists())
+    def test_branches_json_payload_equals_the_zip_writer(self, branches):
+        # the payload's JSON text, for finite samples, is the one the
+        # per-branch zip writer gave
+        def zipped(b):
+            end = None if b.termination is None else {"param": b.termination[0], "boundary": b.termination[1]}
+            return {"param_name": b.param_name, "index": b.index,
+                    "samples": [[p, e] for p, e in zip(b.params, b.epsilons)], "termination": end}
+
+        assert json.dumps(branches_to_json_payload(branches)) == json.dumps([zipped(b) for b in branches])
+
+    @pytest.mark.parametrize("writer", [branches_to_csv, branches_to_json_payload])
+    @pytest.mark.parametrize("branch, message", [
+        *((SpectrumBranch("k", 0, [1.0, bad], [0.5, 0.25]), "finite") for bad in (math.nan, math.inf, -math.inf)),
+        *((SpectrumBranch("k", 0, [1.0, 2.0], [bad, 0.25]), "finite") for bad in (math.nan, math.inf, -math.inf)),
+        *((SpectrumBranch("k", 0, [1.0], [0.5], (bad, "band edge")), "finite")
+          for bad in (math.nan, math.inf, -math.inf)),
+        (SpectrumBranch("k", 0, [math.nan, 1.0], [0.5, 1.0], (math.inf, "band edge")), "finite"),
+        (SpectrumBranch("k", 0, [1.0, 2.0], [0.5]), "one energy per parameter"),
+        (SpectrumBranch("k", 0, [1.0], [0.5, 0.25]), "one energy per parameter"),
+    ])
+    def test_both_sweep_writers_refuse_the_same_branches(self, writer, branch, message):
+        # the JSON writer would write NaN and Infinity, which is not strict
+        # JSON, and its zip would drop the extra samples without a word
+        good = SpectrumBranch("k", 1, [0.5], [0.125])
+        with pytest.raises(ConfigError, match=message):
+            writer([good, branch])
 
     def test_csv_is_deterministic(self):
         branches = sweep_v0(3.0, parameter_grid(0.0, 4.0, 0.5))
