@@ -1,4 +1,4 @@
-"""Field profiles in reduced units, field configurations and their cases.
+"""Field profiles in reduced units and field configurations.
 
 PHYSICS SCOPE
     Massless Dirac-Weyl quasiparticles in a graphene monolayer subject to
@@ -16,6 +16,14 @@ UNITS
     All solver-facing quantities are in reduced form: eps = E / (hbar vF),
     v = V / (hbar vF), a = e A_y / hbar, so that eps, v, a, and k all carry
     dimension 1/length.
+
+SOLVABLE CASES
+    The equation decouples for a purely electric profile (the closed form
+    and transfer route in matching, shooting in oracle), a purely magnetic
+    one (spectrum.landau_levels_magnetic) and proportional profiles
+    v = alpha * a with |alpha| < 1 (spectrum.landau_levels_proportional and
+    oracle.proportional_oscillator_levels).  Each route refuses what it
+    does not serve.
 """
 
 from __future__ import annotations
@@ -38,20 +46,12 @@ __all__ = [
     "Potential1D",
     "FieldConfig",
     "QuantumLabel",
-    "CaseClass",
     "square_well",
-    "evaluate_potential",
     "potential_to_json",
     "potential_from_json",
-    "classify_case",
     "effective_potential_electric",
     "effective_energy",
 ]
-
-# Proportionality between the two field profiles is accepted only when it
-# holds to this tolerance on a 101-point probe grid.
-PROPORTIONALITY_TOL = 1e-12
-_PROBE_POINTS = 101
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +97,6 @@ class PiecewiseConstant:
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values)
 
-    def support(self) -> tuple[float, float]:
-        if not self.breakpoints:
-            return (-1.0, 1.0)
-        return (self.breakpoints[0] - 1.0, self.breakpoints[-1] + 1.0)
-
 
 @dataclass(frozen=True)
 class Linear:
@@ -120,9 +115,6 @@ class Linear:
 
     def is_zero(self) -> bool:
         return self.slope == 0.0
-
-    def support(self) -> tuple[float, float]:
-        return (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -169,9 +161,6 @@ class CoulombLike:
     def is_zero(self) -> bool:
         return self.strength == 0.0
 
-    def support(self) -> tuple[float, float]:
-        return (-10.0, 10.0)
-
 
 @dataclass(frozen=True)
 class Lorentzian:
@@ -191,9 +180,6 @@ class Lorentzian:
     def is_zero(self) -> bool:
         return self.strength == 0.0
 
-    def support(self) -> tuple[float, float]:
-        return (-10.0, 10.0)
-
 
 @dataclass(frozen=True)
 class Tanh:
@@ -212,9 +198,6 @@ class Tanh:
     def is_zero(self) -> bool:
         return self.strength == 0.0
 
-    def support(self) -> tuple[float, float]:
-        return (-10.0, 10.0)
-
 
 Potential1D = Union[PiecewiseConstant, Linear, CoulombLike, Lorentzian, Tanh]
 
@@ -232,11 +215,6 @@ def square_well(v0: float, half_width: float = 1.0) -> PiecewiseConstant:
     if half_width <= 0:
         raise ConfigError("half_width must be positive")
     return PiecewiseConstant((-half_width, half_width), (0.0, -v0, 0.0))
-
-
-def evaluate_potential(potential: Potential1D, x):
-    """Profile value at x (scalar or array); right limit at any step."""
-    return potential.evaluate(x)
 
 
 def potential_to_json(potential: Potential1D) -> str:
@@ -284,7 +262,7 @@ def potential_from_json(text: str) -> Potential1D:
 
 
 # ---------------------------------------------------------------------------
-# configuration and classification
+# configuration
 # ---------------------------------------------------------------------------
 
 
@@ -298,101 +276,14 @@ class QuantumLabel:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Electrostatic profile v(x) and/or vector-potential profile a(x).
-
-    proportionality, when set, asserts v(x) = proportionality * a(x); the
-    claim is verified on a probe grid at construction time.
-    """
+    """Electrostatic profile v(x) and/or vector-potential profile a(x)."""
 
     electric: Potential1D | None
     magnetic: Potential1D | None = None
-    proportionality: float | None = None
 
     def __post_init__(self) -> None:
         if self.electric is None and self.magnetic is None:
             raise ConfigError("at least one of electric/magnetic must be present")
-        if self.proportionality is not None:
-            if self.electric is None or self.magnetic is None:
-                raise ConfigError("proportionality needs both profiles present")
-            xs = _probe_grid(self)
-            dev = np.max(
-                np.abs(
-                    self.electric.evaluate(xs)
-                    - self.proportionality * self.magnetic.evaluate(xs)
-                )
-            )
-            if dev > PROPORTIONALITY_TOL:
-                raise ConfigError(
-                    f"profiles violate the declared proportionality (deviation {dev:.3e})"
-                )
-
-
-@dataclass(frozen=True)
-class CaseClass:
-    """Outcome of classify_case.
-
-    kind is one of 'pure_magnetic', 'pure_electric', 'proportional',
-    'unsupported'.  For the proportional kind, alpha holds the ratio and
-    regime is 'trigonometric' (|alpha| < 1), 'hyperbolic' (|alpha| > 1) or
-    'parabolic' (|alpha| = 1).
-    """
-
-    kind: str
-    alpha: float | None = None
-    regime: str | None = None
-
-
-def _probe_grid(config: FieldConfig) -> np.ndarray:
-    los, his = [], []
-    for pot in (config.electric, config.magnetic):
-        if pot is not None and not pot.is_zero():
-            lo, hi = pot.support()
-            los.append(lo)
-            his.append(hi)
-    if not los:
-        los, his = [-1.0], [1.0]
-    xs = np.linspace(min(los), max(his), _PROBE_POINTS)
-    # dodge a singular origin (e.g. an unregularized 1/|x| profile)
-    if any(isinstance(p, CoulombLike) and p.cutoff is None for p in (config.electric, config.magnetic) if p is not None):
-        xs = xs + 0.5 * (xs[1] - xs[0])
-    return xs
-
-
-def _regime(alpha: float) -> str:
-    if abs(alpha) < 1.0:
-        return "trigonometric"
-    if abs(alpha) > 1.0:
-        return "hyperbolic"
-    return "parabolic"
-
-
-def classify_case(config: FieldConfig) -> CaseClass:
-    """Sort a configuration into the solvable families.
-
-    Pure magnetic: no (or identically zero) electrostatic part.  Pure
-    electric: no magnetic part.  Proportional: v = alpha * a verified on a
-    probe grid; alpha is taken from the config when declared, otherwise
-    estimated from the profiles.  Everything else is unsupported.
-    """
-    electric_zero = config.electric is None or config.electric.is_zero()
-    magnetic_zero = config.magnetic is None or config.magnetic.is_zero()
-    if electric_zero and not magnetic_zero:
-        return CaseClass("pure_magnetic")
-    if magnetic_zero:
-        return CaseClass("pure_electric")
-    xs = _probe_grid(config)
-    v = np.asarray(config.electric.evaluate(xs), dtype=float)
-    a = np.asarray(config.magnetic.evaluate(xs), dtype=float)
-    if config.proportionality is not None:
-        alpha = config.proportionality
-    else:
-        i = int(np.argmax(np.abs(a)))
-        if a[i] == 0.0:
-            return CaseClass("unsupported")
-        alpha = float(v[i] / a[i])
-    if np.max(np.abs(v - alpha * a)) <= PROPORTIONALITY_TOL:
-        return CaseClass("proportional", alpha=alpha, regime=_regime(alpha))
-    return CaseClass("unsupported")
 
 
 # ---------------------------------------------------------------------------

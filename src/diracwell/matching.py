@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FieldConfig, PiecewiseConstant, QuantumLabel, classify_case, square_well
+from .core import FieldConfig, PiecewiseConstant, QuantumLabel, square_well
 from .errors import ConfigError, OutsideAdmissibleBand
 
 __all__ = [
@@ -195,7 +195,7 @@ def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> Secular
 
 
 def _electrostatic_steps(config: FieldConfig) -> PiecewiseConstant:
-    if classify_case(config).kind != "pure_electric":
+    if not (config.magnetic is None or config.magnetic.is_zero()):
         raise ConfigError("matching handles purely electrostatic configurations")
     pot = config.electric
     if not isinstance(pot, PiecewiseConstant):

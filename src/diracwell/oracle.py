@@ -29,7 +29,6 @@ from .core import (
     PiecewiseConstant,
     QuantumLabel,
     Tanh,
-    evaluate_potential,
 )
 from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 
@@ -166,8 +165,6 @@ def _profile_window(profile, which: str):
         v = profile.values
         return b[0], b[-1], v[0], v[-1]
     if isinstance(profile, Linear):
-        if profile.slope == 0.0:
-            return -1.0, 1.0, 0.0, 0.0
         if which == "electric":
             raise UnsupportedRegime(
                 "a linear scalar potential grows without bound; no exterior decay window exists"
@@ -295,8 +292,8 @@ def _segments(config, k, points, step):
             continue
         n = max(1, math.ceil(abs(width) / step))
         mid = 0.5 * (a + b)
-        v = evaluate_potential(config.electric, mid) if config.electric is not None else 0.0
-        ay = evaluate_potential(config.magnetic, mid) if config.magnetic is not None else 0.0
+        v = config.electric.evaluate(mid) if config.electric is not None else 0.0
+        ay = config.magnetic.evaluate(mid) if config.magnetic is not None else 0.0
         out.append((width / n, n, k + ay, v))
     return out
 
@@ -429,12 +426,12 @@ def _advance_sampled(config, k, eps, psi, x_from, x_to, step):
     h = span / n
     xs = x_from + 0.5 * h * np.arange(2 * n + 1)
     v = (
-        np.asarray(evaluate_potential(config.electric, xs), dtype=float)
+        np.asarray(config.electric.evaluate(xs), dtype=float)
         if config.electric is not None
         else np.zeros(len(xs))
     )
     ay = (
-        np.asarray(evaluate_potential(config.magnetic, xs), dtype=float)
+        np.asarray(config.magnetic.evaluate(xs), dtype=float)
         if config.magnetic is not None
         else np.zeros(len(xs))
     )

@@ -28,7 +28,6 @@ from .core import (
     QuantumLabel,
     effective_energy,
     effective_potential_electric,
-    evaluate_potential,
     square_well,
 )
 from .errors import (
@@ -524,7 +523,7 @@ def equation_residuals(state: BoundState, grid_derivatives: bool = False) -> Res
         x_eval, psi1, psi2 = state.x, state.psi1, state.psi2
         d1 = state.wave1.derivative()(x_eval)
         d2 = state.wave2.derivative()(x_eval)
-    delta = eps - evaluate_potential(state.potential, x_eval)
+    delta = eps - state.potential.evaluate(x_eval)
     r1 = d1 + 1j * delta * psi1 - k * psi2
     r2 = d2 - 1j * delta * psi2 - k * psi1
     return ResidualReport(x=x_eval, residual_1=r1, residual_2=r2)

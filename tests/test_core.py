@@ -1,4 +1,4 @@
-"""Potential families, classification, and the decoupled equation's
+"""Potential families, field configurations, and the decoupled equation's
 building blocks."""
 
 import json
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from diracwell import (
-    CaseClass,
     CoulombLike,
     FieldConfig,
     Linear,
@@ -16,10 +15,8 @@ from diracwell import (
     PiecewiseConstant,
     QuantumLabel,
     Tanh,
-    classify_case,
     effective_energy,
     effective_potential_electric,
-    evaluate_potential,
     potential_from_json,
     potential_to_json,
     square_well,
@@ -32,20 +29,20 @@ class TestPiecewiseConstant:
         well = square_well(2.0)
         assert well.breakpoints == (-1.0, 1.0)
         assert well.values == (0.0, -2.0, 0.0)
-        assert evaluate_potential(well, 0.0) == -2.0
-        assert evaluate_potential(well, 5.0) == 0.0
-        assert evaluate_potential(well, -5.0) == 0.0
+        assert well.evaluate(0.0) == -2.0
+        assert well.evaluate(5.0) == 0.0
+        assert well.evaluate(-5.0) == 0.0
 
     def test_right_limit_at_step(self):
         well = square_well(2.0)
         # value on the right side of each breakpoint
-        assert evaluate_potential(well, -1.0) == -2.0
-        assert evaluate_potential(well, 1.0) == 0.0
+        assert well.evaluate(-1.0) == -2.0
+        assert well.evaluate(1.0) == 0.0
 
     def test_vectorized_evaluate(self):
         well = square_well(3.0, half_width=0.5)
         xs = np.array([-2.0, -0.25, 0.25, 2.0])
-        np.testing.assert_allclose(evaluate_potential(well, xs), [0.0, -3.0, -3.0, 0.0])
+        np.testing.assert_allclose(well.evaluate(xs), [0.0, -3.0, -3.0, 0.0])
 
     def test_derivative_zero_between_steps(self):
         well = square_well(2.0)
@@ -76,38 +73,38 @@ class TestPiecewiseConstant:
 
 class TestSmoothFamilies:
     def test_linear(self):
-        assert evaluate_potential(Linear(1.0), 0.5) == 0.5
+        assert Linear(1.0).evaluate(0.5) == 0.5
         assert Linear(2.5).derivative(-3.0) == 2.5
         assert Linear(0.0).is_zero()
 
     def test_lorentzian(self):
         pot = Lorentzian(-2.0)
-        assert evaluate_potential(pot, 0.0) == -2.0
-        assert evaluate_potential(pot, 1.0) == -1.0
+        assert pot.evaluate(0.0) == -2.0
+        assert pot.evaluate(1.0) == -1.0
         # derivative matches a central difference
         h = 1e-6
-        fd = (evaluate_potential(pot, 0.7 + h) - evaluate_potential(pot, 0.7 - h)) / (2 * h)
+        fd = (pot.evaluate(0.7 + h) - pot.evaluate(0.7 - h)) / (2 * h)
         assert pot.derivative(0.7) == pytest.approx(fd, abs=1e-8)
 
     def test_tanh(self):
         pot = Tanh(1.5)
-        assert evaluate_potential(pot, 0.0) == 0.0
-        assert evaluate_potential(pot, 20.0) == pytest.approx(1.5)
+        assert pot.evaluate(0.0) == 0.0
+        assert pot.evaluate(20.0) == pytest.approx(1.5)
         assert pot.derivative(0.0) == 1.5
 
     def test_coulomb_singularity(self):
         bare = CoulombLike(1.0)
         with pytest.raises(SingularPoint):
-            evaluate_potential(bare, 0.0)
+            bare.evaluate(0.0)
         with pytest.raises(SingularPoint):
             bare.derivative(np.array([1.0, 0.0]))
-        assert evaluate_potential(bare, 2.0) == 0.5
+        assert bare.evaluate(2.0) == 0.5
 
     def test_coulomb_cutoff_clamps(self):
         reg = CoulombLike(1.0, cutoff=0.1)
-        assert evaluate_potential(reg, 0.0) == 10.0
-        assert evaluate_potential(reg, 0.05) == 10.0
-        assert evaluate_potential(reg, 0.5) == 2.0
+        assert reg.evaluate(0.0) == 10.0
+        assert reg.evaluate(0.05) == 10.0
+        assert reg.evaluate(0.5) == 2.0
         assert reg.derivative(0.05) == 0.0
         with pytest.raises(DiscontinuityPoint):
             reg.derivative(0.1)
@@ -146,49 +143,7 @@ class TestPotentialJson:
         assert text == json.dumps(json.loads(text), sort_keys=True)
 
 
-class TestClassifyCase:
-    def test_pure_magnetic(self):
-        case = classify_case(FieldConfig(electric=None, magnetic=Linear(1.0)))
-        assert case == CaseClass("pure_magnetic")
-
-    def test_zero_electric_is_still_pure_magnetic(self):
-        config = FieldConfig(electric=Linear(0.0), magnetic=Linear(1.0))
-        assert classify_case(config).kind == "pure_magnetic"
-
-    def test_pure_electric(self):
-        case = classify_case(FieldConfig(electric=square_well(2.0)))
-        assert case == CaseClass("pure_electric")
-
-    def test_proportional_declared(self):
-        config = FieldConfig(
-            electric=Linear(0.5), magnetic=Linear(1.0), proportionality=0.5
-        )
-        case = classify_case(config)
-        assert case.kind == "proportional"
-        assert case.alpha == pytest.approx(0.5)
-        assert case.regime == "trigonometric"
-
-    def test_proportional_alpha_estimated(self):
-        config = FieldConfig(electric=Lorentzian(-1.0), magnetic=Lorentzian(-2.0))
-        case = classify_case(config)
-        assert case.kind == "proportional"
-        assert case.alpha == pytest.approx(0.5)
-
-    def test_regime_labels(self):
-        for alpha, regime in ((0.3, "trigonometric"), (2.0, "hyperbolic"), (1.0, "parabolic")):
-            config = FieldConfig(
-                electric=Linear(alpha), magnetic=Linear(1.0), proportionality=alpha
-            )
-            assert classify_case(config).regime == regime
-
-    def test_unsupported_mixture(self):
-        config = FieldConfig(electric=square_well(2.0), magnetic=Linear(1.0))
-        assert classify_case(config).kind == "unsupported"
-
-    def test_declared_proportionality_is_checked(self):
-        with pytest.raises(ConfigError):
-            FieldConfig(electric=Linear(1.0), magnetic=Linear(1.0), proportionality=0.5)
-
+class TestFieldConfig:
     def test_needs_some_profile(self):
         with pytest.raises(ConfigError):
             FieldConfig(electric=None, magnetic=None)

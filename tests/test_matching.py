@@ -142,7 +142,7 @@ class TestTransferRoute:
             secular_det_general(square_well_config(2.0), QuantumLabel(2.0, 2.5))
 
     def test_rejects_non_electrostatic(self):
-        from diracwell import Linear, Lorentzian
+        from diracwell import Linear, Lorentzian, square_well
 
         with pytest.raises(ConfigError):
             secular_det_general(
@@ -150,6 +150,19 @@ class TestTransferRoute:
             )
         with pytest.raises(ConfigError):
             secular_det_general(FieldConfig(electric=Lorentzian(-2.0)), QuantumLabel(2.0, 0.5))
+        # a magnetic profile that is not identically zero is refused under a well
+        for magnetic in (Linear(1.0), PiecewiseConstant((0.0,), (0.0, 1.0))):
+            config = FieldConfig(electric=square_well(2.0), magnetic=magnetic)
+            with pytest.raises(ConfigError, match="purely electrostatic"):
+                general_secular(config, 2.0)
+            with pytest.raises(ConfigError, match="purely electrostatic"):
+                secular_det_general(config, QuantumLabel(2.0, 0.5))
+        # an identically zero one is accepted and leaves the levels as they are
+        bare = find_roots(general_secular(FieldConfig(electric=square_well(2.0)), 2.0))
+        assert len(bare) == len(WELL22_ROOTS)
+        for magnetic in (Linear(0.0), PiecewiseConstant((-1.0, 1.0), (0.0, 0.0, 0.0))):
+            config = FieldConfig(electric=square_well(2.0), magnetic=magnetic)
+            assert find_roots(general_secular(config, 2.0)) == bare
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_k(self, k):

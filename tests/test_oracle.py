@@ -32,7 +32,6 @@ from diracwell import (
     square_well_secular,
 )
 from diracwell import oracle
-from diracwell.core import evaluate_potential
 from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 from diracwell.oracle import GridSpec
 from test_matching import piecewise_wells
@@ -322,12 +321,12 @@ def _stepwise_rk4_march(config, k, eps, psi, x_from, x_to, step):
     h = span / n
     xs = x_from + 0.5 * h * np.arange(2 * n + 1)
     v = (
-        np.asarray(evaluate_potential(config.electric, xs), dtype=float)
+        np.asarray(config.electric.evaluate(xs), dtype=float)
         if config.electric is not None
         else np.zeros(len(xs))
     )
     ay = (
-        np.asarray(evaluate_potential(config.magnetic, xs), dtype=float)
+        np.asarray(config.magnetic.evaluate(xs), dtype=float)
         if config.magnetic is not None
         else np.zeros(len(xs))
     )
