@@ -10,14 +10,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracwell import (
+    CoulombLike,
     FieldConfig,
+    Linear,
+    Lorentzian,
     PiecewiseConstant,
     QuantumLabel,
+    Tanh,
     count_bound_states,
     find_roots,
     general_secular,
     secular_det_general,
     secular_det_square_well,
+    square_well,
     square_well_config,
     square_well_secular,
 )
@@ -142,27 +147,66 @@ class TestTransferRoute:
             secular_det_general(square_well_config(2.0), QuantumLabel(2.0, 2.5))
 
     def test_rejects_non_electrostatic(self):
-        from diracwell import Linear, Lorentzian, square_well
-
         with pytest.raises(ConfigError):
             secular_det_general(
                 FieldConfig(electric=None, magnetic=Linear(1.0)), QuantumLabel(2.0, 0.5)
             )
         with pytest.raises(ConfigError):
             secular_det_general(FieldConfig(electric=Lorentzian(-2.0)), QuantumLabel(2.0, 0.5))
-        # a magnetic profile that is not identically zero is refused under a well
-        for magnetic in (Linear(1.0), PiecewiseConstant((0.0,), (0.0, 1.0))):
-            config = FieldConfig(electric=square_well(2.0), magnetic=magnetic)
-            with pytest.raises(ConfigError, match="purely electrostatic"):
-                general_secular(config, 2.0)
-            with pytest.raises(ConfigError, match="purely electrostatic"):
-                secular_det_general(config, QuantumLabel(2.0, 0.5))
-        # an identically zero one is accepted and leaves the levels as they are
-        bare = find_roots(general_secular(FieldConfig(electric=square_well(2.0)), 2.0))
-        assert len(bare) == len(WELL22_ROOTS)
-        for magnetic in (Linear(0.0), PiecewiseConstant((-1.0, 1.0), (0.0, 0.0, 0.0))):
-            config = FieldConfig(electric=square_well(2.0), magnetic=magnetic)
-            assert find_roots(general_secular(config, 2.0)) == bare
+
+    @pytest.mark.parametrize("magnetic", [
+        pytest.param(Linear(1.0), id="linear"),
+        pytest.param(PiecewiseConstant((0.0,), (0.0, 1.0)), id="step"),
+        pytest.param(Lorentzian(-1.0), id="lorentzian"),
+        pytest.param(Tanh(1.0), id="tanh"),
+        pytest.param(CoulombLike(1.0, cutoff=0.1), id="coulomb_cutoff"),
+        pytest.param(CoulombLike(1.0), id="coulomb_bare"),
+    ])
+    def test_refuses_magnetic_profile(self, magnetic):
+        # a magnetic profile that is not identically zero is refused under a
+        # well, by both entry points and with the same message
+        config = FieldConfig(electric=square_well(2.0), magnetic=magnetic)
+        message = "^matching handles purely electrostatic configurations$"
+        with pytest.raises(ConfigError, match=message):
+            general_secular(config, 2.0)
+        with pytest.raises(ConfigError, match=message):
+            secular_det_general(config, QuantumLabel(2.0, 0.5))
+
+    @pytest.mark.parametrize("magnetic", [
+        pytest.param(Linear(0.0), id="linear"),
+        pytest.param(PiecewiseConstant((-1.0, 1.0), (0.0, 0.0, 0.0)), id="step"),
+        pytest.param(Lorentzian(0.0), id="lorentzian"),
+        pytest.param(Tanh(0.0), id="tanh"),
+        pytest.param(CoulombLike(0.0, cutoff=0.1), id="coulomb_cutoff"),
+    ])
+    def test_zero_magnetic_profile_keeps_levels(self, magnetic):
+        # an identically zero magnetic profile is accepted and changes nothing
+        bare = FieldConfig(electric=square_well(2.0))
+        config = FieldConfig(electric=square_well(2.0), magnetic=magnetic)
+        roots = find_roots(general_secular(bare, 2.0))
+        assert len(roots) == len(WELL22_ROOTS)
+        assert find_roots(general_secular(config, 2.0)) == roots
+        eps = np.linspace(-0.5, 1.9, 7)
+        np.testing.assert_array_equal(
+            secular_det_general(config, QuantumLabel(2.0, eps)),
+            secular_det_general(bare, QuantumLabel(2.0, eps)),
+        )
+
+    @pytest.mark.parametrize("electric", [
+        pytest.param(None, id="none"),
+        pytest.param(Linear(1.0), id="linear"),
+        pytest.param(Lorentzian(-2.0), id="lorentzian"),
+        pytest.param(Tanh(1.0), id="tanh"),
+        pytest.param(CoulombLike(-1.0, cutoff=0.1), id="coulomb_cutoff"),
+    ])
+    def test_refuses_smooth_electric_profile(self, electric):
+        # with no magnetic field to object to, the profile itself is refused
+        config = FieldConfig(electric=electric, magnetic=Linear(0.0))
+        message = "^matching needs a piecewise-constant profile$"
+        with pytest.raises(ConfigError, match=message):
+            general_secular(config, 2.0)
+        with pytest.raises(ConfigError, match=message):
+            secular_det_general(config, QuantumLabel(2.0, 0.5))
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_k(self, k):
