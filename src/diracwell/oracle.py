@@ -7,7 +7,10 @@ alone; the shooting route integrates the coupled first-order system
 numerically from both exteriors and matches the two solutions.  On a
 stepwise profile it counts the windings of its own RK4 march, so its
 phase gives every level; on a smooth profile it scans the matching
-determinant.  One bracketed Anderson-Bjorck secant solves both, on a
+determinant, and where the field is even about the match point it
+marches once, the right-hand seed through the left-hand march's
+mirrored propagators, with the same bits as a march of its own.  One
+bracketed Anderson-Bjorck secant solves both, on a
 stepwise profile from the cells of one first call on a uniform grid of
 its band.  The module imports only core and errors from the package.
 Agreement between these and the secular roots is the main correctness
@@ -53,6 +56,7 @@ OSCILLATOR_MARGIN = 3.0  # oscillator lengths kept between the highest turning p
 # levels n with turning point sqrt(2 n + 1) at most OSCILLATOR_SPAN - OSCILLATOR_MARGIN
 OSCILLATOR_LEVELS = int(((OSCILLATOR_SPAN - OSCILLATOR_MARGIN) ** 2 - 1.0) / 2.0) + 1
 GRID_MATRIX_CAP = 2**22  # elements of the dense (points - 2)^2 grid matrix: 32 MB of doubles
+MARCH_SAMPLE_CAP = 2**22  # field samples of one smooth march, 2 steps + 1: 32 MB of doubles per array
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +236,8 @@ def _check_momentum_and_step(k: float, step: float) -> None:
 
 
 def _renormalize(psi: np.ndarray) -> None:
-    scale = np.maximum(np.abs(psi[:, 0]), np.abs(psi[:, 1]))
-    psi /= scale[:, None]
+    scale = np.maximum(np.abs(psi[..., 0]), np.abs(psi[..., 1]))
+    psi /= scale[..., None]
 
 
 def _rk4_power(s, h, n):
@@ -410,18 +414,20 @@ def _chain(p):
     return p[..., 0]
 
 
-def _advance_sampled(config, k, eps, psi, x_from, x_to, step):
-    """Classical fourth-order march with field samples at the half steps.
-
-    The march is cut into blocks of PROPAGATOR_STEPS steps and the
-    energies into chunks that keep a block within PROPAGATOR_BLOCK (step x
-    energy) elements: each block's per-step propagators are built at once,
-    multiplied into one 2x2 per energy and applied to psi.  The blocks do
-    not depend on the energies, so neither does any energy's result.
+def _sample_march(config, k, x_from, x_to, step):
+    """(h, w, v) of the smooth march from x_from to x_to in n = ceil(|span|
+    / step) steps of h: w = k + a and v sampled at the 2 n + 1 half steps.
+    None where the march spans nothing.  Raises ConfigError, before any
+    sample is built, where the 2 n + 1 samples would exceed
+    MARCH_SAMPLE_CAP.
     """
     span = x_to - x_from
     if span == 0.0:
-        return psi
+        return None
+    if abs(span) / step > (MARCH_SAMPLE_CAP - 1) // 2:
+        raise ConfigError(
+            f"step={step} needs more than {MARCH_SAMPLE_CAP} field samples to march {abs(span)}"
+        )
     n = max(1, math.ceil(abs(span) / step))
     h = span / n
     xs = x_from + 0.5 * h * np.arange(2 * n + 1)
@@ -435,18 +441,47 @@ def _advance_sampled(config, k, eps, psi, x_from, x_to, step):
         if config.magnetic is not None
         else np.zeros(len(xs))
     )
-    w = (k + ay)[None, :]
+    return h, k + ay, v
+
+
+def _advance_sampled(march, eps, psi):
+    """Classical fourth-order march of psi, shaped (seeds, energies, 2),
+    through the fields march = (h, w, v) of _sample_march; None leaves psi
+    as it is.
+
+    The march is cut into blocks of PROPAGATOR_STEPS steps and the
+    energies into chunks that keep a block within PROPAGATOR_BLOCK (step x
+    energy) elements: each block's per-step propagators are built at once,
+    multiplied into one 2x2 per energy and applied to every seed.  The
+    blocks do not depend on the energies or the seeds, so neither does any
+    seed's result at any energy.
+    """
+    if march is None:
+        return psi
+    h, w, v = march
+    n = len(v) // 2
     chunk = PROPAGATOR_BLOCK // min(n, PROPAGATOR_STEPS)
     out = np.empty_like(psi)
     for e in range(0, len(eps), chunk):
-        part = psi[e : e + chunk]
+        part = psi[:, e : e + chunk]
         for start in range(0, n, PROPAGATOR_STEPS):
             s = slice(2 * start, 2 * min(start + PROPAGATOR_STEPS, n) + 1)
-            p = _chain(_rk4_propagators(w[:, s], eps[e : e + chunk, None] - v[s], h))
-            part = (p[:, 0] * part[:, 0] + p[:, 1] * part[:, 1]).T
+            p = _chain(_rk4_propagators(w[None, s], eps[e : e + chunk, None] - v[s], h))
+            part = p[:, 0].T * part[..., :1] + p[:, 1].T * part[..., 1:]
             _renormalize(part)
-        out[e : e + chunk] = part
+        out[:, e : e + chunk] = part
     return out
+
+
+def _is_mirror(left, right) -> bool:
+    """Whether the sampled march right is left's mirror image: the step
+    negated and the same w and v samples, bit for bit."""
+    return (
+        left is not None
+        and right is not None
+        and right[0] == -left[0]
+        and all(a.tobytes() == b.tobytes() for a, b in zip(left[1:], right[1:]))
+    )
 
 
 def _shooter(config: FieldConfig, k: float, step: float, x_match):
@@ -463,7 +498,19 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match):
     det = -|psi_L| |psi_R| sin theta: bound states are the crossings
     theta = n pi.  Both exteriors must decay or, at a band edge, be
     critical: |eps - v| <= |k + a|, where w^2 - d^2 rounds to no negative.
-    The window and a stepwise profile's segments are laid out once.
+    The window, a stepwise profile's segments and a smooth profile's field
+    samples are laid out once.
+
+    A smooth march from the right that samples exactly the left march's
+    fields mirrored (see _is_mirror: an even electric profile with an even
+    or absent vector potential, matched at the window centre) is not
+    marched again.  With sigma_x = [[0, 1], [1, 0]], the propagator of a
+    step -h is sigma_x P(h) sigma_x entry for entry, as _rk4_propagators'
+    diag and skew are odd in h and ident and swap even, and so is every
+    product and renormalization after it, up to the order of commuted
+    sums.  So the right seed is swapped, marched with the left seed
+    through the left march's products, and swapped back: the same bits as
+    its own march, in half the propagators.
     """
     x_lo, x_hi, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
     if x_match is None:
@@ -473,11 +520,19 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match):
     w_left, w_right = k + a_minus, k + a_plus
 
     if not (_is_stepwise(config.electric) and _is_stepwise(config.magnetic)):
+        march_left = _sample_march(config, k, x_lo, x_match, step)
+        march_right = _sample_march(config, k, x_hi, x_match, step)
+        mirrored = _is_mirror(march_left, march_right)
+
         def shoot(eps):
             psi_left = np.stack(_seed_vectors(w_left, eps - v_minus, outward=False), axis=1)
             psi_right = np.stack(_seed_vectors(w_right, eps - v_plus, outward=True), axis=1)
-            psi_left = _advance_sampled(config, k, eps, psi_left, x_lo, x_match, step)
-            psi_right = _advance_sampled(config, k, eps, psi_right, x_hi, x_match, step)
+            if mirrored:
+                both = _advance_sampled(march_left, eps, np.stack([psi_left, psi_right[:, ::-1]]))
+                psi_left, psi_right = both[0], both[1, :, ::-1]
+            else:
+                psi_left = _advance_sampled(march_left, eps, psi_left[None])[0]
+                psi_right = _advance_sampled(march_right, eps, psi_right[None])[0]
             return psi_left[:, 0] * psi_right[:, 1] - psi_left[:, 1] * psi_right[:, 0], None
 
         return shoot

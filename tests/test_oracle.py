@@ -311,26 +311,14 @@ class TestDiracShooting:
                 assert abs(a - b) < 1e-5
 
 
-def _stepwise_rk4_march(config, k, eps, psi, x_from, x_to, step):
+def _stepwise_rk4_march(march, eps, psi):
     """The smooth-profile march one RK4 step at a time, renormalized every
-    256 steps: the reference the blockwise propagator product must match."""
-    span = x_to - x_from
-    if span == 0.0:
+    256 steps, of every seed in psi (shaped (seeds, energies, 2)): the
+    reference the blockwise propagator product must match."""
+    if march is None:
         return psi
-    n = max(1, math.ceil(abs(span) / step))
-    h = span / n
-    xs = x_from + 0.5 * h * np.arange(2 * n + 1)
-    v = (
-        np.asarray(config.electric.evaluate(xs), dtype=float)
-        if config.electric is not None
-        else np.zeros(len(xs))
-    )
-    ay = (
-        np.asarray(config.magnetic.evaluate(xs), dtype=float)
-        if config.magnetic is not None
-        else np.zeros(len(xs))
-    )
-    w = k + ay
+    h, w, v = march
+    n = len(v) // 2
 
     def apply(wj, dj, vec):
         out = np.empty_like(vec)
@@ -338,18 +326,21 @@ def _stepwise_rk4_march(config, k, eps, psi, x_from, x_to, step):
         out[:, 1] = dj * vec[:, 0] - wj * vec[:, 1]
         return out
 
-    for j in range(n):
-        w0, wm, w1 = w[2 * j], w[2 * j + 1], w[2 * j + 2]
-        d0, dm, d1 = eps - v[2 * j], eps - v[2 * j + 1], eps - v[2 * j + 2]
-        k1 = apply(w0, d0, psi)
-        k2 = apply(wm, dm, psi + 0.5 * h * k1)
-        k3 = apply(wm, dm, psi + 0.5 * h * k2)
-        k4 = apply(w1, d1, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if j % 256 == 255:
-            oracle._renormalize(psi)
-    oracle._renormalize(psi)
-    return psi
+    out = np.empty_like(psi)
+    for seed, vec in enumerate(psi):
+        for j in range(n):
+            w0, wm, w1 = w[2 * j], w[2 * j + 1], w[2 * j + 2]
+            d0, dm, d1 = eps - v[2 * j], eps - v[2 * j + 1], eps - v[2 * j + 2]
+            k1 = apply(w0, d0, vec)
+            k2 = apply(wm, dm, vec + 0.5 * h * k1)
+            k3 = apply(wm, dm, vec + 0.5 * h * k2)
+            k4 = apply(w1, d1, vec + h * k3)
+            vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if j % 256 == 255:
+                oracle._renormalize(vec)
+        oracle._renormalize(vec)
+        out[seed] = vec
+    return out
 
 
 # config, k and the half-width of its exterior-decay band
@@ -368,7 +359,8 @@ class TestFoldedMarch:
     @pytest.mark.parametrize("case", sorted(SMOOTH_CASES))
     def test_determinants_match_the_stepwise_march(self, case, monkeypatch):
         config, k, half_band = SMOOTH_CASES[case]
-        # 80 energies split each side's march into blocks of 102 steps
+        # 80 energies in chunks of 16, and each side's 1000 steps in blocks
+        # of 512 and 488; all but tanh march the right side as the left's mirror
         grid = np.linspace(-half_band, half_band, 82)[1:-1]
         folded = dirac_shooting(config, QuantumLabel(k, grid), step=0.05)
         monkeypatch.setattr(oracle, "_advance_sampled", _stepwise_rk4_march)
@@ -411,6 +403,69 @@ class TestFoldedMarch:
         assert peak < 4e6
 
 
+# the even cases: the right-hand march samples the left one's fields mirrored
+MIRRORED_CASES = ("coulomb", "lorentzian", "magnetic")
+# _rk4_propagators calls of the benchmark's Lorentzian shot, marching each
+# side on its own: the 150 scan energies in 10 chunks of 16 and 4 secant
+# calls, each through 5 blocks of 512 steps a side
+TWO_MARCH_BUILDS = 140
+
+
+def _count_propagators(monkeypatch) -> list:
+    calls = []
+    build = oracle._rk4_propagators
+    monkeypatch.setattr(oracle, "_rk4_propagators", lambda *args: calls.append(1) or build(*args))
+    return calls
+
+
+def _two_march_determinant(config, k, eps, step):
+    """The determinant of one march from each window edge to its centre,
+    each with its own seed alone."""
+    x_lo, x_hi, (v_minus, v_plus), (a_minus, a_plus) = oracle._config_window(config)
+    x_match = 0.5 * (x_lo + x_hi)
+    sides = []
+    for edge, w, v, outward in ((x_lo, k + a_minus, v_minus, False), (x_hi, k + a_plus, v_plus, True)):
+        seed = np.stack(oracle._seed_vectors(w, eps - v, outward=outward), axis=1)
+        march = oracle._sample_march(config, k, edge, x_match, step)
+        sides.append(oracle._advance_sampled(march, eps, seed[None])[0])
+    left, right = sides
+    return left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
+
+
+class TestMirroredMarch:
+    """An even field's right-hand march reuses the left one's propagators,
+    and its determinants and roots keep the bits of two separate marches."""
+
+    @pytest.mark.parametrize("case", MIRRORED_CASES)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_determinants_equal_two_single_seed_marches(self, case, sign, monkeypatch):
+        config, k, half_band = SMOOTH_CASES[case]
+        k *= sign
+        eps = np.linspace(-half_band, half_band, 42)[1:-1]
+        calls = _count_propagators(monkeypatch)
+        det = dirac_shooting(config, QuantumLabel(k, eps), step=0.05)
+        mirrored = len(calls)
+        reference = _two_march_determinant(config, k, eps, 0.05)
+        assert len(calls) - mirrored == 2 * mirrored
+        assert np.array_equal(det, reference)
+
+    def test_the_benchmark_shot_builds_half_the_propagators(self, monkeypatch):
+        calls = _count_propagators(monkeypatch)
+        roots = shooting_bound_states(FieldConfig(electric=Lorentzian(-2.0)), 2.0, scan_points=150,
+                                      tol=1e-5, step=0.02)
+        assert len(roots) == len(LORENTZ_ROOTS)
+        assert len(calls) == TWO_MARCH_BUILDS // 2
+
+    @pytest.mark.parametrize("config, k, x_match", [
+        (SMOOTH_CASES["tanh"][0], SMOOTH_CASES["tanh"][1], None),  # odd electric profile
+        (FieldConfig(electric=Lorentzian(-2.0)), 2.0, 0.3),  # off-centre match point
+    ])
+    def test_unmirrored_fields_march_both_sides(self, config, k, x_match, monkeypatch):
+        calls = _count_propagators(monkeypatch)
+        shooting_bound_states(config, k, scan_points=150, tol=1e-5, step=0.02, x_match=x_match)
+        assert len(calls) == TWO_MARCH_BUILDS
+
+
 class TestShootingInputs:
     """Every shooting input either works or raises ConfigError."""
 
@@ -446,6 +501,21 @@ class TestShootingInputs:
         config = square_well_config(2.0)
         assert shooting_bound_states(config, 2.0, scan_points=np.int64(50)) == shooting_bound_states(
             config, 2.0, scan_points=50)
+
+    @pytest.mark.parametrize("step", [1e-9, 5e-324])
+    def test_smooth_step_whose_samples_exceed_the_cap_is_refused_before_any_allocation(self, step):
+        # 1e-9 over the Lorentzian's half-window of 50 asked numpy for 1e11
+        # samples per array; 5e-324 made the step count infinite
+        config = FieldConfig(electric=Lorentzian(-2.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="field samples"):
+                dirac_shooting(config, QuantumLabel(2.0, 0.5), step=step)
+            with pytest.raises(ConfigError, match="field samples"):
+                shooting_bound_states(config, 2.0, scan_points=150, step=step)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("k, eps", [(2.0, float("nan")), (float("nan"), 0.5)])
     def test_non_finite_label(self, k, eps):
