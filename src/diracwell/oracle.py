@@ -692,6 +692,37 @@ def _phase_roots(theta, lo, hi, tol) -> list[float]:
     return _anderson_bjorck(lambda eps: _finite(theta(eps)), a, b, fa, fb, target, tol, 1).tolist()
 
 
+def _decaying_band(lo, hi, exteriors):
+    """The band (lo, hi) narrowed so that both exteriors (w, v) decay,
+    w^2 - (eps - v)^2 > 0 as dirac_shooting requires, at its innermost
+    doubles.  They do at the band's own innermost doubles unless an edge
+    lies at or near zero: there the doubles of eps are finer than those of
+    eps - v, and the innermost ones round to a critical exterior, whose
+    phase is the edge's own and can round past its n pi into a spurious
+    crossing.  Such an edge moves, by bisection, to the last energy where
+    some exterior does not decay.  A band whose midpoint does not decay is
+    empty."""
+
+    def decays(eps):
+        return all(w * w - (eps - v) * (eps - v) > 0.0 for w, v in exteriors)
+
+    mid = 0.5 * (lo + hi)
+    if not (lo < mid < hi and decays(mid)):
+        return lo, lo
+
+    def narrowed(edge):
+        if decays(np.nextafter(edge, mid)):
+            return edge
+        a, b = np.nextafter(edge, mid), mid  # a does not decay, b does
+        while True:
+            m = 0.5 * (a + b)
+            if not (min(a, b) < m < max(a, b)):
+                return float(a)
+            a, b = (a, m) if decays(m) else (m, b)
+
+    return narrowed(lo), narrowed(hi)
+
+
 def _scan_grid(lo, hi, scan_points) -> np.ndarray:
     """The scan_points uniform interior points of the band (lo, hi),
     clipped to its innermost doubles, so that none lies on an edge."""
@@ -729,7 +760,8 @@ def shooting_bound_states(
 
     A stepwise profile (electric, magnetic or both piecewise constant) has
     them as the crossings theta = n pi of its shooting phase (see _shooter),
-    counted by _phase_roots, so none is lost at a band edge.  A smooth
+    counted by _phase_roots on the band's decaying part (see
+    _decaying_band), so none is lost at a band edge and none is made there.  A smooth
     profile has them as the zeros of dirac_shooting's determinant that
     _scan_roots brackets on scan_points uniform points, however near an
     edge; its levels can crowd into a band edge, where no finite scan
@@ -751,6 +783,7 @@ def shooting_bound_states(
     hi = min(v_minus + abs(k + a_minus), v_plus + abs(k + a_plus))
     if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
         shoot = _shooter(config, k, step, x_match)
+        lo, hi = _decaying_band(lo, hi, ((k + a_minus, v_minus), (k + a_plus, v_plus)))
         return _phase_roots(lambda eps: shoot(eps)[1], lo, hi, tol)
     return _scan_roots(
         lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step, x_match),

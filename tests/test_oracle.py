@@ -687,6 +687,8 @@ class TestShootingPhase:
                                                           (0.0, -60.0, 0.0, -47.0, 0.0))), 40.0, None))  # 109 levels
     @example(well=(MAGNETIC_STEP, 2.5, None))
     @example(well=(square_well_config(8.0), 3.0, 0.37))
+    @example(well=(FieldConfig(electric=PiecewiseConstant((-1.0, 2.0), (3.0, 3.0, 3.0))), 3.0,
+                   None))  # flat, with its lower band edge at zero
     def test_roots_match_the_transfer_route(self, well):
         config, k, x_match = well
         step, lo, hi = shooting_step(config, k)
@@ -703,6 +705,25 @@ class TestShootingPhase:
         shot = shooting_bound_states(config, k, step=step, x_match=x_match)
         assert len(shot) == len(reference)
         np.testing.assert_allclose(shot, reference, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("k", [3.0, -3.0])
+    def test_no_level_at_a_band_edge_on_zero(self, k):
+        # a flat profile at v = |k| has its band edge on eps = 0 (v = -|k|
+        # on the upper edge), where the innermost doubles round eps - v to
+        # a critical exterior: its phase is the edge's n pi, and rounded
+        # below it, it was a level at 2.25e-11
+        v = abs(k) if k > 0.0 else -abs(k)
+        config = FieldConfig(electric=PiecewiseConstant((-1.0, 2.0), (v, v, v)))
+        assert shooting_bound_states(config, k) == []
+        lo, hi = oracle._decaying_band(min(0.0, 2.0 * v), max(0.0, 2.0 * v), ((k, v), (k, v)))
+        for eps in (np.nextafter(lo, hi), np.nextafter(hi, lo)):
+            dirac_shooting(config, QuantumLabel(k, eps))  # both exteriors decay: no OutsideAdmissibleBand
+        with pytest.raises(OutsideAdmissibleBand):
+            dirac_shooting(config, QuantumLabel(k, lo if v > 0.0 else hi))
+
+    def test_the_decaying_band_keeps_an_edge_whose_doubles_decay(self):
+        assert oracle._decaying_band(-2.0, 2.0, ((2.0, 0.0), (2.0, 0.0))) == (-2.0, 2.0)
+        assert oracle._decaying_band(1.0, 1.0, ((0.0, 1.0), (0.0, 1.0))) == (1.0, 1.0)
 
     @pytest.mark.parametrize("k, v0, half_width, count", [(50.0, 20.0, 3.0, 94), (2.0, 1e-4, 1.0, 1)])
     def test_levels_at_the_band_edge(self, k, v0, half_width, count):
