@@ -120,12 +120,13 @@ def _square_well_phase_slope(k, epsilon, v0, half_width):
     vanishes the slope is infinite or NaN, without a warning.
     """
     eps = np.asarray(epsilon, dtype=float)
-    p, q = _square_well_pq(k, eps, v0)
-    n, d = eps * (eps + v0) - k * k, p * q
+    kk, e = k * k, eps + v0
+    p, q = np.sqrt(np.maximum(kk - eps**2, 0.0)), np.sqrt(np.maximum(e**2 - kk, 0.0))
+    n, d = eps * e - kk, p * q
     theta = 2.0 * half_width * q + np.arctan2(n, d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dd = (p * p * (eps + v0) - eps * q * q) / d
-        slope = 2.0 * half_width * (eps + v0) / q + ((2.0 * eps + v0) * d - n * dd) / (n * n + d * d)
+        dd = (p * p * e - eps * q * q) / d
+        slope = 2.0 * half_width * e / q + ((2.0 * eps + v0) * d - n * dd) / (n * n + d * d)
     return theta, slope
 
 
@@ -228,13 +229,13 @@ def _propagator_entries(m, w):
     m = np.asarray(m, dtype=float)
     z = m * w * w
     series = np.abs(z) < _SERIES_CUT
-    expand = series.any()
+    expand = np.count_nonzero(series) > 0
     rate = np.sqrt(np.abs(m))
     rw = rate * w
     evan = m > 0.0
     if expand:
         rate = np.where(series, 1.0, rate)  # no 0/0: the series replaces these entries
-    if evan.any():
+    if np.count_nonzero(evan):
         half = 0.5 * np.exp(-2.0 * rw)
         c = np.where(evan, 0.5 + half, np.cos(rw))
         sdiv = np.where(evan, 0.5 - half, np.sin(rw)) / rate
@@ -308,13 +309,14 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
     by region in closed form: area <- area exp(-2 rescale) + the region's
     integral in units of exp(2 log) at its exit, so no term overflows; a
     region that rescales nothing shrinks nothing.  Equal exteriors share
-    their d and p.  Where a decay rate vanishes the slope is infinite,
+    their d, p, k + p and 1 / (2 p).  Where a decay rate vanishes the slope is infinite,
     without a warning.
     """
     steps, values = potential.breakpoints, potential.values
     d_lo = eps - values[0]
     p_lo = np.sqrt(np.maximum(k * k - d_lo**2, 0.0))
-    if values[0] == values[-1]:
+    equal = values[0] == values[-1]
+    if equal:
         d_hi, p_hi = d_lo, p_lo
     else:
         d_hi = eps - values[-1]
@@ -323,32 +325,34 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
     # eigenvector of M = [[k, -d], [d, -k]], (k + p, d) and (d, k + p), or
     # for k < 0 (d, k - p) and (p - k, -d): each on one branch over the band
     if k >= 0.0:
-        phi_l, phi_r = np.arctan2(d_lo, k + p_lo), np.arctan2(k + p_hi, d_hi)
+        kp_lo = k + p_lo
+        phi_l, phi_r = np.arctan2(d_lo, kp_lo), np.arctan2(kp_lo if equal else k + p_hi, d_hi)
     else:
         phi_l, phi_r = np.arctan2(k - p_lo, d_lo), np.arctan2(-d_hi, p_hi - k)
     seed = np.exp(-1j * phi_l)
     regions, spans = _carry(potential, k, eps, seed, p_lo * seed, 1)
     theta = phi_l - phi_r + 0.5 * math.pi
     with np.errstate(divide="ignore", invalid="ignore"):
-        area = 1.0 / (2.0 * p_lo)
+        area = tail = 1.0 / (2.0 * p_lo)
         for r, (psi, dpsi, end_psi, end_dpsi, d, m, rw, rescale) in enumerate(spans, 1):
             turns = np.floor(np.where(m < 0.0, rw, 0.0) / math.pi)
             flip = 1.0 - 2.0 * (turns % 2.0)
-            turn = flip * end_psi * np.conj(psi)
+            conj = np.conj(psi)
+            turn = flip * end_psi * conj
             theta = theta + np.sign(d) * turns * math.pi - np.arctan2(turn.imag, turn.real)
             # 2m int |psi|^2 = [Re(conj(psi) psi')] across the region
             # - w (|psi'|^2 - m |psi|^2), the last constant there, in units
             # of exp(2 log) at the exit, where the entry's terms shrink by
             # exp(-2 rescale)
             w = steps[r] - steps[r - 1]
-            cross, size, grad = (np.conj(psi) * dpsi).real, np.abs(psi) ** 2, np.abs(dpsi) ** 2
+            cross, size, grad = (conj * dpsi).real, np.abs(psi) ** 2, np.abs(dpsi) ** 2
             entry = cross + w * (grad - m * size)
             if rescale is not None:
                 shrink = np.exp(-2.0 * rescale)
                 entry, area = shrink * entry, area * shrink
             inside = ((np.conj(end_psi) * end_dpsi).real - entry) / (2.0 * m)
             near = rw * rw < _AREA_SERIES_CUT
-            if near.any():
+            if np.count_nonzero(near):
                 # that difference cancels as m w^2 -> 0: there the integral
                 # of |c psi + (s/kappa) psi'|^2 to second order in z = m w^2
                 z = m * w * w
@@ -357,7 +361,7 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
                               + w * w * grad * (1.0 / 3.0 + z * (1.0 / 15.0 + z * (2.0 / 315.0))))
                 inside = np.where(near, series if rescale is None else shrink * series, inside)
             area = area + inside
-        slope = area / np.abs(regions[-1][0]) ** 2 + 1.0 / (2.0 * p_hi)
+        slope = area / np.abs(regions[-1][0]) ** 2 + (tail if equal else 1.0 / (2.0 * p_hi))
     return theta, slope
 
 

@@ -272,7 +272,7 @@ def _rk4_power(s, h, n):
     vs = v * sigma
     osc = s < 0.0
     angle = n * np.arctan2(vs, u)
-    if osc.all():
+    if np.count_nonzero(osc) == osc.size:
         un, vn = np.cos(angle), np.sin(angle) / sigma
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -281,20 +281,24 @@ def _rk4_power(s, h, n):
             vn = np.where(s == 0.0, n * h_abs, np.where(osc, np.sin(angle), -0.5 * decay) / sigma)
     turns = np.floor(angle / math.pi)
     fine = (u > 0.0) & (v > 0.0)
-    if not fine.all():
+    if np.count_nonzero(fine) < fine.size:
         turns = np.where(fine, turns, np.nan)
     return un, (vn if h >= 0.0 else -vn), turns
 
 
 def _segments(config, k, points, step):
     """(h, steps, w, v) of the constant segments between neighbouring
-    points, marched in steps of h no longer than step."""
+    points, marched in steps of h no longer than step; ConfigError where
+    a segment's step count overflows a double."""
     out = []
     for a, b in zip(points[:-1], points[1:]):
         width = b - a
         if width == 0.0:
             continue
-        n = max(1, math.ceil(abs(width) / step))
+        count = abs(width) / step
+        if not math.isfinite(count):
+            raise ConfigError(f"step={step} is too small: the steps across {abs(width)} overflow a double")
+        n = max(1, math.ceil(count))
         mid = 0.5 * (a + b)
         v = config.electric.evaluate(mid) if config.electric is not None else 0.0
         ay = config.magnetic.evaluate(mid) if config.magnetic is not None else 0.0
@@ -334,7 +338,8 @@ def _advance_stepwise(segments, eps, psi, powers):
             s = w * w - d * d
             cu, cv, turns = _rk4_power(s, abs(h), n)
             lead = np.where(s < 0.0, np.sign(d) * (turns + 0.5) * math.pi, 0.0)
-            powers[key] = cu + cv * w, cv * d, cu - cv * w, lead
+            vw = cv * w
+            powers[key] = cu + vw, cv * d, cu - vw, lead
         diag, vd, anti, lead = powers[key]
         if h < 0.0:
             diag, vd, anti, lead = anti, -vd, diag, -lead
@@ -573,7 +578,8 @@ def dirac_shooting(
 
     Raises OutsideAdmissibleBand when some requested energy admits no
     decaying solution on one of the exteriors, and ConfigError for a
-    non-finite k or energy or a step that is not finite and positive.
+    non-finite k or energy, a step that is not finite and positive, or one
+    so small that a stepwise segment's step count overflows a double.
     """
     epsilon = label.epsilon
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
@@ -599,7 +605,7 @@ def dirac_shooting(
 
 
 def _finite(theta) -> np.ndarray:
-    if not np.all(np.isfinite(theta)):
+    if np.count_nonzero(np.isfinite(theta)) < theta.size:
         raise UnsupportedRegime(
             "the shooting phase is not finite at some band energy: a segment's RK4 step "
             "turns by pi/2 or more there, too coarse to count its windings; take a smaller step"
@@ -622,28 +628,39 @@ def _anderson_bjorck(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
     value scaled by m = 1 - f_new / f_replaced, or halved where m <= 0; and
     an exact zero closes the bracket.  A bracket is done, at 0.5 (a + b),
     once it is tol wide, holds no double inside, or has closed onto an
-    exact zero; only a call where some bracket is done compacts the batch,
-    and with no bracket values is never called.
+    exact zero.  A done bracket is recorded once and stays in the batch,
+    frozen, until at most half the batch is open, when the batch is
+    compacted: it is evaluated only inside itself, so the open brackets
+    take the same steps and values the same calls.  With a stepwise
+    profile's phase that is safe, as each segment's s = w^2 - (eps - v)^2
+    is concave in eps: a phase finite at both ends of a bracket is finite
+    inside it (see _rk4_power).  With no bracket values is never called.
     """
     gap = 0.45 * tol
     target = np.zeros(np.shape(a)) + target
     roots = np.empty(target.size)
-    todo = np.arange(target.size)
+    todo, frozen, shut = np.arange(target.size), np.zeros(target.size, dtype=bool), 0
     kept = np.zeros(target.size)  # the end the last step kept: -1 for a, 1 for b
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             done = (b - a <= tol) | ~(np.nextafter(a, b) < b)
-            if done.any():
-                roots[todo[done]] = 0.5 * (a + b)[done]
-                keep = ~done
-                todo, target, a, b, fa, fb, kept = (v[keep] for v in (todo, target, a, b, fa, fb, kept))
+            closed = np.count_nonzero(done)
+            if closed > shut:  # brackets only narrow, so a closed one stays closed
+                fresh = done > frozen
+                roots[todo[fresh]] = 0.5 * (a + b)[fresh]
+                frozen, shut = done, closed
+                if 2 * closed >= todo.size:
+                    keep = ~done
+                    todo, frozen, target, a, b, fa, fb, kept = (
+                        v[keep] for v in (todo, done, target, a, b, fa, fb, kept))
+                    shut = 0
             if not todo.size:
                 return roots
             if calls < SECANT_CALLS:
                 x = a - fa * (b - a) / (fb - fa)
                 x = np.minimum(np.maximum(x, a + gap), b - gap)
                 inside = (a < x) & (x < b)
-                if not inside.all():
+                if np.count_nonzero(inside) < inside.size:
                     x = np.where(inside, x, 0.5 * (a + b))
             else:
                 x = 0.5 * (a + b)

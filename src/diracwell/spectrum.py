@@ -4,7 +4,8 @@ Square-well bound states live strictly inside the band of matching._band,
 (max(-|k|, |k| - v0), |k|), mirrored for a barrier, and are exactly the
 crossings theta = pi/2 + n pi of the monotone square-well phase: levels
 are counted in closed form and each takes bracketed Newton steps on its
-own crossing, with the closed-form slope dtheta/deps.  A sweep in k or v0
+own crossing, with the closed-form slope dtheta/deps, in one batch that
+is compacted only once half its levels have closed.  A sweep in k or v0
 solves every parameter value in one batched pass; a branch is a run of
 consecutive parameter values holding the same level.  A genuine well that
 counts no level is refused, not reported empty, and so is one whose phase
@@ -80,23 +81,23 @@ def _level_ranges(phase, lo, hi, binds):
         theta = phase(np.concatenate((live, live)), np.concatenate((inner_lo, inner_hi)))[0]
     th_lo, th_hi = theta[: live.size], theta[live.size :]
     reach = np.maximum(np.abs(th_lo), np.abs(th_hi))
-    if not np.all(np.isfinite(reach)):
+    if np.count_nonzero(np.isfinite(reach)) < reach.size:
         raise UnsupportedRegime("phase is not finite at a band end: levels are not distinct doubles")
-    if not np.all(np.spacing(reach) < math.pi):
+    if np.count_nonzero(np.spacing(reach) < math.pi) < reach.size:
         raise UnsupportedRegime(f"phase reaches {np.max(reach):.3g}: levels are not distinct doubles")
     flip = th_hi < th_lo
     sign = np.where(flip, -1.0, 1.0)
     u_lo, u_hi = inner_lo, inner_hi
-    if flip.any():
+    if np.count_nonzero(flip):
         u_lo, u_hi = np.where(flip, -inner_hi, inner_lo), np.where(flip, -inner_lo, inner_hi)
         th_lo, th_hi = np.where(flip, th_hi, th_lo), np.where(flip, th_lo, th_hi)
     first = np.floor((th_lo - 0.5 * math.pi) / math.pi).astype(int) + 1
     last = np.ceil((th_hi - 0.5 * math.pi) / math.pi).astype(int) - 1
     count = np.maximum(last - first + 1, 0)
-    if np.any(binds):
+    if np.count_nonzero(binds):
         empty = np.broadcast_to(binds, lo.shape).copy()
         empty[live[count > 0]] = False
-        if empty.any():
+        if np.count_nonzero(empty):
             raise UnsupportedRegime(
                 f"{np.count_nonzero(empty)} well(s) bind a level within one double of the band edge: "
                 "too weakly bound to resolve"
@@ -134,11 +135,15 @@ def _levels_by_row(phase, lo, hi, binds):
     reach is stretched to it; reach starts at spacing(|k|),
     |k| = max(|lo|, |hi|), and doubles with each stretch, so that the
     bracket also closes from the far side once theta's rounding makes the
-    step's sign random.  A level is done at b - a <= spacing(|k|), as
-    0.5 (a + b), and leaves the batch: about 6 calls (median), and a level
-    still open after NEWTON_CALLS calls is bisected.  Only a call where
-    some level closes compacts the batch, and a batch without a mirrored
-    (barrier) row skips the sign products.  UnsupportedRegime when the
+    step's sign random.  A level is done at b - a <= spacing(|k|): the
+    call where it closes records its root 0.5 (a + b) and slope, and it
+    stays in the batch, frozen, until at most half the batch is open, when
+    the batch is compacted.  A frozen level is evaluated only inside its
+    closed bracket, where the midpoint check sends it, so the open levels
+    take the same iterates and the batch the same calls as if it had left:
+    about 6 calls (median), and a level still open after NEWTON_CALLS
+    calls is bisected.  A batch without a mirrored (barrier) row skips the
+    sign products.  UnsupportedRegime when the
     rounding of theta, spacing(theta) / theta', could move a root by more
     than DEFAULT_ROOT_TOL.
     """
@@ -150,13 +155,13 @@ def _levels_by_row(phase, lo, hi, binds):
     x = a + (target - th_lo[at]) / (th_hi[at] - th_lo[at]) * (b - a)
     width = reach = np.spacing(np.maximum(np.abs(lo), np.abs(hi))[rows])
     root, slope_at = np.empty(at.size), np.empty(at.size)
-    todo, calls = np.arange(at.size), 0
-    mirrored = bool((sign < 0.0).any())
+    todo, frozen, shut, calls = np.arange(at.size), np.zeros(at.size, dtype=bool), 0, 0
+    mirrored = np.count_nonzero(sign < 0.0) > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        while todo.size:
+        while shut < todo.size:
             if calls < NEWTON_CALLS:
                 inside = (a < x) & (x < b)
-                if not inside.all():
+                if np.count_nonzero(inside) < inside.size:
                     x = np.where(inside, x, 0.5 * (a + b))
             else:
                 x = 0.5 * (a + b)
@@ -171,17 +176,22 @@ def _levels_by_row(phase, lo, hi, binds):
             done = b - a <= width
             step = -f / slope
             stretch = np.abs(step) < reach
-            if stretch.any():
+            if np.count_nonzero(stretch):
                 x = x + np.where(stretch, np.copysign(reach, step), step)
                 reach = np.where(stretch, 2.0 * reach, reach)
             else:
                 x = x + step
-            if done.any():
-                root[todo[done]], slope_at[todo[done]] = 0.5 * (a + b)[done], slope[done]
-                keep = ~done
-                todo, rows, s, target, a, b, x, width, reach = (
-                    v[keep] for v in (todo, rows, s, target, a, b, x, width, reach)
-                )
+            closed = np.count_nonzero(done)
+            if closed > shut:  # brackets only narrow, so a closed level stays closed
+                fresh = done > frozen
+                root[todo[fresh]], slope_at[todo[fresh]] = 0.5 * (a + b)[fresh], slope[fresh]
+                frozen, shut = done, closed
+                if 2 * closed >= todo.size:
+                    keep = ~done
+                    todo, frozen, rows, s, target, a, b, x, width, reach = (
+                        v[keep] for v in (todo, done, rows, s, target, a, b, x, width, reach)
+                    )
+                    shut = 0
     blur = np.spacing(np.abs(0.5 * math.pi + n * math.pi)) / slope_at
     blurred = ~(blur <= DEFAULT_ROOT_TOL)  # NaN for a slope that is not finite
     if blurred.any():

@@ -517,6 +517,23 @@ class TestShootingInputs:
         finally:
             tracemalloc.stop()
 
+    @pytest.mark.parametrize("step", [5e-324, 1e-320])
+    def test_stepwise_step_whose_count_overflows_is_refused(self, step):
+        # the square well's unit segments took math.ceil(inf): OverflowError
+        config = square_well_config(2.0)
+        with pytest.raises(ConfigError, match="overflow a double"):
+            dirac_shooting(config, QuantumLabel(2.0, 0.5), step=step)
+        with pytest.raises(ConfigError, match="overflow a double"):
+            shooting_bound_states(config, 2.0, step=step)
+
+    def test_a_tiny_finite_stepwise_step_still_solves(self):
+        # each segment's power is taken in closed form, so 1e300 steps cost
+        # no more than one
+        config = square_well_config(2.0)
+        assert np.isfinite(dirac_shooting(config, QuantumLabel(2.0, 0.5), step=1e-300))
+        roots = shooting_bound_states(config, 2.0, step=1e-300)
+        np.testing.assert_allclose(roots, find_roots(square_well_secular(2.0, 2.0)), rtol=0.0, atol=1e-9)
+
     @pytest.mark.parametrize("k, eps", [(2.0, float("nan")), (float("nan"), 0.5)])
     def test_non_finite_label(self, k, eps):
         with pytest.raises(ConfigError):

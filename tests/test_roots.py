@@ -2,8 +2,11 @@
 oracle._anderson_bjorck: on the uniform scan of a smooth profile's
 determinant, where its roots must be a scalar Anderson-Bjorck secant's bit
 for bit, and on the phase crossings of a stepwise profile, bracketed by the
-cells of one first call on oracle.PHASE_GRID points of the band."""
+cells of one first call on oracle.PHASE_GRID points of the band.  The
+phase kernel, spectrum._levels_by_row, must give the levels of its eager
+reference bit for bit, and each route its pinned number of phase calls."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,12 +21,17 @@ from diracwell import (
     QuantumLabel,
     dirac_shooting,
     find_roots,
+    general_secular,
     shooting_bound_states,
     square_well_config,
     square_well_secular,
 )
 from diracwell import oracle
+from diracwell.errors import UnsupportedRegime
+from diracwell.matching import _band, _square_well_phase_slope
 from diracwell.oracle import _anderson_bjorck, _phase_roots, _scan_grid, _scan_roots
+from diracwell.spectrum import DEFAULT_ROOT_TOL, NEWTON_CALLS, _level_ranges, _levels_by_row, _narrowed
+from test_matching import piecewise_wells
 
 
 def scalar_anderson_bjorck(f, a, b, fa, fb, tol, calls=1):
@@ -395,3 +403,167 @@ class TestGridStart:
         assert len(roots) == 1
         assert grid[9] < roots[0] <= grid[10]
         assert abs(theta(np.array(roots))[0] - math.pi) < 1e-9
+
+
+def eager_levels_by_row(phase, lo, hi, binds):
+    """Reference for spectrum._levels_by_row: its Newton loop with eager
+    compaction, where a level leaves the batch at the call where it
+    closes, and every mask is tested by any() or all()."""
+    live, sign, u_lo, u_hi, th_lo, th_hi, first, count = _level_ranges(phase, lo, hi, binds)
+    at = np.repeat(np.arange(live.size), count)
+    n = first[at] + np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
+    rows, s, target = live[at], sign[at], 0.5 * math.pi + n * math.pi
+    a, b = u_lo[at], u_hi[at]
+    x = a + (target - th_lo[at]) / (th_hi[at] - th_lo[at]) * (b - a)
+    width = reach = np.spacing(np.maximum(np.abs(lo), np.abs(hi))[rows])
+    root, slope_at = np.empty(at.size), np.empty(at.size)
+    todo, calls = np.arange(at.size), 0
+    mirrored = bool((sign < 0.0).any())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while todo.size:
+            if calls < NEWTON_CALLS:
+                inside = (a < x) & (x < b)
+                if not inside.all():
+                    x = np.where(inside, x, 0.5 * (a + b))
+            else:
+                x = 0.5 * (a + b)
+            theta, slope = phase(rows, s * x if mirrored else x)
+            calls += 1
+            f = theta - target
+            if mirrored:
+                slope = s * slope
+            a, b = np.where(f <= 0.0, x, a), np.where(f >= 0.0, x, b)
+            if calls == 1:
+                a, b = _narrowed(rows, x, theta, target, a, b)
+            done = b - a <= width
+            step = -f / slope
+            stretch = np.abs(step) < reach
+            if stretch.any():
+                x = x + np.where(stretch, np.copysign(reach, step), step)
+                reach = np.where(stretch, 2.0 * reach, reach)
+            else:
+                x = x + step
+            if done.any():
+                root[todo[done]], slope_at[todo[done]] = 0.5 * (a + b)[done], slope[done]
+                keep = ~done
+                todo, rows, s, target, a, b, x, width, reach = (
+                    v[keep] for v in (todo, rows, s, target, a, b, x, width, reach)
+                )
+    blur = np.spacing(np.abs(0.5 * math.pi + n * math.pi)) / slope_at
+    blurred = ~(blur <= DEFAULT_ROOT_TOL)
+    if blurred.any():
+        raise UnsupportedRegime(
+            f"phase rounding moves {np.count_nonzero(blurred)} level(s) by up to "
+            f"{np.max(blur[blurred]):.3g}, more than {DEFAULT_ROOT_TOL:g}"
+        )
+    rows = live[at]
+    if mirrored:
+        root = sign[at] * root
+        n = np.where(sign[at] > 0.0, n, -n - 1)
+    order = np.lexsort((root, rows))
+    return rows[order], n[order], root[order]
+
+
+def square_well_rows(k, v0, half_width):
+    """(phase, lo, hi, binds) of the square wells (k[r], v0[r]), as
+    spectrum._square_well_levels hands them to the kernel."""
+    k, v0 = np.broadcast_arrays(np.atleast_1d(np.asarray(k, dtype=float)), np.asarray(v0, dtype=float))
+    return (lambda rows, eps: _square_well_phase_slope(k[rows], eps, v0[rows], half_width),
+            *_band(k, (0.0, -v0, 0.0)), (k != 0.0) & (v0 != 0.0))
+
+
+def assert_same_levels(phase, lo, hi, binds):
+    """The kernel's (row, n, root) arrays are its eager reference's, bit for
+    bit, or both refuse the rows with the same message."""
+    try:
+        eager = eager_levels_by_row(phase, lo, hi, binds)
+    except UnsupportedRegime as refusal:
+        with pytest.raises(UnsupportedRegime) as raised:
+            _levels_by_row(phase, lo, hi, binds)
+        assert str(raised.value) == str(refusal)
+        return
+    lazy = _levels_by_row(phase, lo, hi, binds)
+    for mine, theirs in zip(lazy, eager):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+class TestLazyCompaction:
+    """A level that closes is frozen, evaluated only inside its closed
+    bracket, until at most half the batch is open: no open level's iterate
+    and no root may change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.floats(-60.0, 60.0),
+        v0=st.floats(-500.0, 500.0),
+        half_width=st.floats(0.1, 10.0),
+    )
+    def test_square_wells(self, k, v0, half_width):
+        assert_same_levels(*square_well_rows(k, v0, half_width))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.floats(-20.0, 20.0),
+        v_top=st.floats(0.1, 80.0),
+        points=st.integers(2, 150),
+        half_width=st.floats(0.2, 4.0),
+    )
+    def test_depth_sweeps_through_mirrored_barrier_rows(self, k, v_top, points, half_width):
+        # rows from a barrier of -v_top to a well of v_top: the sign products
+        # run on every call, and barrier levels close beside well levels
+        assert_same_levels(*square_well_rows(k, np.linspace(-v_top, v_top, points), half_width))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        v0=st.floats(-80.0, 80.0),
+        k_top=st.floats(0.1, 30.0),
+        points=st.integers(2, 150),
+        half_width=st.floats(0.2, 4.0),
+    )
+    def test_momentum_sweeps(self, v0, k_top, points, half_width):
+        assert_same_levels(*square_well_rows(np.linspace(-k_top, k_top, points), v0, half_width))
+
+    @settings(max_examples=30, deadline=None)
+    @given(well=piecewise_wells())
+    def test_piecewise_wells_by_the_transfer_phase(self, well):
+        steps, values, k = well
+        secular = general_secular(FieldConfig(electric=PiecewiseConstant(steps, values)), k)
+        assert_same_levels(lambda rows, eps: secular.phase(eps), np.array([secular.lo]),
+                           np.array([secular.hi]), secular.binds)
+
+    @pytest.mark.parametrize("v0", [500.0, -500.0])
+    def test_the_deepest_anchor(self, v0):
+        # (200, 500, 5) holds 1425 levels, and its mirrored barrier as many
+        assert_same_levels(*square_well_rows(200.0, v0, 5.0))
+
+
+def counted_phase(secular):
+    """secular with its phase counting its calls, and the list it appends to."""
+    calls = []
+
+    def phase(eps):
+        calls.append(np.size(eps))
+        return secular.phase(eps)
+
+    return dataclasses.replace(secular, phase=phase), calls
+
+
+class TestRouteCalls:
+    # (k, v0, half_width) and the phase calls of the closed form, the
+    # transfer walk and stepwise shooting at the routes' step, as eager
+    # compaction took them: lazy compaction may add none
+    @pytest.mark.parametrize("well, pinned", [
+        ((2.0, 2.0, 1.0), (7, 8, 6)),
+        ((3.0, 8.0, 1.0), (7, 9, 5)),
+        ((20.0, 50.0, 2.5), (8, 13, 8)),
+    ])
+    def test_each_route_takes_its_pinned_calls(self, monkeypatch, well, pinned):
+        k, v0, half_width = well
+        closed, closed_calls = counted_phase(square_well_secular(k, v0, half_width))
+        transfer, transfer_calls = counted_phase(general_secular(square_well_config(v0, half_width), k))
+        shot_calls = counted_shooter(monkeypatch)
+        find_roots(closed)
+        find_roots(transfer)
+        step = min(1e-3, 0.02 / math.sqrt((abs(k) + v0) ** 2 - k * k))
+        shooting_bound_states(square_well_config(v0, half_width), k, step=step)
+        assert (len(closed_calls), len(transfer_calls), len(shot_calls)) == pinned
