@@ -59,6 +59,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PiecewiseConstant:
     """Step profile: values[i] on (breakpoints[i-1], breakpoints[i]).
@@ -105,6 +110,9 @@ class Linear:
 
     slope: float
 
+    def __post_init__(self) -> None:
+        _check_finite("slope", self.slope)
+
     def evaluate(self, x):
         out = self.slope * np.asarray(x, dtype=float)
         return out if np.ndim(x) else float(out)
@@ -129,8 +137,9 @@ class CoulombLike:
     cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        if self.cutoff is not None and self.cutoff <= 0:
-            raise ConfigError("cutoff must be positive when given")
+        _check_finite("strength", self.strength)
+        if self.cutoff is not None and not (math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ConfigError(f"cutoff must be finite and positive when given, got {self.cutoff}")
 
     def evaluate(self, x):
         xs = np.asarray(x, dtype=float)
@@ -168,6 +177,9 @@ class Lorentzian:
 
     strength: float
 
+    def __post_init__(self) -> None:
+        _check_finite("strength", self.strength)
+
     def evaluate(self, x):
         out = self.strength / (1.0 + np.asarray(x, dtype=float) ** 2)
         return out if np.ndim(x) else float(out)
@@ -186,6 +198,9 @@ class Tanh:
     """strength * tanh(x), a smooth step between -strength and +strength."""
 
     strength: float
+
+    def __post_init__(self) -> None:
+        _check_finite("strength", self.strength)
 
     def evaluate(self, x):
         out = self.strength * np.tanh(np.asarray(x, dtype=float))

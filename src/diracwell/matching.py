@@ -8,16 +8,17 @@ solution is a two-exponential combination; at a step of size J the value is
 continuous while the derivative jumps by i J psi, the imprint of the
 delta-function derivative of the profile.
 
-Two equivalent secular quantities are built from this structure, each
-with a phase that increases strictly across its band and crosses
-pi/2 + n pi at the bound states: the closed-form determinant condition
-for the symmetric square well, and a transfer phase for arbitrary
-piecewise profiles, the Prufer angle of the solution that decays to the
-left measured against the right exterior's decaying direction.  The
-transfer carry, _carry, is the package's one walk across the steps.  The
-phase and its slope over an energy array are read off one walk, which
-hands back each inner region's entry and exit pairs with its m, q w and
-rescale; the slope's integral is summed in the walk's own running scale.
+A secular function is its phase: a theta that increases strictly across
+its band and crosses pi/2 + n pi at the bound states.  Two are built from
+this structure: the phase of the closed-form determinant of the symmetric
+square well, and a transfer phase for arbitrary piecewise profiles, the
+Prufer angle of the solution that decays to the left measured against the
+right exterior's decaying direction.  Its value cos(theta) is kept only
+for the benchmark's tracer (see SecularFunction).  The transfer carry,
+_carry, is the package's one walk across the steps.  The phase and its
+slope over an energy array are read off one walk, which hands back each
+inner region's entry and exit pairs with its m, q w and rescale; the
+slope's integral is summed in the walk's own running scale.
 At a root the walk gives the (psi, psi') from which states.py reads each
 region's coefficients.
 """
@@ -32,14 +33,13 @@ from typing import Callable
 import numpy as np
 
 from .core import FieldConfig, PiecewiseConstant, QuantumLabel, square_well
-from .errors import ConfigError, OutsideAdmissibleBand
+from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 
 __all__ = [
     "SecularFunction",
     "region_wavenumbers",
     "secular_det_square_well",
     "square_well_secular",
-    "secular_det_general",
     "general_secular",
     "square_well_config",
 ]
@@ -47,8 +47,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SecularFunction:
-    """Real function of eps whose sign changes at the bound states, and its
-    phase, whose crossings of pi/2 + n pi are the bound states."""
+    """A secular function is its phase: a theta that increases strictly on
+    the band (lo, hi) and crosses pi/2 + n pi at the bound states.
+
+    f is cos(theta), which nothing in the package reads.  It stays only
+    because the benchmark's tracer counts find_roots' evaluations by
+    replacing it, and goes once the tracer reads the phase (ROADMAP item 5,
+    after item 1)."""
 
     f: Callable[[np.ndarray], np.ndarray]
     lo: float
@@ -60,12 +65,9 @@ class SecularFunction:
     # or a profile that binds by the weak-coupling rule (see _binds)
     binds: bool = False
 
-    def __call__(self, epsilon):
-        return self.f(epsilon)
 
-    @property
-    def empty(self) -> bool:
-        return not (self.lo < self.hi)
+def _from_phase(lo, hi, phase, binds: bool) -> SecularFunction:
+    return SecularFunction(lambda eps: np.cos(phase(eps)[0]), float(lo), float(hi), phase, binds)
 
 
 def region_wavenumbers(label: QuantumLabel, v0: float) -> tuple[float, float]:
@@ -80,32 +82,12 @@ def region_wavenumbers(label: QuantumLabel, v0: float) -> tuple[float, float]:
         raise OutsideAdmissibleBand(
             f"decaying exterior needs |epsilon| < |k|: eps={eps}, k={k}"
         )
-    q_sq = (eps + v0) ** 2 - k * k
+    q_sq = (eps + v0) * (eps + v0) - k * k
     if not q_sq > 0.0:
         raise OutsideAdmissibleBand(
             f"oscillatory interior needs |epsilon + v0| > |k|: eps={eps}, v0={v0}, k={k}"
         )
     return math.sqrt(p_sq), math.sqrt(q_sq)
-
-
-def _square_well_pq(k, eps, v0):
-    """Exterior decay rate p and interior wavenumber q, elementwise; clamping
-    at zero keeps the square roots real under rounding at the band edges."""
-    p = np.sqrt(np.maximum(k * k - eps**2, 0.0))
-    return p, np.sqrt(np.maximum((eps + v0) ** 2 - k * k, 0.0))
-
-
-def _square_well_secular_value(k, epsilon, v0, half_width):
-    """Closed-form secular value; no admissibility check, vectorized.
-
-    Both factors vanish together at the q -> 0 band edge, so the value is
-    continuous there.
-    """
-    eps = np.asarray(epsilon, dtype=float)
-    p, q = _square_well_pq(k, eps, v0)
-    return p * q * np.cos(2.0 * half_width * q) - (
-        eps * (eps + v0) - k * k
-    ) * np.sin(2.0 * half_width * q)
 
 
 def _square_well_phase_slope(k, epsilon, v0, half_width):
@@ -155,13 +137,20 @@ def _band(k, values):
 def secular_det_square_well(
     k: float, epsilon: float, v0: float, half_width: float = 1.0
 ) -> float:
-    """Closed-form secular value p q cos(2Lq) - (eps(eps+v0) - k^2) sin(2Lq).
-
-    Bound states of the square well are exactly its zeros inside the
-    admissible band.
+    """Closed-form secular value p q cos(2Lq) - (eps(eps+v0) - k^2) sin(2Lq),
+    the paper's matching determinant: its zeros inside the admissible band
+    are exactly the square well's bound states.  Raises ConfigError for a
+    non-finite input or a width that is not finite and positive,
+    UnsupportedRegime where 2Lq overflows, and see region_wavenumbers.
     """
-    region_wavenumbers(QuantumLabel(k, epsilon), v0)
-    return float(_square_well_secular_value(k, epsilon, v0, half_width))
+    _check_well(k, v0, half_width)
+    if not math.isfinite(epsilon):
+        raise ConfigError("epsilon must be finite")
+    p, q = region_wavenumbers(QuantumLabel(k, epsilon), v0)
+    arg = 2.0 * half_width * q
+    if not math.isfinite(arg):
+        raise UnsupportedRegime(f"2Lq overflows at half_width={half_width}, q={q}")
+    return p * q * math.cos(arg) - (epsilon * (epsilon + v0) - k * k) * math.sin(arg)
 
 
 def _check_well(k, v0, half_width) -> None:
@@ -181,17 +170,12 @@ def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> Secular
     finite and positive."""
     _check_well(k, v0, half_width)
     lo, hi = _band(k, (0.0, -v0, 0.0))
-    return SecularFunction(
-        f=lambda eps: _square_well_secular_value(k, eps, v0, half_width),
-        lo=float(lo),
-        hi=float(hi),
-        phase=lambda eps: _square_well_phase_slope(k, eps, v0, half_width),
-        binds=bool(k != 0.0 and v0 != 0.0),
-    )
+    return _from_phase(lo, hi, lambda eps: _square_well_phase_slope(k, eps, v0, half_width),
+                       bool(k != 0.0 and v0 != 0.0))
 
 
 # ---------------------------------------------------------------------------
-# transfer-matrix secular value for arbitrary piecewise profiles
+# transfer phase for arbitrary piecewise profiles
 # ---------------------------------------------------------------------------
 
 
@@ -365,26 +349,6 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
     return theta, slope
 
 
-def secular_det_general(config: FieldConfig, label: QuantumLabel):
-    """Transfer-matrix secular value cos(theta) of a piecewise electrostatic
-    profile, theta its phase (see _transfer_phase_slope): the value changes
-    sign transversally at every bound state.
-
-    epsilon may be a float or an array (the transfer algebra is
-    elementwise); exteriors that cannot decay raise OutsideAdmissibleBand.
-    """
-    pot = _electrostatic_steps(config)
-    k = label.k
-    eps = np.atleast_1d(np.asarray(label.epsilon, dtype=float))
-    for v in (pot.values[0], pot.values[-1]):
-        if np.any(k * k - (eps - v) ** 2 <= 0.0):
-            raise OutsideAdmissibleBand(
-                "an exterior region cannot decay at the requested (k, epsilon)"
-            )
-    out = np.cos(_transfer_phase_slope(pot, k, eps)[0])
-    return out if np.ndim(label.epsilon) else float(out[0])
-
-
 def _binds(potential: PiecewiseConstant, k: float) -> bool:
     """Whether the profile binds a level in exact arithmetic by the 1D
     weak-coupling rule (B. Simon, Ann. Phys. 97, 279 (1976), with mass |k|
@@ -417,13 +381,7 @@ def general_secular(config: FieldConfig, k: float) -> SecularFunction:
     if not math.isfinite(k):
         raise ConfigError(f"k must be finite, got {k}")
     lo, hi = _band(k, pot.values)
-    return SecularFunction(
-        f=lambda eps: secular_det_general(config, QuantumLabel(k, eps)),
-        lo=float(lo),
-        hi=float(hi),
-        phase=lambda eps: _transfer_phase_slope(pot, k, eps),
-        binds=_binds(pot, k),
-    )
+    return _from_phase(lo, hi, lambda eps: _transfer_phase_slope(pot, k, eps), _binds(pot, k))
 
 
 def square_well_config(v0: float, half_width: float = 1.0) -> FieldConfig:

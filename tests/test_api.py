@@ -1,10 +1,13 @@
 """The public API is declared once, by each library module's __all__."""
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import math
 import pathlib
 import pkgutil
+import sys
 import types
 
 import pytest
@@ -19,12 +22,12 @@ from diracwell import (
     assemble_square_well_state,
     dirac_shooting,
     find_roots,
+    general_secular,
     inner_product,
     landau_levels_magnetic,
     parameter_grid,
     partner_component,
     proportional_oscillator_levels,
-    secular_det_general,
     square_well,
     square_well_config,
     square_well_secular,
@@ -130,8 +133,6 @@ def _two_momenta():
          "bound states require |epsilon - v| < |k + a| on both tails"),
         (lambda: dirac_shooting(FieldConfig(electric=Linear(1.0)), QuantumLabel(2.0, 0.5)), errors.UnsupportedRegime,
          "a linear scalar potential grows without bound; no exterior decay window exists"),
-        (lambda: secular_det_general(square_well_config(2.0), QuantumLabel(2.0, 2.5)), errors.OutsideAdmissibleBand,
-         "an exterior region cannot decay at the requested (k, epsilon)"),
         (lambda: partner_component(PiecewiseExp((0.0,), g=(1.0, 1.0), a=(1.0, 0.0), b=(0.0, 1.0)),
                                    QuantumLabel(0.0, 0.5), square_well(2.0)),
          errors.OutsideAdmissibleBand, "partner construction requires k != 0"),
@@ -139,7 +140,7 @@ def _two_momenta():
         (lambda: landau_levels_magnetic(1.0, -1), errors.ConfigError,
          "level index must be a non-negative integer, got -1"),
     ],
-    ids=["table-exterior", "shooting-band", "shooting-linear-electric", "transfer-band", "partner-k0",
+    ids=["table-exterior", "shooting-band", "shooting-linear-electric", "partner-k0",
          "overlap-momenta", "landau-level"],
 )
 def test_a_refusal_raises_its_rules_class_with_its_message(call, cls, message):
@@ -147,3 +148,34 @@ def test_a_refusal_raises_its_rules_class_with_its_message(call, cls, message):
         call()
     assert type(caught.value) is cls
     assert str(caught.value) == message
+
+
+# the benchmark's per-layer tracer wraps public functions by name and counts
+# find_roots' evaluations through a copy of its SecularFunction with a new f
+BENCH_LAYERS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+
+def test_the_benchmark_tracer_wraps_every_layer_and_restores_it(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH_LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)  # its dataclasses look their module up
+    spec.loader.exec_module(layers)
+    assert diracwell.__all__  # imports every library module
+    modules = [m for n, m in sorted(vars(diracwell).items()) if isinstance(m, types.ModuleType)]
+    before = [dict(vars(m)) for m in modules]
+    undo = layers.Tracer().install()  # MissingLayer for a wrapped name that is gone
+    wrapped = {f"{m}.{n}" for m, names in layers.WRAPPED.items() for n in names}
+    assert {f"{m.__name__.removeprefix('diracwell.')}.{attr}" for m, attr, _ in undo} >= wrapped
+    layers.Tracer.uninstall(undo)
+    for module, names in zip(modules, before):
+        assert all(vars(module)[n] is value for n, value in names.items()), module.__name__
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: square_well_secular(2.0, 2.0), id="closed-form"),
+    pytest.param(lambda: general_secular(square_well_config(2.0), 2.0), id="transfer"),
+])
+def test_a_secular_function_with_a_replaced_f_finds_the_same_roots(build):
+    secular = build()
+    copy = dataclasses.replace(secular, f=lambda eps: secular.f(eps))
+    assert find_roots(copy) == find_roots(secular)

@@ -111,6 +111,20 @@ class TestSmoothFamilies:
         with pytest.raises(ConfigError):
             CoulombLike(1.0, cutoff=-0.1)
 
+    @pytest.mark.parametrize("make", [
+        lambda bad: Linear(bad),
+        lambda bad: Lorentzian(bad),
+        lambda bad: Tanh(bad),
+        lambda bad: CoulombLike(bad, cutoff=0.1),
+        lambda bad: CoulombLike(-1.0, cutoff=abs(bad)),
+    ], ids=["linear", "lorentzian", "tanh", "coulomb_strength", "coulomb_cutoff"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_parameter_that_is_not_finite(self, make, bad):
+        # a NaN or infinite slope, strength or cutoff would shoot no level
+        # without a word, or fail later with a message about the grid
+        with pytest.raises(ConfigError, match="must be finite"):
+            make(bad)
+
 
 class TestPotentialJson:
     @pytest.mark.parametrize(
@@ -137,6 +151,8 @@ class TestPotentialJson:
             potential_from_json('{"family": "cubic"}')
         with pytest.raises(ConfigError):
             potential_from_json('{"family": "linear"}')  # missing slope
+        with pytest.raises(ConfigError, match="must be finite"):
+            potential_from_json('{"family": "lorentzian", "strength": NaN}')
 
     def test_json_is_sorted_and_stable(self):
         text = potential_to_json(square_well(2.0))

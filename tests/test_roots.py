@@ -192,8 +192,8 @@ class TestBatchedKernel:
             # the final bracket lies on the scan, inside the innermost doubles
             probes = np.clip([r - 0.5 * tol, r + 0.5 * tol],
                              np.nextafter(sec.lo, sec.hi), np.nextafter(sec.hi, sec.lo))
-            left, right = sec(probes)
-            assert sec(r) == 0.0 or left * right < 0.0
+            left, right = sec.f(probes)
+            assert sec.f(r) == 0.0 or left * right < 0.0
 
 
 # 40 brackets around the zeros of cos with ends that are not dyadic

@@ -63,9 +63,10 @@ class TestAdmissibleBand:
         assert (well.lo, well.hi) == (mirrored.lo, mirrored.hi)
 
     def test_empty_cases(self):
-        assert square_well_secular(2.0, 0.0).empty
-        assert not square_well_secular(2.0, -1.0).empty  # a barrier binds on the mirror band
-        assert square_well_secular(0.0, 5.0).empty  # zero momentum never binds
+        for k, v0, empty in ((2.0, 0.0, True), (2.0, -1.0, False), (0.0, 5.0, True)):
+            # a barrier binds on the mirror band; zero momentum never binds
+            sec = square_well_secular(k, v0)
+            assert (not sec.lo < sec.hi) == empty
 
     def test_barrier_band_is_the_mirror_image(self):
         band = square_well_secular(2.0, -1.0)
@@ -545,15 +546,18 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def branch_lists(draw):
+def branch_lists(draw, distinct=False):
     """Branches sampling a few shared parameter values, 0.0 and -0.0 among
-    them, with repeated and interleaved indices and both termination kinds."""
+    them, with repeated and interleaved indices (distinct ones, in a drawn
+    order, if asked) and both termination kinds."""
     pool = [0.0, -0.0] + draw(st.lists(FINITE, min_size=1, max_size=5))
     branches = []
-    for _ in range(draw(st.integers(0, 6))):
+    count = draw(st.integers(0, 6))
+    order = draw(st.permutations(range(count))) if distinct else None
+    for i in range(count):
         params = draw(st.lists(st.sampled_from(pool), max_size=8))
         epsilons = draw(st.lists(FINITE, min_size=len(params), max_size=len(params)))
-        branch = SpectrumBranch("v0", draw(st.integers(0, 3)), params, epsilons)
+        branch = SpectrumBranch("v0", order[i] if distinct else draw(st.integers(0, 3)), params, epsilons)
         boundary = draw(st.sampled_from([None, "epsilon=-k", "band edge", "lower band edge"]))
         if boundary is not None:
             branch.termination = (draw(st.sampled_from(pool)), boundary)
@@ -627,6 +631,29 @@ class TestSerialization:
                     "samples": [[p, e] for p, e in zip(b.params, b.epsilons)], "termination": end}
 
         assert json.dumps(branches_to_json_payload(branches)) == json.dumps([zipped(b) for b in branches])
+
+    @settings(max_examples=200, deadline=None)
+    @given(branches=branch_lists(distinct=True))
+    def test_sweep_json_and_csv_parse_to_the_same_branches(self, branches):
+        # branch by branch: the samples in the CSV's order (by parameter,
+        # ties in input order) and the termination, compared by their bits
+        def hexed(*values):
+            return tuple(map(float.hex, values))
+
+        from_csv = {b.index: ([], None) for b in branches}
+        for row in branches_to_csv(branches).splitlines()[1:]:
+            param, index, value = row.split(",", 2)
+            samples, end = from_csv[int(index)]
+            if value.startswith("termination="):
+                end = (hexed(float(param)), value.removeprefix("termination="))
+            else:
+                samples.append(hexed(float(param), float(value)))
+            from_csv[int(index)] = samples, end
+        from_json = {}
+        for b in json.loads(json.dumps(branches_to_json_payload(branches))):
+            end = b["termination"] and (hexed(b["termination"]["param"]), b["termination"]["boundary"])
+            from_json[b["index"]] = [hexed(*s) for s in sorted(b["samples"], key=lambda s: s[0])], end
+        assert from_json == from_csv
 
     @pytest.mark.parametrize("writer", [branches_to_csv, branches_to_json_payload])
     @pytest.mark.parametrize("branch, message", [
