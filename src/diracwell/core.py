@@ -28,7 +28,6 @@ SOLVABLE CASES
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -233,6 +232,8 @@ def square_well(v0: float, half_width: float = 1.0) -> PiecewiseConstant:
 
 
 def potential_to_json(potential: Potential1D) -> str:
+    import json  # loaded by the JSON helpers alone, never by a CSV command
+
     tag = _FAMILY_TAGS[type(potential)]
     if isinstance(potential, PiecewiseConstant):
         payload = {
@@ -252,6 +253,8 @@ def potential_to_json(potential: Potential1D) -> str:
 
 
 def potential_from_json(text: str) -> Potential1D:
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -75,14 +75,21 @@ def region_wavenumbers(label: QuantumLabel, v0: float) -> tuple[float, float]:
 
     Raises OutsideAdmissibleBand naming the violated condition; the
     boundary cases p = 0 and q = 0 are rejected as well, and so is a NaN.
+    Raises UnsupportedRegime where k^2 or (epsilon + v0)^2 overflows, as
+    neither condition can then be decided.
     """
     k, eps = label.k, label.epsilon
-    p_sq = k * k - eps * eps
+    kk, ee = k * k, (eps + v0) * (eps + v0)
+    if math.isinf(kk) or math.isinf(ee):
+        raise UnsupportedRegime(
+            f"k^2 or (epsilon + v0)^2 overflows a double: eps={eps}, v0={v0}, k={k}"
+        )
+    p_sq = kk - eps * eps
     if not p_sq > 0.0:
         raise OutsideAdmissibleBand(
             f"decaying exterior needs |epsilon| < |k|: eps={eps}, k={k}"
         )
-    q_sq = (eps + v0) * (eps + v0) - k * k
+    q_sq = ee - kk
     if not q_sq > 0.0:
         raise OutsideAdmissibleBand(
             f"oscillatory interior needs |epsilon + v0| > |k|: eps={eps}, v0={v0}, k={k}"

@@ -57,6 +57,11 @@ OSCILLATOR_MARGIN = 3.0  # oscillator lengths kept between the highest turning p
 OSCILLATOR_LEVELS = int(((OSCILLATOR_SPAN - OSCILLATOR_MARGIN) ** 2 - 1.0) / 2.0) + 1
 GRID_MATRIX_CAP = 2**22  # elements of the dense (points - 2)^2 grid matrix: 32 MB of doubles
 MARCH_SAMPLE_CAP = 2**22  # field samples of one smooth march, 2 steps + 1: 32 MB of doubles per array
+# the field of one smooth march (see _sample_march), and the step times it:
+# products of a few fields stay finite, the RK4 propagators' entries stay
+# below 2**80, and so _chain's products stay finite
+MARCH_FIELD_CAP = 2.0**500
+MARCH_REACH_CAP = 2.0**19
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +429,11 @@ def _sample_march(config, k, x_from, x_to, step):
     / step) steps of h: w = k + a and v sampled at the 2 n + 1 half steps.
     None where the march spans nothing.  Raises ConfigError, before any
     sample is built, where the 2 n + 1 samples would exceed
-    MARCH_SAMPLE_CAP.
+    MARCH_SAMPLE_CAP, and UnsupportedRegime, before any propagator is
+    built, where the field f = max |w| + max |v| exceeds MARCH_FIELD_CAP
+    or |h| f exceeds MARCH_REACH_CAP: 2 f bounds |w| and |eps - v|, to
+    the window's tail tolerance, at every energy where both exteriors
+    decay.
     """
     span = x_to - x_from
     if span == 0.0:
@@ -446,7 +455,14 @@ def _sample_march(config, k, x_from, x_to, step):
         if config.magnetic is not None
         else np.zeros(len(xs))
     )
-    return h, k + ay, v
+    w = k + ay
+    field = float(np.max(np.abs(w))) + float(np.max(np.abs(v)))
+    if not (field <= MARCH_FIELD_CAP and abs(h) * field <= MARCH_REACH_CAP):
+        raise UnsupportedRegime(
+            f"field {field} at step {abs(h)} can overflow the RK4 propagators: "
+            f"the field must be at most {MARCH_FIELD_CAP} and step x field at most {MARCH_REACH_CAP}"
+        )
+    return h, w, v
 
 
 def _advance_sampled(march, eps, psi):

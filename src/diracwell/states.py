@@ -15,7 +15,6 @@ exponential pieces rather than by quadrature.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -595,6 +594,8 @@ def state_to_json(state: BoundState) -> str:
     v0, half_width = -well.values[1], well.breakpoints[-1]
     if not (len(well.values) == 3 and half_width > 0 and well == square_well(v0, half_width)):
         raise UnsupportedRegime(f"state JSON is defined for square wells only, got {well!r}")
+    import json  # only JSON output loads it
+
     try:
         lam = pt_eigenvalue(state)
         pt = [lam.real, lam.imag]

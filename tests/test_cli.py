@@ -1,7 +1,10 @@
 """Command-line behavior: schemas, config merging, exit codes, and
 byte-stable output.  Everything drives main(argv) in-process, except the
-import check and the closed-pipe check, which need a fresh interpreter."""
+import checks, the closed-pipe check and the program's exit path, which
+need a fresh interpreter."""
 
+import atexit
+import gc
 import json
 import math
 import os
@@ -547,6 +550,60 @@ class TestOutputFile:
 PINNED = Path(__file__).parent / "data" / "cli_stdout"
 
 
+class TestExitPath:
+    """main() run as the program registers gc.freeze with atexit, once;
+    a caller's main(argv) registers nothing."""
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("name, argv", [
+        # the deepest well's 1425 levels, the largest pin, and three levels
+        # that stay in stdout's buffer until the interpreter flushes it at exit
+        ("spectrum_200_500_5.csv", ["spectrum", "--k", "200", "--v0", "500", "--half-width", "5"]),
+        ("spectrum_2_2.csv", ["spectrum", "--k", "2", "--v0", "2"]),
+    ], ids=["largest", "buffered"])
+    def test_the_program_writes_every_byte(self, tmp_path, name, argv, to_file):
+        # stdout block-buffered, as it is unless PYTHONUNBUFFERED is set
+        env = {key: value for key, value in src_env().items() if key != "PYTHONUNBUFFERED"}
+        target = tmp_path / name
+        argv = argv + (["--out", str(target)] if to_file else [])
+        proc = subprocess.run([sys.executable, "-m", "diracwell.cli", *argv], capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert (target.read_bytes() if to_file else proc.stdout) == (PINNED / name).read_bytes()
+        assert to_file == (proc.stdout == b"")
+
+    def test_a_caller_registers_no_exit_hook(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(atexit, "register", lambda *args, **kwargs: calls.append(args))
+        assert run(capsys, "spectrum", "--k", "2", "--v0", "2")[0] == 0
+        assert run(capsys, "spectrum", "--v0", "2")[0] == 2
+        assert calls == []
+
+    def test_the_program_leaves_one_hook_however_often_main_runs(self, capsys, monkeypatch):
+        # a registry with atexit's semantics: unregister drops every equal entry
+        hooks = []
+
+        def unregister(func):
+            hooks[:] = [h for h in hooks if h != func]
+
+        monkeypatch.setattr(atexit, "register", hooks.append)
+        monkeypatch.setattr(atexit, "unregister", unregister)
+        monkeypatch.setattr(sys, "argv", ["diracwell", "spectrum", "--k", "2", "--v0", "2"])
+        assert main() == 0
+        assert main() == 0
+        assert hooks == [gc.freeze]
+        assert capsys.readouterr().out.count("n,epsilon\n") == 2
+
+    def test_importing_registers_no_exit_hook(self):
+        run_fresh(
+            "import atexit\n"
+            "calls = []\n"
+            "atexit.register = lambda *args, **kwargs: calls.append(args)\n"
+            "import diracwell, diracwell.cli\n"
+            "diracwell.__all__\n"
+            "assert calls == [], calls\n"
+        )
+
+
 class TestPinnedOutput:
     """stdout of the spectrum of every CI verify well, of the paper's
     k = 3 collapse sweep and a barrier-to-well sweep, of one state of the
@@ -632,28 +689,31 @@ class TestImports:
     @pytest.mark.parametrize(
         "argv, loaded, unloaded",
         [
-            (["spectrum", "--k", "2", "--v0", "2"], [], ["states", "oracle", "_floatfmt"]),
-            (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], [], ["states", "oracle", "_floatfmt"]),
-            (["sweep-v0", "--k", "2", "--v0", "0:4:1"], [], ["states", "oracle", "_floatfmt"]),
-            (["landau", "--beta", "1"], [], ["states", "oracle", "_floatfmt"]),
-            (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201"], ["states", "_floatfmt"], ["oracle"]),
+            (["spectrum", "--k", "2", "--v0", "2"], [], ["states", "oracle", "_floatfmt", "json"]),
+            (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], [], ["states", "oracle", "_floatfmt", "json"]),
+            (["sweep-v0", "--k", "2", "--v0", "0:4:1"], [], ["states", "oracle", "_floatfmt", "json"]),
+            (["landau", "--beta", "1"], [], ["states", "oracle", "_floatfmt", "json"]),
+            (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201"],
+             ["states", "_floatfmt"], ["oracle", "json"]),
             (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201", "--format", "json"],
-             ["states", "_floatfmt"], ["oracle"]),
-            (["verify"], ["states", "oracle"], ["_floatfmt"]),
+             ["states", "_floatfmt", "json"], ["oracle"]),
+            (["verify"], ["states", "oracle"], ["_floatfmt", "json"]),
         ],
         ids=["spectrum", "sweep-k", "sweep-v0", "landau", "state", "state-json", "verify"],
     )
     def test_a_command_loads_only_the_modules_it_runs(self, argv, loaded, unloaded):
         # only a state, as CSV or as JSON (which reuses the CSV's tokens), formats
-        # its samples with the vectorized kernel
+        # its samples with the vectorized kernel; only JSON output loads the
+        # standard library's json, which names "json" here
         run_fresh(
             "import contextlib, io, sys\n"
             "from diracwell.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0\n"
-            f"missing = [m for m in {loaded!r} if 'diracwell.' + m not in sys.modules]\n"
+            "name = lambda m: m if m == 'json' else 'diracwell.' + m\n"
+            f"missing = [m for m in {loaded!r} if name(m) not in sys.modules]\n"
             "assert not missing, missing\n"
-            f"loaded = [m for m in {unloaded!r} if 'diracwell.' + m in sys.modules]\n"
+            f"loaded = [m for m in {unloaded!r} if name(m) in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
 

@@ -52,6 +52,12 @@ class TestRegionWavenumbers:
         with pytest.raises(OutsideAdmissibleBand):
             region_wavenumbers(QuantumLabel(k=2.0, epsilon=math.nan), 2.0)
 
+    def test_an_overflowing_square_is_named(self):
+        # q^2 = inf - inf was NaN, refused as "oscillatory interior needs
+        # |epsilon + v0| > |k|" although 2e200 > 1e200
+        with pytest.raises(UnsupportedRegime, match=r"k\^2 or \(epsilon \+ v0\)\^2 overflows"):
+            secular_det_square_well(1e200, 0.5, 2e200)
+
 
 class TestClosedFormSecular:
     def test_vanishes_at_reference_roots(self):

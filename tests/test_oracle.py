@@ -552,6 +552,20 @@ class TestShootingInputs:
         with pytest.raises(UnsupportedRegime, match="underflows when squared"):
             shooting_bound_states(FieldConfig(electric, magnetic), k)
 
+    @pytest.mark.parametrize("strength", [-1e300, -1e9], ids=["field", "step-times-field"])
+    def test_a_field_that_can_overflow_the_propagators_is_refused_before_any_is_built(self, strength, monkeypatch):
+        # Lorentzian(-1e300) is finite, yet dm * dm overflowed in _rk4_propagators;
+        # the benchmark's Lorentzian well keeps its roots
+        roots = shooting_bound_states(FieldConfig(electric=Lorentzian(-2.0)), 2.0, scan_points=150, tol=1e-5,
+                                      step=0.02)
+        np.testing.assert_allclose(roots, LORENTZ_ROOTS, rtol=0.0, atol=1e-3)
+        monkeypatch.setattr(oracle, "_rk4_propagators", None)
+        config = FieldConfig(electric=Lorentzian(strength))
+        with pytest.raises(UnsupportedRegime, match="overflow the RK4 propagators"):
+            shooting_bound_states(config, 2.0)
+        with pytest.raises(UnsupportedRegime, match="overflow the RK4 propagators"):
+            dirac_shooting(config, QuantumLabel(2.0, 0.5))
+
 
 def _matmul_stepwise_march(segments, eps, psi, powers):
     """The stepwise march with each segment's RK4 step built as an
