@@ -67,7 +67,10 @@ class SecularFunction:
 
 
 def _from_phase(lo, hi, phase, binds: bool) -> SecularFunction:
-    return SecularFunction(lambda eps: np.cos(phase(eps)[0]), float(lo), float(hi), phase, binds)
+    def batched(eps):  # a float would take numpy's scalar path, whose last bits can differ from a batch's
+        return phase(np.atleast_1d(eps))
+
+    return SecularFunction(lambda eps: np.cos(batched(eps)[0]), float(lo), float(hi), batched, binds)
 
 
 def region_wavenumbers(label: QuantumLabel, v0: float) -> tuple[float, float]:

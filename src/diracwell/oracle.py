@@ -520,7 +520,11 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match):
     theta = n pi.  Both exteriors must decay or, at a band edge, be
     critical: |eps - v| <= |k + a|, where w^2 - d^2 rounds to no negative.
     The window, a stepwise profile's segments and a smooth profile's field
-    samples are laid out once.
+    samples are laid out once.  A smooth march raises UnsupportedRegime
+    for a step too coarse to count, by the rule that marks a stepwise
+    one's half-turns NaN (see _rk4_power): a one-step u or v that is not
+    positive at y = h^2 min(w^2 - max((lo - v)^2, (hi - v)^2)), the worst
+    of its samples over the band (lo, hi) where both exteriors decay.
 
     A smooth march from the right that samples exactly the left march's
     fields mirrored (see _is_mirror: an even electric profile with an even
@@ -544,6 +548,13 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match):
         march_left = _sample_march(config, k, x_lo, x_match, step)
         march_right = _sample_march(config, k, x_hi, x_match, step)
         mirrored = _is_mirror(march_left, march_right)
+        lo = max(v_minus - abs(w_left), v_plus - abs(w_right))
+        hi = min(v_minus + abs(w_left), v_plus + abs(w_right))
+        for h, w, v in filter(None, (march_left, march_right)):
+            y = h * h * float(np.min(w * w - np.maximum((lo - v) ** 2, (hi - v) ** 2)))
+            if not (1.0 + y * (0.5 + y / 24.0) > 0.0 and 1.0 + y / 6.0 > 0.0):
+                raise UnsupportedRegime(f"step={step}: an RK4 step of the smooth march turns by pi/2 or more "
+                                        "at some band energy, too coarse to count; take a smaller step")
 
         def shoot(eps):
             psi_left = np.stack(_seed_vectors(w_left, eps - v_minus, outward=False), axis=1)
@@ -595,7 +606,9 @@ def dirac_shooting(
     Raises OutsideAdmissibleBand when some requested energy admits no
     decaying solution on one of the exteriors, and ConfigError for a
     non-finite k or energy, a step that is not finite and positive, or one
-    so small that a stepwise segment's step count overflows a double.
+    so small that a stepwise segment's step count overflows a double, and
+    UnsupportedRegime for a smooth march's step too coarse to count (see
+    _shooter).
     """
     epsilon = label.epsilon
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
@@ -801,8 +814,8 @@ def shooting_bound_states(
     completes them.  Raises ConfigError for a scan_points that is not an
     integer of at least two, a tol that is not finite and positive, or a k
     or step that dirac_shooting rejects, and UnsupportedRegime for a step
-    too coarse to count a stepwise profile's windings or a nonzero exterior
-    k + a whose square underflows to zero.
+    too coarse to count a profile's windings (see _shooter) or a nonzero
+    exterior k + a whose square underflows to zero.
     """
     if not isinstance(scan_points, (int, np.integer)) or scan_points < 2:
         raise ConfigError(f"scan_points must be an integer of at least 2, got {scan_points!r}")

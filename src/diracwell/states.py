@@ -7,8 +7,10 @@ continued through every step and region and joined where they agree
 best, and each region's two exponential coefficients are read off the
 carried pairs at the steps where they are largest, their anchors.  The
 second rotated component follows algebraically from the first-order
-system, the overall phase is fixed so the two components are complex
-conjugates, and norms and overlaps are evaluated in closed form from the
+system.  One factor then fixes the overall phase, so the two components
+are complex conjugates, and the norm; it is read off the coefficient
+tables, and each component is built once more with it, four tables per
+state.  Norms and overlaps are evaluated in closed form from the tables'
 exponential pieces rather than by quadrature.
 """
 
@@ -48,8 +50,6 @@ __all__ = [
     "assemble_state",
     "assemble_square_well_state",
     "partner_component",
-    "fix_phase",
-    "with_phase",
     "probability_density",
     "current_density",
     "pt_eigenvalue",
@@ -82,6 +82,8 @@ class PiecewiseExp:
     ConfigError.  That is what makes the integrals over the line
     exact.  Steps must be finite and increasing, g, a, b finite and Re g
     >= 0 inside, where a b term would otherwise grow away from its anchor.
+    Every table is validated as it is built; the integrals read the
+    (3, regions) table itself, rows g, a and b, and build no waves.
     """
 
     def __init__(self, steps, g, a, b):
@@ -121,12 +123,6 @@ class PiecewiseExp:
     def derivative(self) -> "PiecewiseExp":
         return PiecewiseExp(self.steps, self.g, self.g * self.a, -self.g * self.b)
 
-    def conjugate(self) -> "PiecewiseExp":
-        return PiecewiseExp(self.steps, self.g.conj(), self.a.conj(), self.b.conj())
-
-    def scaled(self, factor: complex) -> "PiecewiseExp":
-        return PiecewiseExp(self.steps, self.g, factor * self.a, factor * self.b)
-
 
 def _span(rate, width: float, lead=None):
     """Integral of exp(lead + rate t) over 0 <= t <= width, elementwise; given a lead, from its larger end."""
@@ -142,8 +138,10 @@ def _span(rate, width: float, lead=None):
 def _overlaps(steps, left, right) -> np.ndarray:
     """(N, M) matrix of sum_c integral f_c(x) h_c(x) dx over the line, for
     N groups (f_1, ..., f_C) in left and M groups (h_1, ..., h_C) in right
-    of waves on steps; the waves of a group share their rates.  Region by
-    region, (2N, 2M) closed-form term-pair integrals sum into the matrix.
+    of waves on steps, each given by its PiecewiseExp table (a conjugated
+    table is the conjugate wave); the waves of a group share their rates.
+    Region by region, (2N, 2M) closed-form term-pair integrals sum into
+    the matrix.
     """
     n, m = len(left), len(right)
     widths = np.diff((steps[0], *steps, steps[-1]))  # 0 on both exteriors
@@ -166,9 +164,10 @@ def _overlaps(steps, left, right) -> np.ndarray:
 
 def _terms(groups, widths):
     """Rates and left-step logs (regions, 2N) and coefficients (regions, 2N,
-    C) of N groups of C waves: the a terms with rate g, then the b terms
-    with rate -g; a growing a term, anchored at the right step, logs -g w."""
-    table = np.array([[w.table for w in ws] for ws in groups]).transpose(2, 3, 0, 1)
+    C) of N groups of C wave tables: the a terms with rate g, then the b
+    terms with rate -g; a growing a term, anchored at the right step, logs
+    -g w."""
+    table = np.array(groups).transpose(2, 3, 0, 1)
     g = table[0, :, :, 0]
     lead = np.where(g.real > 0, -g * widths[:, None], 0.0)
     return tuple(np.concatenate(p, axis=1) for p in ((g, -g), (table[1], table[2]), (lead, 0 * lead)))
@@ -182,15 +181,15 @@ def product_integral(f: PiecewiseExp, g: PiecewiseExp) -> complex:
     """
     if f.steps != g.steps:
         raise UnsupportedRegime("exact integrals need waves on the same steps")
-    return complex(_overlaps(f.steps, [[f]], [[g]])[0, 0])
+    return complex(_overlaps(f.steps, [[f.table]], [[g.table]])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
 class BoundState:
     """One normalized bound state sampled on a symmetric grid.
 
-    psi1 and psi2 are the rotated spinor components; after phase fixing
-    they satisfy psi2 = conj(psi1), so the physical (real) components are
+    psi1 and psi2 are the rotated spinor components; assembly fixes their
+    phase so that psi2 = conj(psi1), so the physical (real) components are
     (2 Re psi1, -2 Im psi1).  The exact region tables of both waves are
     kept alongside the samples so integrals and residuals stay closed-form.
     The samples are read-only, so the CSV text kept on a state once
@@ -296,43 +295,17 @@ def _canonical_sign(v: complex) -> float:
     return 1.0
 
 
-def _sample_state(
-    label: QuantumLabel, wave1: PiecewiseExp, wave2: PiecewiseExp, potential: PiecewiseConstant, x: np.ndarray
-) -> BoundState:
-    norm = 4.0 * product_integral(wave1.conjugate(), wave1).real
-    psi1, psi2 = wave1(x), wave2(x)
-    psi1.flags.writeable = psi2.flags.writeable = False  # fresh: the state need not copy them
-    return BoundState(label, norm, x, psi1, psi2, wave1, wave2, potential)
-
-
-def _canonical_gauge(
-    wave1: PiecewiseExp, wave2: PiecewiseExp
-) -> tuple[PiecewiseExp, PiecewiseExp]:
-    """Both components times one factor: afterwards wave2 = conj(wave1),
-    wave1 is positive at the origin (real part first, then imaginary) and
-    the probability density integrates to one."""
+def _canonical_gauge(wave1: PiecewiseExp, t2: np.ndarray) -> complex:
+    """The one factor of both components, wave1 and the partner whose
+    table is t2, after which the second is the conjugate of the first,
+    the first is positive at the origin (real part first, then imaginary)
+    and the probability density integrates to one."""
     # both norms and the cross integral: the diagonal of one overlap matrix
-    left = [[wave1.conjugate()], [wave2.conjugate()], [wave1]]
-    n1, n2, cross = np.diagonal(_overlaps(wave1.steps, left, [[wave1], [wave2], [wave2]]))
+    t1 = wave1.table
+    n1, n2, cross = np.diagonal(_overlaps(wave1.steps, [[t1.conj()], [t2.conj()], [t1]], [[t1], [t2], [t2]]))
     factor = cmath.exp(1j * _conjugation_phase(n1.real, n2.real, complex(cross)))
     factor *= _canonical_sign(factor * wave1(0.0))
-    factor /= math.sqrt(4.0 * n1.real)
-    return wave1.scaled(factor), wave2.scaled(factor)
-
-
-def fix_phase(state: BoundState) -> BoundState:
-    """Canonical-gauge copy of a state: psi2 = conj(psi1), a positive value
-    (real part first, then imaginary) at the origin and unit norm.
-    Idempotent."""
-    w1, w2 = _canonical_gauge(state.wave1, state.wave2)
-    return _sample_state(state.label, w1, w2, state.potential, state.x)
-
-
-def with_phase(state: BoundState, theta: float) -> BoundState:
-    """Copy of a state with both components multiplied by exp(i theta)."""
-    factor = cmath.exp(1j * theta)
-    w1, w2 = state.wave1.scaled(factor), state.wave2.scaled(factor)
-    return _sample_state(state.label, w1, w2, state.potential, state.x)
+    return factor / math.sqrt(4.0 * n1.real)
 
 
 def _carried_wave(potential: PiecewiseConstant, label: QuantumLabel) -> PiecewiseExp:
@@ -410,15 +383,20 @@ def assemble_state(potential: PiecewiseConstant, label: QuantumLabel, points: in
             f"a state takes at most {MAX_GRID_POINTS} points, got {points} once rounded up to odd")
     if not (isinstance(potential, PiecewiseConstant) and potential.breakpoints):
         raise ConfigError(f"states need a piecewise-constant profile with a step, got {potential!r}")
-    wave1 = _carried_wave(potential, label)
-    wave1, wave2 = _canonical_gauge(wave1, partner_component(wave1, label, potential))
+    carried = _carried_wave(potential, label)
+    partner = partner_component(carried, label, potential)
+    factor = _canonical_gauge(carried, partner.table)
+    wave1, wave2 = (PiecewiseExp(w.steps, w.g, factor * w.a, factor * w.b) for w in (carried, partner))
 
     steps = potential.breakpoints
     extent = max(12.0 / wave1.g[0].real - steps[0], steps[-1] + 12.0 / wave1.g[-1].real)
     half = (points - 1) // 2
     pos = np.linspace(0.0, extent, half + 1)
     x = np.concatenate([-pos[::-1][:-1], pos])
-    return _sample_state(label, wave1, wave2, potential, x)
+    norm = 4.0 * _overlaps(steps, [[wave1.table.conj()]], [[wave1.table]])[0, 0].real
+    psi1, psi2 = wave1(x), wave2(x)
+    psi1.flags.writeable = psi2.flags.writeable = False  # fresh: the state need not copy them
+    return BoundState(label, norm, x, psi1, psi2, wave1, wave2, potential)
 
 
 def assemble_square_well_state(
@@ -473,7 +451,8 @@ def _gram(left: list[BoundState], right: list[BoundState]) -> np.ndarray:
     if len({s.potential for s in left + right}) > 1:
         raise UnsupportedRegime("overlaps need states of one potential")
     steps = left[0].potential.breakpoints
-    return 2.0 * _overlaps(steps, [(s.wave2, s.wave1) for s in left], [(s.wave1, s.wave2) for s in right])
+    return 2.0 * _overlaps(steps, [(s.wave2.table, s.wave1.table) for s in left],
+                           [(s.wave1.table, s.wave2.table) for s in right])
 
 
 def inner_product(a: BoundState, b: BoundState) -> complex:

@@ -103,7 +103,7 @@ class TestClosedFormSecular:
 
     def test_sign_change_brackets_ground_state(self):
         sec = square_well_secular(2.0, 2.0)
-        assert float(sec.f(0.2)) * float(sec.f(0.5)) < 0.0
+        assert sec.f(0.2)[0] * sec.f(0.5)[0] < 0.0
 
 
 class TestTransferRoute:
@@ -121,12 +121,14 @@ class TestTransferRoute:
             config_roots += len(closed)
         assert config_roots > 0  # the draw actually exercised something
 
-    def test_batch_matches_scalar(self):
-        sec = general_secular(square_well_config(2.0), 2.0)
+    @pytest.mark.parametrize("sec", [general_secular(square_well_config(2.0), 2.0), square_well_secular(2.0, 2.0)],
+                             ids=["transfer", "closed-form"])
+    def test_batch_matches_scalar(self, sec):
+        # a float gives one-element arrays with the bits of the batch
         grid = np.linspace(0.05, 1.95, 17)
         theta, slope = sec.phase(grid)
         for i in range(grid.size):
-            assert sec.phase(grid[i : i + 1]) == (theta[i], slope[i])
+            assert sec.phase(float(grid[i])) == ([theta[i]], [slope[i]])
 
     def test_zero_jump_breakpoint_is_inert(self):
         # splitting the well interior with a zero-size step changes nothing

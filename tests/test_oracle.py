@@ -784,6 +784,19 @@ class TestShootingPhase:
         u, v, turns = oracle._rk4_power(np.array([4.0 - 21.9**2]), 0.2, 5)
         assert np.isnan(turns).all()
 
+    @pytest.mark.parametrize("step", [0.2, 0.1])
+    def test_coarse_smooth_step_is_refused(self, step):
+        # y = h^2 (4 - 22^2) at the Lorentzian's floor: a one-step u or v is
+        # not positive, and h = 0.1 returned 18 of the 19 levels
+        with pytest.raises(UnsupportedRegime, match="too coarse"):
+            shooting_bound_states(FieldConfig(electric=Lorentzian(-20.0)), 2.0, scan_points=300, tol=1e-8,
+                                  step=step)
+
+    def test_fine_smooth_step_counts_every_level(self):
+        roots = shooting_bound_states(FieldConfig(electric=Lorentzian(-20.0)), 2.0, scan_points=300, tol=1e-8,
+                                      step=0.01)
+        assert len(roots) == 19
+
 
 def test_oracle_imports_only_core_and_errors_from_the_package():
     # the oracles' agreement with the matching routes is evidence only while

@@ -176,7 +176,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("k,v0,half_width", [(2, 2, 1), (3, 8, 1), (-4, 11, 0.7), (50, 120, 3)])
     def test_roots_equal_the_scalar_secant(self, k, v0, half_width):
         sec = square_well_secular(k, v0, half_width)
-        reference = scalar_roots(sec.f, sec.lo, sec.hi, SCAN_POINTS, 1e-10)
+        scalar = lambda eps: sec.f(eps).reshape(np.shape(eps))  # a float's one-element array, as a scalar
+        reference = scalar_roots(scalar, sec.lo, sec.hi, SCAN_POINTS, 1e-10)
         assert _scan_roots(sec.f, sec.lo, sec.hi, SCAN_POINTS, 1e-10) == reference
 
     @settings(max_examples=60, deadline=None)

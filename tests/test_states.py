@@ -1,6 +1,7 @@
 """Assembled bound states: conjugate structure, phase fixing, densities,
 orthonormality, reflection symmetry, and equation residuals."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -22,7 +23,6 @@ from diracwell import (
     current_density,
     equation_residuals,
     find_roots,
-    fix_phase,
     general_secular,
     gram_matrix,
     inner_product,
@@ -35,7 +35,6 @@ from diracwell import (
     square_well_secular,
     state_to_csv,
     state_to_json,
-    with_phase,
 )
 from diracwell import states as states_module
 from diracwell.errors import (
@@ -49,12 +48,26 @@ from diracwell.errors import (
 from diracwell.matching import _carry, region_wavenumbers
 from diracwell.oracle import shooting_bound_states
 from diracwell.spectrum import MAX_GRID_POINTS
-from diracwell.states import _carried_wave
+from diracwell.states import _canonical_gauge, _carried_wave
 
 
 @pytest.fixture(scope="module")
 def well22_states():
     return assemble_all(2.0, 2.0, 1.0, points=4001)
+
+
+def rotated_waves(state, theta):
+    """Both components' waves times exp(i theta)."""
+    factor = cmath.exp(1j * theta)
+    return [PiecewiseExp(w.steps, w.g, factor * w.a, factor * w.b) for w in (state.wave1, state.wave2)]
+
+
+def rotated(state, theta):
+    """dataclasses.replace copy of a state with both components, samples
+    and waves, times exp(i theta)."""
+    factor = cmath.exp(1j * theta)
+    wave1, wave2 = rotated_waves(state, theta)
+    return dataclasses.replace(state, psi1=factor * state.psi1, psi2=factor * state.psi2, wave1=wave1, wave2=wave2)
 
 
 class TestPiecewiseExp:
@@ -118,12 +131,6 @@ class TestPiecewiseExp:
         # (1 - exp(-2 w)) / 2 inside and 1/2 right of it, with no overflow
         want = 1.0 - 0.5 * math.exp(-2.0 * width)
         assert product_integral(f, f) == pytest.approx(want, rel=1e-15)
-
-    def test_conjugate_and_scale(self):
-        # i exp((-1 + 2i) x) right of the step, zero left of it
-        f = PiecewiseExp((0.0,), g=(1.0, 1.0 - 2j), a=(0.0, 0.0), b=(0.0, 1j))
-        assert f.conjugate()(1.0) == pytest.approx(np.conj(f(1.0)))
-        assert f.scaled(2j)(1.0) == pytest.approx(2j * f(1.0))
 
 
 class TestAssembly:
@@ -190,15 +197,13 @@ class TestAssembly:
 
     def test_samples_are_read_only(self, well22_states):
         s = well22_states[0]
-        for copy in (s, fix_phase(s), with_phase(s, 0.7)):
+        for copy in (s, rotated(s, 0.7)):
             for samples in (copy.x, copy.psi1, copy.psi2):
                 with pytest.raises(ValueError, match="read-only"):
                     samples[0] = 0.0
-        # phase fixing reads them and returns the same samples
-        assert np.max(np.abs(fix_phase(with_phase(s, 0.7)).psi1 - s.psi1)) < 1e-12
         # the grid a caller passes in stays writeable; the state holds a read-only copy
         x = np.array(s.x)
-        again = fix_phase(dataclasses.replace(s, x=x))
+        again = dataclasses.replace(s, x=x)
         assert x.flags.writeable and not again.x.flags.writeable
         assert not np.shares_memory(x, again.x)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -494,30 +499,46 @@ class TestDeepWells:
 
 
 class TestPhaseFixing:
-    def test_fix_phase_is_idempotent(self, well22_states):
+    def test_gauge_is_idempotent(self, well22_states):
         for s in well22_states:
-            again = fix_phase(s)
-            assert np.max(np.abs(again.psi1 - s.psi1)) < 1e-14
+            assert _canonical_gauge(s.wave1, s.wave2.table) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_phases_are_removed(self, well22_states):
         rng = np.random.default_rng(11)
         s = well22_states[0]
         for theta in rng.uniform(-np.pi, np.pi, size=25):
-            refixed = fix_phase(with_phase(s, float(theta)))
-            assert np.max(np.abs(refixed.psi1 - s.psi1)) < 1e-12
+            wave1, wave2 = rotated_waves(s, float(theta))
+            factor = _canonical_gauge(wave1, wave2.table)
+            for wave, samples in ((wave1, s.psi1), (wave2, s.psi2)):
+                assert np.max(np.abs(factor * wave(s.x) - samples)) < 1e-12
 
-    def test_with_phase_preserves_norm_and_density(self, well22_states):
+    def test_global_phase_preserves_density(self, well22_states):
         s = well22_states[1]
-        rot = with_phase(s, 0.9)
-        assert rot.norm == pytest.approx(s.norm, abs=1e-14)
         np.testing.assert_allclose(
-            probability_density(rot).rho, probability_density(s).rho, atol=1e-14
+            probability_density(rotated(s, 0.9)).rho, probability_density(s).rho, atol=1e-14
         )
 
     def test_components_that_are_not_conjugate_are_refused(self, well22_states):
         s = well22_states[0]
         with pytest.raises(NotConjugatePair, match="not conjugate-collinear"):
-            fix_phase(dataclasses.replace(s, wave2=s.wave1))
+            _canonical_gauge(s.wave1, s.wave1.table)
+
+    @pytest.mark.parametrize("potential, k", [
+        (square_well(2.0), 2.0),
+        (square_well(120.0, 3.0), 50.0),
+        (PiecewiseConstant((-2.0, -0.5, 0.5, 2.0), (0.0, 3.0, -4.0, 3.0, 0.0)), 1.5),
+    ], ids=["2-2-1", "50-120-3", "barrier-well-barrier"])
+    def test_each_state_builds_four_tables(self, potential, k, monkeypatch):
+        # the carried wave, its partner and the two gauged components
+        calls = []
+        build = PiecewiseExp.__init__
+        monkeypatch.setattr(PiecewiseExp, "__init__", lambda *args: calls.append(1) or build(*args))
+        roots = find_roots(general_secular(FieldConfig(electric=potential), k))
+        assert roots
+        for eps in roots:
+            before = len(calls)
+            assemble_state(potential, QuantumLabel(k, eps), points=201)
+            assert len(calls) - before == 4
 
 
 class TestReflectionConjugation:
@@ -530,11 +551,11 @@ class TestReflectionConjugation:
     def test_unimodular_under_any_phase(self, well22_states):
         s = well22_states[2]
         for theta in (0.3, 1.1, 2.9):
-            assert abs(pt_eigenvalue(with_phase(s, theta))) == pytest.approx(1.0, abs=1e-10)
+            assert abs(pt_eigenvalue(rotated(s, theta))) == pytest.approx(1.0, abs=1e-10)
 
     def test_sign_flip_keeps_eigenvalue(self, well22_states):
         s = well22_states[0]
-        assert pt_eigenvalue(with_phase(s, math.pi)) == pytest.approx(
+        assert pt_eigenvalue(rotated(s, math.pi)) == pytest.approx(
             pt_eigenvalue(s), abs=1e-10
         )
 
@@ -567,7 +588,7 @@ class TestDensities:
         d = probability_density(s)
         assert np.all(d.rho >= 0.0)
         np.testing.assert_allclose(
-            probability_density(with_phase(s, 1.3)).rho, d.rho, atol=1e-14
+            probability_density(rotated(s, 1.3)).rho, d.rho, atol=1e-14
         )
 
     def test_transverse_current_vanishes(self, well22_states):
@@ -635,7 +656,7 @@ class TestOverlaps:
     def test_overlap_is_phase_invariant_up_to_square(self, well22_states):
         # the bilinear (unconjugated) overlap picks up exp(2 i theta)
         s = well22_states[0]
-        rot = with_phase(s, 0.25)
+        rot = rotated(s, 0.25)
         assert inner_product(rot, rot) == pytest.approx(
             np.exp(0.5j) * inner_product(s, s), abs=1e-10
         )
@@ -716,11 +737,10 @@ class TestSerialization:
             state_to_csv(s)
             assert state_to_json(s) == fresh == dumped(s, fresh)
 
-    @pytest.mark.parametrize("build", [fix_phase, lambda s: s], ids=["fix_phase", "replace"])
-    def test_writing_into_the_callers_arrays_leaves_the_text_alone(self, well22_states, build):
+    def test_writing_into_the_callers_arrays_leaves_the_text_alone(self, well22_states):
         s = well22_states[0]
         x, psi1 = np.array(s.x), np.array(s.psi1)
-        t = build(dataclasses.replace(s, x=x, psi1=psi1))
+        t = dataclasses.replace(s, x=x, psi1=psi1)
         expected = state_to_csv(t), state_to_json(t)
         x[0], psi1[0] = 5.0, 5.0
         assert (state_to_csv(t), state_to_json(t)) == expected
