@@ -1,14 +1,15 @@
 """Shortest round-trip text of float64 tables, byte for byte as repr writes it.
 
-The digits come from Schubfach (R. Giulietti, "The Schubfach way to render
-doubles", 2020), which needs 64-bit integer arithmetic only and so runs on
-whole numpy arrays.  Python's layout of them, positional for a decimal
+The digits come from Dragonbox (J. Jeon, "Dragonbox: A New Floating-Point
+Binary-to-Decimal Conversion Algorithm", 2020), which needs one 64 x 128-bit
+integer product per value, two more only where a parity decides, and so runs
+on whole numpy arrays.  Python's layout of them, positional for a decimal
 point -4 < p <= 16 and d.ddde+XX otherwise, goes into a 48-byte slot per
-value that holds every byte the value's text may use; the bytes it does
-not use are zeroed, and one bytes.translate deletes them all.  The
-integer operands of one operation are all np.uint64 or all np.int64:
-numpy 1.x promotes a mix of the two, and uint64 with a Python int, to
-float64.  Subnormals, infinities and NaN take repr one value at a time.
+value that holds every byte the value's text may use; the bytes it does not
+use are zeroed, and one bytes.translate deletes them all.  The integer
+operands of one operation are all np.uint64 or all np.int64: numpy 1.x
+promotes a mix of the two, and uint64 with a Python int, to float64.  Powers
+of two, subnormals, infinities and NaN take repr one value at a time.
 """
 
 from __future__ import annotations
@@ -29,55 +30,66 @@ _P_LOW = -310  # normal doubles have -307 <= p <= 309
 
 
 @cache
-def _g():
-    """Schubfach's g for k = -324 ... 292 as (g >> 63, g mod 2**63)."""
-    g = []
-    for k in range(-324, 293):  # g = floor(10**-k 2**-r) + 1, in [2**125, 2**126]
-        r = (-k * 913124641741 >> 38) - 125
-        g.append((10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1)
-    return tuple(np.array(part, dtype=np.uint64) for part in zip(*((v >> 63, v & 2**63 - 1) for v in g)))
+def _tables():
+    """By biased exponent, e = biased - 1075 and k = 2 - floor(e log10 2): the 32-bit limbs of
+    phi = ceil(10**k 2**(127 - floor(k log2 10))), 11 - beta and (2**53 + 1) 2**beta (see
+    _shortest), delta, 50 - delta // 2 and floor(e log10 2), which zeros (biased 0) take as 0."""
+    e = np.arange(2048) - 1075  # biased 0 and 2047 too, whose k are in phi
+    fl = e * 661971961083 >> 41
+    beta = e + ((2 - fl) * 913124641741 >> 38)  # 6 ... 9
+    phi = [-(-(1 << r) // 10**-k) if k < 0 else 10**k << r if r >= 0 else -(-(10**k) >> -r)  # shifts need no division
+           for k in range(-292, 327) for r in [127 - (k * 913124641741 >> 38)]]
+    c = np.array([[p >> s & 2**32 - 1 for p in phi] for s in (0, 32, 64, 96)], dtype=np.uint64)[:, 294 - fl]
+    delta = ((c[3] << _U(32) | c[2]) >> (63 - beta).astype(np.uint64)).astype(np.int64)
+    rows = [11 - beta, (2**53 + 1) << beta, delta, 50 - delta // 2, fl * (e > -1075)]
+    return np.vstack((c, np.array(rows).astype(np.uint64)))
 
 
-def _hi64(a_lo, a_hi, b):
-    """High 64 bits of the 128-bit products (a_hi 2**32 + a_lo) b."""
-    b_lo, b_hi = b & _MASK32, b >> _U(32)
-    lh, hl = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> _U(32)) + (lh & _MASK32) + (hl & _MASK32)
-    return a_hi * b_hi + (lh >> _U(32)) + (hl >> _U(32)) + (mid >> _U(32))
+def _mul(u, c0, c1, c2, c3):
+    """(hi, lo), the upper 128 bits of u (c3 2**96 + c2 2**64 + c1 2**32 + c0), u < 2**63 and
+    c0 ... c3 < 2**32.  With c0 None, lo falls short by less than 2**33, and hi only if lo >= 2**64 - 2**33."""
+    u0, u1 = u & _MASK32, u >> _U(32)
+
+    def mul(b0, b1):  # (hi, lo) of u (b1 2**32 + b0)
+        ll, lh, hl = u0 * b0, u0 * b1, u1 * b0
+        mid = (ll >> _U(32)) + (lh & _MASK32) + (hl & _MASK32)
+        return u1 * b1 + (lh >> _U(32)) + (hl >> _U(32)) + (mid >> _U(32)), ll + (lh + hl << _U(32))
+    hi, lo = mul(c2, c3)
+    w1 = lo + (u1 * c1 if c0 is None else mul(c0, c1)[0])
+    return hi + (w1 < lo), w1
 
 
-def _shortest(bits):
-    """(f, e) with f 10**e the shortest decimal, f < 10**17, that reads back
-    to each positive normal double of the bit patterns bits; of two such,
-    the nearer one, and of two as near, the one with even f."""
-    biased = (bits >> _U(52)).astype(np.int64)
-    t = bits & _U(2**52 - 1)
-    c = t | _U(2**52)
-    q = biased - 1075
+def _shortest(bits, biased):
+    """(f, e) with f 10**e the shortest decimal, f < 10**17, that reads back to each positive normal
+    double with a fraction field other than 0 (bits, and biased, its exponent field as intp); of two
+    such, the nearer one, and of two as near, the one with even f.  With s, r = divmod(z, 1000) of
+    z = (2 fc + 1) 2**beta phi // 2**128, f is 10 s if r < delta, else 10 s + (r - delta // 2 + 50) // 100."""
+    c1, c2, c3, sh, hid, delta, off, e = np.take(_tables()[1:], biased, axis=1, mode="clip")
+    z, w1 = _mul(bits << _U(12) >> sh | hid, None, c1, c2, c3)
+    s = z // _U(1000)
+    r = z - s * _U(1000)
+    q = (dist := r + off) // _U(100)
+    f = s * _U(10) + q * (r >= delta)
+    # where a parity decides, z may be an integer, or w1 is too short to be sure of z
+    i = np.flatnonzero((q * _U(100) == dist) | (r == delta) | (r == _U(0)) | (w1 >= _U(2**64 - 2**33)))
+    f[i] = _exact(bits[i], biased[i])
+    return f, e.astype(np.int64)  # a copy: a view would keep all eight gathered rows alive
 
-    irregular = (t == _U(0)) & (biased > 1)  # the double below is half as far as the one above
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
-    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
-    g1, g0 = (part[k + 324] for part in _g())
-    g1_lo, g1_hi, g0_lo, g0_hi = g1 & _MASK32, g1 >> _U(32), g0 & _MASK32, g0 >> _U(32)
 
-    def rop(cp):  # (g1 2**63 + g0) cp 2**h / 2**127, rounded to odd
-        cp = cp << h
-        z = (g1 * cp >> _U(1)) + _hi64(g0_lo, g0_hi, cp)
-        return _hi64(g1_lo, g1_hi, cp) + (z >> _U(63)) | (z & _MASK63 != _U(0)).astype(np.uint64)
-
-    cb, odd = c << _U(2), c & _U(1)
-    vb = rop(cb)
-    vbl = rop(cb - _U(2) + irregular.astype(np.uint64)) + odd  # an odd c excludes both ends
-    vbr = rop(cb + _U(2)) - odd
-
-    s = vb >> _U(2)
-    mid = _U(4) * s + _U(2)
-    f = np.where((vb < mid) | (vb == mid) & (s & _U(1) == _U(0)), s, s + _U(1))
-    for lo, step in ((s, _U(1)), (s // _U(10) * _U(10), _U(10))):  # one digit fewer goes last, and wins
-        lower, upper = vbl <= _U(4) * lo, _U(4) * (lo + step) <= vbr
-        f = np.where(lower != upper, np.where(lower, lo, lo + step), f)
-    return f, k
+def _exact(bits, biased):
+    """_shortest's f by Dragonbox's whole test, which takes the parities of y = z - delta/2 and x = z - delta."""
+    c0, c1, c2, c3, sh, hid, delta, off, _ = _tables()[:, biased]
+    u = (bits << _U(12) >> sh | hid) - _U([[0], [1], [2]]) * (hid & _U(1023))  # (2 fc + 1, 2 fc, 2 fc - 1) 2**beta
+    (z, y, x), (z_lo, y_lo, x_lo) = _mul(u, c0, c1, c2, c3)
+    odd = bits & _U(1) == _U(1)  # an odd fc excludes both ends of its interval
+    s = z // _U(1000) - ((z % _U(1000) == _U(0)) & (z_lo == _U(0)) & odd)  # an integer z at an excluded end
+    r = z - s * _U(1000)
+    x_integer = (x_lo == _U(0)) & ~odd & (1073 <= biased) & (biased <= 1161)  # only -2 <= e <= 86 make one
+    big = np.where(r == delta, x & _U(1) | x_integer, r < delta)
+    q = (dist := r + off) // _U(100)
+    f = s * _U(10) + q
+    down = (q * _U(100) == dist) & ((y ^ dist) | (y_lo == _U(0)) & f) & _U(1)
+    return np.where(big, s * _U(10), f - down)
 
 
 @cache
@@ -121,12 +133,10 @@ def format_rows(table) -> str:
     bits = values.ravel().view(np.uint64)
     neg = (bits >> _U(63)).astype(np.intp)
     bits = bits & _MASK63
-    biased = bits >> _U(52)
+    biased = (bits >> _U(52)).astype(np.intp)
     zero = bits == _U(0)
-    normal = (biased != _U(0)) & (biased != _U(2047))
-    f, e = _shortest(np.where(normal, bits, _U(0x3FF0000000000000)))  # 1.0 stands in for the rest
-    f, e = np.where(zero, _U(0), f), np.where(zero, 0, e)
-
+    f, e = _shortest(bits, biased)
+    f = np.where(zero, _U(0), f)
     # the nd digits of f left-aligned in 17, four at a time after the first; p = e + nd
     lead, quad_words, last, tails, kinds, keep = _layout()
     nd = np.maximum(np.searchsorted(_POW10, f, side="right"), 1)
@@ -134,15 +144,15 @@ def format_rows(table) -> str:
     first, rest = np.divmod((f * _POW10[17 - nd]).astype(np.int64), 10**16)
     quads = np.stack((rest // 10**12, rest // 10**8, rest // 10**4, rest))
     quads[1:] -= quads[:-1] * 10**4
-    n = last[np.arange(4)[:, None], quads].max(axis=0)
+    n = np.maximum.reduce([row.take(q) for row, q in zip(last, quads)])
     words = np.empty((count, 6), dtype=np.uint64)
     words[:, 0] = lead[first]
     words[:, 1:5] = quad_words[quads.T]
     words[:, 5] = tails[point]
     words.view(np.uint8)[width - 1 :: width, 45] = ord("\n")
-    words &= keep[kinds[point] + 2 * n - 2 + neg]
+    words &= np.take(keep, kinds[point] + 2 * n - 2 + neg, axis=0)
 
-    for i in np.flatnonzero(~(normal | zero)):  # subnormal, infinite or NaN
+    for i in np.flatnonzero(((bits << _U(12) == _U(0)) | (biased == 0) | (biased == 2047)) & ~zero):
         text = repr(values.flat[i].item()).encode() + (b"\n" if i % width == width - 1 else b",")
         words[i] = np.frombuffer(text.ljust(_SLOT, b"\0"), dtype=np.uint64)
     return words.tobytes().translate(None, b"\0").decode("ascii")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 from typing import Callable
 
 import numpy as np
@@ -53,7 +53,10 @@ class SecularFunction:
     f is cos(theta), which nothing in the package reads.  It stays only
     because the benchmark's tracer counts find_roots' evaluations by
     replacing it, and goes once the tracer reads the phase (ROADMAP item 5,
-    after item 1)."""
+    after item 1).  phase silences the floating-point warnings of a slope
+    that is infinite or NaN at a band edge; the phase of _from_phase keeps
+    its kernel, without that np.errstate guard, as phase.__wrapped__, which
+    find_roots calls inside its own guard."""
 
     f: Callable[[np.ndarray], np.ndarray]
     lo: float
@@ -67,10 +70,12 @@ class SecularFunction:
 
 
 def _from_phase(lo, hi, phase, binds: bool) -> SecularFunction:
-    def batched(eps):  # a float would take numpy's scalar path, whose last bits can differ from a batch's
-        return phase(np.atleast_1d(eps))
+    @wraps(phase)
+    def guarded(eps):  # a float would take numpy's scalar path, whose last bits can differ from a batch's
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return phase(np.atleast_1d(eps))
 
-    return SecularFunction(lambda eps: np.cos(batched(eps)[0]), float(lo), float(hi), batched, binds)
+    return SecularFunction(lambda eps: np.cos(guarded(eps)[0]), float(lo), float(hi), guarded, binds)
 
 
 def region_wavenumbers(label: QuantumLabel, v0: float) -> tuple[float, float]:
@@ -109,16 +114,16 @@ def _square_well_phase_slope(k, epsilon, v0, half_width):
 
     dtheta/deps is 2L(eps+v0)/q + (N'D - ND')/(N^2 + D^2), where
     N' = 2 eps + v0 and D' = (p^2 (eps+v0) - eps q^2)/(pq).  Where p or q
-    vanishes the slope is infinite or NaN, without a warning.
+    vanishes the slope is infinite or NaN, and numpy warns unless the
+    caller holds an np.errstate guard (divide, invalid and over).
     """
     eps = np.asarray(epsilon, dtype=float)
     kk, e = k * k, eps + v0
     p, q = np.sqrt(np.maximum(kk - eps**2, 0.0)), np.sqrt(np.maximum(e**2 - kk, 0.0))
     n, d = eps * e - kk, p * q
     theta = 2.0 * half_width * q + np.arctan2(n, d)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dd = (p * p * e - eps * q * q) / d
-        slope = 2.0 * half_width * e / q + ((2.0 * eps + v0) * d - n * dd) / (n * n + d * d)
+    dd = (p * p * e - eps * q * q) / d
+    slope = 2.0 * half_width * e / q + ((2.0 * eps + v0) * d - n * dd) / (n * n + d * d)
     return theta, slope
 
 
@@ -304,7 +309,7 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
     integral in units of exp(2 log) at its exit, so no term overflows; a
     region that rescales nothing shrinks nothing.  Equal exteriors share
     their d, p, k + p and 1 / (2 p).  Where a decay rate vanishes the slope is infinite,
-    without a warning.
+    and numpy warns unless the caller holds an np.errstate guard (divide and invalid).
     """
     steps, values = potential.breakpoints, potential.values
     d_lo = eps - values[0]
@@ -326,36 +331,35 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
     seed = np.exp(-1j * phi_l)
     regions, spans = _carry(potential, k, eps, seed, p_lo * seed, 1)
     theta = phi_l - phi_r + 0.5 * math.pi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        area = tail = 1.0 / (2.0 * p_lo)
-        for r, (psi, dpsi, end_psi, end_dpsi, d, m, rw, rescale) in enumerate(spans, 1):
-            turns = np.floor(np.where(m < 0.0, rw, 0.0) / math.pi)
-            flip = 1.0 - 2.0 * (turns % 2.0)
-            conj = np.conj(psi)
-            turn = flip * end_psi * conj
-            theta = theta + np.sign(d) * turns * math.pi - np.arctan2(turn.imag, turn.real)
-            # 2m int |psi|^2 = [Re(conj(psi) psi')] across the region
-            # - w (|psi'|^2 - m |psi|^2), the last constant there, in units
-            # of exp(2 log) at the exit, where the entry's terms shrink by
-            # exp(-2 rescale)
-            w = steps[r] - steps[r - 1]
-            cross, size, grad = (conj * dpsi).real, np.abs(psi) ** 2, np.abs(dpsi) ** 2
-            entry = cross + w * (grad - m * size)
-            if rescale is not None:
-                shrink = np.exp(-2.0 * rescale)
-                entry, area = shrink * entry, area * shrink
-            inside = ((np.conj(end_psi) * end_dpsi).real - entry) / (2.0 * m)
-            near = rw * rw < _AREA_SERIES_CUT
-            if np.count_nonzero(near):
-                # that difference cancels as m w^2 -> 0: there the integral
-                # of |c psi + (s/kappa) psi'|^2 to second order in z = m w^2
-                z = m * w * w
-                series = w * (size * (1.0 + z * (1.0 / 3.0 + z / 15.0))
-                              + w * cross * (1.0 + z * (1.0 / 3.0 + z * (2.0 / 45.0)))
-                              + w * w * grad * (1.0 / 3.0 + z * (1.0 / 15.0 + z * (2.0 / 315.0))))
-                inside = np.where(near, series if rescale is None else shrink * series, inside)
-            area = area + inside
-        slope = area / np.abs(regions[-1][0]) ** 2 + (tail if equal else 1.0 / (2.0 * p_hi))
+    area = tail = 1.0 / (2.0 * p_lo)
+    for r, (psi, dpsi, end_psi, end_dpsi, d, m, rw, rescale) in enumerate(spans, 1):
+        turns = np.floor(np.where(m < 0.0, rw, 0.0) / math.pi)
+        flip = 1.0 - 2.0 * (turns % 2.0)
+        conj = np.conj(psi)
+        turn = flip * end_psi * conj
+        theta = theta + np.sign(d) * turns * math.pi - np.arctan2(turn.imag, turn.real)
+        # 2m int |psi|^2 = [Re(conj(psi) psi')] across the region
+        # - w (|psi'|^2 - m |psi|^2), the last constant there, in units
+        # of exp(2 log) at the exit, where the entry's terms shrink by
+        # exp(-2 rescale)
+        w = steps[r] - steps[r - 1]
+        cross, size, grad = (conj * dpsi).real, np.abs(psi) ** 2, np.abs(dpsi) ** 2
+        entry = cross + w * (grad - m * size)
+        if rescale is not None:
+            shrink = np.exp(-2.0 * rescale)
+            entry, area = shrink * entry, area * shrink
+        inside = ((np.conj(end_psi) * end_dpsi).real - entry) / (2.0 * m)
+        near = rw * rw < _AREA_SERIES_CUT
+        if np.count_nonzero(near):
+            # that difference cancels as m w^2 -> 0: there the integral
+            # of |c psi + (s/kappa) psi'|^2 to second order in z = m w^2
+            z = m * w * w
+            series = w * (size * (1.0 + z * (1.0 / 3.0 + z / 15.0))
+                          + w * cross * (1.0 + z * (1.0 / 3.0 + z * (2.0 / 45.0)))
+                          + w * w * grad * (1.0 / 3.0 + z * (1.0 / 15.0 + z * (2.0 / 315.0))))
+            inside = np.where(near, series if rescale is None else shrink * series, inside)
+        area = area + inside
+    slope = area / np.abs(regions[-1][0]) ** 2 + (tail if equal else 1.0 / (2.0 * p_hi))
     return theta, slope
 
 

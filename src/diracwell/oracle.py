@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -613,18 +614,24 @@ def dirac_shooting(
     epsilon = label.epsilon
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
     _check_momentum_and_step(label.k, step)
+    _check_energies(config, label.k, eps)
+    det = _shooter(config, label.k, step, x_match)(eps)[0]
+    return det if np.ndim(epsilon) else float(det[0])
+
+
+def _check_energies(config: FieldConfig, k: float, eps: np.ndarray) -> None:
+    """dirac_shooting's checks of an energy array: ConfigError for one that
+    is not finite, OutsideAdmissibleBand where an exterior does not decay."""
     if not np.all(np.isfinite(eps)):
         raise ConfigError("epsilon must be finite")
     _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
-    for w, v in ((label.k + a_minus, v_minus), (label.k + a_plus, v_plus)):
+    for w, v in ((k + a_minus, v_minus), (k + a_plus, v_plus)):
         d = eps - v
         if np.any(w * w - d * d <= 0.0):
             raise OutsideAdmissibleBand(
                 "no decaying exterior direction at some requested energy; "
                 "bound states require |epsilon - v| < |k + a| on both tails"
             )
-    det = _shooter(config, label.k, step, x_match)(eps)[0]
-    return det if np.ndim(epsilon) else float(det[0])
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +818,9 @@ def shooting_bound_states(
     profile has them as the zeros of dirac_shooting's determinant that
     _scan_roots brackets on scan_points uniform points, however near an
     edge; its levels can crowd into a band edge, where no finite scan
-    completes them.  Raises ConfigError for a scan_points that is not an
+    completes them.  Each of its determinant calls checks its energies as
+    dirac_shooting does, and the first one builds the shooter that every
+    call then uses.  Raises ConfigError for a scan_points that is not an
     integer of at least two, a tol that is not finite and positive, or a k
     or step that dirac_shooting rejects, and UnsupportedRegime for a step
     too coarse to count a profile's windings (see _shooter) or a nonzero
@@ -831,7 +840,10 @@ def shooting_bound_states(
         shoot = _shooter(config, k, step, x_match)
         lo, hi = _decaying_band(lo, hi, ((k + a_minus, v_minus), (k + a_plus, v_plus)))
         return _phase_roots(lambda eps: shoot(eps)[1], lo, hi, tol)
-    return _scan_roots(
-        lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step, x_match),
-        lo, hi, scan_points, tol,
-    )
+    shooter = cache(lambda: _shooter(config, k, step, x_match))
+
+    def det(eps):
+        _check_energies(config, k, eps)
+        return shooter()(eps)[0]
+
+    return _scan_roots(det, lo, hi, scan_points, tol)

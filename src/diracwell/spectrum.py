@@ -77,7 +77,7 @@ def _level_ranges(phase, lo, hi, binds):
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
     live = np.flatnonzero(inner_lo < inner_hi)
     inner_lo, inner_hi = inner_lo[live], inner_hi[live]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the kernels hold none
         theta = phase(np.concatenate((live, live)), np.concatenate((inner_lo, inner_hi)))[0]
     th_lo, th_hi = theta[: live.size], theta[live.size :]
     reach = np.maximum(np.abs(th_lo), np.abs(th_hi))
@@ -157,7 +157,7 @@ def _levels_by_row(phase, lo, hi, binds):
     root, slope_at = np.empty(at.size), np.empty(at.size)
     todo, frozen, shut, calls = np.arange(at.size), np.zeros(at.size, dtype=bool), 0, 0
     mirrored = np.count_nonzero(sign < 0.0) > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # one guard for every phase call
         while shut < todo.size:
             if calls < NEWTON_CALLS:
                 inside = (a < x) & (x < b)
@@ -226,7 +226,8 @@ def find_roots(secular: SecularFunction) -> list[float]:
     move a level by more than DEFAULT_ROOT_TOL.
     """
     lo, hi = np.array([secular.lo]), np.array([secular.hi])
-    return _levels_by_row(lambda rows, eps: secular.phase(eps), lo, hi, secular.binds)[2].tolist()
+    phase = getattr(secular.phase, "__wrapped__", secular.phase)  # unguarded: _levels_by_row holds one
+    return _levels_by_row(lambda rows, eps: phase(eps), lo, hi, secular.binds)[2].tolist()
 
 
 def count_bound_states(k: float, v0: float, half_width: float = 1.0) -> int:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracwell import (
     QuantumLabel,
@@ -22,6 +24,10 @@ def reference(table) -> str:
 
 def from_bits(bits) -> np.ndarray:
     return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def bits_of(value: float) -> int:
+    return int(np.float64(value).view(np.uint64))
 
 
 def neighbours(values) -> list[float]:
@@ -68,11 +74,51 @@ class TestAgainstRepr:
             table = table.reshape(-1, 7)
             assert format_rows(table) == reference(table)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 7),
+        patterns=st.lists(st.integers(0, 2**64 - 1) | st.floats().map(bits_of), max_size=70),
+    )
+    def test_any_bit_patterns(self, width, patterns):
+        table = from_bits(patterns[: len(patterns) // width * width]).reshape(-1, width)
+        assert format_rows(table) == reference(table)
+
     def test_any_width_and_no_rows(self):
         values = np.random.default_rng(22).standard_normal(60)
         for width in (1, 2, 3, 60):
             assert format_rows(values.reshape(-1, width)) == reference(values.reshape(-1, width))
         assert format_rows(np.empty((0, 7))) == ""
+
+
+class TestDragonboxBranches:
+    """Doubles that take each exact branch of _floatfmt._exact, where the
+    64 x 128-bit product alone cannot decide the digits (found by search)."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(9.13702642520349e19, id="r=delta-x-odd-keeps-the-longer-divisor"),
+            pytest.param(2.180531196762579e16, id="r=delta-x-integer-keeps-the-longer-divisor"),
+            pytest.param(2.0879241281035732e16, id="r=delta-x-even-takes-the-shorter"),
+            pytest.param(1.6635925660168042e19, id="divisible-parity-differs-rounds-down"),
+            pytest.param(14837195230288.312, id="divisible-tie-odd-rounds-down-to-even"),
+            pytest.param(16727685388345.438, id="divisible-tie-even-is-kept"),
+            pytest.param(9.106815851342486e18, id="divisible-parity-equal-is-kept"),
+            pytest.param(2.6402534135098148e16, id="integer-z-at-the-excluded-right-end"),
+            # the low word of z that skips its lowest limb product misses a carry
+            pytest.param(1e23, id="short-low-word-misses-a-carry"),
+            pytest.param(5e22, id="short-low-word-misses-a-carry-at-5e22"),
+        ],
+    )
+    def test_branch(self, value):
+        table = np.array(neighbours([value])).reshape(-1, 1)
+        assert format_rows(table) == reference(table)
+
+    def test_powers_of_two_take_repr(self):
+        # the shorter interval below a power of two goes to the per-value fallback
+        values = [1.0, 0.5, 2.0, 1024.0, 2.0**-1022, 2.0**-1074, 2.0**1023, 2.0**-100, 2.0**60]
+        table = np.array([[v, -v] for v in values])
+        assert format_rows(table) == reference(table)
 
 
 def csv_reference(state) -> str:

@@ -421,7 +421,8 @@ class TestTransferPhase:
         p = phase(eps) + min(max(h / jacobian, floor), 0.1, edge) * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
         e = np.where(p < 0.25 * math.pi, lo + (hi - lo) * np.sin(p) ** 2, hi - (hi - lo) * np.cos(p) ** 2)
         e[2], p = eps, phase(e)
-        theta, slope = _transfer_phase_slope(potential, k, e)
+        with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 divides by zero; the kernel holds no guard
+            theta, slope = _transfer_phase_slope(potential, k, e)
         derivative = (4.0 * (theta[3] - theta[1]) / (p[3] - p[1])
                       - (theta[4] - theta[0]) / (p[4] - p[0])) / 3.0 / jacobian
         assert slope[2] == pytest.approx(derivative, rel=1e-5)
@@ -459,6 +460,7 @@ class TestFastPaths:
     def test_transfer_phase_alone_and_in_a_mixed_batch(self, k, v0, half_width, eps):
         well = square_well_config(v0, half_width).electric
         eps = np.array(eps)
-        theta, slope = _transfer_phase_slope(well, k, eps)
-        for i in range(eps.size):
-            assert bits(*_transfer_phase_slope(well, k, eps[i : i + 1])) == bits(theta[i : i + 1], slope[i : i + 1])
+        with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 and band edges; the kernel holds no guard
+            theta, slope = _transfer_phase_slope(well, k, eps)
+            for i in range(eps.size):
+                assert bits(*_transfer_phase_slope(well, k, eps[i : i + 1])) == bits(theta[i : i + 1], slope[i : i + 1])

@@ -269,6 +269,18 @@ class TestDiracShooting:
             assert got == pytest.approx(want, abs=1e-3)
         assert all(-2.0 < r < 2.0 for r in roots)
 
+    def test_smooth_shot_builds_its_shooter_once(self, monkeypatch):
+        # the benchmark's shot: every scan and secant call shares one shooter,
+        # and its roots keep the bits of a scan that builds one per call
+        config = FieldConfig(electric=Lorentzian(-2.0))
+        reference = oracle._scan_roots(lambda eps: dirac_shooting(config, QuantumLabel(2.0, eps), 0.02),
+                                       -2.0, 2.0, 150, 1e-5)
+        builds, shooter = [], oracle._shooter
+        monkeypatch.setattr(oracle, "_shooter", lambda *args: builds.append(args) or shooter(*args))
+        roots = shooting_bound_states(config, 2.0, scan_points=150, tol=1e-5, step=0.02)
+        assert len(builds) == 1
+        assert roots == reference and len(roots) == len(LORENTZ_ROOTS)
+
     @pytest.mark.parametrize("step", [0.01, 0.005])
     def test_smooth_level_near_the_band_edge(self, step):
         # a level 2e-7 inside the band edge -1e-5: a 1e-6 margin at the band

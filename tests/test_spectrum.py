@@ -330,7 +330,11 @@ def halved_levels(k, v0, half_width, most=40):
     target and b where it is at least the target."""
     band = square_well_secular(k, v0, half_width)
     lo, hi = math.nextafter(band.lo, band.hi), math.nextafter(band.hi, band.lo)
-    theta = lambda eps: float(_square_well_phase_slope(k, eps, v0, half_width)[0])
+
+    def theta(eps):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the kernel holds no guard
+            return float(_square_well_phase_slope(k, eps, v0, half_width)[0])
+
     s = -1.0 if theta(hi) < theta(lo) else 1.0
     u_lo, u_hi = sorted((s * lo, s * hi))
     t_lo, t_hi = sorted((theta(lo), theta(hi)))
