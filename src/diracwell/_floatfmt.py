@@ -141,7 +141,9 @@ def format_rows(table) -> str:
     lead, quad_words, last, tails, kinds, keep = _layout()
     nd = np.maximum(np.searchsorted(_POW10, f, side="right"), 1)
     point = e + nd - _P_LOW
-    first, rest = np.divmod((f * _POW10[17 - nd]).astype(np.int64), 10**16)
+    digits = (f * _POW10[17 - nd]).astype(np.int64)
+    first = digits // 10**16
+    rest = digits - first * 10**16
     quads = np.stack((rest // 10**12, rest // 10**8, rest // 10**4, rest))
     quads[1:] -= quads[:-1] * 10**4
     n = np.maximum.reduce([row.take(q) for row, q in zip(last, quads)])

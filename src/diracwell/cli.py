@@ -5,7 +5,9 @@ of one well, `sweep-k` / `sweep-v0` trace branches over a parameter grid,
 `state` emits one sampled eigenfunction with its densities, `landau`
 prints closed-form dispersive levels, and `verify` runs the built-in
 cross-check battery.  Output is CSV by default, JSON with --format json,
-and byte-stable across runs for fixed inputs.
+and byte-stable across runs for fixed inputs on the same numpy build and
+CPU dispatch: numpy picks its float64 kernels by CPU at run time, and some
+differ in the last bit.
 
 Every subcommand but `verify` hands its result to one writer, which
 formats only the chosen format.  `verify` prints one line per check row.
@@ -36,7 +38,7 @@ import sys
 import numpy as np
 
 from .core import QuantumLabel
-from .errors import ConfigError, SolverError, VerificationFailure
+from .errors import ConfigError, SolverError
 from .matching import general_secular, square_well_secular, square_well_config
 from .spectrum import (
     MAX_GRID_POINTS,
@@ -267,7 +269,8 @@ def _cmd_verify(args) -> int:
         if not ok:
             failures.append(name)
     if failures:
-        raise VerificationFailure(f"{len(failures)} check(s) failed: {', '.join(failures)}")
+        print(f"verification failed: {len(failures)} check(s) failed: {', '.join(failures)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -334,9 +337,6 @@ def main(argv=None) -> int:
         if args.config is not None:
             args = _parse_with_config(parser, argv, args)
         return args.func(args)
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -226,8 +226,8 @@ _FAMILY_TAGS = {
 
 def square_well(v0: float, half_width: float = 1.0) -> PiecewiseConstant:
     """Electrostatic well of depth v0 on (-half_width, half_width), zero outside."""
-    if half_width <= 0:
-        raise ConfigError("half_width must be positive")
+    if not (half_width > 0 and math.isfinite(half_width)):
+        raise ConfigError(f"half_width must be finite and positive, got {half_width}")
     return PiecewiseConstant((-half_width, half_width), (0.0, -v0, 0.0))
 
 

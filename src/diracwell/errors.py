@@ -5,9 +5,8 @@ callers can catch the package's failures without masking programming bugs.
 Each refusal rule has one class.
 """
 
-__all__ = ["SolverError", "ConfigError", "VerificationFailure", "SingularPoint", "DiscontinuityPoint",
-           "UnsupportedRegime", "OutsideAdmissibleBand", "NotAnEigenvalue", "NotConjugatePair",
-           "BrokenPTSymmetry"]
+__all__ = ["SolverError", "ConfigError", "SingularPoint", "DiscontinuityPoint", "UnsupportedRegime",
+           "OutsideAdmissibleBand", "NotAnEigenvalue", "NotConjugatePair", "BrokenPTSymmetry"]
 
 
 class SolverError(Exception):
@@ -18,10 +17,6 @@ class ConfigError(SolverError, ValueError):
     """A field configuration, CLI flag set, config file, argument value,
     level index or coefficient table is invalid.  It is also a ValueError,
     as a bad argument value is."""
-
-
-class VerificationFailure(SolverError):
-    """At least one self-check in the verification suite failed."""
 
 
 class SingularPoint(SolverError):

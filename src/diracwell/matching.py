@@ -8,8 +8,10 @@ solution is a two-exponential combination; at a step of size J the value is
 continuous while the derivative jumps by i J psi, the imprint of the
 delta-function derivative of the profile.
 
-A secular function is its phase: a theta that increases strictly across
-its band and crosses pi/2 + n pi at the bound states.  Two are built from
+A secular function is its phase: a theta that is strictly monotone across
+its band and crosses pi/2 + n pi at the bound states.  It increases, but
+for the closed-form phase of a barrier (v0 < 0), which decreases and which
+the root finder solves in u = -eps.  Two are built from
 this structure: the phase of the closed-form determinant of the symmetric
 square well, and a transfer phase for arbitrary piecewise profiles, the
 Prufer angle of the solution that decays to the left measured against the
@@ -47,8 +49,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SecularFunction:
-    """A secular function is its phase: a theta that increases strictly on
-    the band (lo, hi) and crosses pi/2 + n pi at the bound states.
+    """A secular function is its phase: a theta that is strictly monotone on
+    the band (lo, hi) and crosses pi/2 + n pi at the bound states.  It
+    increases, but for the closed-form phase of a barrier (v0 < 0), which
+    decreases and which find_roots solves in u = -eps.
 
     f is cos(theta), which nothing in the package reads.  It stays only
     because the benchmark's tracer counts find_roots' evaluations by

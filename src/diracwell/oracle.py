@@ -199,15 +199,16 @@ def _profile_window(profile, which: str):
     raise UnsupportedRegime(f"no shooting window rule for {type(profile).__name__}")
 
 
-def _config_window(config: FieldConfig):
+def _exteriors(config: FieldConfig, k: float):
+    """(x_lo, x_hi, exteriors, (lo, hi)): the window beyond which the
+    profiles are treated as constant, each exterior's (w, v) = (k + a, v),
+    left then right, and the band lo < eps < hi where both decay,
+    |eps - v| < |w|."""
     ew = _profile_window(config.electric, "electric")
     mw = _profile_window(config.magnetic, "magnetic")
-    return (
-        min(ew[0], mw[0]),
-        max(ew[1], mw[1]),
-        (ew[2], ew[3]),  # scalar potential limits
-        (mw[2], mw[3]),  # vector potential limits
-    )
+    exteriors = (k + mw[2], ew[2]), (k + mw[3], ew[3])
+    band = max(v - abs(w) for w, v in exteriors), min(v + abs(w) for w, v in exteriors)
+    return min(ew[0], mw[0]), max(ew[1], mw[1]), exteriors, band
 
 
 def _is_stepwise(profile) -> bool:
@@ -263,10 +264,9 @@ def _rk4_power(s, h, n):
       (u_n, v_n) = ((1 + r^n) / 2, (1 - r^n) / (2 sigma));
     - s = 0: R = I + h M, so (u_n, v_n) = (1, n h).
     All are bounded, so a wide segment neither overflows nor underflows.
-    The half-turns are NaN where the one-step u or v is not positive: such
-    a step turns by pi/2 or more, too coarse to count.  The decay branch
-    is taken only where some s >= 0, and the NaN mask only where some u or
-    v is not positive.
+    The half-turns count the windings only where the one-step u and v are
+    positive, as _shooter requires.  The decay branch is taken only where
+    some s >= 0.
     Everything is taken at |h|, then v_n negated for h < 0: u_n is even and
     v_n odd in h, bit for bit.
     """
@@ -285,11 +285,7 @@ def _rk4_power(s, h, n):
             decay = np.expm1(n * np.log1p(-2.0 * vs / (u + vs)))  # r^n - 1
             un = np.where(osc, np.cos(angle), 1.0 + 0.5 * decay)
             vn = np.where(s == 0.0, n * h_abs, np.where(osc, np.sin(angle), -0.5 * decay) / sigma)
-    turns = np.floor(angle / math.pi)
-    fine = (u > 0.0) & (v > 0.0)
-    if np.count_nonzero(fine) < fine.size:
-        turns = np.where(fine, turns, np.nan)
-    return un, (vn if h >= 0.0 else -vn), turns
+    return un, (vn if h >= 0.0 else -vn), np.floor(angle / math.pi)
 
 
 def _segments(config, k, points, step):
@@ -520,12 +516,14 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match):
     det = -|psi_L| |psi_R| sin theta: bound states are the crossings
     theta = n pi.  Both exteriors must decay or, at a band edge, be
     critical: |eps - v| <= |k + a|, where w^2 - d^2 rounds to no negative.
-    The window, a stepwise profile's segments and a smooth profile's field
-    samples are laid out once.  A smooth march raises UnsupportedRegime
-    for a step too coarse to count, by the rule that marks a stepwise
-    one's half-turns NaN (see _rk4_power): a one-step u or v that is not
-    positive at y = h^2 min(w^2 - max((lo - v)^2, (hi - v)^2)), the worst
-    of its samples over the band (lo, hi) where both exteriors decay.
+    The window, its exteriors and band (see _exteriors), a stepwise
+    profile's segments and a smooth profile's field samples are laid out
+    once.  Where the band (lo, hi) is not empty, a step too coarse to count
+    raises UnsupportedRegime: one whose one-step u or v (see _rk4_power) is
+    not positive, for some segment or sample (h, w, v), at
+    y = h^2 (w^2 - max((lo - v)^2, (hi - v)^2)), its least over the band as
+    w^2 - (eps - v)^2 is concave in eps.  Such a step turns by pi/2 or
+    more, and its windings cannot be counted.
 
     A smooth march from the right that samples exactly the left march's
     fields mirrored (see _is_mirror: an even electric profile with an even
@@ -538,53 +536,54 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match):
     through the left march's products, and swapped back: the same bits as
     its own march, in half the propagators.
     """
-    x_lo, x_hi, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
+    x_lo, x_hi, ((w_left, v_minus), (w_right, v_plus)), (lo, hi) = _exteriors(config, k)
     if x_match is None:
         x_match = 0.5 * (x_lo + x_hi)
     if not x_lo <= x_match <= x_hi:
         raise ConfigError(f"x_match must lie in [{x_lo}, {x_hi}]")
-    w_left, w_right = k + a_minus, k + a_plus
-
-    if not (_is_stepwise(config.electric) and _is_stepwise(config.magnetic)):
+    stepwise = _is_stepwise(config.electric) and _is_stepwise(config.magnetic)
+    if stepwise:
+        breaks: set[float] = set()
+        for profile in (config.electric, config.magnetic):
+            if isinstance(profile, PiecewiseConstant):
+                breaks.update(profile.breakpoints)
+        inner = sorted(b for b in breaks if x_lo < b < x_hi)
+        left = _segments(config, k, [x_lo] + [b for b in inner if b <= x_match] + [x_match], step)
+        right = _segments(config, k, [x_hi] + [b for b in reversed(inner) if b > x_match] + [x_match], step)
+        fields = [(h, w, v) for h, _, w, v in left + right]
+    else:
         march_left = _sample_march(config, k, x_lo, x_match, step)
         march_right = _sample_march(config, k, x_hi, x_match, step)
-        mirrored = _is_mirror(march_left, march_right)
-        lo = max(v_minus - abs(w_left), v_plus - abs(w_right))
-        hi = min(v_minus + abs(w_left), v_plus + abs(w_right))
-        for h, w, v in filter(None, (march_left, march_right)):
+        fields = [march for march in (march_left, march_right) if march is not None]
+    if lo < hi:
+        for h, w, v in fields:
             y = h * h * float(np.min(w * w - np.maximum((lo - v) ** 2, (hi - v) ** 2)))
             if not (1.0 + y * (0.5 + y / 24.0) > 0.0 and 1.0 + y / 6.0 > 0.0):
-                raise UnsupportedRegime(f"step={step}: an RK4 step of the smooth march turns by pi/2 or more "
-                                        "at some band energy, too coarse to count; take a smaller step")
+                raise UnsupportedRegime(f"step={step}: an RK4 step turns by pi/2 or more at some band energy, "
+                                        "too coarse to count the windings; take a smaller step")
 
+    if stepwise:
         def shoot(eps):
-            psi_left = np.stack(_seed_vectors(w_left, eps - v_minus, outward=False), axis=1)
-            psi_right = np.stack(_seed_vectors(w_right, eps - v_plus, outward=True), axis=1)
-            if mirrored:
-                both = _advance_sampled(march_left, eps, np.stack([psi_left, psi_right[:, ::-1]]))
-                psi_left, psi_right = both[0], both[1, :, ::-1]
-            else:
-                psi_left = _advance_sampled(march_left, eps, psi_left[None])[0]
-                psi_right = _advance_sampled(march_right, eps, psi_right[None])[0]
-            return psi_left[:, 0] * psi_right[:, 1] - psi_left[:, 1] * psi_right[:, 0], None
+            powers: dict = {}
+            psi_left, phi_left = _advance_stepwise(
+                left, eps, _seed_vectors(w_left, eps - v_minus, outward=False), powers)
+            psi_right, phi_right = _advance_stepwise(
+                right, eps, _seed_vectors(w_right, eps - v_plus, outward=True), powers)
+            return psi_left[0] * psi_right[1] - psi_left[1] * psi_right[0], phi_left - phi_right
 
         return shoot
-
-    breaks: set[float] = set()
-    for profile in (config.electric, config.magnetic):
-        if isinstance(profile, PiecewiseConstant):
-            breaks.update(profile.breakpoints)
-    inner = sorted(b for b in breaks if x_lo < b < x_hi)
-    left = _segments(config, k, [x_lo] + [b for b in inner if b <= x_match] + [x_match], step)
-    right = _segments(config, k, [x_hi] + [b for b in reversed(inner) if b > x_match] + [x_match], step)
+    mirrored = _is_mirror(march_left, march_right)
 
     def shoot(eps):
-        powers: dict = {}
-        psi_left, phi_left = _advance_stepwise(
-            left, eps, _seed_vectors(w_left, eps - v_minus, outward=False), powers)
-        psi_right, phi_right = _advance_stepwise(
-            right, eps, _seed_vectors(w_right, eps - v_plus, outward=True), powers)
-        return psi_left[0] * psi_right[1] - psi_left[1] * psi_right[0], phi_left - phi_right
+        psi_left = np.stack(_seed_vectors(w_left, eps - v_minus, outward=False), axis=1)
+        psi_right = np.stack(_seed_vectors(w_right, eps - v_plus, outward=True), axis=1)
+        if mirrored:
+            both = _advance_sampled(march_left, eps, np.stack([psi_left, psi_right[:, ::-1]]))
+            psi_left, psi_right = both[0], both[1, :, ::-1]
+        else:
+            psi_left = _advance_sampled(march_left, eps, psi_left[None])[0]
+            psi_right = _advance_sampled(march_right, eps, psi_right[None])[0]
+        return psi_left[:, 0] * psi_right[:, 1] - psi_left[:, 1] * psi_right[:, 0], None
 
     return shoot
 
@@ -608,8 +607,7 @@ def dirac_shooting(
     decaying solution on one of the exteriors, and ConfigError for a
     non-finite k or energy, a step that is not finite and positive, or one
     so small that a stepwise segment's step count overflows a double, and
-    UnsupportedRegime for a smooth march's step too coarse to count (see
-    _shooter).
+    UnsupportedRegime for a step too coarse to count (see _shooter).
     """
     epsilon = label.epsilon
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
@@ -624,8 +622,7 @@ def _check_energies(config: FieldConfig, k: float, eps: np.ndarray) -> None:
     is not finite, OutsideAdmissibleBand where an exterior does not decay."""
     if not np.all(np.isfinite(eps)):
         raise ConfigError("epsilon must be finite")
-    _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
-    for w, v in ((k + a_minus, v_minus), (k + a_plus, v_plus)):
+    for w, v in _exteriors(config, k)[2]:
         d = eps - v
         if np.any(w * w - d * d <= 0.0):
             raise OutsideAdmissibleBand(
@@ -638,15 +635,6 @@ def _check_energies(config: FieldConfig, k: float, eps: np.ndarray) -> None:
 # roots: one Anderson-Bjorck secant on a stepwise profile's phase crossings
 # and a smooth profile's scanned determinant
 # ---------------------------------------------------------------------------
-
-
-def _finite(theta) -> np.ndarray:
-    if np.count_nonzero(np.isfinite(theta)) < theta.size:
-        raise UnsupportedRegime(
-            "the shooting phase is not finite at some band energy: a segment's RK4 step "
-            "turns by pi/2 or more there, too coarse to count its windings; take a smaller step"
-        )
-    return theta
 
 
 def _anderson_bjorck(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
@@ -667,10 +655,8 @@ def _anderson_bjorck(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
     exact zero.  A done bracket is recorded once and stays in the batch,
     frozen, until at most half the batch is open, when the batch is
     compacted: it is evaluated only inside itself, so the open brackets
-    take the same steps and values the same calls.  With a stepwise
-    profile's phase that is safe, as each segment's s = w^2 - (eps - v)^2
-    is concave in eps: a phase finite at both ends of a bracket is finite
-    inside it (see _rk4_power).  With no bracket values is never called.
+    take the same steps and values the same calls.  With no bracket values
+    is never called.
     """
     gap = 0.45 * tol
     target = np.zeros(np.shape(a)) + target
@@ -728,21 +714,20 @@ def _phase_roots(theta, lo, hi, tol) -> list[float]:
     target, read off theta's running maximum so that rounding that is not
     monotone cannot lose or repeat a crossing, and an end on the target
     closes the bracket.  _anderson_bjorck solves the brackets on
-    theta - n pi.  UnsupportedRegime where theta is not finite: the step is
-    too coarse (see _rk4_power).
+    theta - n pi.
     """
     ends = np.nextafter(lo, hi), np.nextafter(hi, lo)
     if not lo < ends[0] < ends[1]:
         return []
     grid = np.linspace(*ends, PHASE_GRID)
-    th = _finite(theta(grid))
+    th = theta(grid)
     target = math.pi * np.arange(math.floor(th[0] / math.pi) + 1, math.ceil(th[-1] / math.pi))
     if not target.size:
         return []
     j = np.searchsorted(np.maximum.accumulate(th), target)
     a, b, fa, fb = grid[j - 1], grid[j], th[j - 1] - target, th[j] - target
     a = np.where(fb == 0.0, b, a)  # an exact zero closes the bracket
-    return _anderson_bjorck(lambda eps: _finite(theta(eps)), a, b, fa, fb, target, tol, 1).tolist()
+    return _anderson_bjorck(theta, a, b, fa, fb, target, tol, 1).tolist()
 
 
 def _decaying_band(lo, hi, exteriors):
@@ -831,15 +816,12 @@ def shooting_bound_states(
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
     _check_momentum_and_step(k, step)
-    _, _, (v_minus, v_plus), (a_minus, a_plus) = _config_window(config)
-    if any(w != 0.0 and w * w == 0.0 for w in (k + a_minus, k + a_plus)):  # no seed has a norm
-        raise UnsupportedRegime(f"exterior k + a underflows when squared: k={k}, a={a_minus}, {a_plus}")
-    lo = max(v_minus - abs(k + a_minus), v_plus - abs(k + a_plus))
-    hi = min(v_minus + abs(k + a_minus), v_plus + abs(k + a_plus))
+    _, _, exteriors, (lo, hi) = _exteriors(config, k)
+    if any(w != 0.0 and w * w == 0.0 for w, _ in exteriors):  # no seed has a norm
+        raise UnsupportedRegime(f"exterior k + a underflows when squared: k={k}, (k + a, v) = {exteriors}")
     if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
         shoot = _shooter(config, k, step, x_match)
-        lo, hi = _decaying_band(lo, hi, ((k + a_minus, v_minus), (k + a_plus, v_plus)))
-        return _phase_roots(lambda eps: shoot(eps)[1], lo, hi, tol)
+        return _phase_roots(lambda eps: shoot(eps)[1], *_decaying_band(lo, hi, exteriors), tol)
     shooter = cache(lambda: _shooter(config, k, step, x_match))
 
     def det(eps):

@@ -647,6 +647,35 @@ class TestPinnedOutput:
         assert out == (PINNED / name).read_text()
 
 
+# pins whose bytes numpy's float64 kernels keep with its wider dispatch
+# levels disabled: without AVX-512, and without AVX2 (X86_V3) too
+NO_X86_V4 = "AVX512_SPR AVX512_ICL X86_V4"
+DISPATCH_PINS = [
+    (NO_X86_V4, "state_3_8_4_201.csv", ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201"]),
+    *((level, name, argv) for level in (NO_X86_V4, NO_X86_V4 + " X86_V3") for name, argv in [
+        ("spectrum_2_2.csv", ["spectrum", "--k", "2", "--v0", "2"]),
+        ("spectrum_3_8.csv", ["spectrum", "--k", "3", "--v0", "8"]),
+        ("landau_0.5_1_2.csv", ["landau", "--alpha", "0.5", "--beta", "1", "--k", "2"]),
+        ("verify_2_0.txt", ["verify", "--k", "2", "--v0", "0"]),
+    ]),
+]
+
+
+class TestPinnedOutputUnderDispatch:
+    """Pins of TestPinnedOutput, byte for byte from a fresh program whose
+    numpy runs with NPY_DISABLE_CPU_FEATURES set, so that a new dependence
+    of stdout on the CPU's kernels shows on any host.  numpy may warn on
+    stderr about a feature the host lacks, so only the exit code and
+    stdout are compared."""
+
+    @pytest.mark.parametrize("level, name, argv", DISPATCH_PINS)
+    def test_stdout_is_byte_identical_to_the_recorded_output(self, level, name, argv):
+        result = subprocess.run([sys.executable, "-m", "diracwell.cli", *argv], capture_output=True,
+                                env={**src_env(), "NPY_DISABLE_CPU_FEATURES": level})
+        assert result.returncode == 0
+        assert result.stdout == (PINNED / name).read_bytes()
+
+
 def run_fresh(script: str) -> None:
     """script run in a fresh interpreter, which must exit 0."""
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env())

@@ -63,8 +63,9 @@ class TestPiecewiseConstant:
             PiecewiseConstant((1.0, 0.0), (0.0, 1.0, 0.0))  # not increasing
         with pytest.raises(ConfigError):
             PiecewiseConstant((0.0, math.inf), (0.0, 1.0, 0.0))
-        with pytest.raises(ConfigError):
-            square_well(1.0, half_width=0.0)
+        for half_width in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="half_width"):
+                square_well(1.0, half_width=half_width)
 
     def test_is_zero(self):
         assert PiecewiseConstant((0.0,), (0.0, 0.0)).is_zero()

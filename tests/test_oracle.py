@@ -433,10 +433,10 @@ def _count_propagators(monkeypatch) -> list:
 def _two_march_determinant(config, k, eps, step):
     """The determinant of one march from each window edge to its centre,
     each with its own seed alone."""
-    x_lo, x_hi, (v_minus, v_plus), (a_minus, a_plus) = oracle._config_window(config)
+    x_lo, x_hi, exteriors, _ = oracle._exteriors(config, k)
     x_match = 0.5 * (x_lo + x_hi)
     sides = []
-    for edge, w, v, outward in ((x_lo, k + a_minus, v_minus, False), (x_hi, k + a_plus, v_plus, True)):
+    for edge, (w, v), outward in zip((x_lo, x_hi), exteriors, (False, True)):
         seed = np.stack(oracle._seed_vectors(w, eps - v, outward=outward), axis=1)
         march = oracle._sample_march(config, k, edge, x_match, step)
         sides.append(oracle._advance_sampled(march, eps, seed[None])[0])
@@ -666,8 +666,8 @@ class TestStepwisePower:
 
     @pytest.mark.parametrize("h, n", [(1e-3, 1000), (-2.7e-4, 7411), (0.2, 5)])
     def test_power_alone_and_in_a_mixed_batch(self, h, n):
-        # a batch with every s < 0 and a fine step skips the decay branch and
-        # the NaN mask; each s alone gives the bits it gives in a batch of
+        # a batch with every s < 0 skips the decay branch; each s alone
+        # gives the bits it gives in a batch of
         # oscillatory, decaying, s = 0 and too coarse (at h = 0.2) elements
         s = np.array([-900.0, -4.0, -1e-300, 0.0, 1e-300, 4.0, 400.0, 4.0 - 21.9**2])
         batch = oracle._rk4_power(s, h, n)
@@ -790,11 +790,13 @@ class TestShootingPhase:
 
     def test_coarse_step_is_refused(self):
         # q h reaches 4.4 at the band's upper edge: the one-step v is
-        # negative there, and the winding count would be wrong
+        # negative there, and the winding count would be wrong; the
+        # determinant is refused alike, and an empty band checks no step
         with pytest.raises(UnsupportedRegime, match="too coarse"):
             shooting_bound_states(square_well_config(20.0), 2.0, step=0.2)
-        u, v, turns = oracle._rk4_power(np.array([4.0 - 21.9**2]), 0.2, 5)
-        assert np.isnan(turns).all()
+        with pytest.raises(UnsupportedRegime, match="too coarse"):
+            dirac_shooting(square_well_config(20.0), QuantumLabel(2.0, np.linspace(-1.9, 1.9, 5)), step=0.2)
+        assert shooting_bound_states(square_well_config(20.0), 0.0, step=0.2) == []
 
     @pytest.mark.parametrize("step", [0.2, 0.1])
     def test_coarse_smooth_step_is_refused(self, step):
