@@ -15,7 +15,7 @@ imports every library module and binds each one's __all__ here.
 __version__ = "0.1.0"
 
 # each library module's __all__ is the public API; cli is the console entry point
-_LIBRARY = ("core", "errors", "matching", "oracle", "spectrum", "states")
+_LIBRARY = ("core", "errors", "landau", "matching", "oracle", "spectrum", "states")
 
 
 def __getattr__(name: str):

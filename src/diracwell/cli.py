@@ -12,6 +12,11 @@ differ in the last bit.
 Every subcommand but `verify` hands its result to one writer, which
 formats only the chosen format.  `verify` prints one line per check row.
 
+Each subcommand imports only what it runs.  At its top this module loads
+errors and the math-only landau module, so `landau` loads neither numpy
+nor the solver; the other handlers import numpy, core, matching,
+spectrum, states, oracle and json inside themselves.
+
 Exit codes: 0 on success, 1 when verification fails, 2 for bad arguments
 or configuration, including an --out file that cannot be written.
 
@@ -35,23 +40,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .core import QuantumLabel
 from .errors import ConfigError, SolverError
-from .matching import general_secular, square_well_secular, square_well_config
-from .spectrum import (
-    MAX_GRID_POINTS,
-    branches_to_csv,
-    branches_to_json_payload,
-    find_roots,
-    landau_levels_magnetic,
-    landau_levels_proportional,
-    parameter_grid,
-    spectrum_to_csv,
-    sweep_k,
-    sweep_v0,
-)
+from .landau import MAX_GRID_POINTS, landau_levels_magnetic, landau_levels_proportional
 
 __all__ = ["main"]
 
@@ -106,7 +96,10 @@ def _require(args: argparse.Namespace, name: str):
     return value
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str):
+    """spectrum.parameter_grid of a 'lo:hi:step' range."""
+    from .spectrum import parameter_grid
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range must look like lo:hi:step, got {text!r}")
@@ -148,6 +141,9 @@ def _write(args, formats: dict) -> int:
 
 
 def _cmd_spectrum(args) -> dict:
+    from .matching import square_well_secular
+    from .spectrum import find_roots, spectrum_to_csv
+
     k, v0 = _require(args, "k"), _require(args, "v0")
     roots = find_roots(square_well_secular(k, v0, args.half_width))
     payload = {"k": k, "v0": v0, "half_width": args.half_width, "roots": roots}
@@ -155,6 +151,8 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
+    from .spectrum import branches_to_csv, branches_to_json_payload, sweep_k, sweep_v0
+
     fixed_name, sweep = {"k": ("v0", sweep_k), "v0": ("k", sweep_v0)}[args.swept]
     fixed = _require(args, fixed_name)
     branches = sweep(fixed, _parse_range(_require(args, args.swept)), args.half_width)
@@ -166,6 +164,10 @@ def _cmd_sweep(args) -> dict:
 
 
 def _cmd_state(args) -> dict:
+    from .core import QuantumLabel
+    from .matching import square_well_secular
+    from .spectrum import find_roots
+
     k, v0 = _require(args, "k"), _require(args, "v0")
     epsilon, level = args.epsilon, args.level
     if (epsilon is None) == (level is None):
@@ -213,6 +215,8 @@ def _pt_check(states) -> tuple[bool, str]:
 
 
 def _gram_check(states) -> tuple[bool, str]:
+    import numpy as np
+
     from .states import gram_matrix
     defect = float(np.max(np.abs(gram_matrix(states) - np.eye(len(states)))))
     return defect < 1e-8, f"max |G - I| {defect:.2e}"
@@ -225,6 +229,8 @@ def _residual_check(states) -> tuple[bool, str]:
 
 
 def _density_check(states) -> tuple[bool, str]:
+    import numpy as np
+
     from .states import current_density
     norm = max(abs(s.norm - 1.0) for s in states)
     bound = max(0.0, *(float(np.max(np.abs(d.j_y) - d.rho)) for d in map(current_density, states)))
@@ -242,7 +248,12 @@ _STATE_CHECKS = (
 
 def _checks(k: float, v0: float, half_width: float):
     """The battery's (name, ok, detail) rows, each computed when asked for."""
+    import numpy as np
+
     from . import oracle, states
+    from .core import QuantumLabel
+    from .matching import general_secular, square_well_config, square_well_secular
+    from .spectrum import find_roots
 
     config = square_well_config(v0, half_width)
     closed = find_roots(square_well_secular(k, v0, half_width))

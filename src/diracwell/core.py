@@ -20,10 +20,11 @@ UNITS
 SOLVABLE CASES
     The equation decouples for a purely electric profile (the closed form
     and transfer route in matching, shooting in oracle), a purely magnetic
-    one (spectrum.landau_levels_magnetic) and proportional profiles
-    v = alpha * a with |alpha| < 1 (spectrum.landau_levels_proportional and
-    oracle.proportional_oscillator_levels).  Each route refuses what it
-    does not serve.
+    one (landau.landau_levels_magnetic) and proportional profiles
+    v = alpha * a with |alpha| < 1 (landau.landau_levels_proportional and
+    oracle.proportional_oscillator_levels).  The landau module loads no
+    numpy, so `diracwell landau` imports neither numpy nor this module.
+    Each route refuses what it does not serve.
 """
 
 from __future__ import annotations

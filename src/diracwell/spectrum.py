@@ -1,4 +1,4 @@
-"""Root finding, spectral sweeps, and closed-form dispersive levels.
+"""Root finding and spectral sweeps of square and piecewise wells.
 
 Square-well bound states live strictly inside the band of matching._band,
 (max(-|k|, |k| - v0), |k|), mirrored for a barrier, and are exactly the
@@ -18,18 +18,20 @@ Anderson-Bjorck secant (oracle._anderson_bjorck) on a stepwise profile's
 phase crossings, bracketed from one grid call, and a smooth profile's
 scanned determinant.  The CSV and JSON sweep writers refuse the same
 branches, in one gathering step (_gathered).
+The closed-form Landau ladders live in landau, which loads no numpy;
+MAX_GRID_POINTS, which parameter_grid checks, is defined there too.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, UnsupportedRegime
+from .landau import MAX_GRID_POINTS
 from .matching import (
     SecularFunction,
     _band,
@@ -45,8 +47,6 @@ __all__ = [
     "sweep_k",
     "sweep_v0",
     "branch_cut",
-    "landau_levels_magnetic",
-    "landau_levels_proportional",
     "parameter_grid",
     "spectrum_to_csv",
     "branches_to_csv",
@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_ROOT_TOL = 1e-10
-MAX_GRID_POINTS = 1_000_000
 NEWTON_CALLS = 40  # batched phase calls after which a level still open is bisected
 CUT_ATOL = 1e-9  # branch_cut takes the samples this near its parameter
 
@@ -337,43 +336,6 @@ def sweep_v0(k: float, v0_values, half_width: float = 1.0) -> list[SpectrumBranc
 def branch_cut(branches: list[SpectrumBranch], param: float) -> list[float]:
     """Sorted root values sampled by the branches within CUT_ATOL of one parameter value."""
     return sorted(e for b in branches for p, e in zip(b.params, b.epsilons) if abs(p - param) <= CUT_ATOL)
-
-
-# ---------------------------------------------------------------------------
-# closed-form dispersive levels
-# ---------------------------------------------------------------------------
-
-
-def landau_levels_magnetic(beta: float, n: int) -> tuple[float, float]:
-    """Level pair (+sqrt(2 n beta), -sqrt(2 n beta)) of a uniform magnetic
-    field; independent of k.  beta must be finite and positive and n a
-    non-negative integer, not a bool; UnsupportedRegime when 2 n beta
-    overflows a double."""
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ConfigError(f"beta must be finite and positive, got {beta}")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ConfigError(f"level index must be a non-negative integer, got {n!r}")
-    e = math.sqrt(2.0 * n * beta)
-    if math.isinf(e):
-        raise UnsupportedRegime(f"level {n} at beta={beta} overflows a double")
-    return e, -e if n else 0.0
-
-
-def landau_levels_proportional(
-    alpha: float, beta: float, k: float, n: int
-) -> tuple[float, float]:
-    """Level pair -alpha k +/- (1 - alpha^2)^(3/4) sqrt(2 n beta) for
-    proportional profiles v = alpha a with a = beta x, |alpha| < 1, finite
-    k and beta and n as for landau_levels_magnetic."""
-    for name, value in (("alpha", alpha), ("k", k)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if abs(alpha) >= 1.0:
-        raise UnsupportedRegime(
-            f"levels exist in closed form only for |alpha| < 1, got {alpha}"
-        )
-    shift = (1.0 - alpha * alpha) ** 0.75 * landau_levels_magnetic(beta, n)[0]
-    return -alpha * k + shift, -alpha * k - shift
 
 
 # ---------------------------------------------------------------------------

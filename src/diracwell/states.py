@@ -39,8 +39,8 @@ from .errors import (
     OutsideAdmissibleBand,
     UnsupportedRegime,
 )
+from .landau import MAX_GRID_POINTS
 from .matching import _carry
-from .spectrum import MAX_GRID_POINTS
 
 __all__ = [
     "PiecewiseExp",

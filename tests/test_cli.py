@@ -715,13 +715,23 @@ class TestImports:
             "assert not loaded, loaded\n"
         )
 
+    def test_import_cli_loads_no_numpy_and_no_solver_module(self):
+        # the landau handler's ladders and cap come from the math-only landau module
+        run_fresh(
+            "import sys\n"
+            "import diracwell.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith(('diracwell.', 'numpy')))\n"
+            "assert loaded == ['diracwell.cli', 'diracwell.errors', 'diracwell.landau'], loaded\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, loaded, unloaded",
         [
             (["spectrum", "--k", "2", "--v0", "2"], [], ["states", "oracle", "_floatfmt", "json"]),
             (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], [], ["states", "oracle", "_floatfmt", "json"]),
             (["sweep-v0", "--k", "2", "--v0", "0:4:1"], [], ["states", "oracle", "_floatfmt", "json"]),
-            (["landau", "--beta", "1"], [], ["states", "oracle", "_floatfmt", "json"]),
+            (["landau", "--beta", "1"], ["landau"],
+             ["numpy", "core", "matching", "spectrum", "states", "oracle", "_floatfmt", "json"]),
             (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201"],
              ["states", "_floatfmt"], ["oracle", "json"]),
             (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201", "--format", "json"],
@@ -733,13 +743,13 @@ class TestImports:
     def test_a_command_loads_only_the_modules_it_runs(self, argv, loaded, unloaded):
         # only a state, as CSV or as JSON (which reuses the CSV's tokens), formats
         # its samples with the vectorized kernel; only JSON output loads the
-        # standard library's json, which names "json" here
+        # standard library's json, which names "json" here; "numpy" names numpy
         run_fresh(
             "import contextlib, io, sys\n"
             "from diracwell.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main({argv!r}) == 0\n"
-            "name = lambda m: m if m == 'json' else 'diracwell.' + m\n"
+            "name = lambda m: m if m in ('json', 'numpy') else 'diracwell.' + m\n"
             f"missing = [m for m in {loaded!r} if name(m) not in sys.modules]\n"
             "assert not missing, missing\n"
             f"loaded = [m for m in {unloaded!r} if name(m) in sys.modules]\n"
