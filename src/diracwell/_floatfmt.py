@@ -10,6 +10,11 @@ use are zeroed, and one bytes.translate deletes them all.  The integer
 operands of one operation are all np.uint64 or all np.int64: numpy 1.x
 promotes a mix of the two, and uint64 with a Python int, to float64.  Powers
 of two, subnormals, infinities and NaN take repr one value at a time.
+
+format_rows runs the one-product pass, the layout and the translate block
+by block, whole rows of about _BLOCK values at a time, which stay in cache;
+it runs the exact pass once per table, on the lanes flagged in any block,
+and finds the repr lanes once per table.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ _POW10 = np.array([10**i for i in range(17)], dtype=np.uint64)
 # more digits each with a point after it, and "e+308" with the separator and two unused bytes.
 _SLOT = 48
 _P_LOW = -310  # normal doubles have -307 <= p <= 309
+# Values per block, in whole rows.  On the 28k-value table of a 4001-point state, blocks of 2048
+# and 8192 values took 3-37 % longer, 1024 and 16384 19-78 %, and the whole table at once 47-159 %.
+_BLOCK = 4096
 
 
 @cache
@@ -60,20 +68,19 @@ def _mul(u, c0, c1, c2, c3):
 
 
 def _shortest(bits, biased):
-    """(f, e) with f 10**e the shortest decimal, f < 10**17, that reads back to each positive normal
-    double with a fraction field other than 0 (bits, and biased, its exponent field as intp); of two
-    such, the nearer one, and of two as near, the one with even f.  With s, r = divmod(z, 1000) of
-    z = (2 fc + 1) 2**beta phi // 2**128, f is 10 s if r < delta, else 10 s + (r - delta // 2 + 50) // 100."""
+    """(f, e, parity) with f 10**e the shortest decimal, f < 10**17, that reads back to each positive
+    normal double with a fraction field other than 0 (bits, and biased, its exponent field as intp); of
+    two such, the nearer one, and of two as near, the one with even f.  With s, r = divmod(z, 1000) of
+    z = (2 fc + 1) 2**beta phi // 2**128, f is 10 s if r < delta, else 10 s + (r - delta // 2 + 50) // 100.
+    Where parity is set, a parity decides, and only _exact's f is right."""
     c1, c2, c3, sh, hid, delta, off, e = np.take(_tables()[1:], biased, axis=1, mode="clip")
     z, w1 = _mul(bits << _U(12) >> sh | hid, None, c1, c2, c3)
     s = z // _U(1000)
     r = z - s * _U(1000)
     q = (dist := r + off) // _U(100)
-    f = s * _U(10) + q * (r >= delta)
     # where a parity decides, z may be an integer, or w1 is too short to be sure of z
-    i = np.flatnonzero((q * _U(100) == dist) | (r == delta) | (r == _U(0)) | (w1 >= _U(2**64 - 2**33)))
-    f[i] = _exact(bits[i], biased[i])
-    return f, e.astype(np.int64)  # a copy: a view would keep all eight gathered rows alive
+    parity = (q * _U(100) == dist) | (r == delta) | (r == _U(0)) | (w1 >= _U(2**64 - 2**33))
+    return s * _U(10) + q * (r >= delta), e, parity
 
 
 def _exact(bits, biased):
@@ -127,34 +134,45 @@ def _layout():
 
 def format_rows(table) -> str:
     """"".join(",".join(map(repr, row)) + "\\n" for row in table.tolist())
-    of a 2-D float64 table."""
+    of a 2-D float64 table.  Once per table: _exact, on the lanes that the
+    main Dragonbox pass flags in any block, and the search for the lanes
+    that take repr.  Per block of whole rows, about _BLOCK values: the main
+    pass, the layout, the translate and the decode."""
     values = np.ascontiguousarray(table, dtype=np.float64)
     count, width = values.size, values.shape[1]
-    bits = values.ravel().view(np.uint64)
-    neg = (bits >> _U(63)).astype(np.intp)
-    bits = bits & _MASK63
+    signed = values.ravel().view(np.uint64)
+    bits = signed & _MASK63
     biased = (bits >> _U(52)).astype(np.intp)
+    step = max(_BLOCK // width, 1) * width
+    blocks = [slice(i, i + step) for i in range(0, count, step)]
+    f, e, parity = np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.int64), np.empty(count, dtype=bool)
+    for b in blocks:
+        f[b], e[b], parity[b] = _shortest(bits[b], biased[b])
+    if (lanes := np.flatnonzero(parity)).size:
+        f[lanes] = _exact(bits[lanes], biased[lanes])
     zero = bits == _U(0)
-    f, e = _shortest(bits, biased)
-    f = np.where(zero, _U(0), f)
-    # the nd digits of f left-aligned in 17, four at a time after the first; p = e + nd
+    f[zero] = _U(0)
+    rare = np.flatnonzero(((bits << _U(12) == _U(0)) | (biased == 0) | (biased == 2047)) & ~zero)
     lead, quad_words, last, tails, kinds, keep = _layout()
-    nd = np.maximum(np.searchsorted(_POW10, f, side="right"), 1)
-    point = e + nd - _P_LOW
-    digits = (f * _POW10[17 - nd]).astype(np.int64)
-    first = digits // 10**16
-    rest = digits - first * 10**16
-    quads = np.stack((rest // 10**12, rest // 10**8, rest // 10**4, rest))
-    quads[1:] -= quads[:-1] * 10**4
-    n = np.maximum.reduce([row.take(q) for row, q in zip(last, quads)])
-    words = np.empty((count, 6), dtype=np.uint64)
-    words[:, 0] = lead[first]
-    words[:, 1:5] = quad_words[quads.T]
-    words[:, 5] = tails[point]
-    words.view(np.uint8)[width - 1 :: width, 45] = ord("\n")
-    words &= np.take(keep, kinds[point] + 2 * n - 2 + neg, axis=0)
-
-    for i in np.flatnonzero(((bits << _U(12) == _U(0)) | (biased == 0) | (biased == 2047)) & ~zero):
-        text = repr(values.flat[i].item()).encode() + (b"\n" if i % width == width - 1 else b",")
-        words[i] = np.frombuffer(text.ljust(_SLOT, b"\0"), dtype=np.uint64)
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+    text = []
+    for b, rare_lanes in zip(blocks, np.split(rare, np.searchsorted(rare, range(step, count, step)))):
+        # the nd digits of f left-aligned in 17, four at a time after the first; p = e + nd
+        nd = np.maximum(np.searchsorted(_POW10, f[b], side="right"), 1)
+        point = e[b] + nd - _P_LOW
+        digits = (f[b] * _POW10[17 - nd]).astype(np.int64)
+        first = digits // 10**16
+        rest = digits - first * 10**16
+        quads = np.stack((rest // 10**12, rest // 10**8, rest // 10**4, rest))
+        quads[1:] -= quads[:-1] * 10**4
+        n = np.maximum.reduce([row.take(q) for row, q in zip(last, quads)])
+        words = np.empty((nd.size, 6), dtype=np.uint64)
+        words[:, 0] = lead[first]
+        words[:, 1:5] = quad_words[quads.T]
+        words[:, 5] = tails[point]
+        words.view(np.uint8)[width - 1 :: width, 45] = ord("\n")
+        words &= np.take(keep, kinds[point] + 2 * n - 2 + (signed[b] >> _U(63)).astype(np.intp), axis=0)
+        for i in rare_lanes:
+            token = repr(values.flat[i].item()).encode() + (b"\n" if i % width == width - 1 else b",")
+            words[i - b.start] = np.frombuffer(token.ljust(_SLOT, b"\0"), dtype=np.uint64)
+        text.append(words.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)

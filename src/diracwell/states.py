@@ -66,7 +66,6 @@ NULLSPACE_TOL = 1e-6
 CONJUGATE_TOL = 1e-8
 PT_TOL = 1e-6
 GRAM_BLOCK = 256  # gram_matrix rows per block: 4 * 256 * N term pairs, 23 MB at N = 1425
-CSV_BLOCK = 4096  # values state_to_csv formats at once: larger blocks cost memory and gain no speed
 
 
 class PiecewiseExp:
@@ -218,9 +217,7 @@ class BoundState:
     def _csv(self) -> str:  # see state_to_csv
         from ._floatfmt import format_rows
 
-        table, rows = np.column_stack(_columns(self)), CSV_BLOCK // len(COLUMNS)
-        blocks = (format_rows(table[i : i + rows]) for i in range(0, len(table), rows))
-        return ",".join(COLUMNS) + "\n" + "".join(blocks)
+        return ",".join(COLUMNS) + "\n" + format_rows(np.column_stack(_columns(self)))
 
 
 @dataclass(frozen=True)
@@ -555,8 +552,9 @@ def _columns(state: BoundState) -> tuple[np.ndarray, ...]:
 
 def state_to_csv(state: BoundState) -> str:
     """One row per sample, each value the shortest repr that reads back
-    to the same double, byte for byte as repr writes it but formatted
-    CSV_BLOCK values at a time by a numpy kernel.  The text is formatted
+    to the same double, byte for byte as repr writes it but formatted by
+    one call of a numpy kernel, which lays the table out in blocks of
+    about 4096 values (see diracwell._floatfmt).  The text is formatted
     once and kept on the state (a dataclasses.replace copy starts without
     it)."""
     return state._csv

@@ -15,6 +15,7 @@ from diracwell import (
     square_well_secular,
     state_to_csv,
 )
+from diracwell import _floatfmt
 from diracwell._floatfmt import format_rows
 
 
@@ -30,6 +31,32 @@ def bits_of(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
+def random_bit_patterns() -> np.ndarray:
+    """7100 rows of 7: random bits, then subnormals and NaN payloads of either sign."""
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, size=49000, dtype=np.uint64, endpoint=False)
+    exponents = np.array([0, 2047], dtype=np.uint64)[rng.integers(0, 2, 700)] << np.uint64(52)
+    fractions = rng.integers(0, 2**52, size=700, dtype=np.uint64)
+    signs = rng.integers(0, 2, size=700, dtype=np.uint64) << np.uint64(63)
+    return from_bits(np.concatenate((bits, signs | exponents | fractions))).reshape(-1, 7)
+
+
+def main_pass_flags(table) -> tuple[np.ndarray, np.ndarray]:
+    """The bits and exponent fields of the lanes that _shortest leaves to _exact."""
+    bits = np.ascontiguousarray(table).ravel().view(np.uint64) & np.uint64(2**63 - 1)
+    biased = (bits >> np.uint64(52)).astype(np.intp)
+    lanes = np.flatnonzero(_floatfmt._shortest(bits, biased)[2])
+    return bits[lanes], biased[lanes]
+
+
+@pytest.fixture
+def exact_calls(monkeypatch) -> list:
+    """The (bits, biased) of each _floatfmt._exact call."""
+    calls, exact = [], _floatfmt._exact
+    monkeypatch.setattr(_floatfmt, "_exact", lambda bits, biased: calls.append((bits, biased)) or exact(bits, biased))
+    return calls
+
+
 def neighbours(values) -> list[float]:
     """Each value and the doubles on either side of it, with both signs."""
     out = [w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
@@ -38,12 +65,7 @@ def neighbours(values) -> list[float]:
 
 class TestAgainstRepr:
     def test_random_bit_patterns(self):
-        rng = np.random.default_rng(20)
-        bits = rng.integers(0, 2**64, size=49000, dtype=np.uint64, endpoint=False)
-        exponents = np.array([0, 2047], dtype=np.uint64)[rng.integers(0, 2, 700)] << np.uint64(52)
-        fractions = rng.integers(0, 2**52, size=700, dtype=np.uint64)  # subnormals and NaN payloads
-        signs = rng.integers(0, 2, size=700, dtype=np.uint64) << np.uint64(63)
-        table = from_bits(np.concatenate((bits, signs | exponents | fractions))).reshape(-1, 7)
+        table = random_bit_patterns()
         assert format_rows(table) == reference(table)
 
     def test_powers_of_two_over_the_whole_range(self):
@@ -88,6 +110,34 @@ class TestAgainstRepr:
         for width in (1, 2, 3, 60):
             assert format_rows(values.reshape(-1, width)) == reference(values.reshape(-1, width))
         assert format_rows(np.empty((0, 7))) == ""
+
+
+class TestBlocks:
+    """format_rows lays a table out in blocks of whole rows, but decides the
+    lanes that take _exact or repr once per table."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_blocks_of_few_rows(self, monkeypatch, rows):
+        # 7100 rows: rare and repr lanes in many blocks, and with 3 rows a last block of 2
+        monkeypatch.setattr(_floatfmt, "_BLOCK", 7 * rows)
+        table = random_bit_patterns()
+        for table in (table, np.empty((0, 7)), table[:1]):
+            assert format_rows(table) == reference(table)
+
+    def test_exact_runs_once_on_the_lanes_the_main_pass_flags(self, monkeypatch, exact_calls):
+        monkeypatch.setattr(_floatfmt, "_BLOCK", 21)
+        table = random_bit_patterns()
+        assert format_rows(table) == reference(table)
+        bits, biased = main_pass_flags(table)
+        assert len(exact_calls) == 1 and bits.size > 0
+        assert np.array_equal(exact_calls[0][0], bits) and np.array_equal(exact_calls[0][1], biased)
+
+    def test_exact_does_not_run_without_a_flagged_lane(self, exact_calls):
+        table = np.array([[0.1, 0.3, 1.5, -2.5, 123.456, 0.0, 1.0, 5e-324, math.inf, math.nan]])
+        assert main_pass_flags(table)[0].size == 0
+        for table in (table, np.empty((0, 7))):
+            assert format_rows(table) == reference(table)
+        assert exact_calls == []
 
 
 class TestDragonboxBranches:
@@ -139,6 +189,13 @@ class TestStateCsv:
         for eps in roots[:: 25 if len(roots) > 1000 else 1]:
             s = assemble_square_well_state(QuantumLabel(k, eps), v0, half_width, 41)
             assert state_to_csv(s) == csv_reference(s)
+
+    def test_a_4001_point_state_in_seven_blocks(self, exact_calls):
+        k, v0 = 3.0, 8.0
+        s = assemble_square_well_state(QuantumLabel(k, find_roots(square_well_secular(k, v0, 1.0))[4]), v0)
+        assert len(s.x) * 7 > 6 * _floatfmt._BLOCK  # seven blocks, the last one partial
+        assert state_to_csv(s) == csv_reference(s)
+        assert len(exact_calls) == 1
 
     def test_a_decay_length_near_1e155(self):
         # x reaches 1.6e156 and no sample exceeds 1e-77: three-digit exponents, in several blocks
