@@ -258,9 +258,13 @@ def _checks(k: float, v0: float, half_width: float):
     config = square_well_config(v0, half_width)
     closed = find_roots(square_well_secular(k, v0, half_width))
     transfer = find_roots(general_secular(config, k))
-    # the RK4 error grows as (q h)^4 with the deepest interior wavenumber q
+    # the RK4 phase error adds up over the 2L / h steps to about
+    # 2L q (q h)^4 / 120, q the deepest interior wavenumber: q h is held
+    # where that is 1e-10; stepwise powers cost the same at any step count
     q_max = math.sqrt((abs(k) + abs(v0)) ** 2 - k * k)
-    step = min(2e-3, 0.02 / q_max) if q_max > 0.0 else 2e-3
+    step = 2e-3
+    if q_max > 0.0:
+        step = min(step, min(0.02, (1.2e-8 / (2.0 * half_width * q_max)) ** 0.25) / q_max)
     shot = oracle.shooting_bound_states(config, k, tol=1e-9, step=step)
     agree = len(closed) == len(transfer) == len(shot) and all(
         abs(a - b) < 1e-5 for other in (transfer, shot) for a, b in zip(closed, other))

@@ -12,6 +12,11 @@ PHYSICS SCOPE
 
     with W(x) = k + a(x) and Delta(x) = eps - v(x).
 
+PROFILES
+    PiecewiseConstant steps carry the square and piecewise wells every
+    route serves; Lorentzian, the one smooth family, serves the shooting
+    oracle alone.
+
 UNITS
     All solver-facing quantities are in reduced form: eps = E / (hbar vF),
     v = V / (hbar vF), a = e A_y / hbar, so that eps, v, a, and k all carry
@@ -35,14 +40,11 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DiscontinuityPoint, SingularPoint
+from .errors import ConfigError, DiscontinuityPoint
 
 __all__ = [
     "PiecewiseConstant",
-    "Linear",
-    "CoulombLike",
     "Lorentzian",
-    "Tanh",
     "Potential1D",
     "FieldConfig",
     "QuantumLabel",
@@ -57,11 +59,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # potential families
 # ---------------------------------------------------------------------------
-
-
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -104,81 +101,14 @@ class PiecewiseConstant:
 
 
 @dataclass(frozen=True)
-class Linear:
-    """Linear profile slope * x; as a vector potential it encodes a uniform
-    magnetic field of strength slope."""
-
-    slope: float
-
-    def __post_init__(self) -> None:
-        _check_finite("slope", self.slope)
-
-    def evaluate(self, x):
-        out = self.slope * np.asarray(x, dtype=float)
-        return out if np.ndim(x) else float(out)
-
-    def derivative(self, x):
-        out = np.full_like(np.asarray(x, dtype=float), self.slope)
-        return out if np.ndim(x) else self.slope
-
-    def is_zero(self) -> bool:
-        return self.slope == 0.0
-
-
-@dataclass(frozen=True)
-class CoulombLike:
-    """strength / |x|, singular at the origin.
-
-    A bound-state calculation needs the optional regularization cutoff;
-    with it the profile is strength / max(|x|, cutoff).
-    """
-
-    strength: float
-    cutoff: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_finite("strength", self.strength)
-        if self.cutoff is not None and not (math.isfinite(self.cutoff) and self.cutoff > 0):
-            raise ConfigError(f"cutoff must be finite and positive when given, got {self.cutoff}")
-
-    def evaluate(self, x):
-        xs = np.asarray(x, dtype=float)
-        if self.cutoff is None:
-            if np.any(xs == 0.0):
-                raise SingularPoint("profile diverges at x = 0; supply a cutoff")
-            out = self.strength / np.abs(xs)
-        else:
-            out = self.strength / np.maximum(np.abs(xs), self.cutoff)
-        return out if np.ndim(x) else float(out)
-
-    def derivative(self, x):
-        xs = np.asarray(x, dtype=float)
-        if self.cutoff is None:
-            if np.any(xs == 0.0):
-                raise SingularPoint("profile diverges at x = 0; supply a cutoff")
-            out = -self.strength * np.sign(xs) / xs**2
-        else:
-            if np.any(np.abs(xs) == self.cutoff):
-                raise DiscontinuityPoint("derivative undefined at the cutoff radius")
-            out = np.where(
-                np.abs(xs) > self.cutoff,
-                -self.strength * np.sign(xs) / np.where(xs == 0.0, 1.0, xs) ** 2,
-                0.0,
-            )
-        return out if np.ndim(x) else float(out)
-
-    def is_zero(self) -> bool:
-        return self.strength == 0.0
-
-
-@dataclass(frozen=True)
 class Lorentzian:
     """strength / (1 + x^2); a smooth well for negative strength."""
 
     strength: float
 
     def __post_init__(self) -> None:
-        _check_finite("strength", self.strength)
+        if not math.isfinite(self.strength):
+            raise ConfigError(f"strength must be finite, got {self.strength}")
 
     def evaluate(self, x):
         out = self.strength / (1.0 + np.asarray(x, dtype=float) ** 2)
@@ -193,35 +123,11 @@ class Lorentzian:
         return self.strength == 0.0
 
 
-@dataclass(frozen=True)
-class Tanh:
-    """strength * tanh(x), a smooth step between -strength and +strength."""
-
-    strength: float
-
-    def __post_init__(self) -> None:
-        _check_finite("strength", self.strength)
-
-    def evaluate(self, x):
-        out = self.strength * np.tanh(np.asarray(x, dtype=float))
-        return out if np.ndim(x) else float(out)
-
-    def derivative(self, x):
-        out = self.strength / np.cosh(np.asarray(x, dtype=float)) ** 2
-        return out if np.ndim(x) else float(out)
-
-    def is_zero(self) -> bool:
-        return self.strength == 0.0
-
-
-Potential1D = Union[PiecewiseConstant, Linear, CoulombLike, Lorentzian, Tanh]
+Potential1D = Union[PiecewiseConstant, Lorentzian]
 
 _FAMILY_TAGS = {
     PiecewiseConstant: "piecewise_constant",
-    Linear: "linear",
-    CoulombLike: "coulomb_like",
     Lorentzian: "lorentzian",
-    Tanh: "tanh",
 }
 
 
@@ -242,12 +148,6 @@ def potential_to_json(potential: Potential1D) -> str:
             "breakpoints": list(potential.breakpoints),
             "values": list(potential.values),
         }
-    elif isinstance(potential, Linear):
-        payload = {"family": tag, "slope": potential.slope}
-    elif isinstance(potential, CoulombLike):
-        payload = {"family": tag, "strength": potential.strength}
-        if potential.cutoff is not None:
-            payload["cutoff"] = potential.cutoff
     else:
         payload = {"family": tag, "strength": potential.strength}
     return json.dumps(payload, sort_keys=True)
@@ -266,15 +166,8 @@ def potential_from_json(text: str) -> Potential1D:
     try:
         if family == "piecewise_constant":
             return PiecewiseConstant(tuple(payload["breakpoints"]), tuple(payload["values"]))
-        if family == "linear":
-            return Linear(float(payload["slope"]))
-        if family == "coulomb_like":
-            cutoff = payload.get("cutoff")
-            return CoulombLike(float(payload["strength"]), None if cutoff is None else float(cutoff))
         if family == "lorentzian":
             return Lorentzian(float(payload["strength"]))
-        if family == "tanh":
-            return Tanh(float(payload["strength"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed parameters for family '{family}': {exc}") from exc
     raise ConfigError(f"unknown potential family '{family}'")

@@ -5,7 +5,7 @@ callers can catch the package's failures without masking programming bugs.
 Each refusal rule has one class.
 """
 
-__all__ = ["SolverError", "ConfigError", "SingularPoint", "DiscontinuityPoint", "UnsupportedRegime",
+__all__ = ["SolverError", "ConfigError", "DiscontinuityPoint", "UnsupportedRegime",
            "OutsideAdmissibleBand", "NotAnEigenvalue", "NotConjugatePair", "BrokenPTSymmetry"]
 
 
@@ -17,10 +17,6 @@ class ConfigError(SolverError, ValueError):
     """A field configuration, CLI flag set, config file, argument value,
     level index or coefficient table is invalid.  It is also a ValueError,
     as a bad argument value is."""
-
-
-class SingularPoint(SolverError):
-    """A potential was evaluated at a point where it diverges."""
 
 
 class DiscontinuityPoint(SolverError):

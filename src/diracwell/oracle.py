@@ -6,15 +6,15 @@ discrete-variable representation between Dirichlet walls, with numpy
 alone; the shooting route integrates the coupled first-order system
 numerically from both exteriors and matches the two solutions.  On a
 stepwise profile it counts the windings of its own RK4 march, so its
-phase gives every level; on a smooth profile it scans the matching
-determinant, and where the field is even about the match point it
-marches once, the right-hand seed through the left-hand march's
-mirrored propagators, with the same bits as a march of its own.  One
-bracketed Anderson-Bjorck secant solves both, on a
-stepwise profile from the cells of one first call on a uniform grid of
-its band.  The module imports only core and errors from the package.
-Agreement between these and the secular roots is the main correctness
-evidence for the solver.
+phase gives every level; on a smooth profile, a Lorentzian, it scans
+the matching determinant, and where the field is even about the match
+point it marches once, the right-hand seed through the left-hand
+march's mirrored propagators, with the same bits as a march of its own.
+One bracketed Anderson-Bjorck secant solves both, on a stepwise profile
+from the cells of one first call on a uniform grid of its band.  The
+module imports only core and errors from the package.  Agreement between
+these and the secular roots is the main correctness evidence for the
+solver.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import (
-    CoulombLike,
-    FieldConfig,
-    Linear,
-    Lorentzian,
-    PiecewiseConstant,
-    QuantumLabel,
-    Tanh,
-)
+from .core import FieldConfig, Lorentzian, PiecewiseConstant, QuantumLabel
 from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 
 __all__ = [
@@ -165,7 +157,7 @@ def proportional_oscillator_levels(alpha: float, beta: float, count: int) -> np.
 # ---------------------------------------------------------------------------
 
 
-def _profile_window(profile, which: str):
+def _profile_window(profile):
     """(x_lo, x_hi, value at -inf, value at +inf) beyond which the profile
     is treated as constant; None profiles contribute a token window."""
     if profile is None or profile.is_zero():
@@ -174,28 +166,11 @@ def _profile_window(profile, which: str):
         b = profile.breakpoints
         v = profile.values
         return b[0], b[-1], v[0], v[-1]
-    if isinstance(profile, Linear):
-        if which == "electric":
-            raise UnsupportedRegime(
-                "a linear scalar potential grows without bound; no exterior decay window exists"
-            )
-        raise UnsupportedRegime(
-            "shooting needs an asymptotically constant vector potential; "
-            "use the grid route for linear field profiles"
-        )
     if isinstance(profile, Lorentzian):
         amp = abs(profile.strength)
         tol = SMOOTH_TAIL_TOL * max(amp, 1.0)
         xc = min(math.sqrt(max(amp / tol - 1.0, 1.0)), SMOOTH_WINDOW_CAP)
         return -xc, xc, 0.0, 0.0
-    if isinstance(profile, CoulombLike):
-        amp = abs(profile.strength)
-        tol = SMOOTH_TAIL_TOL * max(amp, 1.0)
-        xc = min(max(amp / tol, 1.0), SMOOTH_WINDOW_CAP)
-        return -xc, xc, 0.0, 0.0
-    if isinstance(profile, Tanh):
-        xc = math.atanh(1.0 - SMOOTH_TAIL_TOL)
-        return -xc, xc, -profile.strength, profile.strength
     raise UnsupportedRegime(f"no shooting window rule for {type(profile).__name__}")
 
 
@@ -204,8 +179,8 @@ def _exteriors(config: FieldConfig, k: float):
     profiles are treated as constant, each exterior's (w, v) = (k + a, v),
     left then right, and the band lo < eps < hi where both decay,
     |eps - v| < |w|."""
-    ew = _profile_window(config.electric, "electric")
-    mw = _profile_window(config.magnetic, "magnetic")
+    ew = _profile_window(config.electric)
+    mw = _profile_window(config.magnetic)
     exteriors = (k + mw[2], ew[2]), (k + mw[3], ew[3])
     band = max(v - abs(w) for w, v in exteriors), min(v + abs(w) for w, v in exteriors)
     return min(ew[0], mw[0]), max(ew[1], mw[1]), exteriors, band
@@ -502,10 +477,11 @@ def _is_mirror(left, right) -> bool:
     )
 
 
-def _shooter(config: FieldConfig, k: float, step: float, x_match):
+def _shooter(config: FieldConfig, k: float, step: float, x_match, window):
     """Two-sided shooting as a function of an energy array: eps -> (det,
     theta), theta the shooting phase of a stepwise profile and None for a
-    smooth one.
+    smooth one.  window is _exteriors(config, k), derived once by the
+    caller.
 
     The coupled first-order system is integrated from each exterior window
     edge, seeded with the decaying exterior direction, to x_match.  det is
@@ -516,11 +492,10 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match):
     det = -|psi_L| |psi_R| sin theta: bound states are the crossings
     theta = n pi.  Both exteriors must decay or, at a band edge, be
     critical: |eps - v| <= |k + a|, where w^2 - d^2 rounds to no negative.
-    The window, its exteriors and band (see _exteriors), a stepwise
-    profile's segments and a smooth profile's field samples are laid out
-    once.  Where the band (lo, hi) is not empty, a step too coarse to count
-    raises UnsupportedRegime: one whose one-step u or v (see _rk4_power) is
-    not positive, for some segment or sample (h, w, v), at
+    A stepwise profile's segments and a smooth profile's field samples
+    are laid out once.  Where the band (lo, hi) is not empty, a step too
+    coarse to count raises UnsupportedRegime: one whose one-step u or v
+    (see _rk4_power) is not positive, for some segment or sample (h, w, v), at
     y = h^2 (w^2 - max((lo - v)^2, (hi - v)^2)), its least over the band as
     w^2 - (eps - v)^2 is concave in eps.  Such a step turns by pi/2 or
     more, and its windings cannot be counted.
@@ -536,7 +511,7 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match):
     through the left march's products, and swapped back: the same bits as
     its own march, in half the propagators.
     """
-    x_lo, x_hi, ((w_left, v_minus), (w_right, v_plus)), (lo, hi) = _exteriors(config, k)
+    x_lo, x_hi, ((w_left, v_minus), (w_right, v_plus)), (lo, hi) = window
     if x_match is None:
         x_match = 0.5 * (x_lo + x_hi)
     if not x_lo <= x_match <= x_hi:
@@ -612,17 +587,19 @@ def dirac_shooting(
     epsilon = label.epsilon
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
     _check_momentum_and_step(label.k, step)
-    _check_energies(config, label.k, eps)
-    det = _shooter(config, label.k, step, x_match)(eps)[0]
+    window = _exteriors(config, label.k)
+    _check_energies(eps, window[2])
+    det = _shooter(config, label.k, step, x_match, window)(eps)[0]
     return det if np.ndim(epsilon) else float(det[0])
 
 
-def _check_energies(config: FieldConfig, k: float, eps: np.ndarray) -> None:
-    """dirac_shooting's checks of an energy array: ConfigError for one that
-    is not finite, OutsideAdmissibleBand where an exterior does not decay."""
+def _check_energies(eps: np.ndarray, exteriors) -> None:
+    """dirac_shooting's checks of an energy array against the exteriors
+    (w, v) of _exteriors: ConfigError for one that is not finite,
+    OutsideAdmissibleBand where an exterior does not decay."""
     if not np.all(np.isfinite(eps)):
         raise ConfigError("epsilon must be finite")
-    for w, v in _exteriors(config, k)[2]:
+    for w, v in exteriors:
         d = eps - v
         if np.any(w * w - d * d <= 0.0):
             raise OutsideAdmissibleBand(
@@ -816,16 +793,17 @@ def shooting_bound_states(
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
     _check_momentum_and_step(k, step)
-    _, _, exteriors, (lo, hi) = _exteriors(config, k)
+    window = _exteriors(config, k)
+    _, _, exteriors, (lo, hi) = window
     if any(w != 0.0 and w * w == 0.0 for w, _ in exteriors):  # no seed has a norm
         raise UnsupportedRegime(f"exterior k + a underflows when squared: k={k}, (k + a, v) = {exteriors}")
     if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
-        shoot = _shooter(config, k, step, x_match)
+        shoot = _shooter(config, k, step, x_match, window)
         return _phase_roots(lambda eps: shoot(eps)[1], *_decaying_band(lo, hi, exteriors), tol)
-    shooter = cache(lambda: _shooter(config, k, step, x_match))
+    shooter = cache(lambda: _shooter(config, k, step, x_match, window))
 
     def det(eps):
-        _check_energies(config, k, eps)
+        _check_energies(eps, exteriors)
         return shooter()(eps)[0]
 
     return _scan_roots(det, lo, hi, scan_points, tol)

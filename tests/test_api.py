@@ -16,7 +16,6 @@ import diracwell
 from diracwell import (
     FieldConfig,
     GridSpec,
-    Linear,
     PiecewiseExp,
     QuantumLabel,
     assemble_square_well_state,
@@ -64,6 +63,13 @@ def test_every_package_attribute_is_declared():
         if not (isinstance(value, types.ModuleType) and value.__name__ == f"diracwell.{n}"):
             stray.append(n)
     assert not stray, f"package attributes that no __all__ declares: {stray}"
+
+
+def test_the_deleted_profile_families_are_not_exported():
+    # three profile families that no command ran, and the error class only one of them raised
+    deleted = {"Linear", "CoulombLike", "Tanh", "SingularPoint"}
+    assert not deleted & set(dir(diracwell))
+    assert not deleted & set(errors.__all__)
 
 
 @pytest.mark.parametrize(
@@ -122,6 +128,13 @@ def _two_momenta():
                          assemble_square_well_state(k3, 8.0, points=201))
 
 
+class _Ramp:
+    """A profile that no shooting window rule covers."""
+
+    def is_zero(self) -> bool:
+        return False
+
+
 # each rule's refusals share one class; the messages are those of the classes folded into it
 @pytest.mark.parametrize(
     "call, cls, message",
@@ -131,8 +144,8 @@ def _two_momenta():
         (lambda: dirac_shooting(square_well_config(2.0), QuantumLabel(2.0, 2.5)), errors.OutsideAdmissibleBand,
          "no decaying exterior direction at some requested energy; "
          "bound states require |epsilon - v| < |k + a| on both tails"),
-        (lambda: dirac_shooting(FieldConfig(electric=Linear(1.0)), QuantumLabel(2.0, 0.5)), errors.UnsupportedRegime,
-         "a linear scalar potential grows without bound; no exterior decay window exists"),
+        (lambda: dirac_shooting(FieldConfig(electric=_Ramp()), QuantumLabel(2.0, 0.5)), errors.UnsupportedRegime,
+         "no shooting window rule for _Ramp"),
         (lambda: partner_component(PiecewiseExp((0.0,), g=(1.0, 1.0), a=(1.0, 0.0), b=(0.0, 1.0)),
                                    QuantumLabel(0.0, 0.5), square_well(2.0)),
          errors.OutsideAdmissibleBand, "partner construction requires k != 0"),
@@ -140,7 +153,7 @@ def _two_momenta():
         (lambda: landau_levels_magnetic(1.0, -1), errors.ConfigError,
          "level index must be a non-negative integer, got -1"),
     ],
-    ids=["table-exterior", "shooting-band", "shooting-linear-electric", "partner-k0",
+    ids=["table-exterior", "shooting-band", "shooting-window-rule", "partner-k0",
          "overlap-momenta", "landau-level"],
 )
 def test_a_refusal_raises_its_rules_class_with_its_message(call, cls, message):

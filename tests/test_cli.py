@@ -390,6 +390,15 @@ class TestVerify:
         assert "routes 34/34/34" in out
         assert all(line.startswith("PASS") for line in out.splitlines())
 
+    @pytest.mark.parametrize("k, v0, half_width, count", [(2.0, 1e4, 1.0, 4), (20.0, 1e4, 2.0, 52),
+                                                          (2.0, 1e6, 1.0, 4)])
+    def test_routes_agree_on_a_deep_well(self, k, v0, half_width, count):
+        # at q h = 0.02 the RK4 phase error, summed over the 2L / h steps, put
+        # the first two wells' shot levels 1.1e-5 and 1.3e-5 from the closed form
+        name, ok, detail = next(cli._checks(k, v0, half_width))
+        assert ok, detail
+        assert detail == f"{count} states, routes {count}/{count}/{count}"
+
     def test_wide_well_passes_every_line(self, capsys):
         # 218 states: its Gram matrix is one batched overlap, not 47524 calls
         code, out, _ = run(capsys, "verify", "--k", "50", "--v0", "120", "--half-width", "3")

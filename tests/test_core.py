@@ -8,20 +8,17 @@ import numpy as np
 import pytest
 
 from diracwell import (
-    CoulombLike,
     FieldConfig,
-    Linear,
     Lorentzian,
     PiecewiseConstant,
     QuantumLabel,
-    Tanh,
     effective_energy,
     effective_potential_electric,
     potential_from_json,
     potential_to_json,
     square_well,
 )
-from diracwell.errors import ConfigError, DiscontinuityPoint, SingularPoint
+from diracwell.errors import ConfigError, DiscontinuityPoint
 
 
 class TestPiecewiseConstant:
@@ -67,17 +64,25 @@ class TestPiecewiseConstant:
             with pytest.raises(ConfigError, match="half_width"):
                 square_well(1.0, half_width=half_width)
 
+    @pytest.mark.parametrize("make", [
+        lambda bad: PiecewiseConstant((bad,), (0.0, 1.0)),
+        lambda bad: PiecewiseConstant((0.0,), (0.0, bad)),
+        lambda bad: square_well(bad),
+        lambda bad: square_well(1.0, half_width=bad),
+    ], ids=["breakpoint", "value", "depth", "half_width"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_parameter_that_is_not_finite(self, make, bad):
+        # a NaN or infinite step would place no breakpoint the routes can match at
+        with pytest.raises(ConfigError, match="must be finite"):
+            make(bad)
+
     def test_is_zero(self):
         assert PiecewiseConstant((0.0,), (0.0, 0.0)).is_zero()
+        assert square_well(0.0).is_zero()  # its well holds -0.0
         assert not square_well(1.0).is_zero()
 
 
 class TestSmoothFamilies:
-    def test_linear(self):
-        assert Linear(1.0).evaluate(0.5) == 0.5
-        assert Linear(2.5).derivative(-3.0) == 2.5
-        assert Linear(0.0).is_zero()
-
     def test_lorentzian(self):
         pot = Lorentzian(-2.0)
         assert pot.evaluate(0.0) == -2.0
@@ -87,42 +92,10 @@ class TestSmoothFamilies:
         fd = (pot.evaluate(0.7 + h) - pot.evaluate(0.7 - h)) / (2 * h)
         assert pot.derivative(0.7) == pytest.approx(fd, abs=1e-8)
 
-    def test_tanh(self):
-        pot = Tanh(1.5)
-        assert pot.evaluate(0.0) == 0.0
-        assert pot.evaluate(20.0) == pytest.approx(1.5)
-        assert pot.derivative(0.0) == 1.5
-
-    def test_coulomb_singularity(self):
-        bare = CoulombLike(1.0)
-        with pytest.raises(SingularPoint):
-            bare.evaluate(0.0)
-        with pytest.raises(SingularPoint):
-            bare.derivative(np.array([1.0, 0.0]))
-        assert bare.evaluate(2.0) == 0.5
-
-    def test_coulomb_cutoff_clamps(self):
-        reg = CoulombLike(1.0, cutoff=0.1)
-        assert reg.evaluate(0.0) == 10.0
-        assert reg.evaluate(0.05) == 10.0
-        assert reg.evaluate(0.5) == 2.0
-        assert reg.derivative(0.05) == 0.0
-        with pytest.raises(DiscontinuityPoint):
-            reg.derivative(0.1)
-        with pytest.raises(ConfigError):
-            CoulombLike(1.0, cutoff=-0.1)
-
-    @pytest.mark.parametrize("make", [
-        lambda bad: Linear(bad),
-        lambda bad: Lorentzian(bad),
-        lambda bad: Tanh(bad),
-        lambda bad: CoulombLike(bad, cutoff=0.1),
-        lambda bad: CoulombLike(-1.0, cutoff=abs(bad)),
-    ], ids=["linear", "lorentzian", "tanh", "coulomb_strength", "coulomb_cutoff"])
+    @pytest.mark.parametrize("make", [lambda bad: Lorentzian(bad)], ids=["lorentzian"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refuses_a_parameter_that_is_not_finite(self, make, bad):
-        # a NaN or infinite slope, strength or cutoff would shoot no level
-        # without a word, or fail later with a message about the grid
+        # a NaN or infinite strength would shoot no level without a word
         with pytest.raises(ConfigError, match="must be finite"):
             make(bad)
 
@@ -133,11 +106,11 @@ class TestPotentialJson:
         [
             square_well(2.0),
             PiecewiseConstant((-1.0, 0.0, 1.0), (0.0, -1.0, 2.0, 0.0)),
-            Linear(0.5),
-            CoulombLike(-1.0),
-            CoulombLike(-1.0, cutoff=0.2),
+            square_well(-1.5, half_width=0.25),
+            PiecewiseConstant((), (0.5,)),
             Lorentzian(-2.0),
-            Tanh(3.0),
+            Lorentzian(3.5),
+            Lorentzian(-1e-300),
         ],
     )
     def test_round_trip(self, pot):
@@ -151,9 +124,15 @@ class TestPotentialJson:
         with pytest.raises(ConfigError):
             potential_from_json('{"family": "cubic"}')
         with pytest.raises(ConfigError):
-            potential_from_json('{"family": "linear"}')  # missing slope
+            potential_from_json('{"family": "lorentzian"}')  # missing strength
         with pytest.raises(ConfigError, match="must be finite"):
             potential_from_json('{"family": "lorentzian", "strength": NaN}')
+
+    @pytest.mark.parametrize("family", ["linear", "coulomb_like", "tanh"])
+    def test_refuses_a_removed_family_by_name(self, family):
+        text = json.dumps({"family": family, "slope": 1.0, "strength": -1.0})
+        with pytest.raises(ConfigError, match=f"^unknown potential family '{family}'$"):
+            potential_from_json(text)
 
     def test_json_is_sorted_and_stable(self):
         text = potential_to_json(square_well(2.0))
@@ -173,9 +152,10 @@ class TestReducedSystem:
         assert effective_potential_electric(well, 1.0, 3.0) == 0.0
 
     def test_effective_potential_imaginary_part(self):
-        # i v' contributes the imaginary part for a smooth profile
-        val = effective_potential_electric(Tanh(1.0), 0.0, 0.0)
-        assert val == pytest.approx(1j)
+        # i v' contributes the imaginary part for a smooth profile: at
+        # x = 1, -2 / (1 + x^2) has v = -1 and v' = 1
+        val = effective_potential_electric(Lorentzian(-2.0), 0.0, 1.0)
+        assert val == pytest.approx(-1.0 + 1j)
 
     def test_effective_energy(self):
         assert effective_energy(QuantumLabel(k=2.0, epsilon=0.0)) == -4.0

@@ -13,13 +13,10 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from diracwell import (
-    CoulombLike,
     FieldConfig,
-    Linear,
     Lorentzian,
     PiecewiseConstant,
     QuantumLabel,
-    Tanh,
     dirac_shooting,
     find_roots,
     general_secular,
@@ -194,6 +191,13 @@ class TestProportionalOscillator:
             proportional_oscillator_levels(bad, 1.0, 3)
 
 
+class _Ramp:
+    """A profile that no shooting window rule covers."""
+
+    def is_zero(self) -> bool:
+        return False
+
+
 class TestDiracShooting:
     def test_square_well_zero_set(self):
         roots = shooting_bound_states(
@@ -281,6 +285,17 @@ class TestDiracShooting:
         assert len(builds) == 1
         assert roots == reference and len(roots) == len(LORENTZ_ROOTS)
 
+    @pytest.mark.parametrize("config", [square_well_config(2.0), FieldConfig(electric=Lorentzian(-2.0))],
+                             ids=["stepwise", "smooth"])
+    def test_a_shooting_call_derives_its_exteriors_once(self, config, monkeypatch):
+        # the shooter and every determinant call of the scan reuse the caller's window
+        calls, exteriors = [], oracle._exteriors
+        monkeypatch.setattr(oracle, "_exteriors", lambda *args: calls.append(args) or exteriors(*args))
+        assert shooting_bound_states(config, 2.0, scan_points=150, tol=1e-5, step=0.02)
+        assert len(calls) == 1
+        dirac_shooting(config, QuantumLabel(2.0, np.array([0.3, 0.5])), step=0.02)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("step", [0.01, 0.005])
     def test_smooth_level_near_the_band_edge(self, step):
         # a level 2e-7 inside the band edge -1e-5: a 1e-6 margin at the band
@@ -295,16 +310,13 @@ class TestDiracShooting:
         with pytest.raises(OutsideAdmissibleBand):
             dirac_shooting(square_well_config(2.0), QuantumLabel(2.0, 2.5))
 
-    def test_rejects_linear_electric(self):
-        with pytest.raises(UnsupportedRegime):
-            dirac_shooting(FieldConfig(electric=Linear(1.0)), QuantumLabel(2.0, 0.5))
-
-    def test_rejects_linear_magnetic(self):
-        # uniform field has no asymptotically constant window; the grid
-        # route covers it instead
-        config = FieldConfig(electric=None, magnetic=Linear(1.0))
-        with pytest.raises(UnsupportedRegime):
-            dirac_shooting(config, QuantumLabel(0.0, 1.0))
+    @pytest.mark.parametrize("field", ["electric", "magnetic"])
+    def test_rejects_a_profile_with_no_window_rule(self, field):
+        # a profile with no asymptotically constant window, such as a ramp;
+        # the grid route covers a uniform magnetic field instead
+        config = FieldConfig(**{"electric": None, field: _Ramp()})
+        with pytest.raises(UnsupportedRegime, match="^no shooting window rule for _Ramp$"):
+            dirac_shooting(config, QuantumLabel(2.0, 0.5))
 
     def test_match_point_must_lie_in_window(self):
         with pytest.raises(ValueError):
@@ -355,12 +367,14 @@ def _stepwise_rk4_march(march, eps, psi):
     return out
 
 
-# config, k and the half-width of its exterior-decay band
+# config, k, the half-width of its exterior-decay band and the match point
 SMOOTH_CASES = {
-    "lorentzian": (FieldConfig(electric=Lorentzian(-2.0)), 2.0, 2.0),
-    "tanh": (FieldConfig(electric=Tanh(0.5), magnetic=Lorentzian(-2.0)), 2.5, 2.0),
-    "coulomb": (FieldConfig(electric=CoulombLike(-1.5, cutoff=0.5)), 1.5, 1.5),
-    "magnetic": (FieldConfig(electric=None, magnetic=Lorentzian(-1.5)), 2.0, 2.0),
+    "lorentzian": (FieldConfig(electric=Lorentzian(-2.0)), 2.0, 2.0, None),
+    # a smooth vector potential, matched off centre: each side marches on its own
+    "electromagnetic": (FieldConfig(electric=Lorentzian(-1.0), magnetic=Lorentzian(-2.0)), 2.5, 2.5, 0.3),
+    # the same fields matched at the centre: both are even, so the march is mirrored
+    "electromagnetic_centred": (FieldConfig(electric=Lorentzian(-1.0), magnetic=Lorentzian(-2.0)), 2.5, 2.5, None),
+    "magnetic": (FieldConfig(electric=None, magnetic=Lorentzian(-1.5)), 2.0, 2.0, None),
 }
 
 
@@ -370,21 +384,22 @@ class TestFoldedMarch:
 
     @pytest.mark.parametrize("case", sorted(SMOOTH_CASES))
     def test_determinants_match_the_stepwise_march(self, case, monkeypatch):
-        config, k, half_band = SMOOTH_CASES[case]
-        # 80 energies in chunks of 16, and each side's 1000 steps in blocks
-        # of 512 and 488; all but tanh march the right side as the left's mirror
+        config, k, half_band, x_match = SMOOTH_CASES[case]
+        # 80 energies in chunks of 16, and each side's 1000 or so steps in
+        # blocks of 512 and the rest; all but the off-centre match march the
+        # right side as the left's mirror
         grid = np.linspace(-half_band, half_band, 82)[1:-1]
-        folded = dirac_shooting(config, QuantumLabel(k, grid), step=0.05)
+        folded = dirac_shooting(config, QuantumLabel(k, grid), step=0.05, x_match=x_match)
         monkeypatch.setattr(oracle, "_advance_sampled", _stepwise_rk4_march)
-        stepwise = dirac_shooting(config, QuantumLabel(k, grid), step=0.05)
+        stepwise = dirac_shooting(config, QuantumLabel(k, grid), step=0.05, x_match=x_match)
         np.testing.assert_allclose(folded, stepwise, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("case", sorted(SMOOTH_CASES))
     def test_roots_match_the_stepwise_march(self, case, monkeypatch):
         # the secant reads the determinant's values, which the two marches
         # round differently, so the roots agree far inside tol, not bit for bit
-        config, k, _ = SMOOTH_CASES[case]
-        kwargs = dict(scan_points=40, tol=1e-4, step=0.1)
+        config, k, _, x_match = SMOOTH_CASES[case]
+        kwargs = dict(scan_points=40, tol=1e-4, step=0.1, x_match=x_match)
         folded = shooting_bound_states(config, k, **kwargs)
         assert folded
         monkeypatch.setattr(oracle, "_advance_sampled", _stepwise_rk4_march)
@@ -402,13 +417,14 @@ class TestFoldedMarch:
         np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=1e-6)
 
     def test_memory_stays_per_block(self):
-        # 1900 steps a side against 500 energies: one (steps x energies)
-        # array of doubles would take 7.6 MB; the blocks peak near 1.2 MB
-        config = FieldConfig(electric=Tanh(0.5))
-        grid = np.linspace(-1.49, 1.49, 500)
+        # 2000 steps a side, each side its own march, against 500 energies:
+        # one (steps x energies) array of doubles would take 8 MB; the blocks
+        # peak near 1.2 MB
+        config = FieldConfig(electric=Lorentzian(-2.0))
+        grid = np.linspace(-1.99, 1.99, 500)
         tracemalloc.start()
         try:
-            dirac_shooting(config, QuantumLabel(2.0, grid), step=0.005)
+            dirac_shooting(config, QuantumLabel(2.0, grid), step=0.025, x_match=0.3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -416,7 +432,7 @@ class TestFoldedMarch:
 
 
 # the even cases: the right-hand march samples the left one's fields mirrored
-MIRRORED_CASES = ("coulomb", "lorentzian", "magnetic")
+MIRRORED_CASES = ("electromagnetic_centred", "lorentzian", "magnetic")
 # _rk4_propagators calls of the benchmark's Lorentzian shot, marching each
 # side on its own: the 150 scan energies in 10 chunks of 16 and 4 secant
 # calls, each through 5 blocks of 512 steps a side
@@ -451,7 +467,7 @@ class TestMirroredMarch:
     @pytest.mark.parametrize("case", MIRRORED_CASES)
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_determinants_equal_two_single_seed_marches(self, case, sign, monkeypatch):
-        config, k, half_band = SMOOTH_CASES[case]
+        config, k, half_band, _ = SMOOTH_CASES[case]
         k *= sign
         eps = np.linspace(-half_band, half_band, 42)[1:-1]
         calls = _count_propagators(monkeypatch)
@@ -469,7 +485,7 @@ class TestMirroredMarch:
         assert len(calls) == TWO_MARCH_BUILDS // 2
 
     @pytest.mark.parametrize("config, k, x_match", [
-        (SMOOTH_CASES["tanh"][0], SMOOTH_CASES["tanh"][1], None),  # odd electric profile
+        SMOOTH_CASES["electromagnetic"][:2] + (0.3,),  # a smooth vector potential
         (FieldConfig(electric=Lorentzian(-2.0)), 2.0, 0.3),  # off-centre match point
     ])
     def test_unmirrored_fields_march_both_sides(self, config, k, x_match, monkeypatch):
