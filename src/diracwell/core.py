@@ -15,7 +15,9 @@ PHYSICS SCOPE
 PROFILES
     PiecewiseConstant steps carry the square and piecewise wells every
     route serves; Lorentzian, the one smooth family, serves the shooting
-    oracle alone.
+    oracle alone.  A step-free PiecewiseConstant is uniform: shooting
+    takes it, and a uniform vector potential a = c shoots as momentum
+    k + c.
 
 UNITS
     All solver-facing quantities are in reduced form: eps = E / (hbar vF),
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .errors import ConfigError, DiscontinuityPoint
 __all__ = [
     "PiecewiseConstant",
     "Lorentzian",
-    "Potential1D",
     "FieldConfig",
     "QuantumLabel",
     "square_well",
@@ -123,8 +123,6 @@ class Lorentzian:
         return self.strength == 0.0
 
 
-Potential1D = Union[PiecewiseConstant, Lorentzian]
-
 _FAMILY_TAGS = {
     PiecewiseConstant: "piecewise_constant",
     Lorentzian: "lorentzian",
@@ -138,7 +136,7 @@ def square_well(v0: float, half_width: float = 1.0) -> PiecewiseConstant:
     return PiecewiseConstant((-half_width, half_width), (0.0, -v0, 0.0))
 
 
-def potential_to_json(potential: Potential1D) -> str:
+def potential_to_json(potential: PiecewiseConstant | Lorentzian) -> str:
     import json  # loaded by the JSON helpers alone, never by a CSV command
 
     tag = _FAMILY_TAGS[type(potential)]
@@ -153,7 +151,7 @@ def potential_to_json(potential: Potential1D) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def potential_from_json(text: str) -> Potential1D:
+def potential_from_json(text: str) -> PiecewiseConstant | Lorentzian:
     import json
 
     try:
@@ -190,8 +188,8 @@ class QuantumLabel:
 class FieldConfig:
     """Electrostatic profile v(x) and/or vector-potential profile a(x)."""
 
-    electric: Potential1D | None
-    magnetic: Potential1D | None = None
+    electric: PiecewiseConstant | Lorentzian | None
+    magnetic: PiecewiseConstant | Lorentzian | None = None
 
     def __post_init__(self) -> None:
         if self.electric is None and self.magnetic is None:
@@ -203,7 +201,7 @@ class FieldConfig:
 # ---------------------------------------------------------------------------
 
 
-def effective_potential_electric(potential: Potential1D, epsilon: float, x):
+def effective_potential_electric(potential: PiecewiseConstant | Lorentzian, epsilon: float, x):
     """Complex effective potential i v' + 2 eps v - v^2 of the decoupled
     second-order equation for the rotated component in a purely electric
     field.  Raises DiscontinuityPoint exactly at a step of the profile."""

@@ -34,12 +34,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FieldConfig, PiecewiseConstant, QuantumLabel, square_well
+from .core import FieldConfig, PiecewiseConstant, square_well
 from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 
 __all__ = [
     "SecularFunction",
-    "region_wavenumbers",
     "secular_det_square_well",
     "square_well_secular",
     "general_secular",
@@ -82,7 +81,7 @@ def _from_phase(lo, hi, phase, binds: bool) -> SecularFunction:
     return SecularFunction(lambda eps: np.cos(guarded(eps)[0]), float(lo), float(hi), guarded, binds)
 
 
-def region_wavenumbers(label: QuantumLabel, v0: float) -> tuple[float, float]:
+def _region_wavenumbers(k: float, eps: float, v0: float) -> tuple[float, float]:
     """Exterior decay rate p and interior wavenumber q for the square well.
 
     Raises OutsideAdmissibleBand naming the violated condition; the
@@ -90,7 +89,6 @@ def region_wavenumbers(label: QuantumLabel, v0: float) -> tuple[float, float]:
     Raises UnsupportedRegime where k^2 or (epsilon + v0)^2 overflows, as
     neither condition can then be decided.
     """
-    k, eps = label.k, label.epsilon
     kk, ee = k * k, (eps + v0) * (eps + v0)
     if math.isinf(kk) or math.isinf(ee):
         raise UnsupportedRegime(
@@ -160,12 +158,13 @@ def secular_det_square_well(
     the paper's matching determinant: its zeros inside the admissible band
     are exactly the square well's bound states.  Raises ConfigError for a
     non-finite input or a width that is not finite and positive,
-    UnsupportedRegime where 2Lq overflows, and see region_wavenumbers.
+    UnsupportedRegime where 2Lq overflows, and see _region_wavenumbers
+    for the band's refusals.
     """
     _check_well(k, v0, half_width)
     if not math.isfinite(epsilon):
         raise ConfigError("epsilon must be finite")
-    p, q = region_wavenumbers(QuantumLabel(k, epsilon), v0)
+    p, q = _region_wavenumbers(k, epsilon, v0)
     arg = 2.0 * half_width * q
     if not math.isfinite(arg):
         raise UnsupportedRegime(f"2Lq overflows at half_width={half_width}, q={q}")

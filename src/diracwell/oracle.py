@@ -20,7 +20,6 @@ solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -29,7 +28,6 @@ from .core import FieldConfig, Lorentzian, PiecewiseConstant, QuantumLabel
 from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 
 __all__ = [
-    "GridSpec",
     "grid_eigenvalues",
     "proportional_oscillator_levels",
     "dirac_shooting",
@@ -62,44 +60,15 @@ MARCH_REACH_CAP = 2.0**19
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid with Dirichlet walls at x_min and x_max, whose
-    points - 2 interior points carry the sine DVR; its dense matrix may
-    hold at most GRID_MATRIX_CAP elements."""
-
-    x_min: float
-    x_max: float
-    points: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ConfigError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
-        if self.x_max <= self.x_min:
-            raise ConfigError("x_max must exceed x_min")
-        if not isinstance(self.points, (int, np.integer)):
-            raise ConfigError(f"points must be an integer, got {self.points!r}")
-        if self.points < 3:
-            raise ConfigError("need at least three grid points")
-        if (int(self.points) - 2) ** 2 > GRID_MATRIX_CAP:
-            raise ConfigError(
-                f"points={self.points} needs a dense matrix of more than {GRID_MATRIX_CAP} elements"
-            )
-
-    @property
-    def spacing(self) -> float:
-        return (self.x_max - self.x_min) / (self.points - 1)
-
-
 def _check_count(count) -> None:
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ConfigError(f"count must be a positive integer, got {count!r}")
 
 
-def grid_eigenvalues(u, spec: GridSpec, count: int) -> np.ndarray:
-    """Lowest count eigenvalues of -psi'' + u(x) psi with walls at the grid
-    ends, from the sine discrete-variable representation (Colbert and
-    Miller, J. Chem. Phys. 96, 1982 (1992)).
+def grid_eigenvalues(u, x_min: float, x_max: float, points: int, count: int) -> np.ndarray:
+    """Lowest count eigenvalues of -psi'' + u(x) psi with Dirichlet walls
+    at x_min and x_max, from the sine discrete-variable representation
+    (Colbert and Miller, J. Chem. Phys. 96, 1982 (1992)).
 
     With N = points - 1 intervals of length L / N, the interior points
     x_i = x_min + i L / N, i = 1 .. N - 1, carry H = T + diag(u(x_i)), where
@@ -107,17 +76,29 @@ def grid_eigenvalues(u, spec: GridSpec, count: int) -> np.ndarray:
     orthonormal DST-I matrix: T is exact on the box's sine modes, so the
     error falls off exponentially with the points per wavelength rather
     than as h^2.  u maps an x array to the potential samples.  Raises
-    ConfigError for a count that is not a positive integer or exceeds the
-    N - 1 interior points.
+    ConfigError for bounds that are not finite or not increasing, points
+    that are not an integer of at least three or whose dense matrix would
+    hold more than GRID_MATRIX_CAP elements, and a count that is not a
+    positive integer or exceeds the N - 1 interior points.
     """
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ConfigError(f"grid bounds must be finite, got [{x_min}, {x_max}]")
+    if x_max <= x_min:
+        raise ConfigError("x_max must exceed x_min")
+    if not isinstance(points, (int, np.integer)):
+        raise ConfigError(f"points must be an integer, got {points!r}")
+    if points < 3:
+        raise ConfigError("need at least three grid points")
+    if (int(points) - 2) ** 2 > GRID_MATRIX_CAP:
+        raise ConfigError(f"points={points} needs a dense matrix of more than {GRID_MATRIX_CAP} elements")
     _check_count(count)
-    n = int(spec.points) - 1
+    n = int(points) - 1
     if count > n - 1:
         raise ConfigError(f"count={count} exceeds the {n - 1} interior grid points")
-    i = np.arange(1, n)
+    width, i = x_max - x_min, np.arange(1, n)
     sine = math.sqrt(2.0 / n) * np.sin((math.pi / n) * np.outer(i, i))
-    ham = (sine * (i * (math.pi / (spec.x_max - spec.x_min))) ** 2) @ sine
-    ham[np.diag_indices(n - 1)] += np.asarray(u(spec.x_min + i * spec.spacing), dtype=float)
+    ham = (sine * (i * (math.pi / width)) ** 2) @ sine
+    ham[np.diag_indices(n - 1)] += np.asarray(u(x_min + i * (width / n)), dtype=float)
     return np.linalg.eigvalsh(ham)[:count]
 
 
@@ -148,8 +129,8 @@ def proportional_oscillator_levels(alpha: float, beta: float, count: int) -> np.
     scale = beta * math.sqrt(1.0 - alpha * alpha)
     length = 1.0 / math.sqrt(scale)
     u = lambda x: scale**2 * x**2 - scale
-    spec = GridSpec(-OSCILLATOR_SPAN * length, OSCILLATOR_SPAN * length, OSCILLATOR_POINTS)
-    return grid_eigenvalues(u, spec, count)
+    reach = OSCILLATOR_SPAN * length
+    return grid_eigenvalues(u, -reach, reach, OSCILLATOR_POINTS, count)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +140,14 @@ def proportional_oscillator_levels(alpha: float, beta: float, count: int) -> np.
 
 def _profile_window(profile):
     """(x_lo, x_hi, value at -inf, value at +inf) beyond which the profile
-    is treated as constant; None profiles contribute a token window."""
+    is treated as constant; None profiles contribute a token window, and
+    so does a step-free PiecewiseConstant, which is uniform: its one value
+    holds on both sides, so a uniform vector potential a = c shoots as
+    momentum k + c."""
     if profile is None or profile.is_zero():
         return -1.0, 1.0, 0.0, 0.0
     if isinstance(profile, PiecewiseConstant):
-        b = profile.breakpoints
+        b = profile.breakpoints or (-1.0, 1.0)
         v = profile.values
         return b[0], b[-1], v[0], v[-1]
     if isinstance(profile, Lorentzian):

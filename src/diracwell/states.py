@@ -49,13 +49,11 @@ __all__ = [
     "ResidualReport",
     "assemble_state",
     "assemble_square_well_state",
-    "partner_component",
     "probability_density",
     "current_density",
     "pt_eigenvalue",
     "inner_product",
     "gram_matrix",
-    "product_integral",
     "equation_residuals",
     "second_order_residuals",
     "state_to_csv",
@@ -172,17 +170,6 @@ def _terms(groups, widths):
     return tuple(np.concatenate(p, axis=1) for p in ((g, -g), (table[1], table[2]), (lead, 0 * lead)))
 
 
-def product_integral(f: PiecewiseExp, g: PiecewiseExp) -> complex:
-    """Exact integral of f(x) g(x) over the whole line (no conjugation).
-
-    Both waves must lie on the same steps; on each region every pair of
-    terms integrates to a closed-form exponential integral.
-    """
-    if f.steps != g.steps:
-        raise UnsupportedRegime("exact integrals need waves on the same steps")
-    return complex(_overlaps(f.steps, [[f.table]], [[g.table]])[0, 0])
-
-
 @dataclass(frozen=True, eq=False)
 class BoundState:
     """One normalized bound state sampled on a symmetric grid.
@@ -243,17 +230,11 @@ class ResidualReport:
         return float(max(np.abs(r).max(initial=0.0) for r in (self.residual_1, self.residual_2)))
 
 
-def partner_component(
+def _partner_component(
     wave1: PiecewiseExp, label: QuantumLabel, potential: PiecewiseConstant
 ) -> PiecewiseExp:
-    """Second rotated component (w' + i (eps - v) w) / k, region by region.
-
-    The construction divides by the transverse momentum, so k = 0 has no
-    partner this way (the two rotated components decouple there, and no
-    exterior decays): OutsideAdmissibleBand.
-    """
-    if label.k == 0:
-        raise OutsideAdmissibleBand("partner construction requires k != 0")
+    """Second rotated component (w' + i (eps - v) w) / k, region by region;
+    k != 0, as _carried_wave refuses k = 0, where no exterior decays."""
     delta = label.epsilon - np.asarray(potential.values)
     g = wave1.g
     return PiecewiseExp(
@@ -381,7 +362,7 @@ def assemble_state(potential: PiecewiseConstant, label: QuantumLabel, points: in
     if not (isinstance(potential, PiecewiseConstant) and potential.breakpoints):
         raise ConfigError(f"states need a piecewise-constant profile with a step, got {potential!r}")
     carried = _carried_wave(potential, label)
-    partner = partner_component(carried, label, potential)
+    partner = _partner_component(carried, label, potential)
     factor = _canonical_gauge(carried, partner.table)
     wave1, wave2 = (PiecewiseExp(w.steps, w.g, factor * w.a, factor * w.b) for w in (carried, partner))
 

@@ -15,17 +15,17 @@ import pytest
 import diracwell
 from diracwell import (
     FieldConfig,
-    GridSpec,
     PiecewiseExp,
     QuantumLabel,
     assemble_square_well_state,
+    assemble_state,
     dirac_shooting,
     find_roots,
     general_secular,
+    grid_eigenvalues,
     inner_product,
     landau_levels_magnetic,
     parameter_grid,
-    partner_component,
     proportional_oscillator_levels,
     square_well,
     square_well_config,
@@ -65,9 +65,17 @@ def test_every_package_attribute_is_declared():
     assert not stray, f"package attributes that no __all__ declares: {stray}"
 
 
-def test_the_deleted_profile_families_are_not_exported():
-    # three profile families that no command ran, and the error class only one of them raised
-    deleted = {"Linear", "CoulombLike", "Tanh", "SingularPoint"}
+@pytest.mark.parametrize(
+    "deleted",
+    [
+        # three profile families that no command ran, and the error class only one of them raised
+        {"Linear", "CoulombLike", "Tanh", "SingularPoint"},
+        # exports that served one caller or none
+        {"GridSpec", "product_integral", "partner_component", "region_wavenumbers", "Potential1D"},
+    ],
+    ids=["profile-families", "single-caller-exports"],
+)
+def test_the_deleted_profile_families_are_not_exported(deleted):
     assert not deleted & set(dir(diracwell))
     assert not deleted & set(errors.__all__)
 
@@ -75,10 +83,10 @@ def test_the_deleted_profile_families_are_not_exported():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: GridSpec(0.0, math.inf, 10),
-        lambda: GridSpec(1.0, 1.0, 10),
-        lambda: GridSpec(0.0, 1.0, 10.5),
-        lambda: GridSpec(0.0, 1.0, 2),
+        lambda: grid_eigenvalues(abs, 0.0, math.inf, 10, 1),
+        lambda: grid_eigenvalues(abs, 1.0, 1.0, 10, 1),
+        lambda: grid_eigenvalues(abs, 0.0, 1.0, 10.5, 1),
+        lambda: grid_eigenvalues(abs, 0.0, 1.0, 2, 1),
         lambda: proportional_oscillator_levels(math.nan, 1.0, 3),
         lambda: proportional_oscillator_levels(0.5, -1.0, 3),
         lambda: dirac_shooting(square_well_config(2.0), QuantumLabel(2.0, 0.5), x_match=7.0),
@@ -146,14 +154,13 @@ class _Ramp:
          "bound states require |epsilon - v| < |k + a| on both tails"),
         (lambda: dirac_shooting(FieldConfig(electric=_Ramp()), QuantumLabel(2.0, 0.5)), errors.UnsupportedRegime,
          "no shooting window rule for _Ramp"),
-        (lambda: partner_component(PiecewiseExp((0.0,), g=(1.0, 1.0), a=(1.0, 0.0), b=(0.0, 1.0)),
-                                   QuantumLabel(0.0, 0.5), square_well(2.0)),
-         errors.OutsideAdmissibleBand, "partner construction requires k != 0"),
+        (lambda: assemble_state(square_well(2.0), QuantumLabel(0.0, 0.5)), errors.OutsideAdmissibleBand,
+         "decaying exteriors need |epsilon - V| < |k|, and no region |epsilon - V| = |k|: eps=0.5, k=0.0"),
         (_two_momenta, errors.UnsupportedRegime, "overlap requires equal transverse momenta, got [2.0, 3.0]"),
         (lambda: landau_levels_magnetic(1.0, -1), errors.ConfigError,
          "level index must be a non-negative integer, got -1"),
     ],
-    ids=["table-exterior", "shooting-band", "shooting-window-rule", "partner-k0",
+    ids=["table-exterior", "shooting-band", "shooting-window-rule", "state-k0",
          "overlap-momenta", "landau-level"],
 )
 def test_a_refusal_raises_its_rules_class_with_its_message(call, cls, message):

@@ -30,7 +30,6 @@ from diracwell import (
 )
 from diracwell import oracle
 from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
-from diracwell.oracle import GridSpec
 from test_matching import piecewise_wells
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
@@ -38,42 +37,48 @@ WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
 LORENTZ_ROOTS = (0.567247, 1.304795, 1.696057, 1.881440, 1.957666)
 
 
-class TestGridSpec:
+def _box(x_min, x_max, points, count=1):
+    return grid_eigenvalues(lambda x: 0.0 * x, x_min, x_max, points, count)
+
+
+class TestGridArguments:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GridSpec(1.0, 1.0, 100)
+            _box(1.0, 1.0, 100)
         with pytest.raises(ValueError):
-            GridSpec(0.0, 1.0, 2)
+            _box(0.0, 1.0, 2)
 
     @pytest.mark.parametrize("x_min, x_max", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
                                               (-math.inf, 1.0), (-math.inf, math.inf)])
     def test_non_finite_bounds(self, x_min, x_max):
         with pytest.raises(ValueError, match="finite"):
-            GridSpec(x_min, x_max, 10)
+            _box(x_min, x_max, 10)
 
     @pytest.mark.parametrize("points", [10.5, 100.0, "100", None])
     def test_points_must_be_an_integer(self, points):
-        # a float count reached numpy's TypeError in grid_eigenvalues
+        # a float count reached numpy's TypeError in the matrix build
         with pytest.raises(ValueError, match="integer"):
-            GridSpec(0.0, 1.0, points)
+            _box(0.0, 1.0, points)
 
     def test_numpy_integer_points(self):
-        spec = GridSpec(0.0, 1.0, np.int64(11))
-        assert spec.spacing == GridSpec(0.0, 1.0, 11).spacing
+        vals = _box(0.0, 1.0, np.int64(11), 9)
+        np.testing.assert_array_equal(vals, _box(0.0, 1.0, 11, 9))
 
-    def test_spacing(self):
-        assert GridSpec(0.0, 1.0, 11).spacing == pytest.approx(0.1)
+    def test_points_at_the_cap_are_accepted(self, monkeypatch):
+        monkeypatch.setattr(oracle, "GRID_MATRIX_CAP", 7**2)
+        assert len(_box(0.0, 1.0, 9, 7)) == 7
+        with pytest.raises(ConfigError, match="more than 49 elements"):
+            _box(0.0, 1.0, 10)
 
     def test_points_whose_dense_matrix_exceeds_the_cap_are_refused_before_any_allocation(self):
         # the DVR matrix is dense, (points - 2)^2 doubles; np.int64(2**40)
         # would wrap to a small square in int64 arithmetic
         top = math.isqrt(oracle.GRID_MATRIX_CAP) + 2
-        assert GridSpec(0.0, 1.0, top).points == top
         tracemalloc.start()
         try:
             for points in (top + 1, 10**12, np.int64(2**40)):
                 with pytest.raises(ConfigError, match="dense matrix"):
-                    GridSpec(0.0, 1.0, points)
+                    _box(0.0, 1.0, points)
             assert tracemalloc.get_traced_memory()[1] < 1 << 16
         finally:
             tracemalloc.stop()
@@ -83,31 +88,31 @@ class TestGridEigenvalues:
     def test_particle_in_a_box(self):
         # the sine DVR is exact on the box's modes: u = 0 on [0, pi] gives
         # j^2, up to rounding of about eps ||H|| = eps (points - 2)^2
-        vals = grid_eigenvalues(lambda x: 0.0 * x, GridSpec(0.0, math.pi, 65), 63)
+        vals = grid_eigenvalues(lambda x: 0.0 * x, 0.0, math.pi, 65, 63)
         j = np.arange(1, 64)
         np.testing.assert_allclose(vals, j * j, rtol=1e-12, atol=0.0)
 
     def test_shifted_oscillator(self):
         # u = x^2 - 1 has exact levels 0, 2, 4, ...
-        vals = grid_eigenvalues(lambda x: x * x - 1.0, GridSpec(-12.0, 12.0, 129), 3)
+        vals = grid_eigenvalues(lambda x: x * x - 1.0, -12.0, 12.0, 129, 3)
         np.testing.assert_allclose(vals, [0.0, 2.0, 4.0], rtol=0.0, atol=1e-12)
 
     def test_potential_is_sampled_on_the_interior_points(self):
         seen = []
-        grid_eigenvalues(lambda x: seen.append(x) or 0.0 * x, GridSpec(-1.0, 3.0, 9), 1)
+        grid_eigenvalues(lambda x: seen.append(x) or 0.0 * x, -1.0, 3.0, 9, 1)
         np.testing.assert_allclose(seen[0], np.arange(1, 8) * 0.5 - 1.0, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("count", [0, -1, 2.5, True, "3", None])
     def test_count_must_be_a_positive_integer(self, count):
         # a slice of the eigenvalues would silently drop a level for -1
         with pytest.raises(ConfigError, match="count"):
-            grid_eigenvalues(lambda x: x * x, GridSpec(-1.0, 1.0, 9), count)
+            grid_eigenvalues(lambda x: x * x, -1.0, 1.0, 9, count)
 
     def test_count_above_the_interior_points_is_refused(self):
-        spec = GridSpec(-1.0, 1.0, 9)
-        assert len(grid_eigenvalues(lambda x: x * x, spec, np.int64(7))) == 7
+        spec = (-1.0, 1.0, 9)
+        assert len(grid_eigenvalues(lambda x: x * x, *spec, np.int64(7))) == 7
         with pytest.raises(ConfigError, match="7 interior"):
-            grid_eigenvalues(lambda x: x * x, spec, 8)
+            grid_eigenvalues(lambda x: x * x, *spec, 8)
 
 
 class TestFactorizationPartners:
@@ -116,9 +121,9 @@ class TestFactorizationPartners:
         # w^2 + w' = x^2 + 1 with spectra {0,2,4,...} and {2,4,6,...}; the
         # upper partner reproduces the base spectrum from its first level
         # shifted by one index
-        spec = GridSpec(-12.0, 12.0, 129)
-        base = grid_eigenvalues(lambda x: x * x - 1.0, spec, 4)
-        mate = grid_eigenvalues(lambda x: x * x + 1.0, spec, 3)
+        spec = (-12.0, 12.0, 129)
+        base = grid_eigenvalues(lambda x: x * x - 1.0, *spec, 4)
+        mate = grid_eigenvalues(lambda x: x * x + 1.0, *spec, 3)
         np.testing.assert_allclose(base, [0.0, 2.0, 4.0, 6.0], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(mate, base[1:], rtol=0.0, atol=1e-12)
 
@@ -140,10 +145,10 @@ class TestProportionalOscillator:
         # 1.5 times the points on a window 2 oscillator lengths wider
         scale = beta * math.sqrt(1.0 - alpha * alpha)
         reach = (oracle.OSCILLATOR_SPAN + 2.0) / math.sqrt(scale)
-        wide = GridSpec(-reach, reach, 3 * (oracle.OSCILLATOR_POINTS - 1) // 2 + 1)
+        wide = (-reach, reach, 3 * (oracle.OSCILLATOR_POINTS - 1) // 2 + 1)
         count = oracle.OSCILLATOR_LEVELS
         levels = proportional_oscillator_levels(alpha, beta, count)
-        finer = grid_eigenvalues(lambda x: scale**2 * x**2 - scale, wide, count)
+        finer = grid_eigenvalues(lambda x: scale**2 * x**2 - scale, *wide, count)
         assert np.max(np.abs(levels - finer) / np.maximum(finer, scale)) < 1e-12
 
     def test_highest_accepted_level_matches_closed_form(self):
@@ -258,6 +263,20 @@ class TestDiracShooting:
     def test_zero_field_has_no_bound_states(self):
         config = FieldConfig(electric=square_well(0.0))
         assert shooting_bound_states(config, 2.0, scan_points=200) == []
+
+    @pytest.mark.parametrize("a, k", [(0.3, 2.3), (-0.5, 1.5)])
+    def test_a_uniform_vector_potential_shifts_the_momentum(self, a, k):
+        # a = c enters the system only as W = k + c, and 2.0 + c rounds to k
+        assert 2.0 + a == k
+        shifted = FieldConfig(square_well(2.0), magnetic=PiecewiseConstant((), (a,)))
+        roots = shooting_bound_states(shifted, 2.0)
+        assert roots and roots == shooting_bound_states(square_well_config(2.0), k)
+        eps = np.linspace(-1.4, 1.4, 9)
+        np.testing.assert_array_equal(dirac_shooting(shifted, QuantumLabel(2.0, eps)),
+                                      dirac_shooting(square_well_config(2.0), QuantumLabel(k, eps)))
+
+    def test_a_uniform_electric_profile_has_no_bound_states(self):
+        assert shooting_bound_states(FieldConfig(electric=PiecewiseConstant((), (0.5,))), 2.0) == []
 
     def test_zero_momentum_band_is_empty(self):
         assert shooting_bound_states(square_well_config(2.0), 0.0) == []

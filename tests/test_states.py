@@ -26,9 +26,7 @@ from diracwell import (
     general_secular,
     gram_matrix,
     inner_product,
-    partner_component,
     probability_density,
-    product_integral,
     pt_eigenvalue,
     second_order_residuals,
     square_well,
@@ -45,15 +43,21 @@ from diracwell.errors import (
     OutsideAdmissibleBand,
     UnsupportedRegime,
 )
-from diracwell.matching import _carry, region_wavenumbers
+from diracwell.matching import _carry, _region_wavenumbers
 from diracwell.oracle import shooting_bound_states
 from diracwell.spectrum import MAX_GRID_POINTS
-from diracwell.states import _canonical_gauge, _carried_wave
+from diracwell.states import _canonical_gauge, _carried_wave, _overlaps
 
 
 @pytest.fixture(scope="module")
 def well22_states():
     return assemble_all(2.0, 2.0, 1.0, points=4001)
+
+
+def line_integral(f):
+    """Integral of f(x)^2 over the line (no conjugation), by the closed-form
+    engine behind the norm, the gauge and inner_product."""
+    return complex(_overlaps(f.steps, [[f.table]], [[f.table]])[0, 0])
 
 
 def rotated_waves(state, theta):
@@ -80,14 +84,9 @@ class TestPiecewiseExp:
         assert f(-2.0) == pytest.approx(math.exp(-2.0))
         assert f.derivative()(1.0) == pytest.approx(-math.exp(-1.0))
 
-    def test_product_integral_exact(self):
+    def test_line_integral_exact(self):
         # integral of exp(-2|x|) over the line is exactly 1
-        assert product_integral(self.CUSP, self.CUSP) == pytest.approx(1.0, abs=1e-15)
-
-    def test_product_integral_needs_shared_steps(self):
-        shifted = PiecewiseExp((1.0,), g=(1.0, 1.0), a=(1.0, 0.0), b=(0.0, 1.0))
-        with pytest.raises(UnsupportedRegime):
-            product_integral(self.CUSP, shifted)
+        assert line_integral(self.CUSP) == pytest.approx(1.0, abs=1e-15)
 
     def test_divergent_integral_raises(self):
         # an exterior term that grows outward would make every integral diverge
@@ -99,7 +98,7 @@ class TestPiecewiseExp:
     @pytest.mark.parametrize(
         "steps, g, a, b",
         [
-            # unsorted steps: its product_integral with itself was -1.909
+            # unsorted steps: its integral of f^2 was -1.909
             ((1.0, 0.0), (1, 1j, 1), (1, 1, 0), (0, 1, 1)),
             ((0.0, 0.0), (1, 1j, 1), (1, 1, 0), (0, 1, 1)),
             ((0.0, math.inf), (1, 1j, 1), (1, 1, 0), (0, 1, 1)),
@@ -130,7 +129,7 @@ class TestPiecewiseExp:
         assert f(0.5) == pytest.approx(math.exp(0.5 - width))
         # (1 - exp(-2 w)) / 2 inside and 1/2 right of it, with no overflow
         want = 1.0 - 0.5 * math.exp(-2.0 * width)
-        assert product_integral(f, f) == pytest.approx(want, rel=1e-15)
+        assert line_integral(f) == pytest.approx(want, rel=1e-15)
 
 
 class TestAssembly:
@@ -155,10 +154,11 @@ class TestAssembly:
         with pytest.raises(NotAnEigenvalue):
             assemble_square_well_state(QuantumLabel(k=2.0, epsilon=1.0), 2.0)
 
-    def test_partner_needs_momentum(self):
-        wave = PiecewiseExp((-1.0, 1.0), g=(1.0, 1j, 1.0), a=(1.0, 0.5, 0.0), b=(0.0, 0.5, 1.0))
-        with pytest.raises(OutsideAdmissibleBand):
-            partner_component(wave, QuantumLabel(k=0.0, epsilon=0.5), square_well(2.0))
+    def test_zero_momentum_is_refused_before_the_partner(self, monkeypatch):
+        # the partner divides by k; at k = 0 no exterior decays, so the carried wave refuses first
+        monkeypatch.setattr(states_module, "_partner_component", None)
+        with pytest.raises(OutsideAdmissibleBand, match="decaying exteriors"):
+            assemble_state(square_well(2.0), QuantumLabel(k=0.0, epsilon=0.5))
 
     def test_requested_point_count_is_honored(self):
         eps = find_roots(square_well_secular(2.0, 2.0))[0]
@@ -416,12 +416,12 @@ class TestAssembleState:
          (50.0, 20.0, 3.0), (2.0, 1e-4, 1.0), (50.0, 120.0, 3.0), (200.0, 500.0, 5.0)],
     )
     def test_square_well_grid_reaches_12_decay_lengths_past_the_steps(self, k, v0, half_width):
-        # every 25th root of the 1425-level well; p as region_wavenumbers gives it
+        # every 25th root of the 1425-level well; p as _region_wavenumbers gives it
         roots = find_roots(square_well_secular(k, v0, half_width))
         for eps in roots[:: 25 if len(roots) > 1000 else 1]:
             label = QuantumLabel(k, eps)
             s = assemble_state(square_well(v0, half_width), label, 3)
-            assert s.x[-1] == -s.x[0] == half_width + 12.0 / region_wavenumbers(label, v0)[0]
+            assert s.x[-1] == -s.x[0] == half_width + 12.0 / _region_wavenumbers(k, eps, v0)[0]
 
     def test_only_step_profiles_are_assembled(self, monkeypatch):
         monkeypatch.setattr(states_module, "_carried_wave", None)
