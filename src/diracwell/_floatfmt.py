@@ -14,7 +14,8 @@ of two, subnormals, infinities and NaN take repr one value at a time.
 format_rows runs the one-product pass, the layout and the translate block
 by block, whole rows of about _BLOCK values at a time, which stay in cache;
 it runs the exact pass once per table, on the lanes flagged in any block,
-and finds the repr lanes once per table.
+finds the repr lanes once per table, and joins a given head and the blocks'
+texts once.
 """
 
 from __future__ import annotations
@@ -132,12 +133,13 @@ def _layout():
             np.frombuffer(tails, dtype=np.uint64), kinds * 34, (keep * np.uint8(255)).view(np.uint64))
 
 
-def format_rows(table) -> str:
-    """"".join(",".join(map(repr, row)) + "\\n" for row in table.tolist())
-    of a 2-D float64 table.  Once per table: _exact, on the lanes that the
-    main Dragonbox pass flags in any block, and the search for the lanes
-    that take repr.  Per block of whole rows, about _BLOCK values: the main
-    pass, the layout, the translate and the decode."""
+def format_rows(table, head: str = "") -> str:
+    """head + "".join(",".join(map(repr, row)) + "\\n" for row in table.tolist())
+    of a 2-D float64 table, in one join: head, then each block's text.  Once
+    per table: _exact, on the lanes that the main Dragonbox pass flags in any
+    block, and the search for the lanes that take repr.  Per block of whole
+    rows, about _BLOCK values: the main pass, the layout, the translate and
+    the decode."""
     values = np.ascontiguousarray(table, dtype=np.float64)
     count, width = values.size, values.shape[1]
     signed = values.ravel().view(np.uint64)
@@ -154,7 +156,7 @@ def format_rows(table) -> str:
     f[zero] = _U(0)
     rare = np.flatnonzero(((bits << _U(12) == _U(0)) | (biased == 0) | (biased == 2047)) & ~zero)
     lead, quad_words, last, tails, kinds, keep = _layout()
-    text = []
+    text = [head]
     for b, rare_lanes in zip(blocks, np.split(rare, np.searchsorted(rare, range(step, count, step)))):
         # the nd digits of f left-aligned in 17, four at a time after the first; p = e + nd
         nd = np.maximum(np.searchsorted(_POW10, f[b], side="right"), 1)

@@ -117,19 +117,20 @@ def _parse_range(text: str):
 def _json(payload) -> str:
     import json
 
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return json.dumps(payload, sort_keys=True)
 
 
 def _write(args, formats: dict) -> int:
     """The text of the chosen format, and only that one, on stdout or in
-    the --out file; formats maps each format to the call that builds it."""
-    text = formats[args.format]()
+    the --out file; formats maps each format to the call that builds it.
+    A JSON text is written and then its newline, not copied to append it."""
+    texts = formats[args.format](), "\n" if args.format == "json" else ""
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     except OSError as exc:
         raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     return 0
@@ -184,7 +185,7 @@ def _cmd_state(args) -> dict:
     state = states.assemble_square_well_state(
         QuantumLabel(k=k, epsilon=float(epsilon)), v0, args.half_width, args.points
     )
-    return {"csv": lambda: states.state_to_csv(state), "json": lambda: states.state_to_json(state) + "\n"}
+    return {"csv": lambda: states.state_to_csv(state), "json": lambda: states.state_to_json(state)}
 
 
 def _cmd_landau(args) -> dict:

@@ -80,7 +80,9 @@ class PiecewiseExp:
     exact.  Steps must be finite and increasing, g, a, b finite and Re g
     >= 0 inside, where a b term would otherwise grow away from its anchor.
     Every table is validated as it is built; the integrals read the
-    (3, regions) table itself, rows g, a and b, and build no waves.
+    (3, regions) table itself, rows g, a and b, and build no waves.  A call
+    samples the function at points x; tables of one steps and rates g are
+    sampled together by _sample, each region's exponentials once for all.
     """
 
     def __init__(self, steps, g, a, b):
@@ -100,25 +102,37 @@ class PiecewiseExp:
             raise ConfigError("each exterior must keep one decaying term only")
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        i = np.searchsorted(self.steps, xs, side="right")
-        out = np.empty(xs.shape, dtype=complex)
-        last = len(self.steps)
-        for r in range(last + 1):
-            m = i == r
-            g, a, b = self.table[:, r]
-            gt = g * (xs[m] - self.steps[max(r - 1, 0)])
-            if r == last:  # each exterior skips its dropped term, which would overflow
-                out[m] = b * np.exp(-gt)
-            elif g.real > 0:  # a grows across the region: anchored at its right step
-                out[m] = a * np.exp(g * (xs[m] - self.steps[r])) + (b * np.exp(-gt) if r else 0.0)
-            else:  # both terms anchored at the left step, where t = 0
-                e = np.exp(gt)
-                out[m] = a * e + b / e
-        return out if np.ndim(x) else complex(out)
+        return _sample([self], x)[0]
 
     def derivative(self) -> "PiecewiseExp":
         return PiecewiseExp(self.steps, self.g, self.g * self.a, -self.g * self.b)
+
+
+def _sample(waves, x) -> list:
+    """The values at the points x of waves that share their steps and rates g
+    (read off the first), each region's exponentials computed once for all."""
+    steps, rates = waves[0].steps, waves[0].g
+    xs = np.asarray(x, dtype=float)
+    i = np.searchsorted(steps, xs, side="right")
+    outs = [np.empty(xs.shape, dtype=complex) for _ in waves]
+    last = len(steps)
+    for r in range(last + 1):
+        m = i == r
+        g = rates[r]
+        gt = g * (xs[m] - steps[max(r - 1, 0)])
+        if r == last:  # each exterior skips its dropped term, which would overflow
+            eb = np.exp(-gt)
+            for out, w in zip(outs, waves):
+                out[m] = w.b[r] * eb
+        elif g.real > 0:  # a grows across the region: anchored at its right step
+            ea, eb = np.exp(g * (xs[m] - steps[r])), np.exp(-gt) if r else None
+            for out, w in zip(outs, waves):
+                out[m] = w.a[r] * ea + (w.b[r] * eb if r else 0.0)
+        else:  # both terms anchored at the left step, where t = 0
+            e = np.exp(gt)
+            for out, w in zip(outs, waves):
+                out[m] = w.a[r] * e + w.b[r] / e
+    return [out if np.ndim(x) else complex(out) for out in outs]
 
 
 def _span(rate, width: float, lead=None):
@@ -204,7 +218,7 @@ class BoundState:
     def _csv(self) -> str:  # see state_to_csv
         from ._floatfmt import format_rows
 
-        return ",".join(COLUMNS) + "\n" + format_rows(np.column_stack(_columns(self)))
+        return format_rows(np.column_stack(_columns(self)), ",".join(COLUMNS) + "\n")
 
 
 @dataclass(frozen=True)
@@ -372,7 +386,7 @@ def assemble_state(potential: PiecewiseConstant, label: QuantumLabel, points: in
     pos = np.linspace(0.0, extent, half + 1)
     x = np.concatenate([-pos[::-1][:-1], pos])
     norm = 4.0 * _overlaps(steps, [[wave1.table.conj()]], [[wave1.table]])[0, 0].real
-    psi1, psi2 = wave1(x), wave2(x)
+    psi1, psi2 = _sample([wave1, wave2], x)
     psi1.flags.writeable = psi2.flags.writeable = False  # fresh: the state need not copy them
     return BoundState(label, norm, x, psi1, psi2, wave1, wave2, potential)
 
@@ -477,8 +491,7 @@ def equation_residuals(state: BoundState, grid_derivatives: bool = False) -> Res
         )
     else:
         x_eval, psi1, psi2 = state.x, state.psi1, state.psi2
-        d1 = state.wave1.derivative()(x_eval)
-        d2 = state.wave2.derivative()(x_eval)
+        d1, d2 = _sample([w.derivative() for w in (state.wave1, state.wave2)], x_eval)
     delta = eps - state.potential.evaluate(x_eval)
     r1 = d1 + 1j * delta * psi1 - k * psi2
     r2 = d2 - 1j * delta * psi2 - k * psi1
@@ -507,9 +520,7 @@ def second_order_residuals(state: BoundState, grid_derivatives: bool = False) ->
         for b in state.potential.breakpoints:
             keep &= x != b
         x_eval, w1, w2 = x[keep], state.psi1[keep], state.psi2[keep]
-        dd1 = state.wave1.derivative().derivative()
-        dd2 = state.wave2.derivative().derivative()
-        d1, d2 = dd1(x_eval), dd2(x_eval)
+        d1, d2 = _sample([w.derivative().derivative() for w in (state.wave1, state.wave2)], x_eval)
     u_eff = effective_potential_electric(state.potential, eps, x_eval)
     mu = effective_energy(state.label)
     r1 = -d1 + u_eff * w1 - mu * w1
@@ -532,22 +543,22 @@ def _columns(state: BoundState) -> tuple[np.ndarray, ...]:
 
 
 def state_to_csv(state: BoundState) -> str:
-    """One row per sample, each value the shortest repr that reads back
-    to the same double, byte for byte as repr writes it but formatted by
-    one call of a numpy kernel, which lays the table out in blocks of
-    about 4096 values (see diracwell._floatfmt).  The text is formatted
-    once and kept on the state (a dataclasses.replace copy starts without
-    it)."""
+    """A header of the column names, then one row per sample, each value
+    the shortest repr that reads back to the same double, byte for byte as
+    repr writes it but formatted by one call of a numpy kernel, which lays
+    the table out in blocks of about 4096 values and joins the header and
+    the blocks' texts once (see diracwell._floatfmt).  The text is formatted
+    once and kept on the state (a dataclasses.replace copy starts without it)."""
     return state._csv
 
 
 def state_to_json(state: BoundState) -> str:
     """The scalars and the sample columns as json.dumps(payload,
-    sort_keys=True) writes them.  The columns are laid out from the CSV's
-    tokens (see state_to_csv), which are the ones json prints but for
-    nan and inf, written NaN and Infinity.  Its v0 and half_width are read
-    off the state's square well; any other potential raises
-    UnsupportedRegime."""
+    sort_keys=True) writes them, in one join of its pieces.  The columns are
+    strided slices of the CSV's tokens (see state_to_csv), split once, which
+    are the ones json prints but for nan and inf, written NaN and Infinity.
+    Its v0 and half_width are read off the state's square well; any other
+    potential raises UnsupportedRegime."""
     well = state.potential
     v0, half_width = -well.values[1], well.breakpoints[-1]
     if not (len(well.values) == 3 and half_width > 0 and well == square_well(v0, half_width)):
@@ -570,7 +581,11 @@ def state_to_json(state: BoundState) -> str:
     csv = state._csv
     if "n" in csv:  # a nan or inf token, which json writes NaN or Infinity (one scan, not two replaces)
         csv = csv.replace("nan", "NaN").replace("inf", "Infinity")
-    tokens = csv[csv.index("\n") + 1 : -1].replace("\n", ",").split(",")
-    fields = {key: json.dumps(value) for key, value in scalars.items()}
-    fields |= {key: "[" + ", ".join(tokens[i :: len(COLUMNS)]) + "]" for i, key in enumerate(COLUMNS)}
-    return "{" + ", ".join(f"{json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "}"
+    tokens = csv.replace("\n", ",").split(",")  # the header's, the samples' and an empty one after the last
+    width = len(COLUMNS)
+    fields = {key: [json.dumps(value)] for key, value in scalars.items()}
+    fields |= {key: ["[", ", ".join(tokens[width + i : -1 : width]), "]"] for i, key in enumerate(COLUMNS)}
+    pieces = []
+    for key in sorted(fields):
+        pieces += (", " if pieces else "{", json.dumps(key), ": ", *fields[key])
+    return "".join(pieces + ["}"])

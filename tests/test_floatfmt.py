@@ -123,6 +123,7 @@ class TestBlocks:
         table = random_bit_patterns()
         for table in (table, np.empty((0, 7)), table[:1]):
             assert format_rows(table) == reference(table)
+            assert format_rows(table, "a,b\n") == "a,b\n" + reference(table)  # the head goes first, once
 
     def test_exact_runs_once_on_the_lanes_the_main_pass_flags(self, monkeypatch, exact_calls):
         monkeypatch.setattr(_floatfmt, "_BLOCK", 21)
@@ -137,6 +138,7 @@ class TestBlocks:
         assert main_pass_flags(table)[0].size == 0
         for table in (table, np.empty((0, 7))):
             assert format_rows(table) == reference(table)
+            assert format_rows(table, "head\n") == "head\n" + reference(table)
         assert exact_calls == []
 
 

@@ -43,15 +43,43 @@ from diracwell.errors import (
     OutsideAdmissibleBand,
     UnsupportedRegime,
 )
+from diracwell.core import effective_energy, effective_potential_electric
 from diracwell.matching import _carry, _region_wavenumbers
 from diracwell.oracle import shooting_bound_states
 from diracwell.spectrum import MAX_GRID_POINTS
-from diracwell.states import _canonical_gauge, _carried_wave, _overlaps
+from diracwell.states import _canonical_gauge, _carried_wave, _overlaps, _sample
 
 
 @pytest.fixture(scope="module")
 def well22_states():
     return assemble_all(2.0, 2.0, 1.0, points=4001)
+
+
+@pytest.fixture(scope="module")
+def barrier_state():
+    """The lowest state of TestEvanescentBarrier's double well, whose middle barrier is evanescent."""
+    profile, k = TestEvanescentBarrier.PROFILE, TestEvanescentBarrier.K
+    return assemble_state(profile, QuantumLabel(k, find_roots(general_secular(FieldConfig(electric=profile), k))[0]), 401)
+
+
+def per_table(wave, x):
+    """wave at the points x with each region's exponentials computed for this table alone."""
+    xs = np.asarray(x, dtype=float)
+    i = np.searchsorted(wave.steps, xs, side="right")
+    out = np.empty(xs.shape, dtype=complex)
+    last = len(wave.steps)
+    for r in range(last + 1):
+        m = i == r
+        g, a, b = wave.table[:, r]
+        gt = g * (xs[m] - wave.steps[max(r - 1, 0)])
+        if r == last:
+            out[m] = b * np.exp(-gt)
+        elif g.real > 0:
+            out[m] = a * np.exp(g * (xs[m] - wave.steps[r])) + (b * np.exp(-gt) if r else 0.0)
+        else:
+            e = np.exp(gt)
+            out[m] = a * e + b / e
+    return out if np.ndim(x) else complex(out)
 
 
 def line_integral(f):
@@ -130,6 +158,24 @@ class TestPiecewiseExp:
         # (1 - exp(-2 w)) / 2 inside and 1/2 right of it, with no overflow
         want = 1.0 - 0.5 * math.exp(-2.0 * width)
         assert line_integral(f) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("which", ["square-well", "evanescent-barrier"])
+    def test_shared_evaluation_equals_the_per_table_reference(self, well22_states, barrier_state, which):
+        # both exteriors, oscillating wells and (for the barrier) an evanescent middle region
+        s = {"square-well": well22_states[1], "evanescent-barrier": barrier_state}[which]
+        waves = [s.wave1, s.wave2, s.wave1.derivative(), s.wave2.derivative()]
+        assert s.wave1.g[1].real == 0.0  # an oscillating well: both terms anchored at its left step
+        assert which == "square-well" or s.wave1.g[2].real > 0.0  # the middle barrier: its a term grows
+        steps = s.potential.breakpoints
+        x = np.random.default_rng(3).permutation(np.concatenate((s.x, steps, [-1e3, 1e3])))
+        for points in (x, np.empty(0), x[:1].reshape(1, 1)):
+            want = [per_table(w, points).tobytes() for w in waves]
+            assert [got.tobytes() for got in _sample(waves, points)] == want
+            assert [w(points).tobytes() for w in waves] == want
+        for point in (0.0, *steps, -1e3):  # a scalar x gives complex numbers
+            want = [per_table(w, point) for w in waves]
+            assert _sample(waves, point) == want == [w(point) for w in waves]
+            assert all(type(v) is complex for v in _sample(waves, point))
 
 
 class TestAssembly:
@@ -683,6 +729,23 @@ class TestResiduals:
             assert len(report.x) > 0
             assert report.max_abs < 1e-6
 
+    def test_exact_residuals_equal_the_per_wave_derivatives(self, well22_states, barrier_state):
+        for s in (*well22_states, barrier_state):
+            k, x = s.label.k, s.x
+            d1, d2 = (w.derivative()(x) for w in (s.wave1, s.wave2))
+            delta = s.label.epsilon - s.potential.evaluate(x)
+            report = equation_residuals(s)
+            assert np.array_equal(report.residual_1, d1 + 1j * delta * s.psi1 - k * s.psi2)
+            assert np.array_equal(report.residual_2, d2 - 1j * delta * s.psi2 - k * s.psi1)
+            # and the second-order residuals to the per-wave second derivatives, off the steps
+            keep = ~np.isin(x, s.potential.breakpoints)
+            dd1, dd2 = (w.derivative().derivative()(x[keep]) for w in (s.wave1, s.wave2))
+            u, mu = effective_potential_electric(s.potential, s.label.epsilon, x[keep]), effective_energy(s.label)
+            w1, w2 = s.psi1[keep], s.psi2[keep]
+            report = second_order_residuals(s)
+            assert np.array_equal(report.residual_1, -dd1 + u * w1 - mu * w1)
+            assert np.array_equal(report.residual_2, -dd2 + u * w2 - mu * w2)
+
     def test_stencil_mode_excludes_steps(self, well22_states):
         s = well22_states[0]
         report = equation_residuals(s, grid_derivatives=True)
@@ -729,10 +792,12 @@ class TestSerialization:
         assert payload["pt_eigenvalue"] == pytest.approx([0.0, -1.0], abs=1e-8)
         assert state_to_json(s) == state_to_json(s)
 
-    @pytest.mark.parametrize("well", [(2.0, 2.0, 1.0), (3.0, 8.0, 1.0), (4.0, 7.8, 1.35)])
+    # (k, v0, half_width, points); 3 points are one row of each column
+    @pytest.mark.parametrize("well", [(2.0, 2.0, 1.0, 4001), (3.0, 8.0, 1.0, 4001), (4.0, 7.8, 1.35, 4001),
+                                      (3.0, 8.0, 1.0, 3)])
     def test_json_after_csv_equals_json_of_a_fresh_state(self, well):
         # both are laid out from the CSV's tokens, byte for byte as json.dumps writes the samples
-        for s in assemble_all(*well, points=4001):
+        for s in assemble_all(*well):
             fresh = state_to_json(s)
             state_to_csv(s)
             assert state_to_json(s) == fresh == dumped(s, fresh)
@@ -767,16 +832,18 @@ class TestSerialization:
     )
     def test_non_finite_samples_are_written_alike_in_both_orders(self, well22_states, name, bad, token):
         s = well22_states[0]
-        samples = np.array(getattr(s, name))
-        samples[7] = bad
-        fresh = state_to_json(dataclasses.replace(s, **{name: samples}))
-        damaged = dataclasses.replace(s, **{name: samples})
-        state_to_csv(damaged)
-        assert state_to_json(damaged) == fresh
-        assert fresh == dumped(damaged, fresh)
-        assert f"{token}, " in fresh
-        # a non-finite psi1 has no PT eigenvalue, where it used to be [NaN, NaN]
-        assert (json.loads(fresh)["pt_eigenvalue"] is None) == (name == "psi1")
+        # the first and the last sample are the CSV's first token after its header and its last token
+        for index in (7, 0, -1):
+            samples = np.array(getattr(s, name))
+            samples[index] = bad
+            fresh = state_to_json(dataclasses.replace(s, **{name: samples}))
+            damaged = dataclasses.replace(s, **{name: samples})
+            state_to_csv(damaged)
+            assert state_to_json(damaged) == fresh
+            assert fresh == dumped(damaged, fresh)
+            assert f"{token}{', ' if index >= 0 else ']'}" in fresh
+            # a non-finite psi1 has no PT eigenvalue, where it used to be [NaN, NaN]
+            assert (json.loads(fresh)["pt_eigenvalue"] is None) == (name == "psi1")
 
     def test_json_of_a_state_without_reflection_symmetry(self, well22_states):
         s = well22_states[0]
