@@ -124,7 +124,7 @@ def _write(args, formats: dict) -> int:
     """The text of the chosen format, and only that one, on stdout or in
     the --out file; formats maps each format to the call that builds it.
     A JSON text is written and then its newline, not copied to append it."""
-    texts = formats[args.format](), "\n" if args.format == "json" else ""
+    texts = (formats[args.format](), "\n" if args.format == "json" else "")
     if args.out is None:
         sys.stdout.writelines(texts)
         return 0

@@ -35,6 +35,7 @@ from diracwell import (
     state_to_json,
 )
 from diracwell import states as states_module
+from diracwell.core import effective_energy, effective_potential_electric
 from diracwell.errors import (
     BrokenPTSymmetry,
     ConfigError,
@@ -43,7 +44,6 @@ from diracwell.errors import (
     OutsideAdmissibleBand,
     UnsupportedRegime,
 )
-from diracwell.core import effective_energy, effective_potential_electric
 from diracwell.matching import _carry, _region_wavenumbers
 from diracwell.oracle import shooting_bound_states
 from diracwell.spectrum import MAX_GRID_POINTS
@@ -59,7 +59,8 @@ def well22_states():
 def barrier_state():
     """The lowest state of TestEvanescentBarrier's double well, whose middle barrier is evanescent."""
     profile, k = TestEvanescentBarrier.PROFILE, TestEvanescentBarrier.K
-    return assemble_state(profile, QuantumLabel(k, find_roots(general_secular(FieldConfig(electric=profile), k))[0]), 401)
+    lowest = find_roots(general_secular(FieldConfig(electric=profile), k))[0]
+    return assemble_state(profile, QuantumLabel(k, lowest), 401)
 
 
 def per_table(wave, x):
@@ -792,7 +793,7 @@ class TestSerialization:
         assert payload["pt_eigenvalue"] == pytest.approx([0.0, -1.0], abs=1e-8)
         assert state_to_json(s) == state_to_json(s)
 
-    # (k, v0, half_width, points); 3 points are one row of each column
+    # (k, v0, half_width, points); 3 is the fewest points a state takes
     @pytest.mark.parametrize("well", [(2.0, 2.0, 1.0, 4001), (3.0, 8.0, 1.0, 4001), (4.0, 7.8, 1.35, 4001),
                                       (3.0, 8.0, 1.0, 3)])
     def test_json_after_csv_equals_json_of_a_fresh_state(self, well):
