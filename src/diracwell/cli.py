@@ -15,20 +15,24 @@ formats only the chosen format.  `verify` prints one line per check row.
 Each subcommand imports only what it runs.  At its top this module loads
 errors and the math-only landau module, so `landau` loads neither numpy
 nor the solver; the other handlers import numpy, core, matching,
-spectrum, states, oracle and json inside themselves.
+spectrum, states, oracle and json inside themselves.  The closed-form
+handlers, `spectrum`, `sweep-k` and `sweep-v0`, load no core.
 
 Exit codes: 0 on success, 1 when verification fails, 2 for bad arguments
 or configuration, including an --out file that cannot be written.
 
-At exit: main() without argv reads sys.argv and runs as the program (the
-console script, `python -m diracwell.cli`, `sys.exit(main())`).  It
+A program run: main() without argv reads sys.argv and runs as the program
+(the console script, `python -m diracwell.cli`, `sys.exit(main())`).  It
+turns the cyclic collector off first, as a command needs no cycle freed
+and numpy's import ran about 30 collections that freed nothing.  It
 registers gc.freeze with atexit, once however often it is called, so the
-interpreter's shutdown collections skip every object alive at exit: the
-roughly 22k objects that numpy and the package leave tracked, whose
-collections cost a command 15-20 ms.  The interpreter still flushes
-stdout and stderr, and an --out file is closed by its with block before
-main returns.  main(argv) registers nothing, and neither does importing
-this module, so a caller keeps its own shutdown.
+shutdown collections, which run with the collector off too, skip every
+object alive at exit: the roughly 22k objects that numpy and the package
+leave tracked, whose collections cost a command 15-20 ms.  The
+interpreter still flushes stdout and stderr, and an --out file is closed
+by its with block before main returns.  main(argv) does neither, nor
+does importing this module, so a caller keeps its own collector and
+shutdown.
 """
 
 from __future__ import annotations
@@ -344,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:  # the program: its heap is frozen at exit (see the module docstring)
+    if argv is None:  # the program: no cyclic collection, its heap frozen at exit (see the module docstring)
+        gc.disable()
         atexit.unregister(gc.freeze)
         atexit.register(gc.freeze)
     parser = build_parser()

@@ -22,7 +22,7 @@ slope over an energy array are read off one walk, which hands back each
 inner region's entry and exit pairs with its m, q w and rescale; the
 slope's integral is summed in the walk's own running scale.
 At a root the walk gives the (psi, psi') from which states.py reads each
-region's coefficients.
+region's coefficients.  core loads with the transfer route alone.
 """
 
 from __future__ import annotations
@@ -30,12 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce, wraps
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import FieldConfig, PiecewiseConstant, square_well
 from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
+
+if TYPE_CHECKING:
+    from .core import FieldConfig, PiecewiseConstant
 
 __all__ = [
     "SecularFunction",
@@ -178,7 +180,8 @@ def _check_well(k, v0, half_width) -> None:
         raise ConfigError("k must be finite")
     if not np.all(np.isfinite(v0)):
         raise ConfigError("v0 must be finite")
-    square_well(0.0, half_width)  # rejects a width that is not finite and positive
+    if not (half_width > 0 and math.isfinite(half_width)):  # core.square_well's rule and text
+        raise ConfigError(f"half_width must be finite and positive, got {half_width}")
 
 
 def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> SecularFunction:
@@ -198,6 +201,7 @@ def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> Secular
 
 
 def _electrostatic_steps(config: FieldConfig) -> PiecewiseConstant:
+    from .core import PiecewiseConstant  # core loads with the transfer route alone
     if not (config.magnetic is None or config.magnetic.is_zero()):
         raise ConfigError("matching handles purely electrostatic configurations")
     pot = config.electric
@@ -403,4 +407,5 @@ def general_secular(config: FieldConfig, k: float) -> SecularFunction:
 
 def square_well_config(v0: float, half_width: float = 1.0) -> FieldConfig:
     """FieldConfig for the canonical electrostatic square well."""
+    from .core import FieldConfig, square_well
     return FieldConfig(electric=square_well(v0, half_width))

@@ -18,7 +18,10 @@ import pytest
 import diracwell
 from diracwell import cli, oracle, states
 from diracwell.cli import main
-from diracwell.spectrum import MAX_GRID_POINTS
+from diracwell.core import square_well
+from diracwell.errors import ConfigError
+from diracwell.matching import square_well_secular
+from diracwell.spectrum import MAX_GRID_POINTS, sweep_k, sweep_v0
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
 
@@ -363,6 +366,23 @@ class TestLandau:
         assert f"error: {name} must" in err
 
 
+class TestHalfWidth:
+    @pytest.mark.parametrize("width", ["nan", "inf", "0", "-1"])
+    def test_every_route_refuses_a_width_with_one_message(self, capsys, width):
+        # the closed form checks the width itself, without core; its rule and
+        # text must stay those of core.square_well, which the other routes use
+        message = f"half_width must be finite and positive, got {float(width)}"
+        for argv in (["spectrum", "--k", "2", "--v0", "2"], ["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"],
+                     ["sweep-v0", "--k", "3", "--v0", "0:4:1"], ["state", "--k", "2", "--v0", "2", "--level", "0"],
+                     ["verify"]):
+            assert run(capsys, *argv, f"--half-width={width}") == (2, "", f"error: {message}\n"), argv
+        for call in (square_well_secular, lambda k, v0, w: sweep_k(v0, [k], w),
+                     lambda k, v0, w: sweep_v0(k, [v0], w), lambda k, v0, w: square_well(v0, w)):
+            with pytest.raises(ConfigError) as info:
+                call(2.0, 2.0, float(width))
+            assert str(info.value) == message
+
+
 class TestVerify:
     def test_default_battery_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -560,8 +580,9 @@ PINNED = Path(__file__).parent / "data" / "cli_stdout"
 
 
 class TestExitPath:
-    """main() run as the program registers gc.freeze with atexit, once;
-    a caller's main(argv) registers nothing."""
+    """main() run as the program turns the cyclic collector off and
+    registers gc.freeze with atexit, once; a caller's main(argv) does
+    neither."""
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("name, argv", [
@@ -587,6 +608,10 @@ class TestExitPath:
         assert run(capsys, "spectrum", "--v0", "2")[0] == 2
         assert calls == []
 
+    def test_a_caller_keeps_the_collector_on(self, capsys):
+        assert run(capsys, "spectrum", "--k", "2", "--v0", "2")[0] == 0
+        assert gc.isenabled()
+
     def test_the_program_leaves_one_hook_however_often_main_runs(self, capsys, monkeypatch):
         # a registry with atexit's semantics: unregister drops every equal entry
         hooks = []
@@ -597,10 +622,28 @@ class TestExitPath:
         monkeypatch.setattr(atexit, "register", hooks.append)
         monkeypatch.setattr(atexit, "unregister", unregister)
         monkeypatch.setattr(sys, "argv", ["diracwell", "spectrum", "--k", "2", "--v0", "2"])
-        assert main() == 0
-        assert main() == 0
+        try:
+            assert main() == 0
+            assert main() == 0
+            assert not gc.isenabled()
+        finally:  # the program's main turns the collector off, here in the test session
+            gc.enable()
         assert hooks == [gc.freeze]
         assert capsys.readouterr().out.count("n,epsilon\n") == 2
+
+    def test_the_program_runs_no_cyclic_collection(self):
+        # numpy's import alone, inside main(), ran about 30 of them
+        run_fresh(
+            "import contextlib, gc, io, sys\n"
+            "sys.argv = ['diracwell', 'spectrum', '--k', '2', '--v0', '2']\n"
+            "from diracwell.cli import main\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: starts.append(info) if phase == 'start' else None)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main() == 0\n"
+            "assert starts == [], starts\n"
+            "assert not gc.isenabled()\n"
+        )
 
     def test_importing_registers_no_exit_hook(self):
         run_fresh(
@@ -736,23 +779,25 @@ class TestImports:
     @pytest.mark.parametrize(
         "argv, loaded, unloaded",
         [
-            (["spectrum", "--k", "2", "--v0", "2"], [], ["states", "oracle", "_floatfmt", "json"]),
-            (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], [], ["states", "oracle", "_floatfmt", "json"]),
-            (["sweep-v0", "--k", "2", "--v0", "0:4:1"], [], ["states", "oracle", "_floatfmt", "json"]),
+            (["spectrum", "--k", "2", "--v0", "2"], [], ["core", "states", "oracle", "_floatfmt", "json"]),
+            (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], [], ["core", "states", "oracle", "_floatfmt", "json"]),
+            (["sweep-v0", "--k", "2", "--v0", "0:4:1"], [], ["core", "states", "oracle", "_floatfmt", "json"]),
             (["landau", "--beta", "1"], ["landau"],
              ["numpy", "core", "matching", "spectrum", "states", "oracle", "_floatfmt", "json"]),
             (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201"],
-             ["states", "_floatfmt"], ["oracle", "json"]),
+             ["core", "states", "_floatfmt"], ["oracle", "json"]),
             (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201", "--format", "json"],
-             ["states", "_floatfmt", "json"], ["oracle"]),
-            (["verify"], ["states", "oracle"], ["_floatfmt", "json"]),
+             ["core", "states", "_floatfmt", "json"], ["oracle"]),
+            (["verify"], ["core", "states", "oracle"], ["_floatfmt", "json"]),
         ],
         ids=["spectrum", "sweep-k", "sweep-v0", "landau", "state", "state-json", "verify"],
     )
     def test_a_command_loads_only_the_modules_it_runs(self, argv, loaded, unloaded):
-        # only a state, as CSV or as JSON (which reuses the CSV's tokens), formats
-        # its samples with the vectorized kernel; only JSON output loads the
-        # standard library's json, which names "json" here; "numpy" names numpy
+        # the closed form loads no core, which only states and the transfer
+        # route need; only a state, as CSV or as JSON (which reuses the CSV's
+        # tokens), formats its samples with the vectorized kernel; only JSON
+        # output loads the standard library's json, which names "json" here;
+        # "numpy" names numpy
         run_fresh(
             "import contextlib, io, sys\n"
             "from diracwell.cli import main\n"
