@@ -4,11 +4,12 @@ Nothing here shares algebra with the matching construction.  The grid
 route diagonalizes the decoupled second-order problem in a sine
 discrete-variable representation between Dirichlet walls, with numpy
 alone; the shooting route integrates the coupled first-order system
-numerically from both exteriors and matches the two solutions.  On a
+numerically from both exteriors and matches the two solutions at the
+centre of the window beyond which the fields are constant.  On a
 stepwise profile it counts the windings of its own RK4 march, so its
 phase gives every level; on a smooth profile, a Lorentzian, it scans
-the matching determinant, and where the field is even about the match
-point it marches once, the right-hand seed through the left-hand
+the matching determinant, and where the field is even about that
+centre it marches once, the right-hand seed through the left-hand
 march's mirrored propagators, with the same bits as a march of its own.
 One bracketed Anderson-Bjorck secant solves both, on a stepwise profile
 from the cells of one first call on a uniform grid of its band.  The
@@ -383,17 +384,16 @@ def _chain(p):
 def _sample_march(config, k, x_from, x_to, step):
     """(h, w, v) of the smooth march from x_from to x_to in n = ceil(|span|
     / step) steps of h: w = k + a and v sampled at the 2 n + 1 half steps.
-    None where the march spans nothing.  Raises ConfigError, before any
-    sample is built, where the 2 n + 1 samples would exceed
-    MARCH_SAMPLE_CAP, and UnsupportedRegime, before any propagator is
-    built, where the field f = max |w| + max |v| exceeds MARCH_FIELD_CAP
-    or |h| f exceeds MARCH_REACH_CAP: 2 f bounds |w| and |eps - v|, to
-    the window's tail tolerance, at every energy where both exteriors
-    decay.
+    A march runs from a window edge to the window's centre, which a smooth
+    profile's window, (-1, 1) or wider, keeps at least 1 away.  Raises
+    ConfigError, before any sample is built, where the 2 n + 1 samples
+    would exceed MARCH_SAMPLE_CAP, and UnsupportedRegime, before any
+    propagator is built, where the field f = max |w| + max |v| exceeds
+    MARCH_FIELD_CAP or |h| f exceeds MARCH_REACH_CAP: 2 f bounds |w| and
+    |eps - v|, to the window's tail tolerance, at every energy where both
+    exteriors decay.
     """
     span = x_to - x_from
-    if span == 0.0:
-        return None
     if abs(span) / step > (MARCH_SAMPLE_CAP - 1) // 2:
         raise ConfigError(
             f"step={step} needs more than {MARCH_SAMPLE_CAP} field samples to march {abs(span)}"
@@ -423,8 +423,7 @@ def _sample_march(config, k, x_from, x_to, step):
 
 def _advance_sampled(march, eps, psi):
     """Classical fourth-order march of psi, shaped (seeds, energies, 2),
-    through the fields march = (h, w, v) of _sample_march; None leaves psi
-    as it is.
+    through the fields march = (h, w, v) of _sample_march.
 
     The march is cut into blocks of PROPAGATOR_STEPS steps and the
     energies into chunks that keep a block within PROPAGATOR_BLOCK (step x
@@ -433,8 +432,6 @@ def _advance_sampled(march, eps, psi):
     blocks do not depend on the energies or the seeds, so neither does any
     seed's result at any energy.
     """
-    if march is None:
-        return psi
     h, w, v = march
     n = len(v) // 2
     chunk = PROPAGATOR_BLOCK // min(n, PROPAGATOR_STEPS)
@@ -453,25 +450,22 @@ def _advance_sampled(march, eps, psi):
 def _is_mirror(left, right) -> bool:
     """Whether the sampled march right is left's mirror image: the step
     negated and the same w and v samples, bit for bit."""
-    return (
-        left is not None
-        and right is not None
-        and right[0] == -left[0]
-        and all(a.tobytes() == b.tobytes() for a, b in zip(left[1:], right[1:]))
-    )
+    return right[0] == -left[0] and all(a.tobytes() == b.tobytes() for a, b in zip(left[1:], right[1:]))
 
 
-def _shooter(config: FieldConfig, k: float, step: float, x_match, window):
+def _shooter(config: FieldConfig, k: float, step: float, window):
     """Two-sided shooting as a function of an energy array: eps -> (det,
     theta), theta the shooting phase of a stepwise profile and None for a
     smooth one.  window is _exteriors(config, k), derived once by the
     caller.
 
     The coupled first-order system is integrated from each exterior window
-    edge, seeded with the decaying exterior direction, to x_match.  det is
-    the determinant of the two arriving directions, and theta = phi_L - phi_R
-    the difference of their angles, each carried continuously from its
-    seed's branch (see _seed_vectors, _advance_stepwise).  Either solution
+    edge, seeded with the decaying exterior direction, to the window's
+    centre, the match point; a step between equal values, which changes
+    no field, moves it by widening the window.  det is the determinant of
+    the two arriving directions, and theta = phi_L - phi_R the difference
+    of their angles, each carried continuously from its seed's branch
+    (see _seed_vectors, _advance_stepwise).  Either solution
     has (r^2 dphi/deps)' = r^2, so theta increases strictly with eps, and
     det = -|psi_L| |psi_R| sin theta: bound states are the crossings
     theta = n pi.  Both exteriors must decay or, at a band edge, be
@@ -486,20 +480,17 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match, window):
 
     A smooth march from the right that samples exactly the left march's
     fields mirrored (see _is_mirror: an even electric profile with an even
-    or absent vector potential, matched at the window centre) is not
-    marched again.  With sigma_x = [[0, 1], [1, 0]], the propagator of a
-    step -h is sigma_x P(h) sigma_x entry for entry, as _rk4_propagators'
-    diag and skew are odd in h and ident and swap even, and so is every
-    product and renormalization after it, up to the order of commuted
-    sums.  So the right seed is swapped, marched with the left seed
-    through the left march's products, and swapped back: the same bits as
-    its own march, in half the propagators.
+    or absent vector potential) is not marched again.  With
+    sigma_x = [[0, 1], [1, 0]], the propagator of a step -h is
+    sigma_x P(h) sigma_x entry for entry, as _rk4_propagators' diag and
+    skew are odd in h and ident and swap even, and so is every product and
+    renormalization after it, up to the order of commuted sums.  So the
+    right seed is swapped, marched with the left seed through the left
+    march's products, and swapped back: the same bits as its own march, in
+    half the propagators.
     """
     x_lo, x_hi, ((w_left, v_minus), (w_right, v_plus)), (lo, hi) = window
-    if x_match is None:
-        x_match = 0.5 * (x_lo + x_hi)
-    if not x_lo <= x_match <= x_hi:
-        raise ConfigError(f"x_match must lie in [{x_lo}, {x_hi}]")
+    centre = 0.5 * (x_lo + x_hi)
     stepwise = _is_stepwise(config.electric) and _is_stepwise(config.magnetic)
     if stepwise:
         breaks: set[float] = set()
@@ -507,13 +498,12 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match, window):
             if isinstance(profile, PiecewiseConstant):
                 breaks.update(profile.breakpoints)
         inner = sorted(b for b in breaks if x_lo < b < x_hi)
-        left = _segments(config, k, [x_lo] + [b for b in inner if b <= x_match] + [x_match], step)
-        right = _segments(config, k, [x_hi] + [b for b in reversed(inner) if b > x_match] + [x_match], step)
+        left = _segments(config, k, [x_lo] + [b for b in inner if b <= centre] + [centre], step)
+        right = _segments(config, k, [x_hi] + [b for b in reversed(inner) if b > centre] + [centre], step)
         fields = [(h, w, v) for h, _, w, v in left + right]
     else:
-        march_left = _sample_march(config, k, x_lo, x_match, step)
-        march_right = _sample_march(config, k, x_hi, x_match, step)
-        fields = [march for march in (march_left, march_right) if march is not None]
+        fields = [_sample_march(config, k, edge, centre, step) for edge in (x_lo, x_hi)]
+        march_left, march_right = fields
     if lo < hi:
         for h, w, v in fields:
             y = h * h * float(np.min(w * w - np.maximum((lo - v) ** 2, (hi - v) ** 2)))
@@ -547,20 +537,15 @@ def _shooter(config: FieldConfig, k: float, step: float, x_match, window):
     return shoot
 
 
-def dirac_shooting(
-    config: FieldConfig,
-    label: QuantumLabel,
-    step: float = DEFAULT_STEP,
-    x_match: float | None = None,
-):
+def dirac_shooting(config: FieldConfig, label: QuantumLabel, step: float = DEFAULT_STEP):
     """Matching determinant of two-sided shooting at label.epsilon.
 
     The coupled first-order system is integrated from each exterior window
-    edge (seeded with the decaying exterior direction) to x_match; the
-    determinant of the two arriving directions vanishes exactly at bound
-    states.  label.epsilon may be an array of energies; the sign pattern
-    of the result is what root bracketing consumes, the magnitude carries
-    no meaning.
+    edge (seeded with the decaying exterior direction) to the window's
+    centre (see _shooter); the determinant of the two arriving directions
+    vanishes exactly at bound states.  label.epsilon may be an array of
+    energies; the sign pattern of the result is what root bracketing
+    consumes, the magnitude carries no meaning.
 
     Raises OutsideAdmissibleBand when some requested energy admits no
     decaying solution on one of the exteriors, and ConfigError for a
@@ -573,8 +558,15 @@ def dirac_shooting(
     _check_momentum_and_step(label.k, step)
     window = _exteriors(config, label.k)
     _check_energies(eps, window[2])
-    det = _shooter(config, label.k, step, x_match, window)(eps)[0]
+    det = _shooter(config, label.k, step, window)(eps)[0]
     return det if np.ndim(epsilon) else float(det[0])
+
+
+def _decays(eps, exteriors):
+    """Where both exteriors (w, v) of _exteriors decay at the energies eps,
+    w^2 - (eps - v)^2 > 0: a bool for one energy, a mask for an array."""
+    left, right = (w * w - (eps - v) * (eps - v) > 0.0 for w, v in exteriors)
+    return left & right
 
 
 def _check_energies(eps: np.ndarray, exteriors) -> None:
@@ -583,13 +575,11 @@ def _check_energies(eps: np.ndarray, exteriors) -> None:
     OutsideAdmissibleBand where an exterior does not decay."""
     if not np.all(np.isfinite(eps)):
         raise ConfigError("epsilon must be finite")
-    for w, v in exteriors:
-        d = eps - v
-        if np.any(w * w - d * d <= 0.0):
-            raise OutsideAdmissibleBand(
-                "no decaying exterior direction at some requested energy; "
-                "bound states require |epsilon - v| < |k + a| on both tails"
-            )
+    if not np.all(_decays(eps, exteriors)):
+        raise OutsideAdmissibleBand(
+            "no decaying exterior direction at some requested energy; "
+            "bound states require |epsilon - v| < |k + a| on both tails"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -692,32 +682,28 @@ def _phase_roots(theta, lo, hi, tol) -> list[float]:
 
 
 def _decaying_band(lo, hi, exteriors):
-    """The band (lo, hi) narrowed so that both exteriors (w, v) decay,
-    w^2 - (eps - v)^2 > 0 as dirac_shooting requires, at its innermost
-    doubles.  They do at the band's own innermost doubles unless an edge
+    """The band (lo, hi) narrowed so that both exteriors (w, v) decay (see
+    _decays), as dirac_shooting requires, at its innermost doubles.  They
+    do at the band's own innermost doubles unless an edge
     lies at or near zero: there the doubles of eps are finer than those of
     eps - v, and the innermost ones round to a critical exterior, whose
     phase is the edge's own and can round past its n pi into a spurious
     crossing.  Such an edge moves, by bisection, to the last energy where
     some exterior does not decay.  A band whose midpoint does not decay is
     empty."""
-
-    def decays(eps):
-        return all(w * w - (eps - v) * (eps - v) > 0.0 for w, v in exteriors)
-
     mid = 0.5 * (lo + hi)
-    if not (lo < mid < hi and decays(mid)):
+    if not (lo < mid < hi and _decays(mid, exteriors)):
         return lo, lo
 
     def narrowed(edge):
-        if decays(np.nextafter(edge, mid)):
+        if _decays(np.nextafter(edge, mid), exteriors):
             return edge
         a, b = np.nextafter(edge, mid), mid  # a does not decay, b does
         while True:
             m = 0.5 * (a + b)
             if not (min(a, b) < m < max(a, b)):
                 return float(a)
-            a, b = (a, m) if decays(m) else (m, b)
+            a, b = (a, m) if _decays(m, exteriors) else (m, b)
 
     return narrowed(lo), narrowed(hi)
 
@@ -745,23 +731,18 @@ def _scan_roots(values, lo, hi, scan_points, tol) -> list[float]:
     return np.sort(np.concatenate([bracketed, grid[(sign == 0) & fresh]])).tolist()
 
 
-def shooting_bound_states(
-    config: FieldConfig,
-    k: float,
-    scan_points: int = 2000,
-    tol: float = 1e-10,
-    step: float = DEFAULT_STEP,
-    x_match: float | None = None,
-) -> list[float]:
+def shooting_bound_states(config: FieldConfig, k: float, scan_points: int = 2000, tol: float = 1e-10,
+                          step: float = DEFAULT_STEP) -> list[float]:
     """Bound-state energies of a field configuration by pure shooting, on
     the band where both exteriors decay, each solved by _anderson_bjorck to
-    bracket width tol, an exact zero or adjacent doubles.
+    bracket width tol, an exact zero or adjacent doubles.  The two sides
+    are matched at the centre of the profiles' window (see _shooter).
 
     A stepwise profile (electric, magnetic or both piecewise constant) has
     them as the crossings theta = n pi of its shooting phase (see _shooter),
     counted by _phase_roots on the band's decaying part (see
-    _decaying_band), so none is lost at a band edge and none is made there.  A smooth
-    profile has them as the zeros of dirac_shooting's determinant that
+    _decaying_band), so none is lost at a band edge and none is made
+    there.  A smooth profile has them as the zeros of dirac_shooting's determinant that
     _scan_roots brackets on scan_points uniform points, however near an
     edge; its levels can crowd into a band edge, where no finite scan
     completes them.  Each of its determinant calls checks its energies as
@@ -782,9 +763,9 @@ def shooting_bound_states(
     if any(w != 0.0 and w * w == 0.0 for w, _ in exteriors):  # no seed has a norm
         raise UnsupportedRegime(f"exterior k + a underflows when squared: k={k}, (k + a, v) = {exteriors}")
     if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
-        shoot = _shooter(config, k, step, x_match, window)
+        shoot = _shooter(config, k, step, window)
         return _phase_roots(lambda eps: shoot(eps)[1], *_decaying_band(lo, hi, exteriors), tol)
-    shooter = cache(lambda: _shooter(config, k, step, x_match, window))
+    shooter = cache(lambda: _shooter(config, k, step, window))
 
     def det(eps):
         _check_energies(eps, exteriors)

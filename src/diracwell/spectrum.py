@@ -297,11 +297,20 @@ def _branches(param_name, params, levels, end) -> list[SpectrumBranch]:
     return branches
 
 
+def _sweep_grid(values) -> np.ndarray:
+    """A sweep's parameter values as floats; ConfigError unless they form
+    a one-dimensional grid."""
+    params = np.asarray(values, dtype=float)
+    if params.ndim != 1:
+        raise ConfigError(f"a sweep grid must be one-dimensional, got shape {params.shape}")
+    return params
+
+
 def sweep_k(v0: float, k_values, half_width: float = 1.0) -> list[SpectrumBranch]:
     """Square-well branches over a grid of momenta at fixed depth, from one
     batched pass.  A branch that ends before the grid does is flagged at its
     last momentum with the band edge its last root was nearer to."""
-    params = np.asarray(k_values, dtype=float)
+    params = _sweep_grid(k_values)
     _check_well(params, v0, half_width)
 
     def end(branch, n, k_next):
@@ -320,7 +329,7 @@ def sweep_v0(k: float, v0_values, half_width: float = 1.0) -> list[SpectrumBranc
     a branch whose next depth lies at or past it ends there ('epsilon=-k'),
     any other that ends before the grid does at its last depth ('band edge').
     """
-    params = np.asarray(v0_values, dtype=float)
+    params = _sweep_grid(v0_values)
     _check_well(k, params, half_width)
     kk = abs(k)
 

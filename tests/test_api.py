@@ -89,11 +89,11 @@ def test_the_deleted_profile_families_are_not_exported(deleted):
         lambda: grid_eigenvalues(abs, 0.0, 1.0, 2, 1),
         lambda: proportional_oscillator_levels(math.nan, 1.0, 3),
         lambda: proportional_oscillator_levels(0.5, -1.0, 3),
-        lambda: dirac_shooting(square_well_config(2.0), QuantumLabel(2.0, 0.5), x_match=7.0),
+        lambda: dirac_shooting(square_well_config(2.0), QuantumLabel(2.0, 0.5), step=0.0),
         lambda: parameter_grid(0.0, 1.0, 0.0),
     ],
     ids=["grid-bounds", "grid-order", "grid-points-type", "grid-points-few",
-         "oscillator-finite", "oscillator-beta", "shooting-match-point", "parameter-step"],
+         "oscillator-finite", "oscillator-beta", "shooting-step", "parameter-step"],
 )
 def test_a_bad_argument_is_a_solver_error_and_a_value_error(call):
     # errors.py promises SolverError for every intentional error; ConfigError

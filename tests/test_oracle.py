@@ -17,6 +17,7 @@ from diracwell import (
     Lorentzian,
     PiecewiseConstant,
     QuantumLabel,
+    assemble_state,
     dirac_shooting,
     find_roots,
     general_secular,
@@ -35,6 +36,17 @@ from test_matching import piecewise_wells
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
 # shooting zero set of the Lorentzian well, strength -2, k = 2, step 0.01
 LORENTZ_ROOTS = (0.567247, 1.304795, 1.696057, 1.881440, 1.957666)
+
+
+def padded_well(v0, centre, half_width=1.0):
+    """The square well of depth v0 with a step between two zeros added
+    outside it, so that the shooting window's centre, the match point,
+    lies at centre; the plain well for centre 0."""
+    if centre > 0.0:
+        return PiecewiseConstant((-half_width, half_width, 2.0 * centre + half_width), (0.0, -v0, 0.0, 0.0))
+    if centre < 0.0:
+        return PiecewiseConstant((2.0 * centre - half_width, -half_width, half_width), (0.0, 0.0, -v0, 0.0))
+    return square_well(v0, half_width)
 
 
 def _box(x_min, x_max, points, count=1):
@@ -227,29 +239,26 @@ class TestDiracShooting:
             assert batch[i] == pytest.approx(scalar, rel=1e-12)
 
     def test_match_point_invariance(self):
+        # a step between equal values moves the window centre, and so the match point
         sets = [
             shooting_bound_states(
-                square_well_config(2.0), 2.0,
-                scan_points=500, tol=1e-9, step=2e-3, x_match=xm,
+                FieldConfig(electric=padded_well(2.0, centre)), 2.0,
+                scan_points=500, tol=1e-9, step=2e-3,
             )
-            for xm in (-0.5, 0.0, 0.7)
+            for centre in (-0.5, 0.0, 0.7)
         ]
         for other in sets[1:]:
             assert other == pytest.approx(sets[0], abs=1e-8)
 
-    @pytest.mark.parametrize("x_match", [-1.0, 1.0])
-    def test_match_point_on_a_step(self, x_match):
+    @pytest.mark.parametrize("centre", [-1.0, 1.0])
+    def test_match_point_on_a_step(self, centre):
         # the segment between the step and the match point has zero width
+        config = FieldConfig(electric=padded_well(2.0, centre))
+        assert 0.5 * sum(oracle._exteriors(config, 2.0)[:2]) == centre
         base = shooting_bound_states(square_well_config(2.0), 2.0)
-        roots = shooting_bound_states(square_well_config(2.0), 2.0, x_match=x_match)
+        roots = shooting_bound_states(config, 2.0)
         assert len(base) == len(roots) == 3
         np.testing.assert_allclose(roots, base, rtol=0.0, atol=1e-9)
-
-    def test_match_point_at_a_smooth_window_edge(self):
-        # the march from that edge to the match point spans nothing
-        config = FieldConfig(electric=Lorentzian(-2.0))
-        det = dirac_shooting(config, QuantumLabel(2.0, np.array([-0.5, 0.5, 1.5])), x_match=50.0)
-        assert np.all(np.isfinite(det))
 
     def test_step_refinement_is_converged(self):
         coarse = shooting_bound_states(
@@ -337,12 +346,6 @@ class TestDiracShooting:
         with pytest.raises(UnsupportedRegime, match="^no shooting window rule for _Ramp$"):
             dirac_shooting(config, QuantumLabel(2.0, 0.5))
 
-    def test_match_point_must_lie_in_window(self):
-        with pytest.raises(ValueError):
-            dirac_shooting(
-                square_well_config(2.0), QuantumLabel(2.0, 0.5), x_match=7.0
-            )
-
     def test_agrees_with_secular_route(self):
         for k, v0 in ((1.5, 3.0), (2.5, 6.0)):
             secular = find_roots(square_well_secular(k, v0))
@@ -354,12 +357,26 @@ class TestDiracShooting:
                 assert abs(a - b) < 1e-5
 
 
+@pytest.mark.parametrize("v0", [2.0, 8.0])
+@pytest.mark.parametrize("k", [2.0, 3.0])
+@pytest.mark.parametrize("centre", [-0.7, 0.7], ids=["left", "right"])
+def test_a_zero_height_step_is_invisible_to_every_route(v0, k, centre):
+    # the match-point tests move the shooting window's centre with such a step
+    padded = padded_well(v0, centre)
+    closed = find_roots(square_well_secular(k, v0))
+    transfer = find_roots(general_secular(FieldConfig(electric=padded), k))
+    assert len(transfer) == len(closed)
+    np.testing.assert_allclose(transfer, closed, rtol=0.0, atol=1e-12)
+    shot = shooting_bound_states(FieldConfig(electric=padded), k)
+    np.testing.assert_allclose(shot, shooting_bound_states(square_well_config(v0), k), rtol=0.0, atol=1e-8)
+    for eps in closed:
+        assert abs(assemble_state(padded, QuantumLabel(k, eps)).norm - 1.0) < 1e-12
+
+
 def _stepwise_rk4_march(march, eps, psi):
     """The smooth-profile march one RK4 step at a time, renormalized every
     256 steps, of every seed in psi (shaped (seeds, energies, 2)): the
     reference the blockwise propagator product must match."""
-    if march is None:
-        return psi
     h, w, v = march
     n = len(v) // 2
 
@@ -386,14 +403,16 @@ def _stepwise_rk4_march(march, eps, psi):
     return out
 
 
-# config, k, the half-width of its exterior-decay band and the match point
+# a vector potential step that is not even about the window centre, with a = 0 on both sides
+ASYMMETRIC_STEP = PiecewiseConstant((-0.5, 0.4), (0.0, 0.7, 0.0))
+# config, k and the half-width of its exterior-decay band
 SMOOTH_CASES = {
-    "lorentzian": (FieldConfig(electric=Lorentzian(-2.0)), 2.0, 2.0, None),
-    # a smooth vector potential, matched off centre: each side marches on its own
-    "electromagnetic": (FieldConfig(electric=Lorentzian(-1.0), magnetic=Lorentzian(-2.0)), 2.5, 2.5, 0.3),
-    # the same fields matched at the centre: both are even, so the march is mirrored
-    "electromagnetic_centred": (FieldConfig(electric=Lorentzian(-1.0), magnetic=Lorentzian(-2.0)), 2.5, 2.5, None),
-    "magnetic": (FieldConfig(electric=None, magnetic=Lorentzian(-1.5)), 2.0, 2.0, None),
+    "lorentzian": (FieldConfig(electric=Lorentzian(-2.0)), 2.0, 2.0),
+    # an asymmetric magnetic step: each side marches on its own
+    "electromagnetic": (FieldConfig(electric=Lorentzian(-1.0), magnetic=ASYMMETRIC_STEP), 2.5, 2.5),
+    # even fields: the march is mirrored
+    "electromagnetic_centred": (FieldConfig(electric=Lorentzian(-1.0), magnetic=Lorentzian(-2.0)), 2.5, 2.5),
+    "magnetic": (FieldConfig(electric=None, magnetic=Lorentzian(-1.5)), 2.0, 2.0),
 }
 
 
@@ -403,22 +422,22 @@ class TestFoldedMarch:
 
     @pytest.mark.parametrize("case", sorted(SMOOTH_CASES))
     def test_determinants_match_the_stepwise_march(self, case, monkeypatch):
-        config, k, half_band, x_match = SMOOTH_CASES[case]
-        # 80 energies in chunks of 16, and each side's 1000 or so steps in
-        # blocks of 512 and the rest; all but the off-centre match march the
-        # right side as the left's mirror
+        config, k, half_band = SMOOTH_CASES[case]
+        # 80 energies in chunks of 16, and each side's 1000 steps in blocks
+        # of 512 and the rest; all but the asymmetric step march the right
+        # side as the left's mirror
         grid = np.linspace(-half_band, half_band, 82)[1:-1]
-        folded = dirac_shooting(config, QuantumLabel(k, grid), step=0.05, x_match=x_match)
+        folded = dirac_shooting(config, QuantumLabel(k, grid), step=0.05)
         monkeypatch.setattr(oracle, "_advance_sampled", _stepwise_rk4_march)
-        stepwise = dirac_shooting(config, QuantumLabel(k, grid), step=0.05, x_match=x_match)
+        stepwise = dirac_shooting(config, QuantumLabel(k, grid), step=0.05)
         np.testing.assert_allclose(folded, stepwise, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("case", sorted(SMOOTH_CASES))
     def test_roots_match_the_stepwise_march(self, case, monkeypatch):
         # the secant reads the determinant's values, which the two marches
         # round differently, so the roots agree far inside tol, not bit for bit
-        config, k, _, x_match = SMOOTH_CASES[case]
-        kwargs = dict(scan_points=40, tol=1e-4, step=0.1, x_match=x_match)
+        config, k, _ = SMOOTH_CASES[case]
+        kwargs = dict(scan_points=40, tol=1e-4, step=0.1)
         folded = shooting_bound_states(config, k, **kwargs)
         assert folded
         monkeypatch.setattr(oracle, "_advance_sampled", _stepwise_rk4_march)
@@ -439,11 +458,11 @@ class TestFoldedMarch:
         # 2000 steps a side, each side its own march, against 500 energies:
         # one (steps x energies) array of doubles would take 8 MB; the blocks
         # peak near 1.2 MB
-        config = FieldConfig(electric=Lorentzian(-2.0))
+        config = FieldConfig(electric=Lorentzian(-2.0), magnetic=ASYMMETRIC_STEP)
         grid = np.linspace(-1.99, 1.99, 500)
         tracemalloc.start()
         try:
-            dirac_shooting(config, QuantumLabel(2.0, grid), step=0.025, x_match=0.3)
+            dirac_shooting(config, QuantumLabel(2.0, grid), step=0.025)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -452,10 +471,10 @@ class TestFoldedMarch:
 
 # the even cases: the right-hand march samples the left one's fields mirrored
 MIRRORED_CASES = ("electromagnetic_centred", "lorentzian", "magnetic")
-# _rk4_propagators calls of the benchmark's Lorentzian shot, marching each
-# side on its own: the 150 scan energies in 10 chunks of 16 and 4 secant
-# calls, each through 5 blocks of 512 steps a side
-TWO_MARCH_BUILDS = 140
+# _rk4_propagators calls of one side's march in a smooth shot at scan_points
+# 150, tol 1e-5 and step 0.02: the 150 scan energies in 10 chunks of 16 and
+# each secant call, each through 5 blocks of 512 steps
+SCAN_CHUNKS, MARCH_BLOCKS = 10, 5
 
 
 def _count_propagators(monkeypatch) -> list:
@@ -469,11 +488,10 @@ def _two_march_determinant(config, k, eps, step):
     """The determinant of one march from each window edge to its centre,
     each with its own seed alone."""
     x_lo, x_hi, exteriors, _ = oracle._exteriors(config, k)
-    x_match = 0.5 * (x_lo + x_hi)
     sides = []
     for edge, (w, v), outward in zip((x_lo, x_hi), exteriors, (False, True)):
         seed = np.stack(oracle._seed_vectors(w, eps - v, outward=outward), axis=1)
-        march = oracle._sample_march(config, k, edge, x_match, step)
+        march = oracle._sample_march(config, k, edge, 0.5 * (x_lo + x_hi), step)
         sides.append(oracle._advance_sampled(march, eps, seed[None])[0])
     left, right = sides
     return left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
@@ -486,7 +504,7 @@ class TestMirroredMarch:
     @pytest.mark.parametrize("case", MIRRORED_CASES)
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_determinants_equal_two_single_seed_marches(self, case, sign, monkeypatch):
-        config, k, half_band, _ = SMOOTH_CASES[case]
+        config, k, half_band = SMOOTH_CASES[case]
         k *= sign
         eps = np.linspace(-half_band, half_band, 42)[1:-1]
         calls = _count_propagators(monkeypatch)
@@ -501,16 +519,16 @@ class TestMirroredMarch:
         roots = shooting_bound_states(FieldConfig(electric=Lorentzian(-2.0)), 2.0, scan_points=150,
                                       tol=1e-5, step=0.02)
         assert len(roots) == len(LORENTZ_ROOTS)
-        assert len(calls) == TWO_MARCH_BUILDS // 2
+        assert len(calls) == (SCAN_CHUNKS + 4) * MARCH_BLOCKS  # 4 secant calls, one march
 
-    @pytest.mark.parametrize("config, k, x_match", [
-        SMOOTH_CASES["electromagnetic"][:2] + (0.3,),  # a smooth vector potential
-        (FieldConfig(electric=Lorentzian(-2.0)), 2.0, 0.3),  # off-centre match point
+    @pytest.mark.parametrize("config, k", [
+        SMOOTH_CASES["electromagnetic"][:2],
+        (FieldConfig(electric=Lorentzian(-2.0), magnetic=ASYMMETRIC_STEP), 2.0),  # the benchmark's well and the step
     ])
-    def test_unmirrored_fields_march_both_sides(self, config, k, x_match, monkeypatch):
+    def test_unmirrored_fields_march_both_sides(self, config, k, monkeypatch):
         calls = _count_propagators(monkeypatch)
-        shooting_bound_states(config, k, scan_points=150, tol=1e-5, step=0.02, x_match=x_match)
-        assert len(calls) == TWO_MARCH_BUILDS
+        shooting_bound_states(config, k, scan_points=150, tol=1e-5, step=0.02)
+        assert len(calls) == 2 * (SCAN_CHUNKS + 5) * MARCH_BLOCKS  # 5 secant calls, both sides
 
 
 class TestShootingInputs:
@@ -646,17 +664,18 @@ def _matmul_stepwise_march(segments, eps, psi, powers):
     return (psi[:, 0], psi[:, 1]), np.zeros(n_eps)
 
 
-# config, k, step, x_match and the exterior-decay band of the stepwise cases
+# config, k, step and the exterior-decay band of the stepwise cases
 STEPWISE_CASES = {
-    "well-2-2-1": (square_well_config(2.0), 2.0, 1e-3, None, (-2.0, 2.0)),
+    "well-2-2-1": (square_well_config(2.0), 2.0, 1e-3, (-2.0, 2.0)),
     "well-50-120-3": (square_well_config(120.0, 3.0), 50.0, 0.02 / math.sqrt(170.0**2 - 50.0**2),
-                      None, (-50.0, 50.0)),
+                      (-50.0, 50.0)),
     "three-steps": (FieldConfig(electric=PiecewiseConstant((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5))),
-                    2.0, 1e-3, None, (-1.5, 2.0)),
+                    2.0, 1e-3, (-1.5, 2.0)),
     "magnetic-step": (FieldConfig(electric=square_well(6.0),
                                   magnetic=PiecewiseConstant((-0.5, 0.4), (0.0, 0.7, -0.3))),
-                      2.5, 1e-3, None, (-2.2, 2.2)),
-    "off-centre-match": (square_well_config(8.0), 3.0, 1e-3, 0.37, (-3.0, 3.0)),
+                      2.5, 1e-3, (-2.2, 2.2)),
+    # the window (-1, 1.74) matches at 0.37
+    "off-centre-match": (FieldConfig(electric=padded_well(8.0, 0.37)), 3.0, 1e-3, (-3.0, 3.0)),
 }
 
 
@@ -666,11 +685,11 @@ class TestStepwisePower:
 
     @pytest.mark.parametrize("case", list(STEPWISE_CASES))
     def test_determinants_match_the_matmul_powering(self, case, monkeypatch):
-        config, k, step, x_match, (lo, hi) = STEPWISE_CASES[case]
+        config, k, step, (lo, hi) = STEPWISE_CASES[case]
         grid = np.linspace(lo, hi, 403)[1:-1]
-        powered = dirac_shooting(config, QuantumLabel(k, grid), step, x_match)
+        powered = dirac_shooting(config, QuantumLabel(k, grid), step)
         monkeypatch.setattr(oracle, "_advance_stepwise", _matmul_stepwise_march)
-        reference = dirac_shooting(config, QuantumLabel(k, grid), step, x_match)
+        reference = dirac_shooting(config, QuantumLabel(k, grid), step)
         np.testing.assert_array_equal(np.sign(powered), np.sign(reference))
         np.testing.assert_allclose(powered, reference, rtol=1e-8, atol=0.0)
 
@@ -679,12 +698,12 @@ class TestStepwisePower:
         # the phase's crossings, solved to tol, are sign changes of the
         # matrix-powered determinant within 2 tol, one between each pair of
         # neighbouring roots
-        config, k, step, x_match, _ = STEPWISE_CASES[case]
+        config, k, step, _ = STEPWISE_CASES[case]
         tol = 1e-10
-        roots = np.array(shooting_bound_states(config, k, tol=tol, step=step, x_match=x_match))
+        roots = np.array(shooting_bound_states(config, k, tol=tol, step=step))
         assert roots.size
         monkeypatch.setattr(oracle, "_advance_stepwise", _matmul_stepwise_march)
-        det = lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step, x_match)
+        det = lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step)
         assert np.all(det(roots - 2.0 * tol) * det(roots + 2.0 * tol) < 0.0)
         between = det(0.5 * (roots[:-1] + roots[1:]))
         assert np.all(between[:-1] * between[1:] < 0.0)
@@ -738,14 +757,14 @@ def shooting_step(config, k):
 
 @st.composite
 def stepwise_wells(draw):
-    """(config, k, x_match): square wells and barriers with signed k, deep
-    and wide, or asymmetric piecewise wells with wide barriers."""
+    """(config, k): square wells and barriers with signed k, deep and wide,
+    or asymmetric piecewise wells with wide barriers."""
     if draw(st.booleans()):
         k = draw(st.floats(-40.0, 40.0).filter(lambda k: abs(k) > 0.05))
         v0 = draw(st.floats(1e-3, 300.0)) * draw(st.sampled_from([1.0, -1.0]))
-        return square_well_config(v0, draw(st.floats(0.1, 6.0))), k, None
+        return square_well_config(v0, draw(st.floats(0.1, 6.0))), k
     steps, values, k = draw(piecewise_wells())
-    return FieldConfig(electric=PiecewiseConstant(steps, values)), k, None
+    return FieldConfig(electric=PiecewiseConstant(steps, values)), k
 
 
 MAGNETIC_STEP = FieldConfig(electric=square_well(6.0), magnetic=PiecewiseConstant((-0.5, 0.4), (0.0, 0.7, -0.3)))
@@ -757,18 +776,18 @@ class TestShootingPhase:
 
     @settings(max_examples=40, deadline=None)
     @given(well=stepwise_wells())
-    @example(well=(FieldConfig(electric=PiecewiseConstant((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5))), 2.0,
-                   None))  # TestCarry's
+    @example(well=(FieldConfig(electric=PiecewiseConstant((-1.0, 0.3, 1.2), (0.0, -4.0, -2.5, 0.5))),
+                   2.0))  # TestCarry's
     @example(well=(FieldConfig(electric=PiecewiseConstant((-2.0, -0.5, 0.5, 2.0), (0.0, -5.0, 0.0, -5.0, 0.0))),
-                   2.0, None))  # TestEvanescentBarrier's
+                   2.0))  # TestEvanescentBarrier's
     @example(well=(FieldConfig(electric=PiecewiseConstant((-22.0, -20.0, 20.0, 22.0),
-                                                          (0.0, -60.0, 0.0, -47.0, 0.0))), 40.0, None))  # 109 levels
-    @example(well=(MAGNETIC_STEP, 2.5, None))
-    @example(well=(square_well_config(8.0), 3.0, 0.37))
-    @example(well=(FieldConfig(electric=PiecewiseConstant((-1.0, 2.0), (3.0, 3.0, 3.0))), 3.0,
-                   None))  # flat, with its lower band edge at zero
+                                                          (0.0, -60.0, 0.0, -47.0, 0.0))), 40.0))  # 109 levels
+    @example(well=(MAGNETIC_STEP, 2.5))
+    @example(well=(FieldConfig(electric=padded_well(8.0, 0.37)), 3.0))  # matched off centre
+    @example(well=(FieldConfig(electric=PiecewiseConstant((-1.0, 2.0), (3.0, 3.0, 3.0))),
+                   3.0))  # flat, with its lower band edge at zero
     def test_roots_match_the_transfer_route(self, well):
-        config, k, x_match = well
+        config, k = well
         step, lo, hi = shooting_step(config, k)
         if config.magnetic is None:
             try:
@@ -778,9 +797,9 @@ class TestShootingPhase:
         else:
             # no transfer route for a vector potential: the determinant's
             # sign changes at half the step, scanned and bisected
-            det = lambda eps: dirac_shooting(config, QuantumLabel(k, eps), 0.5 * step, x_match)
+            det = lambda eps: dirac_shooting(config, QuantumLabel(k, eps), 0.5 * step)
             reference = oracle._scan_roots(det, lo, hi, 4000, 1e-12)
-        shot = shooting_bound_states(config, k, step=step, x_match=x_match)
+        shot = shooting_bound_states(config, k, step=step)
         assert len(shot) == len(reference)
         np.testing.assert_allclose(shot, reference, rtol=0.0, atol=1e-6)
 

@@ -177,6 +177,15 @@ class TestSweeps:
             with pytest.raises(ConfigError):
                 call()
 
+    @pytest.mark.parametrize("grid", [2.0, np.float64(2.0), [[1.0, 2.0], [3.0, 4.0]]],
+                             ids=["0-d", "numpy-0-d", "2-d"])
+    @pytest.mark.parametrize("sweep, fixed", [(sweep_k, 3.0), (sweep_v0, 2.0)], ids=["sweep_k", "sweep_v0"])
+    def test_a_grid_that_is_not_one_dimensional_is_refused(self, sweep, fixed, grid):
+        # a scalar grid raised IndexError in the batched kernel, and a 2-D one
+        # an out-of-bounds index
+        with pytest.raises(ConfigError, match="^a sweep grid must be one-dimensional, got shape"):
+            sweep(fixed, grid)
+
     def test_sweep_k_cut_matches_direct_solve(self):
         branches = sweep_k(8.0, parameter_grid(2.8, 3.2, 0.1))
         cut = branch_cut(branches, 3.0)
