@@ -8,9 +8,9 @@ numerically from both exteriors and matches the two solutions at the
 centre of the window beyond which the fields are constant.  On a
 stepwise profile it counts the windings of its own RK4 march, so its
 phase gives every level; on a smooth profile, a Lorentzian, it scans
-the matching determinant, and where the field is even about that
-centre it marches once, the right-hand seed through the left-hand
-march's mirrored propagators, with the same bits as a march of its own.
+the matching determinant.  Where the field is even about that centre
+either marches one side only: the other side's march is the first one
+mirrored, with the same bits as a march of its own.
 One bracketed Anderson-Bjorck secant solves both, on a stepwise profile
 from the cells of one first call on a uniform grid of its band.  The
 module imports only core and errors from the package.  Agreement between
@@ -268,7 +268,7 @@ def _segments(config, k, points, step):
     return out
 
 
-def _advance_stepwise(segments, eps, psi, powers):
+def _advance_stepwise(segments, eps, psi, powers, mirror=0.0):
     """March psi = (psi_1, psi_2) across constant segments, applying on
     each the power u I + v M of its one-step fourth-order matrix as the one
     2x2 matrix [[u + v w, -v d], [v d, u - v w]], and carry its angle
@@ -290,9 +290,19 @@ def _advance_stepwise(segments, eps, psi, powers):
     mirror image with v and g negated, as both are odd in h, so the march
     from the right of a mirror-symmetric well reuses the powers of the
     march from the left.
+
+    A nonzero mirror, +1 or -1, also carries the angle of the march of the
+    segments' mirror images, each h negated, from the seed mirror
+    (psi_2, psi_1): that march is mirror (psi_2, psi_1) at every segment,
+    bit for bit, as negating h swaps the diagonal and negates v d and g.
+    So its angle is atan2(mirror psi_1, mirror psi_2), read with g
+    negated, and (psi, phi, phi_mirror) is returned.
     """
     p1, p2 = psi
     wrapped = phi = np.arctan2(p2, p1)
+    if mirror:
+        m1, m2 = (p1, p2) if mirror > 0.0 else (-p1, -p2)
+        wrapped_mirror = phi_mirror = np.arctan2(m1, m2)
     for h, n, w, v in segments:
         key = (abs(h), n, w, v)
         if key not in powers:
@@ -312,7 +322,29 @@ def _advance_stepwise(segments, eps, psi, powers):
         low = lead - math.pi
         phi = phi + low + np.mod(now - wrapped - low, 2.0 * math.pi)
         wrapped = now
+        if mirror:
+            m1, m2 = (p1, p2) if mirror > 0.0 else (-p1, -p2)
+            now = np.arctan2(m1, m2)
+            low = -lead - math.pi
+            phi_mirror = phi_mirror + low + np.mod(now - wrapped_mirror - low, 2.0 * math.pi)
+            wrapped_mirror = now
+    if mirror:
+        return (p1, p2), phi, phi_mirror
     return (p1, p2), phi
+
+
+def _mirror_sign(left, right, exteriors) -> float:
+    """+1 or -1 where the stepwise march right is left's mirror image,
+    each segment's (h, steps, w, v) equal but for h negated, between
+    exteriors (w, v) equal bit for bit, and 0 elsewhere.  The sign takes
+    the left seed, swapped, to the right one (see _seed_vectors): -1 where
+    w < 0, as (p - w, -delta) is -(w - p, delta)."""
+    (w, v), other = exteriors
+    if np.array((w, v)).tobytes() != np.array(other).tobytes():
+        return 0.0
+    if right != [(-h, n, a, b) for h, n, a, b in left]:
+        return 0.0
+    return 1.0 if w >= 0.0 else -1.0
 
 
 def _mul(a, b):
@@ -478,9 +510,19 @@ def _shooter(config: FieldConfig, k: float, step: float, window):
     w^2 - (eps - v)^2 is concave in eps.  Such a step turns by pi/2 or
     more, and its windings cannot be counted.
 
+    A side that mirrors the other is not marched again.  A stepwise
+    profile whose right segments are its left ones with h negated, between
+    equal exteriors (see _mirror_sign: an even profile, matched at its
+    centre), is marched from the left alone.  The right seed is the left
+    one swapped, negated too where k + a < 0 (see _seed_vectors), and a
+    step -h takes the swapped diagonal and the negated v d, so the right
+    march is the left one swapped and signed at every segment, bit for bit:
+    _advance_stepwise carries its angle along, and det and theta keep the
+    bits of the two-sided march in half its matrix products.
+
     A smooth march from the right that samples exactly the left march's
     fields mirrored (see _is_mirror: an even electric profile with an even
-    or absent vector potential) is not marched again.  With
+    or absent vector potential) is not marched again either.  With
     sigma_x = [[0, 1], [1, 0]], the propagator of a step -h is
     sigma_x P(h) sigma_x entry for entry, as _rk4_propagators' diag and
     skew are odd in h and ident and swap even, and so is every product and
@@ -506,18 +548,29 @@ def _shooter(config: FieldConfig, k: float, step: float, window):
         march_left, march_right = fields
     if lo < hi:
         for h, w, v in fields:
-            y = h * h * float(np.min(w * w - np.maximum((lo - v) ** 2, (hi - v) ** 2)))
+            if stepwise:  # floats: a square that overflows is inf, and refused
+                d = max(abs(lo - v), abs(hi - v))
+                y = h * h * (w * w - d * d)
+            else:
+                y = h * h * float(np.min(w * w - np.maximum((lo - v) ** 2, (hi - v) ** 2)))
             if not (1.0 + y * (0.5 + y / 24.0) > 0.0 and 1.0 + y / 6.0 > 0.0):
                 raise UnsupportedRegime(f"step={step}: an RK4 step turns by pi/2 or more at some band energy, "
                                         "too coarse to count the windings; take a smaller step")
 
     if stepwise:
+        mirror = _mirror_sign(left, right, window[2])
+
         def shoot(eps):
             powers: dict = {}
-            psi_left, phi_left = _advance_stepwise(
-                left, eps, _seed_vectors(w_left, eps - v_minus, outward=False), powers)
-            psi_right, phi_right = _advance_stepwise(
-                right, eps, _seed_vectors(w_right, eps - v_plus, outward=True), powers)
+            seed = _seed_vectors(w_left, eps - v_minus, outward=False)
+            if mirror:
+                psi_left, phi_left, phi_right = _advance_stepwise(left, eps, seed, powers, mirror)
+                p1, p2 = psi_left
+                psi_right = (p2, p1) if mirror > 0.0 else (-p2, -p1)
+            else:
+                psi_left, phi_left = _advance_stepwise(left, eps, seed, powers)
+                psi_right, phi_right = _advance_stepwise(
+                    right, eps, _seed_vectors(w_right, eps - v_plus, outward=True), powers)
             return psi_left[0] * psi_right[1] - psi_left[1] * psi_right[0], phi_left - phi_right
 
         return shoot
@@ -551,12 +604,14 @@ def dirac_shooting(config: FieldConfig, label: QuantumLabel, step: float = DEFAU
     decaying solution on one of the exteriors, and ConfigError for a
     non-finite k or energy, a step that is not finite and positive, or one
     so small that a stepwise segment's step count overflows a double, and
-    UnsupportedRegime for a step too coarse to count (see _shooter).
+    UnsupportedRegime for a step too coarse to count (see _shooter) or a
+    nonzero exterior k + a whose square underflows to zero or overflows.
     """
     epsilon = label.epsilon
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
     _check_momentum_and_step(label.k, step)
     window = _exteriors(config, label.k)
+    _check_exterior_squares(label.k, window[2])
     _check_energies(eps, window[2])
     det = _shooter(config, label.k, step, window)(eps)[0]
     return det if np.ndim(epsilon) else float(det[0])
@@ -567,6 +622,17 @@ def _decays(eps, exteriors):
     w^2 - (eps - v)^2 > 0: a bool for one energy, a mask for an array."""
     left, right = (w * w - (eps - v) * (eps - v) > 0.0 for w, v in exteriors)
     return left & right
+
+
+def _check_exterior_squares(k: float, exteriors) -> None:
+    """UnsupportedRegime for an exterior (w, v) of _exteriors whose
+    nonzero w = k + a squares to zero, which leaves no seed a norm, or
+    overflows, which leaves the march no finite w^2 - (eps - v)^2."""
+    for w, _ in exteriors:
+        if w != 0.0 and w * w == 0.0:
+            raise UnsupportedRegime(f"exterior k + a underflows when squared: k={k}, (k + a, v) = {exteriors}")
+        if w * w == math.inf:
+            raise UnsupportedRegime(f"exterior k + a overflows when squared: k={k}, (k + a, v) = {exteriors}")
 
 
 def _check_energies(eps: np.ndarray, exteriors) -> None:
@@ -613,10 +679,14 @@ def _anderson_bjorck(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
     target = np.zeros(np.shape(a)) + target
     roots = np.empty(target.size)
     todo, frozen, shut = np.arange(target.size), np.zeros(target.size, dtype=bool), 0
-    kept = np.zeros(target.size)  # the end the last step kept: -1 for a, 1 for b
+    # the ends the last step moved: b is kept twice where a moves after a
+    # moved, and a where b moves after b moved; a step onto an exact zero
+    # moves both ends and closes the bracket
+    moved_a = moved_b = frozen
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            done = (b - a <= tol) | ~(np.nextafter(a, b) < b)
+            width = b - a
+            done = (width <= tol) | ~(np.nextafter(a, b) < b)
             closed = np.count_nonzero(done)
             if closed > shut:  # brackets only narrow, so a closed one stays closed
                 fresh = done > frozen
@@ -624,13 +694,13 @@ def _anderson_bjorck(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
                 frozen, shut = done, closed
                 if 2 * closed >= todo.size:
                     keep = ~done
-                    todo, frozen, target, a, b, fa, fb, kept = (
-                        v[keep] for v in (todo, done, target, a, b, fa, fb, kept))
+                    todo, frozen, target, a, b, width, fa, fb, moved_a, moved_b = (
+                        v[keep] for v in (todo, done, target, a, b, width, fa, fb, moved_a, moved_b))
                     shut = 0
             if not todo.size:
                 return roots
             if calls < SECANT_CALLS:
-                x = a - fa * (b - a) / (fb - fa)
+                x = a - fa * width / (fb - fa)
                 x = np.minimum(np.maximum(x, a + gap), b - gap)
                 inside = (a < x) & (x < b)
                 if np.count_nonzero(inside) < inside.size:
@@ -640,16 +710,17 @@ def _anderson_bjorck(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
             f = np.asarray(values(x), dtype=float) - target
             calls += 1
             same = (f < 0.0) == (fa < 0.0)
-            move_a, move_b = same | (f == 0.0), ~same | (f == 0.0)
+            zero = f == 0.0
+            move_a, move_b = same | zero, ~same | zero
             # Anderson-Bjorck: an end kept twice in a row is scaled by
             # 1 - f_new / f_replaced, or halved where that is not positive
             m = 1.0 - f / np.where(move_a, fa, fb)
             m = np.where(m > 0.0, m, 0.5)
-            fb = np.where(move_a & (kept > 0.0), m * fb, fb)
-            fa = np.where(move_b & (kept < 0.0), m * fa, fa)
+            fb = np.where(move_a & moved_a, m * fb, fb)
+            fa = np.where(move_b & moved_b, m * fa, fa)
             a, fa = np.where(move_a, x, a), np.where(move_a, f, fa)
             b, fb = np.where(move_b, x, b), np.where(move_b, f, fb)
-            kept = np.where(move_a, 1.0, -1.0)
+            moved_a, moved_b = move_a, move_b
 
 
 def _phase_roots(theta, lo, hi, tol) -> list[float]:
@@ -751,7 +822,7 @@ def shooting_bound_states(config: FieldConfig, k: float, scan_points: int = 2000
     integer of at least two, a tol that is not finite and positive, or a k
     or step that dirac_shooting rejects, and UnsupportedRegime for a step
     too coarse to count a profile's windings (see _shooter) or a nonzero
-    exterior k + a whose square underflows to zero.
+    exterior k + a whose square underflows to zero or overflows.
     """
     if not isinstance(scan_points, (int, np.integer)) or scan_points < 2:
         raise ConfigError(f"scan_points must be an integer of at least 2, got {scan_points!r}")
@@ -760,8 +831,7 @@ def shooting_bound_states(config: FieldConfig, k: float, scan_points: int = 2000
     _check_momentum_and_step(k, step)
     window = _exteriors(config, k)
     _, _, exteriors, (lo, hi) = window
-    if any(w != 0.0 and w * w == 0.0 for w, _ in exteriors):  # no seed has a norm
-        raise UnsupportedRegime(f"exterior k + a underflows when squared: k={k}, (k + a, v) = {exteriors}")
+    _check_exterior_squares(k, exteriors)
     if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
         shoot = _shooter(config, k, step, window)
         return _phase_roots(lambda eps: shoot(eps)[1], *_decaying_band(lo, hi, exteriors), tol)

@@ -221,7 +221,7 @@ class BoundState:
         return format_rows(np.column_stack(_columns(self)), ",".join(COLUMNS) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityProfile:
     """Probability and current densities sampled on the state grid."""
 
@@ -231,7 +231,7 @@ class DensityProfile:
     j_y: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Pointwise residuals of the two rows of the first-order system."""
 

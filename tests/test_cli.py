@@ -750,6 +750,17 @@ class TestImports:
             "assert 'scipy.linalg' not in sys.modules, 'diracwell spectrum'\n"
         )
 
+    def test_verify_loads_no_fractions_and_no_decimal(self):
+        # the weak-coupling rule takes its exact sign with integers
+        run_fresh(
+            "import contextlib, io, sys\n"
+            "from diracwell.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', '--k', '3', '--v0', '8']) == 0\n"
+            "loaded = [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+
     def test_the_grid_oracle_loads_no_scipy(self):
         run_fresh(
             "import sys\n"

@@ -6,6 +6,7 @@ import ast
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -610,12 +611,36 @@ class TestShootingInputs:
     ])
     def test_exterior_momentum_whose_square_underflows_is_refused(self, electric, magnetic, k, monkeypatch):
         # the seeds had norm 0: a divide-by-zero warning, then a refusal
-        # that asked for a smaller step; 1e-160 still squares and shoots
+        # that asked for a smaller step; 1e-160 still squares and shoots.
+        # dirac_shooting found no energy where both exteriors decay
         assert len(shooting_bound_states(square_well_config(2.0), 1e-160)) == 1
         monkeypatch.setattr(oracle, "_shooter", None)
         monkeypatch.setattr(oracle, "_scan_roots", None)
         with pytest.raises(UnsupportedRegime, match="underflows when squared"):
             shooting_bound_states(FieldConfig(electric, magnetic), k)
+        with pytest.raises(UnsupportedRegime, match="underflows when squared"):
+            dirac_shooting(FieldConfig(electric, magnetic), QuantumLabel(k, 0.0))
+
+    @pytest.mark.parametrize("electric, magnetic, k", [
+        (square_well(2.0), None, 1e200), (square_well(2.0), None, -1.5e154), (Lorentzian(-2.0), None, 1e300),
+        (square_well(2.0), PiecewiseConstant((-0.5, 0.5), (1e200, 0.0, 0.0)), 0.0),  # the left k + a only
+    ])
+    def test_exterior_momentum_whose_square_overflows_is_refused(self, electric, magnetic, k, monkeypatch):
+        # the coarse-step test's (lo - v) ** 2 raised a bare OverflowError, and
+        # dirac_shooting at an energy as large as k warned from _decays
+        monkeypatch.setattr(oracle, "_shooter", None)
+        monkeypatch.setattr(oracle, "_scan_roots", None)
+        config = FieldConfig(electric, magnetic)
+        with pytest.raises(UnsupportedRegime, match="overflows when squared"):
+            shooting_bound_states(config, k)
+        for eps in (0.5, k):
+            with pytest.raises(UnsupportedRegime, match="overflows when squared"):
+                dirac_shooting(config, QuantumLabel(k, eps))
+
+    def test_an_interior_square_that_overflows_is_refused(self):
+        # a barrier of 1e200: its (lo - v) ** 2 raised OverflowError
+        with pytest.raises(UnsupportedRegime, match="too coarse"):
+            shooting_bound_states(square_well_config(-1e200), 2.0)
 
     @pytest.mark.parametrize("strength", [-1e300, -1e9], ids=["field", "step-times-field"])
     def test_a_field_that_can_overflow_the_propagators_is_refused_before_any_is_built(self, strength, monkeypatch):
@@ -679,16 +704,24 @@ STEPWISE_CASES = {
 }
 
 
+def _patch_matmul_march(monkeypatch) -> None:
+    """Every stepwise shot marches both sides by _matmul_stepwise_march:
+    the fold of an even well's right side is turned off with it."""
+    monkeypatch.setattr(oracle, "_advance_stepwise", _matmul_stepwise_march)
+    monkeypatch.setattr(oracle, "_mirror_sign", lambda *args: 0.0)
+
+
 class TestStepwisePower:
     """Square and piecewise wells power each segment's RK4 step as
-    u I + v M; the result must match the matrix powering it replaced."""
+    u I + v M; the result, the right side of an even well folded from the
+    left, must match the matrix powering it replaced on both sides."""
 
     @pytest.mark.parametrize("case", list(STEPWISE_CASES))
     def test_determinants_match_the_matmul_powering(self, case, monkeypatch):
         config, k, step, (lo, hi) = STEPWISE_CASES[case]
         grid = np.linspace(lo, hi, 403)[1:-1]
         powered = dirac_shooting(config, QuantumLabel(k, grid), step)
-        monkeypatch.setattr(oracle, "_advance_stepwise", _matmul_stepwise_march)
+        _patch_matmul_march(monkeypatch)
         reference = dirac_shooting(config, QuantumLabel(k, grid), step)
         np.testing.assert_array_equal(np.sign(powered), np.sign(reference))
         np.testing.assert_allclose(powered, reference, rtol=1e-8, atol=0.0)
@@ -702,7 +735,7 @@ class TestStepwisePower:
         tol = 1e-10
         roots = np.array(shooting_bound_states(config, k, tol=tol, step=step))
         assert roots.size
-        monkeypatch.setattr(oracle, "_advance_stepwise", _matmul_stepwise_march)
+        _patch_matmul_march(monkeypatch)
         det = lambda eps: dirac_shooting(config, QuantumLabel(k, eps), step)
         assert np.all(det(roots - 2.0 * tol) * det(roots + 2.0 * tol) < 0.0)
         between = det(0.5 * (roots[:-1] + roots[1:]))
@@ -768,6 +801,79 @@ def stepwise_wells(draw):
 
 
 MAGNETIC_STEP = FieldConfig(electric=square_well(6.0), magnetic=PiecewiseConstant((-0.5, 0.4), (0.0, 0.7, -0.3)))
+
+
+def _even_steps(draw, values):
+    """An even PiecewiseConstant of 1-3 steps a side on edges 0.1 i apart,
+    so that no segment is narrow enough for its midpoint to round onto a
+    step; values draws the exterior first and the centre last."""
+    n = draw(st.integers(1, 3))
+    edges = sorted(0.1 * i for i in draw(st.lists(st.integers(1, 30), min_size=n, max_size=n, unique=True)))
+    half = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+    return PiecewiseConstant(tuple(-e for e in reversed(edges)) + tuple(edges), (*half, *reversed(half[:-1])))
+
+
+@st.composite
+def even_stepwise_wells(draw):
+    """(config, k): an even electric well, barrier or both, with an even
+    vector potential step or none, and k of either sign."""
+    electric = _even_steps(draw, st.floats(-30.0, 30.0))
+    magnetic = _even_steps(draw, st.floats(-3.0, 3.0)) if draw(st.booleans()) else None
+    k = draw(st.floats(0.3, 8.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return FieldConfig(electric=electric, magnetic=magnetic), k
+
+
+def _recorded_marches(calls):
+    """A patch of _advance_stepwise that records the arguments after the
+    first four of each march: (mirror,) where it folds, () elsewhere."""
+    march = oracle._advance_stepwise
+    return mock.patch.object(oracle, "_advance_stepwise", lambda *args: calls.append(args[4:]) or march(*args))
+
+
+class TestMirrorFold:
+    """An even stepwise profile marches its left side only, and the right
+    side's psi and angle, folded from it, keep the two-sided march's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(well=even_stepwise_wells())
+    @example(well=(square_well_config(2.0), 2.0))
+    @example(well=(square_well_config(120.0, 3.0), -50.0))
+    @example(well=(square_well_config(-5.0), 2.0))  # a barrier
+    @example(well=(FieldConfig(electric=square_well(6.0), magnetic=PiecewiseConstant((-0.5, 0.5), (0.0, 0.7, 0.0))),
+                   -2.5))
+    def test_the_fold_keeps_the_bits_of_the_two_sided_march(self, well):
+        config, k = well
+        step = shooting_step(config, k)[0]
+        window = oracle._exteriors(config, k)
+        lo, hi = oracle._decaying_band(*window[3], window[2])
+        if not lo < hi:
+            reject()
+        eps = np.linspace(lo, hi, 42)[1:-1]
+        calls = []
+        with _recorded_marches(calls):
+            folded = oracle._shooter(config, k, step, window)(eps)
+        # one march, mirrored by the sign of the exterior k + a
+        assert calls == [(math.copysign(1.0, window[2][0][0]),)]
+        with mock.patch.object(oracle, "_mirror_sign", lambda *args: 0.0):
+            two_sided = oracle._shooter(config, k, step, window)(eps)
+        assert [a.tobytes() for a in folded] == [b.tobytes() for b in two_sided]
+
+    @pytest.mark.parametrize("config, k", [
+        STEPWISE_CASES["three-steps"][:2],  # unequal exteriors
+        # the inside even and the exteriors not: v, then k + a
+        (FieldConfig(electric=PiecewiseConstant((-1.0, 1.0), (0.0, -6.0, 0.5))), 2.0),
+        (FieldConfig(electric=square_well(6.0), magnetic=PiecewiseConstant((-1.0, 1.0), (0.3, 0.7, -0.3))), 2.5),
+        (FieldConfig(electric=PiecewiseConstant((-1.0, 0.0, 1.0), (0.0, -3.0, -2.0, 0.0))), 2.0),  # uneven inside
+        STEPWISE_CASES["off-centre-match"][:2],  # an even well off the window's centre
+        STEPWISE_CASES["magnetic-step"][:2],  # an uneven vector potential
+        # an even vector potential step between unequal exteriors
+        (FieldConfig(electric=square_well(6.0), magnetic=PiecewiseConstant((-0.5, 0.5), (0.3, 0.7, -0.3))), 2.5),
+    ])
+    def test_an_uneven_profile_marches_both_sides(self, config, k):
+        calls = []
+        with _recorded_marches(calls):
+            roots = shooting_bound_states(config, k)
+        assert roots and calls and calls == [()] * len(calls)
 
 
 class TestShootingPhase:

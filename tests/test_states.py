@@ -747,6 +747,14 @@ class TestResiduals:
             assert np.array_equal(report.residual_1, -dd1 + u * w1 - mu * w1)
             assert np.array_equal(report.residual_2, -dd2 + u * w2 - mu * w2)
 
+    def test_reports_compare_by_identity_and_hash(self, well22_states):
+        # their fields are arrays: a generated == raised ValueError and hash TypeError
+        s = well22_states[0]
+        for report in (probability_density(s), current_density(s), equation_residuals(s)):
+            twin = dataclasses.replace(report)
+            assert report == report and report != twin
+            assert len({report, twin, report}) == 2
+
     def test_stencil_mode_excludes_steps(self, well22_states):
         s = well22_states[0]
         report = equation_residuals(s, grid_derivatives=True)
