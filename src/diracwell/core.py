@@ -196,6 +196,30 @@ class FieldConfig:
             raise ConfigError("at least one of electric/magnetic must be present")
 
 
+def _binds(potential: PiecewiseConstant, k: float) -> bool:
+    """Whether the profile binds a level in exact arithmetic by the 1D
+    weak-coupling rule (B. Simon, Ann. Phys. 97, 279 (1976), with mass |k|
+    at the Dirac band edge): k != 0, equal exteriors v_inf and a nonzero
+    integral of v - v_inf, whose sign is taken exactly over the profile's
+    floats, so that no underflow can clear it.  False where the rule
+    proves nothing: a zero integral or unequal exteriors."""
+    values, steps = potential.values, potential.breakpoints
+    if k == 0.0 or values[0] != values[-1]:
+        return False
+    outer = _exact(values[0])
+    return 0 != sum(
+        (_exact(v) - outer) * (_exact(right) - _exact(left))
+        for v, left, right in zip(values[1:-1], steps, steps[1:])
+    )
+
+
+def _exact(x: float) -> int:
+    """The finite double x times 2**1074, an integer: every double is a
+    multiple of 2**-1074, so the product is exact."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
 # ---------------------------------------------------------------------------
 # reduced-equation building blocks
 # ---------------------------------------------------------------------------

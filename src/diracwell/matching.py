@@ -70,7 +70,7 @@ class SecularFunction:
     # pi/2 + n pi at the roots
     phase: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     # at least one root in exact arithmetic: a square well with k, v0 != 0,
-    # or a profile that binds by the weak-coupling rule (see _binds)
+    # or a profile that binds by the weak-coupling rule (see core._binds)
     binds: bool = False
 
 
@@ -370,30 +370,6 @@ def _transfer_phase_slope(potential: PiecewiseConstant, k, eps):
     return theta, slope
 
 
-def _binds(potential: PiecewiseConstant, k: float) -> bool:
-    """Whether the profile binds a level in exact arithmetic by the 1D
-    weak-coupling rule (B. Simon, Ann. Phys. 97, 279 (1976), with mass |k|
-    at the Dirac band edge): k != 0, equal exteriors v_inf and a nonzero
-    integral of v - v_inf, whose sign is taken exactly over the profile's
-    floats, so that no underflow can clear it.  False where the rule
-    proves nothing: a zero integral or unequal exteriors."""
-    values, steps = potential.values, potential.breakpoints
-    if k == 0.0 or values[0] != values[-1]:
-        return False
-    outer = _exact(values[0])
-    return 0 != sum(
-        (_exact(v) - outer) * (_exact(right) - _exact(left))
-        for v, left, right in zip(values[1:-1], steps, steps[1:])
-    )
-
-
-def _exact(x: float) -> int:
-    """The finite double x times 2**1074, an integer: every double is a
-    multiple of 2**-1074, so the product is exact."""
-    n, d = x.as_integer_ratio()
-    return n << (1075 - d.bit_length())
-
-
 def general_secular(config: FieldConfig, k: float) -> SecularFunction:
     """Secular function and phase of an arbitrary piecewise electrostatic
     profile.
@@ -401,8 +377,10 @@ def general_secular(config: FieldConfig, k: float) -> SecularFunction:
     The domain is the band of _band, the one the square well's closed form
     shares: the window where both exteriors decay, narrowed to where some
     inner region oscillates.  binds is set by the weak-coupling rule of
-    _binds.  Raises ConfigError for a k that is not finite.
+    core._binds.  Raises ConfigError for a k that is not finite.
     """
+    from .core import _binds  # core loads with the transfer route alone
+
     pot = _electrostatic_steps(config)
     if not math.isfinite(k):
         raise ConfigError(f"k must be finite, got {k}")

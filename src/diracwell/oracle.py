@@ -8,9 +8,10 @@ numerically from both exteriors and matches the two solutions at the
 centre of the window beyond which the fields are constant.  On a
 stepwise profile it counts the windings of its own RK4 march, so its
 phase gives every level; on a smooth profile, a Lorentzian, it scans
-the matching determinant.  Where the field is even about that centre
-either marches one side only: the other side's march is the first one
-mirrored, with the same bits as a march of its own.
+the matching determinant.  Where the field is even about that centre,
+between equal exteriors, both march one side only and fold the other
+from it by one rule: the first side's solution swapped, with the same
+bits as a march of its own.
 One bracketed Anderson-Bjorck secant solves both, on a stepwise profile
 from the cells of one first call on a uniform grid of its band.  The
 module imports only core and errors from the package.  Agreement between
@@ -25,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import FieldConfig, Lorentzian, PiecewiseConstant, QuantumLabel
+from .core import FieldConfig, Lorentzian, PiecewiseConstant, QuantumLabel, _binds
 from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 
 __all__ = [
@@ -54,6 +55,9 @@ MARCH_SAMPLE_CAP = 2**22  # field samples of one smooth march, 2 steps + 1: 32 M
 # below 2**80, and so _chain's products stay finite
 MARCH_FIELD_CAP = 2.0**500
 MARCH_REACH_CAP = 2.0**19
+# h |k + a| of a stepwise segment: with the coarse-step test's y >= -6,
+# y = h^2 (w^2 - d^2) stays below 2**500, so _rk4_power's y y stays finite
+POWER_REACH_CAP = 2.0**250
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +163,27 @@ def _profile_window(profile):
     raise UnsupportedRegime(f"no shooting window rule for {type(profile).__name__}")
 
 
-def _exteriors(config: FieldConfig, k: float):
+def _exteriors(config: FieldConfig, k: float, step: float):
     """(x_lo, x_hi, exteriors, (lo, hi)): the window beyond which the
     profiles are treated as constant, each exterior's (w, v) = (k + a, v),
     left then right, and the band lo < eps < hi where both decay,
-    |eps - v| < |w|."""
+    |eps - v| < |w|.  The entry check of both shooting calls: ConfigError
+    for a k that is not finite or a step that is not finite and positive,
+    then UnsupportedRegime for a profile with no window rule and for a
+    nonzero w whose square underflows to zero, which leaves no seed a norm,
+    or overflows, which leaves the march no finite w^2 - (eps - v)^2."""
+    if not math.isfinite(k):
+        raise ConfigError(f"k must be finite, got {k}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ConfigError(f"step must be finite and positive, got {step}")
     ew = _profile_window(config.electric)
     mw = _profile_window(config.magnetic)
     exteriors = (k + mw[2], ew[2]), (k + mw[3], ew[3])
+    for w, _ in exteriors:
+        if w != 0.0 and w * w == 0.0:
+            raise UnsupportedRegime(f"exterior k + a underflows when squared: k={k}, (k + a, v) = {exteriors}")
+        if w * w == math.inf:
+            raise UnsupportedRegime(f"exterior k + a overflows when squared: k={k}, (k + a, v) = {exteriors}")
     band = max(v - abs(w) for w, v in exteriors), min(v + abs(w) for w, v in exteriors)
     return min(ew[0], mw[0]), max(ew[1], mw[1]), exteriors, band
 
@@ -193,18 +210,6 @@ def _seed_vectors(w: float, delta: np.ndarray, outward: bool):
         first, second = (delta, w + p) if w >= 0 else (p - w, -delta)
     norm = np.sqrt(first * first + second * second)
     return first / norm, second / norm
-
-
-def _check_momentum_and_step(k: float, step: float) -> None:
-    if not math.isfinite(k):
-        raise ConfigError(f"k must be finite, got {k}")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ConfigError(f"step must be finite and positive, got {step}")
-
-
-def _renormalize(psi: np.ndarray) -> None:
-    scale = np.maximum(np.abs(psi[..., 0]), np.abs(psi[..., 1]))
-    psi /= scale[..., None]
 
 
 def _rk4_power(s, h, n):
@@ -268,12 +273,12 @@ def _segments(config, k, points, step):
     return out
 
 
-def _advance_stepwise(segments, eps, psi, powers, mirror=0.0):
+def _advance_stepwise(segments, eps, psi, powers, mirror):
     """March psi = (psi_1, psi_2) across constant segments, applying on
     each the power u I + v M of its one-step fourth-order matrix as the one
     2x2 matrix [[u + v w, -v d], [v d, u - v w]], and carry its angle
     phi = atan2(psi_2, psi_1) continuously from its first value.
-    Returns (psi, phi).
+    Returns (psi, phi, phi_mirror), phi_mirror None but where mirror is set.
 
     On a segment the angle obeys phi' = d - w sin 2 phi.  Where s < 0 it
     turns one way, by the sign g = sign(d) sign(h): R^n, a rotation by
@@ -296,10 +301,11 @@ def _advance_stepwise(segments, eps, psi, powers, mirror=0.0):
     (psi_2, psi_1): that march is mirror (psi_2, psi_1) at every segment,
     bit for bit, as negating h swaps the diagonal and negates v d and g.
     So its angle is atan2(mirror psi_1, mirror psi_2), read with g
-    negated, and (psi, phi, phi_mirror) is returned.
+    negated: phi_mirror.
     """
     p1, p2 = psi
     wrapped = phi = np.arctan2(p2, p1)
+    phi_mirror = None
     if mirror:
         m1, m2 = (p1, p2) if mirror > 0.0 else (-p1, -p2)
         wrapped_mirror = phi_mirror = np.arctan2(m1, m2)
@@ -328,21 +334,17 @@ def _advance_stepwise(segments, eps, psi, powers, mirror=0.0):
             low = -lead - math.pi
             phi_mirror = phi_mirror + low + np.mod(now - wrapped_mirror - low, 2.0 * math.pi)
             wrapped_mirror = now
-    if mirror:
-        return (p1, p2), phi, phi_mirror
-    return (p1, p2), phi
+    return (p1, p2), phi, phi_mirror
 
 
-def _mirror_sign(left, right, exteriors) -> float:
-    """+1 or -1 where the stepwise march right is left's mirror image,
-    each segment's (h, steps, w, v) equal but for h negated, between
-    exteriors (w, v) equal bit for bit, and 0 elsewhere.  The sign takes
-    the left seed, swapped, to the right one (see _seed_vectors): -1 where
-    w < 0, as (p - w, -delta) is -(w - p, delta)."""
+def _mirror_sign(mirrored, exteriors) -> float:
+    """+1 or -1 where one side's march is the other's mirror image
+    (mirrored, see _shooter) between exteriors (w, v) equal bit for bit,
+    and 0 elsewhere.  Then the right seed is the left one swapped, times
+    the sign (see _seed_vectors): -1 where w < 0, as (p - w, -delta) is
+    -(w - p, delta)."""
     (w, v), other = exteriors
-    if np.array((w, v)).tobytes() != np.array(other).tobytes():
-        return 0.0
-    if right != [(-h, n, a, b) for h, n, a, b in left]:
+    if not mirrored or np.array((w, v)).tobytes() != np.array(other).tobytes():
         return 0.0
     return 1.0 if w >= 0.0 else -1.0
 
@@ -454,41 +456,36 @@ def _sample_march(config, k, x_from, x_to, step):
 
 
 def _advance_sampled(march, eps, psi):
-    """Classical fourth-order march of psi, shaped (seeds, energies, 2),
-    through the fields march = (h, w, v) of _sample_march.
+    """Classical fourth-order march of psi = (psi_1, psi_2), arrays over
+    the energies eps, through the fields march = (h, w, v) of _sample_march.
 
     The march is cut into blocks of PROPAGATOR_STEPS steps and the
     energies into chunks that keep a block within PROPAGATOR_BLOCK (step x
     energy) elements: each block's per-step propagators are built at once,
-    multiplied into one 2x2 per energy and applied to every seed.  The
-    blocks do not depend on the energies or the seeds, so neither does any
-    seed's result at any energy.
+    multiplied into one 2x2 per energy, applied, and psi divided by its
+    larger magnitude.  The blocks do not depend on the energies, so no
+    energy's result depends on the others.
     """
     h, w, v = march
     n = len(v) // 2
     chunk = PROPAGATOR_BLOCK // min(n, PROPAGATOR_STEPS)
-    out = np.empty_like(psi)
+    out1, out2 = np.empty_like(eps), np.empty_like(eps)
     for e in range(0, len(eps), chunk):
-        part = psi[:, e : e + chunk]
+        p1, p2 = psi[0][e : e + chunk], psi[1][e : e + chunk]
         for start in range(0, n, PROPAGATOR_STEPS):
             s = slice(2 * start, 2 * min(start + PROPAGATOR_STEPS, n) + 1)
             p = _chain(_rk4_propagators(w[None, s], eps[e : e + chunk, None] - v[s], h))
-            part = p[:, 0].T * part[..., :1] + p[:, 1].T * part[..., 1:]
-            _renormalize(part)
-        out[:, e : e + chunk] = part
-    return out
-
-
-def _is_mirror(left, right) -> bool:
-    """Whether the sampled march right is left's mirror image: the step
-    negated and the same w and v samples, bit for bit."""
-    return right[0] == -left[0] and all(a.tobytes() == b.tobytes() for a, b in zip(left[1:], right[1:]))
+            p1, p2 = p[0, 0] * p1 + p[0, 1] * p2, p[1, 0] * p1 + p[1, 1] * p2
+            scale = np.maximum(np.abs(p1), np.abs(p2))
+            p1, p2 = p1 / scale, p2 / scale
+        out1[e : e + chunk], out2[e : e + chunk] = p1, p2
+    return out1, out2
 
 
 def _shooter(config: FieldConfig, k: float, step: float, window):
     """Two-sided shooting as a function of an energy array: eps -> (det,
     theta), theta the shooting phase of a stepwise profile and None for a
-    smooth one.  window is _exteriors(config, k), derived once by the
+    smooth one.  window is _exteriors(config, k, step), derived once by the
     caller.
 
     The coupled first-order system is integrated from each exterior window
@@ -508,28 +505,22 @@ def _shooter(config: FieldConfig, k: float, step: float, window):
     (see _rk4_power) is not positive, for some segment or sample (h, w, v), at
     y = h^2 (w^2 - max((lo - v)^2, (hi - v)^2)), its least over the band as
     w^2 - (eps - v)^2 is concave in eps.  Such a step turns by pi/2 or
-    more, and its windings cannot be counted.
+    more, and its windings cannot be counted.  So does a stepwise segment
+    whose h |w| exceeds POWER_REACH_CAP, whose y y could overflow.
 
-    A side that mirrors the other is not marched again.  A stepwise
-    profile whose right segments are its left ones with h negated, between
-    equal exteriors (see _mirror_sign: an even profile, matched at its
-    centre), is marched from the left alone.  The right seed is the left
-    one swapped, negated too where k + a < 0 (see _seed_vectors), and a
-    step -h takes the swapped diagonal and the negated v d, so the right
-    march is the left one swapped and signed at every segment, bit for bit:
-    _advance_stepwise carries its angle along, and det and theta keep the
-    bits of the two-sided march in half its matrix products.
-
-    A smooth march from the right that samples exactly the left march's
-    fields mirrored (see _is_mirror: an even electric profile with an even
-    or absent vector potential) is not marched again either.  With
-    sigma_x = [[0, 1], [1, 0]], the propagator of a step -h is
-    sigma_x P(h) sigma_x entry for entry, as _rk4_propagators' diag and
-    skew are odd in h and ident and swap even, and so is every product and
-    renormalization after it, up to the order of commuted sums.  So the
-    right seed is swapped, marched with the left seed through the left
-    march's products, and swapped back: the same bits as its own march, in
-    half the propagators.
+    A side that mirrors the other is not marched again.  The right
+    march mirrors the left one where its segments are the left ones with
+    h negated, or its field samples the left ones with the step negated,
+    bit for bit: an even profile, matched at its centre.  Between
+    exteriors equal bit for bit (see _mirror_sign) the right seed is then
+    the left one swapped, negated too where k + a < 0 (see
+    _seed_vectors), and a step -h acts as the step h with psi_1 and psi_2
+    swapped: on a segment it takes the swapped diagonal and the negated
+    v d, and _rk4_propagators' diag and skew are odd in h and ident and
+    swap even.  So the right march is the left one swapped and signed at
+    every step, bit for bit, and only the left side is marched;
+    _advance_stepwise carries the right side's angle along.  det and theta
+    keep the bits of the two-sided march in half its work.
     """
     x_lo, x_hi, ((w_left, v_minus), (w_right, v_plus)), (lo, hi) = window
     centre = 0.5 * (x_lo + x_hi)
@@ -543,9 +534,10 @@ def _shooter(config: FieldConfig, k: float, step: float, window):
         left = _segments(config, k, [x_lo] + [b for b in inner if b <= centre] + [centre], step)
         right = _segments(config, k, [x_hi] + [b for b in reversed(inner) if b > centre] + [centre], step)
         fields = [(h, w, v) for h, _, w, v in left + right]
+        mirrored = right == [(-h, n, w, v) for h, n, w, v in left]
     else:
-        fields = [_sample_march(config, k, edge, centre, step) for edge in (x_lo, x_hi)]
-        march_left, march_right = fields
+        fields = left, right = [_sample_march(config, k, edge, centre, step) for edge in (x_lo, x_hi)]
+        mirrored = right[0] == -left[0] and all(a.tobytes() == b.tobytes() for a, b in zip(left[1:], right[1:]))
     if lo < hi:
         for h, w, v in fields:
             if stepwise:  # floats: a square that overflows is inf, and refused
@@ -556,36 +548,27 @@ def _shooter(config: FieldConfig, k: float, step: float, window):
             if not (1.0 + y * (0.5 + y / 24.0) > 0.0 and 1.0 + y / 6.0 > 0.0):
                 raise UnsupportedRegime(f"step={step}: an RK4 step turns by pi/2 or more at some band energy, "
                                         "too coarse to count the windings; take a smaller step")
-
-    if stepwise:
-        mirror = _mirror_sign(left, right, window[2])
-
-        def shoot(eps):
-            powers: dict = {}
-            seed = _seed_vectors(w_left, eps - v_minus, outward=False)
-            if mirror:
-                psi_left, phi_left, phi_right = _advance_stepwise(left, eps, seed, powers, mirror)
-                p1, p2 = psi_left
-                psi_right = (p2, p1) if mirror > 0.0 else (-p2, -p1)
-            else:
-                psi_left, phi_left = _advance_stepwise(left, eps, seed, powers)
-                psi_right, phi_right = _advance_stepwise(
-                    right, eps, _seed_vectors(w_right, eps - v_plus, outward=True), powers)
-            return psi_left[0] * psi_right[1] - psi_left[1] * psi_right[0], phi_left - phi_right
-
-        return shoot
-    mirrored = _is_mirror(march_left, march_right)
+            if stepwise and abs(h * w) > POWER_REACH_CAP:
+                raise UnsupportedRegime(f"step x |k + a| = {abs(h * w):.3g} can overflow an RK4 power: "
+                                        f"it must be at most {POWER_REACH_CAP:.3g}")
+    mirror = _mirror_sign(mirrored, window[2])
 
     def shoot(eps):
-        psi_left = np.stack(_seed_vectors(w_left, eps - v_minus, outward=False), axis=1)
-        psi_right = np.stack(_seed_vectors(w_right, eps - v_plus, outward=True), axis=1)
-        if mirrored:
-            both = _advance_sampled(march_left, eps, np.stack([psi_left, psi_right[:, ::-1]]))
-            psi_left, psi_right = both[0], both[1, :, ::-1]
+        powers: dict = {}
+
+        def march(side, seed, sign=0.0):
+            if stepwise:
+                return _advance_stepwise(side, eps, seed, powers, sign)
+            return _advance_sampled(side, eps, seed), None, None
+
+        psi_left, phi_left, phi_right = march(left, _seed_vectors(w_left, eps - v_minus, outward=False), mirror)
+        if mirror:
+            p1, p2 = psi_left
+            psi_right = (p2, p1) if mirror > 0.0 else (-p2, -p1)
         else:
-            psi_left = _advance_sampled(march_left, eps, psi_left[None])[0]
-            psi_right = _advance_sampled(march_right, eps, psi_right[None])[0]
-        return psi_left[:, 0] * psi_right[:, 1] - psi_left[:, 1] * psi_right[:, 0], None
+            psi_right, phi_right, _ = march(right, _seed_vectors(w_right, eps - v_plus, outward=True))
+        det = psi_left[0] * psi_right[1] - psi_left[1] * psi_right[0]
+        return det, (phi_left - phi_right if stepwise else None)
 
     return shoot
 
@@ -604,14 +587,13 @@ def dirac_shooting(config: FieldConfig, label: QuantumLabel, step: float = DEFAU
     decaying solution on one of the exteriors, and ConfigError for a
     non-finite k or energy, a step that is not finite and positive, or one
     so small that a stepwise segment's step count overflows a double, and
-    UnsupportedRegime for a step too coarse to count (see _shooter) or a
-    nonzero exterior k + a whose square underflows to zero or overflows.
+    UnsupportedRegime for a nonzero exterior k + a whose square underflows
+    to zero or overflows (see _exteriors), and for a step too coarse to
+    count or a stepwise march that could overflow (see _shooter).
     """
     epsilon = label.epsilon
     eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
-    _check_momentum_and_step(label.k, step)
-    window = _exteriors(config, label.k)
-    _check_exterior_squares(label.k, window[2])
+    window = _exteriors(config, label.k, step)
     _check_energies(eps, window[2])
     det = _shooter(config, label.k, step, window)(eps)[0]
     return det if np.ndim(epsilon) else float(det[0])
@@ -622,17 +604,6 @@ def _decays(eps, exteriors):
     w^2 - (eps - v)^2 > 0: a bool for one energy, a mask for an array."""
     left, right = (w * w - (eps - v) * (eps - v) > 0.0 for w, v in exteriors)
     return left & right
-
-
-def _check_exterior_squares(k: float, exteriors) -> None:
-    """UnsupportedRegime for an exterior (w, v) of _exteriors whose
-    nonzero w = k + a squares to zero, which leaves no seed a norm, or
-    overflows, which leaves the march no finite w^2 - (eps - v)^2."""
-    for w, _ in exteriors:
-        if w != 0.0 and w * w == 0.0:
-            raise UnsupportedRegime(f"exterior k + a underflows when squared: k={k}, (k + a, v) = {exteriors}")
-        if w * w == math.inf:
-            raise UnsupportedRegime(f"exterior k + a overflows when squared: k={k}, (k + a, v) = {exteriors}")
 
 
 def _check_energies(eps: np.ndarray, exteriors) -> None:
@@ -736,7 +707,8 @@ def _phase_roots(theta, lo, hi, tol) -> list[float]:
     target, read off theta's running maximum so that rounding that is not
     monotone cannot lose or repeat a crossing, and an end on the target
     closes the bracket.  _anderson_bjorck solves the brackets on
-    theta - n pi.
+    theta - n pi.  UnsupportedRegime where a root is not above the one
+    before it: the levels are not distinct doubles.
     """
     ends = np.nextafter(lo, hi), np.nextafter(hi, lo)
     if not lo < ends[0] < ends[1]:
@@ -749,7 +721,11 @@ def _phase_roots(theta, lo, hi, tol) -> list[float]:
     j = np.searchsorted(np.maximum.accumulate(th), target)
     a, b, fa, fb = grid[j - 1], grid[j], th[j - 1] - target, th[j] - target
     a = np.where(fb == 0.0, b, a)  # an exact zero closes the bracket
-    return _anderson_bjorck(theta, a, b, fa, fb, target, tol, 1).tolist()
+    roots = _anderson_bjorck(theta, a, b, fa, fb, target, tol, 1)
+    tied = np.count_nonzero(~(roots[1:] > roots[:-1]))
+    if tied:
+        raise UnsupportedRegime(f"{tied} level(s) at or below the level before them: levels are not distinct doubles")
+    return roots.tolist()
 
 
 def _decaying_band(lo, hi, exteriors):
@@ -820,21 +796,29 @@ def shooting_bound_states(config: FieldConfig, k: float, scan_points: int = 2000
     dirac_shooting does, and the first one builds the shooter that every
     call then uses.  Raises ConfigError for a scan_points that is not an
     integer of at least two, a tol that is not finite and positive, or a k
-    or step that dirac_shooting rejects, and UnsupportedRegime for a step
-    too coarse to count a profile's windings (see _shooter) or a nonzero
-    exterior k + a whose square underflows to zero or overflows.
+    or step that dirac_shooting rejects, and UnsupportedRegime where
+    dirac_shooting refuses the profile, k or step (see _exteriors and
+    _shooter), where a stepwise profile's levels are not distinct doubles,
+    and where an electrostatic step profile binds a level by the
+    weak-coupling rule (see core._binds) but its phase crosses no n pi:
+    the level lies within a double of the band edge, as find_roots
+    refuses it too.
     """
     if not isinstance(scan_points, (int, np.integer)) or scan_points < 2:
         raise ConfigError(f"scan_points must be an integer of at least 2, got {scan_points!r}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
-    _check_momentum_and_step(k, step)
-    window = _exteriors(config, k)
+    window = _exteriors(config, k, step)
     _, _, exteriors, (lo, hi) = window
-    _check_exterior_squares(k, exteriors)
     if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
         shoot = _shooter(config, k, step, window)
-        return _phase_roots(lambda eps: shoot(eps)[1], *_decaying_band(lo, hi, exteriors), tol)
+        roots = _phase_roots(lambda eps: shoot(eps)[1], *_decaying_band(lo, hi, exteriors), tol)
+        if not roots:
+            pot, field = config.electric, config.magnetic
+            if isinstance(pot, PiecewiseConstant) and (field is None or field.is_zero()) and _binds(pot, k):
+                raise UnsupportedRegime(f"the profile binds a level at k={k} by the weak-coupling rule, "
+                                        "but the shot resolves none: too weakly bound to resolve")
+        return roots
     shooter = cache(lambda: _shooter(config, k, step, window))
 
     def det(eps):

@@ -144,7 +144,9 @@ def _levels_by_row(phase, lo, hi, binds):
     calls is bisected.  A batch without a mirrored (barrier) row skips the
     sign products.  UnsupportedRegime when the
     rounding of theta, spacing(theta) / theta', could move a root by more
-    than DEFAULT_ROOT_TOL.
+    than DEFAULT_ROOT_TOL, and when a row's sorted roots are not strictly
+    increasing: its levels are not distinct doubles, the rule
+    _level_ranges applies to the phase.
     """
     live, sign, u_lo, u_hi, th_lo, th_hi, first, count = _level_ranges(phase, lo, hi, binds)
     at = np.repeat(np.arange(live.size), count)
@@ -203,7 +205,12 @@ def _levels_by_row(phase, lo, hi, binds):
         root = sign[at] * root
         n = np.where(sign[at] > 0.0, n, -n - 1)
     order = np.lexsort((root, rows))
-    return rows[order], n[order], root[order]
+    rows, n, root = rows[order], n[order], root[order]
+    tied = np.count_nonzero((rows[1:] == rows[:-1]) & ~(root[1:] > root[:-1]))
+    if tied:
+        raise UnsupportedRegime(f"{tied} level(s) round to the double of the level below: "
+                                "levels are not distinct doubles")
+    return rows, n, root
 
 
 def _square_well_levels(k, v0, half_width):
@@ -221,8 +228,9 @@ def find_roots(secular: SecularFunction) -> list[float]:
     the crossings of its phase, solved level by level (see _levels_by_row).
 
     UnsupportedRegime when it binds but its level lies within a double of
-    the band edge (see _level_ranges), or when the phase's rounding could
-    move a level by more than DEFAULT_ROOT_TOL.
+    the band edge (see _level_ranges), when the phase's rounding could
+    move a level by more than DEFAULT_ROOT_TOL, or when two levels round
+    to one double (see _levels_by_row).
     """
     lo, hi = np.array([secular.lo]), np.array([secular.hi])
     phase = getattr(secular.phase, "__wrapped__", secular.phase)  # unguarded: _levels_by_row holds one

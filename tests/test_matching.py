@@ -22,8 +22,9 @@ from diracwell import (
     square_well_config,
     square_well_secular,
 )
+from diracwell.core import _binds
 from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
-from diracwell.matching import _band, _binds, _propagator_entries, _region_wavenumbers, _transfer_phase_slope
+from diracwell.matching import _band, _propagator_entries, _region_wavenumbers, _transfer_phase_slope
 
 # reference spectrum of the (k=2, v0=2, L=1) well, lowest first
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)

@@ -255,7 +255,7 @@ class TestDiracShooting:
     def test_match_point_on_a_step(self, centre):
         # the segment between the step and the match point has zero width
         config = FieldConfig(electric=padded_well(2.0, centre))
-        assert 0.5 * sum(oracle._exteriors(config, 2.0)[:2]) == centre
+        assert 0.5 * sum(oracle._exteriors(config, 2.0, oracle.DEFAULT_STEP)[:2]) == centre
         base = shooting_bound_states(square_well_config(2.0), 2.0)
         roots = shooting_bound_states(config, 2.0)
         assert len(base) == len(roots) == 3
@@ -375,33 +375,28 @@ def test_a_zero_height_step_is_invisible_to_every_route(v0, k, centre):
 
 
 def _stepwise_rk4_march(march, eps, psi):
-    """The smooth-profile march one RK4 step at a time, renormalized every
-    256 steps, of every seed in psi (shaped (seeds, energies, 2)): the
-    reference the blockwise propagator product must match."""
+    """The smooth-profile march one RK4 step at a time of psi = (psi_1,
+    psi_2), divided by its larger magnitude every 256 steps and at the end:
+    the reference the blockwise propagator product must match."""
     h, w, v = march
     n = len(v) // 2
 
     def apply(wj, dj, vec):
-        out = np.empty_like(vec)
-        out[:, 0] = wj * vec[:, 0] - dj * vec[:, 1]
-        out[:, 1] = dj * vec[:, 0] - wj * vec[:, 1]
-        return out
+        return np.array([wj * vec[0] - dj * vec[1], dj * vec[0] - wj * vec[1]])
 
-    out = np.empty_like(psi)
-    for seed, vec in enumerate(psi):
-        for j in range(n):
-            w0, wm, w1 = w[2 * j], w[2 * j + 1], w[2 * j + 2]
-            d0, dm, d1 = eps - v[2 * j], eps - v[2 * j + 1], eps - v[2 * j + 2]
-            k1 = apply(w0, d0, vec)
-            k2 = apply(wm, dm, vec + 0.5 * h * k1)
-            k3 = apply(wm, dm, vec + 0.5 * h * k2)
-            k4 = apply(w1, d1, vec + h * k3)
-            vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if j % 256 == 255:
-                oracle._renormalize(vec)
-        oracle._renormalize(vec)
-        out[seed] = vec
-    return out
+    vec = np.array(psi)
+    for j in range(n):
+        w0, wm, w1 = w[2 * j], w[2 * j + 1], w[2 * j + 2]
+        d0, dm, d1 = eps - v[2 * j], eps - v[2 * j + 1], eps - v[2 * j + 2]
+        k1 = apply(w0, d0, vec)
+        k2 = apply(wm, dm, vec + 0.5 * h * k1)
+        k3 = apply(wm, dm, vec + 0.5 * h * k2)
+        k4 = apply(w1, d1, vec + h * k3)
+        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if j % 256 == 255:
+            vec /= np.abs(vec).max(axis=0)
+    vec /= np.abs(vec).max(axis=0)
+    return vec[0], vec[1]
 
 
 # a vector potential step that is not even about the window centre, with a = 0 on both sides
@@ -488,14 +483,14 @@ def _count_propagators(monkeypatch) -> list:
 def _two_march_determinant(config, k, eps, step):
     """The determinant of one march from each window edge to its centre,
     each with its own seed alone."""
-    x_lo, x_hi, exteriors, _ = oracle._exteriors(config, k)
+    x_lo, x_hi, exteriors, _ = oracle._exteriors(config, k, step)
     sides = []
     for edge, (w, v), outward in zip((x_lo, x_hi), exteriors, (False, True)):
-        seed = np.stack(oracle._seed_vectors(w, eps - v, outward=outward), axis=1)
+        seed = oracle._seed_vectors(w, eps - v, outward=outward)
         march = oracle._sample_march(config, k, edge, 0.5 * (x_lo + x_hi), step)
-        sides.append(oracle._advance_sampled(march, eps, seed[None])[0])
+        sides.append(oracle._advance_sampled(march, eps, seed))
     left, right = sides
-    return left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
+    return left[0] * right[1] - left[1] * right[0]
 
 
 class TestMirroredMarch:
@@ -637,6 +632,27 @@ class TestShootingInputs:
             with pytest.raises(UnsupportedRegime, match="overflows when squared"):
                 dirac_shooting(config, QuantumLabel(k, eps))
 
+    @pytest.mark.parametrize("k", [1e17, -1e17, 1e20, -1e20, 1e30, -1e30, 1e50, -1e50])
+    def test_a_binding_well_that_resolves_no_level_is_refused(self, k):
+        # the shot returned [] where find_roots refuses: the well binds a
+        # level by the weak-coupling rule, within a double of the band edge;
+        # a zero well binds none and stays empty
+        with pytest.raises(UnsupportedRegime, match="within one double"):
+            find_roots(square_well_secular(k, 2.0))
+        with pytest.raises(UnsupportedRegime, match="weak-coupling rule"):
+            shooting_bound_states(square_well_config(2.0), k)
+        assert shooting_bound_states(square_well_config(0.0), k) == []
+
+    @pytest.mark.parametrize("k", [1e100, -1e100, 1e150, -1e150])
+    def test_a_march_that_could_overflow_is_refused(self, k):
+        # 1e100 returned [] with an overflow warning from _rk4_power's y y,
+        # and 1e150 raised a bare ValueError from _phase_roots
+        config = square_well_config(2.0)
+        with pytest.raises(UnsupportedRegime, match="overflow an RK4 power"):
+            shooting_bound_states(config, k)
+        with pytest.raises(UnsupportedRegime, match="overflow an RK4 power"):
+            dirac_shooting(config, QuantumLabel(k, 0.5))
+
     def test_an_interior_square_that_overflows_is_refused(self):
         # a barrier of 1e200: its (lo - v) ** 2 raised OverflowError
         with pytest.raises(UnsupportedRegime, match="too coarse"):
@@ -657,11 +673,12 @@ class TestShootingInputs:
             dirac_shooting(config, QuantumLabel(2.0, 0.5))
 
 
-def _matmul_stepwise_march(segments, eps, psi, powers):
+def _matmul_stepwise_march(segments, eps, psi, powers, mirror):
     """The stepwise march with each segment's RK4 step built as an
     (energies, 2, 2) matrix and powered by matrix squaring: the reference
-    the closed-form powers must match.  powers is ignored, and the angle
-    returned is 0: the reference carries none."""
+    the closed-form powers must match.  powers is ignored, mirror must be
+    0, and the angle returned is 0: the reference carries none."""
+    assert not mirror
     psi = np.stack(psi, axis=1)
     n_eps = psi.shape[0]
     eye = np.zeros((n_eps, 2, 2))
@@ -685,8 +702,8 @@ def _matmul_stepwise_march(segments, eps, psi, powers):
             R = R @ R
             m >>= 1
         psi = (acc @ psi[:, :, None])[:, :, 0]
-        oracle._renormalize(psi)
-    return (psi[:, 0], psi[:, 1]), np.zeros(n_eps)
+        psi /= np.abs(psi).max(axis=1, keepdims=True)
+    return (psi[:, 0], psi[:, 1]), np.zeros(n_eps), None
 
 
 # config, k, step and the exterior-decay band of the stepwise cases
@@ -823,40 +840,64 @@ def even_stepwise_wells(draw):
     return FieldConfig(electric=electric, magnetic=magnetic), k
 
 
-def _recorded_marches(calls):
-    """A patch of _advance_stepwise that records the arguments after the
-    first four of each march: (mirror,) where it folds, () elsewhere."""
-    march = oracle._advance_stepwise
-    return mock.patch.object(oracle, "_advance_stepwise", lambda *args: calls.append(args[4:]) or march(*args))
+@st.composite
+def even_wells(draw):
+    """(config, k, step): an even stepwise profile of even_stepwise_wells at
+    its shooting step, or an even smooth one of SMOOTH_CASES at step 0.05,
+    with k of either sign."""
+    if draw(st.booleans()):
+        config, k = draw(even_stepwise_wells())
+        return config, k, shooting_step(config, k)[0]
+    config, k, _ = SMOOTH_CASES[draw(st.sampled_from(MIRRORED_CASES))]
+    return config, k * draw(st.sampled_from([1.0, -1.0])), 0.05
+
+
+def _recorded_marches(shots):
+    """Patches that record, per call of a shooter, the marches it makes:
+    a stepwise one by its mirror sign, a smooth one as None."""
+    build, stepwise, sampled = oracle._shooter, oracle._advance_stepwise, oracle._advance_sampled
+
+    def shooter(*args):
+        shoot = build(*args)
+        return lambda eps: shots.append([]) or shoot(eps)
+
+    return mock.patch.multiple(oracle, _shooter=shooter,
+                               _advance_stepwise=lambda *args: shots[-1].append(args[4]) or stepwise(*args),
+                               _advance_sampled=lambda *args: shots[-1].append(None) or sampled(*args))
 
 
 class TestMirrorFold:
-    """An even stepwise profile marches its left side only, and the right
-    side's psi and angle, folded from it, keep the two-sided march's bits."""
+    """An even profile, stepwise or smooth, marches its left side only, and
+    the right side's psi and angle, folded from it, keep the two-sided
+    march's bits."""
 
     @settings(max_examples=200, deadline=None)
-    @given(well=even_stepwise_wells())
-    @example(well=(square_well_config(2.0), 2.0))
-    @example(well=(square_well_config(120.0, 3.0), -50.0))
-    @example(well=(square_well_config(-5.0), 2.0))  # a barrier
+    @given(well=even_wells())
+    @example(well=(square_well_config(2.0), 2.0, 1e-3))
+    @example(well=(square_well_config(120.0, 3.0), -50.0, STEPWISE_CASES["well-50-120-3"][2]))
+    @example(well=(square_well_config(-5.0), 2.0, 1e-3))  # a barrier
     @example(well=(FieldConfig(electric=square_well(6.0), magnetic=PiecewiseConstant((-0.5, 0.5), (0.0, 0.7, 0.0))),
-                   -2.5))
+                   -2.5, 1e-3))
+    @example(well=(FieldConfig(electric=Lorentzian(-2.0)), 2.0, 0.05))  # the benchmark's well
+    @example(well=(FieldConfig(electric=None, magnetic=Lorentzian(-1.5)), -2.0, 0.05))
     def test_the_fold_keeps_the_bits_of_the_two_sided_march(self, well):
-        config, k = well
-        step = shooting_step(config, k)[0]
-        window = oracle._exteriors(config, k)
+        config, k, step = well
+        window = oracle._exteriors(config, k, step)
         lo, hi = oracle._decaying_band(*window[3], window[2])
         if not lo < hi:
             reject()
         eps = np.linspace(lo, hi, 42)[1:-1]
-        calls = []
-        with _recorded_marches(calls):
+        shots = []
+        with _recorded_marches(shots):
             folded = oracle._shooter(config, k, step, window)(eps)
-        # one march, mirrored by the sign of the exterior k + a
-        assert calls == [(math.copysign(1.0, window[2][0][0]),)]
-        with mock.patch.object(oracle, "_mirror_sign", lambda *args: 0.0):
-            two_sided = oracle._shooter(config, k, step, window)(eps)
-        assert [a.tobytes() for a in folded] == [b.tobytes() for b in two_sided]
+            with mock.patch.object(oracle, "_mirror_sign", lambda *args: 0.0):
+                two_sided = oracle._shooter(config, k, step, window)(eps)
+        # one march, mirrored by the sign of the exterior k + a, then both
+        stepwise = isinstance(config.electric, PiecewiseConstant)
+        assert shots == ([[math.copysign(1.0, window[2][0][0])], [0.0, 0.0]] if stepwise
+                         else [[None], [None, None]])
+        bits = lambda out: [None if a is None else a.tobytes() for a in out]  # (det, theta or None)
+        assert bits(folded) == bits(two_sided)
 
     @pytest.mark.parametrize("config, k", [
         STEPWISE_CASES["three-steps"][:2],  # unequal exteriors
@@ -868,12 +909,17 @@ class TestMirrorFold:
         STEPWISE_CASES["magnetic-step"][:2],  # an uneven vector potential
         # an even vector potential step between unequal exteriors
         (FieldConfig(electric=square_well(6.0), magnetic=PiecewiseConstant((-0.5, 0.5), (0.3, 0.7, -0.3))), 2.5),
+        SMOOTH_CASES["electromagnetic"][:2],  # a smooth well with an uneven vector potential
+        # mirrored samples, the steps at the window's edges, between unequal exteriors
+        (FieldConfig(electric=Lorentzian(-2.0), magnetic=PiecewiseConstant((-60.0, 60.0), (0.3, 0.7, 0.7))), 2.5),
     ])
     def test_an_uneven_profile_marches_both_sides(self, config, k):
-        calls = []
-        with _recorded_marches(calls):
-            roots = shooting_bound_states(config, k)
-        assert roots and calls and calls == [()] * len(calls)
+        stepwise = isinstance(config.electric, PiecewiseConstant)
+        shots = []
+        with _recorded_marches(shots):
+            roots = shooting_bound_states(config, k) if stepwise else shooting_bound_states(
+                config, k, scan_points=150, tol=1e-5, step=0.02)
+        assert roots and shots and shots == [[0.0, 0.0] if stepwise else [None, None]] * len(shots)
 
 
 class TestShootingPhase:
@@ -923,6 +969,13 @@ class TestShootingPhase:
             dirac_shooting(config, QuantumLabel(k, eps))  # both exteriors decay: no OutsideAdmissibleBand
         with pytest.raises(OutsideAdmissibleBand):
             dirac_shooting(config, QuantumLabel(k, lo if v > 0.0 else hi))
+
+    def test_levels_that_round_to_one_double_are_refused(self):
+        # at k = 1e12 the shot found 88,270 levels of v0 = 1e-2 in 41
+        # distinct doubles; at 1e8 its 901 levels are distinct
+        with pytest.raises(UnsupportedRegime, match="not distinct doubles"):
+            shooting_bound_states(square_well_config(1e-2), 1e12, step=1e-5)
+        assert len(shooting_bound_states(square_well_config(1e-2), 1e8, step=1e-5)) == 901
 
     def test_the_decaying_band_keeps_an_edge_whose_doubles_decay(self):
         assert oracle._decaying_band(-2.0, 2.0, ((2.0, 0.0), (2.0, 0.0))) == (-2.0, 2.0)

@@ -299,6 +299,18 @@ class TestPhaseLevels:
         with pytest.raises(UnsupportedRegime):
             sweep_v0(2.0, [1.0, v0])
 
+    @pytest.mark.parametrize("k", [1e12, 1e10])
+    def test_levels_that_round_to_one_double_raise(self, k):
+        # at k = 1e12 the 78,992 levels of v0 = 1e-2 took 40 distinct doubles
+        # and at 1e10 its 8,888 levels 2,621; at 1e8 its 901 levels are distinct
+        for solve in (lambda: find_roots(square_well_secular(k, 1e-2)),
+                      lambda: find_roots(general_secular(square_well_config(1e-2), k)),
+                      lambda: sweep_k(1e-2, [1.0, k])):
+            with pytest.raises(UnsupportedRegime, match="not distinct doubles"):
+                solve()
+        closed = find_roots(square_well_secular(1e8, 1e-2))
+        assert len(closed) == len(find_roots(general_secular(square_well_config(1e-2), 1e8))) == 901
+
     @pytest.mark.parametrize("v0", [1e-10, -1e-10, 1e-17])
     def test_level_within_a_double_of_the_edge_raises(self, v0):
         # a well with k, v0 != 0 binds a level, as theta grows by more than pi
