@@ -213,6 +213,24 @@ def _binds(potential: PiecewiseConstant, k: float) -> bool:
     )
 
 
+def _binds_vector(potential: PiecewiseConstant, k: float) -> bool:
+    """Whether a vector-potential profile a(x), with no electric field,
+    binds a level in exact arithmetic by the same rule, applied to the
+    decoupled equation's potential (k + a)^2 - (k + a_inf)^2 +/- a', whose
+    derivative term integrates to zero: k != 0, equal exteriors a_inf and
+    a negative sum of (a - a_inf)(2 k + a + a_inf) times the step widths,
+    its sign taken exactly over the profile's floats and k.  False where
+    the rule proves nothing."""
+    values, steps = potential.values, potential.breakpoints
+    if k == 0.0 or values[0] != values[-1]:
+        return False
+    outer, twice = _exact(values[0]), 2 * _exact(k)
+    return 0 > sum(
+        (_exact(a) - outer) * (twice + _exact(a) + outer) * (_exact(right) - _exact(left))
+        for a, left, right in zip(values[1:-1], steps, steps[1:])
+    )
+
+
 def _exact(x: float) -> int:
     """The finite double x times 2**1074, an integer: every double is a
     multiple of 2**-1074, so the product is exact."""

@@ -22,11 +22,10 @@ solver.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
-from .core import FieldConfig, Lorentzian, PiecewiseConstant, QuantumLabel, _binds
+from .core import FieldConfig, Lorentzian, PiecewiseConstant, QuantumLabel, _binds, _binds_vector
 from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 
 __all__ = [
@@ -232,8 +231,8 @@ def _rk4_power(s, h, n):
     The half-turns count the windings only where the one-step u and v are
     positive, as _shooter requires.  The decay branch is taken only where
     some s >= 0.
-    Everything is taken at |h|, then v_n negated for h < 0: u_n is even and
-    v_n odd in h, bit for bit.
+    Everything is taken at |h|, then v_n negated for h < 0: u_n and the
+    half-turns are even and v_n odd in h, bit for bit.
     """
     h_abs = abs(h)
     y = h_abs * h_abs * s
@@ -273,12 +272,13 @@ def _segments(config, k, points, step):
     return out
 
 
-def _advance_stepwise(segments, eps, psi, powers, mirror):
+def _advance_stepwise(segments, eps, psi, mirror):
     """March psi = (psi_1, psi_2) across constant segments, applying on
-    each the power u I + v M of its one-step fourth-order matrix as the one
-    2x2 matrix [[u + v w, -v d], [v d, u - v w]], and carry its angle
-    phi = atan2(psi_2, psi_1) continuously from its first value.
-    Returns (psi, phi, phi_mirror), phi_mirror None but where mirror is set.
+    each the power u I + v M of its one-step fourth-order matrix at its
+    signed h as the one 2x2 matrix [[u + v w, -v d], [v d, u - v w]], and
+    carry its angle phi = atan2(psi_2, psi_1) continuously from its first
+    value.  Returns (psi, phi, phi_mirror), phi_mirror None but where
+    mirror is set.
 
     On a segment the angle obeys phi' = d - w sin 2 phi.  Where s < 0 it
     turns one way, by the sign g = sign(d) sign(h): R^n, a rotation by
@@ -288,13 +288,6 @@ def _advance_stepwise(segments, eps, psi, powers, mirror):
     Where s >= 0 the change stays within (-pi, pi), the wrapped change.
     Both read the change in a window [c, c + 2 pi): c = g (floor + 1/2) pi
     - pi where s < 0, and -pi elsewhere.
-
-    powers holds, per energy, (u + v w, v d, u - v w, g (floor + 1/2) pi)
-    of the segments already taken at these energies, keyed on
-    (|h|, steps, w, v): a segment marched with h < 0 takes the entry of its
-    mirror image with v and g negated, as both are odd in h, so the march
-    from the right of a mirror-symmetric well reuses the powers of the
-    march from the left.
 
     A nonzero mirror, +1 or -1, also carries the angle of the march of the
     segments' mirror images, each h negated, from the seed mirror
@@ -310,18 +303,12 @@ def _advance_stepwise(segments, eps, psi, powers, mirror):
         m1, m2 = (p1, p2) if mirror > 0.0 else (-p1, -p2)
         wrapped_mirror = phi_mirror = np.arctan2(m1, m2)
     for h, n, w, v in segments:
-        key = (abs(h), n, w, v)
-        if key not in powers:
-            d = eps - v
-            s = w * w - d * d
-            cu, cv, turns = _rk4_power(s, abs(h), n)
-            lead = np.where(s < 0.0, np.sign(d) * (turns + 0.5) * math.pi, 0.0)
-            vw = cv * w
-            powers[key] = cu + vw, cv * d, cu - vw, lead
-        diag, vd, anti, lead = powers[key]
-        if h < 0.0:
-            diag, vd, anti, lead = anti, -vd, diag, -lead
-        p1, p2 = diag * p1 - vd * p2, vd * p1 + anti * p2
+        d = eps - v
+        s = w * w - d * d
+        cu, cv, turns = _rk4_power(s, h, n)
+        lead = np.where(s < 0.0, np.sign(d) * (turns + 0.5) * math.copysign(math.pi, h), 0.0)
+        vw, vd = cv * w, cv * d
+        p1, p2 = (cu + vw) * p1 - vd * p2, vd * p1 + (cu - vw) * p2
         scale = np.maximum(np.abs(p1), np.abs(p2))
         p1, p2 = p1 / scale, p2 / scale
         now = np.arctan2(p2, p1)
@@ -500,9 +487,10 @@ def _shooter(config: FieldConfig, k: float, step: float, window):
     theta = n pi.  Both exteriors must decay or, at a band edge, be
     critical: |eps - v| <= |k + a|, where w^2 - d^2 rounds to no negative.
     A stepwise profile's segments and a smooth profile's field samples
-    are laid out once.  Where the band (lo, hi) is not empty, a step too
-    coarse to count raises UnsupportedRegime: one whose one-step u or v
-    (see _rk4_power) is not positive, for some segment or sample (h, w, v), at
+    are laid out once, and a call keeps nothing for the next.  Where the
+    band (lo, hi) is not empty, a step too coarse to count raises
+    UnsupportedRegime: one whose one-step u or v (see _rk4_power) is not
+    positive, for some segment or sample (h, w, v), at
     y = h^2 (w^2 - max((lo - v)^2, (hi - v)^2)), its least over the band as
     w^2 - (eps - v)^2 is concave in eps.  Such a step turns by pi/2 or
     more, and its windings cannot be counted.  So does a stepwise segment
@@ -554,11 +542,9 @@ def _shooter(config: FieldConfig, k: float, step: float, window):
     mirror = _mirror_sign(mirrored, window[2])
 
     def shoot(eps):
-        powers: dict = {}
-
         def march(side, seed, sign=0.0):
             if stepwise:
-                return _advance_stepwise(side, eps, seed, powers, sign)
+                return _advance_stepwise(side, eps, seed, sign)
             return _advance_sampled(side, eps, seed), None, None
 
         psi_left, phi_left, phi_right = march(left, _seed_vectors(w_left, eps - v_minus, outward=False), mirror)
@@ -625,11 +611,11 @@ def _check_energies(eps: np.ndarray, exteriors) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _anderson_bjorck(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
+def _anderson_bjorck(values, a, b, fa, fb, target, tol) -> np.ndarray:
     """Solve values = target, values a function of an energy array, on the
     brackets [a, b] at once by the Anderson-Bjorck secant (Anderson and
-    Bjorck, BIT 13, 253 (1973)); calls counts the calls of values already
-    spent on them.
+    Bjorck, BIT 13, 253 (1973)); the one call of values that found the
+    brackets counts as spent on them.
 
     fa and fb are values - target at a and b, of opposite signs.  Each
     call evaluates one point per live bracket: the secant point, clipped to
@@ -646,7 +632,7 @@ def _anderson_bjorck(values, a, b, fa, fb, target, tol, calls) -> np.ndarray:
     take the same steps and values the same calls.  With no bracket values
     is never called.
     """
-    gap = 0.45 * tol
+    gap, calls = 0.45 * tol, 1
     target = np.zeros(np.shape(a)) + target
     roots = np.empty(target.size)
     todo, frozen, shut = np.arange(target.size), np.zeros(target.size, dtype=bool), 0
@@ -721,7 +707,7 @@ def _phase_roots(theta, lo, hi, tol) -> list[float]:
     j = np.searchsorted(np.maximum.accumulate(th), target)
     a, b, fa, fb = grid[j - 1], grid[j], th[j - 1] - target, th[j] - target
     a = np.where(fb == 0.0, b, a)  # an exact zero closes the bracket
-    roots = _anderson_bjorck(theta, a, b, fa, fb, target, tol, 1)
+    roots = _anderson_bjorck(theta, a, b, fa, fb, target, tol)
     tied = np.count_nonzero(~(roots[1:] > roots[:-1]))
     if tied:
         raise UnsupportedRegime(f"{tied} level(s) at or below the level before them: levels are not distinct doubles")
@@ -763,16 +749,14 @@ def _scan_grid(lo, hi, scan_points) -> np.ndarray:
 
 
 def _scan_roots(values, lo, hi, scan_points, tol) -> list[float]:
-    """Sorted roots of values on the open band (lo, hi): the scan points
-    where values is exactly zero, and the sign-changing cells of
-    _scan_grid, solved together by _anderson_bjorck."""
-    if not np.nextafter(lo, hi) < hi:
-        return []
+    """Sorted roots of values on an open band (lo, hi) holding a double: the
+    scan points where values is exactly zero, and the sign-changing cells
+    of _scan_grid, solved together by _anderson_bjorck."""
     grid = _scan_grid(lo, hi, scan_points)
     vals = np.asarray(values(grid), dtype=float)
     sign = np.sign(vals)
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    bracketed = _anderson_bjorck(values, grid[i], grid[i + 1], vals[i], vals[i + 1], 0.0, tol, 1)
+    bracketed = _anderson_bjorck(values, grid[i], grid[i + 1], vals[i], vals[i + 1], 0.0, tol)
     # a scan point on a root counts once, also where a narrow band repeats points
     fresh = np.concatenate([[True], grid[1:] > grid[:-1]])
     return np.sort(np.concatenate([bracketed, grid[(sign == 0) & fresh]])).tolist()
@@ -792,17 +776,20 @@ def shooting_bound_states(config: FieldConfig, k: float, scan_points: int = 2000
     there.  A smooth profile has them as the zeros of dirac_shooting's determinant that
     _scan_roots brackets on scan_points uniform points, however near an
     edge; its levels can crowd into a band edge, where no finite scan
-    completes them.  Each of its determinant calls checks its energies as
-    dirac_shooting does, and the first one builds the shooter that every
-    call then uses.  Raises ConfigError for a scan_points that is not an
-    integer of at least two, a tol that is not finite and positive, or a k
-    or step that dirac_shooting rejects, and UnsupportedRegime where
-    dirac_shooting refuses the profile, k or step (see _exteriors and
-    _shooter), where a stepwise profile's levels are not distinct doubles,
-    and where an electrostatic step profile binds a level by the
-    weak-coupling rule (see core._binds) but its phase crosses no n pi:
-    the level lies within a double of the band edge, as find_roots
-    refuses it too.
+    completes them.  A band that holds no double has none; otherwise the
+    shooter is built once, before the scan, and each determinant call
+    checks its energies as dirac_shooting does.  Raises ConfigError for a
+    scan_points that is not an integer of at least two, a tol that is not
+    finite and positive, or a k or step that dirac_shooting rejects, and
+    UnsupportedRegime where dirac_shooting refuses the profile, k or step
+    (see _exteriors and _shooter), where a stepwise profile's levels are
+    not distinct doubles, and where a step profile binds a level by the
+    weak-coupling rule but its phase crosses no n pi: the level lies
+    within a double of the band edge, as find_roots refuses it too.  The
+    rule is taken on the field the march sees: electric steps at the one
+    momentum k + a where every k + a rounds to one double (see
+    core._binds), or vector-potential steps with no electric field (see
+    core._binds_vector).
     """
     if not isinstance(scan_points, (int, np.integer)) or scan_points < 2:
         raise ConfigError(f"scan_points must be an integer of at least 2, got {scan_points!r}")
@@ -815,14 +802,21 @@ def shooting_bound_states(config: FieldConfig, k: float, scan_points: int = 2000
         roots = _phase_roots(lambda eps: shoot(eps)[1], *_decaying_band(lo, hi, exteriors), tol)
         if not roots:
             pot, field = config.electric, config.magnetic
-            if isinstance(pot, PiecewiseConstant) and (field is None or field.is_zero()) and _binds(pot, k):
+            if pot is None or pot.is_zero():
+                binds = isinstance(field, PiecewiseConstant) and _binds_vector(field, k)
+            else:
+                momenta = {k + a for a in field.values} if isinstance(field, PiecewiseConstant) else {k}
+                binds = len(momenta) == 1 and _binds(pot, *momenta)
+            if binds:
                 raise UnsupportedRegime(f"the profile binds a level at k={k} by the weak-coupling rule, "
                                         "but the shot resolves none: too weakly bound to resolve")
         return roots
-    shooter = cache(lambda: _shooter(config, k, step, window))
+    if not np.nextafter(lo, hi) < hi:
+        return []
+    shoot = _shooter(config, k, step, window)
 
     def det(eps):
         _check_energies(eps, exteriors)
-        return shooter()(eps)[0]
+        return shoot(eps)[0]
 
     return _scan_roots(det, lo, hi, scan_points, tol)

@@ -5,6 +5,7 @@ These share no algebra with the matching construction they check."""
 import ast
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -31,6 +32,7 @@ from diracwell import (
     square_well_secular,
 )
 from diracwell import oracle
+from diracwell.core import _binds_vector
 from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 from test_matching import piecewise_wells
 
@@ -643,6 +645,47 @@ class TestShootingInputs:
             shooting_bound_states(square_well_config(2.0), k)
         assert shooting_bound_states(square_well_config(0.0), k) == []
 
+    @pytest.mark.parametrize("a, k", [(0.5, -1e17), (0.5, -1e20), (0.5, -1e50),
+                                      (-0.5, 1e17), (-0.5, 1e20), (-0.5, 1e30)])
+    def test_a_binding_vector_potential_step_that_resolves_no_level_is_refused(self, a, k):
+        # k + a rounds to k inside the step, and the shot returned []: the
+        # step lowers the mass |k + a|, so it binds by the weak-coupling
+        # rule, as it binds 128 levels at |k| = 1e4; where the step raises
+        # the mass it binds none and stays empty
+        config = FieldConfig(electric=None, magnetic=PiecewiseConstant((-1.0, 1.0), (0.0, a, 0.0)))
+        with pytest.raises(UnsupportedRegime, match="weak-coupling rule"):
+            shooting_bound_states(config, k)
+        assert shooting_bound_states(config, -k) == []
+        assert len(shooting_bound_states(config, math.copysign(1e4, k))) == 128
+
+    @pytest.mark.parametrize("k", [1e17, -1e17, 1e30])
+    @pytest.mark.parametrize("magnetic", [PiecewiseConstant((-0.5, 0.5), (0.0, 0.7, 0.0)),
+                                          PiecewiseConstant((-0.5, 0.4), (0.0, 0.7, -0.3))])
+    def test_a_binding_well_under_a_step_that_rounds_away_is_refused(self, magnetic, k):
+        # every k + a rounds to k, and the shot returned []: the march sees
+        # the electric well alone, which binds by the weak-coupling rule
+        with pytest.raises(UnsupportedRegime, match="weak-coupling rule"):
+            shooting_bound_states(FieldConfig(electric=square_well(6.0), magnetic=magnetic), k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_binds_vector_takes_the_sign_fractions_take(self, data):
+        # the sign of the sum of (a - a_inf)(2 k + a + a_inf) times the
+        # widths, over doubles of every magnitude and small dyadic ones
+        # whose sum can cancel exactly
+        floats = data.draw(st.sampled_from([
+            st.floats(-1e300, 1e300),
+            st.floats(-1e-300, 1e-300),
+            st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0, 1.5, -2.0, 3.0, -4.0]),
+        ]))
+        steps = sorted(data.draw(st.lists(floats, min_size=1, max_size=5, unique=True)))
+        outer = data.draw(floats)
+        inner = data.draw(st.lists(floats, min_size=len(steps) - 1, max_size=len(steps) - 1))
+        k = data.draw(st.sampled_from([2.0, -2.0, 1e-300, -1e300, 0.0]))
+        integral = sum((Fraction(a) - Fraction(outer)) * (2 * Fraction(k) + Fraction(a) + Fraction(outer))
+                       * (Fraction(right) - Fraction(left)) for a, left, right in zip(inner, steps, steps[1:]))
+        assert _binds_vector(PiecewiseConstant(steps, (outer, *inner, outer)), k) is (k != 0.0 and integral < 0)
+
     @pytest.mark.parametrize("k", [1e100, -1e100, 1e150, -1e150])
     def test_a_march_that_could_overflow_is_refused(self, k):
         # 1e100 returned [] with an overflow warning from _rk4_power's y y,
@@ -673,11 +716,11 @@ class TestShootingInputs:
             dirac_shooting(config, QuantumLabel(2.0, 0.5))
 
 
-def _matmul_stepwise_march(segments, eps, psi, powers, mirror):
+def _matmul_stepwise_march(segments, eps, psi, mirror):
     """The stepwise march with each segment's RK4 step built as an
     (energies, 2, 2) matrix and powered by matrix squaring: the reference
-    the closed-form powers must match.  powers is ignored, mirror must be
-    0, and the angle returned is 0: the reference carries none."""
+    the closed-form powers must match.  mirror must be 0, and the angle
+    returned is 0: the reference carries none."""
     assert not mirror
     psi = np.stack(psi, axis=1)
     n_eps = psi.shape[0]
@@ -818,6 +861,9 @@ def stepwise_wells(draw):
 
 
 MAGNETIC_STEP = FieldConfig(electric=square_well(6.0), magnetic=PiecewiseConstant((-0.5, 0.4), (0.0, 0.7, -0.3)))
+# ten wells of depth 3 and width 1 at period 2: each side repeats one pair of segments
+SUPERLATTICE = FieldConfig(electric=PiecewiseConstant(tuple(x for c in range(-9, 10, 2) for x in (c - 0.5, c + 0.5)),
+                                                      (0.0,) + (-3.0, 0.0) * 10))
 
 
 def _even_steps(draw, values):
@@ -862,7 +908,7 @@ def _recorded_marches(shots):
         return lambda eps: shots.append([]) or shoot(eps)
 
     return mock.patch.multiple(oracle, _shooter=shooter,
-                               _advance_stepwise=lambda *args: shots[-1].append(args[4]) or stepwise(*args),
+                               _advance_stepwise=lambda *args: shots[-1].append(args[3]) or stepwise(*args),
                                _advance_sampled=lambda *args: shots[-1].append(None) or sampled(*args))
 
 
@@ -898,6 +944,17 @@ class TestMirrorFold:
                          else [[None], [None, None]])
         bits = lambda out: [None if a is None else a.tobytes() for a in out]  # (det, theta or None)
         assert bits(folded) == bits(two_sided)
+
+    def test_a_superlattice_folds_and_matches_the_transfer_route(self):
+        # every repeat of a segment is powered where it is marched, and the
+        # right side is folded from the left
+        shots = []
+        with _recorded_marches(shots):
+            shot = shooting_bound_states(SUPERLATTICE, 2.0, step=2e-3)
+        assert shots and shots == [[1.0]] * len(shots)
+        transfer = find_roots(general_secular(SUPERLATTICE, 2.0))
+        assert len(shot) == len(transfer) == 20
+        np.testing.assert_allclose(shot, transfer, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("config, k", [
         STEPWISE_CASES["three-steps"][:2],  # unequal exteriors
@@ -936,6 +993,9 @@ class TestShootingPhase:
                                                           (0.0, -60.0, 0.0, -47.0, 0.0))), 40.0))  # 109 levels
     @example(well=(MAGNETIC_STEP, 2.5))
     @example(well=(FieldConfig(electric=padded_well(8.0, 0.37)), 3.0))  # matched off centre
+    # mirror-image segments between unequal exteriors: both sides marched, with either sign of h
+    @example(well=(FieldConfig(electric=PiecewiseConstant((-1.0, 1.0), (0.0, -8.0, 1.0))), 2.0))
+    @example(well=(FieldConfig(electric=PiecewiseConstant((-1.0, 1.0), (0.0, -8.0, 1.0))), -2.0))
     @example(well=(FieldConfig(electric=PiecewiseConstant((-1.0, 2.0), (3.0, 3.0, 3.0))),
                    3.0))  # flat, with its lower band edge at zero
     def test_roots_match_the_transfer_route(self, well):

@@ -34,10 +34,11 @@ from diracwell.spectrum import DEFAULT_ROOT_TOL, NEWTON_CALLS, _level_ranges, _l
 from test_matching import piecewise_wells
 
 
-def scalar_anderson_bjorck(f, a, b, fa, fb, tol, calls=1):
+def scalar_anderson_bjorck(f, a, b, fa, fb, tol):
     """One bracket, one point at a time: the steps the kernel takes.  An
     end kept twice in a row is scaled by 1 - f_new / f_replaced, or halved
     where that is not positive."""
+    calls = 1  # the call that found the bracket
     kept = 0  # the end the last step kept: -1 for a, 1 for b
     while b - a > tol and np.nextafter(a, b) < b:
         x = min(max(a - fa * (b - a) / (fb - fa), a + 0.45 * tol), b - 0.45 * tol)
@@ -224,7 +225,7 @@ class TestLevelsPerCall:
     )
     def test_roots_do_not_depend_on_the_depth(self, f, a, b, tol):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        roots = _anderson_bjorck(f, a, b, f(a), f(b), 0.0, tol, 1)
+        roots = _anderson_bjorck(f, a, b, f(a), f(b), 0.0, tol)
         scalar_f = lambda x: float(f(np.array([x]))[0])
         scalar = [scalar_anderson_bjorck(scalar_f, lo, hi, scalar_f(lo), scalar_f(hi), tol)
                   for lo, hi in zip(a, b)]
@@ -241,7 +242,7 @@ class TestLevelsPerCall:
             points.append(x)
             return np.sin(x)
 
-        roots = _anderson_bjorck(values, lo, lo + 3.0, np.sin(lo), np.sin(lo + 3.0), 0.0, 1e-10, 1)
+        roots = _anderson_bjorck(values, lo, lo + 3.0, np.sin(lo), np.sin(lo + 3.0), 0.0, 1e-10)
         np.testing.assert_allclose(roots, np.pi * np.arange(1, brackets + 1), rtol=0.0, atol=1e-10)
         sizes = [x.size for x in points]
         assert sizes == sorted(sizes, reverse=True)
@@ -261,7 +262,7 @@ class TestLevelsPerCall:
             raise AssertionError(f"a call on {x.size} points")
 
         empty = np.empty(0)
-        assert _anderson_bjorck(refuse, empty, empty, empty, empty, 0.0, 1e-10, 1).size == 0
+        assert _anderson_bjorck(refuse, empty, empty, empty, empty, 0.0, 1e-10).size == 0
         sizes = []
 
         def theta(eps):
