@@ -17,7 +17,8 @@ PROFILES
     route serves; Lorentzian, the one smooth family, serves the shooting
     oracle alone.  A step-free PiecewiseConstant is uniform: shooting
     takes it, and a uniform vector potential a = c shoots as momentum
-    k + c.
+    k + c.  A profile gives values and no derivative: the decoupled
+    equation is checked between steps alone, where v' = 0.
 
 UNITS
     All solver-facing quantities are in reduced form: eps = E / (hbar vF),
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DiscontinuityPoint
+from .errors import ConfigError
 
 __all__ = [
     "PiecewiseConstant",
@@ -51,8 +52,6 @@ __all__ = [
     "square_well",
     "potential_to_json",
     "potential_from_json",
-    "effective_potential_electric",
-    "effective_energy",
 ]
 
 
@@ -89,13 +88,6 @@ class PiecewiseConstant:
         out = np.asarray(self.values)[idx]
         return out if np.ndim(x) else float(out)
 
-    def derivative(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.breakpoints and np.any(np.isin(xs, np.asarray(self.breakpoints))):
-            raise DiscontinuityPoint("derivative undefined at a step of the profile")
-        out = np.zeros_like(xs)
-        return out if np.ndim(x) else 0.0
-
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values)
 
@@ -112,11 +104,6 @@ class Lorentzian:
 
     def evaluate(self, x):
         out = self.strength / (1.0 + np.asarray(x, dtype=float) ** 2)
-        return out if np.ndim(x) else float(out)
-
-    def derivative(self, x):
-        xs = np.asarray(x, dtype=float)
-        out = -2.0 * self.strength * xs / (1.0 + xs**2) ** 2
         return out if np.ndim(x) else float(out)
 
     def is_zero(self) -> bool:
@@ -163,12 +150,29 @@ def potential_from_json(text: str) -> PiecewiseConstant | Lorentzian:
     family = payload["family"]
     try:
         if family == "piecewise_constant":
-            return PiecewiseConstant(tuple(payload["breakpoints"]), tuple(payload["values"]))
+            return PiecewiseConstant(_json_numbers(payload["breakpoints"]), _json_numbers(payload["values"]))
         if family == "lorentzian":
-            return Lorentzian(float(payload["strength"]))
+            return Lorentzian(_json_number(payload["strength"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed parameters for family '{family}': {exc}") from exc
     raise ConfigError(f"unknown potential family '{family}'")
+
+
+def _json_number(value) -> float:
+    """A JSON number as a float, by the config file's rule: a bool or a
+    string is refused, and an integer passes unless it overflows a double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError("integer overflows a double") from exc
+
+
+def _json_numbers(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"expected an array of numbers, got {value!r}")
+    return tuple(map(_json_number, value))
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +241,3 @@ def _exact(x: float) -> int:
     n, d = x.as_integer_ratio()
     return n << (1075 - d.bit_length())
 
-
-# ---------------------------------------------------------------------------
-# reduced-equation building blocks
-# ---------------------------------------------------------------------------
-
-
-def effective_potential_electric(potential: PiecewiseConstant | Lorentzian, epsilon: float, x):
-    """Complex effective potential i v' + 2 eps v - v^2 of the decoupled
-    second-order equation for the rotated component in a purely electric
-    field.  Raises DiscontinuityPoint exactly at a step of the profile."""
-    v = np.asarray(potential.evaluate(x))
-    dv = np.asarray(potential.derivative(x))
-    out = 1j * dv + 2.0 * epsilon * v - v**2
-    return out if np.ndim(x) else complex(out)
-
-
-def effective_energy(label: QuantumLabel) -> float:
-    """Effective eigenvalue -(k^2 - eps^2) of the decoupled equation."""
-    return -(label.k**2 - label.epsilon**2)

@@ -5,8 +5,8 @@ callers can catch the package's failures without masking programming bugs.
 Each refusal rule has one class.
 """
 
-__all__ = ["SolverError", "ConfigError", "DiscontinuityPoint", "UnsupportedRegime",
-           "OutsideAdmissibleBand", "NotAnEigenvalue", "NotConjugatePair", "BrokenPTSymmetry"]
+__all__ = ["SolverError", "ConfigError", "UnsupportedRegime", "OutsideAdmissibleBand",
+           "NotAnEigenvalue", "NotConjugatePair", "BrokenPTSymmetry"]
 
 
 class SolverError(Exception):
@@ -17,10 +17,6 @@ class ConfigError(SolverError, ValueError):
     """A field configuration, CLI flag set, config file, argument value,
     level index or coefficient table is invalid.  It is also a ValueError,
     as a bad argument value is."""
-
-
-class DiscontinuityPoint(SolverError):
-    """A derivative was requested exactly at a jump of a piecewise profile."""
 
 
 class UnsupportedRegime(SolverError):

@@ -82,8 +82,10 @@ def grid_eigenvalues(u, x_min: float, x_max: float, points: int, count: int) -> 
     than as h^2.  u maps an x array to the potential samples.  Raises
     ConfigError for bounds that are not finite or not increasing, points
     that are not an integer of at least three or whose dense matrix would
-    hold more than GRID_MATRIX_CAP elements, and a count that is not a
-    positive integer or exceeds the N - 1 interior points.
+    hold more than GRID_MATRIX_CAP elements, a count that is not a
+    positive integer or exceeds the N - 1 interior points, and a u whose
+    samples are not finite or not one per interior point (a scalar
+    broadcasts); u is sampled before the matrix is built.
     """
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ConfigError(f"grid bounds must be finite, got [{x_min}, {x_max}]")
@@ -100,9 +102,14 @@ def grid_eigenvalues(u, x_min: float, x_max: float, points: int, count: int) -> 
     if count > n - 1:
         raise ConfigError(f"count={count} exceeds the {n - 1} interior grid points")
     width, i = x_max - x_min, np.arange(1, n)
+    samples = np.asarray(u(x_min + i * (width / n)), dtype=float)
+    if samples.shape not in ((), (n - 1,)):
+        raise ConfigError(f"u gave samples of shape {samples.shape} for {n - 1} interior points")
+    if not np.isfinite(samples).all():
+        raise ConfigError("u gave a sample that is not finite")
     sine = math.sqrt(2.0 / n) * np.sin((math.pi / n) * np.outer(i, i))
     ham = (sine * (i * (math.pi / width)) ** 2) @ sine
-    ham[np.diag_indices(n - 1)] += np.asarray(u(x_min + i * (width / n)), dtype=float)
+    ham[np.diag_indices(n - 1)] += samples
     return np.linalg.eigvalsh(ham)[:count]
 
 

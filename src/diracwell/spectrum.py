@@ -37,13 +37,11 @@ from .matching import (
     _band,
     _check_well,
     _square_well_phase_slope,
-    square_well_secular,
 )
 
 __all__ = [
     "SpectrumBranch",
     "find_roots",
-    "count_bound_states",
     "sweep_k",
     "sweep_v0",
     "branch_cut",
@@ -235,12 +233,6 @@ def find_roots(secular: SecularFunction) -> list[float]:
     lo, hi = np.array([secular.lo]), np.array([secular.hi])
     phase = getattr(secular.phase, "__wrapped__", secular.phase)  # unguarded: _levels_by_row holds one
     return _levels_by_row(lambda rows, eps: phase(eps), lo, hi, secular.binds)[2].tolist()
-
-
-def count_bound_states(k: float, v0: float, half_width: float = 1.0) -> int:
-    """Number of square-well bound states at fixed (k, v0): the length of
-    find_roots, so it raises the same UnsupportedRegime."""
-    return len(find_roots(square_well_secular(k, v0, half_width)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    PiecewiseConstant,
-    QuantumLabel,
-    effective_energy,
-    effective_potential_electric,
-    square_well,
-)
+from .core import PiecewiseConstant, QuantumLabel, square_well
 from .errors import (
     BrokenPTSymmetry,
     ConfigError,
@@ -502,8 +496,9 @@ def second_order_residuals(state: BoundState, grid_derivatives: bool = False) ->
     """Residuals of the decoupled second-order equation for both rotated
     components: -psi'' + (i v' + 2 eps v - v^2) psi - (eps^2 - k^2) psi.
 
-    Points sitting on a potential step are always excluded (the equation
-    holds between steps; at a step the derivative term is distributional).
+    Points sitting on a potential step are always excluded: between steps
+    v' = 0, so the potential term 2 eps v - v^2 comes from the profile's
+    values and no derivative is taken (at a step it is distributional).
     With grid_derivatives=True a fourth-order stencil replaces the exact
     second derivative and the exclusion widens to five grid spacings, as
     in equation_residuals.
@@ -521,8 +516,9 @@ def second_order_residuals(state: BoundState, grid_derivatives: bool = False) ->
             keep &= x != b
         x_eval, w1, w2 = x[keep], state.psi1[keep], state.psi2[keep]
         d1, d2 = _sample([w.derivative().derivative() for w in (state.wave1, state.wave2)], x_eval)
-    u_eff = effective_potential_electric(state.potential, eps, x_eval)
-    mu = effective_energy(state.label)
+    v = state.potential.evaluate(x_eval)
+    u_eff = 2.0 * eps * v - v**2
+    mu = -(state.label.k**2 - eps**2)
     r1 = -d1 + u_eff * w1 - mu * w1
     r2 = -d2 + u_eff * w2 - mu * w2
     return ResidualReport(x=x_eval, residual_1=r1, residual_2=r2)

@@ -1,5 +1,4 @@
-"""Potential families, field configurations, and the decoupled equation's
-building blocks."""
+"""Potential families, their JSON form and field configurations."""
 
 import json
 import math
@@ -11,14 +10,11 @@ from diracwell import (
     FieldConfig,
     Lorentzian,
     PiecewiseConstant,
-    QuantumLabel,
-    effective_energy,
-    effective_potential_electric,
     potential_from_json,
     potential_to_json,
     square_well,
 )
-from diracwell.errors import ConfigError, DiscontinuityPoint
+from diracwell.errors import ConfigError
 
 
 class TestPiecewiseConstant:
@@ -40,18 +36,6 @@ class TestPiecewiseConstant:
         well = square_well(3.0, half_width=0.5)
         xs = np.array([-2.0, -0.25, 0.25, 2.0])
         np.testing.assert_allclose(well.evaluate(xs), [0.0, -3.0, -3.0, 0.0])
-
-    def test_derivative_zero_between_steps(self):
-        well = square_well(2.0)
-        assert well.derivative(0.5) == 0.0
-        np.testing.assert_allclose(well.derivative(np.array([-3.0, 0.0, 3.0])), 0.0)
-
-    def test_derivative_raises_on_step(self):
-        well = square_well(2.0)
-        with pytest.raises(DiscontinuityPoint):
-            well.derivative(1.0)
-        with pytest.raises(DiscontinuityPoint):
-            well.derivative(np.array([0.0, -1.0]))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -87,10 +71,6 @@ class TestSmoothFamilies:
         pot = Lorentzian(-2.0)
         assert pot.evaluate(0.0) == -2.0
         assert pot.evaluate(1.0) == -1.0
-        # derivative matches a central difference
-        h = 1e-6
-        fd = (pot.evaluate(0.7 + h) - pot.evaluate(0.7 - h)) / (2 * h)
-        assert pot.derivative(0.7) == pytest.approx(fd, abs=1e-8)
 
     @pytest.mark.parametrize("make", [lambda bad: Lorentzian(bad)], ids=["lorentzian"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -127,6 +107,24 @@ class TestPotentialJson:
             potential_from_json('{"family": "lorentzian"}')  # missing strength
         with pytest.raises(ConfigError, match="must be finite"):
             potential_from_json('{"family": "lorentzian", "strength": NaN}')
+        # the config file's rule: a bool or a string is no number, and an
+        # integer past the largest double is refused rather than overflowing
+        for params in (
+            {"family": "piecewise_constant", "breakpoints": [0], "values": "12"},
+            {"family": "piecewise_constant", "breakpoints": {}, "values": [1]},
+            {"family": "lorentzian", "strength": "-2"},
+            {"family": "piecewise_constant", "breakpoints": [True], "values": [0, 1]},
+            {"family": "piecewise_constant", "breakpoints": [0], "values": [0, False]},
+            {"family": "piecewise_constant", "breakpoints": [10**400], "values": [0, 1]},
+            {"family": "lorentzian", "strength": -(10**400)},
+        ):
+            with pytest.raises(ConfigError, match="^malformed parameters"):
+                potential_from_json(json.dumps(params))
+
+    def test_an_integer_is_a_number(self):
+        text = '{"family": "piecewise_constant", "breakpoints": [-1, 1], "values": [0, -2, 0]}'
+        assert potential_from_json(text) == square_well(2.0)
+        assert potential_from_json('{"family": "lorentzian", "strength": -2}') == Lorentzian(-2.0)
 
     @pytest.mark.parametrize("family", ["linear", "coulomb_like", "tanh"])
     def test_refuses_a_removed_family_by_name(self, family):
@@ -143,24 +141,4 @@ class TestFieldConfig:
     def test_needs_some_profile(self):
         with pytest.raises(ConfigError):
             FieldConfig(electric=None, magnetic=None)
-
-
-class TestReducedSystem:
-    def test_effective_potential_square_well(self):
-        well = square_well(2.0)
-        assert effective_potential_electric(well, 1.0, 0.0) == pytest.approx(-8.0)
-        assert effective_potential_electric(well, 1.0, 3.0) == 0.0
-
-    def test_effective_potential_imaginary_part(self):
-        # i v' contributes the imaginary part for a smooth profile: at
-        # x = 1, -2 / (1 + x^2) has v = -1 and v' = 1
-        val = effective_potential_electric(Lorentzian(-2.0), 0.0, 1.0)
-        assert val == pytest.approx(-1.0 + 1j)
-
-    def test_effective_energy(self):
-        assert effective_energy(QuantumLabel(k=2.0, epsilon=0.0)) == -4.0
-        assert effective_energy(QuantumLabel(k=1.0, epsilon=1.0)) == 0.0
-        assert effective_energy(QuantumLabel(k=2.0, epsilon=0.354274)) == pytest.approx(
-            -3.874490, abs=1e-5
-        )
 

@@ -117,6 +117,21 @@ class TestGridEigenvalues:
         grid_eigenvalues(lambda x: seen.append(x) or 0.0 * x, -1.0, 3.0, 9, 1)
         np.testing.assert_allclose(seen[0], np.arange(1, 8) * 0.5 - 1.0, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("u, match", [
+        (lambda x: np.full_like(x, np.nan), "not finite"),
+        (lambda x: np.full_like(x, np.inf), "not finite"),
+        (lambda x: np.where(x > 0.5, -np.inf, 0.0), "not finite"),
+        (lambda x: np.zeros(3), r"shape \(3,\) for 8 interior"),
+    ], ids=["nan", "inf", "one-minus-inf", "wrong-length"])
+    def test_samples_must_be_finite_and_one_per_interior_point(self, u, match):
+        # numpy would raise LinAlgError or a broadcast ValueError instead
+        with pytest.raises(ConfigError, match=match):
+            grid_eigenvalues(u, 0.0, 1.0, 10, 2)
+
+    def test_a_scalar_potential_broadcasts(self):
+        shifted = grid_eigenvalues(lambda x: 1.0, 0.0, 1.0, 10, 2)
+        np.testing.assert_array_equal(shifted, grid_eigenvalues(lambda x: 0.0 * x + 1.0, 0.0, 1.0, 10, 2))
+
     @pytest.mark.parametrize("count", [0, -1, 2.5, True, "3", None])
     def test_count_must_be_a_positive_integer(self, count):
         # a slice of the eigenvalues would silently drop a level for -1

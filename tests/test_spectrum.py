@@ -16,7 +16,6 @@ from diracwell import (
     branch_cut,
     branches_to_csv,
     branches_to_json_payload,
-    count_bound_states,
     find_roots,
     general_secular,
     landau_levels_magnetic,
@@ -97,9 +96,9 @@ class TestFindRoots:
         assert all(-3.0 + 1e-6 < r < 3.0 - 1e-6 for r in roots)
 
     def test_counts(self):
-        assert count_bound_states(3.0, 8.0) == 5
-        assert count_bound_states(2.0, 2.0) == 3
-        assert count_bound_states(2.0, 0.0) == 0
+        assert len(find_roots(square_well_secular(3.0, 8.0))) == 5
+        assert len(find_roots(square_well_secular(2.0, 2.0))) == 3
+        assert len(find_roots(square_well_secular(2.0, 0.0))) == 0
 
     @pytest.mark.parametrize(
         "k,v0,half_width,count",
@@ -110,7 +109,7 @@ class TestFindRoots:
         # a weakly bound level, a level inside the first scan cell, two deep
         # wells that lost levels to shared or edge scan cells, and a barrier
         roots = find_roots(square_well_secular(k, v0, half_width))
-        assert len(roots) == count_bound_states(k, v0, half_width) == count
+        assert len(roots) == len(find_roots(square_well_secular(k, v0, half_width))) == count
 
     def test_transfer_route_takes_few_calls(self):
         # the phases at the levels' start points narrow every bracket once:
@@ -210,7 +209,7 @@ class TestSweeps:
         params = parameter_grid(0.0, 8.0, 0.01)
         branches = sweep_v0(3.0, params)
         for v0 in params:
-            assert len(branch_cut(branches, v0)) == count_bound_states(3.0, v0)
+            assert len(branch_cut(branches, v0)) == len(find_roots(square_well_secular(3.0, v0)))
 
     def test_sweep_v0_shallow_well_never_collapses(self):
         branches = sweep_v0(2.0, parameter_grid(0.0, 2.0, 0.1))
@@ -271,7 +270,7 @@ class TestPhaseLevels:
     def test_levels_are_the_phase_crossings(self, k, v0, half_width):
         secular = square_well_secular(k, v0, half_width)
         roots = np.array(find_roots(secular))
-        assert len(roots) == count_bound_states(k, v0, half_width)
+        assert len(roots) == len(find_roots(square_well_secular(k, v0, half_width)))
         assert np.all((secular.lo < roots) & (roots < secular.hi))
         assert np.all(np.diff(roots) > 0.0)
         # theta passes pi/2 + n pi within two double spacings of |k| of each
@@ -295,7 +294,7 @@ class TestPhaseLevels:
         with pytest.raises(UnsupportedRegime, match="not distinct doubles"):
             find_roots(square_well_secular(2.0, v0))
         with pytest.raises(UnsupportedRegime):
-            count_bound_states(2.0, v0)
+            len(find_roots(square_well_secular(2.0, v0)))
         with pytest.raises(UnsupportedRegime):
             sweep_v0(2.0, [1.0, v0])
 
@@ -319,7 +318,7 @@ class TestPhaseLevels:
         with pytest.raises(UnsupportedRegime, match="within one double"):
             find_roots(square_well_secular(1.0, v0))
         with pytest.raises(UnsupportedRegime):
-            count_bound_states(1.0, v0)
+            len(find_roots(square_well_secular(1.0, v0)))
         with pytest.raises(UnsupportedRegime):
             sweep_v0(1.0, [0.0, v0, 0.5])
         with pytest.raises(UnsupportedRegime):
@@ -334,12 +333,12 @@ class TestPhaseLevels:
         with pytest.raises(UnsupportedRegime, match="phase rounding moves"):
             sweep_v0(2.0, [1.0, v0])
         with pytest.raises(UnsupportedRegime, match="phase rounding moves"):
-            count_bound_states(2.0, v0)  # the count is the solve's
+            len(find_roots(square_well_secular(2.0, v0)))  # the count is the solve's
 
     def test_zero_depth_or_momentum_stays_empty(self):
         assert find_roots(square_well_secular(1.0, 0.0)) == []
         assert find_roots(square_well_secular(0.0, 5.0)) == []
-        assert count_bound_states(1.0, 0.0) == count_bound_states(0.0, -5.0) == 0
+        assert len(find_roots(square_well_secular(1.0, 0.0))) == len(find_roots(square_well_secular(0.0, -5.0))) == 0
         assert sweep_v0(1.0, [0.0]) == sweep_k(5.0, [0.0]) == []
 
 

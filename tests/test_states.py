@@ -35,7 +35,6 @@ from diracwell import (
     state_to_json,
 )
 from diracwell import states as states_module
-from diracwell.core import effective_energy, effective_potential_electric
 from diracwell.errors import (
     BrokenPTSymmetry,
     ConfigError,
@@ -738,14 +737,22 @@ class TestResiduals:
             report = equation_residuals(s)
             assert np.array_equal(report.residual_1, d1 + 1j * delta * s.psi1 - k * s.psi2)
             assert np.array_equal(report.residual_2, d2 - 1j * delta * s.psi2 - k * s.psi1)
-            # and the second-order residuals to the per-wave second derivatives, off the steps
-            keep = ~np.isin(x, s.potential.breakpoints)
-            dd1, dd2 = (w.derivative().derivative()(x[keep]) for w in (s.wave1, s.wave2))
-            u, mu = effective_potential_electric(s.potential, s.label.epsilon, x[keep]), effective_energy(s.label)
-            w1, w2 = s.psi1[keep], s.psi2[keep]
-            report = second_order_residuals(s)
-            assert np.array_equal(report.residual_1, -dd1 + u * w1 - mu * w1)
-            assert np.array_equal(report.residual_2, -dd2 + u * w2 - mu * w2)
+            # and the second-order residuals to the per-wave second derivatives
+            # off the steps, or to the stencil's; v' = 0 there, so the
+            # potential term is 2 eps v - v^2
+            eps, keep = s.label.epsilon, ~np.isin(x, s.potential.breakpoints)
+            exact = (x[keep], s.psi1[keep], s.psi2[keep],
+                     *(w.derivative().derivative()(x[keep]) for w in (s.wave1, s.wave2)))
+            stencil = states_module._stencil_points(
+                s, lambda w, h: (-w[4:] + 16 * w[3:-1] - 30 * w[2:-2] + 16 * w[1:-3] - w[:-4]) / (12 * h * h)
+            )
+            for grid, (xs, w1, w2, dd1, dd2) in ((False, exact), (True, stencil)):
+                v = s.potential.evaluate(xs)
+                u, mu = 2.0 * eps * v - v**2, -(k**2 - eps**2)
+                report = second_order_residuals(s, grid_derivatives=grid)
+                assert np.array_equal(report.x, xs)
+                assert np.array_equal(report.residual_1, -dd1 + u * w1 - mu * w1)
+                assert np.array_equal(report.residual_2, -dd2 + u * w2 - mu * w2)
 
     def test_reports_compare_by_identity_and_hash(self, well22_states):
         # their fields are arrays: a generated == raised ValueError and hash TypeError

@@ -104,7 +104,7 @@ def test_psi2_scaled_inside_the_well_fails_passing_wells(monkeypatch):
     monkeypatch.setattr(states, "assemble_square_well_state", scaled)
     wells = [(e["k"], e["v0"], e["half_width"]) for e in _recorded()
              if e["verdict"] == "PASS" and e["k"] == 1.0]
-    wells = [well for well in wells if spectrum.count_bound_states(*well)]
+    wells = [well for well in wells if len(spectrum.find_roots(square_well_secular(*well)))]
     assert len(wells) >= 5
     for well in wells:
         got = verdict(*well)
