@@ -200,39 +200,32 @@ class FieldConfig:
             raise ConfigError("at least one of electric/magnetic must be present")
 
 
-def _binds(potential: PiecewiseConstant, k: float) -> bool:
-    """Whether the profile binds a level in exact arithmetic by the 1D
-    weak-coupling rule (B. Simon, Ann. Phys. 97, 279 (1976), with mass |k|
-    at the Dirac band edge): k != 0, equal exteriors v_inf and a nonzero
-    integral of v - v_inf, whose sign is taken exactly over the profile's
-    floats, so that no underflow can clear it.  False where the rule
-    proves nothing: a zero integral or unequal exteriors."""
-    values, steps = potential.values, potential.breakpoints
-    if k == 0.0 or values[0] != values[-1]:
+def _binds(electric: PiecewiseConstant | None, magnetic: PiecewiseConstant | None, k: float) -> bool:
+    """Whether electric and magnetic step fields, either of them None, bind
+    a level at momentum k by the 1D weak-coupling rule (B. Simon, Ann.
+    Phys. 97, 279 (1976)) on the decoupled equation, whose potential less
+    its value at the band edges eps = v_inf +/- |W_inf|, W_inf = k + a_inf,
+    integrates there to first order to A +/- 2 |W_inf| V: A sums
+    (a - a_inf)(2 k + a + a_inf) and V sums v - v_inf, each times its
+    step's width.  True where each profile has equal exteriors, W_inf != 0
+    and A < 2 |W_inf| |V|, every sum exact (see _exact), so that no
+    rounding or underflow moves the verdict; False where first order
+    proves nothing."""
+    if any(p is not None and p.values[0] != p.values[-1] for p in (electric, magnetic)):
         return False
-    outer = _exact(values[0])
-    return 0 != sum(
-        (_exact(v) - outer) * (_exact(right) - _exact(left))
-        for v, left, right in zip(values[1:-1], steps, steps[1:])
-    )
+    w_inf = _exact(k) + (_exact(magnetic.values[0]) if magnetic is not None else 0)
+    area = sum(d * (2 * w_inf + d) * width for d, width in _offsets(magnetic))  # 2 k + a + a_inf = 2 W_inf + d
+    depth = sum(d * width for d, width in _offsets(electric))
+    return w_inf != 0 and area < 2 * abs(w_inf) * abs(depth)
 
 
-def _binds_vector(potential: PiecewiseConstant, k: float) -> bool:
-    """Whether a vector-potential profile a(x), with no electric field,
-    binds a level in exact arithmetic by the same rule, applied to the
-    decoupled equation's potential (k + a)^2 - (k + a_inf)^2 +/- a', whose
-    derivative term integrates to zero: k != 0, equal exteriors a_inf and
-    a negative sum of (a - a_inf)(2 k + a + a_inf) times the step widths,
-    its sign taken exactly over the profile's floats and k.  False where
-    the rule proves nothing."""
-    values, steps = potential.values, potential.breakpoints
-    if k == 0.0 or values[0] != values[-1]:
-        return False
-    outer, twice = _exact(values[0]), 2 * _exact(k)
-    return 0 > sum(
-        (_exact(a) - outer) * (twice + _exact(a) + outer) * (_exact(right) - _exact(left))
-        for a, left, right in zip(values[1:-1], steps, steps[1:])
-    )
+def _offsets(profile: PiecewiseConstant | None) -> list[tuple[int, int]]:
+    """Exact (value - exterior value, width) of each inner step; none for None."""
+    if profile is None:
+        return []
+    outer, steps = _exact(profile.values[0]), profile.breakpoints
+    return [(_exact(v) - outer, _exact(right) - _exact(left))
+            for v, left, right in zip(profile.values[1:-1], steps, steps[1:])]
 
 
 def _exact(x: float) -> int:

@@ -377,7 +377,8 @@ def general_secular(config: FieldConfig, k: float) -> SecularFunction:
     The domain is the band of _band, the one the square well's closed form
     shares: the window where both exteriors decay, narrowed to where some
     inner region oscillates.  binds is set by the weak-coupling rule of
-    core._binds.  Raises ConfigError for a k that is not finite.
+    core._binds, taken on the electric steps alone.  Raises ConfigError
+    for a k that is not finite.
     """
     from .core import _binds  # core loads with the transfer route alone
 
@@ -385,7 +386,7 @@ def general_secular(config: FieldConfig, k: float) -> SecularFunction:
     if not math.isfinite(k):
         raise ConfigError(f"k must be finite, got {k}")
     lo, hi = _band(k, pot.values)
-    return _from_phase(lo, hi, lambda eps: _transfer_phase_slope(pot, k, eps), _binds(pot, k))
+    return _from_phase(lo, hi, lambda eps: _transfer_phase_slope(pot, k, eps), _binds(pot, None, k))
 
 
 def square_well_config(v0: float, half_width: float = 1.0) -> FieldConfig:

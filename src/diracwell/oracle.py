@@ -22,10 +22,11 @@ solver.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .core import FieldConfig, Lorentzian, PiecewiseConstant, QuantumLabel, _binds, _binds_vector
+from .core import FieldConfig, Lorentzian, PiecewiseConstant, QuantumLabel, _binds
 from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 
 __all__ = [
@@ -57,6 +58,8 @@ MARCH_REACH_CAP = 2.0**19
 # h |k + a| of a stepwise segment: with the coarse-step test's y >= -6,
 # y = h^2 (w^2 - d^2) stays below 2**500, so _rk4_power's y y stays finite
 POWER_REACH_CAP = 2.0**250
+# crossings of one shot: landau.MAX_GRID_POINTS, the cap of the solver's levels
+CROSSING_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +125,10 @@ def proportional_oscillator_levels(alpha: float, beta: float, count: int) -> np.
     for a non-finite alpha or beta, a beta that is not positive or a count
     that is not a positive integer, and UnsupportedRegime for |alpha| >= 1
     or a count above OSCILLATOR_LEVELS, whose highest level would come
-    within OSCILLATOR_MARGIN oscillator lengths of a wall.
+    within OSCILLATOR_MARGIN oscillator lengths of a wall.  A beta whose
+    scale^2 = beta^2 (1 - alpha^2) overflows or leaves the normal doubles
+    raises ConfigError before any sample is taken; the window's reach^2,
+    OSCILLATOR_SPAN^2 / scale, then stays normal too.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ConfigError(f"alpha and beta must be finite, got {alpha}, {beta}")
@@ -138,6 +144,8 @@ def proportional_oscillator_levels(alpha: float, beta: float, count: int) -> np.
             f"count={count} exceeds the {OSCILLATOR_LEVELS} levels the oscillator window resolves"
         )
     scale = beta * math.sqrt(1.0 - alpha * alpha)
+    if not sys.float_info.min <= scale * scale < math.inf:  # then so is reach^2 = OSCILLATOR_SPAN^2 / scale
+        raise ConfigError(f"beta={beta} puts the oscillator's samples out of the range of doubles")
     length = 1.0 / math.sqrt(scale)
     u = lambda x: scale**2 * x**2 - scale
     reach = OSCILLATOR_SPAN * length
@@ -700,17 +708,21 @@ def _phase_roots(theta, lo, hi, tol) -> list[float]:
     target, read off theta's running maximum so that rounding that is not
     monotone cannot lose or repeat a crossing, and an end on the target
     closes the bracket.  _anderson_bjorck solves the brackets on
-    theta - n pi.  UnsupportedRegime where a root is not above the one
-    before it: the levels are not distinct doubles.
+    theta - n pi.  UnsupportedRegime, before any target is built, for
+    more than CROSSING_CAP crossings, and where a root is not above the
+    one before it: the levels are not distinct doubles.
     """
     ends = np.nextafter(lo, hi), np.nextafter(hi, lo)
     if not lo < ends[0] < ends[1]:
         return []
     grid = np.linspace(*ends, PHASE_GRID)
     th = theta(grid)
-    target = math.pi * np.arange(math.floor(th[0] / math.pi) + 1, math.ceil(th[-1] / math.pi))
-    if not target.size:
+    first, stop = math.floor(th[0] / math.pi) + 1, math.ceil(th[-1] / math.pi)
+    if stop - first > CROSSING_CAP:
+        raise UnsupportedRegime(f"{stop - first} levels in one shot, more than the {CROSSING_CAP} it takes")
+    if stop <= first:
         return []
+    target = math.pi * np.arange(first, stop)
     j = np.searchsorted(np.maximum.accumulate(th), target)
     a, b, fa, fb = grid[j - 1], grid[j], th[j - 1] - target, th[j] - target
     a = np.where(fb == 0.0, b, a)  # an exact zero closes the bracket
@@ -793,10 +805,11 @@ def shooting_bound_states(config: FieldConfig, k: float, scan_points: int = 2000
     not distinct doubles, and where a step profile binds a level by the
     weak-coupling rule but its phase crosses no n pi: the level lies
     within a double of the band edge, as find_roots refuses it too.  The
-    rule is taken on the field the march sees: electric steps at the one
-    momentum k + a where every k + a rounds to one double (see
-    core._binds), or vector-potential steps with no electric field (see
-    core._binds_vector).
+    rule (core._binds) serves electric, magnetic and joint steps alike,
+    and is asked twice: of the profile itself, and of the field the march
+    sees, each magnetic value replaced by the rounded k + a at k = 0.  A
+    level binds if either says so, so a step that rounds away and one
+    that only the exact field holds are both refused.
     """
     if not isinstance(scan_points, (int, np.integer)) or scan_points < 2:
         raise ConfigError(f"scan_points must be an integer of at least 2, got {scan_points!r}")
@@ -807,13 +820,12 @@ def shooting_bound_states(config: FieldConfig, k: float, scan_points: int = 2000
     if _is_stepwise(config.electric) and _is_stepwise(config.magnetic):
         shoot = _shooter(config, k, step, window)
         roots = _phase_roots(lambda eps: shoot(eps)[1], *_decaying_band(lo, hi, exteriors), tol)
-        if not roots:
-            pot, field = config.electric, config.magnetic
-            if pot is None or pot.is_zero():
-                binds = isinstance(field, PiecewiseConstant) and _binds_vector(field, k)
-            else:
-                momenta = {k + a for a in field.values} if isinstance(field, PiecewiseConstant) else {k}
-                binds = len(momenta) == 1 and _binds(pot, *momenta)
+        if not roots and lo < hi:  # an empty band binds nothing; a band made the shooter refuse an infinite k + a
+            electric, magnetic = (p if isinstance(p, PiecewiseConstant) else None
+                                  for p in (config.electric, config.magnetic))
+            # the profile, and the field the march sees: each k + a rounded, at k = 0
+            binds = _binds(electric, magnetic, k) or magnetic is not None and _binds(
+                electric, PiecewiseConstant(magnetic.breakpoints, tuple(k + a for a in magnetic.values)), 0.0)
             if binds:
                 raise UnsupportedRegime(f"the profile binds a level at k={k} by the weak-coupling rule, "
                                         "but the shot resolves none: too weakly bound to resolve")

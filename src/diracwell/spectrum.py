@@ -19,7 +19,8 @@ phase crossings, bracketed from one grid call, and a smooth profile's
 scanned determinant.  The CSV and JSON sweep writers refuse the same
 branches, in one gathering step (_gathered).
 The closed-form Landau ladders live in landau, which loads no numpy;
-MAX_GRID_POINTS, which parameter_grid checks, is defined there too.
+MAX_GRID_POINTS, which parameter_grid checks and which caps the levels
+of one solve, is defined there too.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ def _level_ranges(phase, lo, hi, binds):
     a barrier's decreasing phase is its mirrored well's in u = -eps.
     UnsupportedRegime when a phase at a band end is not finite or doubles
     there are pi or more apart: crossings are then not distinct doubles;
-    and when a row where binds holds counts no level: a genuine well
+    when a row where binds holds counts no level: a genuine well
     (k != 0, v0 != 0) holds one, as its phase grows by more than pi across
-    the band, so its level lies within a double of a band edge.
+    the band, so its level lies within a double of a band edge; and when
+    the rows' levels sum past MAX_GRID_POINTS, the cap of grids and
+    states, before any per-level array is allocated.
     """
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
     live = np.flatnonzero(inner_lo < inner_hi)
@@ -99,6 +102,9 @@ def _level_ranges(phase, lo, hi, binds):
                 f"{np.count_nonzero(empty)} well(s) bind a level within one double of the band edge: "
                 "too weakly bound to resolve"
             )
+    total = np.sum(count, dtype=float)  # in floats: a sum of int64 counts can wrap
+    if total > MAX_GRID_POINTS:
+        raise UnsupportedRegime(f"{total:.0f} levels in one solve, more than the {MAX_GRID_POINTS} it takes")
     return live, sign, u_lo, u_hi, th_lo, th_hi, first, count
 
 
@@ -226,7 +232,8 @@ def find_roots(secular: SecularFunction) -> list[float]:
     the crossings of its phase, solved level by level (see _levels_by_row).
 
     UnsupportedRegime when it binds but its level lies within a double of
-    the band edge (see _level_ranges), when the phase's rounding could
+    the band edge or it holds more than MAX_GRID_POINTS levels (see
+    _level_ranges), when the phase's rounding could
     move a level by more than DEFAULT_ROOT_TOL, or when two levels round
     to one double (see _levels_by_row).
     """

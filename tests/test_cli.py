@@ -96,6 +96,13 @@ class TestSpectrum:
         assert (code, out) == (2, "")
         assert "phase rounding moves" in err
 
+    @pytest.mark.parametrize("k, v0, count", [("1e10", "1e10", 11026577909), ("1e7", "1e7", 11026578)])
+    def test_a_well_of_more_levels_than_a_solve_takes_exits_2(self, capsys, k, v0, count):
+        # 1e10 exited 1 with a MemoryError traceback, and 1e7 took 11 s
+        code, out, err = run(capsys, "spectrum", "--k", k, "--v0", v0)
+        assert (code, out) == (2, "")
+        assert err == f"error: {count} levels in one solve, more than the 1000000 it takes\n"
+
     def test_level_within_a_double_of_the_edge_exits_2(self, capsys):
         # the level of a well this shallow is not an empty spectrum
         code, out, err = run(capsys, "state", "--k", "1", "--v0", "1e-10", "--level", "0")

@@ -2,9 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracwell import (
     FieldConfig,
@@ -14,6 +17,7 @@ from diracwell import (
     potential_to_json,
     square_well,
 )
+from diracwell.core import _binds
 from diracwell.errors import ConfigError
 
 
@@ -142,3 +146,69 @@ class TestFieldConfig:
         with pytest.raises(ConfigError):
             FieldConfig(electric=None, magnetic=None)
 
+
+def _rule_by_fractions(electric, magnetic, k):
+    """The weak-coupling rule in Fraction arithmetic, as core._binds states
+    it: equal exteriors, W_inf = k + a_inf != 0 and A < 2 |W_inf| |V|."""
+    if any(p is not None and p.values[0] != p.values[-1] for p in (electric, magnetic)):
+        return False
+
+    def steps(p):
+        return [] if p is None else [(Fraction(v), Fraction(right) - Fraction(left))
+                                     for v, left, right in zip(p.values[1:-1], p.breakpoints, p.breakpoints[1:])]
+
+    a_inf = Fraction(magnetic.values[0]) if magnetic is not None else Fraction(0)
+    w_inf = Fraction(k) + a_inf
+    area = sum((a - a_inf) * (2 * Fraction(k) + a + a_inf) * width for a, width in steps(magnetic))
+    depth = sum((v - Fraction(electric.values[0])) * width for v, width in steps(electric))
+    return w_inf != 0 and area < 2 * abs(w_inf) * abs(depth)
+
+
+class TestWeakCouplingRule:
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_binds_takes_the_sign_fractions_take(self, data):
+        # electric, magnetic and joint step fields over doubles of every
+        # magnitude, subnormals and 1e300 widths included, and small dyadic
+        # ones whose sums can cancel exactly or put k + a_inf at 0
+        floats = data.draw(st.sampled_from([
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-1e-300, 1e-300),
+            st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0, 1.5, -2.0, 3.0, -4.0]),
+        ]))
+
+        def profile():
+            steps = sorted(data.draw(st.lists(floats, min_size=1, max_size=5, unique=True)))
+            outer = data.draw(floats)
+            inner = data.draw(st.lists(floats, min_size=len(steps) - 1, max_size=len(steps) - 1))
+            return PiecewiseConstant(steps, (outer, *inner, data.draw(st.one_of(st.just(outer), floats))))
+
+        fields = data.draw(st.sampled_from(["electric", "magnetic", "both"]))
+        electric = profile() if fields != "magnetic" else None
+        magnetic = profile() if fields != "electric" else None
+        k = data.draw(st.sampled_from([2.0, -2.0, 1e-300, -1e-300, -1e300, 0.0]))
+        assert _binds(electric, magnetic, k) is _rule_by_fractions(electric, magnetic, k)
+
+    @pytest.mark.parametrize("electric, magnetic, k, binds", [
+        # the electric rule: k != 0 and a nonzero integral, whatever its sign
+        (square_well(-1e-300), None, 2.0, True),
+        (square_well(2.0), None, 0.0, False),
+        # the magnetic rule: a step that lowers the mass |k + a| binds
+        (None, PiecewiseConstant((-1.0, 1.0), (0.0, -0.5, 0.0)), 2.0, True),
+        (None, PiecewiseConstant((-1.0, 1.0), (0.0, 0.5, 0.0)), 2.0, False),
+        # the mass is |k + a_inf|, so k = 0 binds under a field of 0.5 ...
+        (None, PiecewiseConstant((-1.0, 1.0), (0.5, 0.5 - 1e-9, 0.5)), 0.0, True),
+        # ... and k + a_inf = 0 leaves no band: A is a sum of (k + a)^2 w
+        (None, PiecewiseConstant((-1.0, 1.0), (-2.0, -1.5, -2.0)), 2.0, False),
+        (square_well(1.0), PiecewiseConstant((-1.0, 1.0), (-2.0, -1.5, -2.0)), 2.0, False),
+        # joint: A = 6 against 2 |W_inf| |V| = 4 v0, which proves nothing at equality
+        (square_well(1.5), PiecewiseConstant((-1.0, 1.0), (0.0, 1.0, 0.0)), 1.0, False),
+        (square_well(1.5000000000000002), PiecewiseConstant((-1.0, 1.0), (0.0, 1.0, 0.0)), 1.0, True),
+        (square_well(1e-10), PiecewiseConstant((-1.0, 1.0), (0.0, 1e-12, 0.0)), 1.0, True),
+        # unequal exteriors of either field prove nothing
+        (square_well(2.0), PiecewiseConstant((-1.0, 1.0), (0.0, -0.5, 0.1)), 1.0, False),
+        (PiecewiseConstant((-1.0, 1.0), (0.0, -2.0, 0.1)), PiecewiseConstant((-1.0, 1.0), (0.0, -0.5, 0.0)), 1.0,
+         False),
+    ])
+    def test_binds_by_the_joint_rule(self, electric, magnetic, k, binds):
+        assert _binds(electric, magnetic, k) is binds

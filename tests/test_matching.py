@@ -3,7 +3,6 @@ cross-checked against one another."""
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from diracwell import (
     square_well_config,
     square_well_secular,
 )
-from diracwell.core import _binds
 from diracwell.errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 from diracwell.matching import _band, _propagator_entries, _region_wavenumbers, _transfer_phase_slope
 
@@ -258,25 +256,6 @@ class TestTransferRoute:
     def test_binds_by_the_weak_coupling_rule(self, values, k, binds):
         config = FieldConfig(electric=PiecewiseConstant((-1.0, 0.0, 1.0), values))
         assert general_secular(config, k).binds is binds
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_binds_takes_the_sign_fractions_take(self, data):
-        # doubles of every magnitude, subnormals and 1e300 widths included,
-        # and small dyadic ones whose integral can cancel exactly
-        floats = data.draw(st.sampled_from([
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.floats(-1e-300, 1e-300),
-            st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0, 1.5, -2.0, 3.0]),
-        ]))
-        steps = sorted(data.draw(st.lists(floats, min_size=1, max_size=5, unique=True)))
-        outer = data.draw(floats)
-        inner = data.draw(st.lists(floats, min_size=len(steps) - 1, max_size=len(steps) - 1))
-        k = data.draw(st.sampled_from([2.0, -1e-300, 0.0]))
-        profile = PiecewiseConstant(steps, (outer, *inner, outer))
-        integral = sum((Fraction(v) - Fraction(outer)) * (Fraction(b) - Fraction(a))
-                       for v, a, b in zip(inner, steps, steps[1:]))
-        assert _binds(profile, k) is (k != 0.0 and integral != 0)
 
 
 def scan_count(steps, values, k, points=100_000):

@@ -126,6 +126,37 @@ class TestFindRoots:
         assert len(calls) <= 16
 
 
+class TestLevelCap:
+    """The levels of one solve sum to at most MAX_GRID_POINTS, or it is
+    refused before any per-level array is allocated."""
+
+    @pytest.mark.parametrize("route", [square_well_secular, lambda k, v0: general_secular(square_well_config(v0), k)],
+                             ids=["closed-form", "transfer"])
+    def test_a_well_of_too_many_levels_is_refused_by_both_routes(self, route):
+        # (1e7, 1e7) solved 11,026,578 levels at 2.4 GB before a refusal of
+        # its phase rounding; the transfer route raised MemoryError
+        with pytest.raises(UnsupportedRegime, match="11026578 levels in one solve"):
+            find_roots(route(1e7, 1e7))
+
+    def test_the_refusal_allocates_no_level(self):
+        # (1e10, 1e10) asked for 82 GiB, for 11,026,577,909 levels
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedRegime, match="11026577909 levels"):
+                find_roots(square_well_secular(1e10, 1e10))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_the_cap_is_on_the_sum_of_levels(self):
+        assert len(find_roots(square_well_secular(1e5, 1e5, 1.0))) == 110_266
+        with pytest.raises(UnsupportedRegime, match="1102658 levels"):
+            find_roots(square_well_secular(1e5, 1e5, 10.0))
+        # two rows of about 551,000 levels each
+        with pytest.raises(UnsupportedRegime, match=f"more than the {MAX_GRID_POINTS}"):
+            sweep_v0(1e5, [1e5, 1e5 + 1.0], 5.0)
+
+
 class TestParameterGrid:
     def test_endpoint_inclusive_when_exact(self):
         np.testing.assert_allclose(parameter_grid(0.0, 1.0, 0.25), [0, 0.25, 0.5, 0.75, 1.0])
