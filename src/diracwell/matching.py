@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from . import closed_form
 from .errors import ConfigError, OutsideAdmissibleBand, UnsupportedRegime
 
 if TYPE_CHECKING:
@@ -72,15 +73,18 @@ class SecularFunction:
     # at least one root in exact arithmetic: a square well with k, v0 != 0,
     # or a profile that binds by the weak-coupling rule (see core._binds)
     binds: bool = False
+    # (k, v0, half_width) of a closed-form square well, which find_roots
+    # may solve without its phase (see closed_form)
+    well: tuple[float, float, float] | None = None
 
 
-def _from_phase(lo, hi, phase, binds: bool) -> SecularFunction:
+def _from_phase(lo, hi, phase, binds: bool, well=None) -> SecularFunction:
     @wraps(phase)
     def guarded(eps):  # a float would take numpy's scalar path, whose last bits can differ from a batch's
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return phase(np.atleast_1d(eps))
 
-    return SecularFunction(lambda eps: np.cos(guarded(eps)[0]), float(lo), float(hi), guarded, binds)
+    return SecularFunction(lambda eps: np.cos(guarded(eps)[0]), float(lo), float(hi), guarded, binds, well)
 
 
 def _region_wavenumbers(k: float, eps: float, v0: float) -> tuple[float, float]:
@@ -176,23 +180,19 @@ def secular_det_square_well(
 def _check_well(k, v0, half_width) -> None:
     """Raise ConfigError unless k and v0 (numbers or sweep grids) are finite
     and half_width is finite and positive."""
-    if not np.all(np.isfinite(k)):
-        raise ConfigError("k must be finite")
-    if not np.all(np.isfinite(v0)):
-        raise ConfigError("v0 must be finite")
-    if not (half_width > 0 and math.isfinite(half_width)):  # core.square_well's rule and text
-        raise ConfigError(f"half_width must be finite and positive, got {half_width}")
+    closed_form._check_well(np.all(np.isfinite(k)), np.all(np.isfinite(v0)), half_width)
 
 
 def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> SecularFunction:
     """Secular function and phase of the square well over its band.
 
     Raises ConfigError for a non-finite k or v0 or a width that is not
-    finite and positive."""
+    finite and positive.  It records (k, v0, half_width) as floats, so
+    that find_roots can solve a shallow well without numpy."""
     _check_well(k, v0, half_width)
     lo, hi = _band(k, (0.0, -v0, 0.0))
     return _from_phase(lo, hi, lambda eps: _square_well_phase_slope(k, eps, v0, half_width),
-                       bool(k != 0.0 and v0 != 0.0))
+                       bool(k != 0.0 and v0 != 0.0), (float(k), float(v0), float(half_width)))
 
 
 # ---------------------------------------------------------------------------

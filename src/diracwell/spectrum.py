@@ -20,7 +20,11 @@ scanned determinant.  The CSV and JSON sweep writers refuse the same
 branches, in one gathering step (_gathered).
 The closed-form Landau ladders live in landau, which loads no numpy;
 MAX_GRID_POINTS, which parameter_grid checks and which caps the levels
-of one solve, is defined there too.
+of one solve, is defined there too.  A square well of at most
+SCALAR_LEVELS levels is solved one level at a time by closed_form, which
+loads no numpy either and takes this kernel's iterates on one row;
+DEFAULT_ROOT_TOL, NEWTON_CALLS, spectrum_to_csv and the refusal texts
+are defined there.
 """
 
 from __future__ import annotations
@@ -31,6 +35,18 @@ from itertools import chain
 
 import numpy as np
 
+from .closed_form import (
+    DEFAULT_ROOT_TOL,
+    NEWTON_CALLS,
+    PHASE_BLUR,
+    PHASE_REACH,
+    TIED_LEVELS,
+    TOO_MANY_LEVELS,
+    UNFINITE_PHASE,
+    UNRESOLVED_BINDING,
+    spectrum_to_csv,
+    square_well_levels,
+)
 from .errors import ConfigError, UnsupportedRegime
 from .landau import MAX_GRID_POINTS
 from .matching import (
@@ -52,8 +68,6 @@ __all__ = [
     "branches_to_json_payload",
 ]
 
-DEFAULT_ROOT_TOL = 1e-10
-NEWTON_CALLS = 40  # batched phase calls after which a level still open is bisected
 CUT_ATOL = 1e-9  # branch_cut takes the samples this near its parameter
 
 
@@ -82,9 +96,9 @@ def _level_ranges(phase, lo, hi, binds):
     th_lo, th_hi = theta[: live.size], theta[live.size :]
     reach = np.maximum(np.abs(th_lo), np.abs(th_hi))
     if np.count_nonzero(np.isfinite(reach)) < reach.size:
-        raise UnsupportedRegime("phase is not finite at a band end: levels are not distinct doubles")
+        raise UnsupportedRegime(UNFINITE_PHASE)
     if np.count_nonzero(np.spacing(reach) < math.pi) < reach.size:
-        raise UnsupportedRegime(f"phase reaches {np.max(reach):.3g}: levels are not distinct doubles")
+        raise UnsupportedRegime(PHASE_REACH.format(np.max(reach)))
     flip = th_hi < th_lo
     sign = np.where(flip, -1.0, 1.0)
     u_lo, u_hi = inner_lo, inner_hi
@@ -98,13 +112,10 @@ def _level_ranges(phase, lo, hi, binds):
         empty = np.broadcast_to(binds, lo.shape).copy()
         empty[live[count > 0]] = False
         if np.count_nonzero(empty):
-            raise UnsupportedRegime(
-                f"{np.count_nonzero(empty)} well(s) bind a level within one double of the band edge: "
-                "too weakly bound to resolve"
-            )
+            raise UnsupportedRegime(UNRESOLVED_BINDING.format(np.count_nonzero(empty)))
     total = np.sum(count, dtype=float)  # in floats: a sum of int64 counts can wrap
     if total > MAX_GRID_POINTS:
-        raise UnsupportedRegime(f"{total:.0f} levels in one solve, more than the {MAX_GRID_POINTS} it takes")
+        raise UnsupportedRegime(TOO_MANY_LEVELS.format(total))
     return live, sign, u_lo, u_hi, th_lo, th_hi, first, count
 
 
@@ -200,10 +211,7 @@ def _levels_by_row(phase, lo, hi, binds):
     blur = np.spacing(np.abs(0.5 * math.pi + n * math.pi)) / slope_at
     blurred = ~(blur <= DEFAULT_ROOT_TOL)  # NaN for a slope that is not finite
     if blurred.any():
-        raise UnsupportedRegime(
-            f"phase rounding moves {np.count_nonzero(blurred)} level(s) by up to "
-            f"{np.max(blur[blurred]):.3g}, more than {DEFAULT_ROOT_TOL:g}"
-        )
+        raise UnsupportedRegime(PHASE_BLUR.format(np.count_nonzero(blurred), np.max(blur[blurred])))
     rows = live[at]
     if mirrored:
         root = sign[at] * root
@@ -212,8 +220,7 @@ def _levels_by_row(phase, lo, hi, binds):
     rows, n, root = rows[order], n[order], root[order]
     tied = np.count_nonzero((rows[1:] == rows[:-1]) & ~(root[1:] > root[:-1]))
     if tied:
-        raise UnsupportedRegime(f"{tied} level(s) round to the double of the level below: "
-                                "levels are not distinct doubles")
+        raise UnsupportedRegime(TIED_LEVELS.format(tied))
     return rows, n, root
 
 
@@ -230,6 +237,9 @@ def _square_well_levels(k, v0, half_width):
 def find_roots(secular: SecularFunction) -> list[float]:
     """All roots of a secular function strictly inside its domain, sorted:
     the crossings of its phase, solved level by level (see _levels_by_row).
+    A square well of at most SCALAR_LEVELS levels is solved by the scalar
+    kernel of closed_form, with the same iterates, on its recorded
+    (k, v0, half_width), and its phase is not called.
 
     UnsupportedRegime when it binds but its level lies within a double of
     the band edge or it holds more than MAX_GRID_POINTS levels (see
@@ -237,6 +247,10 @@ def find_roots(secular: SecularFunction) -> list[float]:
     move a level by more than DEFAULT_ROOT_TOL, or when two levels round
     to one double (see _levels_by_row).
     """
+    if secular.well is not None:
+        roots = square_well_levels(*secular.well)
+        if roots is not None:
+            return roots
     lo, hi = np.array([secular.lo]), np.array([secular.hi])
     phase = getattr(secular.phase, "__wrapped__", secular.phase)  # unguarded: _levels_by_row holds one
     return _levels_by_row(lambda rows, eps: phase(eps), lo, hi, secular.binds)[2].tolist()
@@ -357,12 +371,6 @@ def branch_cut(branches: list[SpectrumBranch], param: float) -> list[float]:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def spectrum_to_csv(roots: list[float]) -> str:
-    lines = ["n,epsilon"]
-    lines += [f"{i},{r!r}" for i, r in enumerate(roots)]
-    return "\n".join(lines) + "\n"
 
 
 def _gathered(branches: list[SpectrumBranch]):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import diracwell
-from diracwell import cli, oracle, states
+from diracwell import cli, oracle, spectrum, states
 from diracwell.cli import main
 from diracwell.core import square_well
 from diracwell.errors import ConfigError
@@ -443,6 +443,22 @@ class TestVerify:
         )
         assert "verification failed: 1 check(s) failed" in err
 
+    @pytest.mark.parametrize("well", [(2.0, 2.0, 1.0), (2.0, -5.0, 1.0), (50.0, 120.0, 3.0)])
+    def test_closed_roots_moved_by_1e_7_fail_the_route_line(self, monkeypatch, well):
+        # the transfer route lies within 2.8e-12 of the closed form and the
+        # shot within 2.6e-9 over the deck's wells: a closed route off by
+        # 1e-7, in either closed-form kernel, must not pass
+        find = spectrum.find_roots
+
+        def moved(secular):
+            roots = find(secular)
+            return [r + 1e-7 for r in roots] if secular.well is not None else roots
+
+        monkeypatch.setattr(spectrum, "find_roots", moved)
+        name, ok, detail = next(cli._checks(*well))
+        assert name == "three independent routes agree on the spectrum"
+        assert not ok, detail
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_decay_length_near_1e160_is_refused_with_one_error_line(self, capsys):
         # the norms' squares no longer overflow, but psi2 = (psi1' + i delta psi1) / k
@@ -707,13 +723,20 @@ class TestPinnedOutput:
 
 
 # pins whose bytes numpy's float64 kernels keep with its wider dispatch
-# levels disabled: without AVX-512, and without AVX2 (X86_V3) too
+# levels disabled: without AVX-512, and without AVX2 (X86_V3) too.  Every
+# spectrum pin of at most SCALAR_LEVELS levels is here: the scalar kernel
+# loads no numpy
 NO_X86_V4 = "AVX512_SPR AVX512_ICL X86_V4"
 DISPATCH_PINS = [
     (NO_X86_V4, "state_3_8_4_201.csv", ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201"]),
+    (NO_X86_V4, "verify_2_-5.txt", ["verify", "--k", "2", "--v0", "-5"]),
     *((level, name, argv) for level in (NO_X86_V4, NO_X86_V4 + " X86_V3") for name, argv in [
         ("spectrum_2_2.csv", ["spectrum", "--k", "2", "--v0", "2"]),
         ("spectrum_3_8.csv", ["spectrum", "--k", "3", "--v0", "8"]),
+        ("spectrum_2_-5.csv", ["spectrum", "--k", "2", "--v0", "-5"]),
+        ("spectrum_2_0.csv", ["spectrum", "--k", "2", "--v0", "0"]),
+        ("spectrum_2_1e-4.csv", ["spectrum", "--k", "2", "--v0", "1e-4"]),
+        ("spectrum_2_2.json", ["spectrum", "--k", "2", "--v0", "2", "--format", "json"]),
         ("landau_0.5_1_2.csv", ["landau", "--alpha", "0.5", "--beta", "1", "--k", "2"]),
         ("verify_2_0.txt", ["verify", "--k", "2", "--v0", "0"]),
     ]),
@@ -797,7 +820,8 @@ class TestImports:
     @pytest.mark.parametrize(
         "argv, loaded, unloaded",
         [
-            (["spectrum", "--k", "2", "--v0", "2"], [], ["core", "states", "oracle", "_floatfmt", "json"]),
+            (["spectrum", "--k", "2", "--v0", "2"], ["closed_form"],
+             ["numpy", "matching", "spectrum", "core", "states", "oracle", "_floatfmt", "json"]),
             (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], [], ["core", "states", "oracle", "_floatfmt", "json"]),
             (["sweep-v0", "--k", "2", "--v0", "0:4:1"], [], ["core", "states", "oracle", "_floatfmt", "json"]),
             (["landau", "--beta", "1"], ["landau"],
@@ -826,6 +850,25 @@ class TestImports:
             "assert not missing, missing\n"
             f"loaded = [m for m in {unloaded!r} if name(m) in sys.modules]\n"
             "assert not loaded, loaded\n"
+        )
+
+    def test_spectrum_loads_numpy_only_for_a_well_the_batch_solves(self):
+        # a well of at most SCALAR_LEVELS levels takes the scalar kernel and
+        # loads no numpy; the 1425 levels of (200, 500, 5) take the batch
+        run_fresh(
+            "import contextlib, io, sys\n"
+            "from diracwell.cli import main\n"
+            "def spectrum(*argv):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert main(['spectrum', *argv]) == 0\n"
+            "    return out.getvalue()\n"
+            f"pinned = {str(PINNED)!r}\n"
+            "assert spectrum('--k', '2', '--v0', '-5') == open(pinned + '/spectrum_2_-5.csv').read()\n"
+            "assert 'numpy' not in sys.modules\n"
+            "deep = spectrum('--k', '200', '--v0', '500', '--half-width', '5')\n"
+            "assert deep == open(pinned + '/spectrum_200_500_5.csv').read()\n"
+            "assert 'numpy' in sys.modules\n"
         )
 
     def test_star_import_and_dir_give_the_union_of_the_library_exports(self):

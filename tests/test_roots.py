@@ -26,7 +26,7 @@ from diracwell import (
     square_well_config,
     square_well_secular,
 )
-from diracwell import oracle
+from diracwell import closed_form, oracle
 from diracwell.errors import UnsupportedRegime
 from diracwell.matching import _band, _square_well_phase_slope
 from diracwell.oracle import _anderson_bjorck, _phase_roots, _scan_grid, _scan_roots
@@ -551,21 +551,28 @@ def counted_phase(secular):
 
 
 class TestRouteCalls:
-    # (k, v0, half_width) and the phase calls of the closed form, the
-    # transfer walk and stepwise shooting at the routes' step, as eager
-    # compaction took them: lazy compaction may add none
+    # (k, v0, half_width) and the phase calls of the closed form in the
+    # batched kernel, the transfer walk and stepwise shooting at the routes'
+    # step, as eager compaction took them: lazy compaction may add none.
+    # Last, the scalar phase evaluations of find_roots on the closed form:
+    # two band ends and each level's own steps, or the band ends alone for
+    # a well of more than SCALAR_LEVELS levels, which the batch solves
     @pytest.mark.parametrize("well, pinned", [
-        ((2.0, 2.0, 1.0), (7, 8, 6)),
-        ((3.0, 8.0, 1.0), (7, 9, 5)),
-        ((20.0, 50.0, 2.5), (8, 13, 8)),
+        ((2.0, 2.0, 1.0), (7, 8, 6, 18)),
+        ((3.0, 8.0, 1.0), (7, 9, 5, 29)),
+        ((20.0, 50.0, 2.5), (8, 13, 8, 2)),
     ])
     def test_each_route_takes_its_pinned_calls(self, monkeypatch, well, pinned):
         k, v0, half_width = well
-        closed, closed_calls = counted_phase(square_well_secular(k, v0, half_width))
+        closed, closed_calls = counted_phase(dataclasses.replace(square_well_secular(k, v0, half_width), well=None))
         transfer, transfer_calls = counted_phase(general_secular(square_well_config(v0, half_width), k))
         shot_calls = counted_shooter(monkeypatch)
+        scalar_calls = []
+        phase = closed_form._phase
+        monkeypatch.setattr(closed_form, "_phase", lambda *args: scalar_calls.append(1) or phase(*args))
+        find_roots(square_well_secular(k, v0, half_width))
         find_roots(closed)
         find_roots(transfer)
         step = min(1e-3, 0.02 / math.sqrt((abs(k) + v0) ** 2 - k * k))
         shooting_bound_states(square_well_config(v0, half_width), k, step=step)
-        assert (len(closed_calls), len(transfer_calls), len(shot_calls)) == pinned
+        assert (len(closed_calls), len(transfer_calls), len(shot_calls), len(scalar_calls)) == pinned

@@ -4,6 +4,8 @@ closed-form dispersive level formulas."""
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -35,6 +37,8 @@ from diracwell.spectrum import (
     NEWTON_CALLS,
     _levels_by_row,
 )
+from test_cli import NO_X86_V4, src_env
+from test_closed_form import KERNELS, batched_kernel, scalar_kernel
 
 WELL22_ROOTS = (0.35427361798250695, 1.1335605119300567, 1.9258300731147544)
 WELL38_ROOTS = (
@@ -130,20 +134,22 @@ class TestLevelCap:
     """The levels of one solve sum to at most MAX_GRID_POINTS, or it is
     refused before any per-level array is allocated."""
 
-    @pytest.mark.parametrize("route", [square_well_secular, lambda k, v0: general_secular(square_well_config(v0), k)],
-                             ids=["closed-form", "transfer"])
-    def test_a_well_of_too_many_levels_is_refused_by_both_routes(self, route):
+    @pytest.mark.parametrize("solve", [scalar_kernel, batched_kernel,
+                                       lambda k, v0: find_roots(general_secular(square_well_config(v0), k))],
+                             ids=["scalar", "batched", "transfer"])
+    def test_a_well_of_too_many_levels_is_refused_by_every_kernel(self, solve):
         # (1e7, 1e7) solved 11,026,578 levels at 2.4 GB before a refusal of
         # its phase rounding; the transfer route raised MemoryError
         with pytest.raises(UnsupportedRegime, match="11026578 levels in one solve"):
-            find_roots(route(1e7, 1e7))
+            solve(1e7, 1e7)
 
-    def test_the_refusal_allocates_no_level(self):
+    @KERNELS
+    def test_the_refusal_allocates_no_level(self, solve):
         # (1e10, 1e10) asked for 82 GiB, for 11,026,577,909 levels
         tracemalloc.start()
         try:
             with pytest.raises(UnsupportedRegime, match="11026577909 levels"):
-                find_roots(square_well_secular(1e10, 1e10))
+                solve(1e10, 1e10)
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
         finally:
             tracemalloc.stop()
@@ -278,14 +284,30 @@ class TestBatchedKernel:
         for k in params:
             assert samples.get(float(k), []) == find_roots(square_well_secular(k, 8.0))
 
-    def test_sweep_v0_rows_equal_single_solves(self):
+    def test_sweep_v0_rows_equal_one_row_batched_solves(self):
         params = parameter_grid(0.0, 8.0, 0.1)
         branches = sweep_v0(3.0, params)
         collapses = [b for b in branches if b.termination and b.termination[1] == "epsilon=-k"]
         assert len(collapses) == 2
         samples = samples_by_param(branches)
         for v0 in params:
-            assert samples.get(float(v0), []) == find_roots(square_well_secular(3.0, v0))
+            assert samples.get(float(v0), []) == batched_kernel(3.0, v0)
+
+    def test_sweep_v0_rows_equal_single_solves_without_avx512(self):
+        # find_roots solves each of these wells with the scalar kernel, whose
+        # bits are the batch's where numpy's arctan2 is libm's
+        script = ("from diracwell import find_roots, parameter_grid, square_well_secular, sweep_v0\n"
+                  "params = parameter_grid(0.0, 8.0, 0.1)\n"
+                  "samples = {}\n"
+                  "for b in sweep_v0(3.0, params):\n"
+                  "    for p, e in zip(b.params, b.epsilons):\n"
+                  "        samples.setdefault(p, []).append(e)\n"
+                  "differ = [v0 for v0 in params.tolist()\n"
+                  "          if sorted(samples.get(v0, [])) != find_roots(square_well_secular(3.0, v0))]\n"
+                  "assert params.size == 81 and not differ, differ\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**src_env(), "NPY_DISABLE_CPU_FEATURES": NO_X86_V4})
+        assert result.returncode == 0, result.stderr
 
 
 class TestPhaseLevels:
@@ -318,58 +340,63 @@ class TestPhaseLevels:
         mirrored = find_roots(square_well_secular(k, -v0, half_width))
         assert mirrored == [-r for r in reversed(roots.tolist())]
 
+    @KERNELS
     @pytest.mark.parametrize("v0", [1e17, -1e17, 1e200])
-    def test_unresolvable_phase_raises(self, v0):
+    def test_unresolvable_phase_raises(self, solve, v0):
         # theta = 2 L q reaches 2e17, where doubles lie 32 apart, so crossings
         # pi apart cannot be told apart; at 1e200 q overflows to inf
         with pytest.raises(UnsupportedRegime, match="not distinct doubles"):
-            find_roots(square_well_secular(2.0, v0))
+            solve(2.0, v0)
         with pytest.raises(UnsupportedRegime):
-            len(find_roots(square_well_secular(2.0, v0)))
+            len(solve(2.0, v0))
         with pytest.raises(UnsupportedRegime):
             sweep_v0(2.0, [1.0, v0])
 
+    @KERNELS
     @pytest.mark.parametrize("k", [1e12, 1e10])
-    def test_levels_that_round_to_one_double_raise(self, k):
+    def test_levels_that_round_to_one_double_raise(self, solve, k):
         # at k = 1e12 the 78,992 levels of v0 = 1e-2 took 40 distinct doubles
         # and at 1e10 its 8,888 levels 2,621; at 1e8 its 901 levels are distinct
-        for solve in (lambda: find_roots(square_well_secular(k, 1e-2)),
-                      lambda: find_roots(general_secular(square_well_config(1e-2), k)),
-                      lambda: sweep_k(1e-2, [1.0, k])):
+        for refused in (lambda: solve(k, 1e-2),
+                        lambda: find_roots(general_secular(square_well_config(1e-2), k)),
+                        lambda: sweep_k(1e-2, [1.0, k])):
             with pytest.raises(UnsupportedRegime, match="not distinct doubles"):
-                solve()
-        closed = find_roots(square_well_secular(1e8, 1e-2))
+                refused()
+        closed = solve(1e8, 1e-2)
         assert len(closed) == len(find_roots(general_secular(square_well_config(1e-2), 1e8))) == 901
 
+    @KERNELS
     @pytest.mark.parametrize("v0", [1e-10, -1e-10, 1e-17])
-    def test_level_within_a_double_of_the_edge_raises(self, v0):
+    def test_level_within_a_double_of_the_edge_raises(self, solve, v0):
         # a well with k, v0 != 0 binds a level, as theta grows by more than pi
         # across its band; at |v0| = 1e-10 that level lies within one double
         # of |k| = 1, and at 1e-17 the band itself is narrower than a double
         with pytest.raises(UnsupportedRegime, match="within one double"):
-            find_roots(square_well_secular(1.0, v0))
+            solve(1.0, v0)
         with pytest.raises(UnsupportedRegime):
-            len(find_roots(square_well_secular(1.0, v0)))
+            len(solve(1.0, v0))
         with pytest.raises(UnsupportedRegime):
             sweep_v0(1.0, [0.0, v0, 0.5])
         with pytest.raises(UnsupportedRegime):
             sweep_k(v0, [0.0, 1.0])
 
+    @KERNELS
     @pytest.mark.parametrize("v0", [1e8, 1e12, -1e8])
-    def test_level_that_phase_rounding_moves_raises(self, v0):
+    def test_level_that_phase_rounding_moves_raises(self, solve, v0):
         # theta ~ 2 v0 rounds by spacing(theta), which moves a root by that
         # over theta' ~ 2.5: 1.2e-8 at 1e8, far above DEFAULT_ROOT_TOL
         with pytest.raises(UnsupportedRegime, match="phase rounding moves"):
-            find_roots(square_well_secular(2.0, v0))
+            solve(2.0, v0)
         with pytest.raises(UnsupportedRegime, match="phase rounding moves"):
             sweep_v0(2.0, [1.0, v0])
         with pytest.raises(UnsupportedRegime, match="phase rounding moves"):
-            len(find_roots(square_well_secular(2.0, v0)))  # the count is the solve's
+            len(solve(2.0, v0))  # the count is the solve's
 
-    def test_zero_depth_or_momentum_stays_empty(self):
-        assert find_roots(square_well_secular(1.0, 0.0)) == []
-        assert find_roots(square_well_secular(0.0, 5.0)) == []
-        assert len(find_roots(square_well_secular(1.0, 0.0))) == len(find_roots(square_well_secular(0.0, -5.0))) == 0
+    @KERNELS
+    def test_zero_depth_or_momentum_stays_empty(self, solve):
+        assert solve(1.0, 0.0) == []
+        assert solve(0.0, 5.0) == []
+        assert len(solve(1.0, 0.0)) == len(solve(0.0, -5.0)) == 0
         assert sweep_v0(1.0, [0.0]) == sweep_k(5.0, [0.0]) == []
 
 
