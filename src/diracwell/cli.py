@@ -17,10 +17,11 @@ formats only the chosen format.  `verify` prints one line per check row.
 Each subcommand imports only what it runs.  At its top this module loads
 errors and the math-only landau module, so `landau` loads neither numpy
 nor the solver.  `spectrum` solves a well of at most SCALAR_LEVELS levels
-with the math-only closed_form module and loads no numpy either; only a
-deeper well imports matching, spectrum and numpy.  The other handlers
-import numpy, core, matching, spectrum, states, oracle and json inside
-themselves.  The closed-form handlers, `spectrum`, `sweep-k` and
+with the math-only closed_form module and loads no numpy either; a
+deeper well, which closed_form has already checked and counted, goes
+straight to spectrum's batched kernel and imports matching, spectrum and
+numpy.  The other handlers import numpy, core, matching, spectrum,
+states, oracle and json inside themselves.  The closed-form handlers, `spectrum`, `sweep-k` and
 `sweep-v0`, load no core.  `verify`'s route line passes when the routes
 agree within _ROUTE_TOL.
 
@@ -156,11 +157,10 @@ def _cmd_spectrum(args) -> dict:
 
     k, v0 = _require(args, "k"), _require(args, "v0")
     roots = square_well_levels(k, v0, args.half_width)
-    if roots is None:  # more than SCALAR_LEVELS levels: the batched kernel, with numpy
-        from .matching import square_well_secular
-        from .spectrum import find_roots
+    if roots is None:  # more than SCALAR_LEVELS levels, all valid: the batched kernel, with numpy
+        from .spectrum import _square_well_levels
 
-        roots = find_roots(square_well_secular(k, v0, args.half_width))
+        roots = _square_well_levels([k], [v0], args.half_width)[2].tolist()
     payload = {"k": k, "v0": v0, "half_width": args.half_width, "roots": roots}
     return {"csv": lambda: spectrum_to_csv(roots), "json": lambda: _json(payload)}
 

@@ -109,9 +109,10 @@ def _level_range(k: float, v0: float, two_l: float):
     return sign, u_lo, u_hi, th_lo, th_hi, first, count, math.ulp(max(abs(lo), abs(hi)))
 
 
-def square_well_levels(k: float, v0: float, half_width: float, limit: int = SCALAR_LEVELS) -> list[float] | None:
+def square_well_levels(k: float, v0: float, half_width: float) -> list[float] | None:
     """The sorted levels of the square well (k, v0, half_width), or None
-    when it holds more than limit of them.
+    when it holds more than SCALAR_LEVELS of them, which the batched
+    kernel solves.
 
     ConfigError for a k or v0 that is not finite or a width that is not
     finite and positive; UnsupportedRegime as spectrum.find_roots refuses,
@@ -129,7 +130,7 @@ def square_well_levels(k: float, v0: float, half_width: float, limit: int = SCAL
     if found is None:
         return []
     sign, u_lo, u_hi, th_lo, th_hi, first, count, width = found
-    if count > limit:
+    if count > SCALAR_LEVELS:
         return None
 
     def phase(x):  # (theta, slope) in u = sign * eps

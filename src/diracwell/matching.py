@@ -62,7 +62,14 @@ class SecularFunction:
     after item 1).  phase silences the floating-point warnings of a slope
     that is infinite or NaN at a band edge; the phase of _from_phase keeps
     its kernel, without that np.errstate guard, as phase.__wrapped__, which
-    find_roots calls inside its own guard."""
+    find_roots calls inside its own guard.
+
+    The phase of square_well_secular carries its (k, v0, half_width) as
+    phase.square_well, and find_roots solves that well with closed_form in
+    place of phase when it holds at most SCALAR_LEVELS levels.  The record
+    goes with the phase: a copy made with dataclasses.replace keeps it
+    while it keeps the phase, and a copy with another phase is solved on
+    that phase."""
 
     f: Callable[[np.ndarray], np.ndarray]
     lo: float
@@ -73,18 +80,15 @@ class SecularFunction:
     # at least one root in exact arithmetic: a square well with k, v0 != 0,
     # or a profile that binds by the weak-coupling rule (see core._binds)
     binds: bool = False
-    # (k, v0, half_width) of a closed-form square well, which find_roots
-    # may solve without its phase (see closed_form)
-    well: tuple[float, float, float] | None = None
 
 
-def _from_phase(lo, hi, phase, binds: bool, well=None) -> SecularFunction:
+def _from_phase(lo, hi, phase, binds: bool) -> SecularFunction:
     @wraps(phase)
     def guarded(eps):  # a float would take numpy's scalar path, whose last bits can differ from a batch's
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return phase(np.atleast_1d(eps))
 
-    return SecularFunction(lambda eps: np.cos(guarded(eps)[0]), float(lo), float(hi), guarded, binds, well)
+    return SecularFunction(lambda eps: np.cos(guarded(eps)[0]), float(lo), float(hi), guarded, binds)
 
 
 def _region_wavenumbers(k: float, eps: float, v0: float) -> tuple[float, float]:
@@ -187,12 +191,14 @@ def square_well_secular(k: float, v0: float, half_width: float = 1.0) -> Secular
     """Secular function and phase of the square well over its band.
 
     Raises ConfigError for a non-finite k or v0 or a width that is not
-    finite and positive.  It records (k, v0, half_width) as floats, so
-    that find_roots can solve a shallow well without numpy."""
+    finite and positive.  Its phase records (k, v0, half_width) as floats,
+    so that find_roots can solve a shallow well without numpy."""
     _check_well(k, v0, half_width)
     lo, hi = _band(k, (0.0, -v0, 0.0))
-    return _from_phase(lo, hi, lambda eps: _square_well_phase_slope(k, eps, v0, half_width),
-                       bool(k != 0.0 and v0 != 0.0), (float(k), float(v0), float(half_width)))
+    secular = _from_phase(lo, hi, lambda eps: _square_well_phase_slope(k, eps, v0, half_width),
+                          bool(k != 0.0 and v0 != 0.0))
+    secular.phase.square_well = (float(k), float(v0), float(half_width))
+    return secular
 
 
 # ---------------------------------------------------------------------------

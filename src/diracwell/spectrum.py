@@ -238,8 +238,8 @@ def find_roots(secular: SecularFunction) -> list[float]:
     """All roots of a secular function strictly inside its domain, sorted:
     the crossings of its phase, solved level by level (see _levels_by_row).
     A square well of at most SCALAR_LEVELS levels is solved by the scalar
-    kernel of closed_form, with the same iterates, on its recorded
-    (k, v0, half_width), and its phase is not called.
+    kernel of closed_form, with the same iterates, on the (k, v0,
+    half_width) its phase records, and its phase is not called.
 
     UnsupportedRegime when it binds but its level lies within a double of
     the band edge or it holds more than MAX_GRID_POINTS levels (see
@@ -247,8 +247,9 @@ def find_roots(secular: SecularFunction) -> list[float]:
     move a level by more than DEFAULT_ROOT_TOL, or when two levels round
     to one double (see _levels_by_row).
     """
-    if secular.well is not None:
-        roots = square_well_levels(*secular.well)
+    well = getattr(secular.phase, "square_well", None)
+    if well is not None:
+        roots = square_well_levels(*well)
         if roots is not None:
             return roots
     lo, hi = np.array([secular.lo]), np.array([secular.hi])

@@ -452,7 +452,7 @@ class TestVerify:
 
         def moved(secular):
             roots = find(secular)
-            return [r + 1e-7 for r in roots] if secular.well is not None else roots
+            return [r + 1e-7 for r in roots] if hasattr(secular.phase, "square_well") else roots
 
         monkeypatch.setattr(spectrum, "find_roots", moved)
         name, ok, detail = next(cli._checks(*well))

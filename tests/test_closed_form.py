@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracwell import closed_form, find_roots, square_well_secular
+from diracwell import closed_form, find_roots, matching, square_well_secular
 from diracwell.closed_form import SCALAR_LEVELS
 from diracwell.errors import SolverError
 from diracwell.landau import MAX_GRID_POINTS
@@ -25,12 +25,16 @@ from test_cli import NO_X86_V4, src_env
 
 def scalar_kernel(k, v0, half_width=1.0):
     """The levels of closed_form's scalar kernel, for a well of any count."""
-    return closed_form.square_well_levels(k, v0, half_width, MAX_GRID_POINTS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closed_form, "SCALAR_LEVELS", MAX_GRID_POINTS)
+        return closed_form.square_well_levels(k, v0, half_width)
 
 
 def batched_kernel(k, v0, half_width=1.0):
-    """The levels of spectrum._levels_by_row on the well's one row."""
-    return find_roots(dataclasses.replace(square_well_secular(k, v0, half_width), well=None))
+    """The levels of spectrum._levels_by_row on the well's one row: a copy
+    whose phase does not record the well, so find_roots solves that phase."""
+    secular = square_well_secular(k, v0, half_width)
+    return find_roots(dataclasses.replace(secular, phase=secular.phase.__wrapped__))
 
 
 KERNELS = pytest.mark.parametrize("solve", [scalar_kernel, batched_kernel], ids=["scalar", "batched"])
@@ -157,20 +161,39 @@ class TestRouting:
     deeper one, or any well without a record, with the batch."""
 
     @pytest.mark.parametrize("offset", [0, 1])
-    def test_the_limit_picks_the_kernel(self, offset):
+    def test_the_limit_picks_the_kernel(self, monkeypatch, offset):
         rng = np.random.default_rng(52)
         well = next(w for w in near_the_limit(rng, 500) if len(scalar_kernel(*w)) == SCALAR_LEVELS + offset)
         secular = square_well_secular(*well)
-        assert secular.well == well
-        calls = []
-        phase = secular.phase
-        counted = dataclasses.replace(secular, phase=lambda eps: calls.append(1) or phase(eps))
-        assert len(find_roots(counted)) == SCALAR_LEVELS + offset
-        assert (len(calls) > 0) == (offset > 0)
+        scalar_calls, batched_calls = [], []
+        scalar, batched = closed_form._phase, matching._square_well_phase_slope
+        monkeypatch.setattr(closed_form, "_phase", lambda *args: scalar_calls.append(1) or scalar(*args))
+        monkeypatch.setattr(matching, "_square_well_phase_slope",
+                            lambda *args: batched_calls.append(1) or batched(*args))
+        assert len(find_roots(secular)) == SCALAR_LEVELS + offset
+        # above the limit the scalar kernel counts the levels from its two band ends alone
+        assert (len(scalar_calls) == 2) == (offset > 0)
+        assert (len(batched_calls) > 0) == (offset > 0)
 
-    def test_the_scalar_kernel_returns_none_above_its_limit(self):
-        assert closed_form.square_well_levels(3.0, 8.0, 1.0, 4) is None
-        assert len(closed_form.square_well_levels(3.0, 8.0, 1.0, 5)) == 5
+    def test_a_copy_is_solved_on_its_own_phase(self):
+        secular = square_well_secular(3.0, 8.0, 1.0)
+        assert secular.phase.square_well == (3.0, 8.0, 1.0)
+        # one that keeps the phase keeps the record, as the benchmark's tracer copies it
+        kept = dataclasses.replace(secular, f=lambda eps: secular.f(eps))
+        assert find_roots(kept) == closed_form.square_well_levels(3.0, 8.0, 1.0)
+        calls = []
+        copy = dataclasses.replace(secular, phase=lambda eps: calls.append(1) or secular.phase(eps))
+        assert find_roots(copy) == batched_kernel(3.0, 8.0)
+        assert calls
+        # a phase of no levels is solved as such, not as the original well
+        empty = dataclasses.replace(secular, phase=lambda eps: (np.zeros_like(eps), np.ones_like(eps)), binds=False)
+        assert find_roots(empty) == []
+
+    def test_the_scalar_kernel_returns_none_above_its_limit(self, monkeypatch):
+        monkeypatch.setattr(closed_form, "SCALAR_LEVELS", 4)
+        assert closed_form.square_well_levels(3.0, 8.0, 1.0) is None
+        monkeypatch.setattr(closed_form, "SCALAR_LEVELS", 5)
+        assert len(closed_form.square_well_levels(3.0, 8.0, 1.0)) == 5
 
     @pytest.mark.parametrize("k, v0, half_width, message", [
         (math.inf, 2.0, 1.0, "k must be finite"),

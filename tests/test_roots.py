@@ -564,7 +564,7 @@ class TestRouteCalls:
     ])
     def test_each_route_takes_its_pinned_calls(self, monkeypatch, well, pinned):
         k, v0, half_width = well
-        closed, closed_calls = counted_phase(dataclasses.replace(square_well_secular(k, v0, half_width), well=None))
+        closed, closed_calls = counted_phase(square_well_secular(k, v0, half_width))  # its phase records no well
         transfer, transfer_calls = counted_phase(general_secular(square_well_config(v0, half_width), k))
         shot_calls = counted_shooter(monkeypatch)
         scalar_calls = []
