@@ -14,15 +14,15 @@ imports every library module and binds each one's __all__ here.
 
 __version__ = "0.1.0"
 
-# each library module's __all__ is the public API; cli is the console entry point
+# each library module's __all__ is the public API; cli, closed_form, sweeps and _floatfmt export none
 _LIBRARY = ("core", "errors", "landau", "matching", "oracle", "spectrum", "states")
 
 
 def __getattr__(name: str):
-    # submodule and private names fall through, so `from . import states` loads states alone
-    if name == "__all__" or not (name.startswith("_") or name in (*_LIBRARY, "cli")):
-        import importlib
+    # private and submodule names fall through, so `from . import states` loads states alone
+    import importlib.util
 
+    if name == "__all__" or not (name.startswith("_") or importlib.util.find_spec(f"{__name__}.{name}")):
         exported = []
         for module in (importlib.import_module(f"{__name__}.{m}") for m in _LIBRARY):
             globals().update({n: getattr(module, n) for n in module.__all__})

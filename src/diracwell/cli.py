@@ -8,8 +8,10 @@ cross-check battery.  Output is CSV by default, JSON with --format json,
 and byte-stable across runs for fixed inputs on the same numpy build and
 CPU dispatch: numpy picks its float64 kernels by CPU at run time, and some
 differ in the last bit.  `spectrum` on a well of at most
-closed_form.SCALAR_LEVELS levels uses no numpy, so its bytes are the same
-on every host, and the library's find_roots gives them too.
+closed_form.SCALAR_LEVELS levels uses no numpy, and neither do `sweep-k`
+and `sweep-v0` on a sweep of at most closed_form.SCALAR_SWEEP_ROWS such
+wells, so their bytes are the same on every host; the library's
+find_roots, sweep_k and sweep_v0 route by the same rule and give them too.
 
 Every subcommand but `verify` hands its result to one writer, which
 formats only the chosen format.  `verify` prints one line per check row.
@@ -20,10 +22,17 @@ nor the solver.  `spectrum` solves a well of at most SCALAR_LEVELS levels
 with the math-only closed_form module and loads no numpy either; a
 deeper well, which closed_form has already checked and counted, goes
 straight to spectrum's batched kernel and imports matching, spectrum and
-numpy.  The other handlers import numpy, core, matching, spectrum,
-states, oracle and json inside themselves.  The closed-form handlers, `spectrum`, `sweep-k` and
-`sweep-v0`, load no core.  `verify`'s route line passes when the routes
-agree within _ROUTE_TOL.
+numpy.  `sweep-k` and `sweep-v0` parse their grid, check the well, solve
+and write the branches with the math-only sweeps module.  A sweep that
+the scalar kernel declines (more than SCALAR_SWEEP_ROWS rows, decided on
+their count alone, or a row of more than SCALAR_LEVELS levels) goes to
+spectrum's sweep_k or sweep_v0, which decline it by the same rule, and
+to numpy's writers; only a sweep of at most SCALAR_SWEEP_ROWS rows with
+a deeper row has its rows counted twice before the batch counts them.
+The other handlers import numpy, core, matching, spectrum, states,
+oracle and json inside themselves.  The closed-form handlers,
+`spectrum`, `sweep-k` and `sweep-v0`, load no core.  `verify`'s route
+line passes when the routes agree within _ROUTE_TOL.
 
 Exit codes: 0 on success, 1 when verification fails, 2 for bad arguments
 or configuration, including an --out file that cannot be written.
@@ -107,9 +116,10 @@ def _require(args: argparse.Namespace, name: str):
     return value
 
 
-def _parse_range(text: str):
-    """spectrum.parameter_grid of a 'lo:hi:step' range."""
-    from .spectrum import parameter_grid
+def _parse_range(text: str) -> list[float]:
+    """The grid of a 'lo:hi:step' range: spectrum.parameter_grid's points,
+    as a list (sweeps.parameter_grid)."""
+    from .sweeps import parameter_grid
 
     parts = text.split(":")
     if len(parts) != 3:
@@ -166,15 +176,20 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
-    from .spectrum import branches_to_csv, branches_to_json_payload, sweep_k, sweep_v0
+    from . import sweeps
 
-    fixed_name, sweep = {"k": ("v0", sweep_k), "v0": ("k", sweep_v0)}[args.swept]
+    fixed_name = {"k": "v0", "v0": "k"}[args.swept]
     fixed = _require(args, fixed_name)
-    branches = sweep(fixed, _parse_range(_require(args, args.swept)), args.half_width)
+    grid = _parse_range(_require(args, args.swept))
+    branches, writers = sweeps.sweep(args.swept, fixed, grid, args.half_width), sweeps
+    if branches is None:  # declined by the scalar kernel: the library's batch, with numpy
+        from . import spectrum as writers
+
+        branches = (writers.sweep_k if args.swept == "k" else writers.sweep_v0)(fixed, grid, args.half_width)
     return {
-        "csv": lambda: branches_to_csv(branches),
+        "csv": lambda: writers.branches_to_csv(branches),
         "json": lambda: _json({"fixed": {fixed_name: fixed}, "half_width": args.half_width,
-                               "branches": branches_to_json_payload(branches)}),
+                               "branches": writers.branches_to_json_payload(branches)}),
     }
 
 

@@ -6,10 +6,11 @@ crossings theta = pi/2 + n pi of the monotone square-well phase: levels
 are counted in closed form and each takes bracketed Newton steps on its
 own crossing, with the closed-form slope dtheta/deps, in one batch that
 is compacted only once half its levels have closed.  A sweep in k or v0
-solves every parameter value in one batched pass; a branch is a run of
-consecutive parameter values holding the same level.  A genuine well that
-counts no level is refused, not reported empty, and so is one whose phase
-rounding moves a level by more than DEFAULT_ROOT_TOL.
+solves every parameter value in one batched pass, unless closed_form
+solves it (below); a branch is a run of consecutive parameter values
+holding the same level.  A genuine well that counts no level is refused,
+not reported empty, and so is one whose phase rounding moves a level by
+more than DEFAULT_ROOT_TOL.
 A piecewise well's transfer phase (matching._transfer_phase_slope) is
 solved by the same kernel on the band of the same rule, its levels
 counted between its phases at the innermost doubles of that band.  The
@@ -21,10 +22,15 @@ branches, in one gathering step (_gathered).
 The closed-form Landau ladders live in landau, which loads no numpy;
 MAX_GRID_POINTS, which parameter_grid checks and which caps the levels
 of one solve, is defined there too.  A square well of at most
-SCALAR_LEVELS levels is solved one level at a time by closed_form, which
-loads no numpy either and takes this kernel's iterates on one row;
+SCALAR_LEVELS levels, and a sweep of at most SCALAR_SWEEP_ROWS such
+wells, is solved one level at a time by closed_form, which loads no
+numpy either and takes this kernel's iterates row by row;
 DEFAULT_ROOT_TOL, NEWTON_CALLS, spectrum_to_csv and the refusal texts
-are defined there.
+are defined there.  The grid's checks and the sweeps' termination rules
+are sweeps', which also holds the math-only builder and writers that
+`diracwell sweep-k` and `sweep-v0` use for such a sweep; this module's
+_branches, branches_to_csv and branches_to_json_payload give the same
+values and bytes, faster on a batch's many samples.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .closed_form import (
     UNRESOLVED_BINDING,
     spectrum_to_csv,
     square_well_levels,
+    square_well_rows,
 )
 from .errors import ConfigError, UnsupportedRegime
 from .landau import MAX_GRID_POINTS
@@ -283,16 +290,10 @@ def parameter_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
     ConfigError for a step that is not positive and finite (NaN included),
     for bounds that are not finite and, before anything is allocated, for
-    a grid of more than MAX_GRID_POINTS points."""
-    if not (step > 0 and math.isfinite(step)):
-        raise ConfigError(f"step must be positive and finite, got {step}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"grid bounds must be finite, got {lo}:{hi}")
-    span = (hi - lo) / step + 0.5
-    if not span < MAX_GRID_POINTS:
-        raise ConfigError(f"grid {lo}:{hi}:{step} has more than {MAX_GRID_POINTS} points")
-    n = int(math.floor(span))
-    grid = lo + step * np.arange(n + 1)
+    a grid of more than MAX_GRID_POINTS points (see sweeps.grid_points)."""
+    from .sweeps import grid_points
+
+    grid = lo + step * np.arange(grid_points(lo, hi, step) + 1)
     return grid[grid <= hi + 0.5 * step]
 
 
@@ -302,7 +303,7 @@ def _branches(param_name, params, levels, end) -> list[SpectrumBranch]:
     A branch is a run of consecutive parameter values holding level n;
     branches are numbered by first appearance, ties broken by energy.  A
     branch that ends before the grid does gets the termination
-    end(branch, n, next parameter value).
+    end(last parameter, last root, n, next parameter value).
     """
     rows, n, roots = levels
     order = np.lexsort((rows, n))
@@ -314,7 +315,8 @@ def _branches(param_name, params, levels, end) -> list[SpectrumBranch]:
     for index, (s, e) in enumerate(runs):
         branch = SpectrumBranch(param_name, index, params[rows[s:e]].tolist(), roots[s:e].tolist())
         if rows[e - 1] + 1 < params.size:
-            branch.termination = end(branch, int(n[s]), float(params[rows[e - 1] + 1]))
+            branch.termination = end(branch.params[-1], branch.epsilons[-1], int(n[s]),
+                                     float(params[rows[e - 1] + 1]))
         branches.append(branch)
     return branches
 
@@ -328,40 +330,44 @@ def _sweep_grid(values) -> np.ndarray:
     return params
 
 
+def _sweep(swept: str, fixed: float, params: np.ndarray, half_width: float) -> list[SpectrumBranch]:
+    """Branches of the sweep of the square well's swept parameter ('k' or
+    'v0') over params at the fixed value of the other.  Its levels are the
+    scalar kernel's, closed_form.square_well_rows, when it takes the sweep
+    (at most SCALAR_SWEEP_ROWS rows, decided on their count alone, of at
+    most SCALAR_LEVELS levels each), else the batch's; the termination
+    rules are sweeps.end_rule's."""
+    from .sweeps import end_rule
+
+    k, v0 = (params, fixed) if swept == "k" else (fixed, params)
+    _check_well(k, v0, half_width)
+    levels = square_well_rows(*np.broadcast_arrays(k, v0), half_width)
+    if levels is None:
+        levels = _square_well_levels(k, v0, half_width)
+    else:
+        levels = np.array(levels[0], dtype=int), np.array(levels[1], dtype=int), np.array(levels[2])
+    return _branches(swept, params, levels, end_rule(swept, fixed, half_width))
+
+
 def sweep_k(v0: float, k_values, half_width: float = 1.0) -> list[SpectrumBranch]:
-    """Square-well branches over a grid of momenta at fixed depth, from one
-    batched pass.  A branch that ends before the grid does is flagged at its
-    last momentum with the band edge its last root was nearer to."""
-    params = _sweep_grid(k_values)
-    _check_well(params, v0, half_width)
-
-    def end(branch, n, k_next):
-        lo, hi = _band(branch.params[-1], (0.0, -v0, 0.0))
-        eps = branch.epsilons[-1]
-        edge = "lower" if abs(eps - lo) <= abs(hi - eps) else "upper"
-        return branch.params[-1], f"{edge} band edge"
-
-    return _branches("k", params, _square_well_levels(params, v0, half_width), end)
+    """Square-well branches over a grid of momenta at fixed depth.  A
+    branch that ends before the grid does is flagged at its last momentum
+    with the band edge its last root was nearer to.  A grid of at most
+    SCALAR_SWEEP_ROWS momenta, each well of at most SCALAR_LEVELS levels,
+    is solved row by row by the scalar kernel, any other in one batched
+    pass (see _sweep)."""
+    return _sweep("k", v0, _sweep_grid(k_values), half_width)
 
 
 def sweep_v0(k: float, v0_values, half_width: float = 1.0) -> list[SpectrumBranch]:
-    """Square-well branches over a grid of depths at fixed momentum, from one
-    batched pass.  Level n of a well leaves through eps = -|k| where
+    """Square-well branches over a grid of depths at fixed momentum.
+    Level n of a well leaves through eps = -|k| where
     2L q(-|k|) = (n + 1) pi, at the depth |k| + sqrt(k^2 + ((n + 1) pi / 2L)^2):
     a branch whose next depth lies at or past it ends there ('epsilon=-k'),
     any other that ends before the grid does at its last depth ('band edge').
+    Routed as sweep_k is (see _sweep).
     """
-    params = _sweep_grid(v0_values)
-    _check_well(k, params, half_width)
-    kk = abs(k)
-
-    def end(branch, n, v0_next):
-        collapse = kk + math.hypot(kk, (n + 1) * math.pi / (2.0 * half_width))
-        if n >= 0 and v0_next >= collapse:
-            return collapse, "epsilon=-k"
-        return branch.params[-1], "band edge"
-
-    return _branches("v0", params, _square_well_levels(k, params, half_width), end)
+    return _sweep("v0", k, _sweep_grid(v0_values), half_width)
 
 
 def branch_cut(branches: list[SpectrumBranch], param: float) -> list[float]:

@@ -681,12 +681,13 @@ class TestExitPath:
 
 class TestPinnedOutput:
     """stdout of the spectrum of every CI verify well, of the paper's
-    k = 3 collapse sweep and a barrier-to-well sweep, of one state of the
-    k = 3, v0 = 8 well, of a momentum sweep and of a proportional-field
-    Landau ladder, as CSV and as JSON, and of five verify batteries (the
-    empty-spectrum well among them), byte for byte as recorded in
-    tests/data: the root kernels' fast paths may not move a single bit of
-    a root, nor the serializers a single character of a sample."""
+    k = 3 collapse sweep, a barrier-to-well sweep and a 41-row depth sweep,
+    of one state of the k = 3, v0 = 8 well, of a momentum sweep and of a
+    proportional-field Landau ladder, as CSV and as JSON, and of five
+    verify batteries (the empty-spectrum well among them), byte for byte
+    as recorded in tests/data: the root kernels' fast paths may not move a
+    single bit of a root, nor the serializers a single character of a
+    sample."""
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -707,6 +708,7 @@ class TestPinnedOutput:
              ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201", "--format", "json"]),
             ("spectrum_2_2.json", ["spectrum", "--k", "2", "--v0", "2", "--format", "json"]),
             ("sweep_k_3_0.5-4-0.5.json", ["sweep-k", "--v0", "3", "--k", "0.5:4:0.5", "--format", "json"]),
+            ("sweep_v0_2.5_0-6-0.15.csv", ["sweep-v0", "--k", "2.5", "--v0", "0:6:0.15"]),
             ("landau_0.5_1_2.csv", ["landau", "--alpha", "0.5", "--beta", "1", "--k", "2"]),
             ("landau_0.5_1_2.json", ["landau", "--alpha", "0.5", "--beta", "1", "--k", "2", "--format", "json"]),
             ("verify_2_2.txt", ["verify", "--k", "2", "--v0", "2"]),
@@ -724,8 +726,8 @@ class TestPinnedOutput:
 
 # pins whose bytes numpy's float64 kernels keep with its wider dispatch
 # levels disabled: without AVX-512, and without AVX2 (X86_V3) too.  Every
-# spectrum pin of at most SCALAR_LEVELS levels is here: the scalar kernel
-# loads no numpy
+# spectrum pin of at most SCALAR_LEVELS levels is here, and every sweep pin
+# of at most SCALAR_SWEEP_ROWS rows: the scalar kernel loads no numpy
 NO_X86_V4 = "AVX512_SPR AVX512_ICL X86_V4"
 DISPATCH_PINS = [
     (NO_X86_V4, "state_3_8_4_201.csv", ["state", "--k", "3", "--v0", "8", "--level", "4", "--points", "201"]),
@@ -737,6 +739,8 @@ DISPATCH_PINS = [
         ("spectrum_2_0.csv", ["spectrum", "--k", "2", "--v0", "0"]),
         ("spectrum_2_1e-4.csv", ["spectrum", "--k", "2", "--v0", "1e-4"]),
         ("spectrum_2_2.json", ["spectrum", "--k", "2", "--v0", "2", "--format", "json"]),
+        ("sweep_k_3_0.5-4-0.5.json", ["sweep-k", "--v0", "3", "--k", "0.5:4:0.5", "--format", "json"]),
+        ("sweep_v0_2.5_0-6-0.15.csv", ["sweep-v0", "--k", "2.5", "--v0", "0:6:0.15"]),
         ("landau_0.5_1_2.csv", ["landau", "--alpha", "0.5", "--beta", "1", "--k", "2"]),
         ("verify_2_0.txt", ["verify", "--k", "2", "--v0", "0"]),
     ]),
@@ -808,6 +812,17 @@ class TestImports:
             "assert not loaded, loaded\n"
         )
 
+    def test_importing_a_math_only_module_loads_no_numpy(self):
+        # a submodule name passes through the package's lazy exports
+        run_fresh(
+            "import sys\n"
+            "from diracwell import closed_form, sweeps\n"
+            "assert closed_form.__name__ == 'diracwell.closed_form' and sweeps.__name__ == 'diracwell.sweeps'\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith(('diracwell.', 'numpy')))\n"
+            "assert loaded == ['diracwell.closed_form', 'diracwell.errors', 'diracwell.landau',\n"
+            "                  'diracwell.sweeps'], loaded\n"
+        )
+
     def test_import_cli_loads_no_numpy_and_no_solver_module(self):
         # the landau handler's ladders and cap come from the math-only landau module
         run_fresh(
@@ -822,8 +837,10 @@ class TestImports:
         [
             (["spectrum", "--k", "2", "--v0", "2"], ["closed_form"],
              ["numpy", "matching", "spectrum", "core", "states", "oracle", "_floatfmt", "json"]),
-            (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], [], ["core", "states", "oracle", "_floatfmt", "json"]),
-            (["sweep-v0", "--k", "2", "--v0", "0:4:1"], [], ["core", "states", "oracle", "_floatfmt", "json"]),
+            (["sweep-k", "--v0", "3", "--k", "0.5:2:0.5"], ["closed_form", "sweeps"],
+             ["numpy", "matching", "spectrum", "core", "states", "oracle", "_floatfmt", "json"]),
+            (["sweep-v0", "--k", "2", "--v0", "0:4:1"], ["closed_form", "sweeps"],
+             ["numpy", "matching", "spectrum", "core", "states", "oracle", "_floatfmt", "json"]),
             (["landau", "--beta", "1"], ["landau"],
              ["numpy", "core", "matching", "spectrum", "states", "oracle", "_floatfmt", "json"]),
             (["state", "--k", "2", "--v0", "2", "--level", "0", "--points", "201"],
@@ -869,6 +886,36 @@ class TestImports:
             "deep = spectrum('--k', '200', '--v0', '500', '--half-width', '5')\n"
             "assert deep == open(pinned + '/spectrum_200_500_5.csv').read()\n"
             "assert 'numpy' in sys.modules\n"
+        )
+
+    def test_a_sweep_loads_numpy_only_when_the_batch_solves_it(self):
+        # sweeps of at most SCALAR_SWEEP_ROWS rows of at most SCALAR_LEVELS
+        # levels take the scalar kernel and load neither numpy nor the
+        # dataclasses and inspect modules.  The pinned 801- and 241-row
+        # sweeps take the batch and print the library's bytes, which
+        # TestPinnedOutput pins: they are numpy's, so they are compared
+        # here with the library, as the pins hold at default dispatch only
+        run_fresh(
+            "import contextlib, io, sys\n"
+            "from diracwell.cli import main\n"
+            "def sweep(*argv):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert main(list(argv)) == 0\n"
+            "    return out.getvalue()\n"
+            f"pinned = {str(PINNED)!r}\n"
+            "text = sweep('sweep-v0', '--k', '2.5', '--v0', '0:6:0.15')\n"
+            "assert text == open(pinned + '/sweep_v0_2.5_0-6-0.15.csv').read()\n"
+            "text = sweep('sweep-k', '--v0', '3', '--k', '0.5:4:0.5', '--format', 'json')\n"
+            "assert text == open(pinned + '/sweep_k_3_0.5-4-0.5.json').read()\n"
+            "loaded = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "text = sweep('sweep-v0', '--k', '3', '--v0', '0:8:0.01')\n"
+            "assert 'numpy' in sys.modules\n"
+            "from diracwell import branches_to_csv, parameter_grid, sweep_v0\n"
+            "assert text == branches_to_csv(sweep_v0(3.0, parameter_grid(0.0, 8.0, 0.01)))\n"
+            "text = sweep('sweep-v0', '--k', '2', '--v0=-6:6:0.05')\n"
+            "assert text == branches_to_csv(sweep_v0(2.0, parameter_grid(-6.0, 6.0, 0.05)))\n"
         )
 
     def test_star_import_and_dir_give_the_union_of_the_library_exports(self):
